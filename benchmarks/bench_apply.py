@@ -2,10 +2,12 @@
 
 Sweeps the matrix-free Hamiltonian application over wavefunction block
 sizes with the precomputed-ScatterMap fast path and the ``np.add.at``
-reference (``REPRO_SLOW_SCATTER=1``), each with the buffer-pool workspace
-on and off.  The headline metric — the speedup of (fast scatter +
-workspace) over (slow scatter, no workspace), i.e. over the seed
-implementation — lands in ``results/BENCH_apply.json`` via the harness.
+reference (the applies run inside ``with reference_scatter():``, the
+degradation ladder's rung, which tier-1 pins bit for bit to the
+``tests/reference`` oracle), each with the buffer-pool workspace on and
+off.  The headline metric — the speedup of (fast scatter + workspace) over
+(slow scatter, no workspace), i.e. over the seed implementation — lands in
+``results/BENCH_apply.json`` via the harness.
 
 Run standalone for the full sweep::
 
@@ -15,12 +17,14 @@ or through pytest-benchmark for the reference configuration only.
 """
 
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import uniform_mesh
+from repro.fem.scatter import reference_scatter
 from repro.fem.workspace import Workspace
 from repro.obs import Stopwatch
 
@@ -63,33 +67,23 @@ def run_sweep(degree: int, cells: int, nrhs: int, repeats: int = 5):
     """Time every (scatter, workspace, B_f) combination on one mesh."""
     rng = np.random.default_rng(1)
     rows = []
-    saved = os.environ.get("REPRO_SLOW_SCATTER")
-    try:
-        for scatter, ws_on in VARIANTS:
-            if scatter == "slow":
-                os.environ["REPRO_SLOW_SCATTER"] = "1"
-            else:
-                os.environ.pop("REPRO_SLOW_SCATTER", None)
-            mesh, op = _build(degree, cells, ws_on)
-            Xfull = rng.standard_normal((op.n, nrhs))
-            for bf in BLOCK_SIZES:
-                if bf > nrhs:
-                    continue
+    for scatter, ws_on in VARIANTS:
+        mesh, op = _build(degree, cells, ws_on)
+        Xfull = rng.standard_normal((op.n, nrhs))
+        for bf in BLOCK_SIZES:
+            if bf > nrhs:
+                continue
+            with reference_scatter() if scatter == "slow" else nullcontext():
                 seconds = _time_apply(op, Xfull[:, :bf], repeats)
-                rows.append(
-                    {
-                        "scatter": scatter,
-                        "workspace": ws_on,
-                        "block_size": bf,
-                        "seconds": seconds,
-                        "applies_per_s": 1.0 / seconds,
-                    }
-                )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SLOW_SCATTER", None)
-        else:
-            os.environ["REPRO_SLOW_SCATTER"] = saved
+            rows.append(
+                {
+                    "scatter": scatter,
+                    "workspace": ws_on,
+                    "block_size": bf,
+                    "seconds": seconds,
+                    "applies_per_s": 1.0 / seconds,
+                }
+            )
     return rows
 
 

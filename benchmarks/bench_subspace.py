@@ -2,9 +2,9 @@
 
 Times the combined CholGS+RR stage of one ChFES iteration — everything
 between the Chebyshev filter returning a block ``W`` and the rotated
-``(evals, X)`` leaving the subspace step — on the reference path
-(``REPRO_SLOW_SUBSPACE=1``: per-(i,j) block loops, per-block FP32 casts,
-and the ``op.apply`` issued inside ``rayleigh_ritz``) against the batched
+``(evals, X)`` leaving the subspace step — on the reference path (the
+``tests/reference`` oracles: per-(i,j) block loops, per-block FP32 casts,
+and the ``op.apply`` a standalone Rayleigh-Ritz issues) against the batched
 engine (:func:`repro.core.subspace.fused_cholgs_rr` consuming a
 precomputed ``HW``).
 
@@ -21,19 +21,24 @@ Results land in ``results/BENCH_subspace.json`` via the PR 2 harness::
     PYTHONPATH=src python benchmarks/bench_subspace.py
 """
 
-import os
+import pathlib
+import sys
 
 import numpy as np
 
 from repro.core.chebyshev import chebyshev_filter
 from repro.core.orthonorm import cholesky_orthonormalize
-from repro.core.rayleigh_ritz import rayleigh_ritz
 from repro.core.subspace import fused_cholgs_rr
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import uniform_mesh
 from repro.obs import Stopwatch
 
 from _harness import write_result
+
+# the oracles live with the tests; make the repo root importable when this
+# file runs as a script (under pytest it already is)
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests.reference import reference_cholgs, reference_rayleigh_ritz  # noqa: E402
 
 #: reference configuration the >=2x acceptance criterion is measured at
 #: (the bench_apply mesh: degree 3, 6^3 cells, with the paper-scale block)
@@ -70,6 +75,12 @@ def _build(degree: int, cells: int, nvec: int):
     return op, cholesky_orthonormalize(X, block_size=nvec)
 
 
+def _reference_stage(op, W, block_size: int, mixed_precision: bool = False):
+    """Unfused CholGS then Rayleigh-Ritz on the oracle loops."""
+    kw = dict(block_size=block_size, mixed_precision=mixed_precision)
+    return reference_rayleigh_ritz(op, reference_cholgs(W, **kw), **kw)
+
+
 def _filter_window(op, X):
     """Plausible steady-state filter window from the operator's spectrum."""
     d = np.real(op.diagonal())
@@ -104,42 +115,26 @@ def run_stage_bench(
     """
     op, X = _build(degree, cells, nvec)
     a, b, a0 = _filter_window(op, X)
-    saved = os.environ.get("REPRO_SLOW_SUBSPACE")
     rows = []
-    try:
-        W = chebyshev_filter(op, X, cheb_degree, a, b, a0, block_size=block_size)
-        W = np.ascontiguousarray(W)
-        HW = op.apply(W)
-        for mp in (False, True):
-            os.environ["REPRO_SLOW_SUBSPACE"] = "1"
-
-            def ref_stage():
-                Xo = cholesky_orthonormalize(
-                    W, block_size=block_size, mixed_precision=mp
-                )
-                rayleigh_ritz(op, Xo, block_size=block_size, mixed_precision=mp)
-
-            ref_s = _best(ref_stage, repeats)
-            os.environ.pop("REPRO_SLOW_SUBSPACE", None)
-            eng_s = _best(
-                lambda: fused_cholgs_rr(
-                    W, HW, op=op, block_size=block_size, mixed_precision=mp
-                ),
-                repeats,
-            )
-            rows.append(
-                {
-                    "mixed_precision": mp,
-                    "reference_stage_seconds": ref_s,
-                    "engine_stage_seconds": eng_s,
-                    "stage_speedup": ref_s / eng_s,
-                }
-            )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SLOW_SUBSPACE", None)
-        else:
-            os.environ["REPRO_SLOW_SUBSPACE"] = saved
+    W = chebyshev_filter(op, X, cheb_degree, a, b, a0, block_size=block_size)
+    W = np.ascontiguousarray(W)
+    HW = op.apply(W)
+    for mp in (False, True):
+        ref_s = _best(lambda: _reference_stage(op, W, block_size, mp), repeats)
+        eng_s = _best(
+            lambda: fused_cholgs_rr(
+                W, HW, op=op, block_size=block_size, mixed_precision=mp
+            ),
+            repeats,
+        )
+        rows.append(
+            {
+                "mixed_precision": mp,
+                "reference_stage_seconds": ref_s,
+                "engine_stage_seconds": eng_s,
+                "stage_speedup": ref_s / eng_s,
+            }
+        )
     return rows
 
 
@@ -159,60 +154,50 @@ def run_iteration_bench(
     """
     op, X = _build(degree, cells, nvec)
     a, b, a0 = _filter_window(op, X)
-    saved = os.environ.get("REPRO_SLOW_SUBSPACE")
     out = {}
-    try:
-        os.environ["REPRO_SLOW_SUBSPACE"] = "1"
-        cop = _CountingOp(op, nvec)
+    cop = _CountingOp(op, nvec)
 
-        def ref_iteration():
-            W = chebyshev_filter(
-                cop, X, cheb_degree, a, b, a0, block_size=block_size
-            )
-            Xo = cholesky_orthonormalize(W, block_size=block_size)
-            rayleigh_ritz(cop, Xo, block_size=block_size)
-
-        ref_s = _best(ref_iteration, repeats)
-        cop.columns = 0
-        ref_iteration()
-        out["reference"] = {
-            "iteration_seconds": ref_s,
-            "applies_per_iteration": cop.subspace_applies,
-        }
-        os.environ.pop("REPRO_SLOW_SUBSPACE", None)
-        cop = _CountingOp(op, nvec)
-        # warm-up iteration to establish the carry
-        W = chebyshev_filter(cop, X, cheb_degree, a, b, a0, block_size=block_size)
-        HW = cop.apply(np.ascontiguousarray(W))
-        _, Xc, hx0 = fused_cholgs_rr(W, HW, op=cop, block_size=block_size)
-        state = {"X": Xc, "hx0": hx0}
-
-        def engine_iteration():
-            W = chebyshev_filter(
-                cop, state["X"], cheb_degree, a, b, a0,
-                block_size=block_size, hx0=state["hx0"],
-            )
-            HW = cop.apply(np.ascontiguousarray(W))
-            _, Xn, hxn = fused_cholgs_rr(W, HW, op=cop, block_size=block_size)
-            state["X"], state["hx0"] = Xn, hxn
-
-        eng_s = _best(engine_iteration, repeats)
-        cop.columns = 0
-        engine_iteration()
-        out["engine"] = {
-            "iteration_seconds": eng_s,
-            "applies_per_iteration": cop.subspace_applies,
-        }
-        out["iteration_speedup"] = ref_s / eng_s
-        out["applies_saved_per_iteration"] = (
-            out["reference"]["applies_per_iteration"]
-            - out["engine"]["applies_per_iteration"]
+    def ref_iteration():
+        W = chebyshev_filter(
+            cop, X, cheb_degree, a, b, a0, block_size=block_size
         )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SLOW_SUBSPACE", None)
-        else:
-            os.environ["REPRO_SLOW_SUBSPACE"] = saved
+        _reference_stage(cop, W, block_size)
+
+    ref_s = _best(ref_iteration, repeats)
+    cop.columns = 0
+    ref_iteration()
+    out["reference"] = {
+        "iteration_seconds": ref_s,
+        "applies_per_iteration": cop.subspace_applies,
+    }
+    cop = _CountingOp(op, nvec)
+    # warm-up iteration to establish the carry
+    W = chebyshev_filter(cop, X, cheb_degree, a, b, a0, block_size=block_size)
+    HW = cop.apply(np.ascontiguousarray(W))
+    _, Xc, hx0 = fused_cholgs_rr(W, HW, op=cop, block_size=block_size)
+    state = {"X": Xc, "hx0": hx0}
+
+    def engine_iteration():
+        W = chebyshev_filter(
+            cop, state["X"], cheb_degree, a, b, a0,
+            block_size=block_size, hx0=state["hx0"],
+        )
+        HW = cop.apply(np.ascontiguousarray(W))
+        _, Xn, hxn = fused_cholgs_rr(W, HW, op=cop, block_size=block_size)
+        state["X"], state["hx0"] = Xn, hxn
+
+    eng_s = _best(engine_iteration, repeats)
+    cop.columns = 0
+    engine_iteration()
+    out["engine"] = {
+        "iteration_seconds": eng_s,
+        "applies_per_iteration": cop.subspace_applies,
+    }
+    out["iteration_speedup"] = ref_s / eng_s
+    out["applies_saved_per_iteration"] = (
+        out["reference"]["applies_per_iteration"]
+        - out["engine"]["applies_per_iteration"]
+    )
     return out
 
 

@@ -2,13 +2,13 @@
 
 Runs the real ``repro.tune`` sweep (seeded probes, Stopwatch timing,
 reproscope-metered wall) on this host, then checks the headline gate: in
-every probe family — (engine, B_f) apply passes per bucket, subspace
+every probe family — B_f apply passes per bucket, subspace
 block sizes, thread-pool widths — the tuned pick's measured seconds are
 <= every fixed candidate's seconds.  A fixed default can only tie the
 tuner, never beat it, on the probe set it was tuned on.
 
 Also records the speedup over the built-in default schedule
-(B_f=64 / csr / subspace 64 / 1 thread) and the tuner's own wall cost,
+(B_f=64 / subspace 64 / 1 thread) and the tuner's own wall cost,
 taken from the ``Tune-sweep`` span.
 
 Run standalone::
@@ -28,41 +28,19 @@ from repro.tune.sweep import SweepConfig, autotune
 from _harness import write_result
 
 REPEATS = 2
-#: the schedule a user gets with no profile: SCFOptions/ScatterMap defaults
+#: the schedule a user gets with no profile: the SCFOptions defaults
 DEFAULTS = {
     "block_size": 64,
     "subspace_block_size": 64,
-    "scatter_engine": "csr",
     "num_threads": 1,
 }
 
 
-def _flatten_apply(table):
-    """(engine, bsize) -> seconds pairs of one bucket's apply table."""
-    return {
-        (engine, bsize): seconds
-        for engine, per_block in table.items()
-        for bsize, seconds in per_block.items()
-    }
-
-
-def _default_seconds(tables, buckets):
-    """Measured cost of the built-in default schedule, per family."""
-    headline = tables["apply"][buckets[-1][0]]
-    engine = DEFAULTS["scatter_engine"]
-    if engine not in headline:  # scipy-less host: csr unavailable
-        engine = next(iter(headline))
-    return {
-        "apply": headline[engine][str(DEFAULTS["block_size"])],
-        "subspace": tables["subspace"][str(DEFAULTS["subspace_block_size"])],
-        "threads": tables["threads"][str(DEFAULTS["num_threads"])],
-    }
-
-
-def _tuned_seconds(tables, knobs, buckets):
+def _schedule_seconds(tables, knobs, buckets):
+    """Measured cost of one schedule (tuned or default), per family."""
     headline = tables["apply"][buckets[-1][0]]
     return {
-        "apply": headline[knobs["scatter_engine"]][str(knobs["block_size"])],
+        "apply": headline[str(knobs["block_size"])],
         "subspace": tables["subspace"][str(knobs["subspace_block_size"])],
         "threads": tables["threads"][str(knobs["num_threads"])],
     }
@@ -77,12 +55,12 @@ def bench() -> dict:
 
     tables = profile.sweep["tables"]
     buckets = [tuple(b) for b in profile.sweep["buckets"]]
-    tuned = _tuned_seconds(tables, profile.knobs, buckets)
-    default = _default_seconds(tables, buckets)
+    tuned = _schedule_seconds(tables, profile.knobs, buckets)
+    default = _schedule_seconds(tables, DEFAULTS, buckets)
 
     # the gate: in every family the tuned pick is <= every fixed candidate
     ties_or_wins = {}
-    headline = _flatten_apply(tables["apply"][buckets[-1][0]])
+    headline = tables["apply"][buckets[-1][0]]
     ties_or_wins["apply"] = all(tuned["apply"] <= s for s in headline.values())
     ties_or_wins["subspace"] = all(
         tuned["subspace"] <= s for s in tables["subspace"].values()
@@ -110,7 +88,6 @@ def bench() -> dict:
             "buckets": [list(b) for b in buckets],
             "block_sizes": list(cfg.block_sizes),
             "subspace_blocks": list(cfg.subspace_blocks),
-            "engines": list(cfg.resolved_engines()),
             "thread_counts": list(cfg.resolved_thread_counts()),
         },
         wall_seconds=profile.sweep["wall_seconds"],

@@ -20,7 +20,6 @@ from .subspace import (
     batched_gram,
     batched_rotate,
     fused_cholgs_rr,
-    subspace_engine_enabled,
 )
 
 __all__ = [
@@ -65,6 +64,5 @@ __all__ = [
     "relax",
     "rayleigh_ritz",
     "save_seed_density",
-    "subspace_engine_enabled",
     "total_energy",
 ]

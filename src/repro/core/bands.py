@@ -14,8 +14,7 @@ from repro.fem.assembly import KSOperator
 
 from .chebyshev import chebyshev_filter, lanczos_upper_bound
 from .orthonorm import cholesky_orthonormalize
-from .rayleigh_ritz import rayleigh_ritz
-from .subspace import fused_cholgs_rr, subspace_engine_enabled
+from .subspace import fused_cholgs_rr
 
 __all__ = ["band_structure", "kpath"]
 
@@ -64,7 +63,6 @@ def band_structure(
         a0 = float(np.min(d)) - 1.0
         a = a0 + 0.35 * (b - a0)
         evals = None
-        engine = subspace_engine_enabled()
         # the potential is frozen along the whole multi-pass solve, so the
         # HX rotated out of each fused stage seeds the next pass's filter
         # unadjusted (one fewer op.apply per pass after the first)
@@ -73,14 +71,8 @@ def band_structure(
             X = chebyshev_filter(
                 op, X, cheb_degree, a, b, a0, block_size=block_size, hx0=hx0
             )
-            if engine:
-                HW = op.apply(X)
-                evals, X, hx0 = fused_cholgs_rr(
-                    X, HW, op=op, block_size=block_size
-                )
-            else:
-                X = cholesky_orthonormalize(X, block_size=block_size)
-                evals, X = rayleigh_ritz(op, X, block_size=block_size)
+            HW = op.apply(X)
+            evals, X, hx0 = fused_cholgs_rr(X, HW, op=op, block_size=block_size)
             a0 = float(evals[0])
             a = float(evals[-1]) + 0.01 * (b - float(evals[-1]))
         bands[ik] = np.real(evals[:nbands])

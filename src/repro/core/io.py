@@ -18,17 +18,19 @@ provides the laptop-scale equivalent at two granularities:
   potential, eigensolver bound caches, optimizer moments, and the FLOP
   ledger, because each of those feeds back into later arithmetic.
 
-v2 files are written atomically (temp file + ``os.replace``), so a run
-killed mid-write leaves the previous checkpoint intact, never a torn one.
+Every file is written atomically (:func:`repro.atomicio.atomic_write`), so
+a run killed mid-write leaves the previous checkpoint intact, never a torn
+one.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
+
+from repro.atomicio import atomic_write
 
 __all__ = [
     "save_checkpoint",
@@ -81,7 +83,10 @@ def save_checkpoint(
         data[f"occupations_{i}"] = np.asarray(occ)
         if include_wavefunctions:
             data[f"psi_{i}"] = ch.psi
-    np.savez_compressed(path, **data)
+    path = os.fspath(path)
+    if not path.endswith(".npz"):  # np.savez's rule for bare paths
+        path += ".npz"
+    _atomic_savez(path, data)
 
 
 def load_checkpoint(path: str, mesh=None) -> dict:
@@ -196,23 +201,12 @@ def _atomic_savez(path: str, data: dict) -> None:
     """Write ``data`` as a compressed npz at ``path`` atomically.
 
     ``np.savez`` appends ``.npz`` to bare string paths, so the archive is
-    written through an open file handle instead, to a temp file in the
-    destination directory, then moved into place with ``os.replace``.  A
-    kill at any point leaves either the old checkpoint or the new one —
-    never a truncated file.
+    written through the open handle of :func:`repro.atomicio.atomic_write`
+    instead.  A kill at any point leaves either the old checkpoint or the
+    new one — never a truncated file.
     """
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez_compressed(f, **data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path) as f:
+        np.savez_compressed(f, **data)
 
 
 def _pack_json(obj) -> np.ndarray:

@@ -35,7 +35,6 @@ def auto_mesh(
     cells_per_axis: int | tuple[int, int, int] = 5,
     degree: int = 5,
     grading_ratio: float = 2.0,
-    scatter_engine: str | None = None,
 ) -> tuple[Mesh3D, AtomicConfiguration]:
     """Build a mesh around ``config`` and return (mesh, shifted config).
 
@@ -72,10 +71,7 @@ def auto_mesh(
                     )
                 )
                 pbc.append(False)
-        mesh = Mesh3D(
-            edges=tuple(edges), degree=degree, pbc=tuple(pbc),
-            scatter_engine=scatter_engine,
-        )
+        mesh = Mesh3D(edges=tuple(edges), degree=degree, pbc=tuple(pbc))
         shifted = AtomicConfiguration(
             list(config.symbols), pos, lattice=np.diag(lengths), pbc=config.pbc
         )
@@ -91,7 +87,7 @@ def auto_mesh(
                      ratio=grading_ratio)
         for a in range(3)
     )
-    mesh = Mesh3D(edges=edges, degree=degree, scatter_engine=scatter_engine)
+    mesh = Mesh3D(edges=edges, degree=degree)
     shifted = AtomicConfiguration(list(config.symbols), pos)
     return mesh, shifted
 
@@ -116,20 +112,10 @@ class DFTCalculation:
         nonlocal_projectors=None,
     ) -> None:
         self.xc = xc if xc is not None else LDA()
-        options = options or SCFOptions()
-        if options.autotune and not getattr(options, "_resolved", False):
-            # Resolve the tuned profile *before* mesh construction so a
-            # tuned scatter_engine reaches the assembly maps; the driver
-            # sees an already-resolved options object and skips its own
-            # pickup (no second profile read).
-            from repro.tune.profile import load_host_profile
-
-            options = options.resolve(load_host_profile())
         if mesh is None:
             mesh, config = auto_mesh(
                 config, padding=padding, cells_per_axis=cells_per_axis,
                 degree=degree, grading_ratio=grading_ratio,
-                scatter_engine=options.scatter_engine,
             )
         self.mesh = mesh
         self.config = config

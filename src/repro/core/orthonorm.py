@@ -11,11 +11,11 @@ structure:
   triangular inverse (FLOPs uncounted, wall time charged, as in Table 3).
 * **CholGS-O** — subspace rotation ``X <- X L^{-H}`` by blocked GEMMs.
 
-``blocked_gram``/``blocked_rotate`` dispatch to the batched engine in
-:mod:`.subspace` (single-cast FP32 mirrors, offset-batched ``np.matmul``,
-no zeroed temporaries), which is bitwise identical to the reference block
-loops kept here; ``REPRO_SLOW_SUBSPACE=1`` selects the reference at call
-time.
+``blocked_gram``/``blocked_rotate`` are the contract-checked entry points
+of the batched engine in :mod:`.subspace` (single-cast FP32 mirrors,
+offset-batched ``np.matmul``, no zeroed temporaries), which is bitwise
+identical to the per-block reference loops kept as test oracles in
+``tests/reference``.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from repro.hpc.flops import gemm_flops
 from repro.obs import kernel_region
-from repro.precision import f32_dtype
 from repro.tools.contracts import dtype_contract, shape_contract
 
-from .subspace import batched_gram, batched_rotate, subspace_engine_enabled
+from .subspace import batched_gram, batched_rotate
 
 __all__ = ["blocked_gram", "cholesky_orthonormalize", "blocked_rotate"]
 
@@ -46,71 +44,15 @@ def blocked_gram(
 
     Only blocks with ``j >= i`` are computed (the paper's alpha=1 Hermitian
     exploitation); with ``mixed_precision`` the strictly off-diagonal blocks
-    are computed in FP32.  Dispatches to the batched engine unless
-    ``REPRO_SLOW_SUBSPACE=1`` selects the reference loop below.
+    are computed in FP32.
     """
-    if subspace_engine_enabled():
-        return batched_gram(
-            X,
-            block_size=block_size,
-            mixed_precision=mixed_precision,
-            ledger=ledger,
-            kernel=kernel,
-        )
-    return _reference_gram(
+    return batched_gram(
         X,
         block_size=block_size,
         mixed_precision=mixed_precision,
         ledger=ledger,
         kernel=kernel,
     )
-
-
-def _reference_gram(
-    X: np.ndarray,
-    block_size: int = 128,
-    mixed_precision: bool = False,
-    ledger=None,
-    kernel: str = "CholGS-S",
-) -> np.ndarray:
-    """Reference per-(i, j)-block overlap loop (``REPRO_SLOW_SUBSPACE=1``)."""
-    n, nvec = X.shape
-    is_complex = np.issubdtype(X.dtype, np.complexfloating)
-    S = np.zeros((nvec, nvec), dtype=X.dtype)
-    f32 = f32_dtype(X.dtype)
-    starts = list(range(0, nvec, block_size))
-    with kernel_region(kernel, ledger, block_size=block_size, nvec=nvec):
-        for i in starts:
-            si = slice(i, min(i + block_size, nvec))
-            Xi = X[:, si]
-            for j in starts:
-                if j < i:
-                    continue
-                sj = slice(j, min(j + block_size, nvec))
-                Xj = X[:, sj]
-                offdiag = j > i
-                if mixed_precision and offdiag:
-                    # CholGS-S whitelisted downcast: off-diagonal overlap
-                    # blocks decay to 0 as the filtered subspace converges,
-                    # so their FP32 rounding is bounded by the block norm
-                    # (paper Sec 5.4.1); tests bound the orthonormality loss.
-                    blk = (Xi.astype(f32).conj().T @ Xj.astype(f32)).astype(X.dtype)  # reprolint: disable=R012
-                    prec = "fp32"
-                else:
-                    blk = Xi.conj().T @ Xj
-                    prec = "fp64"
-                S[si, sj] = blk
-                if offdiag:
-                    S[sj, si] = blk.conj().T
-                if ledger is not None:
-                    ledger.add(
-                        kernel,
-                        gemm_flops(
-                            si.stop - si.start, sj.stop - sj.start, n, is_complex
-                        ),
-                        precision=prec,
-                    )
-    return S
 
 
 @shape_contract(X=("n", "nvec"), Q=("nvec", "k"), returns=("n", "k"))
@@ -128,19 +70,8 @@ def blocked_rotate(
     With mixed precision, the contribution of off-diagonal blocks of ``Q``
     (rotations mixing well-separated subspace directions, which shrink as
     the SCF converges) is accumulated in FP32; diagonal blocks stay FP64.
-    Dispatches to the batched engine (direct writes into the output, pooled
-    product buffers) unless ``REPRO_SLOW_SUBSPACE=1``.
     """
-    if subspace_engine_enabled():
-        return batched_rotate(
-            X,
-            Q,
-            block_size=block_size,
-            mixed_precision=mixed_precision,
-            ledger=ledger,
-            kernel=kernel,
-        )
-    return _reference_rotate(
+    return batched_rotate(
         X,
         Q,
         block_size=block_size,
@@ -148,49 +79,6 @@ def blocked_rotate(
         ledger=ledger,
         kernel=kernel,
     )
-
-
-def _reference_rotate(
-    X: np.ndarray,
-    Q: np.ndarray,
-    block_size: int = 128,
-    mixed_precision: bool = False,
-    ledger=None,
-    kernel: str = "RR-SR",
-) -> np.ndarray:
-    """Reference rotation loop with zeroed accumulators."""
-    n, nvec = X.shape
-    is_complex = np.issubdtype(X.dtype, np.complexfloating)
-    f32 = f32_dtype(X.dtype)
-    Y = np.zeros((n, Q.shape[1]), dtype=X.dtype)
-    starts = list(range(0, nvec, block_size))
-    col_starts = list(range(0, Q.shape[1], block_size))
-    with kernel_region(kernel, ledger, block_size=block_size, nvec=nvec):
-        for j in col_starts:
-            sj = slice(j, min(j + block_size, Q.shape[1]))
-            acc = np.zeros((n, sj.stop - sj.start), dtype=X.dtype)
-            for i in starts:
-                si = slice(i, min(i + block_size, nvec))
-                offdiag = i != j
-                if mixed_precision and offdiag:
-                    # CholGS-O/RR-SR whitelisted downcast: off-diagonal
-                    # rotation blocks mix well-separated subspace directions
-                    # and shrink as the SCF converges; the FP64 accumulator
-                    # keeps the summation error at the FP64 level.
-                    blk32 = X[:, si].astype(f32) @ Q[si, sj].astype(f32)  # reprolint: disable=R012
-                    acc += blk32.astype(X.dtype)
-                    prec = "fp32"
-                else:
-                    acc += X[:, si] @ Q[si, sj]
-                    prec = "fp64"
-                if ledger is not None:
-                    ledger.add(
-                        kernel,
-                        gemm_flops(n, sj.stop - sj.start, si.stop - si.start, is_complex),
-                        precision=prec,
-                    )
-            Y[:, sj] = acc
-    return Y
 
 
 @shape_contract(X=("n", "nvec"), returns=("n", "nvec"))

@@ -6,9 +6,9 @@
 * **RR-D** — dense diagonalization of ``Hhat`` (FLOPs uncounted).
 * **RR-SR** — subspace rotation ``X <- X Q`` (alpha=2, mixed precision).
 
-``projected_hamiltonian`` dispatches to the batched engine in
-:mod:`.subspace` unless ``REPRO_SLOW_SUBSPACE=1`` selects the reference
-block loop.  The SCF driver fuses this stage with CholGS via
+``projected_hamiltonian`` runs on the batched engine in :mod:`.subspace`
+(the per-block reference loop is a test oracle in ``tests/reference``).
+The SCF driver fuses this stage with CholGS via
 :func:`repro.core.subspace.fused_cholgs_rr`, which reuses the operator
 application issued for the Chebyshev filter; the standalone
 :func:`rayleigh_ritz` entry point below keeps the self-contained
@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hpc.flops import gemm_flops
 from repro.obs import kernel_region
-from repro.precision import f32_dtype
 from repro.tools.contracts import dtype_contract, shape_contract
 
 from .orthonorm import blocked_rotate
-from .subspace import batched_gram, subspace_engine_enabled
+from .subspace import batched_gram
 
 __all__ = ["projected_hamiltonian", "rayleigh_ritz"]
 
@@ -40,69 +38,16 @@ def projected_hamiltonian(
     ledger=None,
 ) -> np.ndarray:
     """Hermitian projection ``Hhat = X^H HX`` by blocks (kernel RR-P)."""
-    if subspace_engine_enabled():
-        Hp = batched_gram(
-            X,
-            HX,
-            block_size=block_size,
-            mixed_precision=mixed_precision,
-            ledger=ledger,
-            kernel="RR-P",
-        )
-        return 0.5 * (Hp + Hp.conj().T)
-    return _reference_projected_hamiltonian(
+    Hp = batched_gram(
         X,
         HX,
         block_size=block_size,
         mixed_precision=mixed_precision,
         ledger=ledger,
+        kernel="RR-P",
     )
-
-
-def _reference_projected_hamiltonian(
-    X: np.ndarray,
-    HX: np.ndarray,
-    block_size: int = 128,
-    mixed_precision: bool = False,
-    ledger=None,
-) -> np.ndarray:
-    """Reference per-(i, j)-block projection loop (``REPRO_SLOW_SUBSPACE=1``)."""
-    n, nvec = X.shape
-    is_complex = np.issubdtype(X.dtype, np.complexfloating)
-    f32 = f32_dtype(X.dtype)
-    Hp = np.zeros((nvec, nvec), dtype=X.dtype)
-    starts = list(range(0, nvec, block_size))
-    with kernel_region("RR-P", ledger, block_size=block_size, nvec=nvec):
-        for i in starts:
-            si = slice(i, min(i + block_size, nvec))
-            for j in starts:
-                if j < i:
-                    continue
-                sj = slice(j, min(j + block_size, nvec))
-                offdiag = j > i
-                if mixed_precision and offdiag:
-                    # RR-P whitelisted downcast: off-diagonal projected-
-                    # Hamiltonian blocks vanish as the subspace converges to
-                    # an invariant one, bounding the FP32 error by the
-                    # residual norm (paper Sec 5.4.1).
-                    blk32 = X[:, si].astype(f32).conj().T @ HX[:, sj].astype(f32)  # reprolint: disable=R012
-                    blk = blk32.astype(X.dtype)
-                    prec = "fp32"
-                else:
-                    blk = X[:, si].conj().T @ HX[:, sj]
-                    prec = "fp64"
-                Hp[si, sj] = blk
-                if offdiag:
-                    Hp[sj, si] = blk.conj().T
-                if ledger is not None:
-                    ledger.add(
-                        "RR-P",
-                        gemm_flops(si.stop - si.start, sj.stop - sj.start, n, is_complex),
-                        precision=prec,
-                    )
     # Hermitize the diagonal blocks (round-off) for a clean eigh input.
-    Hp = 0.5 * (Hp + Hp.conj().T)
-    return Hp
+    return 0.5 * (Hp + Hp.conj().T)
 
 
 def rayleigh_ritz(

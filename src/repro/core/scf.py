@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +32,12 @@ import numpy as np
 from repro.atoms.pseudo import AtomicConfiguration
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import Mesh3D
+from repro.fem.scatter import reference_scatter
 from repro.obs import SCF_ITERATION, attach_to, current_span, trace_region
 from repro.resilience import (
     DegradationReport,
     ResilienceError,
     RetryPolicy,
-    ScatterFallback,
 )
 from repro.resilience import faults as _faults
 from repro.tools import sanitize as _sanitize
@@ -51,9 +52,12 @@ from .mixing import AndersonMixer, LinearMixer
 from .occupations import OccupationSet, find_fermi_level
 from .orthonorm import cholesky_orthonormalize
 from .rayleigh_ritz import rayleigh_ritz
-from .subspace import adjust_carried_hx, fused_cholgs_rr, subspace_engine_enabled
+from .subspace import adjust_carried_hx, fused_cholgs_rr
 
-__all__ = ["KSChannel", "SCFOptions", "SCFResult", "SCFDriver"]
+# rayleigh_ritz is a re-export with no use left in this module (every ChFES
+# step is fused): the benchmark ledger's frozen hook table resolves
+# repro.core.scf.rayleigh_ritz and fails loudly if the name disappears
+__all__ = ["KSChannel", "SCFOptions", "SCFResult", "SCFDriver", "rayleigh_ritz"]
 
 
 @dataclass
@@ -101,9 +105,6 @@ class SCFOptions:
     #: CholGS/RR block size; None falls back to ``block_size`` (tunable
     #: independently because the subspace GEMM shapes differ from CF's)
     subspace_block_size: int | None = None
-    #: force the fem ScatterMap engine ("csr"/"slices"); None = automatic
-    #: (or tuned).  Both engines are bitwise-identical by construction.
-    scatter_engine: str | None = None
     #: pick up the per-host tuned profile for any knob left unset (see
     #: :mod:`repro.tune`); ``REPRO_TUNE=0`` overrides this globally
     autotune: bool = True
@@ -153,8 +154,7 @@ class SCFOptions:
     fp32_halo: bool = False
 
     #: the knobs a tuned profile may fill (when left unset here)
-    _TUNABLE = ("block_size", "subspace_block_size", "scatter_engine",
-                "num_threads")
+    _TUNABLE = ("block_size", "subspace_block_size", "num_threads")
 
     def __post_init__(self) -> None:
         # Record which tunable knobs the caller left unset *before*
@@ -312,7 +312,6 @@ class SCFDriver:
                 f"nstates={nstates} cannot hold {config.n_electrons} electrons"
             )
         self.degradation = DegradationReport()
-        self._scatter = ScatterFallback()
         self._degraded_serial = False
         self._iteration = 0
         # REPRO_NUM_THREADS is read once here, not per SCF step: the
@@ -373,7 +372,6 @@ class SCFDriver:
         it = 0
         occset = None
         self.degradation = DegradationReport()
-        self._scatter = ScatterFallback()
         self._degraded_serial = False
         self._iteration = 0
         start_it = 1
@@ -386,23 +384,19 @@ class SCFDriver:
             history = list(state["history"])
             occset = self._restore_state(state, mixer)
             start_it = it + 1
-        try:
-            converged, it, occset, rho_spin, prev_energy = self._scf_loop(
-                start_it,
-                converged,
-                it,
-                occset,
-                rho_spin,
-                prev_energy,
-                mixer,
-                kerker,
-                history,
-                degeneracy,
-                n_e,
-            )
-        finally:
-            # never leak a degraded scatter setting into the next run
-            self._scatter.restore()
+        converged, it, occset, rho_spin, prev_energy = self._scf_loop(
+            start_it,
+            converged,
+            it,
+            occset,
+            rho_spin,
+            prev_energy,
+            mixer,
+            kerker,
+            history,
+            degeneracy,
+            n_e,
+        )
 
         # Final self-consistent energy at the output density.
         v_tot = self.electrostatics.solve(rho_spin.sum(axis=1), tol=opts.poisson_tol)
@@ -699,8 +693,25 @@ class SCFDriver:
             ch.hpsi, ch.hpsi_v,
         )
 
+        attempts = 0
+
         def attempt() -> bool:
-            self._solve_one_channel(ch, v_eff)
+            nonlocal attempts
+            attempts += 1
+            scatter = nullcontext()
+            if policy.max_retries > 0 and attempts == policy.max_retries + 1:
+                # last rung before giving up: this attempt, on this thread
+                # only, trades the compiled scatter maps for the reference
+                # scatter (bit-identical, slower)
+                self.degradation.record(
+                    "channel",
+                    "scatter->reference",
+                    detail="last-resort retry uses the reference scatter",
+                    iteration=self._iteration,
+                )
+                scatter = reference_scatter()
+            with scatter:
+                self._solve_one_channel(ch, v_eff)
             return True
 
         def validate(_: bool) -> bool:
@@ -719,15 +730,6 @@ class SCFDriver:
                 ch.psi, ch.evals, ch.upper_bound, ch.bound_base, ch.bound_v,
                 ch.hpsi, ch.hpsi_v,
             ) = backup
-            # last rung before giving up: trade the precomputed scatter maps
-            # for the reference scatter (bit-identical, slower)
-            if n == policy.max_retries and self._scatter.engage():
-                self.degradation.record(
-                    "channel",
-                    "scatter->reference",
-                    detail="last-resort retry uses the reference scatter",
-                    iteration=self._iteration,
-                )
 
         policy.run(attempt, "channel", validate=validate, before_retry=before_retry)
 
@@ -815,9 +817,8 @@ class SCFDriver:
             a = float(ch.evals[-1]) + 0.01 * (b - float(ch.evals[-1]))
             passes = max(opts.filter_passes, 1)
 
-        engine = subspace_engine_enabled()
         hx0 = None
-        if engine and not first and ch.hpsi is not None and ch.hpsi_v is not None:
+        if not first and ch.hpsi is not None and ch.hpsi_v is not None:
             # the potential term of H~ is exactly diagonal, so the HX
             # rotated out of the previous RR stage survives the SCF
             # potential update as hpsi + (v_new - v_old) o psi
@@ -828,41 +829,20 @@ class SCFDriver:
                 block_size=opts.block_size, ledger=self.ledger,
                 hx0=hx0,
             )
-            if engine:
-                # fused CholGS->RR: one H application of the filtered block
-                # feeds projection AND the carried HX; the reference path
-                # below issues a second apply inside rayleigh_ritz
-                HW = op.apply(X)
-                evals, X, hx0 = fused_cholgs_rr(
-                    X,
-                    HW,
-                    op=op,
-                    block_size=opts.subspace_block,
-                    mixed_precision=opts.mixed_precision,
-                    ledger=self.ledger,
-                )
-            else:
-                hx0 = None
-                X = cholesky_orthonormalize(
-                    X,
-                    block_size=opts.subspace_block,
-                    mixed_precision=opts.mixed_precision,
-                    ledger=self.ledger,
-                )
-                evals, X = rayleigh_ritz(
-                    op,
-                    X,
-                    block_size=opts.subspace_block,
-                    mixed_precision=opts.mixed_precision,
-                    ledger=self.ledger,
-                )
+            # fused CholGS->RR: one H application of the filtered block
+            # feeds projection AND the carried HX
+            HW = op.apply(X)
+            evals, X, hx0 = fused_cholgs_rr(
+                X,
+                HW,
+                op=op,
+                block_size=opts.subspace_block,
+                mixed_precision=opts.mixed_precision,
+                ledger=self.ledger,
+            )
             a0 = float(evals[0])
             a = float(evals[-1]) + 0.01 * (b - float(evals[-1]))
         ch.psi = X
         ch.evals = evals
-        if engine and hx0 is not None:
-            ch.hpsi = hx0
-            ch.hpsi_v = op.potential_free.copy()
-        else:
-            ch.hpsi = None
-            ch.hpsi_v = None
+        ch.hpsi = hx0
+        ch.hpsi_v = op.potential_free.copy()

@@ -1,11 +1,11 @@
 """Batched mixed-precision subspace linear algebra (CholGS + RR engine).
 
 The non-filter time of a ChFES cycle is spent in dense subspace kernels —
-CholGS-S/CI/O and RR-P/D/SR (paper Table 3) — whose reference
-implementations in :mod:`.orthonorm` / :mod:`.rayleigh_ritz` walk the
+CholGS-S/CI/O and RR-P/D/SR (paper Table 3) — whose textbook
+implementations (kept as test oracles in ``tests/reference``) walk the
 ``O((nvec/bs)^2)`` block pairs in Python and re-cast the same columns to
-FP32 once per pair.  This module is the fast engine those wrappers (and the
-SCF/bands/invDFT drivers) dispatch to:
+FP32 once per pair.  This module is the engine the :mod:`.orthonorm` /
+:mod:`.rayleigh_ritz` entry points and the SCF/bands/invDFT drivers run on:
 
 * **single-cast mirrors** — with mixed precision, ``X``/``HX`` are downcast
   to an FP32 mirror once per call (:func:`repro.precision.fp32_mirror`,
@@ -33,15 +33,9 @@ SCF/bands/invDFT drivers) dispatch to:
   for free and seeds the next Chebyshev filter's first term (one fewer
   ``op.apply`` per ChFES iteration; see :func:`adjust_carried_hx` for the
   cross-SCF-step potential update).
-
-``REPRO_SLOW_SUBSPACE=1`` (checked at call time, mirroring the scatter
-fallback of PR 3) steers every dispatch site back to the reference
-implementations.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -58,22 +52,12 @@ __all__ = [
     "batched_gram",
     "batched_rotate",
     "fused_cholgs_rr",
-    "subspace_engine_enabled",
 ]
 
 #: pooled intermediates of the engine (FP32 mirrors, batched product
 #: stacks, per-block accumulator products); thread-local, shared by the
 #: parallel (k, spin) channels
 ENGINE_WORKSPACE = Workspace()
-
-
-def subspace_engine_enabled() -> bool:
-    """Whether the batched engine is active (``REPRO_SLOW_SUBSPACE`` off)."""
-    return os.environ.get("REPRO_SLOW_SUBSPACE", "").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-    )
 
 
 def _block_stack(A: np.ndarray, bs: int, first: int, count: int) -> np.ndarray:

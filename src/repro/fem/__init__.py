@@ -7,7 +7,7 @@ from .mesh import Mesh3D, graded_edges, uniform_mesh
 from .partition import Partition, process_grid
 from .poisson import PoissonSolver, multipole_boundary_values
 from .quadrature import gauss_legendre, gauss_lobatto_legendre
-from .scatter import ScatterMap, slow_scatter_enabled
+from .scatter import ScatterMap
 from .workspace import Workspace
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "ReferenceCell",
     "ScatterMap",
     "Workspace",
-    "slow_scatter_enabled",
     "gauss_legendre",
     "gauss_lobatto_legendre",
     "graded_edges",

@@ -24,9 +24,8 @@ the nodes, so only the kinetic part needs cell-level GEMMs.
 
 Fast apply path (see DESIGN.md): the scatter-add runs through a precomputed
 :class:`~repro.fem.scatter.ScatterMap` (bit-for-bit identical to the
-``np.add.at`` reference, which stays reachable via ``REPRO_SLOW_SCATTER=1``),
-and all intermediates — the free→full expansion, the gathered/GEMM'd cell
-tensors, the free-DoF output — live in a reusable
+``np.add.at`` reference), and all intermediates — the free→full expansion,
+the gathered/GEMM'd cell tensors, the free-DoF output — live in a reusable
 :class:`~repro.fem.workspace.Workspace` so a steady-state ``KSOperator.apply``
 performs no large allocations.
 """
@@ -109,8 +108,7 @@ class CellStiffness:
             self._smap = mesh.scatter_map
         else:
             self._smap = ScatterMap(
-                mesh.conn, mesh.nnodes, weights=np.conj(self.phases).ravel(),
-                force_engine=mesh.scatter_engine,
+                mesh.conn, mesh.nnodes, weights=np.conj(self.phases).ravel()
             )
 
     @property
@@ -155,7 +153,7 @@ class CellStiffness:
         For the Bloch path the conjugated phases are part of the scatter
         map's weights.  Bit-for-bit identical to the reference
         ``np.add.at`` loop when ``out`` is zero-initialized (it is, in
-        every caller); ``REPRO_SLOW_SCATTER=1`` forces the reference loop.
+        every caller).
         """
         B = Yc.shape[-1]
         self._smap.add_to(Yc.reshape(-1, B), out)

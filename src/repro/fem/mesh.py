@@ -71,11 +71,6 @@ class Mesh3D:
     edges: tuple[np.ndarray, np.ndarray, np.ndarray]
     degree: int
     pbc: tuple[bool, bool, bool] = (False, False, False)
-    #: force the ScatterMap engine for every assembly map built on this
-    #: mesh ("csr"/"slices"); None = automatic.  The engines are
-    #: bit-for-bit identical, so this is a pure schedule choice — it is
-    #: how a tuned profile's ``scatter_engine`` reaches the fem layer.
-    scatter_engine: str | None = None
     ref: ReferenceCell = field(init=False)
 
     def __post_init__(self) -> None:
@@ -242,9 +237,7 @@ class Mesh3D:
         identical to the ``np.add.at`` reference on zero-initialized
         outputs.
         """
-        return ScatterMap(
-            self.conn, self.nnodes, force_engine=self.scatter_engine
-        )
+        return ScatterMap(self.conn, self.nnodes)
 
     @cached_property
     def _scatter_map3(self) -> ScatterMap:
@@ -256,10 +249,7 @@ class Mesh3D:
         exact addition order (axis 0 entries before axis 1 before axis 2).
         """
         flat = self.conn.ravel()
-        return ScatterMap(
-            np.concatenate([flat, flat, flat]), self.nnodes,
-            force_engine=self.scatter_engine,
-        )
+        return ScatterMap(np.concatenate([flat, flat, flat]), self.nnodes)
 
     @cached_property
     def mass_diag(self) -> np.ndarray:
@@ -390,12 +380,9 @@ def uniform_mesh(
     ncells: tuple[int, int, int],
     degree: int,
     pbc: tuple[bool, bool, bool] = (False, False, False),
-    scatter_engine: str | None = None,
 ) -> Mesh3D:
     """Convenience constructor for a uniform box mesh."""
     edges = tuple(
         np.linspace(0.0, L, n + 1) for L, n in zip(lengths, ncells)
     )
-    return Mesh3D(
-        edges=edges, degree=degree, pbc=pbc, scatter_engine=scatter_engine
-    )
+    return Mesh3D(edges=edges, degree=degree, pbc=pbc)

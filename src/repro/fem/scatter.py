@@ -3,92 +3,52 @@
 ``np.add.at`` — the obvious way to scatter cell-local contributions back to
 global nodes — is an *unbuffered* ufunc inner loop with per-element dispatch
 overhead, typically 5-20x slower than the batched GEMM it follows.  Since
-the connectivity of a mesh never changes, the scatter can instead be
-compiled **once** into a :class:`ScatterMap` and replayed on every operator
-application:
+the connectivity of a mesh never changes, the scatter is instead compiled
+**once** into a :class:`ScatterMap` and replayed on every operator
+application as the sparse-matrix product ``out += S @ V``, where ``S`` is
+the fixed ``(nnodes, nnz)`` 0/1 CSR assembly matrix with exactly one entry
+per cell-local node.  ``scipy.sparse`` executes it as a tight C loop.
+Weights (e.g. conjugated Bloch phases) are applied to ``V`` by numpy
+*before* the product: baking complex weights into the CSR data is not
+bit-safe, because scipy's C++ complex multiply may contract to FMA and
+round differently from numpy's.
 
-* **CSR engine** (default) — the scatter is the sparse-matrix product
-  ``out += S @ V`` where ``S`` is the fixed ``(nnodes, nnz)`` 0/1 assembly
-  matrix with exactly one entry per cell-local node.  ``scipy.sparse``
-  executes it as a tight C loop.  Weights (e.g. conjugated Bloch phases)
-  are applied to ``V`` by numpy *before* the product: baking complex
-  weights into the CSR data is not bit-safe, because scipy's C++ complex
-  multiply may contract to FMA and round differently from numpy's.
-* **sorted-slices engine** (scipy-free fallback, selectable for tests) —
-  a stable argsort of the connectivity groups the contributions of each
-  node; slice ``k`` holds every node's ``k``-th contribution, so the
-  scatter becomes ``max_valence`` vectorized fancy-index adds.
-
-Both engines add each node's contributions **in the same order as the flat
+The product adds each node's contributions **in the same order as the flat
 connectivity**, i.e. in exactly the order ``np.add.at`` would, so for a
 zero-initialized output the result is *bit-for-bit identical* to the naive
-path (IEEE addition of an identical operand sequence).  The naive path is
-kept behind ``REPRO_SLOW_SCATTER=1`` for A/B testing and regression hunts.
+scatter (IEEE addition of an identical operand sequence).  That naive
+scatter is the degradation ladder's last rung: inside
+``with reference_scatter():`` the calling thread's ``add_to`` calls bypass
+the compiled matrix.
 """
 
 from __future__ import annotations
 
-import os
+import threading
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
+from scipy import sparse
 
-try:  # scipy is an existing dependency (CholGS uses solve_triangular)
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - exercised via force_engine tests
-    _sparse = None
+__all__ = ["ScatterMap", "reference_scatter"]
 
-__all__ = ["ScatterMap", "slow_scatter_enabled"]
+_local = threading.local()
 
 
-def slow_scatter_enabled() -> bool:
-    """Whether ``REPRO_SLOW_SCATTER`` requests the reference ``np.add.at``."""
-    return os.environ.get("REPRO_SLOW_SCATTER", "").strip().lower() in (
-        "1", "true", "on", "yes",
-    )
+@contextmanager
+def reference_scatter() -> Iterator[None]:
+    """Run this thread's scatters through ``np.add.at`` inside the block.
 
-
-class _SliceEngine:
-    """Stable-sorted segment sum: one vectorized add per valence level."""
-
-    def __init__(self, flat: np.ndarray, nnodes: int) -> None:
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=nnodes)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        self.slices: list[tuple[np.ndarray, np.ndarray]] = []
-        for k in range(int(counts.max(initial=0))):
-            mask = counts > k
-            # slice k: the k-th contribution (in flat order) of every node
-            # that has one; target node indices are unique per slice, so a
-            # fancy-indexed += is safe and the per-node accumulation order
-            # is exactly the flat (np.add.at) order.
-            self.slices.append((np.flatnonzero(mask), order[starts[mask] + k]))
-
-    def scatter(self, values: np.ndarray, out: np.ndarray) -> None:
-        for nodes_k, rows_k in self.slices:
-            out[nodes_k] += values[rows_k]
-
-
-class _CsrEngine:
-    """CSR assembly matrix: scatter as ``out += S @ V`` (one GEMM-like pass)."""
-
-    def __init__(self, flat: np.ndarray, nnodes: int) -> None:
-        # column j of S is the j-th flat entry: within each CSR row the
-        # entries sort by column = flat position, i.e. occurrence order, so
-        # the sequential per-row accumulation of csr_matvecs replays the
-        # np.add.at addition sequence exactly.  The data is strictly unit
-        # (1.0 * x is exact even under FMA contraction); weights are applied
-        # to the values beforehand so the products round identically to the
-        # reference's numpy multiply.
-        self.S = _sparse.csr_matrix(
-            (
-                np.ones(flat.size, dtype=np.float64),
-                (flat, np.arange(flat.size, dtype=np.int64)),
-            ),
-            shape=(nnodes, flat.size),
-        )
-
-    def scatter(self, values: np.ndarray, out: np.ndarray) -> None:
-        out += self.S @ values
+    Thread-scoped on purpose: a driver degrading on one worker thread must
+    not slow down (or be undone by) a driver running on another.
+    """
+    prev = getattr(_local, "reference", False)
+    _local.reference = True
+    try:
+        yield
+    finally:
+        _local.reference = prev
 
 
 class ScatterMap:
@@ -104,13 +64,9 @@ class ScatterMap:
     weights:
         Optional per-entry multipliers (e.g. conjugated Bloch phases),
         flattened alongside ``indices``.  ``None`` means unit weights.
-    force_engine:
-        ``"csr"`` / ``"slices"`` to pin an engine (tests); default picks
-        CSR when scipy is importable, slices otherwise.
 
     The map is immutable after construction and safe to share across
-    threads.  ``add_to`` honours ``REPRO_SLOW_SCATTER=1`` at call time,
-    falling back to the reference ``np.add.at`` loop.
+    threads.
     """
 
     def __init__(
@@ -118,7 +74,6 @@ class ScatterMap:
         indices: np.ndarray,
         nnodes: int,
         weights: np.ndarray | None = None,
-        force_engine: str | None = None,
     ) -> None:
         flat = np.ascontiguousarray(np.asarray(indices, dtype=np.int64).ravel())
         self.indices = flat
@@ -126,18 +81,20 @@ class ScatterMap:
         self.weights = (
             None if weights is None else np.ascontiguousarray(weights.ravel())
         )
-        engine = force_engine or ("csr" if _sparse is not None else "slices")
-        if engine == "csr":
-            if _sparse is None:
-                raise RuntimeError("scipy.sparse unavailable; use engine='slices'")
-            self._engine: _CsrEngine | _SliceEngine = _CsrEngine(
-                flat, self.nnodes
-            )
-        elif engine == "slices":
-            self._engine = _SliceEngine(flat, self.nnodes)
-        else:
-            raise ValueError(f"unknown scatter engine {engine!r}")
-        self.engine_name = engine
+        # column j of S is the j-th flat entry: within each CSR row the
+        # entries sort by column = flat position, i.e. occurrence order, so
+        # the sequential per-row accumulation of csr_matvecs replays the
+        # np.add.at addition sequence exactly.  The data is strictly unit
+        # (1.0 * x is exact even under FMA contraction); weights are applied
+        # to the values beforehand so the products round identically to the
+        # reference's numpy multiply.
+        self._S = sparse.csr_matrix(
+            (
+                np.ones(flat.size, dtype=np.float64),
+                (flat, np.arange(flat.size, dtype=np.int64)),
+            ),
+            shape=(self.nnodes, flat.size),
+        )
 
     # ------------------------------------------------------------------
     def _apply_weights(self, values: np.ndarray) -> np.ndarray:
@@ -152,13 +109,14 @@ class ScatterMap:
         ``values`` has shape ``(nnz,)`` or ``(nnz, B)`` matching ``out``'s
         ``(nnodes,)`` / ``(nnodes, B)``.  Returns ``out``.
 
-        Bit-compatibility note: for a zero-initialized ``out`` the fast
-        engines reproduce ``np.add.at`` bit-for-bit; for a nonzero ``out``
-        they add each node's *total* in one operation (one rounding step
+        Bit-compatibility note: for a zero-initialized ``out`` the CSR
+        product reproduces ``np.add.at`` bit-for-bit; for a nonzero ``out``
+        it adds each node's *total* in one operation (one rounding step
         instead of ``valence`` steps).
         """
-        if slow_scatter_enabled():
-            np.add.at(out, self.indices, self._apply_weights(values))
-            return out
-        self._engine.scatter(self._apply_weights(values), out)
+        values = self._apply_weights(values)
+        if getattr(_local, "reference", False):
+            np.add.at(out, self.indices, values)
+        else:
+            out += self._S @ values
         return out

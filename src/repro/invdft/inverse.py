@@ -30,8 +30,7 @@ from repro.core.chebyshev import chebyshev_filter, lanczos_upper_bound
 from repro.core.io import load_invdft_state, save_invdft_state
 from repro.core.occupations import find_fermi_level
 from repro.core.orthonorm import cholesky_orthonormalize
-from repro.core.rayleigh_ritz import rayleigh_ritz
-from repro.core.subspace import fused_cholgs_rr, subspace_engine_enabled
+from repro.core.subspace import fused_cholgs_rr
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import Mesh3D
 from repro.fem.poisson import PoissonSolver, multipole_boundary_values
@@ -138,7 +137,6 @@ class InverseDFT:
             a0 = float(self._evals[spin][0])
             a = float(self._evals[spin][-1]) + 0.01 * (b - float(self._evals[spin][-1]))
             passes = 1
-        engine = subspace_engine_enabled()
         # intra-solve carry only (the potential is fixed across these
         # passes); nothing is carried across outer v_xc iterations, so the
         # invdft checkpoint format is untouched
@@ -149,14 +147,10 @@ class InverseDFT:
                 block_size=self.block_size, ledger=self.ledger,
                 hx0=hx0,
             )
-            if engine:
-                HW = op.apply(X)
-                evals, X, hx0 = fused_cholgs_rr(
-                    X, HW, op=op, block_size=self.block_size, ledger=self.ledger
-                )
-            else:
-                X = cholesky_orthonormalize(X, block_size=self.block_size, ledger=self.ledger)
-                evals, X = rayleigh_ritz(op, X, block_size=self.block_size, ledger=self.ledger)
+            HW = op.apply(X)
+            evals, X, hx0 = fused_cholgs_rr(
+                X, HW, op=op, block_size=self.block_size, ledger=self.ledger
+            )
             a0 = float(evals[0])
             a = float(evals[-1]) + 0.01 * (b - float(evals[-1]))
         self._psi[spin] = X

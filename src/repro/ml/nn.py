@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.atomicio import atomic_write
 
 __all__ = ["MLP", "Adam", "elu", "elu_prime"]
 
@@ -147,13 +150,17 @@ class MLP:
     def save(self, path: str) -> None:
         params = self.get_params()
         digest = hashlib.sha256(params.tobytes()).digest()
-        np.savez(
-            path,
-            layer_sizes=np.array(self.layer_sizes),
-            alpha=self.alpha,
-            params=params,
-            checksum=np.frombuffer(digest, dtype=np.uint8),
-        )
+        path = os.fspath(path)
+        if not path.endswith(".npz"):  # np.savez's rule for bare paths
+            path += ".npz"
+        with atomic_write(path) as f:
+            np.savez(
+                f,
+                layer_sizes=np.array(self.layer_sizes),
+                alpha=self.alpha,
+                params=params,
+                checksum=np.frombuffer(digest, dtype=np.uint8),
+            )
 
     @classmethod
     def load(cls, path: str | io.IOBase) -> "MLP":

@@ -28,7 +28,7 @@ Quick chaos run::
                               # ResilienceError("[filter_block] ...")
 """
 
-from .degrade import DegradationEvent, DegradationReport, ScatterFallback
+from .degrade import DegradationEvent, DegradationReport
 from .faults import (
     FAULT_SITES,
     FaultPlan,
@@ -53,7 +53,6 @@ __all__ = [
     "InjectedFault",
     "ResilienceError",
     "RetryPolicy",
-    "ScatterFallback",
     "active_plan",
     "arm",
     "armed",

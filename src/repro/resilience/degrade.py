@@ -6,9 +6,10 @@ performance for survival instead of aborting:
 1. retry the failing step in place (:class:`~repro.resilience.retry.
    RetryPolicy`);
 2. drop the parallel (k, spin) channel pool to serial execution;
-3. swap the precomputed :class:`~repro.fem.scatter.ScatterMap` for the
-   reference ``np.add.at`` scatter (the ``REPRO_SLOW_SCATTER`` gate the
-   fast path already honours at call time);
+3. run the last-resort attempt with the compiled
+   :class:`~repro.fem.scatter.ScatterMap` product swapped for the reference
+   ``np.add.at`` scatter, on the failing thread only
+   (:func:`~repro.fem.scatter.reference_scatter`);
 4. give up with a structured ``ResilienceError``.
 
 Every rung taken is recorded in a :class:`DegradationReport` — attached to
@@ -18,12 +19,11 @@ degraded paths says so instead of silently running slow.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.obs import add_counter, add_event
 
-__all__ = ["DegradationEvent", "DegradationReport", "ScatterFallback"]
+__all__ = ["DegradationEvent", "DegradationReport"]
 
 
 @dataclass(frozen=True)
@@ -82,38 +82,3 @@ class DegradationReport:
             lines.append(f"  [{e.site}] {e.action}{at}{det}")
         return "\n".join(lines)
 
-
-class ScatterFallback:
-    """Engage/restore the ``REPRO_SLOW_SCATTER`` reference-scatter gate.
-
-    The fast :class:`~repro.fem.scatter.ScatterMap` checks the environment
-    at *call time*, so flipping the variable mid-run degrades every scatter
-    from the next operator application on — no rebuild needed.  The driver
-    restores the caller's setting in a ``finally`` so a degraded run does
-    not leak slow scatters into the next one.
-    """
-
-    _VAR = "REPRO_SLOW_SCATTER"
-
-    def __init__(self) -> None:
-        self.active = False
-        self._prev: str | None = None
-
-    def engage(self) -> bool:
-        """Force the reference scatter; returns False if already active."""
-        if self.active:
-            return False
-        self._prev = os.environ.get(self._VAR)
-        os.environ[self._VAR] = "1"
-        self.active = True
-        return True
-
-    def restore(self) -> None:
-        """Put the caller's ``REPRO_SLOW_SCATTER`` setting back."""
-        if not self.active:
-            return
-        if self._prev is None:
-            os.environ.pop(self._VAR, None)
-        else:
-            os.environ[self._VAR] = self._prev
-        self.active = False

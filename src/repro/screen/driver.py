@@ -76,7 +76,6 @@ class DiscretizationCache:
         cells_per_axis: int | tuple[int, int, int],
         degree: int,
         grading_ratio: float,
-        scatter_engine: str | None,
     ) -> Mesh3D:
         key = (
             tuple(float(x) for x in np.asarray(lengths, dtype=float)),
@@ -84,7 +83,6 @@ class DiscretizationCache:
             else tuple(cells_per_axis),
             int(degree),
             float(grading_ratio),
-            scatter_engine,
         )
         mesh = self._meshes.get(key)
         if mesh is not None:
@@ -92,10 +90,7 @@ class DiscretizationCache:
             add_counter("screen_setup_cache_hits", 1)
             return mesh
         self.misses += 1
-        mesh = domain_mesh(
-            lengths, cells_per_axis, degree, grading_ratio,
-            scatter_engine=scatter_engine,
-        )
+        mesh = domain_mesh(lengths, cells_per_axis, degree, grading_ratio)
         self._meshes[key] = mesh
         return mesh
 
@@ -253,8 +248,7 @@ class ScreenCampaign:
     ) -> tuple[Mesh3D, dict[str, AtomicConfiguration]]:
         lengths, configs = family_domain(self.family, self.padding)
         mesh = self.setup_cache.get(
-            lengths, self.cells_per_axis, self.degree, self.grading_ratio,
-            self.options.scatter_engine,
+            lengths, self.cells_per_axis, self.degree, self.grading_ratio
         )
         return mesh, configs
 
@@ -271,8 +265,7 @@ class ScreenCampaign:
         lo = cfg.positions.min(axis=0) - self.padding
         lengths = (cfg.positions.max(axis=0) + self.padding) - lo
         mesh = self.setup_cache.get(
-            lengths, self.cells_per_axis, self.degree, self.grading_ratio,
-            self.options.scatter_engine,
+            lengths, self.cells_per_axis, self.degree, self.grading_ratio
         )
         shifted = AtomicConfiguration(list(cfg.symbols), cfg.positions - lo)
         return mesh, shifted

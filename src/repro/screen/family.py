@@ -170,7 +170,6 @@ def domain_mesh(
     cells_per_axis: int | tuple[int, int, int] = 3,
     degree: int = 3,
     grading_ratio: float = 2.0,
-    scatter_engine: str | None = None,
 ) -> Mesh3D:
     """Mesh over a fixed domain, graded toward the domain center.
 
@@ -189,7 +188,7 @@ def domain_mesh(
         )
         for a in range(3)
     )
-    return Mesh3D(edges=edges, degree=degree, scatter_engine=scatter_engine)
+    return Mesh3D(edges=edges, degree=degree)
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,7 @@ def run_screen_member(spec: JobSpec, ctx: SliceContext) -> SliceOutcome:
         autotune=ctx.tuned,
         initial_rho_path=ctx.seed_rho,
     )
-    mesh = domain_mesh(
-        spec.domain, spec.cells, spec.degree, spec.grading_ratio,
-        scatter_engine=options.scatter_engine,
-    )
+    mesh = domain_mesh(spec.domain, spec.cells, spec.degree, spec.grading_ratio)
     config = AtomicConfiguration(
         list(spec.symbols), np.asarray(spec.positions, dtype=float)
     )

@@ -9,11 +9,10 @@ from the stored spec must equal the file's name, so a corrupted or
 hand-edited entry is treated as a miss instead of serving wrong physics
 (the same checksum discipline as the PR 1 model-artifact guard).
 
-Writes are atomic (temp file + fsync + ``os.replace``, the
-:mod:`repro.core.io` pattern): a crash mid-write leaves either the old
-entry or the new one, never a torn file.  A lock plus reprosan write
-windows guard the in-memory index, so concurrent workers publishing
-results under ``REPRO_SANITIZE=1`` prove the locking discipline.
+Writes are atomic (:func:`repro.atomicio.atomic_write`): a crash mid-write
+leaves either the old entry or the new one, never a torn file.  A lock plus
+reprosan write windows guard the in-memory index, so concurrent workers
+publishing results under ``REPRO_SANITIZE=1`` prove the locking discipline.
 
 Hit/miss/put tallies are kept on the cache and mirrored to the open
 reproscope span (``cache_hits`` / ``cache_misses`` counters).
@@ -24,11 +23,11 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Any
 
+from repro.atomicio import atomic_write
 from repro.obs import add_counter
 from repro.tools import sanitize as _sanitize
 
@@ -110,18 +109,8 @@ class ResultCache:
             if san is not None:
                 san.write_begin(self._san_tag)
             try:
-                fd, tmp = tempfile.mkstemp(
-                    dir=self.root, suffix=".cache.tmp"
-                )
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as f:
-                        f.write(blob)
-                        f.flush()
-                        os.fsync(f.fileno())
-                    os.replace(tmp, path)
-                finally:
-                    if os.path.exists(tmp):
-                        os.remove(tmp)
+                with atomic_write(path, "w", encoding="utf-8") as f:
+                    f.write(blob)
                 self._memory[key] = dict(payload)
                 self.stats.puts += 1
             finally:

@@ -771,13 +771,14 @@ class SlowScatterOutsideFem(Rule):
     """R010: ``np.add.at`` scatters outside the sanctioned FEM fast path.
 
     ``np.ufunc.at`` is an order-of-magnitude slower than the precomputed
-    :class:`repro.fem.scatter.ScatterMap` (sorted-connectivity segment sums /
-    CSR matvec), which reproduces its accumulation order bit-for-bit.  Any
-    scatter-add added elsewhere in the codebase silently reintroduces the
-    bottleneck the fast apply path removed.  The FEM package itself — which
-    hosts both the fast engines and the ``REPRO_SLOW_SCATTER`` reference
-    implementation — is exempt; other sanctioned sites (e.g. the cluster
-    model's per-rank partial sums) carry an explicit
+    :class:`repro.fem.scatter.ScatterMap` (one CSR assembly-matrix product),
+    which reproduces its accumulation order bit-for-bit.  Any scatter-add
+    added elsewhere in the codebase silently reintroduces the bottleneck
+    the fast apply path removed.  The FEM package itself is exempt: it
+    holds the single production scatter and, inside ``ScatterMap.add_to``,
+    the one ``np.add.at`` line the degradation ladder's last rung runs
+    under ``reference_scatter()``.  Other sanctioned sites (e.g. the
+    cluster model's per-rank partial sums) carry an explicit
     ``# reprolint: disable=R010`` pragma.
     """
 

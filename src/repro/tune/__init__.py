@@ -1,9 +1,8 @@
 """repro.tune — self-tuning kernel schedules (ROADMAP item 4).
 
 Measure which kernel *schedule* is fastest on this host (wavefunction
-block ``B_f``, scatter engine, channel thread width, subspace block),
-persist the choice as a checksummed per-host profile, and let
-``SCFOptions.resolve`` fill unset knobs from it — explicit user values
+block ``B_f``, channel thread width, subspace block), persist the choice
+as a checksummed per-host profile, and let ``SCFOptions.resolve`` fill unset knobs from it — explicit user values
 always win, ``REPRO_TUNE=0`` kills the pickup, and every tuned
 configuration is bit-identical in SCF energies to the fixed defaults.
 
@@ -35,7 +34,6 @@ _SWEEP_NAMES = (
     "SweepConfig",
     "SweepResult",
     "autotune",
-    "available_engines",
     "best_candidate",
     "pick_modeled",
     "run_sweep",

@@ -1,9 +1,9 @@
 """Per-host tuned-kernel profiles: versioned, checksummed, self-verifying.
 
 The autotuner (:mod:`repro.tune.sweep`) measures which kernel *schedule* —
-wavefunction block ``B_f``, scatter engine, channel thread count, subspace
-block — is fastest on this host and persists the choice as a JSON envelope
-(schema ``repro-tune-profile/1``).  :meth:`repro.core.scf.SCFOptions.resolve`
+wavefunction block ``B_f``, channel thread count, subspace block — is
+fastest on this host and persists the choice as a JSON envelope (schema
+``repro-tune-profile/1``).  :meth:`repro.core.scf.SCFOptions.resolve`
 fills any knob the user left unset from the profile; explicit user values
 always win, and ``REPRO_TUNE=0`` disables the pickup entirely (the kill
 switch is checked *before* any filesystem access, so a disabled run performs
@@ -12,8 +12,8 @@ no profile I/O at all).
 The store borrows the discipline of the PR 7 result cache
 (:mod:`repro.serve.cache`):
 
-* **atomic writes** — temp file in the target directory + ``fsync`` +
-  ``os.replace``, so a crashed tuner can never leave a torn profile;
+* **atomic writes** — :func:`repro.atomicio.atomic_write`, so a crashed
+  tuner can never leave a torn profile;
 * **self-verification** — the envelope carries a SHA-256 checksum over its
   canonical JSON body; a tampered or truncated file is rejected
   (:class:`ProfileError`) and treated as "no profile", never crashing the
@@ -23,8 +23,8 @@ The store borrows the discipline of the PR 7 result cache
   recorded fingerprint differs from the current host is ignored, so a
   profile baked on one machine cannot mis-schedule another.
 
-Profiles only ever change the *schedule* (loop partitioning, engine choice,
-thread fan-out), never the math: every knob a profile may set has a
+Profiles only ever change the *schedule* (loop partitioning, thread
+fan-out), never the math: every knob a profile may set has a
 bitwise-equivalence guarantee (see DESIGN.md sec 15), so tuned and untuned
 runs produce identical SCF energies.
 """
@@ -36,11 +36,12 @@ import json
 import os
 import pathlib
 import platform
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+from repro.atomicio import atomic_write
 
 __all__ = [
     "PROFILE_SCHEMA",
@@ -61,16 +62,13 @@ __all__ = [
 PROFILE_SCHEMA = "repro-tune-profile/1"
 
 #: the schedule knobs a profile may set, in canonical order.  Each one is
-#: bitwise-neutral by construction (scatter engine, num_threads) or by the
-#: sweep's candidate floor (block sizes; see DESIGN.md sec 15).
+#: bitwise-neutral by construction (num_threads) or by the sweep's
+#: candidate floor (block sizes; see DESIGN.md sec 15).
 TUNABLE_KNOBS = (
     "block_size",
     "subspace_block_size",
-    "scatter_engine",
     "num_threads",
 )
-
-_SCATTER_ENGINES = ("csr", "slices")
 
 
 class ProfileError(ValueError):
@@ -114,12 +112,8 @@ def _validate_knobs(knobs: dict[str, Any]) -> None:
     for name, value in knobs.items():
         if name not in TUNABLE_KNOBS:
             raise ProfileError(f"unknown tunable knob {name!r}")
-        if name == "scatter_engine":
-            if value not in _SCATTER_ENGINES:
-                raise ProfileError(f"unknown scatter engine {value!r}")
-        else:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ProfileError(f"knob {name}={value!r} must be an int >= 1")
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ProfileError(f"knob {name}={value!r} must be an int >= 1")
 
 
 def _checksum(body: dict[str, Any]) -> str:
@@ -177,7 +171,7 @@ def default_profile_path(fingerprint: dict[str, Any] | None = None) -> pathlib.P
 def save_profile(
     profile: TunedProfile, path: str | pathlib.Path | None = None
 ) -> pathlib.Path:
-    """Atomically persist ``profile`` (tmpfile + fsync + ``os.replace``)."""
+    """Atomically persist ``profile`` (default: its fingerprint-addressed path)."""
     target = (
         pathlib.Path(path)
         if path is not None
@@ -185,18 +179,8 @@ def save_profile(
     )
     target.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(profile.envelope(), indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(
-        dir=target.parent, prefix=target.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(payload)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with atomic_write(target, "w", encoding="utf-8") as f:
+        f.write(payload)
     return target
 
 

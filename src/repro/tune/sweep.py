@@ -1,12 +1,12 @@
 """Deterministic micro-probe sweep: measure, choose, persist the schedule.
 
-The sweep times the four tunable schedule knobs on seeded synthetic
+The sweep times the three tunable schedule knobs on seeded synthetic
 problems:
 
 * **apply probe** — matrix-free ``KSOperator.apply`` over wavefunction
-  blocks of each candidate ``B_f``, once per scatter engine ("csr" /
-  "slices"), on every problem-size *bucket* (small/medium boxes).  This is
-  the ChFES filter inner loop, the paper's dominant kernel.
+  blocks of each candidate ``B_f`` on every problem-size *bucket*
+  (small/medium boxes).  This is the ChFES filter inner loop, the paper's
+  dominant kernel.
 * **subspace probe** — blocked Cholesky-Gram orthonormalization at each
   candidate subspace block size.
 * **thread probe** — a fixed set of independent channel-sized GEMM tasks
@@ -30,8 +30,7 @@ and modeled hardware.
 
 Bitwise safety: candidate block sizes are floored at 8 ≥ the largest
 golden-library eigenstate count, so a tuned block never re-partitions the
-library's subspace GEMMs (single-block equivalence); the scatter engines
-replay identical accumulation order by construction and channel threading
+library's subspace GEMMs (single-block equivalence), and channel threading
 does not reorder any reduction.  Tuning changes schedule, never math.
 """
 
@@ -53,7 +52,6 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "autotune",
-    "available_engines",
     "best_candidate",
     "pick_modeled",
     "run_sweep",
@@ -61,15 +59,6 @@ __all__ = [
 
 #: measurement callable: seconds to execute ``fn()`` (injectable in tests)
 Measure = Callable[[Callable[[], Any]], float]
-
-
-def available_engines() -> tuple[str, ...]:
-    """Scatter engines usable on this host ("csr" needs scipy)."""
-    try:
-        import scipy.sparse  # noqa: F401  (availability probe)
-    except ImportError:
-        return ("slices",)
-    return ("csr", "slices")
 
 
 @dataclass(frozen=True)
@@ -84,7 +73,6 @@ class SweepConfig:
     #: subspaces single-block and the tuned dispatch bitwise-neutral.
     block_sizes: tuple[int, ...] = (8, 16, 32, 64)
     subspace_blocks: tuple[int, ...] = (8, 16, 32, 64)
-    engines: tuple[str, ...] | None = None  #: None -> available_engines()
     thread_counts: tuple[int, ...] | None = None  #: None -> host-sized
     #: (name, cells_per_axis, nrhs) problem-size buckets; the headline
     #: knobs are chosen on the *last* (largest) bucket, all tables are kept
@@ -97,9 +85,6 @@ class SweepConfig:
     subspace_nvec: int = 48
     #: thread probe: per-task GEMM edge and task count
     thread_task_dim: int = 160
-
-    def resolved_engines(self) -> tuple[str, ...]:
-        return self.engines if self.engines is not None else available_engines()
 
     def resolved_thread_counts(self) -> tuple[int, ...]:
         if self.thread_counts is not None:
@@ -155,35 +140,27 @@ def _measure_best_of(fn: Callable[[], Any], repeats: int) -> float:
 # probes
 def _apply_probe(
     cfg: SweepConfig, bucket: tuple[str, int, int], measure: Measure
-) -> dict[str, dict[str, float]]:
-    """Seconds per (engine, B_f) for a full block-partitioned apply pass."""
+) -> dict[str, float]:
+    """Seconds per B_f for a full block-partitioned apply pass."""
     from repro.fem.assembly import KSOperator
     from repro.fem.mesh import uniform_mesh
 
     _, cells, nrhs = bucket
     rng = np.random.default_rng(cfg.seed)
-    potential = None
-    X = None
-    table: dict[str, dict[str, float]] = {}
-    for engine in cfg.resolved_engines():
-        mesh = uniform_mesh(
-            (8.0,) * 3, (cells,) * 3, cfg.degree,
-            pbc=(True, True, True), scatter_engine=engine,
-        )
-        op = KSOperator(mesh)
-        if potential is None:  # same seeded inputs for every engine
-            potential = rng.standard_normal(mesh.nnodes)
-            X = rng.standard_normal((op.n, nrhs))
-        op.set_potential(potential)
-        per_block: dict[str, float] = {}
-        for bsize in cfg.block_sizes:
+    mesh = uniform_mesh(
+        (8.0,) * 3, (cells,) * 3, cfg.degree, pbc=(True, True, True)
+    )
+    op = KSOperator(mesh)
+    op.set_potential(rng.standard_normal(mesh.nnodes))
+    X = rng.standard_normal((op.n, nrhs))
+    table: dict[str, float] = {}
+    for bsize in cfg.block_sizes:
 
-            def one_pass(b: int = bsize) -> None:
-                for j in range(0, nrhs, b):
-                    op.apply(X[:, j : j + b])
+        def one_pass(b: int = bsize) -> None:
+            for j in range(0, nrhs, b):
+                op.apply(X[:, j : j + b])
 
-            per_block[str(bsize)] = measure(one_pass)
-        table[engine] = per_block
+        table[str(bsize)] = measure(one_pass)
     return table
 
 
@@ -243,13 +220,8 @@ def run_sweep(
             tables["threads"] = _thread_probe(cfg, measure)
 
     headline = tables["apply"][cfg.buckets[-1][0]]
-    engine_block = [
-        (engine, bsize)
-        for engine in cfg.resolved_engines()
-        for bsize in cfg.block_sizes
-    ]
-    (engine, bsize), _ = best_candidate(
-        engine_block, lambda eb: headline[eb[0]][str(eb[1])]
+    bsize, _ = best_candidate(
+        list(cfg.block_sizes), lambda b: headline[str(b)]
     )
     sub_block, _ = best_candidate(
         list(cfg.subspace_blocks), lambda b: tables["subspace"][str(b)]
@@ -259,7 +231,6 @@ def run_sweep(
     )
     knobs = {
         "block_size": int(bsize),
-        "scatter_engine": engine,
         "subspace_block_size": int(sub_block),
         "num_threads": int(threads),
     }

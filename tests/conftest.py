@@ -13,6 +13,14 @@ def pytest_addoption(parser):
     )
 
 
+def pytest_collection_modifyitems(items):
+    """Injected faults poison arrays with NaN/Inf on purpose: ``chaos``
+    tests alone are exempt from the ``error::RuntimeWarning`` ini filter."""
+    for item in items:
+        if item.get_closest_marker("chaos") is not None:
+            item.add_marker(pytest.mark.filterwarnings("default::RuntimeWarning"))
+
+
 @pytest.fixture
 def update_golden(request):
     """True when the run should rewrite the golden files."""

@@ -1,0 +1,207 @@
+"""Test oracles: the textbook twins of the production kernels.
+
+``src/repro`` runs exactly one implementation of each operation — the
+batched subspace engine (:mod:`repro.core.subspace`) and the CSR scatter
+(:mod:`repro.fem.scatter`).  The per-block loops and the ``np.add.at``
+scatter they replaced live on here, unchanged down to the per-block FP32
+casts, as the references the bitwise tests (and the A/B benchmark
+scripts) compare the production path against.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.linalg import solve_triangular
+
+from repro.hpc.flops import gemm_flops
+from repro.obs import kernel_region
+from repro.precision import f32_dtype
+
+__all__ = [
+    "reference_cholgs",
+    "reference_gram",
+    "reference_projected_hamiltonian",
+    "reference_rayleigh_ritz",
+    "reference_rotate",
+    "reference_scatter_add",
+]
+
+
+def reference_scatter_add(
+    indices: np.ndarray,
+    values: np.ndarray,
+    nnodes: int,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """``out[indices[r]] += weights[r] * values[r]`` by ``np.add.at`` into a
+    fresh zeroed ``(nnodes, B)`` array: oracle for ``ScatterMap.add_to``."""
+    flat = np.asarray(indices).ravel()
+    vals = np.asarray(values).reshape(flat.size, -1)
+    if weights is not None:
+        vals = weights[:, None] * vals
+    out = np.zeros((nnodes, vals.shape[1]), dtype=vals.dtype)
+    np.add.at(out, flat, vals)
+    return out
+
+
+def reference_gram(
+    X: np.ndarray,
+    block_size: int = 128,
+    mixed_precision: bool = False,
+    ledger=None,
+    kernel: str = "CholGS-S",
+) -> np.ndarray:
+    """Per-(i, j)-block overlap loop: oracle for ``blocked_gram``."""
+    n, nvec = X.shape
+    is_complex = np.issubdtype(X.dtype, np.complexfloating)
+    S = np.zeros((nvec, nvec), dtype=X.dtype)
+    f32 = f32_dtype(X.dtype)
+    starts = list(range(0, nvec, block_size))
+    with kernel_region(kernel, ledger, block_size=block_size, nvec=nvec):
+        for i in starts:
+            si = slice(i, min(i + block_size, nvec))
+            Xi = X[:, si]
+            for j in starts:
+                if j < i:
+                    continue
+                sj = slice(j, min(j + block_size, nvec))
+                Xj = X[:, sj]
+                offdiag = j > i
+                if mixed_precision and offdiag:
+                    # CholGS-S whitelisted downcast: off-diagonal overlap
+                    # blocks decay to 0 as the filtered subspace converges,
+                    # so their FP32 rounding is bounded by the block norm
+                    # (paper Sec 5.4.1); tests bound the orthonormality loss.
+                    blk = (Xi.astype(f32).conj().T @ Xj.astype(f32)).astype(X.dtype)
+                    prec = "fp32"
+                else:
+                    blk = Xi.conj().T @ Xj
+                    prec = "fp64"
+                S[si, sj] = blk
+                if offdiag:
+                    S[sj, si] = blk.conj().T
+                if ledger is not None:
+                    ledger.add(
+                        kernel,
+                        gemm_flops(
+                            si.stop - si.start, sj.stop - sj.start, n, is_complex
+                        ),
+                        precision=prec,
+                    )
+    return S
+
+
+def reference_rotate(
+    X: np.ndarray,
+    Q: np.ndarray,
+    block_size: int = 128,
+    mixed_precision: bool = False,
+    ledger=None,
+    kernel: str = "RR-SR",
+) -> np.ndarray:
+    """Rotation loop with zeroed accumulators: oracle for ``blocked_rotate``."""
+    n, nvec = X.shape
+    is_complex = np.issubdtype(X.dtype, np.complexfloating)
+    f32 = f32_dtype(X.dtype)
+    Y = np.zeros((n, Q.shape[1]), dtype=X.dtype)
+    starts = list(range(0, nvec, block_size))
+    col_starts = list(range(0, Q.shape[1], block_size))
+    with kernel_region(kernel, ledger, block_size=block_size, nvec=nvec):
+        for j in col_starts:
+            sj = slice(j, min(j + block_size, Q.shape[1]))
+            acc = np.zeros((n, sj.stop - sj.start), dtype=X.dtype)
+            for i in starts:
+                si = slice(i, min(i + block_size, nvec))
+                offdiag = i != j
+                if mixed_precision and offdiag:
+                    # CholGS-O/RR-SR whitelisted downcast: off-diagonal
+                    # rotation blocks mix well-separated subspace directions
+                    # and shrink as the SCF converges; the FP64 accumulator
+                    # keeps the summation error at the FP64 level.
+                    blk32 = X[:, si].astype(f32) @ Q[si, sj].astype(f32)
+                    acc += blk32.astype(X.dtype)
+                    prec = "fp32"
+                else:
+                    acc += X[:, si] @ Q[si, sj]
+                    prec = "fp64"
+                if ledger is not None:
+                    ledger.add(
+                        kernel,
+                        gemm_flops(n, sj.stop - sj.start, si.stop - si.start, is_complex),
+                        precision=prec,
+                    )
+            Y[:, sj] = acc
+    return Y
+
+
+def reference_projected_hamiltonian(
+    X: np.ndarray,
+    HX: np.ndarray,
+    block_size: int = 128,
+    mixed_precision: bool = False,
+    ledger=None,
+) -> np.ndarray:
+    """Per-(i, j)-block projection loop: oracle for ``projected_hamiltonian``."""
+    n, nvec = X.shape
+    is_complex = np.issubdtype(X.dtype, np.complexfloating)
+    f32 = f32_dtype(X.dtype)
+    Hp = np.zeros((nvec, nvec), dtype=X.dtype)
+    starts = list(range(0, nvec, block_size))
+    with kernel_region("RR-P", ledger, block_size=block_size, nvec=nvec):
+        for i in starts:
+            si = slice(i, min(i + block_size, nvec))
+            for j in starts:
+                if j < i:
+                    continue
+                sj = slice(j, min(j + block_size, nvec))
+                offdiag = j > i
+                if mixed_precision and offdiag:
+                    # RR-P whitelisted downcast: off-diagonal projected-
+                    # Hamiltonian blocks vanish as the subspace converges to
+                    # an invariant one, bounding the FP32 error by the
+                    # residual norm (paper Sec 5.4.1).
+                    blk32 = X[:, si].astype(f32).conj().T @ HX[:, sj].astype(f32)
+                    blk = blk32.astype(X.dtype)
+                    prec = "fp32"
+                else:
+                    blk = X[:, si].conj().T @ HX[:, sj]
+                    prec = "fp64"
+                Hp[si, sj] = blk
+                if offdiag:
+                    Hp[sj, si] = blk.conj().T
+                if ledger is not None:
+                    ledger.add(
+                        "RR-P",
+                        gemm_flops(si.stop - si.start, sj.stop - sj.start, n, is_complex),
+                        precision=prec,
+                    )
+    # Hermitize the diagonal blocks (round-off) for a clean eigh input.
+    Hp = 0.5 * (Hp + Hp.conj().T)
+    return Hp
+
+
+def reference_cholgs(
+    X: np.ndarray,
+    block_size: int = 128,
+    mixed_precision: bool = False,
+    ledger=None,
+) -> np.ndarray:
+    """Unfused CholGS on the oracle loops (no QR rescue): ``X L^{-H}``."""
+    kw = dict(block_size=block_size, mixed_precision=mixed_precision, ledger=ledger)
+    L = np.linalg.cholesky(reference_gram(X, **kw))
+    Linv = solve_triangular(L, np.eye(L.shape[0], dtype=L.dtype), lower=True)
+    return reference_rotate(X, Linv.conj().T, kernel="CholGS-O", **kw)
+
+
+def reference_rayleigh_ritz(
+    op,
+    X: np.ndarray,
+    block_size: int = 128,
+    mixed_precision: bool = False,
+    ledger=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standalone Rayleigh-Ritz on the oracle loops, issuing its own apply."""
+    kw = dict(block_size=block_size, mixed_precision=mixed_precision, ledger=ledger)
+    Hp = reference_projected_hamiltonian(X, op.apply(X), **kw)
+    evals, Q = np.linalg.eigh(Hp)
+    return evals, reference_rotate(X, Q, **kw)

@@ -1,0 +1,106 @@
+"""The environment surface of ``src/repro`` is documented and read-only.
+
+An AST scan finds every ``REPRO_*`` name the package reads from
+``os.environ`` / ``os.getenv`` and every write to the process environment.
+The reads must be exactly the variables README.md documents (an
+undocumented knob, or a documented one nothing reads, fails here); writes
+must not exist at all — the environment is process-global state shared by
+every thread of a ``repro.serve`` process, so a kernel path may never be
+selected by mutating it.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import re
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
+
+_MUTATORS = {"pop", "setdefault", "update", "clear", "popitem"}
+
+
+def _is_environ(node: ast.AST) -> bool:
+    """``os.environ`` (or a bare imported ``environ``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "environ"
+    return isinstance(node, ast.Name) and node.id == "environ"
+
+
+def _literal(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _scan(tree: ast.AST) -> tuple[set[str], list[int]]:
+    """(REPRO_* names read, line numbers of environment writes)."""
+    reads: set[str] = set()
+    writes: list[int] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            fn = node.func
+            key = _literal(node.args[0]) if node.args else None
+            if _is_environ(fn.value):
+                if fn.attr in _MUTATORS:
+                    writes.append(node.lineno)
+                elif fn.attr == "get" and key:
+                    reads.add(key)
+            elif fn.attr == "getenv" and key:
+                reads.add(key)
+            elif fn.attr in ("putenv", "unsetenv"):
+                writes.append(node.lineno)
+        elif isinstance(node, ast.Subscript) and _is_environ(node.value):
+            if isinstance(node.ctx, (ast.Store, ast.Del)):
+                writes.append(node.lineno)
+            elif (key := _literal(node.slice)) is not None:
+                reads.add(key)
+        elif isinstance(node, ast.Compare) and any(
+            _is_environ(c) for c in node.comparators
+        ):
+            if (key := _literal(node.left)) is not None:
+                reads.add(key)  # "REPRO_X" in os.environ
+    return {r for r in reads if r.startswith("REPRO_")}, writes
+
+
+def _scan_package() -> tuple[set[str], list[str]]:
+    reads: set[str] = set()
+    writes: list[str] = []
+    for path in sorted(SRC.rglob("*.py")):
+        file_reads, file_writes = _scan(ast.parse(path.read_text()))
+        reads |= file_reads
+        writes += [f"{path.relative_to(REPO)}:{line}" for line in file_writes]
+    return reads, writes
+
+
+def test_scanner_sees_every_access_form():
+    reads, writes = _scan(ast.parse(
+        "import os\n"
+        "a = os.environ.get('REPRO_A', '')\n"
+        "b = os.getenv('REPRO_B')\n"
+        "c = os.environ['REPRO_C']\n"
+        "d = 'REPRO_D' in os.environ\n"
+        "e = os.environ.get('HOME')\n"
+        "os.environ['REPRO_E'] = '1'\n"
+        "os.environ.pop('REPRO_F', None)\n"
+        "os.environ.setdefault('REPRO_G', '1')\n"
+        "del os.environ['REPRO_H']\n"
+        "os.putenv('REPRO_I', '1')\n"
+    ))
+    assert reads == {"REPRO_A", "REPRO_B", "REPRO_C", "REPRO_D"}
+    assert writes == [7, 8, 9, 10, 11]
+
+
+def test_env_reads_equal_the_documented_variables():
+    reads, _ = _scan_package()
+    documented = set(re.findall(r"\bREPRO_[A-Z0-9_]+\b", (REPO / "README.md").read_text()))
+    assert reads == documented, (
+        f"read but undocumented: {sorted(reads - documented)}; "
+        f"documented but never read: {sorted(documented - reads)}"
+    )
+
+
+def test_package_never_writes_the_environment():
+    _, writes = _scan_package()
+    assert writes == []

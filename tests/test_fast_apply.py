@@ -1,11 +1,14 @@
 """Fast matrix-free apply path: scatter maps, workspaces, parallel ChFES.
 
 The contract under test is *bit-for-bit* equivalence: the precomputed
-:class:`~repro.fem.scatter.ScatterMap` engines, the workspace-backed
+:class:`~repro.fem.scatter.ScatterMap`, the workspace-backed
 ``KSOperator.apply`` / ``chebyshev_filter``, and the thread-parallel
 (k, spin) channel dispatch must reproduce the reference ``np.add.at`` /
 allocate-per-call / serial implementations exactly, not approximately.
 """
+
+import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -13,25 +16,19 @@ import pytest
 from repro.core.chebyshev import chebyshev_filter, filter_block
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import uniform_mesh
-from repro.fem.scatter import ScatterMap, slow_scatter_enabled
+from repro.fem.scatter import ScatterMap, reference_scatter
 from repro.fem.workspace import Workspace
 
-ENGINES = ["csr", "slices"]
+from tests.reference import reference_scatter_add
+
+#: the production CSR product, and the degradation ladder's last rung (the
+#: same map inside ``with reference_scatter():``); both must equal the oracle
+PATHS = {"csr": nullcontext, "reference": reference_scatter}
 
 
 @pytest.fixture(scope="module")
 def mesh():
     return uniform_mesh((8.0, 8.0, 8.0), (3, 3, 3), 3, pbc=(True, True, True))
-
-
-def _reference_scatter(indices, values, nnodes, weights=None):
-    flat = np.asarray(indices).ravel()
-    vals = np.asarray(values).reshape(flat.size, -1)
-    if weights is not None:
-        vals = weights[:, None] * vals
-    out = np.zeros((nnodes, vals.shape[1]), dtype=vals.dtype)
-    np.add.at(out, flat, vals)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -69,88 +66,110 @@ def _random_scatter_case(seed):
     return nnodes, indices, values, weights
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("seed", _SWEEP_SEEDS)
-def test_scatter_map_bitexact_property_sweep(engine, seed):
+def test_scatter_map_bitexact_property_sweep(path, seed):
     nnodes, indices, values, weights = _random_scatter_case(seed)
-    smap = ScatterMap(indices, nnodes, weights=weights, force_engine=engine)
+    smap = ScatterMap(indices, nnodes, weights=weights)
     dtype = np.complex128 if (
         np.iscomplexobj(values) or weights is not None
     ) else np.float64
     out_shape = (nnodes,) if values.ndim == 1 else (nnodes, values.shape[1])
     out = np.zeros(out_shape, dtype=dtype)
-    smap.add_to(values, out)
-    ref = _reference_scatter(indices, values, nnodes, weights=weights)
+    with PATHS[path]():
+        smap.add_to(values, out)
+    ref = reference_scatter_add(indices, values, nnodes, weights=weights)
     if values.ndim == 1:
         ref = ref[:, 0]
     assert np.array_equal(out, ref)  # bitwise, not allclose
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_scatter_map_bitexact_on_mesh_connectivity(mesh, engine):
+@pytest.mark.parametrize("path", PATHS)
+def test_scatter_map_bitexact_on_mesh_connectivity(mesh, path):
     """The real FEM connectivity (the production input) stays covered."""
     rng = np.random.default_rng(3)
-    smap = ScatterMap(mesh.conn, mesh.nnodes, force_engine=engine)
+    smap = ScatterMap(mesh.conn, mesh.nnodes)
     values = rng.standard_normal((mesh.conn.size, 5))
     out = np.zeros((mesh.nnodes, 5), dtype=np.float64)
-    smap.add_to(values, out)
-    assert np.array_equal(out, _reference_scatter(mesh.conn, values, mesh.nnodes))
+    with PATHS[path]():
+        smap.add_to(values, out)
+    assert np.array_equal(
+        out, reference_scatter_add(mesh.conn, values, mesh.nnodes)
+    )
 
 
-def test_slow_scatter_env_gate(mesh, monkeypatch):
-    monkeypatch.delenv("REPRO_SLOW_SCATTER", raising=False)
-    assert not slow_scatter_enabled()
-    monkeypatch.setenv("REPRO_SLOW_SCATTER", "1")
-    assert slow_scatter_enabled()
-    # the gated path still produces the same result (it IS the reference)
-    rng = np.random.default_rng(6)
+def test_reference_scatter_is_thread_scoped_and_restored(mesh):
+    """The ladder's rung reroutes only the thread inside the block."""
+
+    class SpyMatrix:
+        """Stands in for the compiled CSR matrix; logs who multiplies."""
+
+        def __init__(self, S):
+            self.S, self.threads = S, []
+
+        def __matmul__(self, values):
+            self.threads.append(threading.current_thread().name)
+            return self.S @ values
+
     smap = ScatterMap(mesh.conn, mesh.nnodes)
-    values = rng.standard_normal((mesh.conn.size, 2))
-    out = np.zeros((mesh.nnodes, 2), dtype=np.float64)
-    smap.add_to(values, out)
-    assert np.array_equal(out, _reference_scatter(mesh.conn, values, mesh.nnodes))
+    spy = smap._S = SpyMatrix(smap._S)
+    values = np.ones((mesh.conn.size, 1))
+    outs = []
+
+    def scatter_once():
+        outs.append(smap.add_to(values, np.zeros((mesh.nnodes, 1))))
+
+    with reference_scatter():
+        other = threading.Thread(target=scatter_once, name="bystander")
+        other.start()
+        other.join(timeout=30)
+        assert not other.is_alive()
+        with reference_scatter():  # nesting keeps the outer block engaged
+            scatter_once()
+        scatter_once()
+    scatter_once()  # restored on exit
+    # only the bystander and the post-block call touched the CSR matrix
+    assert spy.threads == ["bystander", "MainThread"]
+    want = reference_scatter_add(mesh.conn, values, mesh.nnodes)
+    assert len(outs) == 4 and all(np.array_equal(o, want) for o in outs)
 
 
 # ---------------------------------------------------------------------------
 # KSOperator fast vs reference apply
 # ---------------------------------------------------------------------------
-def _ops_fast_slow(mesh, monkeypatch, kfrac=None):
-    monkeypatch.delenv("REPRO_SLOW_SCATTER", raising=False)
+def _ops_fast_slow(mesh, kfrac=None):
     fast = KSOperator(mesh, kfrac=kfrac)
-    monkeypatch.setenv("REPRO_SLOW_SCATTER", "1")
     slow = KSOperator(mesh, kfrac=kfrac, workspace=Workspace(enabled=False))
     return fast, slow
 
 
-def test_apply_fast_slow_bitexact_real(mesh, monkeypatch):
+def test_apply_fast_slow_bitexact_real(mesh):
     rng = np.random.default_rng(7)
-    fast, slow = _ops_fast_slow(mesh, monkeypatch)
+    fast, slow = _ops_fast_slow(mesh)
     v = rng.standard_normal(mesh.free.size)
     fast.set_potential(v)
     slow.set_potential(v)
     for nrhs in (1, 6):
         X = rng.standard_normal((mesh.free.size, nrhs))
-        monkeypatch.delenv("REPRO_SLOW_SCATTER")
         yf = fast.apply(X if nrhs > 1 else X[:, 0]).copy()
-        monkeypatch.setenv("REPRO_SLOW_SCATTER", "1")
-        ys = slow.apply(X if nrhs > 1 else X[:, 0])
+        with reference_scatter():
+            ys = slow.apply(X if nrhs > 1 else X[:, 0])
         assert np.array_equal(yf, ys)
 
 
-def test_apply_fast_slow_bitexact_bloch(mesh, monkeypatch):
+def test_apply_fast_slow_bitexact_bloch(mesh):
     rng = np.random.default_rng(8)
     kf = (0.25, 0.0, 0.125)
-    fast, slow = _ops_fast_slow(mesh, monkeypatch, kfrac=kf)
+    fast, slow = _ops_fast_slow(mesh, kfrac=kf)
     v = rng.standard_normal(mesh.free.size)
     fast.set_potential(v)
     slow.set_potential(v)
     X = rng.standard_normal((mesh.free.size, 4)) + 1j * rng.standard_normal(
         (mesh.free.size, 4)
     )
-    monkeypatch.delenv("REPRO_SLOW_SCATTER")
     yf = fast.apply(X).copy()
-    monkeypatch.setenv("REPRO_SLOW_SCATTER", "1")
-    ys = slow.apply(X)
+    with reference_scatter():
+        ys = slow.apply(X)
     assert np.array_equal(yf, ys)
 
 

@@ -178,8 +178,6 @@ def test_pragma_census_is_pinned():
         # R010 x1 (hpc) sanctioned per-rank np.add.at scatter;
         # R011 x1 (procranks) lock-release-on-unwind re-raise
         "cluster.py": 2,
-        "orthonorm.py": 2,  # R012: per-block casts ARE the reference order
-        "rayleigh_ritz.py": 1,  # R012: same
         # R010 x3: per-rank boundary/interior scatters mirror the virtual
         # cluster's accumulation order; R011 x1: crash-to-status boundary
         "worker.py": 4,
@@ -187,7 +185,7 @@ def test_pragma_census_is_pinned():
         # already-reaped names (see _release_segments docstring)
         "arena.py": 4,
     }, census
-    assert sum(census.values()) == 13
+    assert sum(census.values()) == 10
 
 
 # ----- SARIF output ----------------------------------------------------------

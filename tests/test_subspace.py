@@ -21,26 +21,28 @@ import pytest
 
 from repro.core.chebyshev import chebyshev_filter
 from repro.core.orthonorm import (
-    _reference_gram,
-    _reference_rotate,
     blocked_gram,
     blocked_rotate,
     cholesky_orthonormalize,
 )
-from repro.core.rayleigh_ritz import (
-    _reference_projected_hamiltonian,
-    projected_hamiltonian,
-)
+from repro.core.rayleigh_ritz import projected_hamiltonian
 from repro.core.subspace import (
     adjust_carried_hx,
     batched_gram,
     batched_rotate,
     fused_cholgs_rr,
-    subspace_engine_enabled,
 )
 from repro.core.io import load_scf_state, save_scf_state
 from repro.hpc.flops import UNCOUNTED_KERNELS, FlopLedger
 from repro.precision import f32_dtype, fp32_mirror
+
+from tests.reference import (
+    reference_cholgs,
+    reference_gram,
+    reference_projected_hamiltonian,
+    reference_rayleigh_ritz,
+    reference_rotate,
+)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -66,15 +68,6 @@ def _block(n, nvec, seed, complex_):
     return X
 
 
-def test_engine_enabled_by_default_and_env_toggle(monkeypatch):
-    monkeypatch.delenv("REPRO_SLOW_SUBSPACE", raising=False)
-    assert subspace_engine_enabled()
-    monkeypatch.setenv("REPRO_SLOW_SUBSPACE", "1")
-    assert not subspace_engine_enabled()
-    monkeypatch.setenv("REPRO_SLOW_SUBSPACE", "0")
-    assert subspace_engine_enabled()
-
-
 # ---------------------------------------------------------------------------
 # bit-identity of every kernel against the reference block loops
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "bloch"])
@@ -82,7 +75,7 @@ def test_engine_enabled_by_default_and_env_toggle(monkeypatch):
 @pytest.mark.parametrize("nvec,bs", SHAPES)
 def test_gram_bitwise_identical(nvec, bs, mixed, complex_):
     X = _block(211, nvec, seed=nvec * bs + mixed, complex_=complex_)
-    ref = _reference_gram(X, block_size=bs, mixed_precision=mixed)
+    ref = reference_gram(X, block_size=bs, mixed_precision=mixed)
     got = batched_gram(X, block_size=bs, mixed_precision=mixed)
     assert np.array_equal(ref, got)
 
@@ -93,7 +86,7 @@ def test_gram_bitwise_identical(nvec, bs, mixed, complex_):
 def test_projection_bitwise_identical(nvec, bs, mixed, complex_):
     X = _block(211, nvec, seed=3 * nvec + bs, complex_=complex_)
     Y = _block(211, nvec, seed=7 * nvec + bs + 1, complex_=complex_)
-    ref = _reference_projected_hamiltonian(X, Y, block_size=bs, mixed_precision=mixed)
+    ref = reference_projected_hamiltonian(X, Y, block_size=bs, mixed_precision=mixed)
     got = batched_gram(X, Y, block_size=bs, mixed_precision=mixed, kernel="RR-P")
     got = 0.5 * (got + got.conj().T)
     assert np.array_equal(ref, got)
@@ -108,47 +101,43 @@ def test_rotate_bitwise_identical(nvec, bs, mixed, complex_):
     Q = rng.standard_normal((nvec, nvec))
     if complex_:
         Q = Q + 1j * rng.standard_normal((nvec, nvec))
-    ref = _reference_rotate(X, Q, block_size=bs, mixed_precision=mixed)
+    ref = reference_rotate(X, Q, block_size=bs, mixed_precision=mixed)
     got = batched_rotate(X, Q, block_size=bs, mixed_precision=mixed)
     # the engine writes products directly where the reference computes
     # 0.0 + x; the only tolerated difference is the sign of exact zeros
     assert np.array_equal(ref, got) or np.array_equal(ref + 0.0, got + 0.0)
 
 
-def test_public_wrappers_dispatch_to_engine(monkeypatch):
-    """blocked_gram/blocked_rotate/projected_hamiltonian honour the env flag."""
+def test_public_wrappers_dispatch_to_engine():
+    """blocked_gram/blocked_rotate/projected_hamiltonian match the oracles."""
     X = _block(97, 12, seed=0, complex_=True)
     Q = _block(12, 12, seed=1, complex_=True)[:12]
-    monkeypatch.delenv("REPRO_SLOW_SUBSPACE", raising=False)
+    Y = X[:, ::-1].copy()
     fast = (
         blocked_gram(X, block_size=5),
         blocked_rotate(X, Q, block_size=5),
-        projected_hamiltonian(X, X[:, ::-1].copy(), block_size=5),
+        projected_hamiltonian(X, Y, block_size=5),
     )
-    monkeypatch.setenv("REPRO_SLOW_SUBSPACE", "1")
     slow = (
-        blocked_gram(X, block_size=5),
-        blocked_rotate(X, Q, block_size=5),
-        projected_hamiltonian(X, X[:, ::-1].copy(), block_size=5),
+        reference_gram(X, block_size=5),
+        reference_rotate(X, Q, block_size=5),
+        reference_projected_hamiltonian(X, Y, block_size=5),
     )
     for f, s in zip(fast, slow):
         assert np.array_equal(f, s)
 
 
-def test_cholesky_orthonormalize_engine_matches_reference(monkeypatch):
+def test_cholesky_orthonormalize_engine_matches_reference():
     for complex_ in (False, True):
         for mixed in (False, True):
             X = _block(151, 24, seed=21 + complex_, complex_=complex_)
             led_f, led_s = FlopLedger(), FlopLedger()
-            monkeypatch.delenv("REPRO_SLOW_SUBSPACE", raising=False)
             fast = cholesky_orthonormalize(
                 X, block_size=7, mixed_precision=mixed, ledger=led_f
             )
-            monkeypatch.setenv("REPRO_SLOW_SUBSPACE", "1")
-            slow = cholesky_orthonormalize(
+            slow = reference_cholgs(
                 X, block_size=7, mixed_precision=mixed, ledger=led_s
             )
-            monkeypatch.delenv("REPRO_SLOW_SUBSPACE", raising=False)
             assert np.array_equal(fast + 0.0, slow + 0.0)
             # ledger totals are label-for-label identical
             for k in ("CholGS-S", "CholGS-O"):
@@ -229,7 +218,7 @@ def _hermitian(n, seed, complex_=False):
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "bloch"])
-def test_fused_matches_reference_pipeline(complex_, monkeypatch):
+def test_fused_matches_reference_pipeline(complex_):
     """fused(W, HW) == CholGS(W) then RR, to solver accuracy, zero applies."""
     H = _hermitian(90, 3, complex_)
     op = DenseOp(H)
@@ -238,11 +227,8 @@ def test_fused_matches_reference_pipeline(complex_, monkeypatch):
     op.applies = 0
     evals, X, HX = fused_cholgs_rr(W, HW, op=op, block_size=5)
     assert op.applies == 0  # the whole stage reuses the precomputed HW
-    monkeypatch.setenv("REPRO_SLOW_SUBSPACE", "1")
-    from repro.core.rayleigh_ritz import rayleigh_ritz
-
-    Xr = cholesky_orthonormalize(W, block_size=5)
-    evals_ref, Xref = rayleigh_ritz(op, Xr, block_size=5)
+    Xr = reference_cholgs(W, block_size=5)
+    evals_ref, Xref = reference_rayleigh_ritz(op, Xr, block_size=5)
     np.testing.assert_allclose(evals, evals_ref, rtol=1e-9, atol=1e-9)
     # orthonormality and the HX invariant
     assert np.linalg.norm(X.conj().T @ X - np.eye(14)) < 1e-10
@@ -330,23 +316,35 @@ def test_filter_accepts_carried_hx0():
     assert op.applies == n_ref - 3  # one apply saved per column block
 
 
-def _count_scf_applies(monkeypatch, slow: bool):
-    """Full-subspace apply count of a short fixed-iteration H2 SCF."""
+def _count_scf_applies(monkeypatch, n_scf: int, ledger=None):
+    """Apply census of a short fixed-iteration H2 SCF.
+
+    Returns a dict: ``applies`` (full-subspace, i.e. 2-D, applies),
+    ``columns`` (every column any ``KSOperator.apply`` saw, Lanczos vectors
+    included), ``flops`` (``cell_gemm`` FLOPs the ledger took in during
+    those calls) and ``unit`` (the metered FLOPs of one column).
+    """
     from repro.atoms.pseudo import AtomicConfiguration
     from repro.core import DFTCalculation, SCFOptions
     from repro.fem.assembly import KSOperator
 
-    if slow:
-        monkeypatch.setenv("REPRO_SLOW_SUBSPACE", "1")
-    else:
-        monkeypatch.delenv("REPRO_SLOW_SUBSPACE", raising=False)
-    counts = {"columns": 0}
+    counts = {"block_columns": 0, "columns": 0, "flops": 0.0, "unit": None}
     orig = KSOperator.apply
 
+    def metered() -> float:
+        return ledger["cell_gemm"].flops_total if ledger is not None else 0.0
+
     def counting_apply(self, X, out=None):
-        if getattr(X, "ndim", 1) == 2:
-            counts["columns"] += X.shape[1]
-        return orig(self, X, out=out)
+        ncols = X.shape[1] if X.ndim == 2 else 1
+        if X.ndim == 2:
+            counts["block_columns"] += ncols
+        counts["columns"] += ncols
+        before = metered()
+        result = orig(self, X, out=out)
+        counts["flops"] += metered() - before
+        if counts["unit"] is None:
+            counts["unit"] = (metered() - before) / ncols
+        return result
 
     monkeypatch.setattr(KSOperator, "apply", counting_apply)
     config = AtomicConfiguration(["H", "H"], [[0, 0, 0], [1.4, 0, 0]])
@@ -356,64 +354,44 @@ def _count_scf_applies(monkeypatch, slow: bool):
         cells_per_axis=3,
         degree=2,
         options=SCFOptions(
-            max_iterations=3,
+            max_iterations=n_scf,
             cheb_degree=6,
             n_init_passes=2,
             density_tol=1e-300,
             energy_tol=1e-300,
         ),
+        ledger=ledger,
     )
     res = calc.run()
     nvec = res.channels[0].psi.shape[1]
-    assert counts["columns"] % nvec == 0
-    return counts["columns"] // nvec, res
+    assert counts["block_columns"] % nvec == 0
+    counts["applies"] = counts["block_columns"] // nvec
+    return counts
 
 
 def test_chfes_saves_exactly_one_apply_per_iteration(monkeypatch):
-    """Engine: one operator application of the subspace per RR stage elided.
+    """One operator application of the subspace per RR stage is elided.
 
-    With m = cheb_degree, p = n_init_passes and N SCF iterations, the
-    reference issues p(m+1) + (N-1)(m+1) full-subspace applies; the engine
-    carries HX through the subspace stage and issues p·m + 1 + (N-1)·m.
+    With m = cheb_degree, p = n_init_passes and N SCF iterations, a filter
+    plus a standalone Rayleigh-Ritz would issue (p + N - 1)(m + 1)
+    full-subspace applies; the SCF carries HX through the fused subspace
+    stage and issues exactly p·m + 1 + (N-1)·m.
     """
     m, p, N = 6, 2, 3
-    ref_applies, ref_res = _count_scf_applies(monkeypatch, slow=True)
-    eng_applies, eng_res = _count_scf_applies(monkeypatch, slow=False)
-    assert ref_applies == p * (m + 1) + (N - 1) * (m + 1)
-    assert eng_applies == p * m + 1 + (N - 1) * m
+    applies = _count_scf_applies(monkeypatch, n_scf=N)["applies"]
+    assert applies == p * m + 1 + (N - 1) * m
     # one fewer per filtering pass, except the cold-start pass
-    assert ref_applies - eng_applies == p + (N - 1) - 1
-    # physics unchanged to solver tolerance
-    assert abs(ref_res.free_energy - eng_res.free_energy) < 1e-9
+    assert (p + N - 1) * (m + 1) - applies == p + (N - 1) - 1
 
 
 def test_scf_ledger_shows_fewer_cell_gemm_flops(monkeypatch):
-    """The elided applies are visible in the FlopLedger's cell_gemm tally."""
-    from repro.atoms.pseudo import AtomicConfiguration
-    from repro.core import DFTCalculation, SCFOptions
-
-    def run(slow):
-        if slow:
-            monkeypatch.setenv("REPRO_SLOW_SUBSPACE", "1")
-        else:
-            monkeypatch.delenv("REPRO_SLOW_SUBSPACE", raising=False)
-        config = AtomicConfiguration(["H", "H"], [[0, 0, 0], [1.4, 0, 0]])
-        ledger = FlopLedger()
-        calc = DFTCalculation(
-            config,
-            padding=5.0,
-            cells_per_axis=3,
-            degree=2,
-            options=SCFOptions(
-                max_iterations=2, cheb_degree=6, n_init_passes=2,
-                density_tol=1e-300, energy_tol=1e-300,
-            ),
-            ledger=ledger,
-        )
-        calc.run()
-        return ledger["cell_gemm"].flops_total
-
-    assert run(slow=False) < run(slow=True)
+    """The elided applies are absent from the FlopLedger's cell_gemm tally:
+    the Hamiltonian's share is exactly (columns applied) x (one column)."""
+    m, p, N = 6, 2, 2
+    census = _count_scf_applies(monkeypatch, n_scf=N, ledger=FlopLedger())
+    assert census["applies"] == p * m + 1 + (N - 1) * m
+    assert census["unit"] > 0
+    assert census["flops"] == census["unit"] * census["columns"]
 
 
 # ---------------------------------------------------------------------------

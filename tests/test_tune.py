@@ -47,15 +47,12 @@ def _random_profile(seed: int) -> TunedProfile:
     knobs = {
         "block_size": int(rng.choice([8, 16, 32, 64])),
         "subspace_block_size": int(rng.choice([8, 16, 32, 64])),
-        "scatter_engine": str(rng.choice(["csr", "slices"])),
         "num_threads": int(rng.integers(1, 9)),
     }
     tables = {
         "apply": {
-            "medium": {
-                "csr": {str(b): float(rng.uniform(1e-4, 1e-2))
-                        for b in (8, 16, 32, 64)},
-            },
+            "medium": {str(b): float(rng.uniform(1e-4, 1e-2))
+                       for b in (8, 16, 32, 64)},
         },
     }
     return TunedProfile(
@@ -143,10 +140,32 @@ def test_invalid_knobs_are_rejected():
         TunedProfile(knobs={"warp_factor": 9}, fingerprint=host_fingerprint())
     with pytest.raises(ProfileError, match="int >= 1"):
         TunedProfile(knobs={"block_size": 0}, fingerprint=host_fingerprint())
-    with pytest.raises(ProfileError, match="scatter engine"):
+    with pytest.raises(ProfileError, match="unknown tunable"):
         TunedProfile(
-            knobs={"scatter_engine": "teleport"}, fingerprint=host_fingerprint()
+            knobs={"scatter_engine": "csr"}, fingerprint=host_fingerprint()
         )
+
+
+def test_stored_profile_with_retired_scatter_engine_knob_is_no_profile():
+    """A repro-tune-profile/1 file written before the scatter engine knob
+    was retired still checksums, but is ignored like any unknown knob."""
+    body = {
+        "schema": PROFILE_SCHEMA,
+        "fingerprint": host_fingerprint(),
+        "knobs": {"block_size": 16, "subspace_block_size": 16,
+                  "scatter_engine": "csr", "num_threads": 1},
+        "seed": 0,
+        "sweep": {},
+        "model": {},
+    }
+    body["checksum"] = profile_mod._checksum(body)
+    path = default_profile_path()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(body))
+    with pytest.raises(ProfileError, match="unknown tunable knob 'scatter_engine'"):
+        load_profile(path)
+    assert load_host_profile() is None
+    assert SCFOptions().resolve(load_host_profile()).block_size == 64
 
 
 # ---------------------------------------------------------------------------
@@ -178,25 +197,21 @@ def test_driver_options_ignore_profile_under_kill_switch(monkeypatch):
     save_profile(_random_profile(4))  # at the hermetic default path
     monkeypatch.setenv("REPRO_TUNE", "0")
     opts = SCFOptions().resolve(load_host_profile())
-    assert opts.block_size == 64 and opts.scatter_engine is None
+    assert opts.block_size == 64 and opts.num_threads is None
 
 
 # ---------------------------------------------------------------------------
 # SCFOptions.resolve dispatch contract
 def test_resolve_fills_only_unset_knobs():
     prof = TunedProfile(
-        knobs={"block_size": 8, "subspace_block_size": 16,
-               "scatter_engine": "slices", "num_threads": 4},
+        knobs={"block_size": 8, "subspace_block_size": 16, "num_threads": 4},
         fingerprint=host_fingerprint(),
     )
     filled = SCFOptions().resolve(prof)
     assert (filled.block_size, filled.subspace_block_size,
-            filled.scatter_engine, filled.num_threads) == (8, 16, "slices", 4)
-    explicit = SCFOptions(
-        block_size=48, scatter_engine="csr", num_threads=1
-    ).resolve(prof)
+            filled.num_threads) == (8, 16, 4)
+    explicit = SCFOptions(block_size=48, num_threads=1).resolve(prof)
     assert explicit.block_size == 48  # explicit user values always win
-    assert explicit.scatter_engine == "csr"
     assert explicit.num_threads == 1
     assert explicit.subspace_block_size == 16  # the one knob left unset
 
@@ -259,7 +274,7 @@ def test_sweep_tables_are_json_round_trippable():
     res = run_sweep(_tiny_config(), _counter_measure())
     assert json.loads(json.dumps(res.tables)) == res.tables
     assert set(res.knobs) == {
-        "block_size", "subspace_block_size", "scatter_engine", "num_threads",
+        "block_size", "subspace_block_size", "num_threads",
     }
 
 
@@ -268,19 +283,15 @@ def test_real_sweep_picks_a_member_of_every_candidate_grid():
     res = run_sweep(cfg)  # real Stopwatch timing, tiny problem
     assert res.knobs["block_size"] in cfg.block_sizes
     assert res.knobs["subspace_block_size"] in cfg.subspace_blocks
-    assert res.knobs["scatter_engine"] in cfg.resolved_engines()
     assert res.knobs["num_threads"] in cfg.thread_counts
     assert res.wall_seconds > 0.0
 
 
 def test_sweep_choice_minimizes_its_own_table():
-    """The tuned (engine, B_f) is <= every fixed candidate it measured."""
+    """The tuned B_f is <= every fixed candidate it measured."""
     res = run_sweep(_tiny_config(), _counter_measure())
     table = res.tables["apply"]["small"]
-    chosen = table[res.knobs["scatter_engine"]][str(res.knobs["block_size"])]
-    every = [sec for per_block in table.values()
-             for sec in per_block.values()]
-    assert chosen == min(every)
+    assert table[str(res.knobs["block_size"])] == min(table.values())
 
 
 def test_best_candidate_breaks_ties_toward_first_listed():

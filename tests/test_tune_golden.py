@@ -1,13 +1,12 @@
 """Golden bitwise tests: tuned profiles never change SCF math.
 
 The tuner's core contract (DESIGN.md sec 15) is that a tuned profile
-changes the *schedule* — block partitioning, scatter engine, thread
-width — and never the floating-point result.  Stored golden JSONs are
-only bit-reproducible on the machine that wrote them, so every test here
-compares a *fresh* tuned run against a *fresh* untuned run from the same
-session: the two must agree bit for bit, to the last ulp, on every
-molecule in the library, through the process-rank backend, and across a
-checkpoint/resume boundary.
+changes the *schedule* — block partitioning, thread width — and never the
+floating-point result.  Stored golden JSONs are only bit-reproducible on
+the machine that wrote them, so every test here compares a *fresh* tuned
+run against a *fresh* untuned run from the same session: the two must
+agree bit for bit, to the last ulp, on every molecule in the library,
+through the process-rank backend, and across a checkpoint/resume boundary.
 """
 
 from __future__ import annotations
@@ -27,13 +26,12 @@ from repro.tune.profile import (
 from repro.xc.lda import LDA
 
 #: schedule knobs distinct from every built-in default: B_f 16 (default
-#: 64), split subspace block, slice scatter engine, two worker threads.
+#: 64), split subspace block, two worker threads.
 #: Both block sizes stay >= the library's largest nstates (8) so blocked
 #: loops see a single block — partitioning is exact by construction.
 TUNED_KNOBS = {
     "block_size": 16,
     "subspace_block_size": 32,
-    "scatter_engine": "slices",
     "num_threads": 2,
 }
 SCF_DEGREE, SCF_CELLS, SCF_ITERS = 3, 3, 5
@@ -83,7 +81,7 @@ def test_tuned_profile_is_bitwise_neutral(molecule):
     # profile's schedule, not the built-in defaults
     assert tuned_calc.options.block_size == TUNED_KNOBS["block_size"]
     assert tuned_calc.options.subspace_block == TUNED_KNOBS["subspace_block_size"]
-    assert tuned_calc.mesh.scatter_engine == "slices"
+    assert tuned_calc.options.num_threads == TUNED_KNOBS["num_threads"]
     _assert_bitwise_equal(tuned_res, plain_res)
 
 

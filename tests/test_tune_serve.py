@@ -33,7 +33,6 @@ from repro.tune.profile import (
 TUNED_KNOBS = {
     "block_size": 16,
     "subspace_block_size": 32,
-    "scatter_engine": "slices",
     "num_threads": 2,
 }
 
