@@ -60,7 +60,6 @@ class Electrostatics:
                 )
         self.solver = PoissonSolver(mesh, ledger=ledger)
         self.ledger = ledger
-        self._v_prev: np.ndarray | None = None
         self.core_density = self._build_core_density()
         self.self_energy = gaussian_self_energy(config)
 
@@ -100,7 +99,10 @@ class Electrostatics:
         return rho_c * (target / total)
 
     def solve(self, rho_total: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """Return ``v_tot = v_N + v_H`` for electron density ``rho_total``."""
+        """Return ``v_tot = v_N + v_H`` for electron density ``rho_total``.
+
+        A pure function of ``rho_total``: no solver state survives the call.
+        """
         net = rho_total - self.core_density
         with kernel_region("EP", self.ledger):
             bc = None
@@ -110,25 +112,8 @@ class Electrostatics:
             # field of the charge system (electrons negative, cores positive)
             # is -phi[net], and multiplying by the electron charge -1 gives
             # exactly the potential of `net` itself.
-            res = self.solver.solve(
-                net, boundary_values=bc, tol=tol, x0=self._v_prev
-            )
-        self._v_prev = res.potential
+            res = self.solver.solve(net, boundary_values=bc, tol=tol)
         return res.potential
-
-    @property
-    def warm_start(self) -> np.ndarray | None:
-        """Previous Poisson solution, the PCG warm start of the next solve.
-
-        Loop-carried state: a mid-run checkpoint must persist it, or a
-        resumed SCF takes a different PCG trajectory (same answer within
-        ``tol``, different bits) than the uninterrupted run.
-        """
-        return self._v_prev
-
-    @warm_start.setter
-    def warm_start(self, v: np.ndarray | None) -> None:
-        self._v_prev = None if v is None else np.asarray(v)
 
     def electrostatic_energy(self, rho_total: np.ndarray, v_tot: np.ndarray) -> float:
         """``(1/2) int (rho - rho_c) v_tot  -  E_self``.

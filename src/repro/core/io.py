@@ -14,9 +14,10 @@ provides the laptop-scale equivalent at two granularities:
   boundary, so an interrupted run resumed via ``resume_from=`` reproduces
   the uninterrupted run **bit for bit**.  That contract dictates the
   contents: beyond the obvious density/wavefunctions it includes the
-  Anderson mixer's history window, the Poisson solver's warm-start
-  potential, eigensolver bound caches, optimizer moments, and the FLOP
-  ledger, because each of those feeds back into later arithmetic.
+  Anderson mixer's history window, eigensolver bound caches, optimizer
+  moments, and the FLOP ledger, because each of those feeds back into
+  later arithmetic.  (The Poisson solve keeps no state between calls;
+  older SCF files carry a ``v_prev`` potential that is read past.)
 
 Every file is written atomically (:func:`repro.atomicio.atomic_write`), so
 a run killed mid-write leaves the previous checkpoint intact, never a torn
@@ -249,7 +250,6 @@ def save_scf_state(
     channels: list,
     mixer_rho: list,
     mixer_res: list,
-    v_prev: np.ndarray | None = None,
     ledger_snapshot: dict | None = None,
     history: list | None = None,
     metadata: dict | None = None,
@@ -261,8 +261,8 @@ def save_scf_state(
     ``bound_v`` and the fused-engine HX carry ``hpsi``/``hpsi_v`` (the
     driver builds these from its ``KSChannel`` objects).
     ``mixer_rho`` / ``mixer_res`` are the Anderson history window (oldest
-    first; empty lists for a linear mixer), ``v_prev`` the Poisson
-    warm-start potential, ``ledger_snapshot`` a ``FlopLedger.snapshot()``.
+    first; empty lists for a linear mixer), ``ledger_snapshot`` a
+    ``FlopLedger.snapshot()``.
     Everything here is loop-carried state: omit any one piece and the
     resumed trajectory diverges from the uninterrupted run.
     """
@@ -314,9 +314,6 @@ def save_scf_state(
     for j, (r, f_) in enumerate(zip(mixer_rho, mixer_res)):
         data[f"mix_rho_{j}"] = r
         data[f"mix_res_{j}"] = f_
-    data["has_v_prev"] = v_prev is not None
-    if v_prev is not None:
-        data["v_prev"] = v_prev
     data["ledger_json"] = _pack_json(
         {k: list(v) for k, v in (ledger_snapshot or {}).items()}
     )
@@ -376,7 +373,6 @@ def load_scf_state(path: str, mesh=None) -> dict:
         "occupations": occupations,
         "mixer_rho": [data[f"mix_rho_{j}"] for j in range(n_mix)],
         "mixer_res": [data[f"mix_res_{j}"] for j in range(n_mix)],
-        "v_prev": data["v_prev"] if bool(data["has_v_prev"]) else None,
         "ledger_snapshot": ledger,
         "history": _unpack_json(data["history_json"]),
         "metadata": _unpack_json(data["metadata_json"]),

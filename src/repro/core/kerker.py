@@ -11,18 +11,18 @@ The Kerker preconditioner damps exactly those components,
     \\quad\\Longleftrightarrow\\quad
     F_{prec} = F - k_0^2 (-\\nabla^2 + k_0^2)^{-1} F,
 
-implemented here in real space with the same matrix-free machinery as the
-Poisson solver: one Jacobi-preconditioned CG solve of the shifted Helmholtz
-problem ``(K + k_0^2 M) u = M F`` per mixing step.
+implemented here in real space with the mesh's fast-diagonalization
+factorisation (:class:`repro.fem.fdm.FastDiagonalization`): the GLL mass is
+``M = W_x (x) W_y (x) W_z``, so the shifted Helmholtz problem
+``(K + k_0^2 M) u = M F`` has the same separable eigenbasis as the Poisson
+operator and is solved exactly, without iteration, once per mixing step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fem.assembly import CellStiffness
 from repro.fem.mesh import Mesh3D
-from repro.fem.poisson import _pcg
 
 __all__ = ["KerkerPreconditioner"]
 
@@ -36,43 +36,23 @@ class KerkerPreconditioner:
         The calculation's spectral-element mesh.
     k0:
         Screening wavevector (Bohr^-1); ~0.5-1.0 for typical metals.
-    tol, maxiter:
-        Helmholtz CG controls (the solve is extremely well conditioned —
-        the k0^2 mass shift bounds the spectrum away from zero).
     """
 
-    def __init__(
-        self, mesh: Mesh3D, k0: float = 0.8, tol: float = 1e-9, maxiter: int = 400
-    ) -> None:
+    def __init__(self, mesh: Mesh3D, k0: float = 0.8) -> None:
         if k0 <= 0:
             raise ValueError("k0 must be positive")
         self.mesh = mesh
         self.k0 = float(k0)
-        self.tol = tol
-        self.maxiter = maxiter
-        self.stiff = CellStiffness(mesh)
-        self._mass = mesh.mass_diag
-        self._diag = self.stiff.diagonal_full() + self.k0**2 * self._mass
-        self._free = mesh.free
-
-    def _apply_helmholtz(self, x_free: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.mesh.nnodes, dtype=float)
-        full[self._free] = x_free
-        out = self.stiff.apply_full(full) + self.k0**2 * self._mass * full
-        return out[self._free]
 
     def __call__(self, residual_full: np.ndarray) -> np.ndarray:
         """Precondition a full-node residual field (or (nnodes, m) stack)."""
         r = np.asarray(residual_full, dtype=float)
         if r.ndim == 2:
             return np.stack([self(r[:, j]) for j in range(r.shape[1])], axis=1)
-        b = (self._mass * r)[self._free]
-        u_free, _it, _res, ok = _pcg(
-            self._apply_helmholtz, b, self._diag[self._free],
-            self.tol, self.maxiter,
+        mesh = self.mesh
+        free = mesh.free
+        out = r.copy()
+        out[free] -= self.k0**2 * mesh.fdm.solve(
+            (mesh.mass_diag * r)[free], shift=self.k0**2
         )
-        if not ok:  # pragma: no cover - extremely well-conditioned solve
-            return r
-        u = np.zeros(self.mesh.nnodes, dtype=float)
-        u[self._free] = u_free
-        return r - self.k0**2 * u
+        return out

@@ -94,7 +94,7 @@ class SCFOptions:
     #: filtering passes in every later SCF step.  The default single
     #: pass leaves the converged subspace with an O(1e-10) eigenvalue
     #: memory of the starting density; screening campaigns that must
-    #: reproduce cold-start energies to 1e-12 from warm starts run 2-3
+    #: reproduce cold-start energies to 1e-12 from seeded densities run 2-3
     #: passes so the eigensolve is trajectory-independent at the fixed
     #: point.  1 is bitwise-identical to the historical behavior.
     filter_passes: int = 1
@@ -112,7 +112,7 @@ class SCFOptions:
     mixing_alpha: float = 0.3
     mixing_history: int = 6
     mixer: str = "anderson"  #: "anderson" or "linear"
-    poisson_tol: float = 1e-9
+    poisson_tol: float = 1e-9  #: verified bound on the EP residual |b-Kx|/|b|
     lanczos_steps: int = 12
     #: max-norm potential drift (Ha) up to which the cached Lanczos upper
     #: bound is reused (Weyl-shifted) instead of recomputed (see
@@ -461,7 +461,6 @@ class SCFDriver:
             ch.hpsi_v = st.get("hpsi_v")
         if isinstance(mixer, AndersonMixer):
             mixer.set_history(state["mixer_rho"], state["mixer_res"])
-        self.electrostatics.warm_start = state["v_prev"]
         if self.ledger is not None and state["ledger_snapshot"]:
             self.ledger.restore(state["ledger_snapshot"])
         return OccupationSet(
@@ -505,7 +504,6 @@ class SCFDriver:
             ],
             mixer_rho=mixer_rho,
             mixer_res=mixer_res,
-            v_prev=self.electrostatics.warm_start,
             ledger_snapshot=(
                 self.ledger.snapshot() if self.ledger is not None else None
             ),

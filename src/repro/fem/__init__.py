@@ -2,6 +2,7 @@
 
 from .assembly import CellStiffness, KSOperator
 from .cell import ReferenceCell, reference_cell
+from .fdm import FastDiagonalization
 from .interpolation import FieldInterpolator
 from .mesh import Mesh3D, graded_edges, uniform_mesh
 from .partition import Partition, process_grid
@@ -12,6 +13,7 @@ from .workspace import Workspace
 
 __all__ = [
     "CellStiffness",
+    "FastDiagonalization",
     "FieldInterpolator",
     "KSOperator",
     "Mesh3D",

@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .cell import ReferenceCell, reference_cell
+from .fdm import FastDiagonalization
 from .scatter import ScatterMap
 
 __all__ = ["Mesh3D", "uniform_mesh", "graded_edges"]
@@ -250,6 +251,15 @@ class Mesh3D:
         """
         flat = self.conn.ravel()
         return ScatterMap(np.concatenate([flat, flat, flat]), self.nnodes)
+
+    @cached_property
+    def fdm(self) -> FastDiagonalization:
+        """Separable exact inverse of ``K + shift*M`` over the free DoFs.
+
+        Built once per mesh (three small ``eigh`` calls) and shared by the
+        Poisson solver and the Kerker preconditioner.
+        """
+        return FastDiagonalization(self)
 
     @cached_property
     def mass_diag(self) -> np.ndarray:

@@ -215,12 +215,12 @@ class ScreenCampaign:
         self.grading_ratio = float(grading_ratio)
         #: screening runs tighter than interactive defaults: the
         #: cold-vs-seeded 1e-12 energy agreement needs the SCF fixed
-        #: point pinned well below the gate.  Two knobs beyond the
-        #: obvious tolerances matter — ``filter_passes=2`` (a single
+        #: point pinned well below the gate.  One knob beyond the
+        #: obvious tolerances matters — ``filter_passes=2`` (a single
         #: Chebyshev pass leaves a trajectory-dependent eigenpair
-        #: memory of ~5e-12) and ``poisson_tol=1e-12`` (the Hartree
-        #: solve warm-starts from the previous potential, another
-        #: trajectory memory at its tolerance level).
+        #: memory of ~5e-12).  The Hartree solve is a pure function of
+        #: the density, so ``poisson_tol`` only bounds its verified
+        #: residual.
         self.options = options if options is not None else SCFOptions(
             max_iterations=300, density_tol=1e-14, energy_tol=1e-14,
             filter_passes=2, poisson_tol=1e-12,

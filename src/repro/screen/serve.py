@@ -58,9 +58,9 @@ class ScreenJobSpec(JobSpec):
     max_scf: int = 300
     #: screening campaigns run tighter than the interactive defaults:
     #: the 1e-12 cold-vs-seeded energy gate needs the fixed point pinned
-    #: well below the gate, the eigensolver double-filtered (one pass
-    #: keeps ~5e-12 of subspace trajectory memory) and the warm-started
-    #: Hartree solve converged past its own memory floor
+    #: well below the gate and the eigensolver double-filtered (one pass
+    #: keeps ~5e-12 of subspace trajectory memory); the Hartree solve has
+    #: no memory, ``poisson_tol`` bounds its verified residual
     density_tol: float = 1e-14
     energy_tol: float = 1e-14
     filter_passes: int = 2

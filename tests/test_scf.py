@@ -7,6 +7,8 @@ from repro.atoms.pseudo import AtomicConfiguration
 from repro.core import DFTCalculation, SCFOptions, homo_lumo_gap
 from repro.core.hamiltonian import Electrostatics, gaussian_self_energy
 from repro.fem.poisson import PoissonSolver, multipole_boundary_values
+from repro.obs import InMemoryAggregator, get_tracer, set_enabled
+from repro.pipeline import MOLECULE_LIBRARY
 from repro.xc.gga import PBE
 from repro.xc.lda import LDA
 
@@ -193,3 +195,69 @@ def test_electrostatics_neutral_system_energy_matches_pieces():
     e_ext = float(mesh.integrate(rho * v_n))
     e_nn = config.nuclear_repulsion()
     assert np.isclose(e_total, e_h + e_ext + e_nn, atol=2e-3)
+
+
+# ---------------------------------------------------------------------------
+# state-free electrostatics (fast-diagonalization Poisson, no warm start)
+
+
+def _h2o(**opts):
+    symbols, positions, *_ = MOLECULE_LIBRARY["H2O"]
+    config = AtomicConfiguration(list(symbols), np.asarray(positions, float))
+    return DFTCalculation(
+        config, xc=LDA(), degree=3, cells_per_axis=3, options=SCFOptions(**opts)
+    )
+
+
+def test_electrostatics_solve_is_a_pure_function_of_rho():
+    """rho_A, rho_B, rho_A again: the third potential has the first's bits."""
+    calc = _h2(cells_per_axis=3, degree=3)
+    es, mesh = calc.driver.electrostatics, calc.mesh
+    r2 = np.sum((mesh.node_coords - 0.5 * mesh.lengths) ** 2, axis=1)
+    rho_a = np.exp(-r2 / 2.0)
+    rho_a *= 2.0 / float(mesh.integrate(rho_a))
+    rho_b = np.exp(-r2 / 5.0)
+    rho_b *= 2.0 / float(mesh.integrate(rho_b))
+    first = es.solve(rho_a, tol=1e-12).copy()
+    es.solve(rho_b, tol=1e-12)
+    assert np.array_equal(es.solve(rho_a, tol=1e-12), first)
+
+
+def test_h2o_scf_takes_one_poisson_iteration_per_ep_call():
+    """Count guard: a silent fall-back to many CG iterations would show."""
+    tracer = get_tracer()
+    prev = set_enabled(True)
+    agg = tracer.add_sink(InMemoryAggregator())
+    try:
+        res = _h2o(max_iterations=40).run()
+    finally:
+        tracer.remove_sink(agg)
+        set_enabled(prev)
+    assert res.converged
+    ep = [n for n in agg.nodes() if n.name == "EP"]
+    cg = [n for n in agg.nodes() if n.name == "Poisson-CG"]
+    ep_calls = sum(n.calls for n in ep)
+    assert ep_calls == res.n_iterations + 1  # one per step + final evaluation
+    assert sum(n.calls for n in cg) == ep_calls
+    assert sum(n.counters["iterations"] for n in cg) == ep_calls
+
+
+def test_resume_accepts_checkpoint_carrying_legacy_v_prev(tmp_path):
+    """Mid-run checkpoints written before the warm start was removed carry
+    ``has_v_prev`` / ``v_prev``; they still load, and — v_tot being a pure
+    function of rho now — resume onto the uninterrupted run bit for bit."""
+    ref = _h2o(max_iterations=40).run()
+    ck = str(tmp_path / "h2o.ckpt")
+    _h2o(max_iterations=4, checkpoint_path=ck).run()
+    with np.load(ck, allow_pickle=False) as f:
+        data = {k: f[k] for k in f.files}
+    assert "v_prev" not in data
+    data["has_v_prev"] = np.array(True)
+    data["v_prev"] = np.full(int(data["nnodes"]), 123.0)
+    legacy = str(tmp_path / "h2o_legacy.ckpt")
+    with open(legacy, "wb") as f:
+        np.savez_compressed(f, **data)
+    resumed = _h2o(max_iterations=40).run(resume_from=legacy)
+    assert resumed.converged
+    assert resumed.n_iterations == ref.n_iterations
+    assert resumed.free_energy == ref.free_energy

@@ -43,7 +43,7 @@ from repro.xc import LDA
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 #: the verified screening numerics: tight tolerances, double-filtered
-#: eigensolve, Hartree solve converged past its warm-start memory
+#: eigensolve, Hartree residual verified at 1e-12
 SCREEN_OPTS = dict(
     max_iterations=300, density_tol=1e-14, energy_tol=1e-14,
     filter_passes=2, poisson_tol=1e-12,
