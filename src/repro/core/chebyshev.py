@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.fem.workspace import Workspace
 from repro.obs import kernel_region
 from repro.resilience import faults as _faults
 from repro.tools import sanitize as _sanitize
 
 __all__ = ["lanczos_upper_bound", "chebyshev_filter", "filter_block"]
+
+#: block source for an operator that brings no workspace: fresh arrays
+_UNPOOLED = Workspace(enabled=False)
 
 
 def lanczos_upper_bound(op, k: int = 12, seed: int = 7) -> float:
@@ -75,13 +79,17 @@ def filter_block(
     written.  This is the elision that makes the subspace engine one
     ``op.apply`` per ChFES iteration cheaper.
 
-    With a workspace (defaulting to ``op.workspace`` when the operator has
-    one, e.g. :class:`~repro.fem.assembly.KSOperator`) the three-term
-    recurrence ping-pongs between pooled blocks via ``op.apply(..., out=)``
-    instead of allocating a fresh block per term; every arithmetic step
-    keeps the reference operation order, so the result is bit-for-bit
-    identical.  The returned array is then workspace-owned — valid until
-    the next ``filter_block`` on the same thread.
+    The three-term recurrence ping-pongs between pooled blocks (from
+    ``workspace``, defaulting to ``op.workspace``; an operator without one
+    gets fresh blocks) via ``op.apply(..., out=)``.  On an operator whose
+    engine overlaps (``op.overlap``: the process-rank backend) each apply
+    is split into ``apply_begin`` / ``apply_finish`` and the recurrence's
+    local terms, ``c·Y`` and ``σσ₂·X``, are evaluated in between, while the
+    halo exchange and cell GEMMs fly on the rank fleet.  Same operands,
+    same operation order once assembled: every schedule is bit-for-bit
+    equal to ``tests/reference``'s allocating recurrence.  The returned
+    array is workspace-owned — valid until the next ``filter_block`` on the
+    same thread.
     """
     if m < 1:
         raise ValueError("filter degree must be >= 1")
@@ -89,56 +97,25 @@ def filter_block(
     c = (b + a) / 2.0
     sigma = e / (a0 - c)
     sigma1 = sigma
-    ws = workspace if workspace is not None else getattr(op, "workspace", None)
-    if ws is None or not ws.enabled:
-        # Overlap-capable operators (the process-rank backend) expose
-        # apply_begin/apply_finish: the halo exchange + cell GEMMs fly on
-        # the rank fleet while this side precomputes the recurrence's
-        # local terms (c·Y and σσ₂·X).  Same operands, same operation
-        # order once assembled — bit-for-bit equal to the eager schedule,
-        # which REPRO_OVERLAP=0 selects.
-        overlap = bool(getattr(op, "overlap", False)) and hasattr(op, "apply_begin")
-        if overlap:
-            if hx0 is None:
-                pending = op.apply_begin(X)
-                cX = c * X
-                HX = op.apply_finish(pending)
-            else:
-                HX, cX = hx0, c * X
-            Y = (HX - cX) * (sigma1 / e)
-            for _ in range(2, m + 1):
-                sigma2 = 1.0 / (2.0 / sigma1 - sigma)
-                pending = op.apply_begin(Y)
-                cY = c * Y
-                sX = (sigma * sigma2) * X
-                HY = op.apply_finish(pending)
-                Ynew = (HY - cY) * (2.0 * sigma2 / e) - sX
-                X, Y = Y, Ynew
-                sigma = sigma2
-            if _faults._PLAN is not None:  # reprochaos site (no-op unarmed)
-                _faults.fault_point("filter_block", Y)
-            return Y
-        HX = op.apply(X) if hx0 is None else hx0
-        Y = (HX - c * X) * (sigma1 / e)
-        for _ in range(2, m + 1):
-            sigma2 = 1.0 / (2.0 / sigma1 - sigma)
-            Ynew = (op.apply(Y) - c * Y) * (2.0 * sigma2 / e) - (sigma * sigma2) * X
-            X, Y = Y, Ynew
-            sigma = sigma2
-        if _faults._PLAN is not None:  # reprochaos site (no-op unarmed)
-            _faults.fault_point("filter_block", Y)
-        return Y
+    ws = workspace if workspace is not None else getattr(op, "workspace", _UNPOOLED)
+    if getattr(op, "overlap", False):
+        begin, finish = op.apply_begin, op.apply_finish
+    else:  # the whole apply runs at the join
+        begin, finish = (lambda Z: Z), op.apply
     dt = np.result_type(op.dtype, X.dtype)
     U = ws.get("cf_u", X.shape, dt)
+    S = ws.get("cf_s", X.shape, dt)
     # three rotating term blocks: X_k, Y_k and the in-flight Y_{k+1}
     bufs = [ws.get(f"cf_{i}", X.shape, dt) for i in range(3)]
     # Y = (H X - c X) * (sigma1 / e); a carried H X skips the first apply
     if hx0 is None:
-        Y = op.apply(X, out=bufs[0])
+        pending = begin(X)
+        np.multiply(c, X, out=U)
+        Y = finish(pending, out=bufs[0])
     else:
+        np.multiply(c, X, out=U)
         Y = bufs[0]
         np.copyto(Y, hx0)
-    np.multiply(c, X, out=U)
     Y -= U
     Y *= sigma1 / e
     # cyclic rotation: after i steps X = bufs[(i-2) % 3], Y = bufs[(i-1) % 3],
@@ -146,12 +123,13 @@ def filter_block(
     for i in range(1, m):
         sigma2 = 1.0 / (2.0 / sigma1 - sigma)
         # Ynew = (H Y - c Y) * (2 sigma2 / e) - (sigma sigma2) * X
-        Ynew = op.apply(Y, out=bufs[i % 3])
+        pending = begin(Y)
         np.multiply(c, Y, out=U)
+        np.multiply(sigma * sigma2, X, out=S)
+        Ynew = finish(pending, out=bufs[i % 3])
         Ynew -= U
         Ynew *= 2.0 * sigma2 / e
-        np.multiply(sigma * sigma2, X, out=U)
-        Ynew -= U
+        Ynew -= S
         X, Y = Y, Ynew
         sigma = sigma2
     if _faults._PLAN is not None:  # reprochaos site (no-op unarmed)

@@ -274,29 +274,24 @@ class SCFDriver:
         ops: dict[tuple, KSOperator] = {}
         spins = (0, 1) if spin_polarized else (None,)
         backend = self.options.backend
-        if backend not in ("serial",) and nonlocal_projectors:
-            raise ValueError(
-                "distributed rank backends do not carry nonlocal projectors; "
-                "use backend='serial' for pseudopotential runs"
-            )
         for kfrac, w in kpoints:
             key = tuple(np.round(kfrac, 12))
             if key not in ops:
+                common = dict(
+                    kfrac=kfrac, ledger=ledger,
+                    nonlocal_projectors=nonlocal_projectors,
+                )
                 if backend == "serial":
-                    ops[key] = KSOperator(
-                        mesh, kfrac=kfrac, ledger=ledger,
-                        nonlocal_projectors=nonlocal_projectors,
-                    )
+                    ops[key] = KSOperator(mesh, **common)
                 else:
                     from repro.hpc.distributed import DistributedKSOperator
 
                     ops[key] = DistributedKSOperator(
                         mesh,
                         self.options.nranks,
-                        kfrac=kfrac,
                         fp32_halo=self.options.fp32_halo,
                         backend=backend,
-                        ledger=ledger,
+                        **common,
                     )
             for i, s in enumerate(spins):
                 # every channel owns its operator (its potential), so the
@@ -328,9 +323,7 @@ class SCFDriver:
         idempotent, so closing every channel is safe.
         """
         for ch in self.channels:
-            closer = getattr(ch.op, "close", None)
-            if closer is not None:
-                closer()
+            ch.op.close()
 
     def __enter__(self) -> "SCFDriver":
         return self

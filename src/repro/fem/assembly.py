@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obs import trace_region
 from repro.resilience import faults as _faults
 from repro.tools.contracts import shape_contract
 
@@ -122,20 +123,28 @@ class CellStiffness:
         return sum(co * A for co, A in zip(self._coef[c], self._A))
 
     def gather(
-        self, x_full: np.ndarray, workspace: Workspace | None = None
+        self,
+        x_full: np.ndarray,
+        workspace: Workspace | None = None,
+        cells: np.ndarray | None = None,
     ) -> np.ndarray:
         """Gather full-node field(s) to (ncells, npc, B) with Bloch phases.
 
-        With a workspace the returned array is a pooled buffer owned by
-        the workspace — valid until the next ``gather`` on this thread.
+        ``cells`` restricts the gather to a subset of cells (one rank's
+        share of a partition).  With a workspace the returned array is a
+        pooled buffer owned by the workspace — valid until the next
+        ``gather`` on this thread.
         """
         squeeze = x_full.ndim == 1
         X = x_full[:, None] if squeeze else x_full
-        conn = self.mesh.conn
+        conn, phases = self.mesh.conn, self.phases
+        if cells is not None:
+            conn = conn[cells]
+            phases = None if phases is None else phases[cells]
         if workspace is None:
             Xc = X[conn]  # (ncells, npc, B)
-            if self.phases is not None:
-                Xc = Xc * self.phases[:, :, None]
+            if phases is not None:
+                Xc = Xc * phases[:, :, None]
             return Xc
         dt = np.result_type(self.dtype, X.dtype)
         Xc = workspace.get("stiff_Xc", (*conn.shape, X.shape[1]), dt)
@@ -143,8 +152,8 @@ class CellStiffness:
             np.take(X, conn, axis=0, out=Xc)
         else:
             Xc[...] = X[conn]
-        if self.phases is not None:
-            Xc *= self.phases[:, :, None]
+        if phases is not None:
+            Xc *= phases[:, :, None]
         return Xc
 
     def scatter_add(self, Yc: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -161,42 +170,58 @@ class CellStiffness:
 
     @shape_contract(Xc=("ncells", "npc", "b"), returns=("ncells", "npc", "b"))
     def apply_cells(
-        self, Xc: np.ndarray, workspace: Workspace | None = None
+        self,
+        Xc: np.ndarray,
+        workspace: Workspace | None = None,
+        cells: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched cell GEMM: ``Y_c = K_c X_c`` over all cells at once.
 
-        With a workspace the returned array is a pooled buffer owned by
-        the workspace — valid until the next ``apply_cells`` on this
-        thread.
+        ``cells`` names the cells ``Xc`` was gathered from when it is a
+        subset (graded meshes need their coefficients).  With a workspace
+        the returned array is a pooled buffer owned by the workspace —
+        valid until the next ``apply_cells`` on this thread.
         """
-        ncells, npc, B = Xc.shape
         if self._Kc is not None:
             if workspace is None:
                 Yc = np.matmul(self._Kc, Xc)
             else:
                 Yc = workspace.get("stiff_Yc", Xc.shape, Xc.dtype)
                 np.matmul(self._Kc, Xc, out=Yc)
-            self._count(2 * npc * npc * B * ncells, Xc.dtype)
         else:
+            coef = self._coef if cells is None else self._coef[cells]
             if workspace is None:
-                Yc = self._coef[:, 0, None, None] * np.matmul(self._A[0], Xc)
-                Yc += self._coef[:, 1, None, None] * np.matmul(self._A[1], Xc)
-                Yc += self._coef[:, 2, None, None] * np.matmul(self._A[2], Xc)
+                Yc = coef[:, 0, None, None] * np.matmul(self._A[0], Xc)
+                Yc += coef[:, 1, None, None] * np.matmul(self._A[1], Xc)
+                Yc += coef[:, 2, None, None] * np.matmul(self._A[2], Xc)
             else:
                 Yc = workspace.get("stiff_Yc", Xc.shape, Xc.dtype)
                 T = workspace.get("stiff_Tc", Xc.shape, Xc.dtype)
                 np.matmul(self._A[0], Xc, out=T)
-                np.multiply(self._coef[:, 0, None, None], T, out=Yc)
+                np.multiply(coef[:, 0, None, None], T, out=Yc)
                 np.matmul(self._A[1], Xc, out=T)
-                T *= self._coef[:, 1, None, None]
+                T *= coef[:, 1, None, None]
                 Yc += T
                 np.matmul(self._A[2], Xc, out=T)
-                T *= self._coef[:, 2, None, None]
+                T *= coef[:, 2, None, None]
                 Yc += T
-            # three GEMMs plus the per-cell coefficient scale (3 multiplies)
-            # and accumulate (2 adds) per cell-local value
-            self._count(ncells * npc * B * (6 * npc + 5), Xc.dtype)
+        if self.ledger is not None:
+            ncells, _, B = Xc.shape
+            self.ledger.add("cell_gemm", self.gemm_flops(ncells, B, Xc.dtype))
         return Yc
+
+    def add_cells(self, x_full: np.ndarray, cells: np.ndarray, out: np.ndarray) -> None:
+        """``out += K|cells @ x``: gather, cell GEMMs and scatter of a subset.
+
+        The one kernel every rank backend runs on its share of the cells.
+        The scatter is ``np.add.at`` in cell order — a rank-local partial
+        sum has the accumulation order of its own cell list, which the
+        mesh-wide :class:`ScatterMap` cannot reproduce.
+        """
+        Yc = self.apply_cells(self.gather(x_full, cells=cells), cells=cells)
+        if self.phases is not None:
+            Yc = np.conj(self.phases[cells])[:, :, None] * Yc
+        np.add.at(out, self.mesh.conn[cells].ravel(), Yc.reshape(-1, Yc.shape[-1]))
 
     def apply_full(
         self, x_full: np.ndarray, workspace: Workspace | None = None
@@ -229,10 +254,16 @@ class CellStiffness:
         self.mesh.scatter_map.add_to(diag_cell.ravel(), out)
         return out
 
-    def _count(self, flops: int, dtype) -> None:
-        if self.ledger is not None:
-            factor = 4 if np.issubdtype(dtype, np.complexfloating) else 1
-            self.ledger.add("cell_gemm", factor * flops)
+    def gemm_flops(self, ncells: int, B: int, dtype) -> int:
+        """Closed-form FLOPs of the cell GEMMs on ``ncells`` cells, ``B`` columns."""
+        npc = self.mesh.conn.shape[1]
+        if self._Kc is not None:
+            flops = 2 * npc * npc * B * ncells
+        else:
+            # three GEMMs plus the per-cell coefficient scale (3 multiplies)
+            # and accumulate (2 adds) per cell-local value
+            flops = ncells * npc * B * (6 * npc + 5)
+        return (4 if np.issubdtype(dtype, np.complexfloating) else 1) * flops
 
 
 class KSOperator:
@@ -240,10 +271,15 @@ class KSOperator:
 
     Acts on *free* DoFs (Dirichlet boundary nodes eliminated):
 
-        ``H~ x = D^{-1/2} (K/2) D^{-1/2} x + v * x``
+        ``H~ x = D^{-1/2} (K/2) D^{-1/2} x + v * x  (+ B D_nl B^H x)``
 
     where ``v`` is the total effective potential sampled at the nodes (the
-    GLL-diagonal mass makes the potential term exactly diagonal).
+    GLL-diagonal mass makes the potential term exactly diagonal) and the
+    last term is the separable nonlocal pseudopotential.  The Löwdin
+    scaling, the potential and nonlocal terms, the ``ks_apply`` fault site
+    and the diagonals live here once; only the stiffness product ``K x``
+    runs on an *engine* — the mesh-wide :class:`CellStiffness` of this
+    process, or a rank cluster (:class:`repro.hpc.DistributedKSOperator`).
 
     Parameters
     ----------
@@ -258,6 +294,10 @@ class KSOperator:
         Buffer pool for the apply path; a private enabled pool is created
         when omitted.  Pass ``Workspace(enabled=False)`` to reproduce the
         allocate-per-call behaviour (A/B benchmarking).
+    ranks:
+        Rank cluster (``VirtualCluster`` / ``ProcRankCluster``) to run the
+        stiffness product on; it must have been built on the same ``mesh``
+        and ``kfrac``.  Omitted: the in-process :class:`CellStiffness`.
     """
 
     def __init__(
@@ -267,9 +307,14 @@ class KSOperator:
         ledger=None,
         nonlocal_projectors=None,
         workspace: Workspace | None = None,
+        ranks=None,
     ) -> None:
         self.mesh = mesh
-        self.stiff = CellStiffness(mesh, kfrac=kfrac, ledger=ledger)
+        self._ranks = ranks
+        self.stiff = (
+            ranks.stiff if ranks is not None
+            else CellStiffness(mesh, kfrac=kfrac, ledger=ledger)
+        )
         self.dtype = self.stiff.dtype
         self.workspace = workspace if workspace is not None else Workspace()
         self._dinvsqrt = 1.0 / np.sqrt(mesh.mass_diag)
@@ -290,6 +335,11 @@ class KSOperator:
         """Dimension of the operator (number of free DoFs)."""
         return self.mesh.ndof
 
+    @property
+    def overlap(self) -> bool:
+        """Whether the engine overlaps the stiffness product with the caller."""
+        return self._ranks is not None and bool(self._ranks.overlap)
+
     def set_potential(self, v_full: np.ndarray) -> None:
         """Set the effective potential from its full-node sampling."""
         if v_full.shape != (self.mesh.nnodes,):
@@ -306,21 +356,67 @@ class KSOperator:
         The parallel multi-channel ChFES gives each (k, spin) channel its
         own clone so concurrent ``set_potential`` calls cannot race; the
         heavy pieces (cell matrices, scatter maps, nonlocal projectors, the
-        thread-local workspace) are shared.
+        thread-local workspace, the rank cluster) are shared.  A shared
+        cluster serializes concurrent applies itself (the process backend
+        holds a lock across begin/finish).
         """
-        new = KSOperator.__new__(KSOperator)
-        new.mesh = self.mesh
-        new.stiff = self.stiff
-        new.dtype = self.dtype
-        new.workspace = self.workspace
-        new._dinvsqrt = self._dinvsqrt
-        new._dsf = self._dsf
-        new._half_dsf = self._half_dsf
+        new = type(self).__new__(type(self))
+        new.__dict__.update(self.__dict__)
         new._v_free = self._v_free.copy()
-        new.ledger = self.ledger
-        new._nl_B = self._nl_B
-        new._nl_D = self._nl_D
         return new
+
+    def close(self) -> None:
+        """Release engine resources (idempotent; a no-op without ranks)."""
+        if self._ranks is not None:
+            self._ranks.close()
+
+    def _lift(self, X: np.ndarray) -> np.ndarray:
+        """``D^{-1/2} x`` expanded free -> full nodes.
+
+        The block is pooled (workspace-owned): valid until the next
+        ``_lift`` on this thread.
+        """
+        Xb = X[:, None] if X.ndim == 1 else X
+        ws = self.workspace
+        rdt = np.result_type(self.dtype, Xb.dtype)
+        # boundary rows stay zero by invariant
+        full = ws.get(
+            "ks_full", (self.mesh.nnodes, Xb.shape[1]), rdt, zero_on_create=True
+        )
+        t = ws.get("ks_t", Xb.shape, rdt)
+        np.multiply(self._dsf[:, None], Xb, out=t)
+        full[self.mesh.free] = t
+        return full
+
+    def _assemble(
+        self, kx: np.ndarray, X: np.ndarray, out: np.ndarray | None
+    ) -> np.ndarray:
+        """Everything after the stiffness product ``kx = K D^{-1/2} x``."""
+        squeeze = X.ndim == 1
+        Xb = X[:, None] if squeeze else X
+        ws = self.workspace
+        yg = ws.get("ks_gather", Xb.shape, kx.dtype)
+        np.take(kx, self.mesh.free, axis=0, out=yg)
+        if out is None:
+            y = np.empty(Xb.shape, dtype=kx.dtype)
+        else:
+            y = out[:, None] if out.ndim == 1 else out
+        np.multiply(self._half_dsf[:, None], yg, out=y)
+        t = ws.get("ks_t", Xb.shape, kx.dtype)
+        np.multiply(self._v_free[:, None], Xb, out=t)
+        y += t
+        if self._nl_B is not None and self._nl_B.shape[1]:
+            # separable nonlocal term: two skinny GEMMs (rank-k update);
+            # on ranks the projections are summed by one allreduce
+            proj = self._nl_B.conj().T @ Xb
+            if self._ranks is not None:
+                proj = self._ranks.allreduce(proj)
+            y += self._nl_B @ (self._nl_D[:, None] * proj)
+        if _faults._PLAN is not None:  # reprochaos site (no-op unarmed)
+            _faults.fault_point("ks_apply", y)
+        if out is not None:
+            return out
+        return y[:, 0] if squeeze else y
 
     def apply(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply ``H~`` to a block ``X`` of shape (ndof,) or (ndof, B).
@@ -333,44 +429,49 @@ class KSOperator:
         """
         if out is X and X is not None:
             raise ValueError("out must not alias X")
-        squeeze = X.ndim == 1
-        Xb = X[:, None] if squeeze else X
-        ws = self.workspace
-        free = self.mesh.free
-        ndof, B = Xb.shape
-        rdt = np.result_type(self.dtype, Xb.dtype)
-        # free -> full expansion: boundary rows stay zero by invariant
-        full = ws.get(
-            "ks_full", (self.mesh.nnodes, B), rdt, zero_on_create=True
-        )
-        t = ws.get("ks_t", (ndof, B), rdt)
-        np.multiply(self._dsf[:, None], Xb, out=t)
-        full[free] = t
-        kx = self.stiff.apply_full(full, workspace=ws)
-        yg = ws.get("ks_gather", (ndof, B), rdt)
-        np.take(kx, free, axis=0, out=yg)
-        if out is None:
-            y = np.empty((ndof, B), dtype=rdt)
-        else:
-            y = out[:, None] if out.ndim == 1 else out
-        np.multiply(self._half_dsf[:, None], yg, out=y)
-        np.multiply(self._v_free[:, None], Xb, out=t)
-        y += t
-        if self._nl_B is not None and self._nl_B.shape[1]:
-            # separable nonlocal term: two skinny GEMMs (rank-k update)
-            proj = self._nl_B.conj().T @ Xb
-            y += self._nl_B @ (self._nl_D[:, None] * proj)
-        if _faults._PLAN is not None:  # reprochaos site (no-op unarmed)
-            _faults.fault_point("ks_apply", y)
-        if out is not None:
-            return out
-        return y[:, 0] if squeeze else y
+        if self._ranks is not None:
+            return self.apply_finish(self.apply_begin(X), out=out)
+        kx = self.stiff.apply_full(self._lift(X), workspace=self.workspace)
+        return self._assemble(kx, X, out)
+
+    def apply_begin(self, X: np.ndarray):
+        """Start an apply; :meth:`apply_finish` completes the handle.
+
+        On an overlapping cluster the block is shipped to the rank fleet
+        and this returns at once: the halo exchange and cell GEMMs fly
+        while the caller computes whatever does not need ``H~ x`` (the
+        Chebyshev recurrence's local terms).  On any other engine the
+        product runs at the join.  Either way the arithmetic is that of
+        :meth:`apply`, in the same operand order — bit-for-bit equal.
+        """
+        if self._ranks is None:
+            return X, None
+        full = self._lift(X)
+        if self.ledger is not None:
+            # forked rank workers cannot reach the ledger: charge their cell
+            # GEMMs here, from the closed form the serial engine counts by
+            self.ledger.add(
+                "cell_gemm",
+                self.stiff.gemm_flops(self.mesh.ncells, full.shape[1], full.dtype),
+            )
+        return X, self._ranks.apply_stiffness_begin(full)
+
+    def apply_finish(self, handle, out: np.ndarray | None = None) -> np.ndarray:
+        """Join an apply started by :meth:`apply_begin`."""
+        X, pending = handle
+        if pending is None:
+            return self.apply(X, out=out)
+        with trace_region(
+            "Distributed-apply",
+            nranks=self._ranks.nranks,
+            nvec=1 if X.ndim == 1 else X.shape[1],
+        ):
+            kx = self._ranks.apply_stiffness_finish(pending)
+        return self._assemble(kx, X, out)
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of ``H~`` (incl. the separable nonlocal contribution)."""
-        kd = self.stiff.diagonal_full()
-        d = 0.5 * kd * self._dinvsqrt**2
-        out = d[self.mesh.free] + self._v_free
+        out = self.kinetic_diagonal() + self._v_free
         if self._nl_B is not None and self._nl_B.shape[1]:
             out = out + np.einsum("ip,p,ip->i", self._nl_B, self._nl_D, self._nl_B)
         return out

@@ -29,29 +29,7 @@ from repro.resilience import InjectedFault, ResilienceError
 from repro.resilience import faults as _faults
 from repro.tools import sanitize as _sanitize
 
-__all__ = ["TrafficReport", "VirtualCluster", "apply_cells"]
-
-
-def apply_cells(stiff, X: np.ndarray, conn: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Cell-level batched stiffness GEMMs on one subset of cells.
-
-    The gather → (Bloch phase) → batched matmul → (conjugate phase)
-    sequence every rank backend shares: the in-process virtual cluster and
-    the process-level workers call this same function on the same cell
-    subsets, which is what keeps their per-cell results bitwise identical.
-    """
-    Xc = X[conn[cells]]
-    if stiff.phases is not None:
-        Xc = Xc * stiff.phases[cells][:, :, None]
-    if stiff._Kc is not None:
-        Yc = np.matmul(stiff._Kc, Xc)
-    else:
-        Yc = stiff._coef[cells, 0, None, None] * np.matmul(stiff._A[0], Xc)
-        Yc += stiff._coef[cells, 1, None, None] * np.matmul(stiff._A[1], Xc)
-        Yc += stiff._coef[cells, 2, None, None] * np.matmul(stiff._A[2], Xc)
-    if stiff.phases is not None:
-        Yc = np.conj(stiff.phases[cells])[:, :, None] * Yc
-    return Yc
+__all__ = ["TrafficReport", "VirtualCluster"]
 
 
 @dataclass
@@ -125,7 +103,6 @@ class VirtualCluster:
         dtype = np.result_type(self.stiff.dtype, X.dtype)
         f32 = f32_dtype(dtype)
         y = np.zeros((self.mesh.nnodes, B), dtype=dtype)
-        conn = self.mesh.conn
         for r, cells in enumerate(self.partition.cells_of_rank):
             # pooled across ranks (zeroed each time, so the accumulation is
             # bitwise identical to a fresh np.zeros per rank)
@@ -141,14 +118,8 @@ class VirtualCluster:
             # bits) is unchanged because the cell order is the same.
             nb = self.partition.n_boundary_of_rank[r]
             for sub in (cells[:nb], cells[nb:]):
-                if sub.size == 0:
-                    continue
-                Yc = apply_cells(self.stiff, X, conn, sub)
-                # Sanctioned slow scatter: the rank-local partial sums model
-                # the cluster's per-rank accumulation order, which the fast
-                # ScatterMap (built for the *global* connectivity) cannot
-                # reproduce per rank.
-                np.add.at(local, conn[sub].ravel(), Yc.reshape(-1, B))  # reprolint: disable=R010
+                if sub.size:
+                    self.stiff.add_cells(X, sub, local)
             halo = self._halo_of_rank[r]
             remote = halo[self._owner[halo] != r]
             if _faults._PLAN is not None and remote.size:
@@ -165,6 +136,15 @@ class VirtualCluster:
             # metering: partials sent to owners + summed values received back
             self._meter_halo(r, remote.size, B)
         return y[:, 0] if squeeze else y
+
+    def apply_stiffness_begin(self, x_full: np.ndarray):
+        """Handle for :meth:`apply_stiffness_finish`; the in-process ranks
+        are sequential, so the product runs at the join (``x_full`` must
+        stay untouched until then)."""
+        return x_full
+
+    def apply_stiffness_finish(self, pending) -> np.ndarray:
+        return self.apply_stiffness(pending)
 
     def _meter_halo(self, r: int, remote_size: int, B: int) -> None:
         """Meter one rank's halo exchange (sanitizer-windowed)."""

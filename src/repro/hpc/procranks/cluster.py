@@ -8,8 +8,8 @@ through named shared-memory segments (:class:`.arena.SharedArena`).
 Bitwise contract: for any input block, ``apply_stiffness`` returns the
 same bits as the virtual cluster, overlap on or off.  The partition orders
 every rank's cells boundary-first, both backends apply cells through the
-shared :func:`repro.hpc.cluster.apply_cells` in the same two passes, halo
-partials are FP32-rounded at the same point, and owners accumulate
+shared :meth:`repro.fem.assembly.CellStiffness.add_cells` in the same two
+passes, halo partials are FP32-rounded at the same point, and owners accumulate
 received payloads in increasing sender order — only the *schedule*
 (interior compute concurrent with in-flight ghosts) differs.
 

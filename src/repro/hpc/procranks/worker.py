@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.hpc.cluster import apply_cells
 from repro.obs import Stopwatch
 from repro.precision import f32_dtype
 
@@ -71,8 +70,8 @@ class RankPlan:
     """Everything rank ``r`` needs to run its side of the halo protocol.
 
     Built in the parent before the fork; workers inherit it by reference
-    (fork start method), so the mesh connectivity and cell stiffness data
-    are shared copy-on-write rather than pickled.
+    (fork start method), so the cell stiffness (and its mesh connectivity)
+    is shared copy-on-write rather than pickled.
     """
 
     rank: int
@@ -92,15 +91,13 @@ class RankPlan:
     #: increasing src — the owner-sum accumulation order
     recv_edges: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
     fp32_halo: bool = False
-    #: mesh connectivity and cell stiffness, shared via fork
-    conn: np.ndarray | None = None
+    #: cell stiffness (with its mesh connectivity), shared via fork
     stiff: object | None = None
 
 
 def build_plans(partition, stiff, fp32_halo: bool) -> list[RankPlan]:
     """One :class:`RankPlan` per rank of ``partition``."""
     nranks = len(partition.cells_of_rank)
-    conn = partition.mesh.conn
     owner = partition.owner
     plans = []
     for r in range(nranks):
@@ -115,7 +112,6 @@ def build_plans(partition, stiff, fp32_halo: bool) -> list[RankPlan]:
             owned=owned,
             remote=halo[owner[halo] != r],
             fp32_halo=fp32_halo,
-            conn=conn,
             stiff=stiff,
         )
         for dst in range(nranks):
@@ -180,20 +176,18 @@ def _do_apply(plan: RankPlan, views: _Views, links, ctrl_row, tim_row) -> None:
     X = views.x[:, :B]
     dtype = views.x.dtype
     local = np.zeros((plan.nnodes, B), dtype=dtype)
-    conn, stiff = plan.conn, plan.stiff
+    stiff = plan.stiff
     nb = plan.n_boundary
 
     sw = Stopwatch()
     if nb:
-        bcells = plan.cells[:nb]
-        np.add.at(local, conn[bcells].ravel(), apply_cells(stiff, X, conn, bcells).reshape(-1, B))  # reprolint: disable=R010
+        stiff.add_cells(X, plan.cells[:nb], local)
     t_boundary = sw.restart()
 
     t_interior = 0.0
     if not overlap and nb < plan.cells.size:
         sw.restart()
-        icells = plan.cells[nb:]
-        np.add.at(local, conn[icells].ravel(), apply_cells(stiff, X, conn, icells).reshape(-1, B))  # reprolint: disable=R010
+        stiff.add_cells(X, plan.cells[nb:], local)
         t_interior = sw.restart()
 
     # FP32 halo downcast (paper Sec 5.4.2): only the partials crossing the
@@ -213,8 +207,7 @@ def _do_apply(plan: RankPlan, views: _Views, links, ctrl_row, tim_row) -> None:
     if overlap and nb < plan.cells.size:
         # interior compute proceeds while neighbor payloads are in flight
         sw.restart()
-        icells = plan.cells[nb:]
-        np.add.at(local, conn[icells].ravel(), apply_cells(stiff, X, conn, icells).reshape(-1, B))  # reprolint: disable=R010
+        stiff.add_cells(X, plan.cells[nb:], local)
         t_interior = sw.restart()
 
     # owner-sum: own contribution first (the owner is the lowest touching

@@ -10,7 +10,7 @@ which it fires, a **kind**, and how many consecutive invocations it poisons.
 Registered sites (see :data:`FAULT_SITES`):
 
 ==============  =============================================================
-``ks_apply``    end of ``KSOperator.apply`` / ``DistributedKSOperator.apply``
+``ks_apply``    end of ``KSOperator.apply`` (every engine, eager or begin/finish)
 ``filter_block``  output of one Chebyshev filter block
 ``halo``        the owner-sum halo exchange in ``VirtualCluster``
 ``channel``     entry of a per-(k, spin) ChFES channel solve

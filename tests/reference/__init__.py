@@ -1,11 +1,13 @@
 """Test oracles: the textbook twins of the production kernels.
 
 ``src/repro`` runs exactly one implementation of each operation — the
-batched subspace engine (:mod:`repro.core.subspace`) and the CSR scatter
-(:mod:`repro.fem.scatter`).  The per-block loops and the ``np.add.at``
-scatter they replaced live on here, unchanged down to the per-block FP32
-casts, as the references the bitwise tests (and the A/B benchmark
-scripts) compare the production path against.
+batched subspace engine (:mod:`repro.core.subspace`), the CSR scatter
+(:mod:`repro.fem.scatter`) and the pooled Chebyshev recurrence
+(:func:`repro.core.chebyshev.filter_block`).  The per-block loops, the
+``np.add.at`` scatter and the allocating recurrence they replaced live on
+here, unchanged down to the per-block FP32 casts, as the references the
+bitwise tests (and the A/B benchmark scripts) compare the production path
+against.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.precision import f32_dtype
 
 __all__ = [
     "reference_cholgs",
+    "reference_filter_block",
     "reference_gram",
     "reference_projected_hamiltonian",
     "reference_rayleigh_ritz",
@@ -42,6 +45,26 @@ def reference_scatter_add(
     out = np.zeros((nnodes, vals.shape[1]), dtype=vals.dtype)
     np.add.at(out, flat, vals)
     return out
+
+
+def reference_filter_block(
+    op, X: np.ndarray, m: int, a: float, b: float, a0: float,
+    hx0: np.ndarray | None = None,
+) -> np.ndarray:
+    """Allocating three-term Chebyshev recurrence (plain ``op.apply(X)``, a
+    fresh block per term): oracle for ``filter_block`` on every schedule."""
+    e = (b - a) / 2.0
+    c = (b + a) / 2.0
+    sigma = e / (a0 - c)
+    sigma1 = sigma
+    HX = op.apply(X) if hx0 is None else hx0
+    Y = (HX - c * X) * (sigma1 / e)
+    for _ in range(2, m + 1):
+        sigma2 = 1.0 / (2.0 / sigma1 - sigma)
+        Ynew = (op.apply(Y) - c * Y) * (2.0 * sigma2 / e) - (sigma * sigma2) * X
+        X, Y = Y, Ynew
+        sigma = sigma2
+    return Y
 
 
 def reference_gram(

@@ -76,6 +76,25 @@ def test_distributed_diagonals_match(problem):
     )
 
 
+def test_distributed_nonlocal_matrix_hermitian(problem):
+    """matrix(), out= and the projector term are inherited, not re-made."""
+    from repro.atoms.nonlocal_psp import model_projectors
+    from repro.atoms.pseudo import AtomicConfiguration
+
+    mesh, v = problem
+    projs = model_projectors(AtomicConfiguration(["He"], [[4.0, 4.0, 4.0]]))
+    serial = KSOperator(mesh, nonlocal_projectors=projs)
+    dist = DistributedKSOperator(mesh, nranks=3, nonlocal_projectors=projs)
+    for op in (serial, dist):
+        op.set_potential(v)
+    H = dist.matrix()
+    assert np.allclose(H, H.T, atol=1e-12)
+    assert np.allclose(H, serial.matrix(), atol=1e-12)
+    assert np.allclose(dist.diagonal(), np.diag(H), atol=1e-11)
+    assert dist.traffic.allreduce_calls > 0  # projections summed over ranks
+    assert not hasattr(serial, "cluster")
+
+
 def test_distributed_potential_validation(problem):
     mesh, _ = problem
     dist = DistributedKSOperator(mesh, nranks=2)

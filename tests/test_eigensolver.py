@@ -18,8 +18,8 @@ class DenseOp:
         self.dtype = self.H.dtype
         self.n = H.shape[0]
 
-    def apply(self, X):
-        return self.H @ X
+    def apply(self, X, out=None):
+        return self.H @ X if out is None else np.matmul(self.H, X, out=out)
 
 
 def _random_hermitian(n, seed=0, complex_=False):

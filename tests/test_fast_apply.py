@@ -19,7 +19,7 @@ from repro.fem.mesh import uniform_mesh
 from repro.fem.scatter import ScatterMap, reference_scatter
 from repro.fem.workspace import Workspace
 
-from tests.reference import reference_scatter_add
+from tests.reference import reference_filter_block, reference_scatter_add
 
 #: the production CSR product, and the degradation ladder's last rung (the
 #: same map inside ``with reference_scatter():``); both must equal the oracle
@@ -249,7 +249,7 @@ def test_chebyshev_filter_independent_of_block_size(mesh):
     BLAS GEMM results legitimately wobble in the last bit with the number
     of columns (kernel/blocking selection), so cross-block-size agreement
     is to tight tolerance; but at a *fixed* block size the pooled-buffer
-    path must match the allocate-per-call path bit-for-bit — that is the
+    recurrence must match the allocating oracle bit-for-bit — that is the
     regression that catches workspace cross-contamination between blocks.
     """
     rng = np.random.default_rng(9)
@@ -268,7 +268,10 @@ def test_chebyshev_filter_independent_of_block_size(mesh):
         assert np.allclose(out, ref, atol=1e-12 * scale, rtol=0.0), (
             f"block_size={bs} changed the filter beyond GEMM last-bit noise"
         )
-        bare = chebyshev_filter(op2, X.copy(), 9, -1.0, 25.0, -6.0, block_size=bs)
+        bare = np.hstack([
+            reference_filter_block(op2, X[:, s:s + bs].copy(), 9, -1.0, 25.0, -6.0)
+            for s in range(0, X.shape[1], bs)
+        ])
         assert np.array_equal(out, bare), (
             f"block_size={bs}: workspace reuse contaminated a block"
         )
@@ -282,8 +285,37 @@ def test_filter_block_workspace_matches_reference(mesh):
     with_ws = filter_block(op, X.copy(), 12, -0.5, 30.0, -4.0).copy()
     op2 = KSOperator(mesh, workspace=Workspace(enabled=False))
     op2.set_potential(op.potential_free)
-    no_ws = filter_block(op2, X.copy(), 12, -0.5, 30.0, -4.0)
+    no_ws = reference_filter_block(op2, X.copy(), 12, -0.5, 30.0, -4.0)
     assert np.array_equal(with_ws, no_ws)
+
+
+@pytest.mark.parametrize("carry_hx0", [False, True])
+def test_filter_block_overlapped_matches_eager_and_reference(mesh, carry_hx0):
+    """One recurrence, three schedules: begin/finish on an overlapping proc
+    fleet, the same fleet eager, and the in-process ranks all reproduce the
+    allocating oracle bit for bit — with and without a carried ``H X``."""
+    from repro.hpc.distributed import DistributedKSOperator
+
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(mesh.nnodes)
+    X = rng.standard_normal((mesh.free.size, 4))
+    ops = [
+        DistributedKSOperator(mesh, 2, backend="virtual"),
+        DistributedKSOperator(mesh, 2, backend="proc", overlap=False),
+        DistributedKSOperator(mesh, 2, backend="proc", overlap=True),
+    ]
+    try:
+        for op in ops:
+            op.set_potential(v)
+        assert [op.overlap for op in ops] == [False, False, True]
+        hx0 = ops[0].apply(X) if carry_hx0 else None
+        want = reference_filter_block(ops[0], X, 8, -0.5, 30.0, -4.0, hx0=hx0)
+        for op in ops:
+            got = filter_block(op, X, 8, -0.5, 30.0, -4.0, hx0=hx0)
+            assert np.array_equal(got, want), op.backend
+    finally:
+        for op in ops:
+            op.close()
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,53 @@ def test_scf_partition_invariance_across_rank_counts():
     assert SharedArena.live_segment_names() == []
 
 
+def _he_scf(backend, projectors=False):
+    """3 SCF steps of He on one mesh: (energy, cell_gemm FLOPs charged)."""
+    from repro.atoms.nonlocal_psp import model_projectors
+    from repro.atoms.pseudo import AtomicConfiguration
+    from repro.core import DFTCalculation, SCFOptions
+    from repro.core.ksdft import auto_mesh
+    from repro.hpc.flops import FlopLedger
+
+    mesh, config = auto_mesh(
+        AtomicConfiguration(["He"], [[0.0, 0.0, 0.0]]),
+        padding=6.0, cells_per_axis=3, degree=2,
+    )
+    ledger = FlopLedger()
+    calc = DFTCalculation(
+        config, mesh=mesh, nstates=4, ledger=ledger,
+        options=SCFOptions(max_iterations=3, backend=backend, nranks=2),
+        nonlocal_projectors=model_projectors(config) if projectors else None,
+    )
+    with calc:
+        res = calc.run()
+    return float(res.energy), ledger["cell_gemm"].flops_total
+
+
+def test_cell_gemm_flops_charged_on_every_backend():
+    """Forked workers cannot reach the ledger; the operator charges their
+    GEMMs in the parent from the closed form the serial engine counts by."""
+    flops = {b: _he_scf(b)[1] for b in ("serial", "virtual", "proc")}
+    assert flops["serial"] > 1e7  # the Hamiltonian's share, not just Poisson's
+    assert flops["virtual"] == flops["proc"] == flops["serial"]
+
+
+def test_nonlocal_projectors_run_on_every_backend(monkeypatch):
+    """The separable projector term is the operator's, whatever engine runs
+    the stiffness: rank backends bitwise equal (overlap on and off) and at
+    the serial energy to owner-sum rounding."""
+    e_serial, _ = _he_scf("serial", projectors=True)
+    e_local, _ = _he_scf("serial")
+    assert abs(e_serial - e_local) > 1e-3  # the projectors really act
+    e_virtual, _ = _he_scf("virtual", projectors=True)
+    assert e_virtual == pytest.approx(e_serial, abs=1e-10)
+    for overlap_env in ("1", "0"):
+        monkeypatch.setenv("REPRO_OVERLAP", overlap_env)
+        e_proc, _ = _he_scf("proc", projectors=True)
+        assert e_proc == e_virtual  # bitwise
+    assert SharedArena.live_segment_names() == []
+
+
 def test_sanitizer_clean_on_proc_apply():
     """REPRO_SANITIZE write windows see no races in a multi-rank run."""
     mesh = _mesh()

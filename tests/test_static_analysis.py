@@ -175,17 +175,15 @@ def test_pragma_census_is_pinned():
             ):
                 census[path.name] = census.get(path.name, 0) + 1
     assert census == {
-        # R010 x1 (hpc) sanctioned per-rank np.add.at scatter;
         # R011 x1 (procranks) lock-release-on-unwind re-raise
-        "cluster.py": 2,
-        # R010 x3: per-rank boundary/interior scatters mirror the virtual
-        # cluster's accumulation order; R011 x1: crash-to-status boundary
-        "worker.py": 4,
+        "cluster.py": 1,
+        # R011 x1: crash-to-status boundary of the rank protocol
+        "worker.py": 1,
         # R005 x4: close/unlink teardown tolerates mapped views and
         # already-reaped names (see _release_segments docstring)
         "arena.py": 4,
     }, census
-    assert sum(census.values()) == 10
+    assert sum(census.values()) == 6
 
 
 # ----- SARIF output ----------------------------------------------------------
