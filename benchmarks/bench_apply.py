@@ -9,6 +9,14 @@ off.  The headline metric — the speedup of (fast scatter + workspace) over
 (slow scatter, no workspace), i.e. over the seed implementation — lands in
 ``results/BENCH_apply.json`` via the harness.
 
+A second table A/Bs the cell-local product itself: the shipped
+``CellStiffness.apply_cells`` (one fused dense GEMM on uniform meshes, the
+sum-factorised product on graded ones, complex blocks through their real
+view) against ``tests/reference``'s three dense Kronecker GEMMs, over degree
+x block size on a graded and a uniform mesh, at Gamma and at a Bloch point.
+It is printed and recorded under ``kernel_ab``; what a kernel saves end to
+end is the ledger's business (``benchmarks/ledger``), not this script's.
+
 Run standalone for the full sweep::
 
     PYTHONPATH=src python benchmarks/bench_apply.py
@@ -17,18 +25,25 @@ or through pytest-benchmark for the reference configuration only.
 """
 
 import os
+import pathlib
+import sys
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from repro.fem.assembly import KSOperator
-from repro.fem.mesh import uniform_mesh
+from repro.fem.assembly import CellStiffness, KSOperator
+from repro.fem.mesh import Mesh3D, graded_edges, uniform_mesh
 from repro.fem.scatter import reference_scatter
 from repro.fem.workspace import Workspace
 from repro.obs import Stopwatch
 
 from _harness import write_result
+
+# the oracles live with the tests; make the repo root importable when this
+# file runs as a script (under pytest it already is)
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests.reference import reference_apply_cells  # noqa: E402
 
 #: reference configuration the >=2x acceptance criterion is measured at
 REF = {"degree": 3, "cells": 6, "nrhs": 64}
@@ -52,15 +67,20 @@ def _build(degree: int, cells: int, workspace_on: bool):
     return mesh, op
 
 
-def _time_apply(op, X, repeats: int = 5) -> float:
-    """Best-of-``repeats`` seconds for one ``op.apply`` on block ``X``."""
-    op.apply(X)  # warm the workspace pool / scatter map
+def _best_seconds(fn, repeats: int) -> float:
+    """Best-of-``repeats`` seconds for one ``fn()`` after a warm-up call."""
+    fn()  # warm the workspace pool / scatter map
     best = np.inf
     for _ in range(repeats):
         watch = Stopwatch()
-        op.apply(X)
+        fn()
         best = min(best, watch.elapsed())
     return best
+
+
+def _time_apply(op, X, repeats: int = 5) -> float:
+    """Best-of-``repeats`` seconds for one ``op.apply`` on block ``X``."""
+    return _best_seconds(lambda: op.apply(X), repeats)
 
 
 def run_sweep(degree: int, cells: int, nrhs: int, repeats: int = 5):
@@ -84,6 +104,43 @@ def run_sweep(degree: int, cells: int, nrhs: int, repeats: int = 5):
                     "applies_per_s": 1.0 / seconds,
                 }
             )
+    return rows
+
+
+def kernel_ab(degrees=(3, 4), block_sizes=(1, 8, 37), cells: int = 4):
+    """Shipped ``apply_cells`` vs the dense three-GEMM oracle, best-of ms."""
+    rows = []
+    for graded in (True, False):
+        for kfrac in (None, (0.3, 0.0, 0.25)):
+            for degree in degrees:
+                edges = graded_edges(
+                    10.0, cells, center=5.0, ratio=2.5 if graded else 1.0
+                )
+                mesh = Mesh3D(edges=(edges,) * 3, degree=degree, pbc=(True,) * 3)
+                stiff = CellStiffness(mesh, kfrac=kfrac)
+                ws = Workspace()
+                rng = np.random.default_rng(2)
+                for B in block_sizes:
+                    Xc = rng.standard_normal(
+                        (mesh.ncells, mesh.nodes_per_cell, B)
+                    ).astype(stiff.dtype)
+                    ref_s = _best_seconds(lambda: reference_apply_cells(stiff, Xc), 30)
+                    new_s = _best_seconds(
+                        lambda: stiff.apply_cells(Xc, workspace=ws), 30
+                    )
+                    rows.append(
+                        {
+                            "mesh": "graded" if graded else "uniform",
+                            "bloch": kfrac is not None,
+                            "degree": degree,
+                            "block_size": B,
+                            "reference_ms": 1e3 * ref_s,
+                            "shipped_ms": 1e3 * new_s,
+                            "flops_per_cell_column": stiff.gemm_flops(
+                                1, 1, stiff.dtype
+                            ),
+                        }
+                    )
     return rows
 
 
@@ -164,6 +221,7 @@ def main() -> None:
         and r["block_size"] == REF["nrhs"]
     )
     seed_s = _seed_apply_seconds(**REF)
+    ab = kernel_ab()
     write_result(
         "apply",
         params=REF,
@@ -176,8 +234,15 @@ def main() -> None:
                 None if seed_s is None else seed_s / fast_s
             ),
             "reference_block_size": REF["nrhs"],
+            "kernel_ab": ab,
         },
     )
+    print(f"{'mesh':<8} {'bloch':<6} {'p':>2} {'B':>3} {'ref ms':>8} {'new ms':>8}")
+    for r in ab:
+        print(
+            f"{r['mesh']:<8} {str(r['bloch']):<6} {r['degree']:>2} "
+            f"{r['block_size']:>3} {r['reference_ms']:>8.3f} {r['shipped_ms']:>8.3f}"
+        )
     print(f"{'scatter':<8} {'ws':<6} {'B_f':>4} {'ms/apply':>10}")
     for r in rows:
         print(

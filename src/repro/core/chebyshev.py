@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fem.workspace import Workspace
+from repro.fem.workspace import UNPOOLED
 from repro.obs import kernel_region
 from repro.resilience import faults as _faults
 from repro.tools import sanitize as _sanitize
 
 __all__ = ["lanczos_upper_bound", "chebyshev_filter", "filter_block"]
 
-#: block source for an operator that brings no workspace: fresh arrays
-_UNPOOLED = Workspace(enabled=False)
 
 
 def lanczos_upper_bound(op, k: int = 12, seed: int = 7) -> float:
@@ -97,7 +95,7 @@ def filter_block(
     c = (b + a) / 2.0
     sigma = e / (a0 - c)
     sigma1 = sigma
-    ws = workspace if workspace is not None else getattr(op, "workspace", _UNPOOLED)
+    ws = workspace if workspace is not None else getattr(op, "workspace", UNPOOLED)
     if getattr(op, "overlap", False):
         begin, finish = op.apply_begin, op.apply_finish
     else:  # the whole apply runs at the join

@@ -8,10 +8,12 @@ The central HPC kernel of the paper recasts the sparse-matrix product
     Y = \\mathrm{Assembly}_{FE}\\{H_{c} X_{c}\\},
 
 i.e. gather each wavefunction block onto cell-local nodes, multiply by the
-dense ``(p+1)^3 x (p+1)^3`` cell matrix with a *batched* GEMM, and
-scatter-add back.  Here the batched GEMM is a broadcasted ``numpy.matmul``
-over a ``(ncells, nodes_per_cell, block)`` tensor — same data layout and FLOP
-structure as ``xGEMMStridedBatched`` on the GPU.
+``(p+1)^3 x (p+1)^3`` cell matrix with *batched* GEMMs, and scatter-add
+back.  Here the batched GEMM is a broadcasted ``numpy.matmul`` over a
+``(ncells, nodes_per_cell, block)`` tensor — the data layout of
+``xGEMMStridedBatched`` on the GPU.  The cell-local product comes in two
+forms, chosen by the mesh (:attr:`CellStiffness.is_uniform`): the paper's
+dense fused GEMM on uniform meshes, its sum-factorised equal on graded ones.
 
 Under the diagonal-mass (Löwdin) transformation the Kohn-Sham operator is
 
@@ -40,26 +42,45 @@ from repro.tools.contracts import shape_contract
 
 from .mesh import Mesh3D
 from .scatter import ScatterMap
-from .workspace import Workspace
+from .workspace import UNPOOLED, Workspace
 
 __all__ = ["CellStiffness", "KSOperator"]
+
+
+def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return np.kron(np.kron(a, b), c)
 
 
 class CellStiffness:
     """Matrix-free assembled stiffness ``K`` applied via batched cell GEMMs.
 
-    For an axis-aligned cell of size ``(hx, hy, hz)`` the cell stiffness
-    decomposes into three *shared* reference matrices with per-cell scalar
-    coefficients::
+    For an axis-aligned cell of size ``(hx, hy, hz)`` the cell stiffness is
+    real and separable: with ``k`` the 1-D reference stiffness, ``W`` the
+    diagonal 1-D GLL weights and ``n1 = p + 1``::
 
-        K_c = (hy*hz)/(2*hx) * A1 + (hx*hz)/(2*hy) * A2 + (hx*hy)/(2*hz) * A3
+        K_c = c1 k(x)W(x)W + c2 W(x)k(x)W + c3 W(x)W(x)k
+        c1 = hy*hz/(2*hx),  c2 = hx*hz/(2*hy),  c3 = hx*hy/(2*hz)
 
-    On a uniform mesh the three terms are pre-summed into a single cell
-    matrix and applied with one batched GEMM per block (the paper's fused
-    kernel); on graded meshes three batched GEMMs with shared operands are
-    used.
+    * **Uniform mesh** (all cells one shape): the three terms are pre-summed
+      into a single dense ``npc x npc`` matrix applied with one batched GEMM
+      per block — the paper's fused kernel, ``2 npc`` FLOPs per cell-local
+      value.  It stays dense because it measures faster there (degree 3,
+      B = 37: 0.34 ms dense vs 0.41 ms factorised on 64 cells).
+    * **Graded mesh**: with ``G = W^-1 k`` and ``Omega = w_i w_j w_k``,
+      ``K_c = Omega (c1 G(x)I(x)I + I(x)(c2 G(x)I + c3 I(x)G))``, applied as
+      one ``n1^2``-square GEMM per x-plane (y and z fused), one ``n1``-square
+      GEMM per cell (x), an add and the ``Omega`` scale — the coefficients
+      are folded into per-cell factor matrices, so ``cells=`` indexes those.
+      ``2 (n1^2 + n1 + 1)`` FLOPs per value: 7 750 per cell-column at degree
+      4 against 94 375 for the three dense Kronecker GEMMs it replaces
+      (``tests/reference.reference_apply_cells``); the pure three-axis form
+      (4 125) measured slower at every block size tried (DESIGN.md §9).
 
-    All state built here (reference matrices, coefficients, scatter maps)
+    Either way a complex (Bloch) block is multiplied through its ``float64``
+    view — ``B`` complex columns are ``2B`` real ones to a real matrix — so
+    ``np.matmul`` never casts the matrix to complex: half the GEMM FLOPs.
+
+    All state built here (factor matrices, coefficients, scatter maps)
     is immutable after construction, so one instance may be shared across
     the parallel (k, spin) channel threads.
     """
@@ -72,19 +93,7 @@ class CellStiffness:
     ) -> None:
         self.mesh = mesh
         self.ledger = ledger
-        ref = mesh.ref
-        w = ref.weights1d
-        khat = ref.stiff1d
-        dw = np.diag(w)
-
-        def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-            return np.kron(np.kron(a, b), c)
-
-        self._A = (
-            _kron3(khat, dw, dw),
-            _kron3(dw, khat, dw),
-            _kron3(dw, dw, khat),
-        )
+        w, khat = mesh.ref.weights1d, mesh.ref.stiff1d
         h = mesh.cell_sizes
         self._coef = np.stack(
             [
@@ -98,9 +107,16 @@ class CellStiffness:
             np.allclose(self._coef, self._coef[0], rtol=1e-13, atol=0.0)
         )
         if self._uniform:
-            self._Kc = sum(c * A for c, A in zip(self._coef[0], self._A))
+            self._Kc = self._dense(self._coef[0])
         else:
             self._Kc = None
+            # K_c = Omega (c1 G(x)I(x)I + c2 I(x)G(x)I + c3 I(x)I(x)G): the slow-axis
+            # factor and the fused two-fast-axes factor, coefficients folded in
+            G, eye = khat / w[:, None], np.eye(w.size)
+            c = self._coef[:, :, None, None]
+            self._Gx = c[:, 0] * G  # (ncells, n1, n1)
+            self._Gyz = c[:, 1] * np.kron(G, eye) + c[:, 2] * np.kron(eye, G)
+            self._omega = _kron3(w, w, w)[:, None]  # (npc, 1)
         self.phases = mesh.bloch_phases(kfrac) if kfrac is not None else None
         self.dtype = np.complex128 if self.phases is not None else np.float64
         # Precompiled scatter: unit weights share the mesh-wide map; Bloch
@@ -118,9 +134,13 @@ class CellStiffness:
 
     def cell_matrix(self, c: int) -> np.ndarray:
         """Dense stiffness matrix of cell ``c`` (tests / inspection)."""
-        if self._Kc is not None:
-            return self._Kc
-        return sum(co * A for co, A in zip(self._coef[c], self._A))
+        return self._Kc if self._Kc is not None else self._dense(self._coef[c])
+
+    def _dense(self, coef: np.ndarray) -> np.ndarray:
+        """``c1 k(x)W(x)W + c2 W(x)k(x)W + c3 W(x)W(x)k`` as one dense matrix."""
+        khat, dw = self.mesh.ref.stiff1d, np.diag(self.mesh.ref.weights1d)
+        terms = ((khat, dw, dw), (dw, khat, dw), (dw, dw, khat))
+        return sum(c * _kron3(*t) for c, t in zip(coef, terms))
 
     def gather(
         self,
@@ -178,35 +198,36 @@ class CellStiffness:
         """Batched cell GEMM: ``Y_c = K_c X_c`` over all cells at once.
 
         ``cells`` names the cells ``Xc`` was gathered from when it is a
-        subset (graded meshes need their coefficients).  With a workspace
+        subset (graded meshes need their factor matrices).  With a workspace
         the returned array is a pooled buffer owned by the workspace —
-        valid until the next ``apply_cells`` on this thread.
+        valid until the next ``apply_cells`` on this thread.  ``Xc`` is only
+        read; a non-contiguous one is copied first.
         """
+        ws = workspace if workspace is not None else UNPOOLED
+        ncells, npc, B = Xc.shape
+        Yc = ws.get("stiff_Yc", Xc.shape, Xc.dtype)
+        # the cell matrix is real: a complex block is 2B real columns
+        rdt = Xc.real.dtype
+        X, Y = np.ascontiguousarray(Xc).view(rdt), Yc.view(rdt)
         if self._Kc is not None:
-            if workspace is None:
-                Yc = np.matmul(self._Kc, Xc)
-            else:
-                Yc = workspace.get("stiff_Yc", Xc.shape, Xc.dtype)
-                np.matmul(self._Kc, Xc, out=Yc)
+            np.matmul(self._Kc, X, out=Y)
         else:
-            coef = self._coef if cells is None else self._coef[cells]
-            if workspace is None:
-                Yc = coef[:, 0, None, None] * np.matmul(self._A[0], Xc)
-                Yc += coef[:, 1, None, None] * np.matmul(self._A[1], Xc)
-                Yc += coef[:, 2, None, None] * np.matmul(self._A[2], Xc)
-            else:
-                Yc = workspace.get("stiff_Yc", Xc.shape, Xc.dtype)
-                T = workspace.get("stiff_Tc", Xc.shape, Xc.dtype)
-                np.matmul(self._A[0], Xc, out=T)
-                np.multiply(coef[:, 0, None, None], T, out=Yc)
-                np.matmul(self._A[1], Xc, out=T)
-                T *= coef[:, 1, None, None]
-                Yc += T
-                np.matmul(self._A[2], Xc, out=T)
-                T *= coef[:, 2, None, None]
-                Yc += T
+            Gx, Gyz = self._Gx, self._Gyz
+            if cells is not None:
+                Gx, Gyz = Gx[cells], Gyz[cells]
+            n1, Br = Gx.shape[-1], X.shape[-1]
+            T = ws.get("stiff_Tc", X.shape, rdt)
+            yz = (ncells, n1, n1 * n1, Br)  # y,z fused: one GEMM per x-plane
+            np.matmul(Gyz[:, None], X.reshape(yz), out=Y.reshape(yz))
+            x = (ncells, n1, n1 * n1 * Br)  # x: one GEMM per cell
+            np.matmul(Gx, X.reshape(x), out=T.reshape(x))
+            Y += T
+            # Omega expanded over the columns: a contiguous pass, not npc*ncells
+            # stride-0 inner loops of length Br
+            omega = ws.get("stiff_omega", (npc, Br), rdt)
+            omega[...] = self._omega
+            Y *= omega
         if self.ledger is not None:
-            ncells, _, B = Xc.shape
             self.ledger.add("cell_gemm", self.gemm_flops(ncells, B, Xc.dtype))
         return Yc
 
@@ -246,24 +267,29 @@ class CellStiffness:
 
     def diagonal_full(self) -> np.ndarray:
         """Assembled diagonal of ``K`` over all nodes."""
+        w, d = self.mesh.ref.weights1d, np.diag(self.mesh.ref.stiff1d)
+        diags = (_kron3(d, w, w), _kron3(w, d, w), _kron3(w, w, d))
         diag_cell = sum(
-            self._coef[:, a, None] * np.diag(self._A[a])[None, :]
-            for a in range(3)
+            self._coef[:, a, None] * diags[a][None, :] for a in range(3)
         )  # (ncells, npc)
         out = np.zeros(self.mesh.nnodes, dtype=float)
         self.mesh.scatter_map.add_to(diag_cell.ravel(), out)
         return out
 
     def gemm_flops(self, ncells: int, B: int, dtype) -> int:
-        """Closed-form FLOPs of the cell GEMMs on ``ncells`` cells, ``B`` columns."""
+        """Closed-form FLOPs of :meth:`apply_cells` on ``ncells`` cells, ``B``
+        columns — what the kernel executes, not the paper's dense model count
+        (that is ``repro.hpc.flops.chebyshev_filter_flops``)."""
         npc = self.mesh.conn.shape[1]
         if self._Kc is not None:
-            flops = 2 * npc * npc * B * ncells
+            per_value = 2 * npc
         else:
-            # three GEMMs plus the per-cell coefficient scale (3 multiplies)
-            # and accumulate (2 adds) per cell-local value
-            flops = ncells * npc * B * (6 * npc + 5)
-        return (4 if np.issubdtype(dtype, np.complexfloating) else 1) * flops
+            # the y,z GEMM (2 n1^2), the x GEMM (2 n1), the add and the Omega scale
+            n1 = self.mesh.ref.weights1d.size
+            per_value = 2 * (n1 * n1 + n1 + 1)
+        # a real matrix times a complex block: 2B real columns
+        ncols = (2 if np.issubdtype(dtype, np.complexfloating) else 1) * B
+        return ncells * npc * ncols * per_value
 
 
 class KSOperator:

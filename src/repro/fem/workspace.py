@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.tools import sanitize as _sanitize
 
-__all__ = ["Workspace"]
+__all__ = ["UNPOOLED", "Workspace"]
 
 
 class Workspace:
@@ -105,3 +105,8 @@ class Workspace:
     def clear(self) -> None:
         """Drop this thread's pooled buffers."""
         self._pool().clear()
+
+
+#: the block source of a caller that brings no workspace: same code, fresh
+#: arrays (a disabled pool holds no state, so one instance serves everyone)
+UNPOOLED = Workspace(enabled=False)

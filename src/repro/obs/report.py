@@ -90,6 +90,14 @@ def model_vs_measured(
     of the measured ``DH``, ``EP`` and ``Others`` buckets.  Returns one
     dict per modeled kernel: name, modeled seconds, measured seconds (0.0
     when the region never ran) and their ratio.
+
+    ``modeled_flops`` is the paper's model count — for CF the dense
+    ``(p+1)^3``-square cell GEMM, complex factor 4
+    (:func:`repro.hpc.flops.chebyshev_filter_flops`) — on every mesh.  The
+    measured side's FLOP counters are what the kernel executed
+    (:meth:`repro.fem.assembly.CellStiffness.gemm_flops`: factorised on graded
+    meshes, a real GEMM over ``2B`` columns for Bloch blocks), so the two
+    differ by design wherever the kernel does less than the model.
     """
     measured = kernel_totals(agg)
     rows: list[dict[str, float | str]] = []

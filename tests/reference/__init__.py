@@ -7,7 +7,10 @@ batched subspace engine (:mod:`repro.core.subspace`), the CSR scatter
 ``np.add.at`` scatter and the allocating recurrence they replaced live on
 here, unchanged down to the per-block FP32 casts, as the references the
 bitwise tests (and the A/B benchmark scripts) compare the production path
-against.
+against.  So does the cell-local stiffness product in its dense form — three
+``npc x npc`` Kronecker GEMMs with per-cell scalar coefficients
+(:func:`reference_apply_cells`), the form ``CellStiffness.apply_cells``
+factorises.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.obs import kernel_region
 from repro.precision import f32_dtype
 
 __all__ = [
+    "reference_apply_cells",
     "reference_cholgs",
     "reference_filter_block",
     "reference_gram",
@@ -45,6 +49,33 @@ def reference_scatter_add(
     out = np.zeros((nnodes, vals.shape[1]), dtype=vals.dtype)
     np.add.at(out, flat, vals)
     return out
+
+
+def reference_apply_cells(
+    stiff, Xc: np.ndarray, cells: np.ndarray | None = None
+) -> np.ndarray:
+    """``Y_c = (c1 k(x)W(x)W + c2 W(x)k(x)W + c3 W(x)W(x)k) X_c`` by three dense
+    batched GEMMs and the per-cell coefficient scale — on every mesh, in the
+    block's own dtype: oracle for ``CellStiffness.apply_cells``."""
+    mesh = stiff.mesh
+    khat, dw = mesh.ref.stiff1d, np.diag(mesh.ref.weights1d)
+    A = [
+        np.kron(np.kron(a, b), c)
+        for a, b, c in ((khat, dw, dw), (dw, khat, dw), (dw, dw, khat))
+    ]
+    h = mesh.cell_sizes if cells is None else mesh.cell_sizes[cells]
+    coef = np.stack(
+        [
+            h[:, 1] * h[:, 2] / (2.0 * h[:, 0]),
+            h[:, 0] * h[:, 2] / (2.0 * h[:, 1]),
+            h[:, 0] * h[:, 1] / (2.0 * h[:, 2]),
+        ],
+        axis=1,
+    )
+    Yc = coef[:, 0, None, None] * np.matmul(A[0], Xc)
+    Yc += coef[:, 1, None, None] * np.matmul(A[1], Xc)
+    Yc += coef[:, 2, None, None] * np.matmul(A[2], Xc)
+    return Yc
 
 
 def reference_filter_block(
