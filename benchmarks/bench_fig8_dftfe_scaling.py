@@ -90,7 +90,9 @@ def test_fig8_modeled_curves(benchmark, table_printer):
 
 @pytest.mark.slow
 def test_fig8_mlxc_overhead_vs_pbe(benchmark):
-    """Real SCF: MLXC walltime within ~2x of PBE (paper: 'similar')."""
+    """Real SCF: MLXC walltime within ~5x of PBE here — ~2x per SCF iteration,
+    and the 60-epoch bootstrapped network needs 24 iterations to PBE's 10
+    (paper, at production scale: 'similar')."""
     from repro.atoms.pseudo import AtomicConfiguration
     from repro.core import DFTCalculation, SCFOptions
     from repro.xc.gga import PBE
@@ -131,4 +133,6 @@ def test_fig8_mlxc_overhead_vs_pbe(benchmark):
     # evaluation is visible next to the O(M N^2) eigensolver; at the
     # paper's production scale (M ~ 7.5e7, N ~ 2.3e4) the same O(M) cost
     # is negligible, which is why the paper sees near-identical walltimes.
-    assert t_mlxc < 30.0 * t_pbe
+    # Measured ratio on this host (three runs): 4.5-5.1 with the
+    # back-propagated potential (15.8-17.3 with six complex-step forwards).
+    assert t_mlxc < 8.0 * t_pbe

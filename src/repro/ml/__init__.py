@@ -3,8 +3,11 @@
 from .descriptors import (
     descriptors_from_spin_density,
     feature_map,
+    network_inputs,
+    network_inputs_with_partials,
     phi_spin_factor,
     reduced_gradient,
+    reduced_laplacian,
 )
 from .nn import MLP, Adam, elu, elu_prime
 from .training import MLXCLaplacianTrainer, MLXCTrainer, TrainingSample, assemble_sample
@@ -20,6 +23,9 @@ __all__ = [
     "elu_prime",
     "feature_map",
     "assemble_sample",
+    "network_inputs",
+    "network_inputs_with_partials",
     "phi_spin_factor",
     "reduced_gradient",
+    "reduced_laplacian",
 ]

@@ -1,15 +1,20 @@
 """From-scratch dense neural network (the MLXC model's F_DNN).
 
 A multilayer perceptron with ELU activations, matching the paper's MLXC
-architecture (5 hidden layers x 80 neurons).  Three properties matter here:
+architecture (5 hidden layers x 80 neurons).  What the rest of the stack
+relies on:
 
-* the forward pass is **dtype-agnostic** — it accepts complex inputs, which
-  lets the complex-step machinery of :mod:`repro.xc.base` extract exact
-  functional derivatives through the network, and lets the trainer compute
-  mixed parameter/input second derivatives (see :mod:`repro.ml.training`);
-* reverse-mode parameter gradients (``backward``) are hand-written and work
-  for complex activations with real weights (no conjugation — we
-  differentiate a holomorphic map);
+* ``input_jacobian`` is back-propagation to the *inputs*: one forward and
+  one weight-free reverse sweep give ``F`` and ``dF/df``, which is all the
+  XC potential needs (:mod:`repro.xc.mlxc`);
+* the trainer's mixed derivative ``d/d theta [a . dF/df]`` is real
+  forward-over-reverse: ``forward_tangent`` pushes a direction through the
+  cached forward pass and ``backward`` takes the adjoints of both the output
+  and its tangent in one sweep (:mod:`repro.ml.training`).  ELU' and ELU''
+  are read off the cached activations (``elu' = a + alpha`` where
+  ``a <= 0``), so no pass evaluates a second ``exp``;
+* the forward pass stays **dtype-agnostic** — the complex-step oracle in
+  ``tests/reference`` differentiates through it;
 * parameters are exposed as a flat vector for the Adam optimizer.
 """
 
@@ -62,41 +67,76 @@ class MLP:
             self.biases.append(np.zeros(nout))
 
     # -- forward / backward ------------------------------------------------
+    def _elu_slope(self, a: np.ndarray) -> np.ndarray:
+        """ELU'(z) read off the activation ``a = ELU(z)`` (no ``exp``)."""
+        return np.where(a > 0, 1.0, a + self.alpha)
+
     def forward(self, X: np.ndarray, cache: list | None = None) -> np.ndarray:
-        """Forward pass; ``X`` is (n, n_in).  Appends (pre, post) to cache."""
+        """Forward pass; ``X`` is (n, n_in).
+
+        Appends every layer's input (``X``, then the hidden activations) to
+        ``cache`` — all the reverse and tangent passes need.
+        """
         a = np.atleast_2d(X)
-        if cache is not None:
-            cache.append(a)
+        last = len(self.weights) - 1
         for li, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ W + b
-            last = li == len(self.weights) - 1
-            a = z if last else elu(z, self.alpha)
             if cache is not None:
-                cache.append((z, a))
+                cache.append(a)
+            z = a @ W + b
+            a = z if li == last else elu(z, self.alpha)
         return a
 
+    def forward_tangent(
+        self, cache: list, dX: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Directional derivative of a cached forward pass along ``dX``.
+
+        Returns ``(d out, tangents)``: the output's tangent (n, n_out) and
+        every layer input's tangent, which :meth:`backward` takes.
+        """
+        t = np.atleast_2d(dX)
+        tangents = []
+        for li, W in enumerate(self.weights):
+            if li:
+                t = t * self._elu_slope(cache[li])
+            tangents.append(t)
+            t = t @ W
+        return t, tangents
+
     def backward(
-        self, cache: list, grad_out: np.ndarray
+        self,
+        cache: list,
+        grad_out: np.ndarray,
+        tangents: list[np.ndarray] | None = None,
+        grad_tangent: np.ndarray | None = None,
     ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
         """Reverse pass.  Returns (dW list, db list, dX).
 
-        ``grad_out`` is dL/d(output), shape (n, n_out).  Complex activations
-        with real weights propagate holomorphically (gradients come back
-        complex; the caller decides what to do with the imaginary part).
+        ``grad_out`` is dL/d(output), shape (n, n_out).  With ``tangents``
+        (from :meth:`forward_tangent`) and ``grad_tangent`` = dL/d(output
+        tangent), the same sweep also carries the tangent's adjoint, so the
+        parameter gradient is that of ``sum(grad_out * out + grad_tangent *
+        d out)`` — forward-over-reverse.  ELU'' z' is the layer's own tangent
+        where the unit is on its exponential branch and zero elsewhere.
         """
-        X = cache[0]
-        layers = cache[1:]
         dW = [None] * len(self.weights)
         db = [None] * len(self.biases)
         delta = np.atleast_2d(grad_out)
+        tdelta = grad_tangent
         for li in range(len(self.weights) - 1, -1, -1):
-            z, _a = layers[li]
-            if li != len(self.weights) - 1:
-                delta = delta * elu_prime(z, self.alpha)
-            a_prev = X if li == 0 else layers[li - 1][1]
-            dW[li] = a_prev.T @ delta
+            a, WT = cache[li], self.weights[li].T
+            dW[li] = a.T @ delta
             db[li] = delta.sum(axis=0)
-            delta = delta @ self.weights[li].T
+            delta = delta @ WT
+            if tangents is not None:
+                dW[li] += tangents[li].T @ tdelta
+                tdelta = tdelta @ WT
+            if li:
+                slope = self._elu_slope(a)
+                delta = delta * slope
+                if tangents is not None:
+                    delta += tdelta * np.where(a > 0, 0.0, tangents[li])
+                    tdelta = tdelta * slope
         return dW, db, delta
 
     def value_and_param_grad(
@@ -108,14 +148,23 @@ class MLP:
         dW, db, _ = self.backward(cache, grad_out)
         return out, self._flatten(dW, db)
 
-    def input_jacobian(self, X: np.ndarray) -> np.ndarray:
-        """d out_k / d X_j for a scalar-output network: returns (n, n_in)."""
+    def input_jacobian(
+        self, X: np.ndarray, cache: list | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``F`` (n,) and ``dF/dX`` (n, n_in) of a scalar-output network.
+
+        Back-propagation to the inputs: one forward pass and one reverse
+        sweep that forms no weight gradient.  ``cache`` (an empty list)
+        receives the forward pass for a later parameter gradient.
+        """
         if self.layer_sizes[-1] != 1:
             raise ValueError("input_jacobian implemented for scalar outputs")
-        cache: list = []
-        self.forward(X, cache)
-        _, _, dX = self.backward(cache, np.ones((np.atleast_2d(X).shape[0], 1)))
-        return dX
+        acts: list = [] if cache is None else cache
+        out = self.forward(X, acts)
+        delta = np.ones_like(out) @ self.weights[-1].T
+        for li in range(len(self.weights) - 1, 0, -1):
+            delta = (delta * self._elu_slope(acts[li])) @ self.weights[li - 1].T
+        return out[:, 0], delta
 
     # -- parameter vector interface ----------------------------------------
     @property

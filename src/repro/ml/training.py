@@ -3,27 +3,34 @@
 The paper trains F_DNN against {rho_QMB, v_xc_exact} pairs from invDFT with
 a composite mean-squared-error loss on the XC energy and the
 density-weighted XC potential, with v_xc^ML obtained "inexpensively via
-back-propagation".  This module implements exactly that, with one technical
-twist worth documenting:
+back-propagation".  This module keeps exactly that loss; the passes an
+autodiff framework would generate are hand-written, in real arithmetic:
 
 The potential loss needs the *mixed* second derivative
 ``d/d theta [ d e / d (inputs) ]`` (parameter gradient of an
 input-derivative), including the weak-divergence term from the
-s-dependence.  Both are obtained without any extra autodiff machinery by
-combining
+s-dependence (and the Laplacian term from the q-dependence).  Two steps:
 
 * the linearity of the divergence (its adjoint, ``Mesh3D.
-  divergence_adjoint``, turns the loss into a pointwise-weighted sum of
-  ``vrho`` and ``vsigma``), and
-* a complex step on the *inputs* composed with the real backpropagation on
-  the *parameters*: for real weights the network is holomorphic in its
-  inputs, so ``Im(grad_theta sum e(x + i h d)) / h`` is exactly
-  ``grad_theta sum d . (d e / d x)`` to machine precision.
+  divergence_adjoint``, composed with ``gradient_adjoint`` for the
+  Laplacian) turns the loss gradient into a pointwise-weighted sum
+  ``sum_I a_I . (d e / d x)_I`` over the network's pointwise inputs
+  ``x = (rho_up, rho_dn, sigma[, lap rho])``;
+* with ``e = p F``, that sum is ``sum_I (p' F + p F')_I``, primes being
+  tangents along ``a``: :meth:`MLP.forward_tangent` pushes the direction
+  through the forward pass the evaluation already cached, and one
+  :meth:`MLP.backward` sweep takes the adjoints of ``F`` (seeded with ``p'``
+  plus the energy term) and of ``F'`` (seeded with ``p``) —
+  forward-over-reverse, one primal forward per sample and epoch.
+
+The complex-step-times-backprop form this replaced is the test oracle
+(``tests/reference``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +44,8 @@ from .nn import Adam
 
 __all__ = ["TrainingSample", "MLXCTrainer", "MLXCLaplacianTrainer", "assemble_sample"]
 
-_H_CSTEP = 1e-25
 
-
-@dataclass
+@dataclass(eq=False)  # array fields: identity, not element-wise, equality
 class TrainingSample:
     """Per-system training data on its finite-element mesh."""
 
@@ -56,12 +61,18 @@ class TrainingSample:
     def __post_init__(self) -> None:
         self.live = self.rho_spin.sum(axis=1) > 10.0 * RHO_FLOOR
 
-    @property
+    @cached_property
     def sigmas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gradient contractions (sigma_uu, sigma_ud, sigma_dd)."""
         s_uu = np.einsum("ij,ij->i", self.grad_up, self.grad_up)
         s_ud = np.einsum("ij,ij->i", self.grad_up, self.grad_dn)
         s_dd = np.einsum("ij,ij->i", self.grad_dn, self.grad_dn)
         return s_uu, s_ud, s_dd
+
+    @cached_property
+    def laplacians(self) -> tuple[np.ndarray, np.ndarray]:
+        """Spin Laplacians from the stored recovered gradients."""
+        return self.mesh.divergence(self.grad_up), self.mesh.divergence(self.grad_dn)
 
 
 def assemble_sample(
@@ -84,7 +95,7 @@ def assemble_sample(
 
 
 class MLXCTrainer:
-    """Adam training of the MLXC network on invDFT data."""
+    """Adam training of a neural XC functional on invDFT data."""
 
     def __init__(
         self,
@@ -97,85 +108,42 @@ class MLXCTrainer:
             raise ValueError("need at least one training sample")
         self.samples = samples
         if functional is None:
-            from repro.xc.mlxc import MLXC  # lazy: avoids ml <-> xc cycle
-
-            functional = MLXC()
+            functional = self._default_functional()
         self.functional = functional
         self.lambda_energy = lambda_energy
         self.lambda_potential = lambda_potential
 
-    # ------------------------------------------------------------------
-    def _model_fields(self, s: TrainingSample):
-        """e, vrho, vsigma and v_xc (with divergence term) on sample ``s``."""
-        out = self.functional.evaluate(
-            s.rho_spin[:, 0], s.rho_spin[:, 1], *s.sigmas
-        )
-        vs = out.vsigma
-        vec_up = 2.0 * vs[:, 0:1] * s.grad_up + vs[:, 1:2] * s.grad_dn
-        vec_dn = 2.0 * vs[:, 2:3] * s.grad_dn + vs[:, 1:2] * s.grad_up
-        v_up = out.vrho[:, 0] - s.mesh.divergence(vec_up)
-        v_dn = out.vrho[:, 1] - s.mesh.divergence(vec_dn)
-        return out, np.stack([v_up, v_dn], axis=1)
+    @staticmethod
+    def _default_functional():
+        from repro.xc.mlxc import MLXC  # lazy: avoids ml <-> xc cycle
 
-    def loss(self) -> dict:
-        """Current composite loss and its components."""
-        le, lv = 0.0, 0.0
-        for s in self.samples:
-            out, v_ml = self._model_fields(s)
-            e_ml = float(s.mesh.integrate(out.exc))
-            natoms_norm = max(abs(s.exc_target), 1e-3)
-            le += ((e_ml - s.exc_target) / natoms_norm) ** 2
-            w = s.mesh.mass_diag
-            dv = (v_ml - s.v_target) * s.live[:, None]
-            num = float(np.sum(w[:, None] * (s.rho_spin * dv) ** 2))
-            den = float(np.sum(w[:, None] * (s.rho_spin * s.v_target) ** 2)) + 1e-30
-            lv += num / den
+        return MLXC()
+
+    # ------------------------------------------------------------------
+    def _sample_terms(self, s: TrainingSample, tape: list | None = None):
+        """Sample ``s``: energy residual and its norm, potential loss term, and
+        the masked potential residual (n, 2) and denominator it is made of."""
+        laps = s.laplacians if self.functional.needs_laplacian else ()
+        out = self.functional.evaluate(
+            s.rho_spin[:, 0], s.rho_spin[:, 1], *s.sigmas, *laps, tape=tape
+        )
+        v_ml = out.potential(s.mesh, s.grad_up, s.grad_dn)
+        norm_e = max(abs(s.exc_target), 1e-3)
+        resid_e = (float(s.mesh.integrate(out.exc)) - s.exc_target) / norm_e
+        dv = (v_ml - s.v_target) * s.live[:, None]
+        w = s.mesh.mass_diag[:, None]
+        den = float(np.sum(w * (s.rho_spin * s.v_target) ** 2)) + 1e-30
+        return resid_e, norm_e, float(np.sum(w * (s.rho_spin * dv) ** 2)) / den, dv, den
+
+    def _totals(self, le: float, lv: float) -> dict:
         n = len(self.samples)
         total = (self.lambda_energy * le + self.lambda_potential * lv) / n
         return {"total": total, "energy": le / n, "potential": lv / n}
 
-    # ------------------------------------------------------------------
-    def _weighted_e_param_grad(
-        self, s: TrainingSample, point_weights: np.ndarray,
-        input_pert: tuple[np.ndarray, ...] | None = None,
-    ) -> np.ndarray:
-        """d/d theta of ``sum_I point_weights_I * e_I`` (complex-safe).
-
-        ``input_pert``, if given, is (d_rho_u, d_rho_d, d_s_uu, d_s_ud,
-        d_s_dd): the inputs are complex-perturbed along these directions and
-        the *imaginary part / h* of the parameter gradient is returned —
-        i.e. the mixed second derivative described in the module docstring.
-        """
-        from repro.ml.descriptors import (
-            descriptors_from_spin_density,
-            feature_map,
-            phi_spin_factor,
-        )
-
-        ru = s.rho_spin[:, 0].astype(complex if input_pert else float)
-        rd = s.rho_spin[:, 1].astype(complex if input_pert else float)
-        s_uu, s_ud, s_dd = (x.astype(ru.dtype) for x in s.sigmas)
-        if input_pert is not None:
-            h = _H_CSTEP
-            ru = ru + 1j * h * input_pert[0]
-            rd = rd + 1j * h * input_pert[1]
-            s_uu = s_uu + 1j * h * input_pert[2]
-            s_ud = s_ud + 1j * h * input_pert[3]
-            s_dd = s_dd + 1j * h * input_pert[4]
-        rho, xi, sred = descriptors_from_spin_density(ru, rd, s_uu, s_ud, s_dd)
-        rho_s = np.where(np.real(rho) > RHO_FLOOR, rho, RHO_FLOOR)
-        pref = rho_s ** (4.0 / 3.0) * phi_spin_factor(xi)
-        pref = np.where(s.live, pref, 0.0)
-        feats = feature_map(rho_s, xi, sred)
-        net = self.functional.network
-        cache: list = []
-        net.forward(feats, cache)
-        grad_out = (point_weights * pref)[:, None]
-        gW, gb, _ = net.backward(cache, grad_out)
-        flat = net._flatten(gW, gb)
-        if input_pert is not None:
-            return np.imag(flat) / _H_CSTEP
-        return np.real(flat)
+    def loss(self) -> dict:
+        """Current composite loss and its components."""
+        terms = [self._sample_terms(s) for s in self.samples]
+        return self._totals(sum(t[0] ** 2 for t in terms), sum(t[2] for t in terms))
 
     def loss_and_grad(self) -> tuple[dict, np.ndarray]:
         """Composite loss and its exact parameter gradient."""
@@ -184,39 +152,36 @@ class MLXCTrainer:
         le, lv = 0.0, 0.0
         n = len(self.samples)
         for s in self.samples:
-            out, v_ml = self._model_fields(s)
+            tape: list = []
+            resid_e, norm_e, lv_s, dv, den = self._sample_terms(s, tape)
+            p, df, dp, cache = tape[0]
             w = s.mesh.mass_diag
-            # --- energy term ------------------------------------------------
-            e_ml = float(s.mesh.integrate(out.exc))
-            norm_e = max(abs(s.exc_target), 1e-3)
-            resid_e = (e_ml - s.exc_target) / norm_e
             le += resid_e**2
+            lv += lv_s
+            # dL/dv_sI, then through the adjoint divergence (and Laplacian):
+            # pointwise weights on d e / d (rho_up, rho_dn, sigma[, lap rho]);
+            # e sees only the total sigma and Laplacian, so both spin channels
+            # share one adjoint field
+            a = self.lambda_potential / n * 2.0 / den * w[:, None] * s.rho_spin**2 * dv
+            adj = s.mesh.divergence_adjoint(a[:, 0] + a[:, 1])
+            ax = [
+                a[:, 0], a[:, 1],
+                -2.0 * np.einsum("ij,ij->i", s.grad_up + s.grad_dn, adj),
+            ]
+            if self.functional.needs_laplacian:
+                ax.append(s.mesh.gradient_adjoint(adj))
+            ax = np.where(s.live[:, None], np.stack(ax, axis=1), 0.0)
+            p = np.where(s.live, p, 0.0)
+            # tangents of e = p F along ax; theta-gradient of sum(p' F + p F')
+            # and of the energy term's coeff * sum(w p F), in one reverse sweep
+            p_dot = np.einsum("nj,nj->n", dp, ax)
+            _, tangents = net.forward_tangent(cache, np.einsum("naj,nj->na", df, ax))
             coeff = self.lambda_energy / n * 2.0 * resid_e / norm_e
-            grad += self._weighted_e_param_grad(s, coeff * w)
-            # --- potential term ---------------------------------------------
-            dv = (v_ml - s.v_target) * s.live[:, None]
-            den = float(np.sum(w[:, None] * (s.rho_spin * s.v_target) ** 2)) + 1e-30
-            num = float(np.sum(w[:, None] * (s.rho_spin * dv) ** 2))
-            lv += num / den
-            # dL/dv_sI
-            a = (
-                self.lambda_potential / n * 2.0 / den
-                * w[:, None] * s.rho_spin**2 * dv
+            gW, gb, _ = net.backward(
+                cache, (coeff * w * p + p_dot)[:, None], tangents, p[:, None]
             )
-            # translate to pointwise weights on vrho and vsigma
-            badj_u = -s.mesh.divergence_adjoint(a[:, 0])
-            badj_d = -s.mesh.divergence_adjoint(a[:, 1])
-            c_uu = 2.0 * np.einsum("ij,ij->i", s.grad_up, badj_u)
-            c_dd = 2.0 * np.einsum("ij,ij->i", s.grad_dn, badj_d)
-            c_ud = np.einsum("ij,ij->i", s.grad_dn, badj_u) + np.einsum(
-                "ij,ij->i", s.grad_up, badj_d
-            )
-            pert = (a[:, 0], a[:, 1], c_uu, c_ud, c_dd)
-            grad += self._weighted_e_param_grad(
-                s, np.ones(s.mesh.nnodes), input_pert=pert
-            )
-        total = (self.lambda_energy * le + self.lambda_potential * lv) / n
-        return {"total": total, "energy": le / n, "potential": lv / n}, grad
+            grad += net._flatten(gW, gb)
+        return self._totals(le, lv), grad
 
     # ------------------------------------------------------------------
     def train(
@@ -282,121 +247,12 @@ class MLXCTrainer:
 
 
 class MLXCLaplacianTrainer(MLXCTrainer):
-    """Trainer for the Laplacian-descriptor functional (MLXC-L).
+    """The same trainer, defaulting to the Laplacian-descriptor functional
+    (MLXC-L): the potential's second-order term ``+ lap(d e / d lap(rho))``
+    enters the loss gradient through the adjoint Laplacian."""
 
-    Extends the composite loss to the four-descriptor form: the potential's
-    second-order Euler-Lagrange term ``+ lap(d e / d lap(rho))`` is handled
-    through the adjoint Laplacian (``gradient_adjoint . divergence_adjoint``
-    on the mesh), after which the same complex-step-times-backprop trick
-    yields exact parameter gradients over all seven pointwise inputs.
-    """
-
-    def __init__(self, samples, functional=None, lambda_energy=1.0,
-                 lambda_potential=1.0):
+    @staticmethod
+    def _default_functional():
         from repro.xc.mlxc_laplacian import MLXCLaplacian
 
-        if functional is None:
-            functional = MLXCLaplacian()
-        super().__init__(samples, functional, lambda_energy, lambda_potential)
-        # per-sample Laplacian fields from the stored recovered gradients
-        self._laps = [
-            (s.mesh.divergence(s.grad_up), s.mesh.divergence(s.grad_dn))
-            for s in samples
-        ]
-
-    # -- functional evaluation with the Laplacian term -----------------------
-    def _model_fields(self, s):
-        idx = self.samples.index(s)
-        lap_u, lap_d = self._laps[idx]
-        args = [s.rho_spin[:, 0], s.rho_spin[:, 1], *s.sigmas, lap_u, lap_d]
-        exc = np.real(self.functional.exc_density_lap(*args))
-        exc = np.where(s.live, exc, 0.0)
-        derivs = []
-        for j in range(7):
-            pert = [a.astype(complex) if i == j else a for i, a in enumerate(args)]
-            pert[j] = pert[j] + 1j * 1e-30
-            d = np.imag(self.functional.exc_density_lap(*pert)) / 1e-30
-            derivs.append(np.where(s.live, d, 0.0))
-        vr_u, vr_d, vs_uu, vs_ud, vs_dd, vl_u, vl_d = derivs
-        vec_up = 2.0 * vs_uu[:, None] * s.grad_up + vs_ud[:, None] * s.grad_dn
-        vec_dn = 2.0 * vs_dd[:, None] * s.grad_dn + vs_ud[:, None] * s.grad_up
-        v_up = vr_u - s.mesh.divergence(vec_up)
-        v_dn = vr_d - s.mesh.divergence(vec_dn)
-        v_up = v_up + s.mesh.divergence(s.mesh.gradient(vl_u))
-        v_dn = v_dn + s.mesh.divergence(s.mesh.gradient(vl_d))
-
-        class _Out:
-            pass
-
-        out = _Out()
-        out.exc = exc
-        return out, np.stack([v_up, v_dn], axis=1)
-
-    # -- parameter gradients ---------------------------------------------------
-    def _weighted_e_param_grad(self, s, point_weights, input_pert=None):
-        from repro.ml.descriptors import descriptors_from_spin_density, phi_spin_factor
-        from repro.xc.mlxc_laplacian import _Q_PREF, _feature_map4
-
-        idx = self.samples.index(s)
-        lap_u, lap_d = self._laps[idx]
-        dtype = complex if input_pert is not None else float
-        args = [s.rho_spin[:, 0].astype(dtype), s.rho_spin[:, 1].astype(dtype)]
-        args += [x.astype(dtype) for x in s.sigmas]
-        args += [lap_u.astype(dtype), lap_d.astype(dtype)]
-        if input_pert is not None:
-            for j in range(7):
-                args[j] = args[j] + 1j * _H_CSTEP * input_pert[j]
-        ru, rd, s_uu, s_ud, s_dd, lu, ld = args
-        rho, xi, sred = descriptors_from_spin_density(ru, rd, s_uu, s_ud, s_dd)
-        rho_s = np.where(np.real(rho) > RHO_FLOOR, rho, RHO_FLOOR)
-        q = (lu + ld) / (_Q_PREF * rho_s ** (5.0 / 3.0))
-        pref = rho_s ** (4.0 / 3.0) * phi_spin_factor(xi)
-        pref = np.where(s.live, pref, 0.0)
-        feats = _feature_map4(rho_s, xi, sred, q)
-        net = self.functional.network
-        cache: list = []
-        net.forward(feats, cache)
-        gW, gb, _ = net.backward(cache, (point_weights * pref)[:, None])
-        flat = net._flatten(gW, gb)
-        if input_pert is not None:
-            return np.imag(flat) / _H_CSTEP
-        return np.real(flat)
-
-    def loss_and_grad(self):
-        net = self.functional.network
-        grad = np.zeros(net.n_params)
-        le, lv = 0.0, 0.0
-        n = len(self.samples)
-        for s in self.samples:
-            out, v_ml = self._model_fields(s)
-            w = s.mesh.mass_diag
-            e_ml = float(s.mesh.integrate(out.exc))
-            norm_e = max(abs(s.exc_target), 1e-3)
-            resid_e = (e_ml - s.exc_target) / norm_e
-            le += resid_e**2
-            coeff = self.lambda_energy / n * 2.0 * resid_e / norm_e
-            grad += self._weighted_e_param_grad(s, coeff * w)
-            dv = (v_ml - s.v_target) * s.live[:, None]
-            den = float(np.sum(w[:, None] * (s.rho_spin * s.v_target) ** 2)) + 1e-30
-            num = float(np.sum(w[:, None] * (s.rho_spin * dv) ** 2))
-            lv += num / den
-            a = (
-                self.lambda_potential / n * 2.0 / den
-                * w[:, None] * s.rho_spin**2 * dv
-            )
-            badj_u = -s.mesh.divergence_adjoint(a[:, 0])
-            badj_d = -s.mesh.divergence_adjoint(a[:, 1])
-            c_uu = 2.0 * np.einsum("ij,ij->i", s.grad_up, badj_u)
-            c_dd = 2.0 * np.einsum("ij,ij->i", s.grad_dn, badj_d)
-            c_ud = np.einsum("ij,ij->i", s.grad_dn, badj_u) + np.einsum(
-                "ij,ij->i", s.grad_up, badj_d
-            )
-            # adjoint Laplacian weights for the + lap(e_lap) potential term
-            c_lu = s.mesh.gradient_adjoint(s.mesh.divergence_adjoint(a[:, 0]))
-            c_ld = s.mesh.gradient_adjoint(s.mesh.divergence_adjoint(a[:, 1]))
-            pert = (a[:, 0], a[:, 1], c_uu, c_ud, c_dd, c_lu, c_ld)
-            grad += self._weighted_e_param_grad(
-                s, np.ones(s.mesh.nnodes), input_pert=pert
-            )
-        total = (self.lambda_energy * le + self.lambda_potential * lv) / n
-        return {"total": total, "energy": le / n, "potential": lv / n}, grad
+        return MLXCLaplacian()

@@ -1,15 +1,22 @@
 """Exchange-correlation functional interface (Levels 1-3 + MLXC).
 
 A functional implements ``exc_density`` — the XC energy per unit volume as a
-function of the spin densities and (for GGAs and MLXC) the gradient
-contractions ``sigma_ab = grad(rho_a) . grad(rho_b)`` (libxc convention).
+function of the spin densities, (for GGAs and MLXC) the gradient
+contractions ``sigma_ab = grad(rho_a) . grad(rho_b)`` (libxc convention) and
+(for MLXC-L) the spin Laplacians.
 
-Derivatives ``vrho = d e / d rho_s`` and ``vsigma = d e / d sigma_ab`` are
-obtained by *complex-step differentiation*: for an analytic implementation,
-``f'(x) = Im f(x + i h) / h`` is exact to machine precision with
-``h ~ 1e-30`` — no subtractive cancellation, no hand-derived formulas to get
-wrong.  All functional implementations in this package are therefore written
-dtype-agnostically.  Finite-difference cross-checks live in the test suite.
+:meth:`XCFunctional.evaluate` is the one entry point for the derivatives
+``vrho = d e / d rho_s``, ``vsigma = d e / d sigma_ab`` and ``vlapl =
+d e / d lap(rho_s)``; only its derivative step differs between functionals:
+
+* the closed-form functionals (LDA, PBE, PBE0) use *complex-step
+  differentiation*: for an analytic implementation ``f'(x) = Im f(x + i h)
+  / h`` is exact to machine precision with ``h ~ 1e-30`` — no subtractive
+  cancellation, no hand-derived formulas to get wrong — so they are written
+  dtype-agnostically;
+* the neural functionals (:mod:`repro.xc.mlxc`) override that step with
+  back-propagation — one forward and one reverse pass through the network —
+  and keep the complex step as their test oracle (``tests/reference``).
 
 The nodal XC potential entering the Kohn-Sham Hamiltonian is
 
@@ -17,9 +24,11 @@ The nodal XC potential entering the Kohn-Sham Hamiltonian is
 
     v_{xc}^{s} = \\partial e/\\partial\\rho_s
         - \\nabla\\cdot\\big(2 v^{\\sigma}_{ss}\\nabla\\rho_s
-        + v^{\\sigma}_{s\\bar s}\\nabla\\rho_{\\bar s}\\big),
+        + v^{\\sigma}_{s\\bar s}\\nabla\\rho_{\\bar s}\\big)
+        + \\nabla^2\\big(\\partial e/\\partial\\nabla^2\\rho_s\\big),
 
-with the divergence evaluated by the mesh's recovery operators.
+with the divergence and Laplacian evaluated by the mesh's recovery
+operators.
 """
 
 from __future__ import annotations
@@ -42,6 +51,20 @@ class XCOutput:
     exc: np.ndarray  #: (n,) XC energy density (energy / volume)
     vrho: np.ndarray  #: (n, 2) d exc / d rho_s
     vsigma: np.ndarray | None  #: (n, 3) d exc / d sigma_[uu, ud, dd], or None
+    vlapl: np.ndarray | None = None  #: (n, 2) d exc / d lap(rho_s), or None
+
+    def potential(self, mesh, g_up: np.ndarray, g_dn: np.ndarray) -> np.ndarray:
+        """Nodal v_xc (n, 2) from the pointwise derivatives and the density
+        gradients they were evaluated with (the module docstring's formula)."""
+        vs = self.vsigma
+        vec_up = 2.0 * vs[:, 0:1] * g_up + vs[:, 1:2] * g_dn
+        vec_dn = 2.0 * vs[:, 2:3] * g_dn + vs[:, 1:2] * g_up
+        v_up = self.vrho[:, 0] - mesh.divergence(vec_up)
+        v_dn = self.vrho[:, 1] - mesh.divergence(vec_dn)
+        if self.vlapl is not None:
+            v_up = v_up + mesh.divergence(mesh.gradient(self.vlapl[:, 0]))
+            v_dn = v_dn + mesh.divergence(mesh.gradient(self.vlapl[:, 1]))
+        return np.stack([v_up, v_dn], axis=1)
 
 
 class XCFunctional:
@@ -49,6 +72,8 @@ class XCFunctional:
 
     name = "base"
     needs_gradient = False
+    #: whether ``exc_density`` also takes the two spin Laplacians
+    needs_laplacian = False
     #: accuracy level in the paper's Fig. 1 taxonomy (1=LDA ... 4=QMB-like)
     level = 0
 
@@ -61,8 +86,29 @@ class XCFunctional:
         sigma_ud: np.ndarray | None = None,
         sigma_dd: np.ndarray | None = None,
     ) -> np.ndarray:
-        """XC energy per unit volume (dtype-agnostic: supports complex)."""
+        """XC energy per unit volume (dtype-agnostic: supports complex).
+
+        Functionals with ``needs_laplacian`` take ``lap_up, lap_dn`` after
+        the contractions.
+        """
         raise NotImplementedError
+
+    def _energy_and_derivatives(
+        self, args: list[np.ndarray], tape: list | None = None
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``exc`` and ``d exc / d args[j]`` at the pointwise inputs ``args``.
+
+        The derivative step of :meth:`evaluate`: by complex step here, one
+        ``exc_density`` call per input.  ``tape`` is for overrides that can
+        record their pass (the neural functionals); nothing is taped here.
+        """
+        exc = np.real(self.exc_density(*args))
+        derivs = []
+        for j in range(len(args)):
+            pert = [a.astype(complex) if i == j else a for i, a in enumerate(args)]
+            pert[j] = pert[j] + 1j * _CSTEP
+            derivs.append(np.imag(self.exc_density(*pert)) / _CSTEP)
+        return exc, derivs
 
     # -- generic machinery -------------------------------------------------
     def evaluate(
@@ -72,8 +118,17 @@ class XCFunctional:
         sigma_uu: np.ndarray | None = None,
         sigma_ud: np.ndarray | None = None,
         sigma_dd: np.ndarray | None = None,
+        lap_up: np.ndarray | None = None,
+        lap_dn: np.ndarray | None = None,
+        tape: list | None = None,
     ) -> XCOutput:
-        """Evaluate energy density and its derivatives at grid points."""
+        """Evaluate energy density and its derivatives at grid points.
+
+        Missing ``sigma_ud`` / ``sigma_dd`` / Laplacians count as zero.  A
+        list passed as ``tape`` receives whatever the functional's derivative
+        step records for a later parameter gradient (see
+        :meth:`_energy_and_derivatives`).
+        """
         rho_up = np.maximum(np.asarray(rho_up, dtype=float), 0.0)
         rho_dn = np.maximum(np.asarray(rho_dn, dtype=float), 0.0)
         args = [rho_up, rho_dn]
@@ -86,20 +141,19 @@ class XCFunctional:
                 sigma_dd = np.zeros_like(sigma_uu)
             args += [np.asarray(sigma_uu, float), np.asarray(sigma_ud, float),
                      np.asarray(sigma_dd, float)]
-        exc = np.real(self.exc_density(*args))
+        if self.needs_laplacian:
+            args += [
+                np.zeros_like(rho_up) if lap is None else np.asarray(lap, float)
+                for lap in (lap_up, lap_dn)
+            ]
+        exc, derivs = self._energy_and_derivatives(args, tape)
 
         live = (rho_up + rho_dn) > RHO_FLOOR
-        nargs = len(args)
-        derivs = []
-        for j in range(nargs):
-            pert = [a.astype(complex) if i == j else a for i, a in enumerate(args)]
-            pert[j] = pert[j] + 1j * _CSTEP
-            d = np.imag(self.exc_density(*pert)) / _CSTEP
-            d = np.where(live, d, 0.0)
-            derivs.append(d)
+        derivs = [np.where(live, d, 0.0) for d in derivs]
         vrho = np.stack(derivs[:2], axis=-1)
-        vsigma = np.stack(derivs[2:], axis=-1) if self.needs_gradient else None
-        return XCOutput(exc=np.where(live, exc, 0.0), vrho=vrho, vsigma=vsigma)
+        vsigma = np.stack(derivs[2:5], axis=-1) if self.needs_gradient else None
+        vlapl = np.stack(derivs[5:], axis=-1) if self.needs_laplacian else None
+        return XCOutput(np.where(live, exc, 0.0), vrho, vsigma, vlapl)
 
     def potential_and_energy(
         self, mesh, rho_spin: np.ndarray
@@ -107,7 +161,8 @@ class XCFunctional:
         """Nodal XC potential (nnodes, 2) and total XC energy on a mesh.
 
         ``rho_spin`` is the (nnodes, 2) spin density.  GGA-type functionals
-        include the weak-divergence term via the mesh recovery operators.
+        include the weak-divergence term (and Laplacian-level ones the
+        second-order term) via the mesh recovery operators.
         """
         rho_up, rho_dn = rho_spin[:, 0], rho_spin[:, 1]
         if not self.needs_gradient:
@@ -120,14 +175,14 @@ class XCFunctional:
         s_uu = np.einsum("ij,ij->i", g_up, g_up)
         s_ud = np.einsum("ij,ij->i", g_up, g_dn)
         s_dd = np.einsum("ij,ij->i", g_dn, g_dn)
-        out = self.evaluate(rho_up, rho_dn, s_uu, s_ud, s_dd)
+        laps = (
+            (mesh.divergence(g_up), mesh.divergence(g_dn))
+            if self.needs_laplacian
+            else ()
+        )
+        out = self.evaluate(rho_up, rho_dn, s_uu, s_ud, s_dd, *laps)
         exc_total = float(mesh.integrate(out.exc))
-        vs = out.vsigma
-        vec_up = 2.0 * vs[:, 0:1] * g_up + vs[:, 1:2] * g_dn
-        vec_dn = 2.0 * vs[:, 2:3] * g_dn + vs[:, 1:2] * g_up
-        v_up = out.vrho[:, 0] - mesh.divergence(vec_up)
-        v_dn = out.vrho[:, 1] - mesh.divergence(vec_dn)
-        return np.stack([v_up, v_dn], axis=1), exc_total
+        return out.potential(mesh, g_up, g_dn), exc_total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<XCFunctional {self.name} (level {self.level})>"

@@ -11,23 +11,32 @@ relations; the form is translationally and rotationally equivariant by
 construction (it depends on position only through scalar fields).
 
 ``F_DNN`` is a 5-layer x 80-neuron ELU network (:class:`repro.ml.nn.MLP`).
-The XC potential — including the gradient/divergence term from the
-``s``-dependence — is produced by the generic complex-step machinery of
-:class:`repro.xc.base.XCFunctional` plus the mesh recovery operators, i.e.
-``v_xc`` is obtained "inexpensively via back-propagation" exactly as the
-paper describes.
+The pointwise derivatives come, as in the paper, from back-propagation: one
+forward pass, one reverse pass to the network's inputs
+(:meth:`repro.ml.nn.MLP.input_jacobian`) and the descriptor chain rule of
+:func:`repro.ml.descriptors.network_inputs_with_partials` — hand-written
+passes in place of the paper's autodiff framework.  The base class then adds
+the gradient/divergence term with the mesh recovery operators.
+``exc_density`` stays dtype-agnostic so that the complex-step evaluation
+(``tests/reference``) remains the oracle for all of this.
+
+:class:`MLXC` is the one neural functional; its ``descriptors`` list is the
+parameter (:class:`repro.xc.mlxc_laplacian.MLXCLaplacian` appends ``q``).
 """
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 
 from repro.ml.descriptors import (
-    descriptors_from_spin_density,
     feature_map,
+    network_inputs,
+    network_inputs_with_partials,
     phi_spin_factor,
 )
-from repro.ml.nn import MLP
+from repro.ml.nn import MLP, Adam
 
 from .base import RHO_FLOOR, XCFunctional
 
@@ -43,26 +52,62 @@ class MLXC(XCFunctional):
     name = "MLXC"
     needs_gradient = True
     level = 4
+    #: what F_DNN sees; a trailing "q" adds the reduced density Laplacian
+    descriptors: tuple[str, ...] = ("rho", "xi", "s")
 
     def __init__(self, network: MLP | None = None, seed: int = 0) -> None:
-        self.network = network if network is not None else MLP(DEFAULT_LAYERS, seed=seed)
-        if self.network.layer_sizes[0] != 3 or self.network.layer_sizes[-1] != 1:
-            raise ValueError("MLXC network must map 3 descriptors to a scalar F")
-
-    # ------------------------------------------------------------------
-    def exc_density(self, rho_up, rho_dn, sigma_uu=None, sigma_ud=None, sigma_dd=None):
-        rho, xi, s = descriptors_from_spin_density(
-            rho_up, rho_dn, sigma_uu, sigma_ud, sigma_dd
+        n_in = len(self.descriptors)
+        self.network = (
+            network if network is not None
+            else MLP((n_in,) + DEFAULT_LAYERS[1:], seed=seed)
         )
-        rho_s = np.where(np.real(rho) > RHO_FLOOR, rho, RHO_FLOOR)
-        F = self.network.forward(feature_map(rho_s, xi, s))[:, 0]
-        e = rho_s ** (4.0 / 3.0) * phi_spin_factor(xi) * F
-        return np.where(np.real(rho) > RHO_FLOOR, e, 0.0)
+        if self.network.layer_sizes[0] != n_in or self.network.layer_sizes[-1] != 1:
+            raise ValueError(
+                f"{self.name} network must map {n_in} descriptors to a scalar F"
+            )
+
+    @property
+    def needs_laplacian(self) -> bool:
+        return "q" in self.descriptors
 
     # ------------------------------------------------------------------
-    def enhancement_factor(self, rho, xi, s) -> np.ndarray:
+    def exc_density(self, rho_up, rho_dn, sigma_uu=None, sigma_ud=None,
+                    sigma_dd=None, lap_up=None, lap_dn=None):
+        """Eq. 3; with the ``q`` descriptor, absent Laplacians count as zero."""
+        lap = None
+        if self.needs_laplacian:
+            lap = np.zeros(np.shape(rho_up)) if lap_up is None else lap_up + lap_dn
+        feats, pref, _ = network_inputs(
+            rho_up, rho_dn, sigma_uu + 2.0 * sigma_ud + sigma_dd, lap
+        )
+        e = pref * self.network.forward(feats)[:, 0]
+        return np.where(np.real(rho_up + rho_dn) > RHO_FLOOR, e, 0.0)
+
+    def _energy_and_derivatives(self, args, tape=None):
+        """Back-propagation: one forward and one reverse pass for all inputs.
+
+        ``tape`` receives ``(p, df, dp, cache)`` — the descriptor layer and the
+        cached forward pass, which the trainer re-uses.
+        """
+        rho_up, rho_dn, s_uu, s_ud, s_dd, *laps = args
+        f, p, df, dp = network_inputs_with_partials(
+            rho_up, rho_dn, s_uu + 2.0 * s_ud + s_dd,
+            laps[0] + laps[1] if laps else None,
+        )
+        cache = None if tape is None else []
+        F, dF = self.network.input_jacobian(f, cache)
+        if tape is not None:
+            tape.append((p, df, dp, cache))
+        # d e / d (rho_up, rho_dn, sigma_total[, lap_total]); sigma_total
+        # counts sigma_ud twice and both spin Laplacians enter lap_total alike
+        de = dp * F[:, None] + p[:, None] * np.einsum("na,naj->nj", dF, df)
+        d_up, d_dn, d_sigma, *d_lap = de.T
+        return p * F, [d_up, d_dn, d_sigma, 2.0 * d_sigma, d_sigma] + d_lap * 2
+
+    # ------------------------------------------------------------------
+    def enhancement_factor(self, rho, xi, s, q=None) -> np.ndarray:
         """Evaluate F_DNN directly on descriptor values (diagnostics)."""
-        return np.real(self.network.forward(feature_map(rho, xi, s))[:, 0])
+        return np.real(self.network.forward(feature_map(rho, xi, s, q))[:, 0])
 
     def save(self, path: str) -> None:
         """Persist the trained network weights."""
@@ -81,8 +126,6 @@ class MLXC(XCFunctional):
         full FCI -> invDFT -> training pipeline on the model-world
         H2/LiH/Li/N set); see EXPERIMENTS.md Fig 3 for their accuracy.
         """
-        import pathlib
-
         path = pathlib.Path(__file__).resolve().parent / "data/mlxc_pretrained.npz"
         if not path.exists():
             raise FileNotFoundError(
@@ -98,14 +141,15 @@ class MLXC(XCFunctional):
 
         Used as the training warm start (and in tests): fits
         ``F_ref = e_ref / (rho^(4/3) phi)`` over a physical range of
-        (rho, xi, s) by Adam on an MSE loss.
+        (rho, xi, s) by Adam on an MSE loss.  A semilocal reference is
+        q-independent, so with the ``q`` descriptor (drawn uniformly) the fit
+        teaches F to ignore it initially.
         """
-        from repro.ml.nn import Adam
-
         rng = np.random.default_rng(seed)
         rho = 10.0 ** rng.uniform(-3, 1, n_samples)
         xi = rng.uniform(-0.98, 0.98, n_samples)
         s = 10.0 ** rng.uniform(-2, 1, n_samples)
+        q = rng.uniform(-3.0, 3.0, n_samples) if "q" in cls.descriptors else None
         rho_up = 0.5 * rho * (1 + xi)
         rho_dn = 0.5 * rho * (1 - xi)
         grad = s * 2.0 * (3 * np.pi**2) ** (-1 / 3) * rho ** (4 / 3)
@@ -119,17 +163,16 @@ class MLXC(XCFunctional):
         else:
             e_ref = np.real(reference.exc_density(rho_up, rho_dn))
         F_target = e_ref / (rho ** (4 / 3) * phi_spin_factor(xi))
-        feats = feature_map(rho, xi, s)
-        net = MLP(DEFAULT_LAYERS, seed=seed)
+        feats = feature_map(rho, xi, s, q)
+        functional = cls(seed=seed)
+        net = functional.network
         opt = Adam(lr=3e-3)
         theta = net.get_params()
         for _ in range(epochs):
             net.set_params(theta)
             cache: list = []
-            pred = net.forward(feats, cache)[:, 0]
-            resid = pred - F_target
+            resid = net.forward(feats, cache)[:, 0] - F_target
             gW, gb, _ = net.backward(cache, (2.0 * resid / n_samples)[:, None])
-            grad_theta = net._flatten(gW, gb)
-            theta = opt.step(theta, grad_theta)
+            theta = opt.step(theta, net._flatten(gW, gb))
         net.set_params(theta)
-        return cls(network=net)
+        return functional

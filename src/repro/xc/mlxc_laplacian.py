@@ -17,156 +17,38 @@ second-order Euler-Lagrange term
 
     v_{xc} \\mathrel{+}= \\nabla^2\\big(\\partial e/\\partial(\\nabla^2\\rho)\\big),
 
-evaluated with the mesh's recovery operators (Laplacian = divergence of the
-recovered gradient).  Derivatives with respect to all seven pointwise inputs
-(two spin densities, three gradient contractions, two spin Laplacians) come
-from the same complex-step engine as the base class.
+which :meth:`repro.xc.base.XCOutput.potential` evaluates with the mesh's
+recovery operators (Laplacian = divergence of the recovered gradient).
 
-Training is intentionally out of scope here (the shipped MLXC remains the
-paper-architecture model); the trainer extension follows the identical
-adjoint pattern — ``Mesh3D.divergence_adjoint`` composes to a Laplacian
-adjoint — and is left as the documented next step, mirroring the paper's
-own future-work framing.
+It is :class:`repro.xc.mlxc.MLXC` with one more entry in its descriptor
+list: evaluation, back-propagated derivatives (``vlapl`` included), warm
+start and persistence are inherited, and
+:class:`repro.ml.training.MLXCLaplacianTrainer` trains it with the same
+composite loss (the Laplacian term's adjoint is ``gradient_adjoint .
+divergence_adjoint`` on the mesh).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.constants import RHO_FLOOR
-from repro.ml.descriptors import descriptors_from_spin_density, phi_spin_factor
-from repro.ml.nn import MLP
-
-from .base import XCFunctional
+from .mlxc import DEFAULT_LAYERS, MLXC
 
 __all__ = ["MLXCLaplacian", "LAPLACIAN_LAYERS"]
 
 #: 4 descriptors -> 5 hidden layers x 80 neurons -> F
-LAPLACIAN_LAYERS = (4, 80, 80, 80, 80, 80, 1)
-
-_CSTEP = 1e-30
-_Q_PREF = 4.0 * (3.0 * np.pi**2) ** (2.0 / 3.0)
+LAPLACIAN_LAYERS = (4,) + DEFAULT_LAYERS[1:]
 
 
-def _feature_map4(rho, xi, s, q):
-    """Bounded features: [rho^(1/3), xi, s/(1+s), q/(1+|q|)]."""
-    rho_s = np.where(np.real(rho) > RHO_FLOOR, rho, RHO_FLOOR)
-    f1 = rho_s ** (1.0 / 3.0)
-    f3 = s / (1.0 + s)
-    f4 = q / (1.0 + np.sqrt(q * q + 1e-30))
-    return np.stack([np.asarray(f1), np.asarray(xi), np.asarray(f3),
-                     np.asarray(f4)], axis=-1)
-
-
-class MLXCLaplacian(XCFunctional):
+class MLXCLaplacian(MLXC):
     """Laplacian-level neural XC functional (deployment-ready)."""
 
     name = "MLXC-L"
-    needs_gradient = True
-    level = 4
+    descriptors = MLXC.descriptors + ("q",)
 
-    def __init__(self, network: MLP | None = None, seed: int = 0) -> None:
-        self.network = (
-            network if network is not None else MLP(LAPLACIAN_LAYERS, seed=seed)
-        )
-        if self.network.layer_sizes[0] != 4 or self.network.layer_sizes[-1] != 1:
-            raise ValueError("MLXC-L network must map 4 descriptors to a scalar")
-
-    # -- pointwise energy density -------------------------------------------
     def exc_density_lap(
         self, rho_up, rho_dn, sigma_uu, sigma_ud, sigma_dd, lap_up, lap_dn
     ):
-        """Energy density with explicit spin-Laplacian inputs (dtype-agnostic)."""
-        rho, xi, s = descriptors_from_spin_density(
-            rho_up, rho_dn, sigma_uu, sigma_ud, sigma_dd
+        """Energy density with explicit spin-Laplacian inputs (dtype-agnostic);
+        ``exc_density`` without them is the zero-Laplacian slice."""
+        return self.exc_density(
+            rho_up, rho_dn, sigma_uu, sigma_ud, sigma_dd, lap_up, lap_dn
         )
-        rho_s = np.where(np.real(rho) > RHO_FLOOR, rho, RHO_FLOOR)
-        q = (lap_up + lap_dn) / (_Q_PREF * rho_s ** (5.0 / 3.0))
-        F = self.network.forward(_feature_map4(rho_s, xi, s, q))[:, 0]
-        e = rho_s ** (4.0 / 3.0) * phi_spin_factor(xi) * F
-        return np.where(np.real(rho) > RHO_FLOOR, e, 0.0)
-
-    def exc_density(self, rho_up, rho_dn, sigma_uu=None, sigma_ud=None,
-                    sigma_dd=None):
-        """Base-interface fallback: zero-Laplacian slice of the functional."""
-        zero = np.zeros_like(np.asarray(rho_up, dtype=float))
-        return self.exc_density_lap(
-            rho_up, rho_dn, sigma_uu, sigma_ud, sigma_dd, zero, zero
-        )
-
-    # -- mesh-level potential/energy -----------------------------------------
-    def potential_and_energy(self, mesh, rho_spin: np.ndarray):
-        rho_up, rho_dn = rho_spin[:, 0], rho_spin[:, 1]
-        g_up = mesh.gradient(rho_up)
-        g_dn = mesh.gradient(rho_dn)
-        s_uu = np.einsum("ij,ij->i", g_up, g_up)
-        s_ud = np.einsum("ij,ij->i", g_up, g_dn)
-        s_dd = np.einsum("ij,ij->i", g_dn, g_dn)
-        lap_up = mesh.divergence(g_up)
-        lap_dn = mesh.divergence(g_dn)
-
-        args = [np.maximum(rho_up, 0.0), np.maximum(rho_dn, 0.0),
-                s_uu, s_ud, s_dd, lap_up, lap_dn]
-        exc = np.real(self.exc_density_lap(*args))
-        live = (args[0] + args[1]) > RHO_FLOOR
-        exc = np.where(live, exc, 0.0)
-        exc_total = float(mesh.integrate(exc))
-
-        derivs = []
-        for j in range(7):
-            pert = [a.astype(complex) if i == j else a for i, a in enumerate(args)]
-            pert[j] = pert[j] + 1j * _CSTEP
-            d = np.imag(self.exc_density_lap(*pert)) / _CSTEP
-            derivs.append(np.where(live, d, 0.0))
-        vr_u, vr_d, vs_uu, vs_ud, vs_dd, vl_u, vl_d = derivs
-
-        vec_up = 2.0 * vs_uu[:, None] * g_up + vs_ud[:, None] * g_dn
-        vec_dn = 2.0 * vs_dd[:, None] * g_dn + vs_ud[:, None] * g_up
-        v_up = vr_u - mesh.divergence(vec_up)
-        v_dn = vr_d - mesh.divergence(vec_dn)
-        # second-order Euler-Lagrange term: + lap(d e / d lap(rho_s))
-        v_up = v_up + mesh.divergence(mesh.gradient(vl_u))
-        v_dn = v_dn + mesh.divergence(mesh.gradient(vl_d))
-        return np.stack([v_up, v_dn], axis=1), exc_total
-
-    # -- construction helpers ---------------------------------------------------
-    @classmethod
-    def bootstrapped_from(cls, reference: XCFunctional, seed: int = 0,
-                          epochs: int = 250, n_samples: int = 3000
-                          ) -> "MLXCLaplacian":
-        """Warm start: fit the 4-descriptor network to a semilocal reference
-        (which is q-independent, so the fit teaches F to ignore q initially).
-        """
-        from repro.ml.nn import Adam
-
-        rng = np.random.default_rng(seed)
-        rho = 10.0 ** rng.uniform(-3, 1, n_samples)
-        xi = rng.uniform(-0.98, 0.98, n_samples)
-        s = 10.0 ** rng.uniform(-2, 1, n_samples)
-        q = rng.uniform(-3.0, 3.0, n_samples)
-        rho_up = 0.5 * rho * (1 + xi)
-        rho_dn = 0.5 * rho * (1 - xi)
-        grad = s * 2.0 * (3 * np.pi**2) ** (-1 / 3) * rho ** (4 / 3)
-        sigma_tot = grad**2
-        if reference.needs_gradient:
-            suu = sigma_tot * ((1 + xi) / 2) ** 2
-            sdd = sigma_tot * ((1 - xi) / 2) ** 2
-            sud = sigma_tot * (1 + xi) * (1 - xi) / 4
-            e_ref = np.real(reference.exc_density(rho_up, rho_dn, suu, sud, sdd))
-        else:
-            e_ref = np.real(reference.exc_density(rho_up, rho_dn))
-        F_target = e_ref / (rho ** (4 / 3) * phi_spin_factor(xi))
-        feats = _feature_map4(rho, xi, s, q)
-        net = MLP(LAPLACIAN_LAYERS, seed=seed)
-        opt = Adam(lr=3e-3)
-        theta = net.get_params()
-        for _ in range(epochs):
-            net.set_params(theta)
-            cache: list = []
-            pred = net.forward(feats, cache)[:, 0]
-            gW, gb, _ = net.backward(
-                cache, (2.0 * (pred - F_target) / n_samples)[:, None]
-            )
-            theta = opt.step(theta, net._flatten(gW, gb))
-        net.set_params(theta)
-        return cls(network=net)

@@ -10,7 +10,8 @@ bitwise tests (and the A/B benchmark scripts) compare the production path
 against.  So does the cell-local stiffness product in its dense form — three
 ``npc x npc`` Kronecker GEMMs with per-cell scalar coefficients
 (:func:`reference_apply_cells`), the form ``CellStiffness.apply_cells``
-factorises.
+factorises.  The complex-step oracles for the back-propagated neural
+functionals and their trainer are in :mod:`tests.reference.mlxc`.
 """
 
 from __future__ import annotations

@@ -52,3 +52,67 @@ def test_rank_backed_operator_is_told_apart_by_its_cluster():
     op = DistributedKSOperator(mesh, 2)
     assert op.cluster.traffic is op.traffic
     assert op.clone().cluster is op.cluster
+
+
+def test_no_functional_shadows_the_hooked_entry_points():
+    """``XCFunctional.evaluate`` / ``.potential_and_energy`` are wrapped on the
+    base class: a subclass defining its own would run unmeasured."""
+    import pkgutil
+
+    import repro.xc
+    from repro.xc.base import XCFunctional
+
+    for info in pkgutil.iter_modules(repro.xc.__path__):
+        module = importlib.import_module(f"repro.xc.{info.name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__ \
+                    and cls is not XCFunctional:
+                assert not {"evaluate", "potential_and_energy"} & set(vars(cls)), cls
+
+
+def test_neural_functional_and_trainer_fire_their_points():
+    """One MLXC potential fires ``xc.eval`` (with the node count) through the
+    base-class entry points, ``ml.mlp_forward`` and ``ml.mlp_input_jacobian``;
+    one ``loss_and_grad`` fires ``ml.mlp_backward``."""
+    import numpy as np
+
+    from repro.fem.mesh import uniform_mesh
+    from repro.ml.training import MLXCTrainer, assemble_sample
+    from repro.xc.mlxc import MLXC
+
+    mesh = uniform_mesh((4.0,) * 3, (2,) * 3, degree=2)
+    rho = np.exp(-np.sum((mesh.node_coords - 1.9) ** 2, axis=1))
+    spin = np.stack([0.6 * rho, 0.4 * rho], axis=1)
+    functional = MLXC(seed=0)
+    sample = assemble_sample("probe", mesh, spin, np.zeros_like(spin), -0.1)
+
+    layers = _load_layers()
+
+    def fired(spans):
+        return {".".join(layers.POINTS[span["point"]][:2]): span for span in spans}
+
+    recorder = layers.Recorder("probe")
+    undo = layers.install(recorder)
+    try:
+        functional.potential_and_energy(mesh, spin)
+        n_potential = len(recorder.spans)
+        MLXCTrainer([sample], functional).loss_and_grad()
+    finally:
+        layers.uninstall(undo)
+    potential = fired(recorder.spans[:n_potential])
+    training = fired(recorder.spans[n_potential:])
+
+    assert {
+        "repro.xc.base.XCFunctional.potential_and_energy",
+        "repro.xc.base.XCFunctional.evaluate",
+        "repro.ml.nn.MLP.forward",
+        "repro.ml.nn.MLP.input_jacobian",
+    } <= set(potential)
+    evaluate = potential["repro.xc.base.XCFunctional.evaluate"]
+    assert evaluate["counts"] == {"xc.points": mesh.nnodes}
+    assert {
+        "repro.ml.training.MLXCTrainer.loss_and_grad",
+        "repro.xc.base.XCFunctional.evaluate",
+        "repro.ml.nn.MLP.forward",
+        "repro.ml.nn.MLP.backward",
+    } <= set(training)

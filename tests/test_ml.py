@@ -72,7 +72,8 @@ def test_mlp_param_gradient_matches_fd(seed):
 def test_mlp_input_jacobian_matches_fd():
     net = MLP((3, 10, 1), seed=2)
     X = np.array([[0.2, -0.4, 1.0]])
-    J = net.input_jacobian(X)
+    F, J = net.input_jacobian(X)
+    assert np.array_equal(F, net.forward(X)[:, 0])
     for j in range(3):
         h = 1e-6
         Xp = X.copy(); Xp[0, j] += h

@@ -1,0 +1,279 @@
+"""Back-propagated MLXC against its complex-step oracle (``tests/reference``).
+
+The neural functionals get ``vrho`` / ``vsigma`` / ``vlapl`` from one forward
+and one reverse pass, and the trainer its mixed parameter/input derivative
+from real forward-over-reverse passes; the complex-step forms they replaced
+are the oracles here.  Tier 1 turns ``RuntimeWarning`` into an error, so
+every case below also asserts that the floors and branches stay silent.
+"""
+
+import numpy as np
+import pytest
+
+from repro.constants import RHO_FLOOR
+from repro.fem.mesh import uniform_mesh
+from repro.ml.descriptors import phi_spin_factor
+from repro.ml.nn import MLP
+from repro.ml.training import MLXCLaplacianTrainer, MLXCTrainer, assemble_sample
+from repro.xc.gga import PBE
+from repro.xc.lda import LDA
+from repro.xc.mlxc import MLXC
+from repro.xc.mlxc_laplacian import MLXCLaplacian
+from tests.reference.mlxc import (
+    reference_loss_and_grad,
+    reference_param_grad,
+    reference_xc_evaluate,
+)
+
+_S_PREF = (3.0 * np.pi**2) ** (1.0 / 3.0)
+_Q_PREF = 4.0 * (3.0 * np.pi**2) ** (2.0 / 3.0)
+
+
+def _assert_matches_oracle(out, ref, scales=None, tol=1e-10):
+    """``exc`` bitwise, exact zeros in the same places, and every derivative
+    within ``tol`` relative — to its own magnitude or, where ``scales`` gives
+    one, to the natural magnitude ``p / x`` of ``d e / d x`` at that point (a
+    derivative that changes sign has no magnitude of its own there)."""
+    assert np.array_equal(out.exc, ref.exc)
+    for name in ("vrho", "vsigma", "vlapl"):
+        got, want = getattr(out, name), getattr(ref, name)
+        assert (got is None) == (want is None), name
+        if got is None:
+            continue
+        assert got.shape == want.shape
+        assert np.array_equal(got == 0.0, want == 0.0), name
+        size = np.abs(want)
+        if scales is not None:
+            size = np.maximum(size, scales[name][:, None])
+        assert np.all(np.abs(got - want) <= tol * size), name
+
+
+# ----- (a) evaluate vs the complex-step oracle ---------------------------------
+@pytest.mark.parametrize(
+    "functional",
+    [MLXC(seed=1), MLXC.pretrained(), MLXCLaplacian(seed=1)],
+    ids=["MLXC", "MLXC-pretrained", "MLXC-L"],
+)
+def test_backprop_evaluate_matches_complex_step_over_descriptor_range(functional):
+    rng = np.random.default_rng(0)
+    n = 2000
+    rho = 10.0 ** rng.uniform(-3, 1, n)
+    xi = rng.uniform(-1, 1, n)
+    s = 10.0 ** rng.uniform(-2, 1, n)
+    sigma = (s * 2.0 * rho ** (4.0 / 3.0) / _S_PREF) ** 2
+    args = [
+        0.5 * rho * (1 + xi), 0.5 * rho * (1 - xi),
+        sigma * ((1 + xi) / 2) ** 2, sigma * (1 + xi) * (1 - xi) / 4,
+        sigma * ((1 - xi) / 2) ** 2,
+    ]
+    if functional.needs_laplacian:
+        lap = rng.uniform(-3, 3, n) * _Q_PREF * rho ** (5.0 / 3.0)
+        share = rng.uniform(0, 1, n)
+        args += [share * lap, (1 - share) * lap]
+    pref = rho ** (4.0 / 3.0) * phi_spin_factor(xi)
+    scales = {
+        "vrho": pref / rho,
+        "vsigma": pref / sigma,
+        "vlapl": pref / (_Q_PREF * rho ** (5.0 / 3.0)),
+    }
+    _assert_matches_oracle(
+        functional.evaluate(*args), reference_xc_evaluate(functional, *args), scales
+    )
+
+
+@pytest.mark.parametrize("cls", [MLXC, MLXCLaplacian])
+def test_backprop_evaluate_matches_complex_step_at_the_edges(cls):
+    """rho at and below the floor, a negative (clamped) density, one empty
+    spin channel, sigma = 0, sigma_ud < 0 (and a negative total sigma).
+
+    Where xi = +-1 the oracle itself is the delicate side: ``(1 -+ xi)^(4/3)``
+    has a branch point there, so a complex step h leaves an O(h^(1/3)) error
+    (1e-10 at the production h = 1e-30 — hence the smaller step), and phi' is
+    Hoelder-1/3 in xi, so the polarized densities are powers of two, for
+    which the complex division forming xi returns a real part of exactly 1.
+    """
+    f = RHO_FLOOR
+    columns = [
+        # rho_up, rho_dn, s_uu,  s_ud,  s_dd, lap
+        (f,       0.0,    0.1,   0.0,   0.0,  0.1),   # rho == floor: vacuum
+        (0.5 * f, 0.5 * f, 0.1,  0.0,   0.1, -0.1),   # rho == floor, split
+        (0.3 * f, 0.3 * f, 0.0,  0.0,   0.0,  0.0),   # below the floor
+        (0.0,     0.0,    0.0,   0.0,   0.0,  0.0),
+        (2 * f,   2 * f,  0.0,   0.0,   0.0,  0.0),   # just above it
+        (-0.2,    0.5,    0.2,   0.1,   0.2,  0.3),   # negative input: xi = -1
+        (0.25,    0.0,    0.3,   0.0,   0.0, -0.5),   # xi = +1
+        (0.0,     0.5,    0.0,   0.0,   0.4,  0.2),   # xi = -1
+        (2.0**-30, 0.0,   1e-20, 0.0,   0.0,  1e-12), # xi = +1, low density
+        (0.3,     0.2,    0.0,   0.0,   0.0,  0.0),   # sigma = 0
+        (0.3,     0.2,    0.1,  -0.02,  0.1,  0.4),   # sigma_ud < 0
+        (0.3,     0.2,    0.1,  -0.3,   0.1,  0.4),   # total sigma < 0
+        (0.3,     0.2,    0.1,   0.05,  0.2,  0.0),   # q = 0
+    ]
+    args = [np.array(col) for col in zip(*columns)]
+    functional = cls(seed=2)
+    args = args[:5] + ([0.5 * args[5]] * 2 if functional.needs_laplacian else [])
+    out = functional.evaluate(*args)
+    _assert_matches_oracle(out, reference_xc_evaluate(functional, *args, step=1e-90))
+    assert np.all(out.exc[:4] == 0.0) and np.all(out.vrho[:4] == 0.0)
+    assert np.all(out.exc[4:] != 0.0)
+    assert np.all(np.isfinite(out.vrho)) and np.all(np.isfinite(out.vsigma))
+    # e sees only the total sigma (and Laplacian)
+    assert np.array_equal(out.vsigma[:, 1], 2.0 * out.vsigma[:, 0])
+    assert np.array_equal(out.vsigma[:, 2], out.vsigma[:, 0])
+    if functional.needs_laplacian:
+        assert np.array_equal(out.vlapl[:, 0], out.vlapl[:, 1])
+
+
+def test_laplacian_potential_matches_complex_step_on_a_mesh():
+    """``potential_and_energy`` with the ``+ lap(vlapl)`` term, against the
+    oracle's derivatives assembled with the same recovery operators."""
+    mesh = uniform_mesh((6.0, 6.0, 6.0), (2, 2, 2), degree=3)
+    # off every node and symmetry plane: where |grad rho|^2 drops below the
+    # oracle's step (1e-30) its complex step is no longer a derivative
+    r2 = np.sum((mesh.node_coords - np.array([2.7, 3.2, 3.1])) ** 2, axis=1)
+    rho = np.exp(-r2 / 2.0)
+    spin = np.stack([0.6 * rho, 0.4 * rho], axis=1)
+    m = MLXCLaplacian(seed=4)
+    v, exc = m.potential_and_energy(mesh, spin)
+    g_up, g_dn = mesh.gradient(spin[:, 0]), mesh.gradient(spin[:, 1])
+    ref = reference_xc_evaluate(
+        m, spin[:, 0], spin[:, 1],
+        np.einsum("ij,ij->i", g_up, g_up), np.einsum("ij,ij->i", g_up, g_dn),
+        np.einsum("ij,ij->i", g_dn, g_dn),
+        mesh.divergence(g_up), mesh.divergence(g_dn),
+    )
+    assert ref.vlapl is not None and np.any(ref.vlapl != 0.0)
+    assert exc == float(mesh.integrate(ref.exc))
+    v_ref = ref.potential(mesh, g_up, g_dn)
+    assert np.max(np.abs(v - v_ref)) <= 1e-10 * np.max(np.abs(v_ref))
+
+
+# ----- (d) the network's own passes ----------------------------------------------
+def test_input_jacobian_matches_fd_for_four_inputs():
+    net = MLP((4, 12, 12, 1), seed=3)
+    X = np.random.default_rng(0).normal(size=(6, 4))
+    cache: list = []
+    F, J = net.input_jacobian(X, cache)
+    assert np.array_equal(F, net.forward(X)[:, 0])
+    assert J.shape == (6, 4) and len(cache) == 3
+    h = 1e-6
+    for j in range(4):
+        dX = np.zeros_like(X)
+        dX[:, j] = h
+        fd = (net.forward(X + dX) - net.forward(X - dX))[:, 0] / (2 * h)
+        assert np.allclose(J[:, j], fd, rtol=1e-6, atol=1e-9)
+
+
+def test_tangent_and_adjoint_passes_match_complex_oracle():
+    """``forward_tangent`` is the directional derivative, and ``backward``
+    with a tangent is the parameter gradient of
+    ``sum(g * out + gt * d out)`` — the complex oracle perturbs the inputs
+    along the direction and reads the mixed derivative off the imaginary
+    part of its holomorphic reverse pass."""
+    rng = np.random.default_rng(1)
+    net = MLP((4, 9, 7, 1), seed=5)
+    net.set_params(net.get_params() + 0.3 * rng.normal(size=net.n_params))
+    X, dX = rng.normal(size=(11, 4)), rng.normal(size=(11, 4))
+    g, gt = rng.normal(size=(11, 1)), rng.normal(size=(11, 1))
+
+    cache: list = []
+    F, J = net.input_jacobian(X, cache)
+    dF, tangents = net.forward_tangent(cache, dX)
+    assert np.allclose(dF[:, 0], np.einsum("nj,nj->n", J, dX), rtol=1e-12, atol=1e-14)
+    gW, gb, _ = net.backward(cache, g, tangents, gt)
+    got = net._flatten(gW, gb)
+
+    h = 1e-25
+    want = reference_param_grad(net, X, g) + np.imag(
+        reference_param_grad(net, X + 1j * h * dX, gt)
+    ) / h
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # without a tangent the sweep is plain back-propagation
+    gW, gb, dX_adj = net.backward(cache, g)
+    plain = reference_param_grad(net, X, g)
+    assert np.max(np.abs(net._flatten(gW, gb) - plain)) <= 1e-13 * np.max(np.abs(plain))
+    assert np.allclose(dX_adj, g * J, rtol=1e-12, atol=1e-14)
+
+
+# ----- (b), (c) the trainer --------------------------------------------------------
+@pytest.fixture(scope="module")
+def toy_samples():
+    """The closed-shell toy Gaussian of ``test_ml`` and a polarized twin that
+    shares its name and its mesh (as the members of a bond scan do)."""
+    mesh = uniform_mesh((8.0, 8.0, 8.0), (3, 3, 3), degree=3)
+    r2 = np.sum((mesh.node_coords - 4.0) ** 2, axis=1)
+    rho = np.exp(-r2 / 2.0)
+    rho *= 2.0 / float(mesh.integrate(rho))
+    spin = 0.5 * np.stack([rho, rho], axis=1)
+    polarized = np.stack([0.7 * rho, 0.3 * rho], axis=1)
+    return [
+        assemble_sample("toy", mesh, spin, *LDA().potential_and_energy(mesh, spin)),
+        assemble_sample(
+            "toy", mesh, polarized, *PBE().potential_and_energy(mesh, polarized)
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "trainer_cls, functional",
+    [
+        (MLXCTrainer, MLXC(seed=3)),
+        (MLXCTrainer, MLXC.pretrained()),
+        (MLXCLaplacianTrainer, MLXCLaplacian(seed=5)),
+    ],
+    ids=["MLXC", "MLXC-pretrained", "MLXC-L"],
+)
+def test_two_samples_sharing_name_and_mesh_train_and_match_oracle(
+    toy_samples, trainer_cls, functional
+):
+    """Regression: ``samples.index(s)`` on an ``eq=True`` dataclass with array
+    fields raised on the second sample.  Also (b): the gradient against the
+    complex-step-times-backprop oracle."""
+    tr = trainer_cls(toy_samples, functional)
+    losses, grad = tr.loss_and_grad()
+    ref_losses, ref_grad = reference_loss_and_grad(tr)
+    for key, want in ref_losses.items():
+        assert losses[key] == pytest.approx(want, rel=1e-12)
+    assert tr.loss() == losses
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad))
+    assert toy_samples[0] != toy_samples[1]  # identity, not array, equality
+    assert toy_samples[0].sigmas is toy_samples[0].sigmas  # computed once
+
+
+def test_default_functionals_and_shared_trainer_code(toy_samples):
+    """The Laplacian trainer is the trainer with another default functional."""
+    assert type(MLXCTrainer(toy_samples).functional) is MLXC
+    assert type(MLXCLaplacianTrainer(toy_samples).functional) is MLXCLaplacian
+    own = set(vars(MLXCLaplacianTrainer)) - {"__module__", "__doc__"}
+    assert own == {"_default_functional"}
+
+
+#: ``MLXCTrainer([toy], MLXC.pretrained()).train(epochs=3)`` at the parent
+#: commit (2c0f6cc, complex-step trainer), one BLAS thread
+PARENT_HISTORY = [
+    {"total": 0.001026447788677708, "energy": 0.0007448648524217209,
+     "potential": 0.000281582936255987},
+    {"total": 4.406402425531848, "energy": 2.1839945642824694,
+     "potential": 2.222407861249378},
+    {"total": 0.21856894827445802, "energy": 0.09940410742213926,
+     "potential": 0.11916484085231877},
+]
+
+
+def test_training_history_pinned_from_parent_and_resume_bitwise(toy_samples, tmp_path):
+    toy = toy_samples[:1]
+    full_tr = MLXCTrainer(toy, MLXC.pretrained())
+    history = full_tr.train(epochs=3)
+    assert len(history) == len(PARENT_HISTORY)
+    for got, want in zip(history, PARENT_HISTORY):
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-9), key
+
+    ck = str(tmp_path / "mlxc.ckpt")
+    MLXCTrainer(toy, MLXC.pretrained()).train(epochs=2, checkpoint_path=ck)
+    res_tr = MLXCTrainer(toy, MLXC.pretrained())
+    assert res_tr.train(epochs=3, resume_from=ck) == history
+    np.testing.assert_array_equal(
+        res_tr.functional.network.get_params(),
+        full_tr.functional.network.get_params(),
+    )
