@@ -7,8 +7,8 @@ molecule:
 2. FCI in that basis -> the exact (model-world) correlated density;
 3. inverse DFT (projected block-MINRES adjoints, Sec 5.3.1) -> the exact
    v_xc(r) whose KS ground state reproduces the FCI density;
-4. compare the exact v_xc against LDA's along the bond axis, and verify the
-   preconditioner's iteration-count advantage.
+4. compare the exact v_xc against LDA's along the bond axis, and show what
+   one adjoint solve costs: iterations, columns carried, residual.
 
 Usage::
 
@@ -56,10 +56,9 @@ def main() -> None:
         )
 
     print(
-        "\n=== preconditioned vs plain block-MINRES (Löwdin basis)\n"
-        "    note: the paper's ~5x gain applies to the raw FE basis whose\n"
-        "    diagonal varies like h^-2 (see benchmarks/bench_minres_precond);\n"
-        "    the Löwdin basis used here absorbs most of that disparity."
+        "\n=== one adjoint solve (projected block MINRES, preconditioned by\n"
+        "    the mesh's exact shifted Laplacian; only the columns the update\n"
+        "    needs are carried)"
     )
     s = 0
     op = inv.ops[s]
@@ -68,12 +67,17 @@ def main() -> None:
     occ = np.zeros(psi.shape[1])
     occ[: ref.n_alpha] = 1.0
     G = adjoint_rhs(mesh, psi, occ, drho)
-    for label, pre in (("preconditioned", True), ("unpreconditioned", False)):
-        r = solve_adjoint(
-            op, psi, evals, G, tol=1e-7, maxiter=2000, use_preconditioner=pre
-        )
-        print(f"    {label:<18} {r.iterations:5d} MINRES iterations "
-              f"(converged={r.converged})")
+    r = solve_adjoint(op, psi, evals, G, tol=1e-7, maxiter=300)
+    # the true residual, in the plain norm, next to the solver's estimate
+    res = op.apply(r.x) - evals[None, :] * r.x - G
+    res -= psi * np.einsum("ij,ij->j", psi, res)
+    true = np.linalg.norm(res, axis=0).max() / np.linalg.norm(G, axis=0).max()
+    print(
+        f"    {r.iterations} MINRES iterations (converged={r.converged}); "
+        f"per column {r.column_iterations.tolist()} of {mesh.ndof} DoFs\n"
+        f"    residual estimate {r.residuals.max():.1e}, measured {true:.1e} "
+        f"(requested 1e-7)"
+    )
     print(f"=== done in {t0.elapsed():.0f}s")
 
 

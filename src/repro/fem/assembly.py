@@ -503,7 +503,7 @@ class KSOperator:
         return out
 
     def kinetic_diagonal(self) -> np.ndarray:
-        """Diagonal of the Löwdin kinetic operator (MINRES preconditioner)."""
+        """Diagonal of the Löwdin kinetic operator."""
         kd = self.stiff.diagonal_full()
         return 0.5 * (kd * self._dinvsqrt**2)[self.mesh.free]
 

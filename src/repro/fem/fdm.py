@@ -84,17 +84,30 @@ class FastDiagonalization:
         #: FLOPs of one :meth:`solve` (forward + backward transform GEMMs)
         self.flops = 4 * (fx + fy + fz) * fx * fy * fz
 
-    def solve(self, b_free: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    def solve(
+        self, b_free: np.ndarray, shift: float | np.ndarray = 0.0
+    ) -> np.ndarray:
         """``(K + shift*M)^{-1} b`` on the free DoFs (pseudo-inverse when
-        the mesh is fully periodic and ``shift == 0``)."""
+        the mesh is fully periodic and ``shift == 0``).
+
+        ``b_free`` is one real vector ``(n,)`` or a real block ``(n, B)``;
+        a block takes a scalar shift or one per column, ``(B,)``.  Columns
+        are laid out first, ``(B, fx, fy, fz)``, so a vector is the
+        ``B == 1`` block: the same GEMMs in the same shapes, bit for bit.
+        """
         sx, sy, sz = self._S
         fx, fy, fz = self.shape
-        inv = self._inv0 if shift == 0.0 else 1.0 / (self._lam + shift)
-        t = sx.T @ b_free.reshape(fx, fy * fz)
-        t = np.matmul(sy.T, t.reshape(fx, fy, fz))
-        t = t.reshape(fx * fy, fz) @ sz
-        t = t.reshape(fx, fy, fz) * inv
-        t = t.reshape(fx * fy, fz) @ sz.T
-        t = np.matmul(sy, t.reshape(fx, fy, fz))
-        t = sx @ t.reshape(fx, fy * fz)
-        return t.reshape(-1)
+        shift = np.asarray(shift, dtype=float)
+        if shift.ndim:
+            inv = 1.0 / (self._lam + shift[:, None, None, None])
+        else:
+            inv = self._inv0 if shift == 0.0 else 1.0 / (self._lam + shift)
+        cols = b_free.T  # (n,) as is; (n, B) -> (B, n)
+        t = np.matmul(sx.T, cols.reshape(-1, fx, fy * fz))
+        t = np.matmul(sy.T, t.reshape(-1, fy, fz))
+        t = t.reshape(-1, fz) @ sz
+        t = t.reshape(-1, fx, fy, fz) * inv
+        t = t.reshape(-1, fz) @ sz.T
+        t = np.matmul(sy, t.reshape(-1, fy, fz))
+        t = np.matmul(sx, t.reshape(-1, fx, fy * fz))
+        return t.reshape(cols.shape).T

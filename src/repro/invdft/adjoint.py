@@ -24,6 +24,11 @@ from .minres import BlockMinresResult, block_minres
 
 __all__ = ["adjoint_rhs", "solve_adjoint", "potential_gradient"]
 
+#: floor of the preconditioner's shift ``sigma_i = max(-eps_i, SIGMA_FLOOR)``:
+#: keeps ``K/2 + sigma M`` safely positive definite for states at or above
+#: the vacuum level (scan in EXPERIMENTS.md, "Sec 5.3.1")
+SIGMA_FLOOR = 0.1
+
 
 def adjoint_rhs(
     mesh: Mesh3D,
@@ -53,36 +58,48 @@ def solve_adjoint(
     G: np.ndarray,
     tol: float = 1e-7,
     maxiter: int = 400,
-    use_preconditioner: bool = False,
     ledger=None,
 ) -> BlockMinresResult:
-    """Solve ``(H - eps_i) p_i = g_i`` with projected block MINRES.
+    """Solve ``(H - eps_i) p_i = g_i`` with projected, preconditioned block
+    MINRES; ``tol`` is relative to the block's largest ``g_i``.
 
-    The paper's inverse-diagonal-Laplacian preconditioner targets the raw
-    finite-element basis, whose diagonal scale disparity grows like h^-2
-    under adaptive grading.  In this implementation the Löwdin
-    (diagonal-mass-normalized) basis already absorbs most of that disparity,
-    so the preconditioner is off by default for the Löwdin-basis adjoint
-    solves; ``benchmarks/bench_minres_precond.py`` demonstrates the paper's
-    ~5x claim in the raw-basis setting where it applies.
+    The preconditioner is the kinetic part of ``H - eps_i`` in the Löwdin
+    basis, ``D^{-1/2} (K/2 + sigma_i M) D^{-1/2}`` with ``M = D`` the
+    diagonal mass, inverted exactly for the whole block by the mesh's fast
+    diagonalization (:meth:`repro.fem.fdm.FastDiagonalization.solve`) and
+    projected with ``Q_i = I - psi_i psi_i^H`` like everything else the
+    recurrence sees.  ``sigma_i = max(-eps_i, SIGMA_FLOOR)`` makes it the
+    exact inverse wherever the potential has decayed, which is what keeps
+    the iteration count flat under mesh refinement.
     """
+    mesh = op.mesh
+    fdm = mesh.fdm
+    dsqrt = np.sqrt(mesh.mass_diag[mesh.free])[:, None]
+    # (K/2 + sigma M)^{-1} = 2 (K + 2 sigma M)^{-1}; the factor 2 is dropped
+    # (MINRES does not see a rescaled preconditioner)
+    eps = np.asarray(eigenvalues, dtype=float)
+    shifts2 = 2.0 * np.maximum(-eps, SIGMA_FLOOR)
 
-    def project(Y):
-        coefs = np.einsum("ij,ij->j", np.conj(psi), Y)
-        return Y - psi * coefs[None, :]
+    def project(Y, cols):
+        p = psi[:, cols]
+        return Y - p * np.einsum("ij,ij->j", np.conj(p), Y)
 
-    precond = op.kinetic_diagonal() + 0.5 if use_preconditioner else None
+    def precondition(R, cols):
+        # R is a projected Krylov vector already: Q on the output suffices
+        if ledger is not None:
+            ledger.add("fdm_gemm", fdm.flops * len(cols))
+        return project(dsqrt * fdm.solve(dsqrt * R, shifts2[cols]), cols)
+
     with kernel_region("Adjoint", ledger):
-        res = block_minres(
+        return block_minres(
             op.apply,
             G,
-            shifts=np.asarray(eigenvalues, dtype=float),
-            precond_diag=precond,
+            shifts=eps,
+            precondition=precondition,
             project=project,
             tol=tol,
             maxiter=maxiter,
         )
-    return res
 
 
 def potential_gradient(

@@ -6,8 +6,10 @@ it, by PDE-constrained optimization:
 
 1. the KS eigenproblem is solved with the current ``v_xc`` (warm-started
    ChFES — the same eigensolver as the forward DFT code);
-2. the adjoint systems ``(H - eps_i) p_i = g_i`` are solved with projected,
-   Jacobi-preconditioned block MINRES;
+2. the adjoint systems ``(H - eps_i) p_i = g_i`` are solved with projected
+   block MINRES, preconditioned by the mesh's exact shifted Laplacian and
+   carrying only the columns the update still needs
+   (:func:`repro.invdft.adjoint.solve_adjoint`);
 3. ``v_xc`` is updated along the steepest-descent field
    ``u = sum_i p_i psi_i`` with adaptive step control.
 
@@ -70,7 +72,6 @@ class InverseDFT:
         block_size: int = 64,
         minres_tol: float = 1e-7,
         minres_maxiter: int = 300,
-        use_preconditioner: bool = False,
         ledger=None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
@@ -84,7 +85,6 @@ class InverseDFT:
         self.block_size = block_size
         self.minres_tol = minres_tol
         self.minres_maxiter = minres_maxiter
-        self.use_preconditioner = use_preconditioner
         self.ledger = ledger
         self.retry_policy = retry_policy or RetryPolicy()
 
@@ -312,6 +312,7 @@ class InverseDFT:
                 v_backup = v_xc.copy()
                 err_prev = err
                 eta *= 1.05
+                sols = []
                 for s in (0, 1):
                     with trace_region("XC-update", spin=s):
                         G = adjoint_rhs(
@@ -325,14 +326,30 @@ class InverseDFT:
                                 G,
                                 tol=self.minres_tol,
                                 maxiter=self.minres_maxiter,
-                                use_preconditioner=self.use_preconditioner,
                                 ledger=self.ledger,
                             ),
                             "minres",
                             validate=lambda r: bool(np.all(np.isfinite(r.x))),
                         )
+                        if not sol.converged:
+                            raise ResilienceError(
+                                "minres",
+                                f"residual {sol.residuals.max():.3e} not under "
+                                f"tol {self.minres_tol:.1e} after "
+                                f"{sol.iterations} iterations "
+                                f"(maxiter {self.minres_maxiter})",
+                            )
                         u = potential_gradient(mesh, self._psi[s], sol.x)
                         v_xc[:, s] -= eta * u
+                        sols.append(sol)
+                # the adjoint leg of the a-posteriori record: work done and
+                # the worst column's residual, both spins together
+                solved = sum(int(np.count_nonzero(r.column_iterations)) for r in sols)
+                history[-1].update(
+                    minres_iterations=sum(r.iterations for r in sols),
+                    adjoint_columns=[solved, 2 * self.nstates],
+                    adjoint_residual=max(float(r.residuals.max()) for r in sols),
+                )
                 save_ck(it)
         return InverseDFTResult(
             v_xc=v_xc,

@@ -11,7 +11,9 @@ against.  So does the cell-local stiffness product in its dense form — three
 ``npc x npc`` Kronecker GEMMs with per-cell scalar coefficients
 (:func:`reference_apply_cells`), the form ``CellStiffness.apply_cells``
 factorises.  The complex-step oracles for the back-propagated neural
-functionals and their trainer are in :mod:`tests.reference.mlxc`.
+functionals and their trainer are in :mod:`tests.reference.mlxc`, the
+fixed-block unpreconditioned MINRES the adjoint solver is checked against in
+:mod:`tests.reference.minres`.
 """
 
 from __future__ import annotations

@@ -151,6 +151,33 @@ def test_fdm_inverts_assembled_stiffness(ratio, pbc, degree):
     assert np.max(np.abs(got - x)) < 1e-12
 
 
+@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("pbc", [PBC_KINDS["FFF"], PBC_KINDS["TTF"]], ids=["FFF", "TTF"])
+@pytest.mark.parametrize("ratio", [1.0, 2.0], ids=["uniform", "graded"])
+def test_fdm_block_solve_is_the_vector_solve_per_column(ratio, pbc, degree):
+    """``solve`` on an ``(n, B)`` block with a scalar or per-column shift is
+    the vector solve of each column (the ``B == 1`` block *is* the vector
+    code), and it inverts ``K + sigma_j M`` column by column."""
+    mesh = _box_mesh(pbc, degree, ratio)
+    fdm, free, w = mesh.fdm, mesh.free, mesh.mass_diag
+    B = np.random.default_rng(11).normal(size=(mesh.ndof, 4))
+    shifts = np.array([0.05, 0.3, 0.7, 2.0])
+    for shift in (0.0, 0.7):
+        one = fdm.solve(B[:, :1], shift)
+        assert one.shape == (mesh.ndof, 1)
+        assert np.array_equal(one[:, 0], fdm.solve(B[:, 0], shift))
+        assert np.array_equal(one, fdm.solve(B[:, :1], np.array([shift])))
+        cols = np.stack([fdm.solve(B[:, j], shift) for j in range(4)], axis=1)
+        assert np.max(np.abs(fdm.solve(B, shift) - cols)) <= 1e-13
+    X = fdm.solve(B, shifts)
+    cols = np.stack([fdm.solve(B[:, j], shifts[j]) for j in range(4)], axis=1)
+    assert X.shape == B.shape and np.max(np.abs(X - cols)) <= 1e-13
+    full = np.zeros((mesh.nnodes, 4))
+    full[free] = X
+    back = CellStiffness(mesh).apply_full(full)[free] + shifts * (w[:, None] * full)[free]
+    assert np.max(np.abs(back - B)) <= 1e-12
+
+
 def test_fdm_is_built_once_per_mesh():
     mesh = _box_mesh(PBC_KINDS["FFF"], 2)
     assert PoissonSolver(mesh).fdm is PoissonSolver(mesh).fdm is mesh.fdm

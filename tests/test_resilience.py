@@ -565,10 +565,10 @@ def he_inverse_problem():
     return calc, res
 
 
-def _run_inverse(calc, res, retry=None, **kwargs):
+def _run_inverse(calc, res, retry=None, minres_maxiter=60, **kwargs):
     inv = InverseDFT(
         calc.mesh, calc.config, res.rho_spin, nstates=3,
-        minres_tol=1e-6, minres_maxiter=60, retry_policy=retry,
+        minres_tol=1e-6, minres_maxiter=minres_maxiter, retry_policy=retry,
     )
     return inv.run(
         res.v_xc_spin.copy(), eta=1.0, tol=1e-14, farfield="frozen", **kwargs
@@ -579,8 +579,13 @@ def _run_inverse(calc, res, retry=None, **kwargs):
 @pytest.mark.parametrize("kind", FAULT_SITES["minres"])
 def test_minres_fault_recovers_bit_identical(he_inverse_problem, kind):
     calc, res = he_inverse_problem
-    ref = _run_inverse(calc, res, max_iterations=3)
-    plan = FaultPlan([FaultSpec("minres", 30, kind)])
+    # the fault lands mid-run whatever the solver's iteration count: the
+    # index comes from counting the clean run (an empty plan only counts)
+    counted = FaultPlan()
+    with chaos(counted):
+        ref = _run_inverse(calc, res, max_iterations=3)
+    middle = max(counted.invocations("minres") // 2, 1)
+    plan = FaultPlan([FaultSpec("minres", middle, kind)])
     with chaos(plan):
         out = _run_inverse(calc, res, max_iterations=3)
     assert plan.fired
@@ -600,6 +605,72 @@ def test_minres_persistent_fault_raises_structured(he_inverse_problem):
                 calc, res, max_iterations=2, retry=RetryPolicy(max_retries=1)
             )
     assert ei.value.site == "minres"
+
+
+def test_minres_exhausted_maxiter_raises_structured(he_inverse_problem):
+    """An adjoint solve that runs out of iterations is an error, not an
+    answer: the update would otherwise be built from an unconverged p."""
+    calc, res = he_inverse_problem
+    with pytest.raises(
+        ResilienceError,
+        match=r"\[minres\] residual .* after 1 iterations \(maxiter 1\)",
+    ) as ei:
+        _run_inverse(calc, res, max_iterations=2, minres_maxiter=1)
+    assert ei.value.site == "minres"
+
+
+def test_invdft_history_and_trace_record_the_adjoint_leg(he_inverse_problem):
+    from repro.obs import InMemoryAggregator, get_tracer, set_enabled
+
+    calc, res = he_inverse_problem
+    tracer = get_tracer()
+    prev = set_enabled(True)
+    agg = tracer.add_sink(InMemoryAggregator())
+    try:
+        out = _run_inverse(calc, res, max_iterations=3)
+    finally:
+        tracer.remove_sink(agg)
+        set_enabled(prev)
+    assert len(out.history) == 3
+    for row in out.history:  # every row updated v_xc (no overshoot, no stop)
+        solved, total = row["adjoint_columns"]
+        assert total == 6 and 1 <= solved <= total
+        assert 1 <= row["minres_iterations"] <= 2 * 60
+        assert 0.0 < row["adjoint_residual"] <= 1e-6
+    spans = [n for n in agg.nodes() if n.name == "MINRES"]
+    calls = sum(n.calls for n in spans)
+    count = {
+        k: sum(n.counters[k] for n in spans)
+        for k in ("iterations", "columns", "columns_skipped")
+    }
+    assert calls == 6  # two spins x three updates
+    assert count["columns"] + count["columns_skipped"] == 3 * calls
+    assert count["columns"] == sum(r["adjoint_columns"][0] for r in out.history)
+    assert count["iterations"] == sum(r["minres_iterations"] for r in out.history)
+
+
+def test_invdft_resumes_parent_format_checkpoint(he_inverse_problem, tmp_path):
+    """Checkpoints written before the history rows carried the adjoint leg
+    (``iteration`` / ``density_error`` / ``eta`` only) resume on the same
+    trajectory; the rows they brought stay as they were."""
+    calc, res = he_inverse_problem
+    full = _run_inverse(calc, res, max_iterations=6)
+    ck = str(tmp_path / "inv.ckpt")
+    _run_inverse(calc, res, max_iterations=3, checkpoint_path=ck)
+    st = load_invdft_state(ck)
+    old_keys = ("iteration", "density_error", "eta")
+    assert set(st["history"][0]) > set(old_keys)
+    for k in ("history", "metadata"):
+        st.pop(k)
+    legacy = str(tmp_path / "inv_parent.ckpt")
+    save_invdft_state(
+        legacy, nnodes=calc.mesh.nnodes,
+        history=[{k: h[k] for k in old_keys} for h in full.history[:3]], **st,
+    )
+    resumed = _run_inverse(calc, res, max_iterations=6, resume_from=legacy)
+    np.testing.assert_array_equal(resumed.v_xc, full.v_xc)
+    assert [set(h) for h in resumed.history[:3]] == [set(old_keys)] * 3
+    assert resumed.history[3:] == full.history[3:]
 
 
 def test_invdft_checkpoint_resume_bit_identical(he_inverse_problem, tmp_path):
