@@ -1,21 +1,27 @@
-"""Fast apply path: KSOperator.apply across scatter engine x workspace x B_f.
+"""Kohn-Sham apply: the two engines, the workspace, and the seed.
 
-Sweeps the matrix-free Hamiltonian application over wavefunction block
-sizes with the precomputed-ScatterMap fast path and the ``np.add.at``
-reference (the applies run inside ``with reference_scatter():``, the
-degradation ladder's rung, which tier-1 pins bit for bit to the
-``tests/reference`` oracle), each with the buffer-pool workspace on and
-off.  The headline metric — the speedup of (fast scatter + workspace) over
-(slow scatter, no workspace), i.e. over the seed implementation — lands in
-``results/BENCH_apply.json`` via the harness.
+``run_sweep`` times ``KSOperator.apply`` — in process the axis-factorised
+kernel (three GEMMs on the free block, ``repro.fem.fdm.AxisKinetic``) — over
+wavefunction block sizes with the buffer-pool workspace on and off, and
+against the growth seed's operator (``git show``n and loaded beside the
+current one).  The headline numbers land in ``results/BENCH_apply.json`` via
+the harness.
 
-A second table A/Bs the cell-local product itself: the shipped
-``CellStiffness.apply_cells`` (one fused dense GEMM on uniform meshes, the
-sum-factorised product on graded ones, complex blocks through their real
-view) against ``tests/reference``'s three dense Kronecker GEMMs, over degree
-x block size on a graded and a uniform mesh, at Gamma and at a Bloch point.
-It is printed and recorded under ``kernel_ab``; what a kernel saves end to
-end is the ledger's business (``benchmarks/ledger``), not this script's.
+``kernel_ab`` holds the kernel tables (printed, and recorded under
+``kernel_ab``):
+
+* ``engines`` — one whole apply through the cell-level flow (lift -> gather ->
+  batched cell GEMM -> CSR scatter -> Löwdin scale; ``_cell_engine``) against
+  the axis kernel, on the ledger's Mg32 mesh shape over degree x
+  {graded, uniform} x {Gamma, Bloch} x block size;
+* ``sizes`` — the same pair over mesh size: it does not cross over;
+* ``cell_local`` — the rank engines' ``CellStiffness.apply_cells`` against
+  ``tests/reference``'s three dense Kronecker GEMMs, plus ROADMAP 3(b)'s open
+  row: on a *uniform* degree-4 mesh, the dense fused GEMM the kernel runs
+  there against the factorised product it runs on graded meshes.
+
+What a kernel saves end to end is the ledger's business
+(``benchmarks/ledger``), not this script's.
 
 Run standalone for the full sweep::
 
@@ -27,17 +33,16 @@ or through pytest-benchmark for the reference configuration only.
 import os
 import pathlib
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.fem.assembly import CellStiffness, KSOperator
 from repro.fem.mesh import Mesh3D, graded_edges, uniform_mesh
-from repro.fem.scatter import reference_scatter
 from repro.fem.workspace import Workspace
 from repro.obs import Stopwatch
 
+from _cell_engine import cell_operator
 from _harness import write_result
 
 # the oracles live with the tests; make the repo root importable when this
@@ -45,15 +50,9 @@ from _harness import write_result
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 from tests.reference import reference_apply_cells  # noqa: E402
 
-#: reference configuration the >=2x acceptance criterion is measured at
+#: reference configuration the speedup over the seed is measured at
 REF = {"degree": 3, "cells": 6, "nrhs": 64}
 BLOCK_SIZES = (8, 16, 32, 64)
-VARIANTS = (
-    ("fast", True),
-    ("fast", False),
-    ("slow", True),
-    ("slow", False),
-)
 
 
 def _build(degree: int, cells: int, workspace_on: bool):
@@ -84,20 +83,18 @@ def _time_apply(op, X, repeats: int = 5) -> float:
 
 
 def run_sweep(degree: int, cells: int, nrhs: int, repeats: int = 5):
-    """Time every (scatter, workspace, B_f) combination on one mesh."""
+    """Time every (workspace, B_f) combination on one mesh."""
     rng = np.random.default_rng(1)
     rows = []
-    for scatter, ws_on in VARIANTS:
+    for ws_on in (True, False):
         mesh, op = _build(degree, cells, ws_on)
         Xfull = rng.standard_normal((op.n, nrhs))
         for bf in BLOCK_SIZES:
             if bf > nrhs:
                 continue
-            with reference_scatter() if scatter == "slow" else nullcontext():
-                seconds = _time_apply(op, Xfull[:, :bf], repeats)
+            seconds = _time_apply(op, Xfull[:, :bf], repeats)
             rows.append(
                 {
-                    "scatter": scatter,
                     "workspace": ws_on,
                     "block_size": bf,
                     "seconds": seconds,
@@ -107,41 +104,116 @@ def run_sweep(degree: int, cells: int, nrhs: int, repeats: int = 5):
     return rows
 
 
-def kernel_ab(degrees=(3, 4), block_sizes=(1, 8, 37), cells: int = 4):
-    """Shipped ``apply_cells`` vs the dense three-GEMM oracle, best-of ms."""
+def _mesh(cells, degree: int, graded: bool, periodic: bool) -> Mesh3D:
+    edges = tuple(
+        graded_edges(10.0, n, center=5.0, ratio=2.5 if graded else 1.0)
+        for n in cells
+    )
+    return Mesh3D(edges=edges, degree=degree, pbc=(periodic,) * 3)
+
+
+def _engine_row(mesh, kfrac, B: int, repeats: int) -> dict:
+    """One whole ``H~ X`` through each engine, best-of ms."""
+    axis, cell = KSOperator(mesh, kfrac=kfrac), cell_operator(mesh, kfrac=kfrac)
+    v = np.random.default_rng(0).standard_normal(mesh.nnodes)
+    axis.set_potential(v)
+    cell.set_potential(v)
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((axis.n, B)).astype(axis.dtype)
+    if kfrac is not None:
+        X += 1j * rng.standard_normal(X.shape)
+    out = np.empty_like(X)
+    want = cell.apply(X)
+    assert np.abs(axis.apply(X) - want).max() <= 1e-12 * np.abs(want).max()
+    dt = axis.dtype
+    return {
+        "cells": list(mesh.ncells_axis),
+        "degree": mesh.degree,
+        "ndof": axis.n,
+        "block_size": B,
+        "cell_ms": 1e3 * _best_seconds(lambda: cell.apply(X, out=out), repeats),
+        "axis_ms": 1e3 * _best_seconds(lambda: axis.apply(X, out=out), repeats),
+        "cell_flops_per_value": cell.stiff.gemm_flops(mesh.ncells, 1, dt) / axis.n,
+        "axis_flops_per_value": axis.kinetic.flops(1, dt) / axis.n,
+    }
+
+
+def _cell_local_rows(degrees, block_sizes, cells: int = 4):
+    """Shipped ``apply_cells`` vs the dense three-GEMM oracle, best-of ms;
+    on the uniform degree-4 mesh also vs the factorised product, reached by
+    nudging one edge off the uniformity test (1e-9 relative)."""
     rows = []
     for graded in (True, False):
         for kfrac in (None, (0.3, 0.0, 0.25)):
             for degree in degrees:
-                edges = graded_edges(
-                    10.0, cells, center=5.0, ratio=2.5 if graded else 1.0
-                )
-                mesh = Mesh3D(edges=(edges,) * 3, degree=degree, pbc=(True,) * 3)
+                mesh = _mesh((cells,) * 3, degree, graded, periodic=True)
                 stiff = CellStiffness(mesh, kfrac=kfrac)
+                factorised = None
+                if degree == 4 and not graded:
+                    nudged = [e.copy() for e in mesh.edges]
+                    nudged[0][1] *= 1.0 + 1e-9
+                    factorised = CellStiffness(
+                        Mesh3D(edges=tuple(nudged), degree=degree, pbc=mesh.pbc),
+                        kfrac=kfrac,
+                    )
+                    assert stiff.is_uniform and not factorised.is_uniform
                 ws = Workspace()
                 rng = np.random.default_rng(2)
                 for B in block_sizes:
                     Xc = rng.standard_normal(
                         (mesh.ncells, mesh.nodes_per_cell, B)
                     ).astype(stiff.dtype)
-                    ref_s = _best_seconds(lambda: reference_apply_cells(stiff, Xc), 30)
-                    new_s = _best_seconds(
-                        lambda: stiff.apply_cells(Xc, workspace=ws), 30
-                    )
-                    rows.append(
-                        {
-                            "mesh": "graded" if graded else "uniform",
-                            "bloch": kfrac is not None,
-                            "degree": degree,
-                            "block_size": B,
-                            "reference_ms": 1e3 * ref_s,
-                            "shipped_ms": 1e3 * new_s,
-                            "flops_per_cell_column": stiff.gemm_flops(
-                                1, 1, stiff.dtype
-                            ),
-                        }
-                    )
+                    row = {
+                        "mesh": "graded" if graded else "uniform",
+                        "bloch": kfrac is not None,
+                        "degree": degree,
+                        "block_size": B,
+                        "reference_ms": 1e3 * _best_seconds(
+                            lambda: reference_apply_cells(stiff, Xc), 30
+                        ),
+                        "shipped_ms": 1e3 * _best_seconds(
+                            lambda: stiff.apply_cells(Xc, workspace=ws), 30
+                        ),
+                        "flops_per_cell_column": stiff.gemm_flops(1, 1, stiff.dtype),
+                    }
+                    if factorised is not None:
+                        row["factorised_ms"] = 1e3 * _best_seconds(
+                            lambda: factorised.apply_cells(Xc, workspace=ws), 30
+                        )
+                    rows.append(row)
     return rows
+
+
+#: graded degree-4 Dirichlet cubes and the periodic degree-3 Mg shapes
+SIZES = (
+    ((4,) * 3, 4, False), ((8,) * 3, 4, False), ((12,) * 3, 4, False),
+    ((16,) * 3, 4, False), ((6, 10, 10), 3, True), ((9, 15, 15), 3, True),
+)
+
+
+def kernel_ab(degrees=(3, 4), block_sizes=(1, 8, 37), sizes=SIZES):
+    """The three kernel tables of the module docstring."""
+    engines = []
+    for graded in (True, False):
+        for kfrac in (None, (0.0, 0.0, 0.25)):
+            for degree in degrees:
+                mesh = _mesh((3, 5, 5), degree, graded, periodic=True)
+                for B in block_sizes:
+                    row = _engine_row(mesh, kfrac, B, repeats=50)
+                    row.update(
+                        mesh="graded" if graded else "uniform",
+                        bloch=kfrac is not None,
+                    )
+                    engines.append(row)
+    by_size = [
+        _engine_row(_mesh(cells, degree, True, periodic), None, 16, repeats=5)
+        for cells, degree, periodic in sizes
+    ]
+    return {
+        "engines": engines,
+        "sizes": by_size,
+        "cell_local": _cell_local_rows(degrees, block_sizes),
+    }
 
 
 #: commit whose ``assembly.py`` predates the fast apply path (the growth
@@ -152,10 +224,8 @@ SEED_SHA = "7fd4818"
 def _seed_apply_seconds(degree: int, cells: int, nrhs: int, repeats: int = 5):
     """Best-of apply seconds for the pre-fast-path operator, via git.
 
-    The in-repo "slow" variant still benefits from the cached gathers and
-    in-place arithmetic of the new code, so the honest seed baseline is the
-    historical module itself.  Returns None when git or the blob is
-    unavailable (e.g. a source tarball).
+    The honest seed baseline is the historical module itself.  Returns None
+    when git or the blob is unavailable (e.g. a source tarball).
     """
     import importlib.util
     import subprocess
@@ -194,31 +264,13 @@ def _seed_apply_seconds(degree: int, cells: int, nrhs: int, repeats: int = 5):
     return _time_apply(op, X, repeats)
 
 
-def _speedup(rows, bf: int) -> float:
-    """(fast + workspace) over (slow scatter, no workspace) at ``bf``."""
-
-    def sec(scatter, ws):
-        return next(
-            r["seconds"]
-            for r in rows
-            if r["scatter"] == scatter
-            and r["workspace"] is ws
-            and r["block_size"] == bf
-        )
-
-    return sec("slow", False) / sec("fast", True)
-
-
 def main() -> None:
     watch = Stopwatch()
     rows = run_sweep(**REF)
-    speedup = _speedup(rows, REF["nrhs"])
     fast_s = next(
         r["seconds"]
         for r in rows
-        if r["scatter"] == "fast"
-        and r["workspace"] is True
-        and r["block_size"] == REF["nrhs"]
+        if r["workspace"] is True and r["block_size"] == REF["nrhs"]
     )
     seed_s = _seed_apply_seconds(**REF)
     ab = kernel_ab()
@@ -228,33 +280,44 @@ def main() -> None:
         wall_seconds=watch.elapsed(),
         metrics={
             "sweep": rows,
-            "speedup_fast_ws_vs_slow_nows": speedup,
             "seed_apply_seconds": seed_s,
-            "speedup_fast_ws_vs_seed": (
-                None if seed_s is None else seed_s / fast_s
-            ),
+            "speedup_vs_seed": None if seed_s is None else seed_s / fast_s,
             "reference_block_size": REF["nrhs"],
             "kernel_ab": ab,
         },
     )
-    print(f"{'mesh':<8} {'bloch':<6} {'p':>2} {'B':>3} {'ref ms':>8} {'new ms':>8}")
-    for r in ab:
+    print(f"{'mesh':<8} {'bloch':<6} {'p':>2} {'B':>3} {'cell ms':>9} {'axis ms':>9}")
+    for r in ab["engines"]:
         print(
             f"{r['mesh']:<8} {str(r['bloch']):<6} {r['degree']:>2} "
-            f"{r['block_size']:>3} {r['reference_ms']:>8.3f} {r['shipped_ms']:>8.3f}"
+            f"{r['block_size']:>3} {r['cell_ms']:>9.3f} {r['axis_ms']:>9.3f}"
         )
-    print(f"{'scatter':<8} {'ws':<6} {'B_f':>4} {'ms/apply':>10}")
-    for r in rows:
+    print(f"{'cells':<14} {'p':>2} {'ndof':>7} {'cell ms':>9} {'axis ms':>9}  (B=16)")
+    for r in ab["sizes"]:
         print(
-            f"{r['scatter']:<8} {str(r['workspace']):<6} "
-            f"{r['block_size']:>4} {1e3 * r['seconds']:>10.2f}"
+            f"{str(tuple(r['cells'])):<14} {r['degree']:>2} {r['ndof']:>7} "
+            f"{r['cell_ms']:>9.3f} {r['axis_ms']:>9.3f}"
         )
     print(
-        f"speedup (fast+ws vs slow+no-ws) @ B_f={REF['nrhs']}: {speedup:.2f}x"
+        f"{'mesh':<8} {'bloch':<6} {'p':>2} {'B':>3} {'ref ms':>8} {'new ms':>8} "
+        f"{'fact ms':>8}"
     )
+    for r in ab["cell_local"]:
+        fact = r.get("factorised_ms")
+        print(
+            f"{r['mesh']:<8} {str(r['bloch']):<6} {r['degree']:>2} "
+            f"{r['block_size']:>3} {r['reference_ms']:>8.3f} {r['shipped_ms']:>8.3f} "
+            + (f"{fact:>8.3f}" if fact is not None else f"{'-':>8}")
+        )
+    print(f"{'ws':<6} {'B_f':>4} {'ms/apply':>10}")
+    for r in rows:
+        print(
+            f"{str(r['workspace']):<6} {r['block_size']:>4} "
+            f"{1e3 * r['seconds']:>10.2f}"
+        )
     if seed_s is not None:
         print(
-            f"speedup (fast+ws vs seed {SEED_SHA}) @ B_f={REF['nrhs']}: "
+            f"speedup (workspace on vs seed {SEED_SHA}) @ B_f={REF['nrhs']}: "
             f"{seed_s / fast_s:.2f}x"
         )
 
@@ -273,13 +336,16 @@ def test_apply_fast_reference(benchmark, apply_setup):
     op, X = apply_setup
     out = benchmark(op.apply, X)
     assert out.shape == X.shape
-    benchmark.extra_info.update(REF, scatter="fast", workspace=True)
+    benchmark.extra_info.update(REF, workspace=True)
 
 
-def test_apply_speedup_vs_seed():
-    """The fast path beats the seed (slow scatter, no workspace) at B_f=64."""
-    rows = run_sweep(**REF, repeats=3)
-    assert _speedup(rows, REF["nrhs"]) > 1.5
+def test_apply_speedup_vs_seed(apply_setup):
+    """The shipped apply beats the growth seed's operator at B_f=64."""
+    seed_s = _seed_apply_seconds(**REF, repeats=3)
+    if seed_s is None:
+        pytest.skip("seed commit not reachable (no git history)")
+    op, X = apply_setup
+    assert seed_s / _time_apply(op, X, repeats=3) > 1.5
 
 
 if __name__ == "__main__":

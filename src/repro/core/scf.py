@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,6 @@ import numpy as np
 from repro.atoms.pseudo import AtomicConfiguration
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import Mesh3D
-from repro.fem.scatter import reference_scatter
 from repro.obs import SCF_ITERATION, attach_to, current_span, trace_region
 from repro.resilience import (
     DegradationReport,
@@ -684,28 +682,7 @@ class SCFDriver:
             ch.hpsi, ch.hpsi_v,
         )
 
-        attempts = 0
-
-        def attempt() -> bool:
-            nonlocal attempts
-            attempts += 1
-            scatter = nullcontext()
-            if policy.max_retries > 0 and attempts == policy.max_retries + 1:
-                # last rung before giving up: this attempt, on this thread
-                # only, trades the compiled scatter maps for the reference
-                # scatter (bit-identical, slower)
-                self.degradation.record(
-                    "channel",
-                    "scatter->reference",
-                    detail="last-resort retry uses the reference scatter",
-                    iteration=self._iteration,
-                )
-                scatter = reference_scatter()
-            with scatter:
-                self._solve_one_channel(ch, v_eff)
-            return True
-
-        def validate(_: bool) -> bool:
+        def validate(_: None) -> bool:
             if ch.evals is None or not np.all(np.isfinite(ch.evals)):
                 return False
             if _faults._PLAN is not None and ch.psi is not None:
@@ -722,7 +699,10 @@ class SCFDriver:
                 ch.hpsi, ch.hpsi_v,
             ) = backup
 
-        policy.run(attempt, "channel", validate=validate, before_retry=before_retry)
+        policy.run(
+            lambda: self._solve_one_channel(ch, v_eff), "channel",
+            validate=validate, before_retry=before_retry,
+        )
 
     def _solve_one_channel(self, ch: KSChannel, v_eff: np.ndarray) -> None:
         if _faults._PLAN is not None:

@@ -22,14 +22,16 @@ Under the diagonal-mass (Löwdin) transformation the Kohn-Sham operator is
     \\tilde{H} = D^{-1/2}\\,(K/2)\\,D^{-1/2} + \\mathrm{diag}(v),
 
 with ``K`` the assembled stiffness and ``v`` the total effective potential at
-the nodes, so only the kinetic part needs cell-level GEMMs.
-
-Fast apply path (see DESIGN.md): the scatter-add runs through a precomputed
-:class:`~repro.fem.scatter.ScatterMap` (bit-for-bit identical to the
-``np.add.at`` reference), and all intermediates — the free→full expansion,
-the gathered/GEMM'd cell tensors, the free-DoF output — live in a reusable
-:class:`~repro.fem.workspace.Workspace` so a steady-state ``KSOperator.apply``
-performs no large allocations.
+the nodes, so only the kinetic part needs GEMMs.  Two engines form it
+(DESIGN.md §9).  The rank backends partition *cells*, so they run the
+cell-level flow above (:meth:`CellStiffness.add_cells` per rank, halos
+metered), as do Poisson's residual and the one-electron integrals
+(:meth:`CellStiffness.apply_full`, through the mesh's precompiled
+:class:`~repro.fem.scatter.ScatterMap`).  In one process the tensor-product
+mesh makes the kinetic operator a Kronecker sum of three 1-D matrices
+(:class:`~repro.fem.fdm.AxisKinetic`): :meth:`KSOperator.apply` multiplies
+the free block itself — no lift, gather, cell tensor or scatter — with its
+scratch in a reusable :class:`~repro.fem.workspace.Workspace`.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from repro.obs import trace_region
 from repro.resilience import faults as _faults
 from repro.tools.contracts import shape_contract
 
+from .fdm import AxisKinetic
 from .mesh import Mesh3D
-from .scatter import ScatterMap
 from .workspace import UNPOOLED, Workspace
 
 __all__ = ["CellStiffness", "KSOperator"]
@@ -64,8 +66,9 @@ class CellStiffness:
     * **Uniform mesh** (all cells one shape): the three terms are pre-summed
       into a single dense ``npc x npc`` matrix applied with one batched GEMM
       per block — the paper's fused kernel, ``2 npc`` FLOPs per cell-local
-      value.  It stays dense because it measures faster there (degree 3,
-      B = 37: 0.34 ms dense vs 0.41 ms factorised on 64 cells).
+      value.  It stays dense because it measures faster there at degree 3
+      (B = 37: 0.34 ms vs 0.41 ms factorised on 64 cells); at degree 4 it
+      does not (``benchmarks/bench_apply.py``, the ``cell_local`` table).
     * **Graded mesh**: with ``G = W^-1 k`` and ``Omega = w_i w_j w_k``,
       ``K_c = Omega (c1 G(x)I(x)I + I(x)(c2 G(x)I + c3 I(x)G))``, applied as
       one ``n1^2``-square GEMM per x-plane (y and z fused), one ``n1``-square
@@ -80,9 +83,7 @@ class CellStiffness:
     view — ``B`` complex columns are ``2B`` real ones to a real matrix — so
     ``np.matmul`` never casts the matrix to complex: half the GEMM FLOPs.
 
-    All state built here (factor matrices, coefficients, scatter maps)
-    is immutable after construction, so one instance may be shared across
-    the parallel (k, spin) channel threads.
+    Immutable after construction.
     """
 
     def __init__(
@@ -119,14 +120,6 @@ class CellStiffness:
             self._omega = _kron3(w, w, w)[:, None]  # (npc, 1)
         self.phases = mesh.bloch_phases(kfrac) if kfrac is not None else None
         self.dtype = np.complex128 if self.phases is not None else np.float64
-        # Precompiled scatter: unit weights share the mesh-wide map; Bloch
-        # paths fold the conjugated gather phases into the map's weights.
-        if self.phases is None:
-            self._smap = mesh.scatter_map
-        else:
-            self._smap = ScatterMap(
-                mesh.conn, mesh.nnodes, weights=np.conj(self.phases).ravel()
-            )
 
     @property
     def is_uniform(self) -> bool:
@@ -142,6 +135,12 @@ class CellStiffness:
         terms = ((khat, dw, dw), (dw, khat, dw), (dw, dw, khat))
         return sum(c * _kron3(*t) for c, t in zip(coef, terms))
 
+    def _local(self, cells: np.ndarray | None):
+        """Connectivity and Bloch phases of ``cells`` (all cells: ``None``)."""
+        if cells is None:
+            return self.mesh.conn, self.phases
+        return self.mesh.conn[cells], None if self.phases is None else self.phases[cells]
+
     def gather(
         self,
         x_full: np.ndarray,
@@ -151,23 +150,14 @@ class CellStiffness:
         """Gather full-node field(s) to (ncells, npc, B) with Bloch phases.
 
         ``cells`` restricts the gather to a subset of cells (one rank's
-        share of a partition).  With a workspace the returned array is a
-        pooled buffer owned by the workspace — valid until the next
-        ``gather`` on this thread.
+        share of a partition).  With a workspace the result is a pooled
+        buffer — valid until the next ``gather`` on this thread.
         """
-        squeeze = x_full.ndim == 1
-        X = x_full[:, None] if squeeze else x_full
-        conn, phases = self.mesh.conn, self.phases
-        if cells is not None:
-            conn = conn[cells]
-            phases = None if phases is None else phases[cells]
-        if workspace is None:
-            Xc = X[conn]  # (ncells, npc, B)
-            if phases is not None:
-                Xc = Xc * phases[:, :, None]
-            return Xc
+        X = x_full[:, None] if x_full.ndim == 1 else x_full
+        conn, phases = self._local(cells)
+        ws = workspace if workspace is not None else UNPOOLED
         dt = np.result_type(self.dtype, X.dtype)
-        Xc = workspace.get("stiff_Xc", (*conn.shape, X.shape[1]), dt)
+        Xc = ws.get("stiff_Xc", (*conn.shape, X.shape[1]), dt)
         if X.dtype == dt:
             np.take(X, conn, axis=0, out=Xc)
         else:
@@ -176,16 +166,17 @@ class CellStiffness:
             Xc *= phases[:, :, None]
         return Xc
 
-    def scatter_add(self, Yc: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Scatter-add cell contributions into full-node array ``out``.
-
-        For the Bloch path the conjugated phases are part of the scatter
-        map's weights.  Bit-for-bit identical to the reference
-        ``np.add.at`` loop when ``out`` is zero-initialized (it is, in
-        every caller).
-        """
-        B = Yc.shape[-1]
-        self._smap.add_to(Yc.reshape(-1, B), out)
+    def scatter_add(
+        self, Yc: np.ndarray, out: np.ndarray, cells: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``out += G^H Yc``, the adjoint of :meth:`gather` (conjugated Bloch
+        phases included), by ``np.add.at`` in cell order: a rank-local
+        partial sum has the accumulation order of its own cell list, which
+        the mesh-wide ``ScatterMap`` cannot reproduce."""
+        conn, phases = self._local(cells)
+        if phases is not None:
+            Yc = np.conj(phases)[:, :, None] * Yc
+        np.add.at(out, conn.ravel(), Yc.reshape(-1, Yc.shape[-1]))
         return out
 
     @shape_contract(Xc=("ncells", "npc", "b"), returns=("ncells", "npc", "b"))
@@ -235,46 +226,35 @@ class CellStiffness:
         """``out += K|cells @ x``: gather, cell GEMMs and scatter of a subset.
 
         The one kernel every rank backend runs on its share of the cells.
-        The scatter is ``np.add.at`` in cell order — a rank-local partial
-        sum has the accumulation order of its own cell list, which the
-        mesh-wide :class:`ScatterMap` cannot reproduce.
         """
         Yc = self.apply_cells(self.gather(x_full, cells=cells), cells=cells)
-        if self.phases is not None:
-            Yc = np.conj(self.phases[cells])[:, :, None] * Yc
-        np.add.at(out, self.mesh.conn[cells].ravel(), Yc.reshape(-1, Yc.shape[-1]))
+        self.scatter_add(Yc, out, cells)
 
     def apply_full(
         self, x_full: np.ndarray, workspace: Workspace | None = None
     ) -> np.ndarray:
         """``K @ x`` on the full node set (no boundary conditions).
 
-        With a workspace the returned array is a pooled buffer owned by the
-        workspace — valid until the next ``apply_full`` on the same thread;
-        copy it (or pass ``workspace=None``) if it must persist.
+        The real product (Poisson's residual, the one-electron integrals)
+        scatters through the mesh's precompiled ``ScatterMap``; a Bloch one,
+        which only tests ask for, through :meth:`add_cells` over all cells.
+        With a workspace the result is a pooled buffer — valid until the
+        next ``apply_full`` on the same thread.
         """
         squeeze = x_full.ndim == 1
-        Xc = self.gather(x_full, workspace)
-        Yc = self.apply_cells(Xc, workspace=workspace)
-        dt = np.result_type(self.dtype, x_full.dtype)
-        shape = (self.mesh.nnodes, Xc.shape[-1])
+        X = x_full[:, None] if squeeze else x_full
+        dt = np.result_type(self.dtype, X.dtype)
+        shape = (self.mesh.nnodes, X.shape[1])
         if workspace is None:
             out = np.zeros(shape, dtype=dt)
         else:
             out = workspace.zeros("stiff_out", shape, dt)
-        self.scatter_add(Yc, out)
+        if self.phases is not None:
+            self.add_cells(X, np.arange(self.mesh.ncells), out)
+        else:
+            Yc = self.apply_cells(self.gather(X, workspace), workspace=workspace)
+            self.mesh.scatter_map.add_to(Yc.reshape(-1, shape[1]), out)
         return out[:, 0] if squeeze else out
-
-    def diagonal_full(self) -> np.ndarray:
-        """Assembled diagonal of ``K`` over all nodes."""
-        w, d = self.mesh.ref.weights1d, np.diag(self.mesh.ref.stiff1d)
-        diags = (_kron3(d, w, w), _kron3(w, d, w), _kron3(w, w, d))
-        diag_cell = sum(
-            self._coef[:, a, None] * diags[a][None, :] for a in range(3)
-        )  # (ncells, npc)
-        out = np.zeros(self.mesh.nnodes, dtype=float)
-        self.mesh.scatter_map.add_to(diag_cell.ravel(), out)
-        return out
 
     def gemm_flops(self, ncells: int, B: int, dtype) -> int:
         """Closed-form FLOPs of :meth:`apply_cells` on ``ncells`` cells, ``B``
@@ -303,9 +283,10 @@ class KSOperator:
     GLL-diagonal mass makes the potential term exactly diagonal) and the
     last term is the separable nonlocal pseudopotential.  The Löwdin
     scaling, the potential and nonlocal terms, the ``ks_apply`` fault site
-    and the diagonals live here once; only the stiffness product ``K x``
-    runs on an *engine* — the mesh-wide :class:`CellStiffness` of this
-    process, or a rank cluster (:class:`repro.hpc.DistributedKSOperator`).
+    and the diagonals live here once; only the kinetic term runs on an
+    *engine* — :class:`~repro.fem.fdm.AxisKinetic` on the free block in this
+    process, or the cell-level stiffness product of a rank cluster
+    (:class:`repro.hpc.DistributedKSOperator`) inside the Löwdin scaling.
 
     Parameters
     ----------
@@ -323,7 +304,7 @@ class KSOperator:
     ranks:
         Rank cluster (``VirtualCluster`` / ``ProcRankCluster``) to run the
         stiffness product on; it must have been built on the same ``mesh``
-        and ``kfrac``.  Omitted: the in-process :class:`CellStiffness`.
+        and ``kfrac``.  Omitted: the in-process axis-factorised kernel.
     """
 
     def __init__(
@@ -337,20 +318,17 @@ class KSOperator:
     ) -> None:
         self.mesh = mesh
         self._ranks = ranks
-        self.stiff = (
-            ranks.stiff if ranks is not None
-            else CellStiffness(mesh, kfrac=kfrac, ledger=ledger)
-        )
-        self.dtype = self.stiff.dtype
         self.workspace = workspace if workspace is not None else Workspace()
-        self._dinvsqrt = 1.0 / np.sqrt(mesh.mass_diag)
-        # free-index gathers cached once: the apply path never re-slices
-        self._dsf = np.ascontiguousarray(self._dinvsqrt[mesh.free])
-        self._half_dsf = 0.5 * self._dsf
+        self.kinetic = AxisKinetic(mesh, kfrac)
+        self.dtype = self.kinetic.dtype
+        if ranks is not None:
+            self.stiff = ranks.stiff
+            # the Löwdin scaling around the ranks' K, on the free rows
+            self._dsf = np.ascontiguousarray(1.0 / np.sqrt(mesh.mass_diag[mesh.free]))
+            self._half_dsf = 0.5 * self._dsf
         self._v_free = np.zeros(mesh.ndof, dtype=float)
         self.ledger = ledger
-        self._nl_B = None
-        self._nl_D = None
+        self._nl_B = self._nl_D = None
         if nonlocal_projectors:
             from repro.atoms.nonlocal_psp import projector_matrix
 
@@ -381,8 +359,8 @@ class KSOperator:
 
         The parallel multi-channel ChFES gives each (k, spin) channel its
         own clone so concurrent ``set_potential`` calls cannot race; the
-        heavy pieces (cell matrices, scatter maps, nonlocal projectors, the
-        thread-local workspace, the rank cluster) are shared.  A shared
+        heavy pieces (axis matrices, nonlocal projectors, the thread-local
+        workspace, the rank cluster) are shared.  A shared
         cluster serializes concurrent applies itself (the process backend
         holds a lock across begin/finish).
         """
@@ -397,7 +375,7 @@ class KSOperator:
             self._ranks.close()
 
     def _lift(self, X: np.ndarray) -> np.ndarray:
-        """``D^{-1/2} x`` expanded free -> full nodes.
+        """``D^{-1/2} x`` expanded free -> full nodes, for the rank engines.
 
         The block is pooled (workspace-owned): valid until the next
         ``_lift`` on this thread.
@@ -417,18 +395,21 @@ class KSOperator:
     def _assemble(
         self, kx: np.ndarray, X: np.ndarray, out: np.ndarray | None
     ) -> np.ndarray:
-        """Everything after the stiffness product ``kx = K D^{-1/2} x``."""
-        squeeze = X.ndim == 1
-        Xb = X[:, None] if squeeze else X
+        """``H~ x`` from the ranks' stiffness product ``kx = K D^{-1/2} x``."""
+        Xb = X[:, None] if X.ndim == 1 else X
         ws = self.workspace
         yg = ws.get("ks_gather", Xb.shape, kx.dtype)
         np.take(kx, self.mesh.free, axis=0, out=yg)
-        if out is None:
-            y = np.empty(Xb.shape, dtype=kx.dtype)
-        else:
-            y = out[:, None] if out.ndim == 1 else out
+        y = np.empty(Xb.shape, kx.dtype) if out is None else out.reshape(Xb.shape)
         np.multiply(self._half_dsf[:, None], yg, out=y)
-        t = ws.get("ks_t", Xb.shape, kx.dtype)
+        return self._finish(y, Xb, X, out)
+
+    def _finish(
+        self, y: np.ndarray, Xb: np.ndarray, X: np.ndarray, out: np.ndarray | None
+    ) -> np.ndarray:
+        """Everything after the kinetic term ``y``: potential, nonlocal
+        projectors, the ``ks_apply`` fault site and the shape of the result."""
+        t = self.workspace.get("ks_t", Xb.shape, y.dtype)
         np.multiply(self._v_free[:, None], Xb, out=t)
         y += t
         if self._nl_B is not None and self._nl_B.shape[1]:
@@ -442,23 +423,37 @@ class KSOperator:
             _faults.fault_point("ks_apply", y)
         if out is not None:
             return out
-        return y[:, 0] if squeeze else y
+        return y[:, 0] if X.ndim == 1 else y
 
     def apply(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply ``H~`` to a block ``X`` of shape (ndof,) or (ndof, B).
 
         ``out``, when given, receives the result (same shape as ``X``; must
         not alias ``X``) — the Chebyshev recurrence uses this to ping-pong
-        between preallocated blocks.  All arithmetic is performed in the
-        same operation order as the reference implementation, so results
-        are bit-for-bit independent of workspace/out usage.
+        between preallocated blocks.  In process the kinetic term is three
+        axis GEMMs on the free block itself; an input or output that is not
+        a C-contiguous block of the result dtype passes through a pooled
+        one.  Results are bit-for-bit independent of workspace/out usage.
         """
         if out is X and X is not None:
             raise ValueError("out must not alias X")
         if self._ranks is not None:
             return self.apply_finish(self.apply_begin(X), out=out)
-        kx = self.stiff.apply_full(self._lift(X), workspace=self.workspace)
-        return self._assemble(kx, X, out)
+        ws = self.workspace
+        Xb = X[:, None] if X.ndim == 1 else X
+        dt = np.result_type(self.dtype, Xb.dtype)
+        if Xb.dtype != dt or not Xb.flags.c_contiguous:
+            Xb, given = ws.get("ks_x", Xb.shape, dt), Xb
+            Xb[...] = given
+        y = np.empty(Xb.shape, dt) if out is None else out.reshape(Xb.shape)
+        direct = y.dtype == dt and y.flags.c_contiguous
+        yk = y if direct else ws.get("ks_y", Xb.shape, dt)
+        self.kinetic.apply(Xb, yk, ws.get("ks_t", Xb.shape, dt))
+        if not direct:
+            y[...] = yk
+        if self.ledger is not None:
+            self.ledger.add("cell_gemm", self.kinetic.flops(Xb.shape[1], dt))
+        return self._finish(y, Xb, X, out)
 
     def apply_begin(self, X: np.ndarray):
         """Start an apply; :meth:`apply_finish` completes the handle.
@@ -504,8 +499,7 @@ class KSOperator:
 
     def kinetic_diagonal(self) -> np.ndarray:
         """Diagonal of the Löwdin kinetic operator."""
-        kd = self.stiff.diagonal_full()
-        return 0.5 * (kd * self._dinvsqrt**2)[self.mesh.free]
+        return self.kinetic.diagonal()
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of ``H~`` — tests and small systems only."""

@@ -270,22 +270,26 @@ class Mesh3D:
         self.scatter_map.add_to((vol[:, None] * w3[None, :]).ravel(), out)
         return out
 
-    def bloch_phases(self, kfrac: tuple[float, float, float]) -> np.ndarray | None:
-        """(ncells, npc) complex gather phases for reduced Bloch vector.
-
-        ``kfrac`` is in fractional reciprocal coordinates; an entry phase is
-        ``exp(2*pi*i*k_a)`` wherever the connectivity wrapped around axis
-        ``a``.  Returns None at the Gamma point (all phases unity).
-        """
-        if not any(abs(k) > 1e-14 for k in kfrac):
+    def axis_phases(self, axis: int, k: float) -> np.ndarray | None:
+        """(ncells_a, p+1) Bloch gather phases of one axis, ``exp(2*pi*i*k)``
+        wherever its connectivity wrapped; None where ``k`` is zero."""
+        if abs(k) <= 1e-14:
             return None
-        wx, wy, wz = self._axis_wrap
-        phases_axis = []
-        for w, k, per in zip((wx, wy, wz), kfrac, self.pbc):
-            if abs(k) > 1e-14 and not per:
-                raise ValueError("nonzero k along a non-periodic axis")
-            phases_axis.append(np.where(w, np.exp(2j * np.pi * k), 1.0 + 0j))
-        px, py, pz = phases_axis
+        if not self.pbc[axis]:
+            raise ValueError("nonzero k along a non-periodic axis")
+        return np.where(self._axis_wrap[axis], np.exp(2j * np.pi * k), 1.0 + 0j)
+
+    def bloch_phases(self, kfrac: tuple[float, float, float]) -> np.ndarray | None:
+        """(ncells, npc) complex gather phases for the reduced Bloch vector
+        ``kfrac`` (fractional reciprocal coordinates): the product of the
+        three :meth:`axis_phases`.  None at the Gamma point (all unity)."""
+        phases = [self.axis_phases(a, k) for a, k in enumerate(kfrac)]
+        if all(p is None for p in phases):
+            return None
+        px, py, pz = (
+            np.ones(w.shape, dtype=complex) if p is None else p
+            for p, w in zip(phases, self._axis_wrap)
+        )
         ph = (
             px[:, None, None, :, None, None]
             * py[None, :, None, None, :, None]

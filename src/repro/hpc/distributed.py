@@ -61,6 +61,7 @@ class DistributedKSOperator(KSOperator):
         self.backend = backend
         super().__init__(
             mesh,
+            kfrac=kfrac,
             ledger=ledger,
             nonlocal_projectors=nonlocal_projectors,
             workspace=workspace,

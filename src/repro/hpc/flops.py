@@ -61,7 +61,10 @@ class FlopLedger:
 
     Mutations are guarded by a lock: one ledger is shared by the parallel
     (k, spin) ChFES channel threads, whose kernels all charge FLOPs and
-    seconds concurrently.
+    seconds concurrently.  ``cell_gemm`` holds the stiffness-product GEMM
+    FLOPs of whichever engine ran — the axis GEMMs in process
+    (:meth:`repro.fem.fdm.AxisKinetic.flops`), the cell GEMMs on ranks and in
+    Poisson (:meth:`repro.fem.assembly.CellStiffness.gemm_flops`).
     """
 
     def __init__(self) -> None:

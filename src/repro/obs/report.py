@@ -94,10 +94,11 @@ def model_vs_measured(
     ``modeled_flops`` is the paper's model count — for CF the dense
     ``(p+1)^3``-square cell GEMM, complex factor 4
     (:func:`repro.hpc.flops.chebyshev_filter_flops`) — on every mesh.  The
-    measured side's FLOP counters are what the kernel executed
-    (:meth:`repro.fem.assembly.CellStiffness.gemm_flops`: factorised on graded
-    meshes, a real GEMM over ``2B`` columns for Bloch blocks), so the two
-    differ by design wherever the kernel does less than the model.
+    measured side's FLOP counters are the stiffness-product GEMM FLOPs of
+    whichever engine ran (in process :meth:`repro.fem.fdm.AxisKinetic.flops`,
+    three axis GEMMs; on ranks
+    :meth:`repro.fem.assembly.CellStiffness.gemm_flops`), so the two differ
+    by design wherever the kernel does less than the model.
     """
     measured = kernel_totals(agg)
     rows: list[dict[str, float | str]] = []

@@ -6,11 +6,7 @@ performance for survival instead of aborting:
 1. retry the failing step in place (:class:`~repro.resilience.retry.
    RetryPolicy`);
 2. drop the parallel (k, spin) channel pool to serial execution;
-3. run the last-resort attempt with the compiled
-   :class:`~repro.fem.scatter.ScatterMap` product swapped for the reference
-   ``np.add.at`` scatter, on the failing thread only
-   (:func:`~repro.fem.scatter.reference_scatter`);
-4. give up with a structured ``ResilienceError``.
+3. give up with a structured ``ResilienceError``.
 
 Every rung taken is recorded in a :class:`DegradationReport` — attached to
 the ``SCFResult`` and printed by the CLI — so a run that survived on
@@ -31,7 +27,7 @@ class DegradationEvent:
     """One rung taken on the degradation ladder."""
 
     site: str  #: fault site that forced the fallback
-    action: str  #: e.g. "parallel->serial", "scatter->reference"
+    action: str  #: e.g. "parallel->serial"
     detail: str = ""
     iteration: int | None = None  #: outer-loop iteration, when known
 

@@ -775,12 +775,11 @@ class SlowScatterOutsideFem(Rule):
     which reproduces its accumulation order bit-for-bit.  Any scatter-add
     added elsewhere in the codebase silently reintroduces the bottleneck
     the fast apply path removed.  The FEM package itself is exempt: it
-    holds the single production scatter, inside ``ScatterMap.add_to`` the
-    one ``np.add.at`` line the degradation ladder's last rung runs under
-    ``reference_scatter()``, and ``CellStiffness.add_cells`` — the rank
-    backends' per-rank partial sums, whose accumulation order is the
-    rank's own cell list.  Any other sanctioned site carries an explicit
-    ``# reprolint: disable=R010`` pragma.
+    holds the single production scatter, ``CellStiffness.scatter_add`` —
+    the rank backends' per-rank partial sums, whose accumulation order is
+    the rank's own cell list — and the 1-D pencil assembly of
+    ``fdm.axis_pencil`` (set-up, a few hundred entries).  Any other
+    sanctioned site carries an explicit ``# reprolint: disable=R010`` pragma.
     """
 
     rule_id = "R010"

@@ -38,17 +38,12 @@ __all__ = [
 
 
 def reference_scatter_add(
-    indices: np.ndarray,
-    values: np.ndarray,
-    nnodes: int,
-    weights: np.ndarray | None = None,
+    indices: np.ndarray, values: np.ndarray, nnodes: int
 ) -> np.ndarray:
-    """``out[indices[r]] += weights[r] * values[r]`` by ``np.add.at`` into a
-    fresh zeroed ``(nnodes, B)`` array: oracle for ``ScatterMap.add_to``."""
+    """``out[indices[r]] += values[r]`` by ``np.add.at`` into a fresh zeroed
+    ``(nnodes, B)`` array: oracle for ``ScatterMap.add_to``."""
     flat = np.asarray(indices).ravel()
     vals = np.asarray(values).reshape(flat.size, -1)
-    if weights is not None:
-        vals = weights[:, None] * vals
     out = np.zeros((nnodes, vals.shape[1]), dtype=vals.dtype)
     np.add.at(out, flat, vals)
     return out

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.atoms.nonlocal_psp import NonlocalProjector
+from repro.core.chebyshev import chebyshev_filter
 from repro.fem.assembly import CellStiffness, KSOperator
 from repro.fem.mesh import Mesh3D, graded_edges, uniform_mesh
 from repro.fem.workspace import Workspace
+from repro.hpc.distributed import DistributedKSOperator
 
 from tests.reference import reference_apply_cells
 
@@ -117,13 +120,6 @@ def test_gemm_flops_follow_the_kernel():
         assert stiff.gemm_flops(3, 7, np.complex128) == 2 * 3 * 7 * per_cell_column
 
 
-def test_diagonal_full_matches_dense():
-    m = uniform_mesh((1.0, 2.0, 1.0), (2, 1, 2), degree=3)
-    stiff = CellStiffness(m)
-    K = _dense_K(stiff)
-    assert np.allclose(stiff.diagonal_full(), np.diag(K).real, atol=1e-11)
-
-
 def test_stiffness_annihilates_constants_periodic():
     m = uniform_mesh((1.0, 1.0, 1.0), (2, 2, 2), degree=2, pbc=(True, True, True))
     stiff = CellStiffness(m)
@@ -172,8 +168,8 @@ def test_ks_operator_bloch_hermitian():
 
 
 def test_ks_operator_graded_bloch_hermitian():
-    """Graded mesh, one periodic axis, k != 0: the factorised kernel under
-    Bloch phases."""
+    """Graded mesh, one periodic axis, k != 0: one complex axis matrix, two
+    real ones."""
     edges = (
         graded_edges(2.0, 3, center=0.7, ratio=2.5),
         graded_edges(1.0, 2, center=0.2, ratio=2.5),
@@ -181,7 +177,7 @@ def test_ks_operator_graded_bloch_hermitian():
     )
     m = Mesh3D(edges=edges, degree=3, pbc=(True, False, False))
     op = KSOperator(m, kfrac=(0.3, 0.0, 0.0))
-    assert not op.stiff.is_uniform
+    assert [np.iscomplexobj(A) for A in op.kinetic.matrices] == [True, False, False]
     op.set_potential(np.cos(2 * np.pi * m.node_coords[:, 0] / 2.0))
     H = op.matrix()
     assert np.abs(H.imag).max() > 1e-3  # the phases really act
@@ -224,3 +220,134 @@ def test_bloch_shifts_free_particle_spectrum():
     e0 = np.linalg.eigvalsh(op0.matrix())[0]
     ek = np.linalg.eigvalsh(opk.matrix())[0]
     assert np.isclose(ek - e0, 0.5 * (np.pi / L) ** 2, rtol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# The in-process kernel (three axis GEMMs on the free block) against the
+# cell-level assembly it replaced there: gather -> cell GEMM -> scatter on a
+# one-rank virtual cluster
+# ---------------------------------------------------------------------------
+_PBC = {"FFF": (False,) * 3, "TTT": (True,) * 3, "TTF": (True, True, False)}
+_KPOINTS = {"gamma": None, "kz": (0.0, 0.0, 0.25), "kxy": (1 / 3, 0.25, 0.0)}
+
+
+def _contract_mesh(graded: bool, pbc: str, degree: int) -> Mesh3D:
+    """3x1x2 cells: with ``pbc`` the one-cell y axis repeats a node inside its
+    own cell."""
+    ratio = 2.5 if graded else 1.0
+    edges = (
+        graded_edges(2.0, 3, center=0.7, ratio=ratio),
+        graded_edges(1.0, 1),
+        graded_edges(1.5, 2, center=1.0, ratio=ratio),
+    )
+    return Mesh3D(edges=edges, degree=degree, pbc=_PBC[pbc])
+
+
+def _allowed(pbc: str, k: str) -> bool:
+    kfrac = _KPOINTS[k] or (0.0,) * 3
+    return all(per or ka == 0.0 for per, ka in zip(_PBC[pbc], kfrac))
+
+
+def _operator_pair(mesh, kfrac, **kw):
+    """The in-process operator and its cell-level oracle, same potential and
+    projectors (a Gaussian near the box centre)."""
+    projs = [NonlocalProjector(tuple(0.45 * mesh.lengths), 0.7, 0.4)]
+    op = KSOperator(mesh, kfrac=kfrac, nonlocal_projectors=projs, **kw)
+    oracle = DistributedKSOperator(
+        mesh, 1, kfrac=kfrac, backend="virtual", nonlocal_projectors=projs
+    )
+    v = np.random.default_rng(3).standard_normal(mesh.nnodes)
+    op.set_potential(v)
+    oracle.set_potential(v)
+    return op, oracle
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "pbc,k", [(p, k) for p in _PBC for k in _KPOINTS if _allowed(p, k)]
+)
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+def test_axis_kernel_matches_cell_assembly(graded, pbc, k, degree):
+    mesh = _contract_mesh(graded, pbc, degree)
+    op, oracle = _operator_pair(mesh, _KPOINTS[k])
+    fresh, _ = _operator_pair(mesh, _KPOINTS[k], workspace=Workspace(enabled=False))
+    assert op.dtype == oracle.dtype
+    rng = np.random.default_rng(degree)
+    wide = rng.standard_normal((op.n, 2 * 37)).astype(op.dtype)
+    if _KPOINTS[k] is not None:
+        wide += 1j * rng.standard_normal(wide.shape)
+    blocks = [wide[:, 0]] + [wide[:, :B] for B in (1, 8, 37)] + [wide[:, ::2]]
+    assert not blocks[1].flags.c_contiguous and not blocks[-1].flags.c_contiguous
+    before = wide.copy()
+    for X in blocks:
+        want = oracle.apply(X)
+        got = op.apply(X)
+        assert got.shape == want.shape == X.shape and got.dtype == want.dtype
+        assert _rel(got, want) <= 1e-13
+        # out=, a fresh result and an unpooled workspace: one set of bits
+        out = np.empty_like(got)
+        assert op.apply(X, out=out) is out
+        assert np.array_equal(out, got)
+        assert np.array_equal(fresh.apply(X), got)
+    assert np.array_equal(wide, before)  # inputs are only read
+    # the dense matrix, its symmetry and the closed-form diagonal
+    H = op.matrix()
+    assert np.abs(H - H.conj().T).max() <= 1e-13 * np.abs(H).max()
+    assert _rel(H, oracle.matrix()) <= 1e-13
+    assert np.abs(op.diagonal() - np.diag(H).real).max() <= 1e-13 * np.abs(H).max()
+    assert np.abs(oracle.diagonal() - op.diagonal()).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "pbc,k", [(p, k) for p in _PBC for k in _KPOINTS if not _allowed(p, k)]
+)
+def test_bloch_component_on_dirichlet_axis_is_refused(pbc, k):
+    with pytest.raises(ValueError, match="non-periodic"):
+        KSOperator(_contract_mesh(False, pbc, 2), kfrac=_KPOINTS[k])
+
+
+def test_apply_into_strided_or_wider_out():
+    """An ``out`` that is not a contiguous block of the result dtype still
+    receives the result (through a pooled block)."""
+    mesh = _contract_mesh(True, "TTF", 3)
+    op, _ = _operator_pair(mesh, None)
+    X = np.random.default_rng(0).standard_normal((op.n, 4))
+    want = op.apply(X)
+    wide = np.zeros((op.n, 8))
+    assert np.array_equal(op.apply(X, out=wide[:, ::2]), want)
+    assert np.array_equal(wide[:, ::2], want) and not wide[:, 1::2].any()
+    as_complex = np.empty((op.n, 4), dtype=complex)
+    op.apply(X, out=as_complex)
+    assert np.array_equal(as_complex, want.astype(complex))
+
+
+def test_axis_kernel_flops_closed_form():
+    """2 f_a per real value on a real axis (a complex block is 2B real
+    columns), 8 f_a per complex value on the Bloch axis."""
+    mesh = _contract_mesh(False, "TTT", 3)
+    fx, fy, fz = mesh.nnodes_axis
+    n = fx * fy * fz
+    gamma = KSOperator(mesh).kinetic
+    assert gamma.shape == (fx, fy, fz)
+    assert gamma.flops(7, np.float64) == 2 * (fx + fy + fz) * n * 7
+    assert gamma.flops(7, np.complex128) == 4 * (fx + fy + fz) * n * 7
+    bloch = KSOperator(mesh, kfrac=(0.0, 0.0, 0.25)).kinetic
+    assert bloch.flops(7, np.complex128) == (4 * (fx + fy) + 8 * fz) * n * 7
+
+
+def test_chebyshev_filter_on_axis_kernel_independent_of_block_size():
+    mesh = _contract_mesh(True, "TTT", 3)
+    op, oracle = _operator_pair(mesh, _KPOINTS["kz"])
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((op.n, 10)) + 1j * rng.standard_normal((op.n, 10))
+    bounds = dict(m=9, a=5.0, b=400.0, a0=-3.0)
+    ref = chebyshev_filter(op, X, **bounds)
+    scale = np.abs(ref).max()
+    for bs in (1, 3, 10):
+        got = chebyshev_filter(op, X, block_size=bs, **bounds)
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+    assert np.abs(chebyshev_filter(oracle, X, **bounds) - ref).max() <= 1e-11 * scale

@@ -7,23 +7,24 @@ The contract under test is *bit-for-bit* equivalence: the precomputed
 allocate-per-call / serial implementations exactly, not approximately.
 """
 
-import threading
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 
 from repro.core.chebyshev import chebyshev_filter, filter_block
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import uniform_mesh
-from repro.fem.scatter import ScatterMap, reference_scatter
+from repro.fem.scatter import ScatterMap
 from repro.fem.workspace import Workspace
 
 from tests.reference import reference_filter_block, reference_scatter_add
 
-#: the production CSR product, and the degradation ladder's last rung (the
-#: same map inside ``with reference_scatter():``); both must equal the oracle
-PATHS = {"csr": nullcontext, "reference": reference_scatter}
+#: the two scatters ``src`` runs over a map's flattened indices — the compiled
+#: CSR product, and the ``np.add.at`` the rank engines' ``scatter_add`` calls
+#: on their own cell lists; both must equal the oracle
+PATHS = {
+    "csr": lambda smap, values, out: smap.add_to(values, out),
+    "reference": lambda smap, values, out: np.add.at(out, smap.indices, values),
+}
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def mesh():
 # The bit-exactness contract must hold for *any* connectivity, not the one
 # lucky mesh a hand-picked case exercises: random index arrays stress
 # duplicate targets (high valence), untouched nodes (zero valence), every
-# rhs-width branch, and real/complex values with and without folded weights.
+# rhs-width branch, and real/complex values with and without Bloch phases.
 _SWEEP_SEEDS = range(12)
 
 
@@ -58,27 +59,21 @@ def _random_scatter_case(seed):
     values = rng.standard_normal(shape)
     if complex_vals:
         values = values + 1j * rng.standard_normal(shape)
-    weights = None
-    if rng.random() < 0.4:  # Bloch case: conjugated phases folded in
-        weights = np.conj(
-            np.exp(1j * rng.uniform(0, 2 * np.pi, indices.size))
-        )
-    return nnodes, indices, values, weights
+    if rng.random() < 0.4:  # Bloch case: values carry conjugated phases
+        phases = np.conj(np.exp(1j * rng.uniform(0, 2 * np.pi, indices.size)))
+        values = (phases[:, None] if values.ndim == 2 else phases) * values
+    return nnodes, indices, values
 
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("seed", _SWEEP_SEEDS)
 def test_scatter_map_bitexact_property_sweep(path, seed):
-    nnodes, indices, values, weights = _random_scatter_case(seed)
-    smap = ScatterMap(indices, nnodes, weights=weights)
-    dtype = np.complex128 if (
-        np.iscomplexobj(values) or weights is not None
-    ) else np.float64
+    nnodes, indices, values = _random_scatter_case(seed)
+    smap = ScatterMap(indices, nnodes)
     out_shape = (nnodes,) if values.ndim == 1 else (nnodes, values.shape[1])
-    out = np.zeros(out_shape, dtype=dtype)
-    with PATHS[path]():
-        smap.add_to(values, out)
-    ref = reference_scatter_add(indices, values, nnodes, weights=weights)
+    out = np.zeros(out_shape, dtype=values.dtype)
+    PATHS[path](smap, values, out)
+    ref = reference_scatter_add(indices, values, nnodes)
     if values.ndim == 1:
         ref = ref[:, 0]
     assert np.array_equal(out, ref)  # bitwise, not allclose
@@ -91,88 +86,15 @@ def test_scatter_map_bitexact_on_mesh_connectivity(mesh, path):
     smap = ScatterMap(mesh.conn, mesh.nnodes)
     values = rng.standard_normal((mesh.conn.size, 5))
     out = np.zeros((mesh.nnodes, 5), dtype=np.float64)
-    with PATHS[path]():
-        smap.add_to(values, out)
+    PATHS[path](smap, values, out)
     assert np.array_equal(
         out, reference_scatter_add(mesh.conn, values, mesh.nnodes)
     )
 
 
-def test_reference_scatter_is_thread_scoped_and_restored(mesh):
-    """The ladder's rung reroutes only the thread inside the block."""
-
-    class SpyMatrix:
-        """Stands in for the compiled CSR matrix; logs who multiplies."""
-
-        def __init__(self, S):
-            self.S, self.threads = S, []
-
-        def __matmul__(self, values):
-            self.threads.append(threading.current_thread().name)
-            return self.S @ values
-
-    smap = ScatterMap(mesh.conn, mesh.nnodes)
-    spy = smap._S = SpyMatrix(smap._S)
-    values = np.ones((mesh.conn.size, 1))
-    outs = []
-
-    def scatter_once():
-        outs.append(smap.add_to(values, np.zeros((mesh.nnodes, 1))))
-
-    with reference_scatter():
-        other = threading.Thread(target=scatter_once, name="bystander")
-        other.start()
-        other.join(timeout=30)
-        assert not other.is_alive()
-        with reference_scatter():  # nesting keeps the outer block engaged
-            scatter_once()
-        scatter_once()
-    scatter_once()  # restored on exit
-    # only the bystander and the post-block call touched the CSR matrix
-    assert spy.threads == ["bystander", "MainThread"]
-    want = reference_scatter_add(mesh.conn, values, mesh.nnodes)
-    assert len(outs) == 4 and all(np.array_equal(o, want) for o in outs)
-
-
 # ---------------------------------------------------------------------------
-# KSOperator fast vs reference apply
+# KSOperator.apply
 # ---------------------------------------------------------------------------
-def _ops_fast_slow(mesh, kfrac=None):
-    fast = KSOperator(mesh, kfrac=kfrac)
-    slow = KSOperator(mesh, kfrac=kfrac, workspace=Workspace(enabled=False))
-    return fast, slow
-
-
-def test_apply_fast_slow_bitexact_real(mesh):
-    rng = np.random.default_rng(7)
-    fast, slow = _ops_fast_slow(mesh)
-    v = rng.standard_normal(mesh.free.size)
-    fast.set_potential(v)
-    slow.set_potential(v)
-    for nrhs in (1, 6):
-        X = rng.standard_normal((mesh.free.size, nrhs))
-        yf = fast.apply(X if nrhs > 1 else X[:, 0]).copy()
-        with reference_scatter():
-            ys = slow.apply(X if nrhs > 1 else X[:, 0])
-        assert np.array_equal(yf, ys)
-
-
-def test_apply_fast_slow_bitexact_bloch(mesh):
-    rng = np.random.default_rng(8)
-    kf = (0.25, 0.0, 0.125)
-    fast, slow = _ops_fast_slow(mesh, kfrac=kf)
-    v = rng.standard_normal(mesh.free.size)
-    fast.set_potential(v)
-    slow.set_potential(v)
-    X = rng.standard_normal((mesh.free.size, 4)) + 1j * rng.standard_normal(
-        (mesh.free.size, 4)
-    )
-    yf = fast.apply(X).copy()
-    with reference_scatter():
-        ys = slow.apply(X)
-    assert np.array_equal(yf, ys)
-
-
 def test_apply_rejects_aliased_out(mesh):
     op = KSOperator(mesh)
     op.set_potential(np.zeros(mesh.free.size))

@@ -327,18 +327,23 @@ def test_scf_partition_invariance_across_rank_counts():
     assert SharedArena.live_segment_names() == []
 
 
-def _he_scf(backend, projectors=False):
-    """3 SCF steps of He on one mesh: (energy, cell_gemm FLOPs charged)."""
-    from repro.atoms.nonlocal_psp import model_projectors
+def _he_mesh():
     from repro.atoms.pseudo import AtomicConfiguration
-    from repro.core import DFTCalculation, SCFOptions
     from repro.core.ksdft import auto_mesh
-    from repro.hpc.flops import FlopLedger
 
-    mesh, config = auto_mesh(
+    return auto_mesh(
         AtomicConfiguration(["He"], [[0.0, 0.0, 0.0]]),
         padding=6.0, cells_per_axis=3, degree=2,
     )
+
+
+def _he_scf(backend, projectors=False):
+    """3 SCF steps of He on one mesh: (energy, cell_gemm FLOPs charged)."""
+    from repro.atoms.nonlocal_psp import model_projectors
+    from repro.core import DFTCalculation, SCFOptions
+    from repro.hpc.flops import FlopLedger
+
+    mesh, config = _he_mesh()
     ledger = FlopLedger()
     calc = DFTCalculation(
         config, mesh=mesh, nstates=4, ledger=ledger,
@@ -351,13 +356,48 @@ def _he_scf(backend, projectors=False):
 
 
 def test_cell_gemm_flops_charged_on_every_backend():
-    """Forked workers cannot reach the ledger; the operator charges their
-    GEMMs in the parent from the closed form the serial engine counts by."""
+    """``cell_gemm`` is the stiffness-product GEMM FLOPs of whichever engine
+    ran, from the closed form that engine executes: three axis GEMMs in
+    process, cell GEMMs on ranks (charged in the parent — forked workers
+    cannot reach the ledger) and in Poisson's residual check."""
+    from repro.fem.assembly import CellStiffness
+
     flops = {b: _he_scf(b)[1] for b in ("serial", "virtual", "proc")}
-    # the Hamiltonian's share (460 columns x 27 cells x 702 factorised FLOPs at
-    # degree 2 = 8.7e6), not just Poisson's 8 columns (1.5e5)
-    assert flops["serial"] > 1.5e6
-    assert flops["virtual"] == flops["proc"] == flops["serial"]
+    mesh, _ = _he_mesh()
+    # 460 Hamiltonian columns and Poisson's 8 in three SCF steps
+    per_cell_column = CellStiffness(mesh).gemm_flops(1, 1, np.float64)
+    poisson = 8 * mesh.ncells * per_cell_column
+    assert flops["serial"] == 460 * 2 * sum(mesh.fdm.shape) * mesh.ndof + poisson
+    assert flops["virtual"] == flops["proc"] == 460 * mesh.ncells * per_cell_column + poisson
+
+
+def test_mg32_backends_agree():
+    """The ledger's Mg32 crystal at Gamma: the in-process axis kernel and the
+    two rank engines take the same SCF path — same iteration count, ranks
+    bitwise equal, serial at their energy to rounding."""
+    from repro.atoms.pseudo import AtomicConfiguration
+    from repro.core import DFTCalculation, SCFOptions
+    from repro.materials.lattice import hcp_orthorhombic, supercell
+
+    lattice, symbols, frac = hcp_orthorhombic()
+    cell = supercell(lattice, symbols, frac, (2, 2, 2))
+    config = AtomicConfiguration(
+        list(cell.symbols), cell.positions, lattice=cell.lattice, pbc=cell.pbc
+    )
+    runs = {}
+    for backend in ("serial", "virtual", "proc"):
+        calc = DFTCalculation(
+            config, degree=3, cells_per_axis=(3, 5, 5),
+            options=SCFOptions(temperature=5e-3, backend=backend, nranks=2),
+        )
+        with calc:
+            res = calc.run()
+        assert res.converged
+        runs[backend] = (int(res.n_iterations), float(res.energy))
+    assert SharedArena.live_segment_names() == []
+    assert runs["virtual"] == runs["proc"]  # bitwise
+    assert runs["serial"][0] == runs["virtual"][0] == 12
+    assert abs(runs["serial"][1] - runs["virtual"][1]) <= 1e-10
 
 
 def test_nonlocal_projectors_run_on_every_backend(monkeypatch):

@@ -14,15 +14,11 @@ Three layers of assertions:
 
 from __future__ import annotations
 
-import os
-import threading
-
 import numpy as np
 import pytest
 
 from repro.atoms.pseudo import AtomicConfiguration
 from repro.core import DFTCalculation, SCFOptions
-from repro.core.ksdft import auto_mesh
 from repro.core.io import (
     load_invdft_state,
     load_mlxc_state,
@@ -31,7 +27,6 @@ from repro.core.io import (
     save_mlxc_state,
 )
 from repro.fem.mesh import uniform_mesh
-from repro.fem.scatter import ScatterMap
 from repro.hpc.distributed import DistributedKSOperator
 from repro.invdft import InverseDFT
 from repro.ml.training import MLXCTrainer, assemble_sample
@@ -204,109 +199,11 @@ class TestDegradation:
         rep = DegradationReport()
         assert not rep and len(rep) == 0
         rep.record("channel", "parallel->serial", detail="2 failed", iteration=3)
-        rep.record("channel", "scatter->reference")
+        rep.record("halo", "retransmit")
         assert rep and len(rep) == 2
         dicts = rep.as_dicts()
         assert dicts[0]["action"] == "parallel->serial"
         assert "parallel->serial" in rep.summary()
-
-    def test_concurrent_scatter_degradation_stays_on_its_own_thread(
-        self, monkeypatch
-    ):
-        """Two drivers on the ladder's last rung at once leave a third,
-        clean driver on the CSR scatter and the environment untouched.
-
-        Regression: the rung used to flip a process-global environment
-        variable, so overlapping engage/engage/restore/restore sequences
-        left every later job in the process on the ``np.add.at`` path.
-        """
-        config = AtomicConfiguration(["H", "H"], [[0, 0, 0], [1.4, 0, 0]])
-        mesh, config = auto_mesh(config, padding=5.0, cells_per_axis=3, degree=2)
-        # census per thread: scatters requested vs CSR products executed
-        requested: dict[str, int] = {}
-        multiplied: dict[str, int] = {}
-
-        class SpyMatrix:
-            def __init__(self, S):
-                self.S = S
-
-            def __matmul__(self, values):
-                me = threading.current_thread().name
-                multiplied[me] = multiplied.get(me, 0) + 1
-                return self.S @ values
-
-        real_add_to = ScatterMap.add_to
-
-        def counting_add_to(smap, values, out):
-            me = threading.current_thread().name
-            requested[me] = requested.get(me, 0) + 1
-            return real_add_to(smap, values, out)
-
-        mesh.scatter_map._S = SpyMatrix(mesh.scatter_map._S)
-        monkeypatch.setattr(ScatterMap, "add_to", counting_add_to)
-
-        def driver():
-            return DFTCalculation(
-                config, xc=LDA(), mesh=mesh,
-                options=SCFOptions(
-                    max_iterations=2, cheb_degree=6, n_init_passes=2,
-                    density_tol=1e-300, energy_tol=1e-300,
-                    retry_policy=RetryPolicy(max_retries=2),
-                ),
-            ).driver
-
-        inside = threading.Barrier(3)  # both degraded drivers + this thread
-        release = threading.Event()
-
-        def degrade_first_solve(drv):
-            """Fail attempts 1-2; park attempt 3 (the rung) until released."""
-            real, calls = drv._solve_one_channel, [0]
-
-            def solve(ch, v_eff):
-                calls[0] += 1
-                if calls[0] <= 2:
-                    raise RuntimeError("injected channel loss")
-                if calls[0] == 3:
-                    inside.wait(timeout=60)
-                    assert release.wait(timeout=60)
-                return real(ch, v_eff)
-
-            drv._solve_one_channel = solve
-
-        env_before = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-        degraded = [driver(), driver()]
-        results: dict[str, object] = {}
-        workers = []
-        for i, drv in enumerate(degraded):
-            degrade_first_solve(drv)
-            name = f"degraded-{i}"
-            t = threading.Thread(
-                target=lambda d=drv, n=name: results.__setitem__(n, d.run()),
-                name=name,
-            )
-            t.start()
-            workers.append(t)
-        try:
-            inside.wait(timeout=60)  # both are now inside reference_scatter()
-            clean = driver().run()
-        finally:
-            release.set()
-            for t in workers:
-                t.join(timeout=120)
-        assert not any(t.is_alive() for t in workers)
-
-        me = threading.current_thread().name
-        assert requested[me] > 0 and multiplied[me] == requested[me]
-        assert not clean.degradation
-        for name in ("degraded-0", "degraded-1"):
-            res = results[name]
-            assert [e.action for e in res.degradation.events] == [
-                "scatter->reference"
-            ]
-            assert multiplied[name] < requested[name]  # the rung bypassed CSR
-            assert res.free_energy == clean.free_energy  # bit for bit
-        env_after = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-        assert env_after == env_before
 
 
 # ===========================================================================
