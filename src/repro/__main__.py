@@ -57,10 +57,10 @@ def _cmd_info(_args) -> int:
     import os
 
     import repro
+    from repro.atoms.library import MOLECULE_LIBRARY
     from repro.hpc.distributed import RANK_BACKENDS
     from repro.hpc.machine import MACHINES
     from repro.hpc.runtime import PAPER_WORKLOADS
-    from repro.pipeline import MOLECULE_LIBRARY
 
     cores = os.cpu_count() or 1
     print(f"repro {repro.__version__} — SC'23 DFT-FE-MLXC reproduction")
@@ -130,9 +130,9 @@ def _run_library_scf(args):
     """Build and run a DFTCalculation for a library molecule (CLI shared)."""
     import numpy as np
 
+    from repro.atoms.library import MOLECULE_LIBRARY
     from repro.atoms.pseudo import AtomicConfiguration
     from repro.core import DFTCalculation, SCFOptions
-    from repro.pipeline import MOLECULE_LIBRARY
     from repro.xc import LDA, PBE
 
     if args.molecule not in MOLECULE_LIBRARY:

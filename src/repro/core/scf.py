@@ -23,7 +23,6 @@ the history and the trace in agreement by construction.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -639,6 +638,9 @@ class SCFDriver:
             for ch in self.channels:
                 self._solve_channel_resilient(ch, v_eff)
             return
+        # only a run with more than one worker thread needs the pool
+        from concurrent.futures import ThreadPoolExecutor
+
         parent = current_span()
 
         def worker(ch: KSChannel) -> None:

@@ -1,61 +1,26 @@
 """HPC substrate: FLOP accounting, machine models, virtual cluster, perf model."""
 
-from .cluster import TrafficReport, VirtualCluster
-from .distributed import DistributedKSOperator
-from .flops import (
-    FlopLedger,
-    KernelTally,
-    chebyshev_filter_flops,
-    gemm_flops,
-    projected_step_flops,
-)
-from .distributed import RANK_BACKENDS
-from .machine import CRUSHER, FRONTIER, MACHINES, PERLMUTTER, SUMMIT, MachineSpec
-from .perfmodel import (
-    KernelTime,
-    MeasuredOverlap,
-    ModelOptions,
-    calibrate_overlap,
-    cf_block_efficiency,
-    kernel_times,
-    measured_overlap_residual,
-)
-from .runtime import (
-    PAPER_WORKLOADS,
-    ScfModel,
-    Workload,
-    scf_breakdown,
-    strong_scaling,
-    time_to_solution,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CRUSHER",
-    "DistributedKSOperator",
-    "FRONTIER",
-    "FlopLedger",
-    "KernelTally",
-    "KernelTime",
-    "MACHINES",
-    "MachineSpec",
-    "MeasuredOverlap",
-    "ModelOptions",
-    "PAPER_WORKLOADS",
-    "PERLMUTTER",
-    "RANK_BACKENDS",
-    "SUMMIT",
-    "ScfModel",
-    "TrafficReport",
-    "VirtualCluster",
-    "Workload",
-    "calibrate_overlap",
-    "cf_block_efficiency",
-    "chebyshev_filter_flops",
-    "gemm_flops",
-    "kernel_times",
-    "measured_overlap_residual",
-    "projected_step_flops",
-    "scf_breakdown",
-    "strong_scaling",
-    "time_to_solution",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "cluster": ("TrafficReport", "VirtualCluster"),
+        "distributed": ("DistributedKSOperator", "RANK_BACKENDS"),
+        "flops": (
+            "FlopLedger", "KernelTally", "chebyshev_filter_flops", "gemm_flops",
+            "projected_step_flops",
+        ),
+        "machine": (
+            "CRUSHER", "FRONTIER", "MACHINES", "MachineSpec", "PERLMUTTER", "SUMMIT",
+        ),
+        "perfmodel": (
+            "KernelTime", "MeasuredOverlap", "ModelOptions", "calibrate_overlap",
+            "cf_block_efficiency", "kernel_times", "measured_overlap_residual",
+        ),
+        "runtime": (
+            "PAPER_WORKLOADS", "ScfModel", "Workload", "scf_breakdown",
+            "strong_scaling", "time_to_solution",
+        ),
+    },
+)

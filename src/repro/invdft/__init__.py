@@ -1,16 +1,12 @@
 """Inverse DFT: exact XC potentials from QMB densities (paper Sec 5.1)."""
 
-from .adjoint import adjoint_rhs, potential_gradient, solve_adjoint
-from .inverse import InverseDFT, InverseDFTResult, exact_xc_energy
-from .minres import BlockMinresResult, block_minres
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BlockMinresResult",
-    "InverseDFT",
-    "InverseDFTResult",
-    "adjoint_rhs",
-    "block_minres",
-    "exact_xc_energy",
-    "potential_gradient",
-    "solve_adjoint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "adjoint": ("adjoint_rhs", "potential_gradient", "solve_adjoint"),
+        "inverse": ("InverseDFT", "InverseDFTResult", "exact_xc_energy"),
+        "minres": ("BlockMinresResult", "block_minres"),
+    },
+)

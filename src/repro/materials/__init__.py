@@ -1,42 +1,22 @@
 """Materials substrate: lattices, quasicrystals, defects, benchmark systems."""
 
-from .diffraction import (
-    radial_peak_profile,
-    rotational_symmetry_score,
-    structure_factor,
-)
-from .defects import (
-    apply_screw_dislocation,
-    edge_dislocation_displacement,
-    reflection_twin,
-    screw_dislocation_displacement,
-    solute_at_core,
-    substitute_solutes,
-)
-from .lattice import MG_A, MG_C, hcp_orthorhombic, supercell
-from .quasicrystal import TAU, cut_and_project, icosahedral_projectors, ybcd_nanoparticle
-from .systems import SYSTEM_BUILDERS, BenchmarkSystem, build_system, kpoint_set
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MG_A",
-    "MG_C",
-    "SYSTEM_BUILDERS",
-    "TAU",
-    "BenchmarkSystem",
-    "apply_screw_dislocation",
-    "build_system",
-    "cut_and_project",
-    "edge_dislocation_displacement",
-    "hcp_orthorhombic",
-    "icosahedral_projectors",
-    "kpoint_set",
-    "radial_peak_profile",
-    "rotational_symmetry_score",
-    "reflection_twin",
-    "screw_dislocation_displacement",
-    "solute_at_core",
-    "structure_factor",
-    "substitute_solutes",
-    "supercell",
-    "ybcd_nanoparticle",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "defects": (
+            "apply_screw_dislocation", "edge_dislocation_displacement",
+            "reflection_twin", "screw_dislocation_displacement", "solute_at_core",
+            "substitute_solutes",
+        ),
+        "diffraction": (
+            "radial_peak_profile", "rotational_symmetry_score", "structure_factor",
+        ),
+        "lattice": ("MG_A", "MG_C", "hcp_orthorhombic", "supercell"),
+        "quasicrystal": (
+            "TAU", "cut_and_project", "icosahedral_projectors", "ybcd_nanoparticle",
+        ),
+        "systems": ("BenchmarkSystem", "SYSTEM_BUILDERS", "build_system", "kpoint_set"),
+    },
+)

@@ -25,66 +25,25 @@ no-op while keeping ledger/history timing functional.
 
 from __future__ import annotations
 
-from .kernels import (
-    CHFES_CHILDREN,
-    PAPER_KERNELS,
-    SCF_ITERATION,
-    TABLE3_ORDER,
-    paper_label,
-)
-from .merge import fold_record, merge_jsonl, merge_records
-from .report import kernel_totals, model_vs_measured, render_tree
-from .sinks import (
-    AggregatedNode,
-    ChromeTraceSink,
-    InMemoryAggregator,
-    JsonlSink,
-    read_jsonl,
-)
-from .tracer import (
-    Span,
-    Stopwatch,
-    Tracer,
-    add_counter,
-    add_event,
-    attach_to,
-    current_span,
-    get_tracer,
-    is_enabled,
-    kernel_region,
-    set_enabled,
-    trace_region,
-    traced,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AggregatedNode",
-    "CHFES_CHILDREN",
-    "ChromeTraceSink",
-    "InMemoryAggregator",
-    "JsonlSink",
-    "PAPER_KERNELS",
-    "SCF_ITERATION",
-    "Span",
-    "Stopwatch",
-    "TABLE3_ORDER",
-    "Tracer",
-    "add_counter",
-    "add_event",
-    "attach_to",
-    "current_span",
-    "fold_record",
-    "get_tracer",
-    "is_enabled",
-    "kernel_region",
-    "kernel_totals",
-    "merge_jsonl",
-    "merge_records",
-    "model_vs_measured",
-    "paper_label",
-    "read_jsonl",
-    "render_tree",
-    "set_enabled",
-    "trace_region",
-    "traced",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "kernels": (
+            "CHFES_CHILDREN", "PAPER_KERNELS", "SCF_ITERATION", "TABLE3_ORDER",
+            "paper_label",
+        ),
+        "merge": ("fold_record", "merge_jsonl", "merge_records"),
+        "report": ("kernel_totals", "model_vs_measured", "render_tree"),
+        "sinks": (
+            "AggregatedNode", "ChromeTraceSink", "InMemoryAggregator", "JsonlSink",
+            "read_jsonl",
+        ),
+        "tracer": (
+            "Span", "Stopwatch", "Tracer", "add_counter", "add_event", "attach_to",
+            "current_span", "get_tracer", "is_enabled", "kernel_region", "set_enabled",
+            "trace_region", "traced",
+        ),
+    },
+)

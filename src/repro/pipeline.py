@@ -16,18 +16,24 @@ molecules, Li and N atoms) in the soft-pseudopotential model world.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.atoms.library import MOLECULE_LIBRARY
 from repro.atoms.pseudo import AtomicConfiguration
 from repro.core import DFTCalculation, SCFOptions
 from repro.core.density import orbitals_to_nodes
-from repro.invdft import InverseDFT, exact_xc_energy
-from repro.ml.training import MLXCTrainer, TrainingSample, assemble_sample
-from repro.qmb.fci import FCISolver, density_from_rdm
+
+# stays a module-level name: the ledger's hook table wraps
+# ``repro.pipeline.compute_integrals`` through ``inspect.getattr_static``
 from repro.qmb.integrals import compute_integrals
 from repro.xc.lda import LDA
-from repro.xc.mlxc import MLXC
+
+if TYPE_CHECKING:
+    from repro.invdft.inverse import InverseDFT
+    from repro.ml.training import TrainingSample
+    from repro.xc.mlxc import MLXC
 
 __all__ = [
     "MOLECULE_LIBRARY",
@@ -37,27 +43,6 @@ __all__ = [
     "build_training_set",
     "train_mlxc",
 ]
-
-#: geometries (Bohr) and FCI sectors of the model-world molecule library;
-#: (symbols, positions, n_alpha, n_beta, n_orbitals)
-MOLECULE_LIBRARY: dict[str, tuple] = {
-    "H2": (["H", "H"], [[0, 0, 0], [1.4, 0, 0]], 1, 1, 6),
-    "H2_stretched": (["H", "H"], [[0, 0, 0], [2.2, 0, 0]], 1, 1, 6),
-    "LiH": (["Li", "H"], [[0, 0, 0], [3.0, 0, 0]], 2, 2, 6),
-    "LiH_stretched": (["Li", "H"], [[0, 0, 0], [3.8, 0, 0]], 2, 2, 6),
-    "Li": (["Li"], [[0, 0, 0]], 2, 1, 6),
-    "N": (["N"], [[0, 0, 0]], 3, 2, 7),
-    "He": (["He"], [[0, 0, 0]], 1, 1, 6),
-    "Li2": (["Li", "Li"], [[0, 0, 0], [5.05, 0, 0]], 3, 3, 7),
-    "Be": (["Be"], [[0, 0, 0]], 2, 2, 6),
-    "H2O": (
-        ["O", "H", "H"],
-        [[0, 0, 0], [1.43, 1.11, 0], [-1.43, 1.11, 0]],
-        4,
-        4,
-        7,
-    ),
-}
 
 #: the paper's training systems (its Ne analog is replaced by He to keep
 #: the FCI determinant space laptop-sized; documented in DESIGN.md)
@@ -84,6 +69,9 @@ def qmb_reference(
     padding: float = 8.0,
 ) -> QMBReference:
     """Run the forward-DFT + FCI stage for a library molecule."""
+    # FCI runs in this stage only; an SCF that reads the molecule table never does
+    from repro.qmb.fci import FCISolver, density_from_rdm
+
     symbols, positions, n_a, n_b, n_orb = MOLECULE_LIBRARY[name]
     config = AtomicConfiguration(list(symbols), np.asarray(positions, float))
     calc = DFTCalculation(
@@ -116,6 +104,10 @@ def invert_reference(
     eta: float = 2.0,
 ) -> tuple[TrainingSample, InverseDFT]:
     """Run invDFT on a QMB reference and package a training sample."""
+    # invDFT and the sample assembly run in this stage only
+    from repro.invdft import InverseDFT, exact_xc_energy
+    from repro.ml.training import assemble_sample
+
     mesh = ref.calc.mesh
     inv = InverseDFT(
         mesh, ref.calc.config, ref.rho_qmb_spin,
@@ -159,6 +151,10 @@ def train_mlxc(
     verbose: bool = False,
 ) -> tuple[MLXC, list[dict]]:
     """Train MLXC on invDFT samples (optionally PBE/LDA warm-started)."""
+    # the network and its trainer run in this stage only
+    from repro.ml.training import MLXCTrainer
+    from repro.xc.mlxc import MLXC
+
     if warm_start == "pbe":
         from repro.xc.gga import PBE
 

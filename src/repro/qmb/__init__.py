@@ -1,34 +1,17 @@
 """Quantum many-body substrate: FCI over finite-element orbital bases."""
 
-from .coupled_cluster import (
-    CCDResult,
-    RHFResult,
-    ccd,
-    ccsd,
-    mp2_energy,
-    restricted_hartree_fock,
-)
-from .fci import FCIResult, FCISolver, density_from_rdm
-from .fock import creation_operator, fock_space_ground_state
-from .integrals import OrbitalIntegrals, compute_integrals
-from .slater import determinants, excitation_sign, excite, occ_list
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CCDResult",
-    "FCIResult",
-    "FCISolver",
-    "OrbitalIntegrals",
-    "RHFResult",
-    "ccd",
-    "ccsd",
-    "compute_integrals",
-    "creation_operator",
-    "density_from_rdm",
-    "determinants",
-    "excitation_sign",
-    "excite",
-    "fock_space_ground_state",
-    "mp2_energy",
-    "occ_list",
-    "restricted_hartree_fock",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "coupled_cluster": (
+            "CCDResult", "RHFResult", "ccd", "ccsd", "mp2_energy",
+            "restricted_hartree_fock",
+        ),
+        "fci": ("FCIResult", "FCISolver", "density_from_rdm"),
+        "fock": ("creation_operator", "fock_space_ground_state"),
+        "integrals": ("OrbitalIntegrals", "compute_integrals"),
+        "slater": ("determinants", "excitation_sign", "excite", "occ_list"),
+    },
+)

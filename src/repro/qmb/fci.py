@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
 from .integrals import OrbitalIntegrals
 from .slater import (
@@ -166,6 +165,9 @@ class FCISolver:
             w, v = np.linalg.eigh(H.toarray())
             e_elec, c = float(w[0]), v[:, 0]
         else:
+            # only determinant spaces too large for dense eigh need ARPACK
+            from scipy.sparse.linalg import eigsh
+
             w, v = eigsh(H, k=1, which="SA")
             e_elec, c = float(w[0]), v[:, 0]
         ga, gb = self._one_rdm(c)

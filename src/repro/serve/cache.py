@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.atomicio import atomic_write
-from repro.obs import add_counter
+from repro.obs.tracer import add_counter
 from repro.tools import sanitize as _sanitize
 
 from .jobs import JobSpec, spec_from_dict

@@ -35,6 +35,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, ClassVar, Iterator, Mapping, TypeVar
 
+from repro.atoms.library import MOLECULE_LIBRARY
+
 __all__ = [
     "JOB_SPEC_SCHEMA",
     "JOB_TYPES",
@@ -166,8 +168,6 @@ _XC_CHOICES = ("lda", "pbe")
 def _check_scf_params(
     spec: "SCFJobSpec | BandsJobSpec | InvDFTJobSpec",
 ) -> Iterator[str]:
-    from repro.pipeline import MOLECULE_LIBRARY
-
     if spec.molecule not in MOLECULE_LIBRARY:
         yield f"unknown molecule {spec.molecule!r}"
     if getattr(spec, "xc", "lda") not in _XC_CHOICES:
@@ -279,8 +279,6 @@ class MLXCTrainJobSpec(JobSpec):
 
     def validate(self) -> None:
         super().validate()
-        from repro.pipeline import MOLECULE_LIBRARY
-
         problems = []
         if not self.molecules:
             problems.append("needs at least one training molecule")

@@ -115,9 +115,9 @@ def _build_scf_calc(
     tuned: bool = True,
 ) -> Any:
     """DFTCalculation for a library-molecule spec (shared scf/bands)."""
+    from repro.atoms.library import MOLECULE_LIBRARY
     from repro.atoms.pseudo import AtomicConfiguration
     from repro.core import DFTCalculation, SCFOptions
-    from repro.pipeline import MOLECULE_LIBRARY
     from repro.xc import LDA, PBE
 
     symbols, positions, *_ = MOLECULE_LIBRARY[spec.molecule]

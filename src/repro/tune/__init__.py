@@ -6,60 +6,28 @@ as a checksummed per-host profile, and let ``SCFOptions.resolve`` fill unset kno
 always win, ``REPRO_TUNE=0`` kills the pickup, and every tuned
 configuration is bit-identical in SCF energies to the fixed defaults.
 
-Profile plumbing (stdlib-only) imports eagerly from
-:mod:`repro.tune.profile`; the sweep machinery is lazy so that
-``repro.core`` can import the profile loader without a circular import
-through :mod:`repro.tune.sweep` (which itself builds meshes/operators).
+Both halves load on first use: the profile plumbing
+(:mod:`repro.tune.profile`, stdlib-only) when ``repro.core`` asks for the
+host profile, the sweep machinery (:mod:`repro.tune.sweep`, which itself
+builds meshes and operators) only when something tunes.
 """
 
 from __future__ import annotations
 
-from .profile import (
-    PROFILE_SCHEMA,
-    TUNABLE_KNOBS,
-    ProfileError,
-    TunedProfile,
-    blas_vendor,
-    default_profile_path,
-    fingerprint_digest,
-    host_fingerprint,
-    load_host_profile,
-    load_profile,
-    profile_dir,
-    save_profile,
-    tuning_enabled,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "profile": (
+            "PROFILE_SCHEMA", "ProfileError", "TUNABLE_KNOBS", "TunedProfile",
+            "blas_vendor", "default_profile_path", "fingerprint_digest",
+            "host_fingerprint", "load_host_profile", "load_profile", "profile_dir",
+            "save_profile", "tuning_enabled",
+        ),
+        "sweep": (
+            "SweepConfig", "SweepResult", "autotune", "best_candidate", "pick_modeled",
+            "run_sweep",
+        ),
+    },
 )
-
-_SWEEP_NAMES = (
-    "SweepConfig",
-    "SweepResult",
-    "autotune",
-    "best_candidate",
-    "pick_modeled",
-    "run_sweep",
-)
-
-__all__ = [
-    "PROFILE_SCHEMA",
-    "TUNABLE_KNOBS",
-    "ProfileError",
-    "TunedProfile",
-    "blas_vendor",
-    "default_profile_path",
-    "fingerprint_digest",
-    "host_fingerprint",
-    "load_host_profile",
-    "load_profile",
-    "profile_dir",
-    "save_profile",
-    "tuning_enabled",
-    *_SWEEP_NAMES,
-]
-
-
-def __getattr__(name: str):
-    if name in _SWEEP_NAMES:
-        from . import sweep
-
-        return getattr(sweep, name)
-    raise AttributeError(f"module 'repro.tune' has no attribute {name!r}")

@@ -1,20 +1,15 @@
 """Exchange-correlation functionals: LDA (L1), PBE (L2), hybrid (L3), MLXC (L4+)."""
 
-from .base import RHO_FLOOR, XCFunctional, XCOutput
-from .gga import PBE
-from .hybrid import PBE0, hf_exchange_energy
-from .lda import LDA
-from .mlxc import MLXC
-from .mlxc_laplacian import MLXCLaplacian
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LDA",
-    "MLXC",
-    "MLXCLaplacian",
-    "PBE",
-    "PBE0",
-    "RHO_FLOOR",
-    "XCFunctional",
-    "XCOutput",
-    "hf_exchange_energy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "base": ("RHO_FLOOR", "XCFunctional", "XCOutput"),
+        "gga": ("PBE",),
+        "hybrid": ("PBE0", "hf_exchange_energy"),
+        "lda": ("LDA",),
+        "mlxc": ("MLXC",),
+        "mlxc_laplacian": ("MLXCLaplacian",),
+    },
+)

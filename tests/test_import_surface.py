@@ -1,0 +1,211 @@
+"""The import contract: a process imports what its command executes.
+
+Every check compares *sets of module names* read from a fresh interpreter
+(``sys.executable -c``), never a timing, so none of them can flake.  The
+rule they pin (DESIGN.md, "Import contract"): what every SCF executes —
+``scipy.linalg``, ``scipy.sparse``, ``scipy.special``, ``fem``, the tracer,
+``resilience`` — is imported at module level; what a default serial LDA SCF
+never runs is not imported until a command reaches it.  A new module-level
+``import scipy.<x>`` in ``core/``, ``fem/``, ``xc/`` or ``atoms/`` fails here.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+#: what the benchmark's SCF workloads import before they build anything
+SCF_IMPORTS = (
+    "import repro.core; from repro.pipeline import MOLECULE_LIBRARY; "
+    "from repro.xc import LDA; "
+)
+#: scipy's public second-level names an SCF process may hold
+SCIPY_EXECUTED = {"linalg", "sparse", "special", "version"}
+#: loaded by nothing a default serial LDA SCF executes
+NOT_IMPORTED = (
+    "scipy.optimize", "scipy.spatial", "scipy.fft", "scipy.sparse.linalg",
+    "repro.qmb.fci", "repro.invdft", "repro.ml",
+    "repro.xc.gga", "repro.xc.hybrid", "repro.xc.mlxc",
+    "repro.hpc.perfmodel", "repro.hpc.runtime", "repro.hpc.machine",
+    "repro.hpc.cluster", "repro.tune", "repro.serve", "repro.screen",
+    "repro.tools.lint",
+)
+#: the only ``repro`` modules building and running an SCF may add: the host
+#: profile pickup of ``SCFOptions.autotune`` (read once per driver)
+LOADED_BY_A_SOLVE = {"repro.tune", "repro.tune.profile"}
+
+H2_SCF = (
+    "import numpy as np; "
+    "from repro.atoms.pseudo import AtomicConfiguration; "
+    "from repro.core import DFTCalculation; "
+    "symbols, positions, *_ = MOLECULE_LIBRARY['H2']; "
+    "calc = DFTCalculation(AtomicConfiguration(list(symbols), "
+    "np.asarray(positions, float)), xc=LDA(), degree=2, cells_per_axis=2); "
+    "assert calc.run().converged; calc.close(); "
+)
+
+
+def _modules_after(*stages: str) -> list[set[str]]:
+    """``sys.modules`` of one fresh interpreter after each of ``stages``."""
+    code = "import json, sys; out = []\n" + "".join(
+        f"{stage}\nout.append(sorted(sys.modules))\n" for stage in stages
+    ) + "print(json.dumps(out))"
+    with tempfile.TemporaryDirectory() as tune_dir:  # no host profile
+        env = {
+            **os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1",
+            "REPRO_TUNE_DIR": tune_dir,
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+    assert done.returncode == 0, done.stderr
+    return [set(names) for names in json.loads(done.stdout.splitlines()[-1])]
+
+
+@pytest.fixture(scope="module")
+def scf_process() -> list[set[str]]:
+    """Module sets after the SCF imports and after a small H2 LDA solve."""
+    return _modules_after(SCF_IMPORTS, H2_SCF)
+
+
+def _scipy_subpackages(modules: set[str]) -> set[str]:
+    second = {m.split(".")[1] for m in modules if m.startswith("scipy.")}
+    return {name for name in second if not name.startswith("_")}
+
+
+def test_scf_imports_load_only_the_scipy_they_execute(scf_process):
+    imported, _ = scf_process
+    assert _scipy_subpackages(imported) == SCIPY_EXECUTED
+    loaded = [
+        m for m in imported
+        if any(m == name or m.startswith(name + ".") for name in NOT_IMPORTED)
+    ]
+    assert loaded == []
+
+
+def test_a_solve_imports_nothing_that_was_merely_deferred(scf_process):
+    """Nothing an SCF executes was moved out of start-up into the first solve."""
+    imported, solved = scf_process
+    added = solved - imported
+    assert {m for m in added if m.split(".")[0] == "scipy"} == set()
+    assert {m for m in added if m.split(".")[0] == "repro"} <= LOADED_BY_A_SOLVE
+
+
+def test_lattice_builders_load_no_perf_model():
+    (modules,) = _modules_after("from repro.materials.lattice import supercell")
+    assert "repro.materials.lattice" in modules
+    assert not {"repro.hpc.runtime", "repro.tune", "repro.materials.systems"} & modules
+
+
+def test_validating_a_job_spec_loads_no_solver():
+    (modules,) = _modules_after(
+        "from repro.serve.jobs import SCFJobSpec; SCFJobSpec(molecule='H2O').validate()"
+    )
+    assert not {"repro.core", "repro.pipeline", "scipy"} & modules
+
+
+def test_the_hooked_pipeline_name_is_a_module_attribute():
+    """``benchmarks/ledger/layers.py`` wraps ``repro.pipeline.compute_integrals``
+    through ``inspect.getattr_static``, which never calls a module
+    ``__getattr__``: the name must be in the module's dict after import."""
+    import repro.pipeline
+    from repro.atoms.library import MOLECULE_LIBRARY
+    from repro.qmb.integrals import compute_integrals
+
+    assert vars(repro.pipeline)["compute_integrals"] is compute_integrals
+    assert repro.pipeline.MOLECULE_LIBRARY is MOLECULE_LIBRARY
+
+
+#: ``__all__`` of every package that resolves its exports on first access,
+#: as listed by its eager ``__init__`` at the parent of the change
+LAZY_PACKAGES = {
+    "repro.xc": [
+        "LDA", "MLXC", "MLXCLaplacian", "PBE", "PBE0", "RHO_FLOOR", "XCFunctional",
+        "XCOutput", "hf_exchange_energy",
+    ],
+    "repro.hpc": [
+        "CRUSHER", "DistributedKSOperator", "FRONTIER", "FlopLedger", "KernelTally",
+        "KernelTime", "MACHINES", "MachineSpec", "MeasuredOverlap", "ModelOptions",
+        "PAPER_WORKLOADS", "PERLMUTTER", "RANK_BACKENDS", "SUMMIT", "ScfModel",
+        "TrafficReport", "VirtualCluster", "Workload", "calibrate_overlap",
+        "cf_block_efficiency", "chebyshev_filter_flops", "gemm_flops", "kernel_times",
+        "measured_overlap_residual", "projected_step_flops", "scf_breakdown",
+        "strong_scaling", "time_to_solution",
+    ],
+    "repro.qmb": [
+        "CCDResult", "FCIResult", "FCISolver", "OrbitalIntegrals", "RHFResult", "ccd",
+        "ccsd", "compute_integrals", "creation_operator", "density_from_rdm",
+        "determinants", "excitation_sign", "excite", "fock_space_ground_state",
+        "mp2_energy", "occ_list", "restricted_hartree_fock",
+    ],
+    "repro.invdft": [
+        "BlockMinresResult", "InverseDFT", "InverseDFTResult", "adjoint_rhs",
+        "block_minres", "exact_xc_energy", "potential_gradient", "solve_adjoint",
+    ],
+    "repro.ml": [
+        "MLP", "MLXCLaplacianTrainer", "MLXCTrainer", "TrainingSample", "Adam",
+        "descriptors_from_spin_density", "elu", "elu_prime", "feature_map",
+        "assemble_sample", "network_inputs", "network_inputs_with_partials",
+        "phi_spin_factor", "reduced_gradient", "reduced_laplacian",
+    ],
+    "repro.materials": [
+        "MG_A", "MG_C", "SYSTEM_BUILDERS", "TAU", "BenchmarkSystem",
+        "apply_screw_dislocation", "build_system", "cut_and_project",
+        "edge_dislocation_displacement", "hcp_orthorhombic", "icosahedral_projectors",
+        "kpoint_set", "radial_peak_profile", "rotational_symmetry_score",
+        "reflection_twin", "screw_dislocation_displacement", "solute_at_core",
+        "structure_factor", "substitute_solutes", "supercell", "ybcd_nanoparticle",
+    ],
+    "repro.obs": [
+        "AggregatedNode", "CHFES_CHILDREN", "ChromeTraceSink", "InMemoryAggregator",
+        "JsonlSink", "PAPER_KERNELS", "SCF_ITERATION", "Span", "Stopwatch",
+        "TABLE3_ORDER", "Tracer", "add_counter", "add_event", "attach_to",
+        "current_span", "fold_record", "get_tracer", "is_enabled", "kernel_region",
+        "kernel_totals", "merge_jsonl", "merge_records", "model_vs_measured",
+        "paper_label", "read_jsonl", "render_tree", "set_enabled", "trace_region",
+        "traced",
+    ],
+    "repro.tune": [
+        "PROFILE_SCHEMA", "TUNABLE_KNOBS", "ProfileError", "TunedProfile",
+        "blas_vendor", "default_profile_path", "fingerprint_digest",
+        "host_fingerprint", "load_host_profile", "load_profile", "profile_dir",
+        "save_profile", "tuning_enabled", "SweepConfig", "SweepResult", "autotune",
+        "best_candidate", "pick_modeled", "run_sweep",
+    ],
+}
+
+
+@pytest.mark.parametrize("package", sorted(LAZY_PACKAGES))
+def test_lazy_package_exports_what_the_eager_one_did(package):
+    pkg = importlib.import_module(package)
+    assert sorted(pkg.__all__) == sorted(LAZY_PACKAGES[package])
+    assert set(pkg.__all__) <= set(dir(pkg))
+    for name in pkg.__all__:
+        value = getattr(pkg, name)
+        homes = [
+            sub for sub in vars(pkg).values()
+            if getattr(sub, "__package__", None) == package
+            and vars(sub).get(name) is value
+        ]
+        assert homes, f"{package}.{name} is not its defining submodule's object"
+        assert vars(pkg)[name] is value  # cached: the next access is a dict hit
+    with pytest.raises(AttributeError, match=package):
+        getattr(pkg, "no_such_name")
+    star: dict = {}
+    exec(f"from {package} import *", star)
+    assert set(pkg.__all__) <= set(star)
+
+
+def test_importing_a_submodule_leaves_its_siblings_alone():
+    (modules,) = _modules_after("from repro.hpc.flops import FlopLedger")
+    assert {m for m in modules if m.startswith("repro.hpc.")} == {"repro.hpc.flops"}
