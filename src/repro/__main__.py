@@ -130,6 +130,7 @@ def _run_library_scf(args):
     """Build and run a DFTCalculation for a library molecule (CLI shared)."""
     import numpy as np
 
+    from repro.atomicio import ArtifactError
     from repro.atoms.library import MOLECULE_LIBRARY
     from repro.atoms.pseudo import AtomicConfiguration
     from repro.core import DFTCalculation, SCFOptions
@@ -168,17 +169,15 @@ def _run_library_scf(args):
         config, xc=xc, degree=args.degree, cells_per_axis=args.cells,
         options=options,
     )
+    resume_from = getattr(args, "resume_from", None)
     with calc:  # tears down proc-backend worker fleets on exit
         try:
-            return xc.name, calc.run(
-                resume_from=getattr(args, "resume_from", None)
-            )
-        except ValueError as exc:
-            if initial_rho is None:
-                raise
-            # seed-density problems (wrong mesh, wrong file kind) are
-            # user errors, not tracebacks
-            print(f"cannot seed from --initial-rho {initial_rho!r}: {exc}")
+            return xc.name, calc.run(resume_from=resume_from)
+        except ArtifactError as exc:
+            # a refused file (missing, damaged, wrong kind, wrong mesh) is a
+            # user error, not a traceback; the message names the path
+            what = "resume" if resume_from else "seed from --initial-rho"
+            print(f"cannot {what}: {exc}")
             return None, None
 
 
@@ -224,9 +223,14 @@ def _cmd_scf(args) -> int:
 @_command("resume", "continue an scf --checkpoint run bit-for-bit")
 def _cmd_resume(args) -> int:
     """Continue an interrupted ``scf --checkpoint`` run bit-for-bit."""
+    from repro.atomicio import ArtifactError
     from repro.core.io import load_scf_state
 
-    state = load_scf_state(args.checkpoint)
+    try:
+        state = load_scf_state(args.checkpoint)
+    except ArtifactError as exc:
+        print(f"cannot resume: {exc}")
+        return 2
     meta = state["metadata"]
     required = ("molecule", "xc", "degree", "cells", "max_scf")
     missing = [k for k in required if k not in meta]
@@ -455,7 +459,8 @@ def _cmd_screen(args) -> int:
 
 @_command("tune", "sweep kernel schedules, save the per-host tuned profile")
 def _cmd_tune(args) -> int:
-    """Run the autotune sweep and persist the checksummed host profile."""
+    """Run the autotune sweep and persist the verified host profile."""
+    import dataclasses
     import json
 
     from repro.tune import SweepConfig, autotune, tuning_enabled
@@ -466,7 +471,7 @@ def _cmd_tune(args) -> int:
     config = SweepConfig(seed=args.seed, repeats=args.repeats)
     profile, path = autotune(config=config, path=args.output)
     if args.json:
-        print(json.dumps(profile.envelope(), indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(profile), indent=2, sort_keys=True))
         return 0
     sweep = profile.sweep
     print(f"tuned profile written to {path}")

@@ -147,7 +147,7 @@ class DFTCalculation:
     ) -> SCFResult:
         """Run the SCF to convergence and return the ground state.
 
-        ``resume_from`` continues from a mid-run v2 checkpoint (see
+        ``resume_from`` continues from a mid-run checkpoint (see
         :func:`repro.core.io.save_scf_state`), reproducing the
         uninterrupted run bit for bit.
         """

@@ -26,6 +26,12 @@ class LinearMixer:
     def reset(self) -> None:  # symmetric API with AndersonMixer
         pass
 
+    def get_history(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        return [], []  # no window: nothing for a checkpoint to carry
+
+    def set_history(self, rho: list[np.ndarray], res: list[np.ndarray]) -> None:
+        pass
+
     def mix(self, rho_in: np.ndarray, rho_out: np.ndarray) -> np.ndarray:
         return rho_in + self.alpha * (rho_out - rho_in)
 

@@ -23,7 +23,7 @@ the history and the trace in agreement by construction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,6 +57,13 @@ from .subspace import adjust_carried_hx, fused_cholgs_rr
 __all__ = ["KSChannel", "SCFOptions", "SCFResult", "SCFDriver", "rayleigh_ritz"]
 
 
+def _carried(default=None):
+    """A ``KSChannel`` field one SCF iteration hands to the next: rewound when
+    a faulted eigensolve is retried, written to every checkpoint, restored on
+    resume — all three iterate :data:`CARRIED_FIELDS`."""
+    return field(default=default, metadata={"carried": True})
+
+
 @dataclass
 class KSChannel:
     """One (k-point, spin) eigenvalue channel."""
@@ -65,17 +72,28 @@ class KSChannel:
     weight: float
     spin: int | None  #: 0/1 for spin-polarized, None for spin-restricted
     op: KSOperator
-    psi: np.ndarray | None = None  #: (ndof, nstates) Löwdin-basis orbitals
-    evals: np.ndarray | None = None
-    upper_bound: float = 0.0
+    psi: np.ndarray | None = _carried()  #: (ndof, nstates) Löwdin-basis orbitals
+    evals: np.ndarray | None = _carried()
     #: Lanczos bound cache: the bound and the potential it was computed at
-    bound_base: float = 0.0
-    bound_v: np.ndarray | None = None
+    bound_base: float = _carried(0.0)
+    bound_v: np.ndarray | None = _carried()
     #: HX carry of the fused subspace stage: ``H psi`` rotated out of the
     #: last Rayleigh-Ritz, and the potential it was computed at (the next
     #: filter adjusts it by ``diag(v_new - v_old)`` and skips one apply)
-    hpsi: np.ndarray | None = None
-    hpsi_v: np.ndarray | None = None
+    hpsi: np.ndarray | None = _carried()
+    hpsi_v: np.ndarray | None = _carried()
+
+    def carried(self) -> dict:
+        """The loop-carried fields, by reference."""
+        return {name: getattr(self, name) for name in CARRIED_FIELDS}
+
+    def restore(self, carried: dict) -> None:
+        for name in CARRIED_FIELDS:
+            setattr(self, name, carried[name])
+
+
+#: the one declaration of what a channel carries across SCF iterations
+CARRIED_FIELDS = tuple(f.name for f in fields(KSChannel) if f.metadata.get("carried"))
 
 
 @dataclass
@@ -124,7 +142,7 @@ class SCFOptions:
     #: REPRO_NUM_THREADS (default 1 = serial)
     num_threads: int | None = None
     verbose: bool = False
-    #: mid-run checkpointing: write a v2 state file here every
+    #: mid-run checkpointing: write the loop state here every
     #: ``checkpoint_every`` iterations (and on convergence); resume with
     #: ``SCFDriver.run(resume_from=...)``
     checkpoint_path: str | None = None
@@ -132,9 +150,10 @@ class SCFOptions:
     #: free-form dict stored in the checkpoint (the CLI uses it to rebuild
     #: the calculation for ``python -m repro resume``)
     checkpoint_metadata: dict | None = None
-    #: seed the first SCF iteration from the density stored in this
-    #: checkpoint file (v1 converged or v2 mid-run; mesh-validated at
-    #: load).  An explicit ``run(rho0=...)`` argument takes precedence.
+    #: seed the first SCF iteration from the density stored in this file
+    #: (a seed density, a converged result or a mid-run state;
+    #: mesh-validated at load).  An explicit ``run(rho0=...)`` argument
+    #: takes precedence.
     initial_rho_path: str | None = None
     #: recovery budget for faulted channel eigensolves (see
     #: :mod:`repro.resilience`)
@@ -180,8 +199,6 @@ class SCFOptions:
         execution schedule, never the math — every fillable knob is
         bitwise-neutral (see DESIGN.md sec 15).
         """
-        import dataclasses
-
         if profile is None:
             self._resolved = True
             return self
@@ -198,7 +215,7 @@ class SCFOptions:
         if not filled:
             self._resolved = True
             return self
-        out = dataclasses.replace(self, **filled)
+        out = replace(self, **filled)
         # replace() re-runs __post_init__ with already-defaulted values;
         # restore the unset record for knobs the profile did not cover
         out._tunable_unset = tuple(
@@ -231,6 +248,24 @@ class SCFResult:
     @property
     def rho(self) -> np.ndarray:
         return self.rho_spin.sum(axis=1)
+
+
+@dataclass
+class _LoopState:
+    """What the SCF loop carries across an iteration boundary.
+
+    ``SCFDriver.run`` builds it fresh or from a file, ``_scf_loop`` advances
+    it in place, and a checkpoint is this object — together with every
+    channel's carried fields and the FLOP ledger, which live on the driver.
+    """
+
+    rho_spin: np.ndarray
+    mixer: AndersonMixer | LinearMixer  #: owns the history window
+    iteration: int = 0
+    converged: bool = False
+    free_energy: float = np.inf  #: the previous iteration's (energy test)
+    occset: OccupationSet | None = None
+    history: list[dict] = field(default_factory=list)
 
 
 class SCFDriver:
@@ -337,56 +372,27 @@ class SCFDriver:
     ) -> SCFResult:
         opts = self.options
         mesh = self.mesh
-        n_e = self.config.n_electrons
-        if rho0 is None and opts.initial_rho_path is not None:
-            rho0 = load_initial_rho(opts.initial_rho_path, mesh)
-        rho_spin = (
-            rho0.copy()
-            if rho0 is not None
-            else atomic_guess_density(mesh, self.config, initial_polarization)
-        )
+        self.degradation = DegradationReport()
+        self._degraded_serial = False
+        self._iteration = 0
         mixer = (
             AndersonMixer(opts.mixing_alpha, opts.mixing_history)
             if opts.mixer == "anderson"
             else LinearMixer(opts.mixing_alpha)
         )
-        kerker = None
-        if opts.kerker_k0 is not None:
-            from .kerker import KerkerPreconditioner
-
-            kerker = KerkerPreconditioner(mesh, k0=opts.kerker_k0)
-        history: list[dict] = []
-        degeneracy = 1.0 if self.spin_polarized else 2.0
-        prev_energy = np.inf
-        converged = False
-        it = 0
-        occset = None
-        self.degradation = DegradationReport()
-        self._degraded_serial = False
-        self._iteration = 0
-        start_it = 1
         if resume_from is not None:
-            state = load_scf_state(resume_from, mesh)
-            rho_spin = state["rho_spin"]
-            prev_energy = state["free_energy"]
-            converged = state["converged"]
-            it = state["iteration"]
-            history = list(state["history"])
-            occset = self._restore_state(state, mixer)
-            start_it = it + 1
-        converged, it, occset, rho_spin, prev_energy = self._scf_loop(
-            start_it,
-            converged,
-            it,
-            occset,
-            rho_spin,
-            prev_energy,
-            mixer,
-            kerker,
-            history,
-            degeneracy,
-            n_e,
-        )
+            state = self._restore_state(load_scf_state(resume_from, mesh), mixer)
+        else:
+            if rho0 is None and opts.initial_rho_path is not None:
+                rho0 = load_initial_rho(opts.initial_rho_path, mesh)
+            state = _LoopState(
+                rho0.copy()
+                if rho0 is not None
+                else atomic_guess_density(mesh, self.config, initial_polarization),
+                mixer,
+            )
+        self._scf_loop(state)
+        rho_spin, occset = state.rho_spin, state.occset
 
         # Final self-consistent energy at the output density.
         v_tot = self.electrostatics.solve(rho_spin.sum(axis=1), tol=opts.poisson_tol)
@@ -411,8 +417,8 @@ class SCFDriver:
                 "scf", "non-finite free energy in the final evaluation"
             )
         return SCFResult(
-            converged=converged,
-            n_iterations=it,
+            converged=state.converged,
+            n_iterations=state.iteration,
             energy=breakdown.total,
             free_energy=breakdown.free_energy,
             fermi_level=occset.fermi_level,
@@ -423,73 +429,57 @@ class SCFDriver:
             v_tot=v_tot,
             v_xc_spin=v_xc,
             breakdown=breakdown,
-            history=history,
+            history=state.history,
             degradation=self.degradation,
         )
 
-    def _restore_state(self, state: dict, mixer) -> OccupationSet:
-        """Load every piece of loop-carried state from a v2 checkpoint."""
-        if len(state["channels"]) != len(self.channels):
+    def _restore_state(self, saved: dict, mixer) -> _LoopState:
+        """The loop state a checkpoint holds; the channels' carried fields
+        and the FLOP ledger are restored on the driver."""
+        if len(saved["channels"]) != len(self.channels):
             raise ValueError(
                 "checkpoint channel count does not match this calculation "
-                f"({len(state['channels'])} vs {len(self.channels)})"
+                f"({len(saved['channels'])} vs {len(self.channels)})"
             )
-        for ch, st in zip(self.channels, state["channels"]):
+        for ch, st in zip(self.channels, saved["channels"]):
             if st["spin"] != ch.spin or not np.allclose(st["kfrac"], ch.kfrac):
                 raise ValueError(
                     "checkpoint (k, spin) channel layout does not match "
                     "this calculation"
                 )
-            ch.psi = st["psi"]
-            ch.evals = st["evals"]
-            ch.upper_bound = st["upper_bound"]
-            ch.bound_base = st["bound_base"]
-            ch.bound_v = st["bound_v"]
-            # absent in checkpoints written before the fused subspace engine;
-            # resume then simply pays one extra apply on the first iteration
-            ch.hpsi = st.get("hpsi")
-            ch.hpsi_v = st.get("hpsi_v")
-        if isinstance(mixer, AndersonMixer):
-            mixer.set_history(state["mixer_rho"], state["mixer_res"])
-        if self.ledger is not None and state["ledger_snapshot"]:
-            self.ledger.restore(state["ledger_snapshot"])
-        return OccupationSet(
-            occupations=[np.asarray(o) for o in state["occupations"]],
-            fermi_level=state["fermi_level"],
-            entropy=state["entropy"],
+            ch.restore(st)
+        mixer.set_history(saved["mixer_rho"], saved["mixer_res"])
+        if self.ledger is not None and saved["ledger_snapshot"]:
+            self.ledger.restore(saved["ledger_snapshot"])
+        return _LoopState(
+            rho_spin=saved["rho_spin"],
+            mixer=mixer,
+            iteration=saved["iteration"],
+            converged=saved["converged"],
+            free_energy=saved["free_energy"],
+            occset=OccupationSet(
+                occupations=saved["occupations"],
+                fermi_level=saved["fermi_level"],
+                entropy=saved["entropy"],
+            ),
+            history=saved["history"],
         )
 
-    def _write_checkpoint(
-        self, it: int, converged: bool, free_energy: float,
-        rho_spin: np.ndarray, occset: OccupationSet, mixer, history: list,
-    ) -> None:
-        mixer_rho: list = []
-        mixer_res: list = []
-        if isinstance(mixer, AndersonMixer):
-            mixer_rho, mixer_res = mixer.get_history()
+    def _write_checkpoint(self, state: _LoopState) -> None:
+        mixer_rho, mixer_res = state.mixer.get_history()
         save_scf_state(
             self.options.checkpoint_path,
             self.mesh,
-            iteration=it,
-            converged=converged,
-            free_energy=free_energy,
-            rho_spin=rho_spin,
-            fermi_level=occset.fermi_level,
-            entropy=occset.entropy,
-            occupations=occset.occupations,
+            iteration=state.iteration,
+            converged=state.converged,
+            free_energy=state.free_energy,
+            rho_spin=state.rho_spin,
+            fermi_level=state.occset.fermi_level,
+            entropy=state.occset.entropy,
+            occupations=state.occset.occupations,
             channels=[
-                {
-                    "kfrac": ch.kfrac,
-                    "weight": ch.weight,
-                    "spin": ch.spin,
-                    "psi": ch.psi,
-                    "evals": ch.evals,
-                    "upper_bound": ch.upper_bound,
-                    "bound_base": ch.bound_base,
-                    "bound_v": ch.bound_v,
-                    "hpsi": ch.hpsi,
-                    "hpsi_v": ch.hpsi_v,
-                }
+                {"kfrac": ch.kfrac, "weight": ch.weight, "spin": ch.spin,
+                 **ch.carried()}
                 for ch in self.channels
             ],
             mixer_rho=mixer_rho,
@@ -497,30 +487,27 @@ class SCFDriver:
             ledger_snapshot=(
                 self.ledger.snapshot() if self.ledger is not None else None
             ),
-            history=history,
-            metadata=self.options.checkpoint_metadata,
+            history=state.history,
+            # free-form; the CLI stores what `python -m repro resume` needs
+            metadata=self.options.checkpoint_metadata or {},
         )
 
-    def _scf_loop(
-        self,
-        start_it: int,
-        converged: bool,
-        it: int,
-        occset,
-        rho_spin: np.ndarray,
-        prev_energy: float,
-        mixer,
-        kerker,
-        history: list,
-        degeneracy: float,
-        n_e: float,
-    ):
+    def _scf_loop(self, state: _LoopState) -> None:
+        """Advance ``state`` to convergence or ``max_iterations``."""
         opts = self.options
         mesh = self.mesh
-        if converged:  # resumed from a converged checkpoint: nothing to do
-            return converged, it, occset, rho_spin, prev_energy
-        for it in range(start_it, opts.max_iterations + 1):
-            self._iteration = it
+        n_e = self.config.n_electrons
+        degeneracy = 1.0 if self.spin_polarized else 2.0
+        kerker = None
+        if opts.kerker_k0 is not None:
+            from .kerker import KerkerPreconditioner
+
+            kerker = KerkerPreconditioner(mesh, k0=opts.kerker_k0)
+        if state.converged:  # resumed from a converged checkpoint: nothing to do
+            return
+        for it in range(state.iteration + 1, opts.max_iterations + 1):
+            state.iteration = self._iteration = it
+            rho_spin = state.rho_spin
             with trace_region(SCF_ITERATION, iteration=it) as it_span:
                 # EP span opened by Electrostatics.solve itself
                 v_tot = self.electrostatics.solve(
@@ -533,7 +520,7 @@ class SCFDriver:
                 self._solve_channels(v_eff)
 
                 with trace_region("Occ"):
-                    occset = find_fermi_level(
+                    occset = state.occset = find_fermi_level(
                         [ch.evals for ch in self.channels],
                         [ch.weight for ch in self.channels],
                         n_e,
@@ -571,25 +558,25 @@ class SCFDriver:
                         f"non-finite free energy or density residual "
                         f"at iteration {it}",
                     )
-                d_energy = abs(breakdown.free_energy - prev_energy) / n_e
-                prev_energy = breakdown.free_energy
+                d_energy = abs(breakdown.free_energy - state.free_energy) / n_e
+                state.free_energy = breakdown.free_energy
                 if opts.verbose:  # pragma: no cover - logging
                     print(
                         f"SCF {it:3d}  F = {breakdown.free_energy:+.10f} Ha  "
                         f"res = {residual:.3e}  mu = {occset.fermi_level:+.6f}"
                     )
                 if residual < opts.density_tol and d_energy < opts.energy_tol and it > 1:
-                    converged = True
-                    rho_spin = rho_out
+                    state.converged = True
+                    state.rho_spin = rho_out
                 else:
                     with trace_region("Mix"):
                         if kerker is not None:
                             rho_out = rho_spin + kerker(rho_out - rho_spin)
-                        rho_spin = mixer.mix(rho_spin, rho_out)
-                        np.clip(rho_spin, 0.0, None, out=rho_spin)
+                        state.rho_spin = state.mixer.mix(rho_spin, rho_out)
+                        np.clip(state.rho_spin, 0.0, None, out=state.rho_spin)
             # seconds come from the just-closed span: the trace and the
             # printed/recorded history cannot drift apart
-            history.append(
+            state.history.append(
                 {
                     "iteration": it,
                     "free_energy": breakdown.free_energy,
@@ -599,14 +586,11 @@ class SCFDriver:
                 }
             )
             if opts.checkpoint_path is not None and (
-                converged or it % max(opts.checkpoint_every, 1) == 0
+                state.converged or it % max(opts.checkpoint_every, 1) == 0
             ):
-                self._write_checkpoint(
-                    it, converged, prev_energy, rho_spin, occset, mixer, history
-                )
-            if converged:
+                self._write_checkpoint(state)
+            if state.converged:
                 break
-        return converged, it, occset, rho_spin, prev_energy
 
     # ------------------------------------------------------------------
     def _effective_threads(self) -> int:
@@ -679,10 +663,7 @@ class SCFDriver:
         runs pay a single O(nstates) eigenvalue check per channel.
         """
         policy = self.options.retry_policy
-        backup = (
-            ch.psi, ch.evals, ch.upper_bound, ch.bound_base, ch.bound_v,
-            ch.hpsi, ch.hpsi_v,
-        )
+        backup = ch.carried()
 
         def validate(_: None) -> bool:
             if ch.evals is None or not np.all(np.isfinite(ch.evals)):
@@ -696,10 +677,7 @@ class SCFDriver:
             return True
 
         def before_retry(n: int) -> None:
-            (
-                ch.psi, ch.evals, ch.upper_bound, ch.bound_base, ch.bound_v,
-                ch.hpsi, ch.hpsi_v,
-            ) = backup
+            ch.restore(backup)
 
         policy.run(
             lambda: self._solve_one_channel(ch, v_eff), "channel",
@@ -767,7 +745,6 @@ class SCFDriver:
         op = ch.op
         n = op.n
         b = self._upper_bound(ch, first)
-        ch.upper_bound = b
         if first:
             seed = (
                 int(1e6 * (1 + ch.kfrac[0] + 10 * ch.kfrac[1] + 100 * ch.kfrac[2]))

@@ -58,6 +58,23 @@ class InverseDFTResult:
     history: list[dict] = field(default_factory=list)
 
 
+@dataclass
+class _LoopState:
+    """What one outer iteration hands to the next; a checkpoint is this
+    object.  ``eta``, ``err_prev`` and ``v_backup`` drive the adaptive
+    step-size controller, so all three are loop-carried."""
+
+    v_xc: np.ndarray
+    v_backup: np.ndarray  #: the potential an overshoot reverts to
+    eta: float
+    psi: list  #: per-spin eigensolver warm start (``InverseDFT._psi``)
+    evals: list
+    iteration: int = 0
+    err: float = np.inf
+    err_prev: float = np.inf
+    history: list[dict] = field(default_factory=list)
+
+
 class InverseDFT:
     """PDE-constrained optimization for the exact XC potential."""
 
@@ -138,8 +155,7 @@ class InverseDFT:
             a = float(self._evals[spin][-1]) + 0.01 * (b - float(self._evals[spin][-1]))
             passes = 1
         # intra-solve carry only (the potential is fixed across these
-        # passes); nothing is carried across outer v_xc iterations, so the
-        # invdft checkpoint format is untouched
+        # passes); nothing is carried across outer v_xc iterations
         hx0 = None
         for _ in range(passes):
             X = chebyshev_filter(
@@ -220,7 +236,7 @@ class InverseDFT:
             far-field condition, which removes the Gaussian-density
             far-field artifacts it discusses.
         checkpoint_path / checkpoint_every / resume_from:
-            Mid-run v2 checkpointing (see :mod:`repro.core.io`): the loop
+            Mid-run checkpointing (see :mod:`repro.core.io`): the loop
             state is snapshotted every ``checkpoint_every`` iterations, and
             ``resume_from`` continues an interrupted optimization with the
             same trajectory as the uninterrupted run.
@@ -234,52 +250,32 @@ class InverseDFT:
             v_xc = self._apply_coulombic_farfield(v_xc)
         elif farfield != "frozen":
             raise ValueError("farfield must be 'frozen' or 'coulombic'")
-        history: list[dict] = []
-        err_prev = np.inf
-        v_backup = v_xc.copy()
         converged = False
-        it = 0
-        err = np.inf
         occ = [np.zeros(self.nstates), np.zeros(self.nstates)]
         rho_ks = self.rho_t.copy()
-        start_it = 1
         if resume_from is not None:
-            st = load_invdft_state(resume_from, nnodes=mesh.nnodes)
-            v_xc = st["v_xc"]
-            v_backup = st["v_backup"]
-            err = st["err"]
-            err_prev = st["err_prev"]
-            eta = st["eta"]
-            self._psi = list(st["psi"])
-            self._evals = list(st["evals"])
-            history = list(st["history"])
-            it = st["iteration"]
-            start_it = it + 1
+            saved = load_invdft_state(resume_from, nnodes=mesh.nnodes)
+            saved.pop("metadata", None)  # the caller's, not the loop's
+            st = _LoopState(**saved)
+            self._psi, self._evals = st.psi, st.evals
+        else:
+            st = _LoopState(v_xc, v_xc.copy(), eta, self._psi, self._evals)
 
-        def save_ck(iteration: int) -> None:
+        def save_ck() -> None:
             if checkpoint_path is None:
                 return
-            if iteration % max(checkpoint_every, 1) != 0:
+            if st.iteration % max(checkpoint_every, 1) != 0:
                 return
             save_invdft_state(
-                checkpoint_path,
-                nnodes=mesh.nnodes,
-                iteration=iteration,
-                v_xc=v_xc,
-                v_backup=v_backup,
-                err=err,
-                err_prev=err_prev,
-                eta=eta,
-                psi=self._psi,
-                evals=self._evals,
-                history=history,
-                metadata=checkpoint_metadata,
+                checkpoint_path, nnodes=mesh.nnodes,
+                metadata=checkpoint_metadata or {}, **vars(st),
             )
 
-        for it in range(start_it, max_iterations + 1):
+        for it in range(st.iteration + 1, max_iterations + 1):
+            st.iteration = it
             with trace_region("invDFT-iteration", iteration=it):
                 for s in (0, 1):
-                    self._eigensolve(s, v_xc[:, s], first=self._psi[s] is None)
+                    self._eigensolve(s, st.v_xc[:, s], first=self._psi[s] is None)
                 occ = find_fermi_level(
                     [self._evals[0]], [1.0], self.n_up, self.temperature, degeneracy=1.0
                 ).occupations + find_fermi_level(
@@ -287,31 +283,31 @@ class InverseDFT:
                 ).occupations
                 rho_ks = self._density(occ)
                 dr = rho_ks - self.rho_t
-                err = float(mesh.integrate(w * np.einsum("is,is->i", dr, dr)))
+                st.err = float(mesh.integrate(w * np.einsum("is,is->i", dr, dr)))
                 # resilience sentinel: never let a NaN objective drive the
                 # optimization (or reach the caller) silently
-                if not np.isfinite(err):
+                if not np.isfinite(st.err):
                     raise ResilienceError(
                         "invdft", f"non-finite density error at iteration {it}"
                     )
-                history.append({"iteration": it, "density_error": err, "eta": eta})
+                st.history.append({"iteration": it, "density_error": st.err, "eta": st.eta})
                 if verbose:  # pragma: no cover
-                    print(f"invDFT {it:4d}  err = {err:.6e}  eta = {eta:.3f}")
-                if err < tol:
+                    print(f"invDFT {it:4d}  err = {st.err:.6e}  eta = {st.eta:.3f}")
+                if st.err < tol:
                     converged = True
                     break
-                if err > err_prev * 1.0001:
+                if st.err > st.err_prev * 1.0001:
                     # overshoot: revert the potential, shrink the step, and
                     # re-solve at the reverted potential before the next update
-                    v_xc = v_backup.copy()
-                    eta *= 0.5
-                    if eta < 1e-6:
+                    st.v_xc = st.v_backup.copy()
+                    st.eta *= 0.5
+                    if st.eta < 1e-6:
                         break
-                    save_ck(it)
+                    save_ck()
                     continue
-                v_backup = v_xc.copy()
-                err_prev = err
-                eta *= 1.05
+                st.v_backup = st.v_xc.copy()
+                st.err_prev = st.err
+                st.eta *= 1.05
                 sols = []
                 for s in (0, 1):
                     with trace_region("XC-update", spin=s):
@@ -340,26 +336,26 @@ class InverseDFT:
                                 f"(maxiter {self.minres_maxiter})",
                             )
                         u = potential_gradient(mesh, self._psi[s], sol.x)
-                        v_xc[:, s] -= eta * u
+                        st.v_xc[:, s] -= st.eta * u
                         sols.append(sol)
                 # the adjoint leg of the a-posteriori record: work done and
                 # the worst column's residual, both spins together
                 solved = sum(int(np.count_nonzero(r.column_iterations)) for r in sols)
-                history[-1].update(
+                st.history[-1].update(
                     minres_iterations=sum(r.iterations for r in sols),
                     adjoint_columns=[solved, 2 * self.nstates],
                     adjoint_residual=max(float(r.residuals.max()) for r in sols),
                 )
-                save_ck(it)
+                save_ck()
         return InverseDFTResult(
-            v_xc=v_xc,
+            v_xc=st.v_xc,
             rho_ks=rho_ks,
             eigenvalues=[self._evals[0], self._evals[1]],
             occupations=list(occ),
-            density_error=err,
-            iterations=it,
+            density_error=st.err,
+            iterations=st.iteration,
             converged=converged,
-            history=history,
+            history=st.history,
         )
 
 

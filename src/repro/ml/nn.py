@@ -20,15 +20,12 @@ relies on:
 
 from __future__ import annotations
 
-import hashlib
-import io
 import os
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.atomicio import atomic_write
+from repro.atomicio import read_artifact, write_artifact
 
 __all__ = ["MLP", "Adam", "elu", "elu_prime"]
 
@@ -192,51 +189,27 @@ class MLP:
         )
 
     # -- persistence ---------------------------------------------------------
-    #: arrays every weights archive must contain (``checksum`` is optional
-    #: for archives written before it was introduced)
-    WEIGHT_KEYS = ("layer_sizes", "alpha", "params")
+    WEIGHTS_SCHEMA = "repro-weights/2"
 
     def save(self, path: str) -> None:
-        params = self.get_params()
-        digest = hashlib.sha256(params.tobytes()).digest()
         path = os.fspath(path)
-        if not path.endswith(".npz"):  # np.savez's rule for bare paths
+        if not path.endswith(".npz"):  # a bare path gains the archive suffix
             path += ".npz"
-        with atomic_write(path) as f:
-            np.savez(
-                f,
-                layer_sizes=np.array(self.layer_sizes),
-                alpha=self.alpha,
-                params=params,
-                checksum=np.frombuffer(digest, dtype=np.uint8),
-            )
+        weights = {
+            "layer_sizes": list(self.layer_sizes),
+            "alpha": self.alpha,
+            "params": self.get_params(),
+        }
+        write_artifact(path, self.WEIGHTS_SCHEMA, weights)
 
     @classmethod
-    def load(cls, path: str | io.IOBase) -> "MLP":
-        try:
-            data = np.load(path)
-        except (zipfile.BadZipFile, ValueError, OSError) as err:
-            raise ValueError(
-                f"invalid MLP weights file {path!r}: not a readable .npz "
-                f"archive ({err}); regenerate it with "
-                "`python examples/mlxc_training.py --save`"
-            ) from err
-        missing = [k for k in cls.WEIGHT_KEYS if k not in data.files]
-        if missing:
-            raise ValueError(
-                f"invalid MLP weights file {path!r}: missing array(s) {missing}"
-            )
-        params = np.asarray(data["params"], dtype=float)
-        if "checksum" in data.files:
-            digest = hashlib.sha256(params.tobytes()).digest()
-            stored = bytes(np.asarray(data["checksum"], dtype=np.uint8))
-            if stored != digest:
-                raise ValueError(
-                    f"corrupt MLP weights file {path!r}: SHA-256 checksum "
-                    "mismatch (file was truncated or re-encoded)"
-                )
-        net = cls(tuple(int(s) for s in data["layer_sizes"]), alpha=float(data["alpha"]))
-        net.set_params(params)
+    def load(cls, path: str) -> "MLP":
+        """The network :meth:`save` wrote; a missing, damaged or foreign file
+        is refused with :class:`repro.atomicio.ArtifactError` (regenerate the
+        shipped weights with ``python examples/mlxc_training.py --save``)."""
+        body = read_artifact(path, cls.WEIGHTS_SCHEMA)
+        net = cls(tuple(body["layer_sizes"]), alpha=body["alpha"])
+        net.set_params(body["params"])
         return net
 
 

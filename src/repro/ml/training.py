@@ -209,7 +209,7 @@ class MLXCTrainer:
             st = load_mlxc_state(resume_from, n_params=net.n_params)
             theta = st["theta"]
             opt.load_state_dict(st["opt_state"])
-            history = list(st["history"])
+            history = st["history"]
             start_ep = st["epoch"] + 1
         with trace_region(
             "MLXC-train", epochs=epochs, nsamples=len(self.samples)
@@ -240,7 +240,7 @@ class MLXCTrainer:
                             theta=theta,
                             opt_state=opt.state_dict(),
                             history=history,
-                            metadata=checkpoint_metadata,
+                            metadata=checkpoint_metadata or {},
                         )
         net.set_params(theta)
         return history

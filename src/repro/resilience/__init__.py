@@ -15,7 +15,7 @@ long-running loops (SCF, inverse DFT, MLXC training):
   :class:`DegradationReport` attached to results.
 
 Mid-run checkpoint/resume — the third leg of the robustness story — lives
-with the other persistence code in :mod:`repro.core.io` (format v2) and the
+with the other persistence code in :mod:`repro.core.io` and the
 ``resume_from=`` parameters of ``SCFDriver.run`` / ``InverseDFT.run`` /
 ``MLXCTrainer.train``; ``python -m repro resume`` drives it from the CLI.
 

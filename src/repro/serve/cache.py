@@ -1,18 +1,18 @@
 """Content-addressed result cache: identical specs served in O(1).
 
 Results are stored under the spec's SHA-256 job key
-(:meth:`repro.serve.jobs.JobSpec.job_key`) as one JSON file per entry —
-an envelope carrying the schema tag, the full serialized spec, and the
-JSON payload the runner produced.  Storing the *spec* (not just the
-payload) makes every entry self-verifying: on read, the key recomputed
-from the stored spec must equal the file's name, so a corrupted or
-hand-edited entry is treated as a miss instead of serving wrong physics
-(the same checksum discipline as the PR 1 model-artifact guard).
+(:meth:`repro.serve.jobs.JobSpec.job_key`) as one JSON artifact per entry
+(:func:`repro.atomicio.write_artifact`: atomic, schema-tagged,
+digest-checked) holding the full serialized spec and the JSON payload the
+runner produced.  Storing the *spec* (not just the payload) gives the cache
+a check of its own on top of the envelope's: on read, the key recomputed
+from the stored spec must equal the file's name, so a valid entry filed
+under another spec's address is a miss instead of wrong physics.  Any entry
+that fails either check counts as ``corrupt`` and misses.
 
-Writes are atomic (:func:`repro.atomicio.atomic_write`): a crash mid-write
-leaves either the old entry or the new one, never a torn file.  A lock plus
-reprosan write windows guard the in-memory index, so concurrent workers
-publishing results under ``REPRO_SANITIZE=1`` prove the locking discipline.
+A lock plus reprosan write windows guard the in-memory index, so concurrent
+workers publishing results under ``REPRO_SANITIZE=1`` prove the locking
+discipline.
 
 Hit/miss/put tallies are kept on the cache and mirrored to the open
 reproscope span (``cache_hits`` / ``cache_misses`` counters).
@@ -20,14 +20,13 @@ reproscope span (``cache_hits`` / ``cache_misses`` counters).
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import threading
 from dataclasses import dataclass
 from typing import Any
 
-from repro.atomicio import atomic_write
+from repro.atomicio import ArtifactError, read_artifact, write_artifact
 from repro.obs.tracer import add_counter
 from repro.tools import sanitize as _sanitize
 
@@ -35,8 +34,8 @@ from .jobs import JobSpec, spec_from_dict
 
 __all__ = ["CacheStats", "ResultCache"]
 
-#: schema tag of the on-disk cache entry envelope
-CACHE_SCHEMA = "repro-serve-cache/1"
+#: schema tag of an on-disk cache entry
+CACHE_SCHEMA = "repro-serve-cache/2"
 
 
 @dataclass
@@ -96,21 +95,14 @@ class ResultCache:
     def put(self, spec: JobSpec, payload: dict[str, Any]) -> pathlib.Path:
         """Publish ``payload`` under the spec's content address (atomic)."""
         key = spec.job_key()
-        envelope = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "spec": spec.to_dict(),
-            "payload": payload,
-        }
+        entry = {"spec": spec.to_dict(), "payload": payload}
         path = self._path(key)
-        blob = json.dumps(envelope, sort_keys=True, indent=1)
         with self._lock:
             san = _sanitize._STATE
             if san is not None:
                 san.write_begin(self._san_tag)
             try:
-                with atomic_write(path, "w", encoding="utf-8") as f:
-                    f.write(blob)
+                write_artifact(path, CACHE_SCHEMA, entry)
                 self._memory[key] = dict(payload)
                 self.stats.puts += 1
             finally:
@@ -120,20 +112,22 @@ class ResultCache:
 
     def _load(self, key: str) -> dict[str, Any] | None:
         """Read + verify one disk entry; corrupt entries count and miss."""
-        path = self._path(key)
         try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
+            stored = read_artifact(self._path(key), CACHE_SCHEMA)
+        except ArtifactError as err:
+            if err.reason != "missing":
+                self.stats.corrupt += 1
             return None
         try:
-            envelope = json.loads(raw)
-        except json.JSONDecodeError:
+            # the content address: the stored spec must re-hash to the name
+            # this entry is filed under
+            addressed = spec_from_dict(stored["spec"]).job_key() == key
+        except (ValueError, TypeError):
+            addressed = False
+        if not addressed:
             self.stats.corrupt += 1
             return None
-        if not self._verify(key, envelope):
-            self.stats.corrupt += 1
-            return None
-        entry: dict[str, Any] = envelope["payload"]
+        entry: dict[str, Any] = stored["payload"]
         with self._lock:
             san = _sanitize._STATE
             if san is not None:
@@ -144,21 +138,6 @@ class ResultCache:
                 if san is not None:
                     san.write_end(self._san_tag)
         return entry
-
-    @staticmethod
-    def _verify(key: str, envelope: Any) -> bool:
-        """Entry is well-formed and its stored spec re-hashes to ``key``."""
-        if not isinstance(envelope, dict):
-            return False
-        if envelope.get("schema") != CACHE_SCHEMA:
-            return False
-        if not isinstance(envelope.get("payload"), dict):
-            return False
-        try:
-            spec = spec_from_dict(envelope.get("spec", {}))
-        except (ValueError, TypeError):
-            return False
-        return spec.job_key() == key
 
     # ------------------------------------------------------------------
     def __contains__(self, spec: JobSpec) -> bool:

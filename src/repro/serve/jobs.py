@@ -182,8 +182,8 @@ class SCFJobSpec(JobSpec):
     """Ground-state SCF of a library molecule.
 
     The one sliceable kind: the runner caps ``max_iterations`` at the
-    scheduler's slice boundary, checkpoints every iteration (the PR 4 v2
-    format), and a preempted job resumes from its checkpoint bit for bit.
+    scheduler's slice boundary, checkpoints every iteration, and a
+    preempted job resumes from its checkpoint bit for bit.
     """
 
     kind: ClassVar[str] = "scf"

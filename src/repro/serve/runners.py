@@ -10,11 +10,16 @@ via ``repr``, so cached results compare bitwise against fresh solves).
 
 Slicing contract (``scf`` today): when the context carries a slice
 budget, the runner caps the driver's iteration count at
-``iterations_done + slice_iterations``, checkpoints every iteration with
-the PR 4 v2 format, and reports ``preempted`` if the run hit the cap
-without converging.  The next slice resumes from the checkpoint —
-bit-for-bit identical to an unpreempted run, which
-``tests/test_serve.py`` verifies on the golden molecule library spec.
+``iterations_done + slice_iterations``, checkpoints every iteration, and
+reports ``preempted`` if the run hit the cap without converging.  The next
+slice resumes from the checkpoint — bit-for-bit identical to an unpreempted
+run, which ``tests/test_serve.py`` verifies on the golden molecule library
+spec.
+
+A ``resume_from`` or ``seed_rho`` file that fails verification is the same
+bytes on every attempt, so :func:`run_slice` turns the reader's
+``ArtifactError`` into the structured ``ResilienceError`` the server's retry
+policy lets through: one attempt, the path and the reason in ``job.error``.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
+
+from repro.atomicio import ArtifactError
+from repro.resilience import ResilienceError
 
 from .jobs import (
     BandsJobSpec,
@@ -102,7 +110,10 @@ def run_slice(spec: JobSpec, ctx: SliceContext) -> SliceOutcome:
         runner = RUNNERS[spec.kind]
     except KeyError:
         raise ValueError(f"no runner registered for job kind {spec.kind!r}")
-    return runner(spec, ctx)
+    try:
+        return runner(spec, ctx)
+    except ArtifactError as err:
+        raise ResilienceError(f"serve:{spec.kind}", str(err)) from err
 
 
 # ---------------------------------------------------------------------------

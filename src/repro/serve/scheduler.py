@@ -12,7 +12,7 @@ The scheduler owns the admission decisions of the serve runtime:
 
 * **Time slicing** — with ``slice_iterations`` set, sliceable jobs
   (``scf``) run at most that many driver iterations per dispatch,
-  checkpoint at the boundary (PR 4 v2 format) and re-enter the queue as
+  checkpoint at the boundary and re-enter the queue as
   ``PREEMPTED`` with a fresh sequence number, so equal-priority jobs
   round-robin at slice granularity.  The resumed trajectory is
   bit-for-bit the uninterrupted one — preemption is free of numerical

@@ -1,23 +1,21 @@
-"""Per-host tuned-kernel profiles: versioned, checksummed, self-verifying.
+"""Per-host tuned-kernel profiles: one verified artifact per host.
 
 The autotuner (:mod:`repro.tune.sweep`) measures which kernel *schedule* —
 wavefunction block ``B_f``, channel thread count, subspace block — is
-fastest on this host and persists the choice as a JSON envelope (schema
-``repro-tune-profile/1``).  :meth:`repro.core.scf.SCFOptions.resolve`
+fastest on this host and persists the choice as a JSON artifact (schema
+``repro-tune-profile/2``).  :meth:`repro.core.scf.SCFOptions.resolve`
 fills any knob the user left unset from the profile; explicit user values
 always win, and ``REPRO_TUNE=0`` disables the pickup entirely (the kill
 switch is checked *before* any filesystem access, so a disabled run performs
 no profile I/O at all).
 
-The store borrows the discipline of the PR 7 result cache
-(:mod:`repro.serve.cache`):
+What the store guarantees:
 
-* **atomic writes** — :func:`repro.atomicio.atomic_write`, so a crashed
-  tuner can never leave a torn profile;
-* **self-verification** — the envelope carries a SHA-256 checksum over its
-  canonical JSON body; a tampered or truncated file is rejected
-  (:class:`ProfileError`) and treated as "no profile", never crashing the
-  caller;
+* **atomic, verified files** — :func:`repro.atomicio.write_artifact` /
+  :func:`~repro.atomicio.read_artifact`: a crashed tuner cannot leave a torn
+  profile, and a tampered, truncated or older-schema file is refused
+  (:class:`~repro.atomicio.ArtifactError`), which :func:`load_host_profile`
+  turns into "no profile" — it never crashes the caller;
 * **host fingerprinting** — cpu count + platform + BLAS vendor.  Profiles
   are stored under a fingerprint-digest filename and a loaded profile whose
   recorded fingerprint differs from the current host is ignored, so a
@@ -36,12 +34,12 @@ import json
 import os
 import pathlib
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.atomicio import atomic_write
+from repro.atomicio import read_artifact, write_artifact
 
 __all__ = [
     "PROFILE_SCHEMA",
@@ -59,7 +57,7 @@ __all__ = [
     "tuning_enabled",
 ]
 
-PROFILE_SCHEMA = "repro-tune-profile/1"
+PROFILE_SCHEMA = "repro-tune-profile/2"
 
 #: the schedule knobs a profile may set, in canonical order.  Each one is
 #: bitwise-neutral by construction (num_threads) or by the sweep's
@@ -72,7 +70,7 @@ TUNABLE_KNOBS = (
 
 
 class ProfileError(ValueError):
-    """A stored profile failed schema, checksum or knob validation."""
+    """A profile names an unknown knob or gives one a value it cannot take."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +114,6 @@ def _validate_knobs(knobs: dict[str, Any]) -> None:
             raise ProfileError(f"knob {name}={value!r} must be an int >= 1")
 
 
-def _checksum(body: dict[str, Any]) -> str:
-    clean = {k: v for k, v in body.items() if k != "checksum"}
-    blob = json.dumps(clean, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
 @dataclass(frozen=True)
 class TunedProfile:
     """One host's measured kernel schedule plus its provenance."""
@@ -137,19 +129,6 @@ class TunedProfile:
 
     def __post_init__(self) -> None:
         _validate_knobs(self.knobs)
-
-    def envelope(self) -> dict[str, Any]:
-        """The checksummed on-disk JSON form."""
-        body = {
-            "schema": PROFILE_SCHEMA,
-            "fingerprint": self.fingerprint,
-            "knobs": self.knobs,
-            "seed": int(self.seed),
-            "sweep": self.sweep,
-            "model": self.model,
-        }
-        body["checksum"] = _checksum(body)
-        return body
 
 
 # ---------------------------------------------------------------------------
@@ -178,40 +157,17 @@ def save_profile(
         else default_profile_path(profile.fingerprint)
     )
     target.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(profile.envelope(), indent=2, sort_keys=True) + "\n"
-    with atomic_write(target, "w", encoding="utf-8") as f:
-        f.write(payload)
+    write_artifact(target, PROFILE_SCHEMA, asdict(profile))
     return target
 
 
 def load_profile(path: str | pathlib.Path) -> TunedProfile:
-    """Load and verify one profile file; raise :class:`ProfileError` if bad."""
-    p = pathlib.Path(path)
-    try:
-        envelope = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as err:
-        raise ProfileError(f"unreadable profile {p}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ProfileError(f"corrupt profile {p}: {err}") from err
-    if not isinstance(envelope, dict):
-        raise ProfileError(f"profile {p} is not a JSON object")
-    if envelope.get("schema") != PROFILE_SCHEMA:
-        raise ProfileError(
-            f"profile {p} has schema {envelope.get('schema')!r}, "
-            f"expected {PROFILE_SCHEMA!r}"
-        )
-    if envelope.get("checksum") != _checksum(envelope):
-        raise ProfileError(f"profile {p} failed its checksum (tampered?)")
-    try:
-        return TunedProfile(
-            knobs=dict(envelope["knobs"]),
-            fingerprint=dict(envelope["fingerprint"]),
-            seed=int(envelope.get("seed", 0)),
-            sweep=dict(envelope.get("sweep", {})),
-            model=dict(envelope.get("model", {})),
-        )
-    except (KeyError, TypeError) as err:
-        raise ProfileError(f"profile {p} has a malformed body: {err}") from err
+    """Load and verify one profile file.
+
+    A file the reader refuses raises :class:`repro.atomicio.ArtifactError`; a
+    verified one whose knobs this version does not know, :class:`ProfileError`.
+    """
+    return TunedProfile(**read_artifact(path, PROFILE_SCHEMA))
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +191,8 @@ def load_host_profile(
     if not tuning_enabled():
         return None
     target = pathlib.Path(path) if path is not None else default_profile_path()
-    return _read_verified(target)
-
-
-def _read_verified(target: pathlib.Path) -> TunedProfile | None:
-    if not target.exists():
-        return None
     try:
         prof = load_profile(target)
-    except ProfileError:
+    except ValueError:  # refused by the reader, or knobs this version lacks
         return None
-    if prof.fingerprint != host_fingerprint():
-        return None
-    return prof
+    return prof if prof.fingerprint == host_fingerprint() else None

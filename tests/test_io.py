@@ -7,7 +7,6 @@ from repro.atoms.io import read_xyz, write_xyz
 from repro.atoms.pseudo import AtomicConfiguration
 from repro.core import DFTCalculation, SCFOptions
 from repro.core.io import load_checkpoint, save_checkpoint
-from repro.ml.nn import MLP
 from repro.xc.lda import LDA
 
 
@@ -56,38 +55,6 @@ def test_checkpoint_mesh_mismatch_rejected(tmp_path, he_scf):
     other = uniform_mesh((5.0,) * 3, (2, 2, 2), degree=2)
     with pytest.raises(ValueError):
         load_checkpoint(p, mesh=other)
-
-
-def _torn_archive(f, **arrays):
-    """An ``np.savez`` that dies after part of the archive is on disk."""
-    f.write(b"PK\x03\x04 half an archive")
-    raise OSError("disk full")
-
-
-@pytest.mark.parametrize("writer", ["mlp_weights", "checkpoint_v1"])
-def test_failed_write_leaves_previous_file_byte_identical(
-    writer, tmp_path, monkeypatch, he_scf
-):
-    """Every archive goes through ``repro.atomicio.atomic_write``: a writer
-    that raises mid-archive neither tears nor replaces the file it was
-    about to overwrite, and leaves no temp file behind."""
-    path = tmp_path / "artifact.npz"
-    calc, res = he_scf
-
-    def save(seed):
-        if writer == "mlp_weights":
-            MLP((3, 4, 1), seed=seed).save(str(path))
-        else:
-            save_checkpoint(str(path), calc.mesh, res)
-
-    torn = {"mlp_weights": "savez", "checkpoint_v1": "savez_compressed"}[writer]
-    save(0)
-    before = path.read_bytes()
-    monkeypatch.setattr(np, torn, _torn_archive)
-    with pytest.raises(OSError, match="disk full"):
-        save(1)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["artifact.npz"]
 
 
 def test_xyz_roundtrip_isolated(tmp_path):

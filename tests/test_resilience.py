@@ -271,12 +271,6 @@ class TestCheckpointFormat:
         # the temp file was renamed into place, not left beside the target
         assert sorted(f.name for f in tmp_path.iterdir()) == ["clean.ckpt"]
 
-    def test_corrupt_file_rejected(self, tmp_path):
-        p = tmp_path / "torn.ckpt"
-        p.write_bytes(b"not an npz archive at all")
-        with pytest.raises((ValueError, OSError)):
-            load_mlxc_state(str(p))
-
 
 # ===========================================================================
 # 3. SCF chaos sweep + kill/resume

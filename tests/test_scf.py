@@ -240,24 +240,3 @@ def test_h2o_scf_takes_one_poisson_iteration_per_ep_call():
     assert ep_calls == res.n_iterations + 1  # one per step + final evaluation
     assert sum(n.calls for n in cg) == ep_calls
     assert sum(n.counters["iterations"] for n in cg) == ep_calls
-
-
-def test_resume_accepts_checkpoint_carrying_legacy_v_prev(tmp_path):
-    """Mid-run checkpoints written before the warm start was removed carry
-    ``has_v_prev`` / ``v_prev``; they still load, and — v_tot being a pure
-    function of rho now — resume onto the uninterrupted run bit for bit."""
-    ref = _h2o(max_iterations=40).run()
-    ck = str(tmp_path / "h2o.ckpt")
-    _h2o(max_iterations=4, checkpoint_path=ck).run()
-    with np.load(ck, allow_pickle=False) as f:
-        data = {k: f[k] for k in f.files}
-    assert "v_prev" not in data
-    data["has_v_prev"] = np.array(True)
-    data["v_prev"] = np.full(int(data["nnodes"]), 123.0)
-    legacy = str(tmp_path / "h2o_legacy.ckpt")
-    with open(legacy, "wb") as f:
-        np.savez_compressed(f, **data)
-    resumed = _h2o(max_iterations=40).run(resume_from=legacy)
-    assert resumed.converged
-    assert resumed.n_iterations == ref.n_iterations
-    assert resumed.free_energy == ref.free_energy

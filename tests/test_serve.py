@@ -220,26 +220,24 @@ def test_cache_round_trip_and_self_verification(tmp_path):
     cold = ResultCache(tmp_path)
     assert cold.get(spec) == {"kind": "probe", "trace": 1.25}
     envelope = json.loads(path.read_text())
-    assert envelope["schema"] == "repro-serve-cache/1"
-    assert envelope["key"] == spec.job_key()
+    assert envelope["schema"] == "repro-serve-cache/2"
+    assert envelope["tree"]["spec"] == spec.to_dict()
     assert cache.stats.hits == 0 and cache.stats.misses == 1
     assert cold.stats.hit_rate == 1.0
 
 
 def test_cache_treats_tampered_entries_as_misses(tmp_path):
+    """The content address is the cache's own check, on top of the artifact
+    envelope's (``test_artifacts.py``): an entry that verifies but was filed
+    under another spec's key is a miss, not that spec's result."""
     cache = ResultCache(tmp_path)
     spec = ProbeJobSpec(seed=12)
     path = cache.put(spec, {"kind": "probe", "trace": 0.5})
-    # tamper: swap in a different spec under the same file name
-    envelope = json.loads(path.read_text())
-    envelope["spec"] = ProbeJobSpec(seed=13).to_dict()
-    path.write_text(json.dumps(envelope))
+    other = cache.put(ProbeJobSpec(seed=13), {"kind": "probe", "trace": 9.0})
+    path.write_bytes(other.read_bytes())  # a valid entry, at the wrong address
     cold = ResultCache(tmp_path)
     assert cold.get(spec) is None
     assert cold.stats.corrupt == 1
-    path.write_text("{not json")
-    cold2 = ResultCache(tmp_path)
-    assert cold2.get(spec) is None and cold2.stats.corrupt == 1
 
 
 def test_cache_stats_dict_shape():
@@ -374,6 +372,39 @@ def test_failed_job_routes_through_retry_policy(monkeypatch, tmp_path):
     assert job.state is JobState.FAILED
     assert "serve:probe" in job.error and "transient scatter loss" in job.error
     assert len(attempts) == 2  # budget exhausted, structured failure
+
+
+def test_damaged_checkpoint_fails_the_job_in_one_attempt(monkeypatch, tmp_path):
+    """A torn checkpoint is the same bytes on every attempt: the slice that
+    resumes from it runs once, not ``max_retries + 1`` times, and the job
+    fails naming the file and what is wrong with it."""
+    import pathlib
+
+    resumed_from = []
+    original = RUNNERS["scf"]
+
+    def tearing(spec, ctx):
+        resumed_from.append(ctx.resume_from)
+        outcome = original(spec, ctx)
+        if outcome.checkpoint is not None:  # preempted: tear what comes next
+            ckpt = pathlib.Path(outcome.checkpoint)
+            ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        return outcome
+
+    monkeypatch.setitem(RUNNERS, "scf", tearing)
+    report = run_jobs(
+        [ServeRequest(SCFJobSpec(molecule="H2", degree=2, cells=3, max_scf=40))],
+        workdir=tmp_path,
+        policy=SchedulerPolicy(total_ranks=1, slice_iterations=2),
+        retry_policy=RetryPolicy(max_retries=2),
+    )
+    job = report.jobs[0]
+    assert job.state is JobState.FAILED
+    # one good slice, then ONE attempt at the torn file
+    assert resumed_from == [None, resumed_from[1]] and resumed_from[1] is not None
+    assert job.error.startswith("[serve:scf] ")
+    assert resumed_from[1] in job.error and "truncated" in job.error
+    assert "attempts" not in job.error
 
 
 def test_runner_registry_rejects_unknown_kind():

@@ -410,7 +410,7 @@ def test_scf_state_roundtrips_hpsi(tmp_path):
     hpsi_v = rng.standard_normal(mesh.nnodes)
     ch = {
         "kfrac": (0.0, 0.0, 0.0), "weight": 1.0, "spin": None,
-        "psi": psi, "evals": np.arange(4.0), "upper_bound": 9.0,
+        "psi": psi, "evals": np.arange(4.0),
         "bound_base": 8.0, "bound_v": None, "hpsi": hpsi, "hpsi_v": hpsi_v,
     }
     path = tmp_path / "state.npz"
@@ -423,7 +423,7 @@ def test_scf_state_roundtrips_hpsi(tmp_path):
     loaded = state["channels"][0]
     assert np.array_equal(loaded["hpsi"], hpsi)
     assert np.array_equal(loaded["hpsi_v"], hpsi_v)
-    # channels without a carry round-trip to None (old-file behaviour)
+    # channels without a carry round-trip to None
     ch["hpsi"] = ch["hpsi_v"] = None
     save_scf_state(
         str(path), mesh, iteration=1, converged=False, free_energy=-1.0,

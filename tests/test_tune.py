@@ -1,7 +1,8 @@
 """Property sweeps for the repro.tune autotuner (style of test_fast_apply).
 
-Covers the profile store (round-trip exactness, checksum tamper
-rejection, host-fingerprint mismatch, atomic writes), the sweep engine
+Covers the profile store (round-trip exactness, tamper rejection,
+host-fingerprint mismatch, atomic writes; the full damaged-file matrix is
+``test_artifacts.py``), the sweep engine
 (determinism at a fixed seed with an injected deterministic measure, the
 shared argmin objective), the ``SCFOptions.resolve`` dispatch contract
 (unset knobs fill, explicit values win) and the ``REPRO_TUNE=0`` kill
@@ -16,6 +17,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.atomicio import ArtifactError, write_artifact
 from repro.core.scf import SCFOptions
 from repro.tune import profile as profile_mod
 from repro.tune import sweep as sweep_mod
@@ -72,7 +74,6 @@ def test_profile_round_trip_is_exact(seed, tmp_path):
     path = save_profile(prof, tmp_path / f"p{seed}.json")
     back = load_profile(path)
     assert back == prof
-    assert back.envelope() == prof.envelope()
 
 
 def test_default_path_is_fingerprint_addressed():
@@ -94,23 +95,11 @@ def test_save_creates_directories_and_leaves_no_temp_files(tmp_path):
 def test_tampered_profile_is_rejected(seed, tmp_path):
     path = save_profile(_random_profile(seed), tmp_path / "p.json")
     envelope = json.loads(path.read_text())
-    envelope["knobs"]["block_size"] = 4096  # flip a knob, keep old checksum
+    envelope["tree"]["knobs"]["block_size"] = 4096  # flip a knob, keep old digest
     path.write_text(json.dumps(envelope))
-    with pytest.raises(ProfileError, match="checksum"):
+    with pytest.raises(ArtifactError, match="digest mismatch"):
         load_profile(path)
     assert load_host_profile(path) is None  # degraded to "no profile"
-
-
-def test_truncated_and_garbage_profiles_are_rejected(tmp_path):
-    path = save_profile(_random_profile(1), tmp_path / "p.json")
-    blob = path.read_text()
-    path.write_text(blob[: len(blob) // 2])
-    with pytest.raises(ProfileError):
-        load_profile(path)
-    path.write_text("not json at all")
-    assert load_host_profile(path) is None
-    missing = tmp_path / "absent.json"
-    assert load_host_profile(missing) is None
 
 
 def test_wrong_schema_is_rejected(tmp_path):
@@ -118,7 +107,7 @@ def test_wrong_schema_is_rejected(tmp_path):
     envelope = json.loads(path.read_text())
     envelope["schema"] = "repro-tune-profile/999"
     path.write_text(json.dumps(envelope))
-    with pytest.raises(ProfileError, match="schema"):
+    with pytest.raises(ArtifactError, match="wrong schema"):
         load_profile(path)
 
 
@@ -131,7 +120,7 @@ def test_foreign_fingerprint_is_ignored_not_crashed(tmp_path):
         sweep=prof.sweep, model=prof.model,
     )
     path = save_profile(alien, tmp_path / "alien.json")
-    assert load_profile(path) == alien  # checksum itself is fine...
+    assert load_profile(path) == alien  # the file itself verifies...
     assert load_host_profile(path) is None  # ...but the host rejects it
 
 
@@ -147,10 +136,9 @@ def test_invalid_knobs_are_rejected():
 
 
 def test_stored_profile_with_retired_scatter_engine_knob_is_no_profile():
-    """A repro-tune-profile/1 file written before the scatter engine knob
-    was retired still checksums, but is ignored like any unknown knob."""
+    """A profile that verifies but names the retired scatter engine knob is
+    ignored like any unknown knob."""
     body = {
-        "schema": PROFILE_SCHEMA,
         "fingerprint": host_fingerprint(),
         "knobs": {"block_size": 16, "subspace_block_size": 16,
                   "scatter_engine": "csr", "num_threads": 1},
@@ -158,10 +146,9 @@ def test_stored_profile_with_retired_scatter_engine_knob_is_no_profile():
         "sweep": {},
         "model": {},
     }
-    body["checksum"] = profile_mod._checksum(body)
     path = default_profile_path()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(body))
+    write_artifact(path, PROFILE_SCHEMA, body)
     with pytest.raises(ProfileError, match="unknown tunable knob 'scatter_engine'"):
         load_profile(path)
     assert load_host_profile() is None
@@ -176,7 +163,6 @@ def test_repro_tune_zero_reads_nothing(monkeypatch):
 
     monkeypatch.setattr(profile_mod, "default_profile_path", boom)
     monkeypatch.setattr(profile_mod, "load_profile", boom)
-    monkeypatch.setattr(profile_mod, "_read_verified", boom)
     # the traps are armed: with tuning enabled the pickup would trip them
     assert tuning_enabled()
     with pytest.raises(AssertionError):
