@@ -14,7 +14,12 @@ from repro.fem.mesh import Mesh3D
 from repro.hpc.flops import gemm_flops
 from repro.obs import kernel_region
 
-__all__ = ["orbitals_to_nodes", "density_from_channels", "atomic_guess_density"]
+__all__ = [
+    "orbitals_to_nodes",
+    "density_from_channels",
+    "gaussian_superposition",
+    "atomic_guess_density",
+]
 
 
 def orbitals_to_nodes(mesh: Mesh3D, psi_tilde: np.ndarray) -> np.ndarray:
@@ -60,6 +65,31 @@ def density_from_channels(
     return rho
 
 
+def gaussian_superposition(mesh: Mesh3D, config, sigma_of) -> np.ndarray:
+    """Nodal sum, over atoms and their periodic images, of the Gaussian of
+    width ``sigma_of(element)`` carrying that element's valence charge.
+
+    The mesh is a Cartesian tensor product, so ``exp(-|r - R|^2 / 2 sigma^2)``
+    is ``g_x (x) g_y (x) g_z`` over the axis nodes for any centre ``R`` (sheared
+    lattices included): per atom, three ``(images, n_a)`` factor tables and one
+    GEMM ``F_x^T (F_y . F_z)``.  Accumulating atom by atom keeps the extra
+    memory at ``images * n_y * n_z``, independent of the atom count.
+    """
+    ax, ay, az = mesh._axis_nodes
+    shifts = config._image_shifts()
+    rho = np.zeros((ax.size, ay.size * az.size), dtype=float)
+    for el, pos in zip(config.elements, config.positions):
+        sigma = sigma_of(el)
+        centres = pos + shifts
+        fx, fy, fz = (
+            np.exp(-((nodes - centres[:, a, None]) ** 2) / (2.0 * sigma**2))
+            for a, nodes in enumerate((ax, ay, az))
+        )
+        fx *= el.valence / (2.0 * np.pi * sigma**2) ** 1.5
+        rho += fx.T @ (fy[:, :, None] * fz[:, None, :]).reshape(len(shifts), -1)
+    return rho.ravel()
+
+
 def atomic_guess_density(
     mesh: Mesh3D, config, polarization: float = 0.0, width_scale: float = 1.6
 ) -> np.ndarray:
@@ -69,15 +99,7 @@ def atomic_guess_density(
     ``width_scale * r_c``; the total is rescaled so the mesh integral equals
     the electron count, then split (1+p)/2 : (1-p)/2 between spins.
     """
-    rho = np.zeros(mesh.nnodes, dtype=float)
-    shifts = config._image_shifts()
-    for el, pos in zip(config.elements, config.positions):
-        sigma = width_scale * el.r_c
-        norm = el.valence / (2.0 * np.pi * sigma**2) ** 1.5
-        for s in shifts:
-            d = mesh.node_coords - (pos + s)
-            r2 = np.einsum("ij,ij->i", d, d)
-            rho += norm * np.exp(-r2 / (2.0 * sigma**2))
+    rho = gaussian_superposition(mesh, config, lambda el: width_scale * el.r_c)
     total = float(mesh.integrate(rho))
     rho *= config.n_electrons / total
     p = float(np.clip(polarization, -1.0, 1.0))

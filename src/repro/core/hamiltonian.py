@@ -25,6 +25,8 @@ from repro.fem.mesh import Mesh3D
 from repro.fem.poisson import PoissonSolver, multipole_boundary_values
 from repro.obs import kernel_region
 
+from .density import gaussian_superposition
+
 __all__ = ["Electrostatics", "gaussian_self_energy"]
 
 
@@ -63,35 +65,14 @@ class Electrostatics:
         self.core_density = self._build_core_density()
         self.self_energy = gaussian_self_energy(config)
 
-    #: periodic-image chunk of the vectorized core-density build; bounds the
-    #: (chunk, nnodes, 3) distance tensor to a few MB even on large meshes
-    _CORE_SHIFT_CHUNK = 8
-
     def _build_core_density(self) -> np.ndarray:
         """Gaussian core charge density, renormalized to the exact valence.
 
         Renormalization removes the (small) quadrature error in the sampled
         Gaussians so that the Poisson problem sees an exactly neutral system.
-
-        The distances to all periodic images of an atom are evaluated in one
-        broadcasted (chunked) computation; the per-image accumulation stays
-        a scalar loop so the result is bit-identical to the per-shift
-        reference implementation.
         """
         mesh, config = self.mesh, self.config
-        rho_c = np.zeros(mesh.nnodes, dtype=float)
-        shifts = np.asarray(config._image_shifts(), dtype=float).reshape(-1, 3)
-        coords = mesh.node_coords
-        for el, pos in zip(config.elements, config.positions):
-            sigma = el.r_c / np.sqrt(2.0)
-            norm = el.valence / (2.0 * np.pi * sigma**2) ** 1.5
-            for lo in range(0, shifts.shape[0], self._CORE_SHIFT_CHUNK):
-                chunk = shifts[lo : lo + self._CORE_SHIFT_CHUNK]
-                d = coords[None, :, :] - (pos + chunk)[:, None, :]
-                r2 = np.einsum("sij,sij->si", d, d)
-                g = norm * np.exp(-r2 / (2.0 * sigma**2))
-                for row in g:
-                    rho_c += row
+        rho_c = gaussian_superposition(mesh, config, lambda el: el.r_c / np.sqrt(2.0))
         total = float(mesh.integrate(rho_c))
         target = float(config.n_electrons)
         if total <= 0:

@@ -9,11 +9,15 @@ contractions ``sigma_ab = grad(rho_a) . grad(rho_b)`` (libxc convention) and
 ``vrho = d e / d rho_s``, ``vsigma = d e / d sigma_ab`` and ``vlapl =
 d e / d lap(rho_s)``; only its derivative step differs between functionals:
 
-* the closed-form functionals (LDA, PBE, PBE0) use *complex-step
-  differentiation*: for an analytic implementation ``f'(x) = Im f(x + i h)
-  / h`` is exact to machine precision with ``h ~ 1e-30`` — no subtractive
-  cancellation, no hand-derived formulas to get wrong — so they are written
-  dtype-agnostically;
+* PBE and PBE0 use *complex-step differentiation*: for an analytic
+  implementation ``f'(x) = Im f(x + i h) / h`` is exact to machine precision
+  with ``h ~ 1e-30`` — no subtractive cancellation, no hand-derived formulas
+  to get wrong — so they (and the PW92 pieces they share with LDA) are
+  written dtype-agnostically.  It is the default step below;
+* LDA (:mod:`repro.xc.lda`) overrides it with the closed-form Slater + PW92
+  potential — one real pass instead of one real and two complex ones, and
+  exact where a spin density is exactly zero, which the complex step of
+  ``(2 rho_s)^(4/3)`` is not — and keeps the default as its test oracle;
 * the neural functionals (:mod:`repro.xc.mlxc`) override that step with
   back-propagation — one forward and one reverse pass through the network —
   and keep the complex step as their test oracle (``tests/reference``).

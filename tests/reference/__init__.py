@@ -10,7 +10,13 @@ bitwise tests (and the A/B benchmark scripts) compare the production path
 against.  So does the cell-local stiffness product in its dense form — three
 ``npc x npc`` Kronecker GEMMs with per-cell scalar coefficients
 (:func:`reference_apply_cells`), the form ``CellStiffness.apply_cells``
-factorises.  The complex-step oracles for the back-propagated neural
+factorises.  The atom-centred Gaussians are summed here one periodic image
+at a time over the full ``(nnodes, 3)`` coordinate table
+(:func:`reference_gaussian_superposition`), the loop
+``repro.core.density.gaussian_superposition`` factorises per axis.  The
+complex-step oracle for LDA's closed-form potential needs no code: it is the
+base class's own ``XCFunctional._energy_and_derivatives(LDA(), args)``.  The
+complex-step oracles for the back-propagated neural
 functionals and their trainer are in :mod:`tests.reference.mlxc`, the
 fixed-block unpreconditioned MINRES the adjoint solver is checked against in
 :mod:`tests.reference.minres`.
@@ -29,6 +35,7 @@ __all__ = [
     "reference_apply_cells",
     "reference_cholgs",
     "reference_filter_block",
+    "reference_gaussian_superposition",
     "reference_gram",
     "reference_projected_hamiltonian",
     "reference_rayleigh_ritz",
@@ -47,6 +54,21 @@ def reference_scatter_add(
     out = np.zeros((nnodes, vals.shape[1]), dtype=vals.dtype)
     np.add.at(out, flat, vals)
     return out
+
+
+def reference_gaussian_superposition(mesh, config, sigma_of) -> np.ndarray:
+    """One full-mesh ``norm * exp(-|r - R - s|^2 / 2 sigma^2)`` per atom and
+    periodic image: oracle for ``gaussian_superposition``."""
+    rho = np.zeros(mesh.nnodes, dtype=float)
+    shifts = config._image_shifts()
+    for el, pos in zip(config.elements, config.positions):
+        sigma = sigma_of(el)
+        norm = el.valence / (2.0 * np.pi * sigma**2) ** 1.5
+        for s in shifts:
+            d = mesh.node_coords - (pos + s)
+            r2 = np.einsum("ij,ij->i", d, d)
+            rho += norm * np.exp(-r2 / (2.0 * sigma**2))
+    return rho
 
 
 def reference_apply_cells(

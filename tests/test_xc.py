@@ -1,9 +1,12 @@
 """XC functionals: reference values, derivative consistency, limits."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.xc import lda as lda_module
+from repro.xc.base import RHO_FLOOR, XCFunctional
 from repro.xc.gga import PBE
 from repro.xc.lda import LDA, pw92_ec
 
@@ -63,7 +66,7 @@ def test_lda_spin_scaling_exchange_limit():
     rd=st.floats(min_value=1e-3, max_value=2.0),
 )
 def test_lda_complex_step_matches_fd(ru, rd):
-    """Property: complex-step vrho agrees with finite differences."""
+    """Property: LDA's (closed-form) vrho agrees with finite differences."""
     f = LDA()
     out = f.evaluate(np.array([ru]), np.array([rd]))
     du, dd = _fd_vrho(f, np.array([ru]), np.array([rd]))
@@ -155,3 +158,118 @@ def test_gga_potential_includes_divergence_term():
     s = np.einsum("ij,ij->i", g, g)
     out = PBE().evaluate(spin[:, 0], spin[:, 1], s / 4, s / 4, s / 4)
     assert not np.allclose(v[:, 0], out.vrho[:, 0], atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# LDA's closed-form potential against its oracle, the base class's complex
+# step through ``LDA.exc_density``
+# ---------------------------------------------------------------------------
+def _closed_form_and_oracle(rho_up, rho_dn):
+    f = LDA()
+    return (
+        f._energy_and_derivatives([rho_up, rho_dn]),
+        XCFunctional._energy_and_derivatives(f, [rho_up, rho_dn]),
+    )
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b) / np.abs(b))
+
+
+@pytest.mark.parametrize("zeta_max", [0.0, 0.9, 1.0 - 1e-6])
+def test_lda_closed_form_matches_complex_step_oracle(zeta_max):
+    """Random densities over 1e-10 ... 10 e/bohr^3, unpolarised and polarised.
+
+    ``exc`` is bitwise the oracle's (and ``exc_density``'s).  The potentials
+    agree to 1e-13 relative from 1e-5 e/bohr^3 up.  Below that both inherit
+    the rounding of PW92's ``log(1 + 1/q1)`` — ``1/q1`` is ~1e-6 at rs ~ 1e3,
+    so the sum keeps ten of its digits — one analytically, one through the
+    rounded function, and they part by ``eps * rho^-1/2``: 1.5e-11 at 1e-10.
+    """
+    rng = np.random.default_rng(22)
+    rho = 10.0 ** rng.uniform(-10.0, 1.0, 20000)
+    zeta = rng.uniform(-zeta_max, zeta_max, rho.size)
+    rho_up, rho_dn = 0.5 * rho * (1.0 + zeta), 0.5 * rho * (1.0 - zeta)
+    (exc, v), (exc_ref, v_ref) = _closed_form_and_oracle(rho_up, rho_dn)
+    assert np.array_equal(exc, exc_ref)
+    assert np.array_equal(exc, LDA().exc_density(rho_up, rho_dn))
+    dense = rho >= 1e-5
+    for got, want in zip(v, v_ref):
+        assert got.dtype == np.float64
+        assert _rel(got[dense], want[dense]) <= 1e-13
+        assert _rel(got, want) <= 5e-11
+
+
+def test_lda_closed_form_at_the_density_floor():
+    """At and below RHO_FLOOR energy and potential are exactly zero, just
+    above it they are the oracle's — the mask is the same on both sides."""
+    total = RHO_FLOOR * np.array([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.001, 2.0])
+    for zeta in (0.0, 0.3, 1.0):
+        rho_up, rho_dn = 0.5 * total * (1.0 + zeta), 0.5 * total * (1.0 - zeta)
+        live = (rho_up + rho_dn) > RHO_FLOOR
+        assert live.tolist() == [False, False, False, True, True, True]
+        (exc, v), (exc_ref, v_ref) = _closed_form_and_oracle(rho_up, rho_dn)
+        assert np.array_equal(exc, exc_ref) and np.all(exc[~live] == 0.0)
+        for s, (got, want) in enumerate(zip(v, v_ref)):
+            assert np.all(got[~live] == 0.0) and np.all(want[~live] == 0.0)
+            if zeta < 1.0 or s == 0:  # the empty channel: next test
+                assert _rel(got[live], want[live]) <= 1e-9
+
+
+def test_lda_closed_form_is_exact_at_zero_spin_density():
+    """zeta = +-1 exactly (the mixer clips a spin density to 0).
+
+    The occupied channel agrees with the oracle to rounding.  In the empty
+    one the exchange potential is exactly 0 and the closed form is good to
+    rounding (it agrees with itself in extended precision), while the complex
+    step is not a derivative there: ``Im [C_x/2 (2ih)^(4/3)] / h`` is ``C_x
+    (2h)^(1/3) sin(2 pi/3)``, -8.1e-11 Ha in exchange alone at h = 1e-30, and the same
+    branch cut in ``(1 - zeta)^(4/3)`` adds a correlation term that grows as
+    ``rho^-1/3``.  The same family as the sigma < 1e-30 artefact PR 17 found.
+    """
+    rho = np.array([1e-3, 0.3, 3.0])
+    zero = np.zeros_like(rho)
+    artefact = np.imag(lda_module.lda_exchange_energy_density(rho, zero + 1e-30j))
+    np.testing.assert_allclose(artefact / 1e-30, -8.0586e-11, rtol=1e-4)
+    for flip in (False, True):
+        args = (zero, rho) if flip else (rho, zero)
+        (_, v), (_, v_ref) = _closed_form_and_oracle(*args)
+        full, empty = (1, 0) if flip else (0, 1)
+        assert _rel(v[full], v_ref[full]) <= 1e-13
+        _, v_long = LDA()._energy_and_derivatives(
+            [a.astype(np.longdouble) for a in args]
+        )
+        assert _rel(v[empty], v_long[empty].astype(float)) <= 1e-14
+        gap = np.abs(v_ref[empty] - v[empty])
+        assert np.all(gap > 1e-11) and np.all(gap < 1e-9)
+
+
+def test_lda_closed_form_refuses_complex_densities():
+    """It is real arithmetic only; a complex step has to go through
+    ``exc_density``, not lose its imaginary part here."""
+    rho = np.array([0.2, 0.5])
+    with pytest.raises(TypeError, match="real densities"):
+        LDA()._energy_and_derivatives([rho + 1e-30j, rho])
+    with pytest.raises(TypeError, match="real densities"):
+        LDA()._energy_and_derivatives([rho, rho.astype(complex)])
+
+
+def test_pbe_complex_step_runs_through_the_shared_pw92_forms(monkeypatch):
+    """PBE still differentiates by complex step, and the PW92 it steps
+    through is the one pair of forms the closed-form LDA potential uses."""
+    seen = []
+    forms = lda_module._pw92_forms
+
+    def spy(rs):
+        seen.append(np.iscomplexobj(rs))
+        return forms(rs)
+
+    monkeypatch.setattr(lda_module, "_pw92_forms", spy)
+    rho = np.array([0.2, 0.7])
+    sigma = np.array([0.05, 0.3])
+    PBE().evaluate(rho, 0.5 * rho, sigma, 0.5 * sigma, sigma)
+    # one real pass, then one step per input; rs is complex in the density steps
+    assert seen == [False, True, True, False, False, False]
+    seen.clear()
+    LDA().evaluate(rho, 0.5 * rho)
+    assert seen == [False]  # one real pass, no step
