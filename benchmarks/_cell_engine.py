@@ -24,7 +24,6 @@ __all__ = ["LocalCells", "cell_operator"]
 class LocalCells:
     """One rank holding every cell: the rank-engine protocol, no traffic."""
 
-    overlap = False
     nranks = 1
 
     def __init__(self, mesh, kfrac=None) -> None:

@@ -1,7 +1,8 @@
 """Kohn-Sham apply: the two engines, the workspace, and the seed.
 
 ``run_sweep`` times ``KSOperator.apply`` — in process the axis-factorised
-kernel (three GEMMs on the free block, ``repro.fem.fdm.AxisKinetic``) — over
+kernel (three accumulating GEMMs on the free block, the potential folded into
+the last; ``repro.fem.fdm.AxisKinetic``) — over
 wavefunction block sizes with the buffer-pool workspace on and off, and
 against the growth seed's operator (``git show``n and loaded beside the
 current one).  The headline numbers land in ``results/BENCH_apply.json`` via
@@ -15,6 +16,13 @@ the harness.
   the axis kernel, on the ledger's Mg32 mesh shape over degree x
   {graded, uniform} x {Gamma, Bloch} x block size;
 * ``sizes`` — the same pair over mesh size: it does not cross over;
+* ``cf_term`` — one term of the Chebyshev recurrence, ``alpha (H - c) Y -
+  beta X_prev``: the arithmetic it was before the term became one kernel call
+  (three ``np.matmul``s and two adds through a scratch block, the potential
+  pass, then ``tests/reference``'s allocating passes) against the shipped
+  ``op.apply(Y, out=, scale=, shift=, minus=)``, on the ledger's Mg32 block at
+  Gamma and (0, 0, 1/4) and on H2O's graded 15^3 block.  The ``B = 1`` row is
+  Lanczos's vector: the fused kernel must not lose there;
 * ``cell_local`` — the rank engines' ``CellStiffness.apply_cells`` against
   ``tests/reference``'s three dense Kronecker GEMMs, plus ROADMAP 3(b)'s open
   row: on a *uniform* degree-4 mesh, the dense fused GEMM the kernel runs
@@ -48,7 +56,7 @@ from _harness import write_result
 # the oracles live with the tests; make the repo root importable when this
 # file runs as a script (under pytest it already is)
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-from tests.reference import reference_apply_cells  # noqa: E402
+from tests.reference import reference_apply_cells, reference_cf_term  # noqa: E402
 
 #: reference configuration the speedup over the seed is measured at
 REF = {"degree": 3, "cells": 6, "nrhs": 64}
@@ -184,6 +192,73 @@ def _cell_local_rows(degrees, block_sizes, cells: int = 4):
     return rows
 
 
+def _unfused_apply(op, X, out, work):
+    """``H~ X`` as it ran before the fused term: one ``np.matmul`` per axis
+    (the second and third through ``work`` and an add), then the potential."""
+    fx, fy, fz = op.kinetic.shape
+    leads = ((fx,), (fx, fy), (fx * fy, fz))
+    for A, lead, dst in zip(op.kinetic.matrices, leads, (out, work, work)):
+        x, y = X.view(A.dtype), dst.view(A.dtype)
+        np.matmul(A, x.reshape(*lead, -1), out=y.reshape(*lead, -1))
+        if dst is work:
+            out += work
+    np.multiply(op.potential_free[:, None], X, out=work)
+    out += work
+    return out
+
+
+#: (label, cells, degree, graded, periodic, kfrac, block sizes)
+CF_TERM_CASES = (
+    ("mg32", (3, 5, 5), 3, False, True, None, (1, 8, 37)),
+    ("mg32", (3, 5, 5), 3, False, True, (0.0, 0.0, 0.25), (1, 8, 37)),
+    ("h2o", (4, 4, 4), 4, True, False, None, (8,)),
+)
+
+
+def _cf_term_rows(repeats: int = 200):
+    """One recurrence term, unfused against fused, best-of ms."""
+    rows = []
+    term = dict(scale=0.37, shift=11.0)
+    for label, cells, degree, graded, periodic, kfrac, block_sizes in CF_TERM_CASES:
+        mesh = _mesh(cells, degree, graded, periodic)
+        op = KSOperator(mesh, kfrac=kfrac)
+        op.set_potential(np.random.default_rng(0).standard_normal(mesh.nnodes))
+        rng = np.random.default_rng(2)
+        for B in block_sizes:
+            Y, P = (rng.standard_normal((op.n, B)).astype(op.dtype) for _ in range(2))
+            if kfrac is not None:
+                Y += 1j * rng.standard_normal(Y.shape)
+                P += 1j * rng.standard_normal(P.shape)
+            out, hy, work = (np.empty_like(Y) for _ in range(3))
+            minus = (0.61, P)
+
+            def unfused():
+                return reference_cf_term(
+                    _unfused_apply(op, Y, hy, work), Y, minus=minus, **term
+                )
+
+            def fused():
+                return op.apply(Y, out=out, minus=minus, **term)
+
+            want = unfused()
+            assert np.abs(fused() - want).max() <= 1e-13 * np.abs(want).max()
+            rows.append({
+                "block": label,
+                "bloch": kfrac is not None,
+                "ndof": op.n,
+                "block_size": B,
+                "unfused_ms": 1e3 * _best_seconds(unfused, repeats),
+                "fused_ms": 1e3 * _best_seconds(fused, repeats),
+                "plain_apply_ms": 1e3 * _best_seconds(
+                    lambda: op.apply(Y, out=out), repeats
+                ),
+                "unfused_plain_apply_ms": 1e3 * _best_seconds(
+                    lambda: _unfused_apply(op, Y, hy, work), repeats
+                ),
+            })
+    return rows
+
+
 #: graded degree-4 Dirichlet cubes and the periodic degree-3 Mg shapes
 SIZES = (
     ((4,) * 3, 4, False), ((8,) * 3, 4, False), ((12,) * 3, 4, False),
@@ -192,7 +267,7 @@ SIZES = (
 
 
 def kernel_ab(degrees=(3, 4), block_sizes=(1, 8, 37), sizes=SIZES):
-    """The three kernel tables of the module docstring."""
+    """The four kernel tables of the module docstring."""
     engines = []
     for graded in (True, False):
         for kfrac in (None, (0.0, 0.0, 0.25)):
@@ -212,6 +287,7 @@ def kernel_ab(degrees=(3, 4), block_sizes=(1, 8, 37), sizes=SIZES):
     return {
         "engines": engines,
         "sizes": by_size,
+        "cf_term": _cf_term_rows(),
         "cell_local": _cell_local_rows(degrees, block_sizes),
     }
 
@@ -297,6 +373,16 @@ def main() -> None:
         print(
             f"{str(tuple(r['cells'])):<14} {r['degree']:>2} {r['ndof']:>7} "
             f"{r['cell_ms']:>9.3f} {r['axis_ms']:>9.3f}"
+        )
+    print(
+        f"{'block':<6} {'bloch':<6} {'B':>3} {'unfused':>9} {'fused':>9}  "
+        f"(one CF term, ms) {'H X was':>9} {'H X':>9}"
+    )
+    for r in ab["cf_term"]:
+        print(
+            f"{r['block']:<6} {str(r['bloch']):<6} {r['block_size']:>3} "
+            f"{r['unfused_ms']:>9.4f} {r['fused_ms']:>9.4f} {'':>19}"
+            f"{r['unfused_plain_apply_ms']:>9.4f} {r['plain_apply_ms']:>9.4f}"
         )
     print(
         f"{'mesh':<8} {'bloch':<6} {'p':>2} {'B':>3} {'ref ms':>8} {'new ms':>8} "

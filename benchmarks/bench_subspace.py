@@ -53,9 +53,9 @@ class _CountingOp:
         self._nvec = nvec
         self.columns = 0
 
-    def apply(self, X, out=None):
+    def apply(self, X, out=None, **term):
         self.columns += X.shape[1] if X.ndim == 2 else 0
-        return self._op.apply(X, out=out)
+        return self._op.apply(X, out=out, **term)
 
     @property
     def subspace_applies(self) -> float:

@@ -77,17 +77,16 @@ def filter_block(
     written.  This is the elision that makes the subspace engine one
     ``op.apply`` per ChFES iteration cheaper.
 
-    The three-term recurrence ping-pongs between pooled blocks (from
-    ``workspace``, defaulting to ``op.workspace``; an operator without one
-    gets fresh blocks) via ``op.apply(..., out=)``.  On an operator whose
-    engine overlaps (``op.overlap``: the process-rank backend) each apply
-    is split into ``apply_begin`` / ``apply_finish`` and the recurrence's
-    local terms, ``c·Y`` and ``σσ₂·X``, are evaluated in between, while the
-    halo exchange and cell GEMMs fly on the rank fleet.  Same operands,
-    same operation order once assembled: every schedule is bit-for-bit
-    equal to ``tests/reference``'s allocating recurrence.  The returned
-    array is workspace-owned — valid until the next ``filter_block`` on the
-    same thread.
+    Every term is one operator call, ``op.apply(Y, out=, scale=, shift=,
+    minus=)`` — ``scale * (H - shift) Y - beta * X_prev`` — into one of
+    three rotating pooled blocks (from ``workspace``, defaulting to
+    ``op.workspace``; an operator without one gets fresh blocks); the
+    recurrence makes no pass over a block of its own.  Only a carried
+    ``hx0`` is arithmetic here, in the operand order of ``tests/reference``'s
+    allocating recurrence, which the rank engines reproduce bit for bit and
+    the in-process kernel to rounding.  The returned array is
+    workspace-owned — valid until the next ``filter_block`` on the same
+    thread.
     """
     if m < 1:
         raise ValueError("filter degree must be >= 1")
@@ -96,38 +95,26 @@ def filter_block(
     sigma = e / (a0 - c)
     sigma1 = sigma
     ws = workspace if workspace is not None else getattr(op, "workspace", UNPOOLED)
-    if getattr(op, "overlap", False):
-        begin, finish = op.apply_begin, op.apply_finish
-    else:  # the whole apply runs at the join
-        begin, finish = (lambda Z: Z), op.apply
     dt = np.result_type(op.dtype, X.dtype)
-    U = ws.get("cf_u", X.shape, dt)
-    S = ws.get("cf_s", X.shape, dt)
-    # three rotating term blocks: X_k, Y_k and the in-flight Y_{k+1}
+    # three rotating term blocks: X_k, Y_k and the Y_{k+1} being written
     bufs = [ws.get(f"cf_{i}", X.shape, dt) for i in range(3)]
     # Y = (H X - c X) * (sigma1 / e); a carried H X skips the first apply
     if hx0 is None:
-        pending = begin(X)
-        np.multiply(c, X, out=U)
-        Y = finish(pending, out=bufs[0])
+        Y = op.apply(X, out=bufs[0], scale=sigma1 / e, shift=c)
     else:
-        np.multiply(c, X, out=U)
         Y = bufs[0]
-        np.copyto(Y, hx0)
-    Y -= U
-    Y *= sigma1 / e
+        np.multiply(c, X, out=Y)
+        np.subtract(hx0, Y, out=Y)
+        Y *= sigma1 / e
     # cyclic rotation: after i steps X = bufs[(i-2) % 3], Y = bufs[(i-1) % 3],
     # so bufs[i % 3] is always the free block (the input X never joins)
     for i in range(1, m):
         sigma2 = 1.0 / (2.0 / sigma1 - sigma)
         # Ynew = (H Y - c Y) * (2 sigma2 / e) - (sigma sigma2) * X
-        pending = begin(Y)
-        np.multiply(c, Y, out=U)
-        np.multiply(sigma * sigma2, X, out=S)
-        Ynew = finish(pending, out=bufs[i % 3])
-        Ynew -= U
-        Ynew *= 2.0 * sigma2 / e
-        Ynew -= S
+        Ynew = op.apply(
+            Y, out=bufs[i % 3], scale=2.0 * sigma2 / e, shift=c,
+            minus=(sigma * sigma2, X),
+        )
         X, Y = Y, Ynew
         sigma = sigma2
     if _faults._PLAN is not None:  # reprochaos site (no-op unarmed)

@@ -30,8 +30,9 @@ metered), as do Poisson's residual and the one-electron integrals
 :class:`~repro.fem.scatter.ScatterMap`).  In one process the tensor-product
 mesh makes the kinetic operator a Kronecker sum of three 1-D matrices
 (:class:`~repro.fem.fdm.AxisKinetic`): :meth:`KSOperator.apply` multiplies
-the free block itself — no lift, gather, cell tensor or scatter — with its
-scratch in a reusable :class:`~repro.fem.workspace.Workspace`.
+the free block itself — no lift, gather, cell tensor or scatter — with the
+potential folded into the last axis' matrices and a Chebyshev term's scale,
+shift and subtraction inside the same three GEMMs.
 """
 
 from __future__ import annotations
@@ -281,12 +282,13 @@ class KSOperator:
 
     where ``v`` is the total effective potential sampled at the nodes (the
     GLL-diagonal mass makes the potential term exactly diagonal) and the
-    last term is the separable nonlocal pseudopotential.  The Löwdin
-    scaling, the potential and nonlocal terms, the ``ks_apply`` fault site
-    and the diagonals live here once; only the kinetic term runs on an
-    *engine* — :class:`~repro.fem.fdm.AxisKinetic` on the free block in this
-    process, or the cell-level stiffness product of a rank cluster
-    (:class:`repro.hpc.DistributedKSOperator`) inside the Löwdin scaling.
+    last term is the separable nonlocal pseudopotential.  The nonlocal
+    term, the ``ks_apply`` fault site and the diagonals live here once; the
+    rest runs on an *engine* — :class:`~repro.fem.fdm.AxisKinetic` on the
+    free block in this process, the potential folded into its last axis, or
+    the cell-level stiffness product of a rank cluster
+    (:class:`repro.hpc.DistributedKSOperator`) inside the Löwdin scaling,
+    with the potential as a pass over the block.
 
     Parameters
     ----------
@@ -327,28 +329,29 @@ class KSOperator:
             self._dsf = np.ascontiguousarray(1.0 / np.sqrt(mesh.mass_diag[mesh.free]))
             self._half_dsf = 0.5 * self._dsf
         self._v_free = np.zeros(mesh.ndof, dtype=float)
+        #: the kernel's last axis with the potential folded in (per instance:
+        #: clones do not share it), rebuilt after set_potential
+        self._last = None
         self.ledger = ledger
         self._nl_B = self._nl_D = None
         if nonlocal_projectors:
             from repro.atoms.nonlocal_psp import projector_matrix
 
-            self._nl_B, self._nl_D = projector_matrix(mesh, nonlocal_projectors)
+            B, D = projector_matrix(mesh, nonlocal_projectors)
+            if B.shape[1]:
+                self._nl_B, self._nl_D = B, D
 
     @property
     def n(self) -> int:
         """Dimension of the operator (number of free DoFs)."""
         return self.mesh.ndof
 
-    @property
-    def overlap(self) -> bool:
-        """Whether the engine overlaps the stiffness product with the caller."""
-        return self._ranks is not None and bool(self._ranks.overlap)
-
     def set_potential(self, v_full: np.ndarray) -> None:
         """Set the effective potential from its full-node sampling."""
         if v_full.shape != (self.mesh.nnodes,):
             raise ValueError("potential must be sampled at all mesh nodes")
         self._v_free = np.ascontiguousarray(v_full[self.mesh.free])
+        self._last = None
 
     @property
     def potential_free(self) -> np.ndarray:
@@ -367,6 +370,7 @@ class KSOperator:
         new = type(self).__new__(type(self))
         new.__dict__.update(self.__dict__)
         new._v_free = self._v_free.copy()
+        new._last = None
         return new
 
     def close(self) -> None:
@@ -392,81 +396,108 @@ class KSOperator:
         full[self.mesh.free] = t
         return full
 
-    def _assemble(
-        self, kx: np.ndarray, X: np.ndarray, out: np.ndarray | None
-    ) -> np.ndarray:
-        """``H~ x`` from the ranks' stiffness product ``kx = K D^{-1/2} x``."""
+    def _assemble(self, kx, X, out, scale=1.0, shift=0.0, minus=None):
+        """:meth:`apply`'s term from the ranks' ``kx = K D^{-1/2} x``: block
+        arithmetic in the operand order of ``tests/reference``'s recurrence,
+        which the rank engines equal bit for bit."""
         Xb = X[:, None] if X.ndim == 1 else X
         ws = self.workspace
         yg = ws.get("ks_gather", Xb.shape, kx.dtype)
         np.take(kx, self.mesh.free, axis=0, out=yg)
         y = np.empty(Xb.shape, kx.dtype) if out is None else out.reshape(Xb.shape)
         np.multiply(self._half_dsf[:, None], yg, out=y)
-        return self._finish(y, Xb, X, out)
-
-    def _finish(
-        self, y: np.ndarray, Xb: np.ndarray, X: np.ndarray, out: np.ndarray | None
-    ) -> np.ndarray:
-        """Everything after the kinetic term ``y``: potential, nonlocal
-        projectors, the ``ks_apply`` fault site and the shape of the result."""
-        t = self.workspace.get("ks_t", Xb.shape, y.dtype)
+        t = ws.get("ks_t", Xb.shape, y.dtype)
         np.multiply(self._v_free[:, None], Xb, out=t)
         y += t
-        if self._nl_B is not None and self._nl_B.shape[1]:
-            # separable nonlocal term: two skinny GEMMs (rank-k update);
-            # on ranks the projections are summed by one allreduce
-            proj = self._nl_B.conj().T @ Xb
-            if self._ranks is not None:
-                proj = self._ranks.allreduce(proj)
-            y += self._nl_B @ (self._nl_D[:, None] * proj)
+        if self._nl_B is not None:
+            y += self._nonlocal(Xb)
+        if shift:
+            np.multiply(shift, Xb, out=t)
+            y -= t
+        if scale != 1.0:
+            y *= scale
+        if minus is not None:
+            np.multiply(minus[0], minus[1].reshape(Xb.shape), out=t)
+            y -= t
+        return self._deliver(y, X, out)
+
+    def _nonlocal(self, Xb: np.ndarray) -> np.ndarray:
+        """``B D B^H x``, the separable nonlocal term: two skinny GEMMs (a
+        rank-k update); on ranks the projections are summed by one allreduce."""
+        proj = self._nl_B.conj().T @ Xb
+        if self._ranks is not None:
+            proj = self._ranks.allreduce(proj)
+        return self._nl_B @ (self._nl_D[:, None] * proj)
+
+    def _blas_block(self, tag: str, A: np.ndarray, dtype, copy: bool = True):
+        """``A`` if it is an aligned C-contiguous block of ``dtype`` — an f2py
+        BLAS wrapper works on a *copy* of anything else, and an accumulate
+        into it is lost — else a pooled block of its shape (workspace-owned:
+        valid until the next ``apply`` on this thread) holding ``A`` if
+        ``copy``."""
+        if A.dtype == dtype and A.flags.c_contiguous and A.flags.aligned:
+            return A
+        block = self.workspace.get(tag, A.shape, dtype)
+        if copy:
+            block[...] = A
+        return block
+
+    def _deliver(self, y: np.ndarray, X: np.ndarray, out: np.ndarray | None):
+        """The ``ks_apply`` fault site and the shape of the result."""
         if _faults._PLAN is not None:  # reprochaos site (no-op unarmed)
             _faults.fault_point("ks_apply", y)
         if out is not None:
             return out
         return y[:, 0] if X.ndim == 1 else y
 
-    def apply(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply ``H~`` to a block ``X`` of shape (ndof,) or (ndof, B).
+    def apply(
+        self, X: np.ndarray, out: np.ndarray | None = None, *,
+        scale: float = 1.0, shift: float = 0.0,
+        minus: tuple[float, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """``scale * (H~ - shift) X - beta * P`` on a block ``X`` of shape
+        (ndof,) or (ndof, B), with ``minus = (beta, P)``: ``H~ X`` by
+        default, one term of the Chebyshev recurrence with the keywords.
 
-        ``out``, when given, receives the result (same shape as ``X``; must
-        not alias ``X``) — the Chebyshev recurrence uses this to ping-pong
-        between preallocated blocks.  In process the kinetic term is three
-        axis GEMMs on the free block itself; an input or output that is not
-        a C-contiguous block of the result dtype passes through a pooled
-        one.  Results are bit-for-bit independent of workspace/out usage.
+        ``out``, when given, receives the result (same shape as ``X``; it
+        may share no memory with ``X`` or ``P``) — the recurrence rotates
+        preallocated blocks through it.  In process the term is the axis
+        kernel's three GEMMs and one ``axpy`` on the free block
+        (:meth:`repro.fem.fdm.AxisKinetic.apply`, the potential folded into
+        its last axis); on ranks it is block arithmetic after the join.
+        Results do not depend on workspace/out usage.
         """
-        if out is X and X is not None:
-            raise ValueError("out must not alias X")
+        if out is not None and (
+            np.may_share_memory(out, X)
+            or (minus is not None and np.may_share_memory(out, minus[1]))
+        ):
+            raise ValueError("out must not alias X or the subtracted block")
         if self._ranks is not None:
-            return self.apply_finish(self.apply_begin(X), out=out)
-        ws = self.workspace
+            return self.apply_finish(
+                self.apply_begin(X), out=out, scale=scale, shift=shift, minus=minus
+            )
         Xb = X[:, None] if X.ndim == 1 else X
         dt = np.result_type(self.dtype, Xb.dtype)
-        if Xb.dtype != dt or not Xb.flags.c_contiguous:
-            Xb, given = ws.get("ks_x", Xb.shape, dt), Xb
-            Xb[...] = given
+        if minus is not None:
+            minus = minus[0], self._blas_block("ks_p", minus[1].reshape(Xb.shape), dt)
+        if self._last is None:
+            self._last = self.kinetic.fold(self._v_free)
         y = np.empty(Xb.shape, dt) if out is None else out.reshape(Xb.shape)
-        direct = y.dtype == dt and y.flags.c_contiguous
-        yk = y if direct else ws.get("ks_y", Xb.shape, dt)
-        self.kinetic.apply(Xb, yk, ws.get("ks_t", Xb.shape, dt))
-        if not direct:
+        yk = self._blas_block("ks_y", y, dt, copy=False)
+        Xb = self._blas_block("ks_x", Xb, dt)
+        self.kinetic.apply(Xb, yk, self._last, scale, shift, minus)
+        if self._nl_B is not None:
+            yk += scale * self._nonlocal(Xb)
+        if yk is not y:
             y[...] = yk
         if self.ledger is not None:
             self.ledger.add("cell_gemm", self.kinetic.flops(Xb.shape[1], dt))
-        return self._finish(y, Xb, X, out)
+        return self._deliver(y, X, out)
 
     def apply_begin(self, X: np.ndarray):
-        """Start an apply; :meth:`apply_finish` completes the handle.
-
-        On an overlapping cluster the block is shipped to the rank fleet
-        and this returns at once: the halo exchange and cell GEMMs fly
-        while the caller computes whatever does not need ``H~ x`` (the
-        Chebyshev recurrence's local terms).  On any other engine the
-        product runs at the join.  Either way the arithmetic is that of
-        :meth:`apply`, in the same operand order — bit-for-bit equal.
-        """
-        if self._ranks is None:
-            return X, None
+        """Ship a block to the rank cluster (an overlapping one returns at
+        once; any other runs the product at the join): the handle of
+        :meth:`apply_finish`."""
         full = self._lift(X)
         if self.ledger is not None:
             # forked rank workers cannot reach the ledger: charge their cell
@@ -477,23 +508,21 @@ class KSOperator:
             )
         return X, self._ranks.apply_stiffness_begin(full)
 
-    def apply_finish(self, handle, out: np.ndarray | None = None) -> np.ndarray:
-        """Join an apply started by :meth:`apply_begin`."""
+    def apply_finish(self, handle, out: np.ndarray | None = None, **term):
+        """Join :meth:`apply_begin`'s handle; ``term``: :meth:`apply`'s keywords."""
         X, pending = handle
-        if pending is None:
-            return self.apply(X, out=out)
         with trace_region(
             "Distributed-apply",
             nranks=self._ranks.nranks,
             nvec=1 if X.ndim == 1 else X.shape[1],
         ):
             kx = self._ranks.apply_stiffness_finish(pending)
-        return self._assemble(kx, X, out)
+        return self._assemble(kx, X, out, **term)
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of ``H~`` (incl. the separable nonlocal contribution)."""
         out = self.kinetic_diagonal() + self._v_free
-        if self._nl_B is not None and self._nl_B.shape[1]:
+        if self._nl_B is not None:
             out = out + np.einsum("ip,p,ip->i", self._nl_B, self._nl_D, self._nl_B)
         return out
 

@@ -33,8 +33,14 @@ Kohn-Sham kinetic operator as a Kronecker *sum* (:class:`AxisKinetic`).
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import daxpy, dgemm, zaxpy, zgemm
 
 __all__ = ["AxisKinetic", "FastDiagonalization", "axis_pencil"]
+
+
+#: the in-place BLAS calls of :meth:`AxisKinetic.apply`, by dtype
+_GEMM = {np.dtype(np.float64): dgemm, np.dtype(np.complex128): zgemm}
+_AXPY = {np.dtype(np.float64): daxpy, np.dtype(np.complex128): zaxpy}
 
 
 def axis_pencil(mesh, axis: int, k: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -152,21 +158,55 @@ class AxisKinetic:
         self.shape = tuple(A.shape[0] for A in mats)
         self.dtype = np.result_type(*mats)
 
-    def apply(self, X: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """``out = (A_x (+) A_y (+) A_z) X``.
+    def fold(self, diag: np.ndarray) -> np.ndarray:
+        """``A_z + diag(d[ix, iy, :])`` for every ``(ix, iy)``: the last axis
+        with a real diagonal ``d`` over the free DoFs folded into it, as the
+        ``(fx*fy, fz, fz)`` batch :meth:`apply` multiplies by — ``n * fz``
+        values, built once per ``d``."""
+        Az = self.matrices[2]
+        fz = Az.shape[0]
+        last = np.empty((diag.size // fz, fz, fz), dtype=Az.dtype)
+        last[...] = Az
+        last.reshape(-1, fz * fz)[:, :: fz + 1] += diag.reshape(-1, fz)
+        return last
 
-        ``X``, ``out`` and the scratch ``work`` are distinct C-contiguous
-        ``(n, B)`` blocks of one dtype, ``self.dtype`` or complex.
+    def apply(
+        self, X: np.ndarray, out: np.ndarray, last: np.ndarray,
+        scale: float = 1.0, shift: float = 0.0,
+        minus: tuple[float, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """``out = scale * (A_x (+) A_y (+) last - shift) X - beta * P``.
+
+        ``last`` is the last axis' :meth:`fold`; ``minus = (beta, P)``.
+        ``X``, ``out`` and ``P`` are distinct aligned C-contiguous ``(n, B)``
+        blocks of one dtype, ``self.dtype`` or complex.  The last axis
+        writes ``out`` (a batched GEMM, one matrix per ``(ix, iy)``); the
+        other two *accumulate* into it through BLAS ``beta`` on the
+        transposed views (a C-ordered block is a Fortran matrix with the
+        columns leading), so nothing is added, scaled or shifted in a pass
+        of its own: ``shift`` goes into the first axis' diagonal, ``scale``
+        into ``alpha`` — and into the first axis' ``beta``, which scales
+        what the last axis wrote — and ``P`` is one ``axpy``.
         """
         fx, fy, fz = self.shape
-        for A, lead, dst in zip(
-            self.matrices, ((fx,), (fx, fy), (fx * fy, fz)), (out, work, work)
-        ):
-            # a real matrix sees a complex block through its float64 view
-            x, y = X.view(A.dtype), dst.view(A.dtype)
-            np.matmul(A, x.reshape(*lead, -1), out=y.reshape(*lead, -1))
-            if dst is work:
-                out += work
+        Ax, Ay, _ = self.matrices
+        # a real matrix sees a complex block through its float64 view
+        x, y = X.view(last.dtype), out.view(last.dtype)
+        np.matmul(last, x.reshape(fx * fy, fz, -1), out=y.reshape(fx * fy, fz, -1))
+        if shift:
+            Ax = Ax.copy()
+            Ax.reshape(-1)[:: fx + 1] -= shift
+        x, y = X.view(Ax.dtype).reshape(fx, -1), out.view(Ax.dtype).reshape(fx, -1)
+        _GEMM[Ax.dtype](scale, x.T, Ax.T, scale, y.T, 0, 0, 1)
+        # the middle axis: one slab per ix (positional trans_a, trans_b,
+        # overwrite_c: this loop is most of a single vector's call overhead)
+        gemm, AyT = _GEMM[Ay.dtype], Ay.T
+        x, y = X.view(Ay.dtype).reshape(fx, fy, -1), out.view(Ay.dtype).reshape(fx, fy, -1)
+        for xs, ys in zip(x.transpose(0, 2, 1), y.transpose(0, 2, 1)):
+            gemm(scale, xs, AyT, 1.0, ys, 0, 0, 1)
+        if minus is not None:
+            beta, P = minus
+            _AXPY[out.dtype](P.reshape(-1), out.reshape(-1), a=-beta)
         return out
 
     def diagonal(self) -> np.ndarray:

@@ -33,6 +33,7 @@ from repro.precision import f32_dtype
 
 __all__ = [
     "reference_apply_cells",
+    "reference_cf_term",
     "reference_cholgs",
     "reference_filter_block",
     "reference_gaussian_superposition",
@@ -98,6 +99,18 @@ def reference_apply_cells(
     return Yc
 
 
+def reference_cf_term(
+    HY: np.ndarray, Y: np.ndarray, scale: float = 1.0, shift: float = 0.0,
+    minus: tuple[float, np.ndarray] | None = None,
+) -> np.ndarray:
+    """``scale * (H - shift) Y - beta * X_prev`` from a plain ``HY = H Y`` by
+    allocating passes over the block, ``minus = (beta, X_prev)``: oracle for
+    the fused ``op.apply(Y, scale=, shift=, minus=)``, and the way a test's
+    own dense operator honours those keywords."""
+    out = (HY - shift * Y) * scale
+    return out if minus is None else out - minus[0] * minus[1]
+
+
 def reference_filter_block(
     op, X: np.ndarray, m: int, a: float, b: float, a0: float,
     hx0: np.ndarray | None = None,
@@ -109,10 +122,12 @@ def reference_filter_block(
     sigma = e / (a0 - c)
     sigma1 = sigma
     HX = op.apply(X) if hx0 is None else hx0
-    Y = (HX - c * X) * (sigma1 / e)
+    Y = reference_cf_term(HX, X, sigma1 / e, c)
     for _ in range(2, m + 1):
         sigma2 = 1.0 / (2.0 / sigma1 - sigma)
-        Ynew = (op.apply(Y) - c * Y) * (2.0 * sigma2 / e) - (sigma * sigma2) * X
+        Ynew = reference_cf_term(
+            op.apply(Y), Y, 2.0 * sigma2 / e, c, (sigma * sigma2, X)
+        )
         X, Y = Y, Ynew
         sigma = sigma2
     return Y

@@ -12,7 +12,7 @@ from repro.fem.mesh import Mesh3D, graded_edges, uniform_mesh
 from repro.fem.workspace import Workspace
 from repro.hpc.distributed import DistributedKSOperator
 
-from tests.reference import reference_apply_cells
+from tests.reference import reference_apply_cells, reference_cf_term
 
 
 def _dense_K(stiff: CellStiffness) -> np.ndarray:
@@ -293,6 +293,17 @@ def test_axis_kernel_matches_cell_assembly(graded, pbc, k, degree):
         assert op.apply(X, out=out) is out
         assert np.array_equal(out, got)
         assert np.array_equal(fresh.apply(X), got)
+        # one Chebyshev term, fused, against the oracle's allocating passes
+        # (the rank engine's own term is those passes, bit for bit)
+        prev = wide[:, 37:37 + X.shape[1]] if X.ndim == 2 else wide[:, 37]
+        term = dict(scale=-0.37, shift=11.5, minus=(0.61, prev))
+        want = reference_cf_term(want, X, **term)
+        got = op.apply(X, **term)
+        assert got.shape == X.shape and got.dtype == want.dtype
+        assert _rel(got, want) <= 1e-13
+        assert np.array_equal(op.apply(X, out=out, **term), got)
+        assert np.array_equal(fresh.apply(X, **term), got)
+        assert np.array_equal(oracle.apply(X, **term), want)
     assert np.array_equal(wide, before)  # inputs are only read
     # the dense matrix, its symmetry and the closed-form diagonal
     H = op.matrix()
@@ -323,6 +334,89 @@ def test_apply_into_strided_or_wider_out():
     as_complex = np.empty((op.n, 4), dtype=complex)
     op.apply(X, out=as_complex)
     assert np.array_equal(as_complex, want.astype(complex))
+
+
+def _misaligned(shape, dtype) -> np.ndarray:
+    """An empty C-contiguous block whose data sits one byte off alignment."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    block = np.empty(nbytes + 1, dtype=np.uint8)[1:].view(dtype).reshape(shape)
+    assert block.flags.c_contiguous and not block.flags.aligned
+    return block
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "fresh"])
+@pytest.mark.parametrize("k", ["gamma", "kz"])
+def test_term_survives_blocks_blas_would_copy(k, pooled):
+    """An f2py BLAS wrapper handed a ``c`` that is strided, Fortran-ordered,
+    misaligned or of another dtype works on a *copy* and the accumulate is
+    lost without an error: every such ``X`` / ``out`` / subtracted block
+    must come out equal to the allocating oracle's term all the same."""
+    mesh = _contract_mesh(True, "TTT", 3)
+    op, oracle = _operator_pair(
+        mesh, _KPOINTS[k], workspace=Workspace(enabled=pooled)
+    )
+    n, dt = op.n, op.dtype
+    rng = np.random.default_rng(5)
+    wide = rng.standard_normal((n, 16)).astype(dt)
+    prev = rng.standard_normal((n, 16)).astype(dt)
+    if _KPOINTS[k] is not None:
+        wide += 1j * rng.standard_normal(wide.shape)
+        prev += 1j * rng.standard_normal(prev.shape)
+    term = dict(scale=0.83, shift=-4.25)
+
+    def check(X, out, P):
+        minus = (0.31, P)
+        want = reference_cf_term(oracle.apply(X), X, minus=minus, **term)
+        got = op.apply(X, out=out, minus=minus, **term)
+        if out is not None:
+            assert got is out
+        assert got.shape == X.shape
+        assert _rel(got, want) <= 1e-13
+
+    X, P = wide[:, 3:11], prev[:, 3:11]  # strided input and subtracted block
+    assert not X.flags.c_contiguous
+    check(X, None, P)
+    check(X, np.empty((n, 8), dtype=dt), np.ascontiguousarray(P))
+    check(np.ascontiguousarray(X), np.empty((n, 8), dtype=dt, order="F"), P)
+    check(np.ascontiguousarray(X), _misaligned((n, 8), dt), np.ascontiguousarray(P))
+    check(np.asfortranarray(X), np.empty((8, n), dtype=dt).T, np.asfortranarray(P))
+    # a real block on a (possibly) complex operator, into a complex out
+    check(X.real, np.empty((n, 8), dtype=complex), P.real.copy())
+    # one vector, with and without out=
+    check(wide[:, 0], None, prev[:, 0])
+    check(wide[:, 0].copy(), np.empty(n, dtype=dt), prev[:, 0].copy())
+    check(wide[:, 0].copy(), np.empty((n, 2), dtype=dt)[:, 1], prev[:, 0])
+
+
+def test_folded_potential_belongs_to_the_instance():
+    """The kernel's last axis carries the potential: a clone must not share
+    it and ``set_potential`` must drop it — two clones with different
+    potentials, applied in interleaved order, each equal to a fresh operator
+    on its own potential."""
+    mesh = _contract_mesh(True, "TTT", 3)
+    rng = np.random.default_rng(6)
+    op, _ = _operator_pair(mesh, _KPOINTS["kz"])
+    X = rng.standard_normal((op.n, 5)) + 1j * rng.standard_normal((op.n, 5))
+    v = [rng.standard_normal(mesh.nnodes) for _ in range(3)]
+
+    def fresh(v_full):
+        other, _ = _operator_pair(mesh, _KPOINTS["kz"])
+        other.set_potential(v_full)
+        return other.apply(X)
+
+    op.set_potential(v[0])
+    first = op.apply(X)  # folds v[0] before the clones are taken
+    a, b = op.clone(), op.clone()
+    a.set_potential(v[1])
+    assert np.array_equal(b.apply(X), first)
+    b.set_potential(v[2])
+    for _ in range(2):
+        assert np.array_equal(a.apply(X), fresh(v[1]))
+        assert np.array_equal(op.apply(X), first)
+        assert np.array_equal(b.apply(X), fresh(v[2]))
+    a.set_potential(v[2])
+    assert np.array_equal(a.apply(X), b.apply(X))
+    assert np.array_equal(op.apply(X), fresh(v[0]))
 
 
 def test_axis_kernel_flops_closed_form():

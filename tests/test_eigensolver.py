@@ -9,6 +9,8 @@ from repro.core.orthonorm import blocked_gram, blocked_rotate, cholesky_orthonor
 from repro.core.rayleigh_ritz import projected_hamiltonian, rayleigh_ritz
 from repro.hpc.flops import FlopLedger
 
+from tests.reference import reference_cf_term
+
 
 class DenseOp:
     """Minimal operator wrapper over a dense Hermitian matrix."""
@@ -18,8 +20,12 @@ class DenseOp:
         self.dtype = self.H.dtype
         self.n = H.shape[0]
 
-    def apply(self, X, out=None):
-        return self.H @ X if out is None else np.matmul(self.H, X, out=out)
+    def apply(self, X, out=None, **term):
+        Y = reference_cf_term(self.H @ X, X, **term)
+        if out is None:
+            return Y
+        out[...] = Y
+        return out
 
 
 def _random_hermitian(n, seed=0, complex_=False):

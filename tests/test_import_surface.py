@@ -101,6 +101,18 @@ def test_a_solve_imports_nothing_that_was_merely_deferred(scf_process):
     assert {m for m in added if m.split(".")[0] == "repro"} <= LOADED_BY_A_SOLVE
 
 
+def test_the_axis_kernel_brings_no_module_of_its_own():
+    """``fem.fdm`` takes its accumulating GEMM / axpy wrappers from
+    ``scipy.linalg.blas``, which ``import scipy.linalg`` (``core``'s
+    ``solve_triangular``) loads anyway: the kernel adds no module to the
+    ``scf`` command's set."""
+    bare, with_kernel = _modules_after("import scipy.linalg", "import repro.fem.fdm")
+    assert {"scipy.linalg.blas", "scipy.linalg._fblas"} <= bare
+    assert {m for m in with_kernel if m.startswith("scipy.linalg")} == {
+        m for m in bare if m.startswith("scipy.linalg")
+    }
+
+
 def test_lattice_builders_load_no_perf_model():
     (modules,) = _modules_after("from repro.materials.lattice import supercell")
     assert "repro.materials.lattice" in modules

@@ -37,6 +37,7 @@ from repro.hpc.flops import UNCOUNTED_KERNELS, FlopLedger
 from repro.precision import f32_dtype, fp32_mirror
 
 from tests.reference import (
+    reference_cf_term,
     reference_cholgs,
     reference_gram,
     reference_projected_hamiltonian,
@@ -197,9 +198,9 @@ class DenseOp:
         self.n = H.shape[0]
         self.applies = 0
 
-    def apply(self, X, out=None):
+    def apply(self, X, out=None, **term):
         self.applies += 1
-        Y = self.H @ X
+        Y = reference_cf_term(self.H @ X, X, **term)
         if out is not None:
             out[...] = Y
             return out
@@ -334,13 +335,13 @@ def _count_scf_applies(monkeypatch, n_scf: int, ledger=None):
     def metered() -> float:
         return ledger["cell_gemm"].flops_total if ledger is not None else 0.0
 
-    def counting_apply(self, X, out=None):
+    def counting_apply(self, X, out=None, **term):
         ncols = X.shape[1] if X.ndim == 2 else 1
         if X.ndim == 2:
             counts["block_columns"] += ncols
         counts["columns"] += ncols
         before = metered()
-        result = orig(self, X, out=out)
+        result = orig(self, X, out=out, **term)
         counts["flops"] += metered() - before
         if counts["unit"] is None:
             counts["unit"] = (metered() - before) / ncols
