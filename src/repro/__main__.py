@@ -25,10 +25,6 @@ Commands
     Run a batch of jobs through the repro.serve runtime — priority
     queue, preemptive scheduler, content-addressed result cache — and
     print throughput/latency/cache statistics.
-``tune``
-    Sweep the kernel-schedule knobs (B_f, scatter engine, threads,
-    subspace block) on this host and save the checksummed tuned profile
-    that ``SCFOptions`` picks up by default (``REPRO_TUNE=0`` disables).
 ``lint [PATH ...]``
     Run the reprolint numerical-safety static analyzer (defaults to
     ``src/``).  Flags are forwarded to ``repro.tools.lint``.
@@ -69,61 +65,11 @@ def _cmd_info(_args) -> int:
     print(f"  machines:  {', '.join(sorted(MACHINES))}")
     print(f"  backends:  serial, {', '.join(RANK_BACKENDS)} "
           f"(host cores: {cores}; default proc rank count: {max(2, cores)})")
-    _print_tuning_status()
     print("  commands:")
     width = max(len(n) for n in COMMANDS)
     for name in sorted(COMMANDS):
         print(f"    {name:<{width}}  {COMMANDS[name][1]}")
     return 0
-
-
-def _print_tuning_status() -> None:
-    """`info` lines on the host tuned profile (knobs, path, fingerprint)."""
-    from repro.tune import (
-        default_profile_path,
-        fingerprint_digest,
-        host_fingerprint,
-        load_host_profile,
-        tuning_enabled,
-    )
-
-    if not tuning_enabled():
-        print("  tuning:    disabled (REPRO_TUNE=0)")
-        return
-    profile = load_host_profile()
-    if profile is None:
-        fp = host_fingerprint()
-        print(f"  tuning:    no host profile at {default_profile_path(fp)} "
-              "(run `python -m repro tune`)")
-        print(f"             fingerprint: {fingerprint_digest(fp)} ({fp})")
-        return
-    knobs = ", ".join(f"{k}={v}" for k, v in sorted(profile.knobs.items()))
-    print(f"  tuning:    {knobs}")
-    model = profile.model
-    if model:
-        print(f"             modeled: {model.get('workload')} -> "
-              f"{model.get('nodes')} nodes @ B_f={model.get('block_size')}")
-    # the path is addressed by the *profile's own* fingerprint, so the
-    # line names the file actually loaded, not a recomputed guess
-    print(f"             profile: {default_profile_path(profile.fingerprint)}")
-    print(f"             fingerprint: {fingerprint_digest(profile.fingerprint)} "
-          f"({profile.fingerprint})")
-
-
-def _ensure_tuned_profile() -> None:
-    """`scf --autotune`: sweep and save a host profile if none is valid."""
-    from repro.tune import autotune, load_host_profile, tuning_enabled
-
-    if not tuning_enabled():
-        print("REPRO_TUNE=0: --autotune has no effect (tuning disabled)")
-        return
-    profile = load_host_profile()
-    if profile is None:
-        print("no valid host profile - running the tune sweep ...")
-        profile, path = autotune()
-        print(f"tuned {profile.knobs} -> {path}")
-    else:
-        print(f"using host profile {profile.knobs}")
 
 
 def _run_library_scf(args):
@@ -139,8 +85,6 @@ def _run_library_scf(args):
     if args.molecule not in MOLECULE_LIBRARY:
         print(f"unknown molecule {args.molecule!r}; see `python -m repro info`")
         return None, None
-    if getattr(args, "autotune", False):
-        _ensure_tuned_profile()
     symbols, positions, *_ = MOLECULE_LIBRARY[args.molecule]
     config = AtomicConfiguration(list(symbols), np.asarray(positions, float))
     xc = {"lda": LDA, "pbe": PBE}[args.xc]()
@@ -353,7 +297,7 @@ def _cmd_serve(args) -> int:
         )
     policy = SchedulerPolicy(
         total_ranks=args.ranks, slice_iterations=args.slice,
-        backend=args.backend, tuned=not args.no_tune,
+        backend=args.backend,
     )
     report = run_jobs(
         requests, workdir=args.workdir, policy=policy, workers=args.workers
@@ -457,35 +401,6 @@ def _cmd_screen(args) -> int:
     return 0 if all(o.converged for o in report.outcomes) else 1
 
 
-@_command("tune", "sweep kernel schedules, save the per-host tuned profile")
-def _cmd_tune(args) -> int:
-    """Run the autotune sweep and persist the verified host profile."""
-    import dataclasses
-    import json
-
-    from repro.tune import SweepConfig, autotune, tuning_enabled
-
-    if not tuning_enabled():
-        print("REPRO_TUNE=0: autotuning is disabled")
-        return 2
-    config = SweepConfig(seed=args.seed, repeats=args.repeats)
-    profile, path = autotune(config=config, path=args.output)
-    if args.json:
-        print(json.dumps(dataclasses.asdict(profile), indent=2, sort_keys=True))
-        return 0
-    sweep = profile.sweep
-    print(f"tuned profile written to {path}")
-    for knob, value in sorted(profile.knobs.items()):
-        print(f"  {knob:<22} {value}")
-    model = profile.model
-    print(f"  modeled ({model['workload']:<12}) {model['nodes']} nodes "
-          f"@ B_f={model['block_size']} "
-          f"({model['seconds']:.1f} s/SCF modeled)")
-    print(f"  sweep wall time        {sweep.get('wall_seconds', 0.0):.3f} s "
-          f"(metered via reproscope spans)")
-    return 0
-
-
 @_command("lint", "run the reprolint numerical-safety static analyzer")
 def _cmd_lint(_args) -> int:
     # normally handled by the pass-through in main() (the linter owns its
@@ -539,11 +454,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument(
             "--ranks", type=int, default=2, metavar="P",
             help="rank count for the virtual/proc backends (default: 2)",
-        )
-        p.add_argument(
-            "--autotune", action="store_true",
-            help="ensure a tuned host profile exists (sweeping if needed) "
-                 "and run with it; results are bit-identical either way",
         )
 
     p = sub.add_parser("scf")
@@ -614,10 +524,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--no-tune", action="store_true",
-        help="do not resolve the host tuned profile for service jobs",
-    )
-    p.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
     p = sub.add_parser(
@@ -671,23 +577,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    p = sub.add_parser(
-        "tune", help="sweep kernel schedules, save the host tuned profile"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing repeats per candidate (best-of; default: 3)",
-    )
-    p.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="profile path (default: fingerprint-addressed file under "
-             "REPRO_TUNE_DIR or ~/.cache/repro/tune)",
-    )
-    p.add_argument(
-        "--json", action="store_true",
-        help="print the full checksummed profile envelope",
     )
     sub.add_parser("lint", help="run the reprolint static analyzer")
     args = ap.parse_args(argv)

@@ -23,7 +23,7 @@ the history and the trace in agreement by construction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -113,16 +113,7 @@ class SCFOptions:
     #: passes so the eigensolve is trajectory-independent at the fixed
     #: point.  1 is bitwise-identical to the historical behavior.
     filter_passes: int = 1
-    #: CF / CholGS / RR block size (the paper's B_f).  None (the default)
-    #: means "unset": :meth:`resolve` may fill it from the host's tuned
-    #: profile, else it falls back to 64.  An explicit value always wins.
-    block_size: int | None = None
-    #: CholGS/RR block size; None falls back to ``block_size`` (tunable
-    #: independently because the subspace GEMM shapes differ from CF's)
-    subspace_block_size: int | None = None
-    #: pick up the per-host tuned profile for any knob left unset (see
-    #: :mod:`repro.tune`); ``REPRO_TUNE=0`` overrides this globally
-    autotune: bool = True
+    block_size: int = 64  #: CF / CholGS / RR block size (the paper's B_f)
     mixed_precision: bool = False
     mixing_alpha: float = 0.3
     mixing_history: int = 6
@@ -168,61 +159,6 @@ class SCFOptions:
     nranks: int = 2
     #: FP32 halo exchange on the distributed backends (paper Sec 5.4.2)
     fp32_halo: bool = False
-
-    #: the knobs a tuned profile may fill (when left unset here)
-    _TUNABLE = ("block_size", "subspace_block_size", "num_threads")
-
-    def __post_init__(self) -> None:
-        # Record which tunable knobs the caller left unset *before*
-        # defaulting them: resolve() only ever fills those, so an explicit
-        # user value always beats the profile.
-        unset = tuple(k for k in self._TUNABLE if getattr(self, k) is None)
-        if self.block_size is None:
-            self.block_size = 64
-        self._tunable_unset = unset
-        self._resolved = False
-
-    @property
-    def subspace_block(self) -> int:
-        """Effective CholGS/RR block (``subspace_block_size`` or B_f)."""
-        if self.subspace_block_size is not None:
-            return self.subspace_block_size
-        return self.block_size
-
-    def resolve(self, profile) -> "SCFOptions":
-        """Fill unset schedule knobs from a tuned profile.
-
-        ``profile`` is a :class:`repro.tune.TunedProfile` (or None, which
-        is a no-op).  Only knobs the user did not set explicitly are
-        filled; ``num_threads`` additionally defers to an explicit
-        ``REPRO_NUM_THREADS`` environment value.  Profiles change the
-        execution schedule, never the math — every fillable knob is
-        bitwise-neutral (see DESIGN.md sec 15).
-        """
-        if profile is None:
-            self._resolved = True
-            return self
-        knobs = dict(getattr(profile, "knobs", {}) or {})
-        env_threads = os.environ.get("REPRO_NUM_THREADS", "").strip()
-        filled = {}
-        for name in self._tunable_unset:
-            value = knobs.get(name)
-            if value is None:
-                continue
-            if name == "num_threads" and env_threads:
-                continue  # the explicit environment override wins
-            filled[name] = value
-        if not filled:
-            self._resolved = True
-            return self
-        out = replace(self, **filled)
-        # replace() re-runs __post_init__ with already-defaulted values;
-        # restore the unset record for knobs the profile did not cover
-        out._tunable_unset = tuple(
-            k for k in self._tunable_unset if k not in filled
-        )
-        out._resolved = True
-        return out
 
 
 @dataclass
@@ -289,12 +225,13 @@ class SCFDriver:
         self.nstates = int(nstates)
         self.spin_polarized = bool(spin_polarized)
         self.options = options or SCFOptions()
-        if self.options.autotune and not getattr(self.options, "_resolved", False):
-            from repro.tune.profile import load_host_profile
-
-            # fills only knobs left unset; no-op (and no profile I/O)
-            # under REPRO_TUNE=0
-            self.options = self.options.resolve(load_host_profile())
+        # REPRO_NUM_THREADS is read once here, not per SCF step: the
+        # environment is shared mutable state, and the parallel channel
+        # loop must not change width mid-run (reprolint R015).
+        env = os.environ.get("REPRO_NUM_THREADS", "").strip()
+        if env and not (env.isdecimal() and int(env) >= 1):
+            raise ValueError(f"REPRO_NUM_THREADS={env!r} must be an integer >= 1")
+        self._env_threads = int(env) if env else 1
         self.ledger = ledger
         if kpoints is None:
             kpoints = [((0.0, 0.0, 0.0), 1.0)]
@@ -341,11 +278,6 @@ class SCFDriver:
         self.degradation = DegradationReport()
         self._degraded_serial = False
         self._iteration = 0
-        # REPRO_NUM_THREADS is read once here, not per SCF step: the
-        # environment is shared mutable state, and the parallel channel
-        # loop must not change width mid-run (reprolint R015).
-        env = os.environ.get("REPRO_NUM_THREADS", "").strip()
-        self._env_threads = int(env) if env else 1
 
     def close(self) -> None:
         """Release operator backend resources (process-rank worker fleets).
@@ -375,11 +307,14 @@ class SCFDriver:
         self.degradation = DegradationReport()
         self._degraded_serial = False
         self._iteration = 0
-        mixer = (
-            AndersonMixer(opts.mixing_alpha, opts.mixing_history)
-            if opts.mixer == "anderson"
-            else LinearMixer(opts.mixing_alpha)
-        )
+        if opts.mixer == "anderson":
+            mixer = AndersonMixer(opts.mixing_alpha, opts.mixing_history)
+        elif opts.mixer == "linear":
+            mixer = LinearMixer(opts.mixing_alpha)
+        else:
+            raise ValueError(
+                f"mixer={opts.mixer!r} must be 'anderson' or 'linear'"
+            )
         if resume_from is not None:
             state = self._restore_state(load_scf_state(resume_from, mesh), mixer)
         else:
@@ -755,7 +690,7 @@ class SCFDriver:
             if np.issubdtype(op.dtype, np.complexfloating):
                 X = X + 1j * rng.standard_normal((n, self.nstates))
             X = np.asarray(X, dtype=op.dtype)
-            X = cholesky_orthonormalize(X, block_size=opts.subspace_block)
+            X = cholesky_orthonormalize(X, block_size=opts.block_size)
             # crude initial window: amplify the lower third of the spectrum
             d = op.diagonal()
             a0 = float(np.min(d)) - 1.0
@@ -786,7 +721,7 @@ class SCFDriver:
                 X,
                 HW,
                 op=op,
-                block_size=opts.subspace_block,
+                block_size=opts.block_size,
                 mixed_precision=opts.mixed_precision,
                 ledger=self.ledger,
             )

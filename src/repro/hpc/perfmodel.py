@@ -43,7 +43,6 @@ __all__ = [
     "calibrate_overlap",
     "cf_block_efficiency",
     "kernel_times",
-    "modeled_scf_seconds",
     "measured_overlap_residual",
 ]
 
@@ -324,37 +323,3 @@ def kernel_times(
     others = _OTHERS_SECONDS * cx * (N / 1000.0) * np.log2(max(nodes, 2))
     out.append(KernelTime("DH+EP+Others", 0.0, others))
     return out
-
-
-def modeled_scf_seconds(
-    machine: MachineSpec,
-    nodes: int,
-    *,
-    M: float,
-    N: float,
-    n_instances: int,
-    npc: int,
-    cheb_degree: int,
-    complex_arith: bool,
-    opts: ModelOptions | None = None,
-) -> float:
-    """Scalar tuner objective: modeled seconds of one SCF iteration.
-
-    The autotuner (:mod:`repro.tune.sweep`) scores modeled candidates —
-    node counts and ``ModelOptions.block_size`` — with the same
-    least-seconds objective it applies to measured micro-probes; this is
-    the scalar it minimizes (optionally weighted by the node count for a
-    cost-to-solution pick).
-    """
-    kernels = kernel_times(
-        machine,
-        nodes,
-        M=M,
-        N=N,
-        n_instances=n_instances,
-        npc=npc,
-        cheb_degree=cheb_degree,
-        complex_arith=complex_arith,
-        opts=opts,
-    )
-    return float(sum(k.seconds for k in kernels))

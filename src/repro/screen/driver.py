@@ -45,6 +45,7 @@ from repro.obs import Stopwatch, add_counter, trace_region
 
 from .family import FamilyMember, StructureFamily, domain_mesh, family_domain
 from .seeds import SeedStore
+from .serve import SCREEN_SCF_DEFAULTS, ScreenJobSpec
 from .surrogate import DensitySurrogate
 
 __all__ = [
@@ -213,17 +214,8 @@ class ScreenCampaign:
         self.cells_per_axis = int(cells_per_axis)
         self.padding = float(padding)
         self.grading_ratio = float(grading_ratio)
-        #: screening runs tighter than interactive defaults: the
-        #: cold-vs-seeded 1e-12 energy agreement needs the SCF fixed
-        #: point pinned well below the gate.  One knob beyond the
-        #: obvious tolerances matters — ``filter_passes=2`` (a single
-        #: Chebyshev pass leaves a trajectory-dependent eigenpair
-        #: memory of ~5e-12).  The Hartree solve is a pure function of
-        #: the density, so ``poisson_tol`` only bounds its verified
-        #: residual.
-        self.options = options if options is not None else SCFOptions(
-            max_iterations=300, density_tol=1e-14, energy_tol=1e-14,
-            filter_passes=2, poisson_tol=1e-12,
+        self.options = (
+            options if options is not None else SCFOptions(**SCREEN_SCF_DEFAULTS)
         )
         self.seeding = bool(seeding)
         self.n_anchors = int(n_anchors)
@@ -403,7 +395,6 @@ class ScreenCampaign:
         workers: int = 2,
         total_ranks: int = 8,
         backend: str = "serial",
-        tuned: bool = True,
         cache: Any = None,
     ) -> CampaignReport:
         """Batch the family through :mod:`repro.serve` in seeded waves.
@@ -419,8 +410,6 @@ class ScreenCampaign:
         from repro.serve import ResultCache, SchedulerPolicy, ServeRequest
         from repro.serve.server import run_jobs
 
-        from .serve import ScreenJobSpec
-
         if not self.family.isolated:
             raise NotImplementedError(
                 "serve campaigns require an isolated-system family "
@@ -430,7 +419,7 @@ class ScreenCampaign:
         artifact_dir = root / "artifacts"
         seed_dir = root / "seeds"
         policy = SchedulerPolicy(
-            total_ranks=total_ranks, backend=backend, tuned=tuned,
+            total_ranks=total_ranks, backend=backend,
             artifact_dir=str(artifact_dir),
         )
         cache = cache if cache is not None else ResultCache(root / "cache")

@@ -27,9 +27,25 @@ import numpy as np
 from repro.serve.jobs import JobSpec, register_job_type
 from repro.serve.runners import RUNNERS, SliceContext, SliceOutcome
 
-__all__ = ["ScreenJobSpec", "run_screen_member", "seed_artifact_path"]
+__all__ = [
+    "SCREEN_SCF_DEFAULTS", "ScreenJobSpec", "run_screen_member",
+    "seed_artifact_path",
+]
 
 _XC_CHOICES = ("lda", "pbe")
+
+#: screening runs tighter than the interactive defaults (keyed by
+#: ``SCFOptions`` field; the one declaration behind ``ScreenJobSpec``'s
+#: field defaults and ``ScreenCampaign``'s default options): the 1e-12
+#: cold-vs-seeded energy gate needs the fixed point pinned well below the
+#: gate and the eigensolver double-filtered (one Chebyshev pass keeps
+#: ~5e-12 of subspace trajectory memory); the Hartree solve is a pure
+#: function of the density, so ``poisson_tol`` only bounds its verified
+#: residual
+SCREEN_SCF_DEFAULTS = dict(
+    max_iterations=300, density_tol=1e-14, energy_tol=1e-14,
+    filter_passes=2, poisson_tol=1e-12,
+)
 
 
 @register_job_type
@@ -55,16 +71,11 @@ class ScreenJobSpec(JobSpec):
     degree: int = 3
     cells: int = 3
     grading_ratio: float = 2.0
-    max_scf: int = 300
-    #: screening campaigns run tighter than the interactive defaults:
-    #: the 1e-12 cold-vs-seeded energy gate needs the fixed point pinned
-    #: well below the gate and the eigensolver double-filtered (one pass
-    #: keeps ~5e-12 of subspace trajectory memory); the Hartree solve has
-    #: no memory, ``poisson_tol`` bounds its verified residual
-    density_tol: float = 1e-14
-    energy_tol: float = 1e-14
-    filter_passes: int = 2
-    poisson_tol: float = 1e-12
+    max_scf: int = SCREEN_SCF_DEFAULTS["max_iterations"]
+    density_tol: float = SCREEN_SCF_DEFAULTS["density_tol"]
+    energy_tol: float = SCREEN_SCF_DEFAULTS["energy_tol"]
+    filter_passes: int = SCREEN_SCF_DEFAULTS["filter_passes"]
+    poisson_tol: float = SCREEN_SCF_DEFAULTS["poisson_tol"]
     ranks: int = 1
 
     def validate(self) -> None:
@@ -128,7 +139,6 @@ def run_screen_member(spec: JobSpec, ctx: SliceContext) -> SliceOutcome:
         poisson_tol=spec.poisson_tol,
         backend=ctx.backend,
         nranks=max(1, int(ctx.ranks)),
-        autotune=ctx.tuned,
         initial_rho_path=ctx.seed_rho,
     )
     mesh = domain_mesh(spec.domain, spec.cells, spec.degree, spec.grading_ratio)

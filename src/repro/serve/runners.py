@@ -65,9 +65,6 @@ class SliceContext:
     checkpoint_path: str | None = None
     backend: str = "serial"
     ranks: int = 1
-    #: pick up the host's tuned profile for driver options (policy-level
-    #: like ``backend`` — never part of the job's content address)
-    tuned: bool = True
     #: warm-start hint: checkpoint path whose density seeds the first
     #: SCF iteration (scheduling metadata carried on the job, not the
     #: spec — cache keys stay seed-independent)
@@ -123,7 +120,6 @@ def _build_scf_calc(
     checkpoint: str | None,
     backend: str = "serial",
     ranks: int = 1,
-    tuned: bool = True,
 ) -> Any:
     """DFTCalculation for a library-molecule spec (shared scf/bands)."""
     from repro.atoms.library import MOLECULE_LIBRARY
@@ -143,7 +139,6 @@ def _build_scf_calc(
         checkpoint_metadata=spec.to_dict() if checkpoint else None,
         backend=backend,
         nranks=max(1, int(ranks)),
-        autotune=tuned,
     )
     return DFTCalculation(
         config,
@@ -184,7 +179,7 @@ def _run_scf(spec: JobSpec, ctx: SliceContext) -> SliceOutcome:
         cap = spec.max_scf
     calc = _build_scf_calc(
         spec, cap, ctx.checkpoint_path if sliced else None,
-        backend=ctx.backend, ranks=ctx.ranks, tuned=ctx.tuned,
+        backend=ctx.backend, ranks=ctx.ranks,
     )
     with calc:  # tears down proc-backend worker fleets on exit
         res = calc.run(resume_from=ctx.resume_from)
@@ -208,7 +203,7 @@ def _run_bands(spec: JobSpec, ctx: SliceContext) -> SliceOutcome:
 
     calc = _build_scf_calc(
         spec, spec.max_scf, None,
-        backend=ctx.backend, ranks=ctx.ranks, tuned=ctx.tuned,
+        backend=ctx.backend, ranks=ctx.ranks,
     )
     with calc:
         res = calc.run()

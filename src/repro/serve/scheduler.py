@@ -48,12 +48,6 @@ class SchedulerPolicy:
     #: (real shared-memory rank processes).  Policy-level, not part of
     #: job specs, so cache keys stay backend-independent.
     backend: str = "serial"
-    #: resolve the per-host tuned profile (:mod:`repro.tune`) for job
-    #: options.  Like ``backend``, this is policy-level rather than part
-    #: of the spec: tuning changes the schedule, never the result, so a
-    #: job's content address (cache key) must not depend on it.
-    #: ``REPRO_TUNE=0`` still disables pickup globally.
-    tuned: bool = True
     #: directory where runners persist converged-density artifacts for
     #: warm-start harvesting (None = no artifacts).  Policy-level like
     #: ``backend``: artifact placement never enters a job's identity.
@@ -172,7 +166,6 @@ class Scheduler:
             checkpoint_path=checkpoint,
             backend=self.policy.backend,
             ranks=max(1, int(getattr(job.spec, "ranks", 1))),
-            tuned=self.policy.tuned,
             seed_rho=job.seed_rho,
             artifact_dir=self.policy.artifact_dir,
         )

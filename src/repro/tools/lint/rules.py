@@ -30,7 +30,7 @@ R017      ``SharedMemory`` segment creation/attachment outside the
           lifecycle is the one sanctioned leak-proof owner
 R018      hard-coded ``block_size=`` integer literals at call sites in
           ``repro/core``/``repro/invdft`` — block choices belong to
-          ``SCFOptions``/the tuned profile, not the call site
+          ``SCFOptions``, not the call site
 ========  ==========================================================
 
 The concurrency-safety rules R013–R016 (unlocked shared-state mutation,
@@ -921,26 +921,23 @@ class SharedMemoryOutsideArena(Rule):
 class HardCodedBlockSize(Rule):
     """R018: literal ``block_size=`` at call sites in the numerical core.
 
-    The wavefunction/subspace block sizes are *schedule* knobs owned by
-    ``SCFOptions`` and the per-host tuned profile (:mod:`repro.tune`): a
-    literal baked into a call site silently overrides both the user's
-    explicit choice and the autotuner, and BENCH_apply shows the penalty
-    can be 3.5x on this host alone.  Callers must thread a variable
-    (``opts.block_size``, ``opts.subspace_block``, ``self.block_size``,
-    a parameter...).  Function-signature defaults and dataclass field
-    declarations are not call keywords, so declaring a default stays
-    legal — only hard-wired *call sites* are flagged.
+    The wavefunction/subspace block size is a *schedule* knob owned by
+    ``SCFOptions``: a literal baked into a call site silently overrides
+    the user's explicit choice, and BENCH_apply shows the penalty can be
+    3.5x on this host alone.  Callers must thread a variable
+    (``opts.block_size``, ``self.block_size``, a parameter...).
+    Function-signature defaults and dataclass field declarations are not
+    call keywords, so declaring a default stays legal — only hard-wired
+    *call sites* are flagged.
     """
 
     rule_id = "R018"
     severity = "error"
     description = (
         "literal block_size= at a call site in repro/core or repro/invdft; "
-        "thread SCFOptions / tuned-profile block choices instead"
+        "thread the SCFOptions block choice instead"
     )
     path_filters = ("core/", "invdft/")
-
-    _KNOBS = frozenset({"block_size", "subspace_block_size"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -948,7 +945,7 @@ class HardCodedBlockSize(Rule):
                 continue
             for kw in node.keywords:
                 if (
-                    kw.arg in self._KNOBS
+                    kw.arg == "block_size"
                     and isinstance(kw.value, ast.Constant)
                     and isinstance(kw.value.value, int)
                     and not isinstance(kw.value.value, bool)
@@ -956,9 +953,9 @@ class HardCodedBlockSize(Rule):
                     yield ctx.finding(
                         self,
                         kw.value,
-                        f"hard-coded {kw.arg}={kw.value.value} at a call "
-                        "site; block choices belong to SCFOptions / the "
-                        "tuned profile, pass a threaded variable instead",
+                        f"hard-coded block_size={kw.value.value} at a call "
+                        "site; block choices belong to SCFOptions, pass a "
+                        "threaded variable instead",
                     )
 
 

@@ -1,33 +1,40 @@
-"""repro.tune — self-tuning kernel schedules (ROADMAP item 4).
+"""Host identity for benchmark records: cpu count, platform, BLAS vendor.
 
-Measure which kernel *schedule* is fastest on this host (wavefunction
-block ``B_f``, channel thread width, subspace block), persist the choice
-as a checksummed per-host profile, and let ``SCFOptions.resolve`` fill unset knobs from it — explicit user values
-always win, ``REPRO_TUNE=0`` kills the pickup, and every tuned
-configuration is bit-identical in SCF energies to the fixed defaults.
-
-Both halves load on first use: the profile plumbing
-(:mod:`repro.tune.profile`, stdlib-only) when ``repro.core`` asks for the
-host profile, the sweep machinery (:mod:`repro.tune.sweep`, which itself
-builds meshes and operators) only when something tunes.
+There is no tuner here (DESIGN.md sec 15 says why).  The package name stays
+because the frozen ``benchmarks/ledger/run.py`` stamps every record through
+``from repro.tune import host_fingerprint`` — the same reason
+``repro.core.scf`` keeps re-exporting ``rayleigh_ritz``.
 """
 
 from __future__ import annotations
 
-from repro._lazy import lazy_exports
+import os
+import platform
+from typing import Any
 
-__getattr__, __dir__, __all__ = lazy_exports(
-    globals(),
-    {
-        "profile": (
-            "PROFILE_SCHEMA", "ProfileError", "TUNABLE_KNOBS", "TunedProfile",
-            "blas_vendor", "default_profile_path", "fingerprint_digest",
-            "host_fingerprint", "load_host_profile", "load_profile", "profile_dir",
-            "save_profile", "tuning_enabled",
-        ),
-        "sweep": (
-            "SweepConfig", "SweepResult", "autotune", "best_candidate", "pick_modeled",
-            "run_sweep",
-        ),
-    },
-)
+import numpy as np
+
+__all__ = ["blas_vendor", "host_fingerprint"]
+
+
+def blas_vendor() -> str:
+    """Short BLAS vendor string from numpy's build configuration."""
+    try:
+        info = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 has no dict mode
+        info = None
+    if isinstance(info, dict):
+        dep = info.get("Build Dependencies", {}).get("blas", {})
+        name = dep.get("name")
+        if name:
+            return str(name)
+    return "unknown"
+
+
+def host_fingerprint() -> dict[str, Any]:
+    """Identity of the hardware/software a measurement was taken on."""
+    return {
+        "cpu_count": int(os.cpu_count() or 1),
+        "platform": f"{platform.system()}-{platform.machine()}",
+        "blas": blas_vendor(),
+    }

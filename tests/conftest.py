@@ -26,16 +26,3 @@ def pytest_collection_modifyitems(items):
 def update_golden(request):
     """True when the run should rewrite the golden files."""
     return bool(request.config.getoption("--update-golden"))
-
-
-@pytest.fixture(autouse=True)
-def _hermetic_tuned_profiles(tmp_path, monkeypatch):
-    """Point the tuned-profile store at an empty per-test directory.
-
-    ``SCFOptions`` picks up the host's tuned profile by default
-    (:mod:`repro.tune`); an ambient profile in the developer's real
-    ``~/.cache/repro/tune`` must never leak into test runs, and tests
-    that *want* a profile write one into this directory explicitly.
-    """
-    monkeypatch.setenv("REPRO_TUNE_DIR", str(tmp_path / "tune-profiles"))
-    monkeypatch.delenv("REPRO_TUNE", raising=False)

@@ -9,4 +9,4 @@ def hard_wired_cholgs(X):
 
 
 def hard_wired_subspace(op, X):
-    return rayleigh_ritz(op, X, subspace_block_size=32)  # expect: R018
+    return rayleigh_ritz(op, X, block_size=32)  # expect: R018

@@ -5,8 +5,8 @@ from repro.core.rayleigh_ritz import rayleigh_ritz
 
 
 def threaded_blocks(op, X, opts):
-    Y = cholesky_orthonormalize(X, block_size=opts.subspace_block)
-    return rayleigh_ritz(op, Y, block_size=opts.subspace_block)
+    Y = cholesky_orthonormalize(X, block_size=opts.block_size)
+    return rayleigh_ritz(op, Y, block_size=opts.block_size)
 
 
 def declared_default_is_not_a_call_site(X, block_size=64):

@@ -1,7 +1,7 @@
 """Persisted artifacts: one corruption matrix, one round-trip property.
 
 Every file the package writes — SCF / invDFT / MLXC loop state, converged
-results, seed densities, MLP weights, tune profiles, cache entries — goes
+results, seed densities, MLP weights, cache entries — goes
 through ``repro.atomicio.write_artifact`` and comes back through
 ``read_artifact``.  So the questions "what happens to a damaged file" and
 "does everything survive a round trip" are asked once, here, of every kind:
@@ -9,8 +9,8 @@ through ``repro.atomicio.write_artifact`` and comes back through
 * {missing, empty, truncated at 1/2, one byte flipped, garbage, re-encoded
   with a leaf changed, wrong schema tag, wrong kind, foreign mesh} x kind ->
   ``ArtifactError`` naming the path at the public reader, and the documented
-  degrade at the two callers that have one (``load_host_profile`` -> None,
-  ``ResultCache.get`` -> a miss counted as corrupt);
+  degrade at the caller that has one (``ResultCache.get`` -> a miss counted
+  as corrupt);
 * ``read_artifact(write_artifact(tree)) == tree`` leaf for leaf (dtype, shape
   and bytes) over generated trees;
 * a write that fails leaves the previous file byte-identical and no temp
@@ -53,14 +53,6 @@ from repro.fem.mesh import uniform_mesh
 from repro.ml.nn import MLP
 from repro.serve.cache import CACHE_SCHEMA, ResultCache
 from repro.serve.jobs import ProbeJobSpec
-from repro.tune.profile import (
-    PROFILE_SCHEMA,
-    TunedProfile,
-    host_fingerprint,
-    load_host_profile,
-    load_profile,
-    save_profile,
-)
 
 
 @functools.cache
@@ -144,13 +136,6 @@ def _write_weights(tmp: pathlib.Path, seed: int) -> pathlib.Path:
     return path
 
 
-def _write_profile(tmp: pathlib.Path, seed: int) -> pathlib.Path:
-    profile = TunedProfile(
-        knobs={"block_size": 8 << seed}, fingerprint=host_fingerprint(), seed=seed
-    )
-    return save_profile(profile, tmp / "profile.json")
-
-
 def _write_cache(tmp: pathlib.Path, seed: int) -> pathlib.Path:
     return ResultCache(tmp / "cache").put(SPEC, {"kind": "probe", "trace": seed})
 
@@ -181,7 +166,6 @@ KINDS = [
     Kind("rho", STATE_SCHEMA, _write_rho,
          lambda p: load_initial_rho(p, _mesh()), lambda p: load_initial_rho(p, _mesh(3))),
     Kind("weights", MLP.WEIGHTS_SCHEMA, _write_weights, MLP.load),
-    Kind("profile", PROFILE_SCHEMA, _write_profile, load_profile),
     Kind("cache", CACHE_SCHEMA, _write_cache, lambda p: read_artifact(p, CACHE_SCHEMA)),
 ]
 STATE_KINDS = [k for k in KINDS if k.schema == STATE_SCHEMA]
@@ -264,12 +248,13 @@ def test_damaged_artifact_is_refused_at_the_reader(kind, damage, tmp_path):
     assert reason in (None, err.reason)
     if reason == "wrong schema":
         assert (err.expected, err.found) == (kind.schema, kind.schema + "-next")
+        assert repr(err.found) in str(err) and repr(err.expected) in str(err)
 
 
 @pytest.mark.parametrize("kind", STATE_KINDS, ids=repr)
 def test_a_file_of_another_kind_is_refused(kind, tmp_path):
     """All five ``repro-state`` kinds share one schema; the kind is checked
-    on top of it.  (For weights, profiles and cache entries another kind *is*
+    on top of it.  (For weights and cache entries another kind *is*
     another schema — the ``wrong_schema`` column above.)"""
     other = _write_mlxc if kind.name != "mlxc" else _write_rho
     err = _refusal(kind.read, other(tmp_path, 0))
@@ -295,14 +280,6 @@ def test_mlxc_state_for_another_network_is_refused(tmp_path):
     path = _write_mlxc(tmp_path, 0)
     err = _refusal(lambda p: load_mlxc_state(p, n_params=18), path)
     assert err.reason == "wrong kind" and "17 parameters" in str(err)
-
-
-@pytest.mark.parametrize("damage", DAMAGE, ids=lambda f: f.__name__.strip("_"))
-def test_host_profile_pickup_degrades_to_no_profile(damage, tmp_path):
-    path = _write_profile(tmp_path, 0)
-    assert load_host_profile(path) is not None
-    damage(path, KIND["profile"])
-    assert load_host_profile(path) is None
 
 
 @pytest.mark.parametrize("damage", DAMAGE, ids=lambda f: f.__name__.strip("_"))
@@ -354,13 +331,6 @@ def test_files_of_earlier_formats_are_refused_naming_found_and_expected(tmp_path
     ]:
         err = _refusal(read, path)
         assert (err.reason, err.found, err.expected) == ("wrong schema", None, expected)
-    old_profile = tmp_path / "old.json"
-    old_profile.write_text(json.dumps(
-        {"schema": "repro-tune-profile/1", "knobs": {}, "checksum": "0" * 64}
-    ))
-    err = _refusal(load_profile, old_profile)
-    assert (err.reason, err.found) == ("wrong schema", "repro-tune-profile/1")
-    assert "repro-tune-profile/1" in str(err) and PROFILE_SCHEMA in str(err)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import tempfile
 
 import pytest
 
@@ -39,9 +38,8 @@ NOT_IMPORTED = (
     "repro.hpc.cluster", "repro.tune", "repro.serve", "repro.screen",
     "repro.tools.lint",
 )
-#: the only ``repro`` modules building and running an SCF may add: the host
-#: profile pickup of ``SCFOptions.autotune`` (read once per driver)
-LOADED_BY_A_SOLVE = {"repro.tune", "repro.tune.profile"}
+#: the ``repro`` modules building and running an SCF may add: none
+LOADED_BY_A_SOLVE: set[str] = set()
 
 H2_SCF = (
     "import numpy as np; "
@@ -59,15 +57,11 @@ def _modules_after(*stages: str) -> list[set[str]]:
     code = "import json, sys; out = []\n" + "".join(
         f"{stage}\nout.append(sorted(sys.modules))\n" for stage in stages
     ) + "print(json.dumps(out))"
-    with tempfile.TemporaryDirectory() as tune_dir:  # no host profile
-        env = {
-            **os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1",
-            "REPRO_TUNE_DIR": tune_dir,
-        }
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=300,
-        )
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
     assert done.returncode == 0, done.stderr
     return [set(names) for names in json.loads(done.stdout.splitlines()[-1])]
 
@@ -187,13 +181,8 @@ LAZY_PACKAGES = {
         "paper_label", "read_jsonl", "render_tree", "set_enabled", "trace_region",
         "traced",
     ],
-    "repro.tune": [
-        "PROFILE_SCHEMA", "TUNABLE_KNOBS", "ProfileError", "TunedProfile",
-        "blas_vendor", "default_profile_path", "fingerprint_digest",
-        "host_fingerprint", "load_host_profile", "load_profile", "profile_dir",
-        "save_profile", "tuning_enabled", "SweepConfig", "SweepResult", "autotune",
-        "best_candidate", "pick_modeled", "run_sweep",
-    ],
+    #: not lazy — one plain module, kept for the ledger's ``host_fingerprint``
+    "repro.tune": ["blas_vendor", "host_fingerprint"],
 }
 
 
@@ -204,6 +193,8 @@ def test_lazy_package_exports_what_the_eager_one_did(package):
     assert set(pkg.__all__) <= set(dir(pkg))
     for name in pkg.__all__:
         value = getattr(pkg, name)
+        if package == "repro.tune":
+            continue  # defined in place: there is no submodule to come from
         homes = [
             sub for sub in vars(pkg).values()
             if getattr(sub, "__package__", None) == package

@@ -282,10 +282,11 @@ def _run_molecule(
     checkpoint_every=1,
     resume_from=None,
     retry=None,
+    **schedule,
 ):
     symbols, positions, *_ = MOLECULE_LIBRARY[name]
     config = AtomicConfiguration(list(symbols), np.asarray(positions, float))
-    opts = dict(max_iterations=max_iterations)
+    opts = dict(max_iterations=max_iterations, **schedule)
     if checkpoint is not None:
         opts.update(checkpoint_path=checkpoint, checkpoint_every=checkpoint_every)
     if retry is not None:
@@ -350,20 +351,28 @@ def test_scf_persistent_nan_never_escapes_as_energy():
 
 def test_h2o_kill_at_iteration_k_and_resume_bit_identical(tmp_path):
     """The ISSUE's headline guarantee: interrupt the H2O SCF at iteration k,
-    resume from the checkpoint, and land on the *identical* free energy."""
+    resume from the checkpoint, and land on the *identical* free energy.
+
+    The schedule is not the math: a run interrupted and resumed under an
+    explicit block size and channel-thread width lands on the bits of the
+    uninterrupted run at the defaults.
+    """
     _, ref = _run_molecule("H2O")
     assert ref.converged
-    ck = str(tmp_path / "h2o.ckpt")
-    _, partial = _run_molecule("H2O", max_iterations=4, checkpoint=ck)
-    assert not partial.converged
-    _, resumed = _run_molecule("H2O", resume_from=ck)
-    assert resumed.converged
-    assert resumed.n_iterations == ref.n_iterations
-    assert resumed.free_energy == ref.free_energy  # bit for bit
-    assert resumed.energy == ref.energy
-    np.testing.assert_array_equal(resumed.rho_spin, ref.rho_spin)
-    for ev_r, ev_ref in zip(resumed.eigenvalues, ref.eigenvalues):
-        np.testing.assert_array_equal(ev_r, ev_ref)
+    for schedule in ({}, {"block_size": 16, "num_threads": 2}):
+        ck = str(tmp_path / f"h2o-{len(schedule)}.ckpt")
+        _, partial = _run_molecule(
+            "H2O", max_iterations=4, checkpoint=ck, **schedule
+        )
+        assert not partial.converged
+        _, resumed = _run_molecule("H2O", resume_from=ck, **schedule)
+        assert resumed.converged
+        assert resumed.n_iterations == ref.n_iterations
+        assert resumed.free_energy == ref.free_energy  # bit for bit
+        assert resumed.energy == ref.energy
+        np.testing.assert_array_equal(resumed.rho_spin, ref.rho_spin)
+        for ev_r, ev_ref in zip(resumed.eigenvalues, ref.eigenvalues):
+            np.testing.assert_array_equal(ev_r, ev_ref)
 
 
 @pytest.mark.chaos

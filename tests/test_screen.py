@@ -330,6 +330,15 @@ def test_screen_spec_round_trip_and_validation():
     )
     again = spec_from_dict(spec.to_dict())
     assert again == spec and again.job_key() == spec.job_key()
+    # one declaration (``SCREEN_SCF_DEFAULTS``) feeds the spec's defaults and
+    # the campaign's: the default content address and options are pinned
+    assert ScreenJobSpec().job_key() == (
+        "e44ac4a55fe1e94d996155d4d7fc60b0d270c259291ca75ba2501bbeefb29a78"
+    )
+    assert ScreenCampaign(dimer_family()).options == SCFOptions(
+        max_iterations=300, density_tol=1e-14, energy_tol=1e-14,
+        filter_passes=2, poisson_tol=1e-12,
+    )
 
     with pytest.raises(ValueError, match="outside the domain"):
         ScreenJobSpec(
@@ -537,13 +546,16 @@ def test_cli_scf_initial_rho_mesh_mismatch_is_clean(tmp_path, capsys):
     assert "different mesh" in out
 
 
-def test_cli_info_reports_tuning_fingerprint(capsys):
+def test_cli_info_lists_screen_and_no_tuner(capsys):
     from repro.__main__ import main
 
     assert main(["info"]) == 0
     out = capsys.readouterr().out
-    assert "fingerprint:" in out
-    assert "screen" in out  # the new subcommand is listed
+    assert "screen" in out  # the subcommand is listed
+    assert "tun" not in out and "fingerprint" not in out
+    with pytest.raises(SystemExit) as refused:  # argparse: invalid choice
+        main(["tune"])
+    assert refused.value.code == 2
 
 
 # ---------------------------------------------------------------------------
