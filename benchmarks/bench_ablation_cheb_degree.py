@@ -15,7 +15,7 @@ Two claims measured on a real Kohn-Sham operator:
 import numpy as np
 import pytest
 
-from repro.core.chebyshev import chebyshev_filter, lanczos_upper_bound
+from repro.core.chebyshev import chebyshev_filter
 from repro.core.orthonorm import blocked_gram, cholesky_orthonormalize
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import uniform_mesh
@@ -35,7 +35,7 @@ def ks_problem():
     nwant = 5
     rng = np.random.default_rng(3)
     X0 = np.linalg.qr(rng.standard_normal((op.n, nwant)))[0]
-    b = lanczos_upper_bound(op)
+    b = op.spectral_upper_bound()
     a = 0.5 * (evals[nwant - 1] + evals[nwant])  # filter cut inside the gap
     return op, evals, evecs[:, :nwant], X0, a, b
 

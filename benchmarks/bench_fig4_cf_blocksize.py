@@ -12,7 +12,7 @@ applies in process.
 import numpy as np
 import pytest
 
-from repro.core.chebyshev import chebyshev_filter, lanczos_upper_bound
+from repro.core.chebyshev import chebyshev_filter
 from repro.fem.mesh import uniform_mesh
 from repro.hpc.machine import CRUSHER, PERLMUTTER, SUMMIT
 from repro.hpc.perfmodel import cf_block_efficiency
@@ -25,7 +25,7 @@ def cf_setup():
     mesh = uniform_mesh((8.0,) * 3, (4, 4, 4), degree=5)
     op = cell_operator(mesh)
     op.set_potential(np.zeros(mesh.nnodes))
-    b = lanczos_upper_bound(op)
+    b = op.spectral_upper_bound()
     X = np.random.default_rng(0).standard_normal((op.n, 64))
     return mesh, op, b, X
 

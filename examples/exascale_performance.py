@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.fem.mesh import uniform_mesh
 from repro.fem.assembly import KSOperator
-from repro.core.chebyshev import chebyshev_filter, lanczos_upper_bound
+from repro.core.chebyshev import chebyshev_filter
 from repro.hpc.cluster import VirtualCluster
 from repro.hpc.machine import CRUSHER, FRONTIER, PERLMUTTER, SUMMIT
 from repro.hpc.perfmodel import ModelOptions, cf_block_efficiency
@@ -44,7 +44,7 @@ def fig4_cf_block_size() -> None:
     mesh = uniform_mesh((8.0,) * 3, (4, 4, 4), degree=5)
     op = KSOperator(mesh)
     op.set_potential(np.zeros(mesh.nnodes))
-    b = lanczos_upper_bound(op)
+    b = op.spectral_upper_bound()
     X = np.random.default_rng(0).standard_normal((op.n, 64))
     print("    measured host-CPU CF throughput (same kernel, GFLOP/s):")
     for bf in (4, 16, 64):

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.fem.assembly import KSOperator
 
-from .chebyshev import chebyshev_filter, lanczos_upper_bound
+from .chebyshev import capped_degree, chebyshev_filter
 from .orthonorm import cholesky_orthonormalize
 from .subspace import fused_cholgs_rr
 
@@ -52,7 +52,7 @@ def band_structure(
     for ik, kfrac in enumerate(kpoints):
         op = KSOperator(mesh, kfrac=kfrac)
         op.set_potential(v_eff)
-        b = lanczos_upper_bound(op, k=12, seed=17)
+        b = op.spectral_upper_bound()
         rng = np.random.default_rng(101 + ik)
         X = rng.standard_normal((op.n, nbands))
         if np.issubdtype(op.dtype, np.complexfloating):
@@ -67,10 +67,10 @@ def band_structure(
         # HX rotated out of each fused stage seeds the next pass's filter
         # unadjusted (one fewer op.apply per pass after the first)
         hx0 = None
-        for _ in range(passes):
-            X = chebyshev_filter(
-                op, X, cheb_degree, a, b, a0, block_size=block_size, hx0=hx0
-            )
+        for p in range(passes):
+            # only a window around Ritz values is capped, not the random start's
+            m = cheb_degree if p == 0 else capped_degree(cheb_degree, a, b, a0, X.dtype)
+            X = chebyshev_filter(op, X, m, a, b, a0, block_size=block_size, hx0=hx0)
             HW = op.apply(X)
             evals, X, hx0 = fused_cholgs_rr(X, HW, op=op, block_size=block_size)
             a0 = float(evals[0])

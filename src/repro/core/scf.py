@@ -11,7 +11,7 @@ Each SCF iteration performs the sequence the paper benchmarks in Table 3:
 6. Anderson-mixed density update, Harris-Foulkes energy estimate.
 
 The first SCF step runs several filtering passes from a random subspace
-(paper footnote 8) with Lanczos spectral bounds.
+(paper footnote 8); the filter's upper bound is closed-form, no Lanczos.
 
 Every phase of the iteration is wrapped in a reproscope span
 (:mod:`repro.obs`) named after the paper's kernel labels, so a traced run
@@ -40,7 +40,7 @@ from repro.resilience import faults as _faults
 from repro.tools import sanitize as _sanitize
 from repro.xc.base import XCFunctional
 
-from .chebyshev import chebyshev_filter, lanczos_upper_bound
+from .chebyshev import capped_degree, chebyshev_filter, lanczos_upper_bound
 from .density import atomic_guess_density, density_from_channels
 from .energy import EnergyBreakdown, total_energy
 from .hamiltonian import Electrostatics
@@ -51,10 +51,13 @@ from .orthonorm import cholesky_orthonormalize
 from .rayleigh_ritz import rayleigh_ritz
 from .subspace import adjust_carried_hx, fused_cholgs_rr
 
-# rayleigh_ritz is a re-export with no use left in this module (every ChFES
-# step is fused): the benchmark ledger's frozen hook table resolves
-# repro.core.scf.rayleigh_ritz and fails loudly if the name disappears
-__all__ = ["KSChannel", "SCFOptions", "SCFResult", "SCFDriver", "rayleigh_ritz"]
+# rayleigh_ritz and lanczos_upper_bound are re-exports with no use left here:
+# the benchmark ledger's frozen hook table resolves both on repro.core.scf and
+# fails loudly if a name disappears
+__all__ = [
+    "KSChannel", "SCFOptions", "SCFResult", "SCFDriver", "rayleigh_ritz",
+    "lanczos_upper_bound",
+]
 
 
 def _carried(default=None):
@@ -74,9 +77,6 @@ class KSChannel:
     op: KSOperator
     psi: np.ndarray | None = _carried()  #: (ndof, nstates) Löwdin-basis orbitals
     evals: np.ndarray | None = _carried()
-    #: Lanczos bound cache: the bound and the potential it was computed at
-    bound_base: float = _carried(0.0)
-    bound_v: np.ndarray | None = _carried()
     #: HX carry of the fused subspace stage: ``H psi`` rotated out of the
     #: last Rayleigh-Ritz, and the potential it was computed at (the next
     #: filter adjusts it by ``diag(v_new - v_old)`` and skips one apply)
@@ -104,7 +104,7 @@ class SCFOptions:
     density_tol: float = 1e-6  #: L2 density residual per electron
     energy_tol: float = 1e-8  #: Harris energy change per electron (Ha)
     temperature: float = 1e-3  #: k_B T smearing (Ha)
-    cheb_degree: int = 15
+    cheb_degree: int = 15  #: filter degree, lowered per pass by ``capped_degree``
     n_init_passes: int = 5  #: filtering passes in the first SCF step
     #: filtering passes in every later SCF step.  The default single
     #: pass leaves the converged subspace with an O(1e-10) eigenvalue
@@ -119,15 +119,6 @@ class SCFOptions:
     mixing_history: int = 6
     mixer: str = "anderson"  #: "anderson" or "linear"
     poisson_tol: float = 1e-9  #: verified bound on the EP residual |b-Kx|/|b|
-    lanczos_steps: int = 12
-    #: max-norm potential drift (Ha) up to which the cached Lanczos upper
-    #: bound is reused (Weyl-shifted) instead of recomputed (see
-    #: :meth:`SCFDriver._upper_bound`).  The default 0.0 reuses the cache
-    #: only for a bitwise-unchanged potential (repeated eigensolves, NSCF
-    #: band runs) and is numerically inert; a positive threshold (~0.05)
-    #: also skips the k-step Lanczos between nearby SCF steps, perturbing
-    #: the filter window — and the converged energy — at the ~1e-9 level.
-    lanczos_refresh_dv: float = 0.0
     kerker_k0: float | None = None  #: enable Kerker mixing preconditioning
     #: worker threads for the independent (k, spin) channels; None reads
     #: REPRO_NUM_THREADS (default 1 = serial)
@@ -642,44 +633,11 @@ class SCFDriver:
         ):
             self._eigensolve_channel(ch, first)
 
-    def _upper_bound(self, ch: KSChannel, first: bool) -> float:
-        """Cached Lanczos upper bound of the channel's spectrum.
-
-        The kinetic part of ``H~`` is fixed; only ``diag(v)`` changes
-        between SCF steps, and Weyl's inequality gives
-        ``lam_max(T + diag(v')) <= lam_max(T + diag(v)) + max(v' - v)``.
-        So the ``lanczos_steps`` full operator applies are spent only on
-        the first step and when the potential has drifted more than
-        ``lanczos_refresh_dv`` in max norm; otherwise the cached bound is
-        shifted by the (non-negative part of the) maximum potential
-        increase, which keeps it a true upper bound.
-
-        At the default threshold of 0.0 the cache only serves a bitwise
-        unchanged potential (shift exactly zero), so SCF trajectories are
-        bit-identical to recomputing every step while repeated eigensolves
-        at a fixed potential still skip the Lanczos run.
-        """
-        opts = self.options
-        op = ch.op
-        v = op.potential_free
-        stale = first or ch.bound_v is None
-        if not stale:
-            drift = float(np.max(np.abs(v - ch.bound_v))) if v.size else 0.0
-            stale = drift > opts.lanczos_refresh_dv
-        if stale:
-            with trace_region("Lanczos"):
-                b = lanczos_upper_bound(op, k=opts.lanczos_steps)
-            ch.bound_base = b
-            ch.bound_v = v.copy()
-            return b
-        shift = float(np.max(v - ch.bound_v)) if v.size else 0.0
-        return ch.bound_base + max(shift, 0.0)
-
     def _eigensolve_channel(self, ch: KSChannel, first: bool) -> None:
         opts = self.options
         op = ch.op
         n = op.n
-        b = self._upper_bound(ch, first)
+        b = op.spectral_upper_bound()
         if first:
             seed = (
                 int(1e6 * (1 + ch.kfrac[0] + 10 * ch.kfrac[1] + 100 * ch.kfrac[2]))
@@ -709,8 +667,12 @@ class SCFDriver:
             # potential update as hpsi + (v_new - v_old) o psi
             hx0 = adjust_carried_hx(ch.hpsi, X, op.potential_free - ch.hpsi_v)
         for p in range(passes):
+            # only a window around Ritz values is capped, not the random start's
+            m = opts.cheb_degree
+            if not (first and p == 0):
+                m = capped_degree(m, a, b, a0, X.dtype)
             X = chebyshev_filter(
-                op, X, opts.cheb_degree, a, b, a0,
+                op, X, m, a, b, a0,
                 block_size=opts.block_size, ledger=self.ledger,
                 hx0=hx0,
             )

@@ -334,12 +334,18 @@ class KSOperator:
         self._last = None
         self.ledger = ledger
         self._nl_B = self._nl_D = None
+        self._nl_top = 0.0
         if nonlocal_projectors:
             from repro.atoms.nonlocal_psp import projector_matrix
 
             B, D = projector_matrix(mesh, nonlocal_projectors)
             if B.shape[1]:
                 self._nl_B, self._nl_D = B, D
+                # B D B^H's top eigenvalue is G^1/2 D G^1/2's, G = B^H B, or 0
+                w, U = np.linalg.eigh(B.conj().T @ B)
+                Gh = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
+                top = np.linalg.eigvalsh((Gh * D) @ Gh)[-1]
+                self._nl_top = max(0.0, float(top))
 
     @property
     def n(self) -> int:
@@ -356,6 +362,11 @@ class KSOperator:
     @property
     def potential_free(self) -> np.ndarray:
         return self._v_free
+
+    def spectral_upper_bound(self) -> float:
+        """Weyl's bound on ``H~``'s spectrum: the kinetic's exact top eigenvalue
+        + ``max(v)`` + the nonlocal term's; no apply, the same on every engine."""
+        return self.kinetic.top_eigenvalue + float(self._v_free.max()) + self._nl_top
 
     def clone(self) -> "KSOperator":
         """Operator sharing all immutable state but owning its potential.

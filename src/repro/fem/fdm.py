@@ -157,6 +157,8 @@ class AxisKinetic:
         #: free DoFs per axis; ``mesh.free`` is their C-ordered product
         self.shape = tuple(A.shape[0] for A in mats)
         self.dtype = np.result_type(*mats)
+        #: exact: a Kronecker sum's eigenvalues are the sums of its terms'
+        self.top_eigenvalue = sum(float(np.linalg.eigvalsh(A)[-1]) for A in mats)
 
     def fold(self, diag: np.ndarray) -> np.ndarray:
         """``A_z + diag(d[ix, iy, :])`` for every ``(ix, iy)``: the last axis

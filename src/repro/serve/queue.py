@@ -184,8 +184,11 @@ class JobQueue:
 
         Jobs wider than the free budget are skipped (they stay queued and
         keep their position); stale entries — cancelled jobs, jobs already
-        dispatched through a fresher entry — are dropped.
+        dispatched through a fresher entry — are dropped.  With no rank free
+        nothing fits (a job needs one at least): the heap is left alone.
         """
+        if free_ranks < 1:
+            return None
         with self._lock:
             san = _sanitize._STATE
             if san is not None:

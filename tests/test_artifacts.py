@@ -70,7 +70,7 @@ def _write_scf(tmp: pathlib.Path, seed: int) -> pathlib.Path:
     channel = {
         "kfrac": (0.0, 0.0, 0.0), "weight": 1.0, "spin": None,
         "psi": rng.standard_normal((mesh.nnodes, 3)), "evals": np.arange(3.0),
-        "bound_base": 8.0, "bound_v": None, "hpsi": None, "hpsi_v": None,
+        "hpsi": None, "hpsi_v": None,
     }
     path = tmp / "scf.ckpt"
     save_scf_state(
@@ -427,7 +427,7 @@ _TREES = st.recursive(
 @example(tree=[])
 @example(tree={"prev_energy": float("inf"), "err": float("-inf"), "z": -0.0})
 @example(tree={"tiny": 5e-324, "name": "Löwdin ∑ 基底", "big": 2**80})
-@example(tree={"mixer": [[np.zeros((2, 2)), np.ones(3)], []], "bound_v": None})
+@example(tree={"mixer": [[np.zeros((2, 2)), np.ones(3)], []], "hpsi_v": None})
 @example(tree=[np.array(1 + 2j), np.array(7), np.zeros((0, 3)), np.array("é")])
 def test_read_returns_exactly_the_tree_that_was_written(tree, tmp_path_factory):
     path = tmp_path_factory.mktemp("roundtrip") / "tree.art"

@@ -311,6 +311,19 @@ def test_axis_kernel_matches_cell_assembly(graded, pbc, k, degree):
     assert _rel(H, oracle.matrix()) <= 1e-13
     assert np.abs(op.diagonal() - np.diag(H).real).max() <= 1e-13 * np.abs(H).max()
     assert np.abs(oracle.diagonal() - op.diagonal()).max() == 0.0
+    # Weyl's bound, potential and projector included: above the dense
+    # spectrum, and the same bits on the cell engine
+    assert op.spectral_upper_bound() == oracle.spectral_upper_bound()
+    assert op.spectral_upper_bound() >= np.linalg.eigvalsh(H)[-1]
+
+
+@pytest.mark.parametrize("pbc,k", [("FFF", "gamma"), ("TTT", "gamma"), ("TTF", "kxy")])
+def test_spectral_upper_bound_is_the_free_top_eigenvalue(pbc, k):
+    """With ``v = 0`` and no projectors the bound is the Kronecker sum's top
+    eigenvalue: exact, on a Dirichlet, a periodic and a Bloch mesh."""
+    op = KSOperator(_contract_mesh(True, pbc, 3), kfrac=_KPOINTS[k])
+    top = np.linalg.eigvalsh(op.matrix())[-1]
+    assert abs(op.spectral_upper_bound() - top) <= 1e-12 * abs(top)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.chebyshev import chebyshev_filter, lanczos_upper_bound
+from repro.core.chebyshev import chebyshev_filter
 from repro.core.orthonorm import cholesky_orthonormalize
 from repro.core.rayleigh_ritz import rayleigh_ritz
 from repro.fem.assembly import KSOperator
@@ -15,7 +15,7 @@ def _eigensolve(op, nstates=4, passes=5, m=15, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((op.n, nstates)).astype(op.dtype)
     X = cholesky_orthonormalize(X)
-    b = lanczos_upper_bound(op)
+    b = op.spectral_upper_bound()
     d = op.diagonal()
     a0 = float(np.min(d)) - 1.0
     a = a0 + 0.35 * (b - a0)

@@ -1,10 +1,17 @@
-"""ChFES pieces: Lanczos bounds, Chebyshev filter, CholGS, Rayleigh-Ritz."""
+"""ChFES pieces: Lanczos bounds, the degree cap, Chebyshev filter, CholGS,
+Rayleigh-Ritz."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chebyshev import chebyshev_filter, filter_block, lanczos_upper_bound
+from repro.core.chebyshev import (
+    capped_degree,
+    chebyshev_filter,
+    filter_block,
+    lanczos_upper_bound,
+)
 from repro.core.orthonorm import blocked_gram, blocked_rotate, cholesky_orthonormalize
 from repro.core.rayleigh_ritz import projected_hamiltonian, rayleigh_ritz
 from repro.hpc.flops import FlopLedger
@@ -42,6 +49,28 @@ def test_lanczos_upper_bound_is_upper_bound():
         op = DenseOp(H)
         b = lanczos_upper_bound(op, k=12, seed=seed)
         assert b >= np.linalg.eigvalsh(H)[-1] - 1e-8
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32])
+@pytest.mark.parametrize("x0", [1.05, 1.11, 1.17, 2.08, 5.0, 60.0, 1e4])
+@pytest.mark.parametrize("m_max", [1, 15, 40])
+def test_capped_degree_is_the_largest_factorizable_degree(m_max, x0, dtype):
+    """``T_m(|x0|) <= eps^-1/2 < T_{m+1}(|x0|)`` unless ``m`` is the cap."""
+    a, b = 0.0, 2.0  # c = 1, e = 1: the lowest state sits at x = -x0
+    m = capped_degree(m_max, a, b, 1.0 - x0, dtype)
+    limit = np.finfo(dtype).eps ** -0.5
+
+    def cheb(k):
+        return np.cosh(k * np.arccosh(x0))
+
+    assert 1 <= m <= m_max
+    assert cheb(m) <= limit or m == 1
+    if m < m_max:
+        assert limit < cheb(m + 1)
+
+
+def test_capped_degree_leaves_a_window_without_dynamic_range_alone():
+    assert capped_degree(15, a=0.0, b=2.0, a0=0.5, dtype=np.float64) == 15
 
 
 def test_filter_amplifies_wanted_spectrum():

@@ -315,45 +315,3 @@ def test_two_channel_threads_match_serial():
     with its own potential folded into its own kernel batch."""
     size = dict(cells=(2, 2, 2), degree=2, max_iterations=3)
     _assert_same_bits(_mg2_spin_polarised(2, **size), _mg2_spin_polarised(1, **size))
-
-
-# ---------------------------------------------------------------------------
-# Cached Lanczos upper bound
-# ---------------------------------------------------------------------------
-def _h2_driver(monkeypatch, refresh_dv):
-    from repro.atoms.pseudo import AtomicConfiguration
-    from repro.core import DFTCalculation, SCFOptions
-    from repro.core import scf as scf_mod
-    from repro.xc.lda import LDA
-
-    calls = []
-    real = scf_mod.lanczos_upper_bound
-    monkeypatch.setattr(
-        scf_mod,
-        "lanczos_upper_bound",
-        lambda op, k=12: calls.append(1) or real(op, k=k),
-    )
-    config = AtomicConfiguration(["H", "H"], [[0, 0, 0], [1.4, 0, 0]])
-    calc = DFTCalculation(
-        config, xc=LDA(), padding=6.0, cells_per_axis=3, degree=3,
-        options=SCFOptions(max_iterations=25, lanczos_refresh_dv=refresh_dv),
-    )
-    return calc, calls
-
-
-@pytest.mark.slow
-def test_lanczos_cache_skips_recomputation(monkeypatch):
-    """A positive drift threshold skips most Lanczos runs; the Weyl-shifted
-    bound stays a valid filter window and the energy agrees to SCF
-    tolerance.  The default 0.0 threshold recomputes per step (bit-inert)."""
-    calc0, calls0 = _h2_driver(monkeypatch, refresh_dv=0.0)
-    res0 = calc0.run()
-    calc1, calls1 = _h2_driver(monkeypatch, refresh_dv=0.05)
-    res1 = calc1.run()
-    assert res0.converged and res1.converged
-    assert len(calls0) >= res0.n_iterations  # at least one per SCF step
-    assert len(calls1) < len(calls0) / 2  # the cache actually engages
-    assert abs(res1.free_energy - res0.free_energy) < 1e-6
-    for ch0, ch1 in zip(calc0.driver.channels, calc1.driver.channels):
-        # the cached (shifted) bound must still upper-bound the spectrum
-        assert ch1.upper_bound >= ch0.evals.max()

@@ -24,7 +24,7 @@ import pytest
 from repro.atoms.library import MOLECULE_LIBRARY
 from repro.atoms.pseudo import AtomicConfiguration
 from repro.core import DFTCalculation, SCFOptions
-from repro.core.io import load_scf_state
+from repro.core.io import load_scf_state, save_scf_state
 from repro.core.scf import CARRIED_FIELDS, KSChannel
 from repro.xc.lda import LDA
 
@@ -115,7 +115,7 @@ def interrupted(tmp_path_factory):
 
 
 def test_the_declaration_is_the_dataclass_fields_marked_carried():
-    assert CARRIED_FIELDS == ("psi", "evals", "bound_base", "bound_v", "hpsi", "hpsi_v")
+    assert CARRIED_FIELDS == ("psi", "evals", "hpsi", "hpsi_v")
     assert not hasattr(KSChannel, "upper_bound")
 
 
@@ -134,9 +134,26 @@ def test_carried_field_survives_a_checkpoint_round_trip(name, interrupted):
     assert _equal(load_scf_state(path)["channels"][0][name], getattr(live, name))
     # ... and restored: a fresh driver resuming from it carries the same value
     fresh = _h2(max_iterations=2).driver
-    assert getattr(fresh.channels[0], name) in (None, 0.0)
+    assert getattr(fresh.channels[0], name) is None
     fresh.run(resume_from=path)  # already at the iteration cap: restores only
     assert _equal(getattr(fresh.channels[0], name), getattr(live, name))
+
+
+def test_a_state_with_retired_channel_keys_resumes(interrupted, tmp_path):
+    """A file written while a channel still carried the Lanczos bound cache
+    (a bound and the potential it was computed at) resumes: restoring reads
+    the declared fields and nothing else, so the run continues exactly as
+    from a file without them."""
+    _, path = interrupted
+    state = load_scf_state(path)
+    for ch in state["channels"]:
+        ch.update(bound_base=8.0, bound_v=np.zeros_like(ch["hpsi_v"]))
+    older = str(tmp_path / "older.ckpt")
+    save_scf_state(older, _h2().mesh, **state)
+    runs = [_h2(max_iterations=3).run(resume_from=p) for p in (path, older)]
+    assert runs[0].n_iterations == runs[1].n_iterations == 3
+    assert runs[0].free_energy == runs[1].free_energy
+    assert np.array_equal(runs[0].rho_spin, runs[1].rho_spin)
 
 
 @pytest.mark.parametrize("name", CARRIED_FIELDS)

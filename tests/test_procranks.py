@@ -364,11 +364,43 @@ def test_cell_gemm_flops_charged_on_every_backend():
 
     flops = {b: _he_scf(b)[1] for b in ("serial", "virtual", "proc")}
     mesh, _ = _he_mesh()
-    # 460 Hamiltonian columns and Poisson's 8 in three SCF steps
+    # 424 Hamiltonian columns and Poisson's 8 in three SCF steps (the filter
+    # window's bound is closed-form: no Lanczos vectors)
     per_cell_column = CellStiffness(mesh).gemm_flops(1, 1, np.float64)
     poisson = 8 * mesh.ncells * per_cell_column
-    assert flops["serial"] == 460 * 2 * sum(mesh.fdm.shape) * mesh.ndof + poisson
-    assert flops["virtual"] == flops["proc"] == 460 * mesh.ncells * per_cell_column + poisson
+    assert flops["serial"] == 424 * 2 * sum(mesh.fdm.shape) * mesh.ndof + poisson
+    assert flops["virtual"] == flops["proc"] == 424 * mesh.ncells * per_cell_column + poisson
+
+
+def test_spectral_upper_bound_bounds_the_dense_spectrum_on_every_backend():
+    """Weyl's bound — the kinetic's exact top eigenvalue, ``max(v)`` and the
+    projector term's — is above the dense top eigenvalue with and without
+    projectors, and the same bits on every engine."""
+    from repro.atoms.nonlocal_psp import model_projectors
+    from repro.fem.assembly import KSOperator
+    from repro.hpc.distributed import DistributedKSOperator
+
+    mesh, config = _he_mesh()
+    v = config.external_potential(mesh.node_coords)
+    bounds = {}
+    for projs in (None, model_projectors(config)):
+        ops = [KSOperator(mesh, nonlocal_projectors=projs)] + [
+            DistributedKSOperator(mesh, 2, backend=b, nonlocal_projectors=projs)
+            for b in ("virtual", "proc")
+        ]
+        try:
+            for op in ops:
+                op.set_potential(v)
+            b = {op.spectral_upper_bound() for op in ops}
+            assert len(b) == 1  # bitwise equal across the three engines
+            (bounds[projs is not None],) = b
+            assert bounds[projs is not None] >= np.linalg.eigvalsh(ops[0].matrix())[-1]
+        finally:
+            for op in ops:
+                op.close()
+    # the projector term only ever raises the bound
+    assert bounds[True] >= bounds[False]
+    assert SharedArena.live_segment_names() == []
 
 
 def test_mg32_backends_agree():

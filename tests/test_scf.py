@@ -159,6 +159,24 @@ def test_mixed_precision_scf_matches_fp64():
     assert abs(res32.energy - res64.energy) < 1e-6
 
 
+def test_scf_runs_no_lanczos(monkeypatch):
+    """The filter's upper bound is the operator's closed form: an SCF, its
+    random-start passes included, makes no Lanczos call."""
+    import repro.core.chebyshev as chebyshev_mod
+    import repro.core.scf as scf_mod
+
+    calls = []
+    for mod in (chebyshev_mod, scf_mod):
+        real = mod.lanczos_upper_bound
+        monkeypatch.setattr(
+            mod, "lanczos_upper_bound",
+            lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw),
+        )
+    res = _h2(cells_per_axis=3, degree=3, options=SCFOptions(max_iterations=3)).run()
+    assert res.n_iterations == 3
+    assert calls == []
+
+
 def test_nstates_too_small_raises():
     config = AtomicConfiguration(["He"], [[0, 0, 0]])
     with pytest.raises(ValueError):

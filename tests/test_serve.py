@@ -157,6 +157,31 @@ def test_queue_skips_wide_jobs_that_do_not_fit():
     assert len(q) == 0
 
 
+def test_queue_with_no_free_rank_leaves_the_heap_alone(monkeypatch):
+    """Nothing fits in zero ranks: the heap is not popped and re-pushed (an
+    O(n log n) reshuffle per dispatch attempt while the fleet is busy)."""
+    import repro.serve.queue as queue_mod
+
+    def build():
+        q = JobQueue()
+        for jid, prio, deadline in ((1, 2, None), (2, 0, 9.0), (3, 0, 1.0), (4, 0, None)):
+            q.push(_job(jid, priority=prio, deadline=deadline))
+        return q
+
+    q, untouched = build(), build()
+    before = list(q._heap)
+    pops = []
+    real_pop = queue_mod.heapq.heappop
+    monkeypatch.setattr(
+        queue_mod.heapq, "heappop", lambda h: pops.append(1) or real_pop(h)
+    )
+    assert q.pop_dispatchable(0) is None
+    assert pops == [] and q._heap == before
+    monkeypatch.undo()
+    order = [q.pop_dispatchable(8).job_id for _ in range(4)]
+    assert order == [untouched.pop_dispatchable(8).job_id for _ in range(4)]
+
+
 def test_queue_drops_stale_entries_lazily():
     q = JobQueue()
     job = _job(1)

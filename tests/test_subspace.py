@@ -412,7 +412,7 @@ def test_scf_state_roundtrips_hpsi(tmp_path):
     ch = {
         "kfrac": (0.0, 0.0, 0.0), "weight": 1.0, "spin": None,
         "psi": psi, "evals": np.arange(4.0),
-        "bound_base": 8.0, "bound_v": None, "hpsi": hpsi, "hpsi_v": hpsi_v,
+        "hpsi": hpsi, "hpsi_v": hpsi_v,
     }
     path = tmp_path / "state.npz"
     save_scf_state(
