@@ -8,10 +8,12 @@ part mapped into [-1, 1].  The filter is applied to *column blocks* of size
 Fig. 4 — and each block is a sequence of cell-level batched GEMMs
 (:mod:`repro.fem.assembly`).
 
-The window is the operator's closed-form bound ``b`` (``KSOperator.
-spectral_upper_bound``) and the previous Ritz values (cut ``a``, scaling point
-``a0``), as in Zhou et al. [44]; :func:`capped_degree` keeps a tight window
-from over-amplifying.  Inverse DFT still takes ``b`` from Lanczos.
+The window — an upper bound ``b`` and the previous Ritz values (cut ``a``,
+scaling point ``a0``), as in Zhou et al. [44] — and :func:`capped_degree`,
+which keeps a tight window from over-amplifying, are applied in one place,
+:func:`repro.core.scf.chfes_step`, for the SCF, the band structure and
+inverse DFT alike.  The first two pass ``b`` from the operator's closed form
+(``KSOperator.spectral_upper_bound``); inverse DFT passes a Lanczos ``b``.
 """
 
 from __future__ import annotations

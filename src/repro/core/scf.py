@@ -55,9 +55,57 @@ from .subspace import adjust_carried_hx, fused_cholgs_rr
 # the benchmark ledger's frozen hook table resolves both on repro.core.scf and
 # fails loudly if a name disappears
 __all__ = [
-    "KSChannel", "SCFOptions", "SCFResult", "SCFDriver", "rayleigh_ritz",
-    "lanczos_upper_bound",
+    "KSChannel", "SCFOptions", "SCFResult", "SCFDriver", "chfes_step",
+    "rayleigh_ritz", "lanczos_upper_bound",
 ]
+
+
+# chfes_step lives here, not in a module of its own, because the benchmark
+# ledger times the kernels by the names this module looks them up under
+def chfes_step(
+    op, X: np.ndarray | None, evals: np.ndarray | None, hx0: np.ndarray | None,
+    *, b: float, degree: int, passes: int, block_size: int,
+    nstates: int | None = None, seed: int = 0, mixed_precision: bool = False,
+    ledger=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``passes`` ChFES iterations (Algorithm 1: CF -> CholGS -> RR) on ``op``.
+
+    ``X is None`` starts from ``nstates`` orthonormalised random columns
+    drawn from ``seed``, filtered through a crude window that amplifies the
+    lower third of ``[min diag(H), b]`` at the full ``degree``.  Otherwise
+    ``X`` and ``evals`` are the previous Ritz pairs and the window runs from
+    them to the upper bound ``b``, the degree lowered by
+    :func:`capped_degree`.  ``hx0`` is ``H X`` for the first filter pass, or
+    None; every later pass reuses the HX rotated out of the last fused
+    CholGS -> RR stage.  Returns the Ritz values, vectors and their HX.
+    """
+    if X is None:
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((op.n, nstates))
+        if np.issubdtype(op.dtype, np.complexfloating):
+            X = X + 1j * rng.standard_normal((op.n, nstates))
+        X = cholesky_orthonormalize(
+            np.asarray(X, dtype=op.dtype), block_size=block_size
+        )
+        evals = None
+    for _ in range(passes):
+        if evals is None:
+            a0 = float(np.min(op.diagonal())) - 1.0
+            a, m = a0 + 0.35 * (b - a0), degree
+        else:
+            a0 = float(evals[0])
+            a = float(evals[-1]) + 0.01 * (b - float(evals[-1]))
+            m = capped_degree(degree, a, b, a0, X.dtype)
+        X = chebyshev_filter(
+            op, X, m, a, b, a0, block_size=block_size, ledger=ledger, hx0=hx0
+        )
+        # fused CholGS->RR: one H application of the filtered block feeds
+        # the projection AND the next pass's HX
+        evals, X, hx0 = fused_cholgs_rr(
+            X, op.apply(X), op=op, block_size=block_size,
+            mixed_precision=mixed_precision, ledger=ledger,
+        )
+    return evals, X, hx0
 
 
 def _carried(default=None):
@@ -621,75 +669,39 @@ class SCFDriver:
         try:
             s = ch.spin if ch.spin is not None else 0
             ch.op.set_potential(v_eff[:, s])
-            self._eigensolve(ch, first=(ch.psi is None))
+            self._eigensolve(ch)
         finally:
             if san is not None:
                 san.write_end(f"KSChannel:{id(ch)}")
 
-    def _eigensolve(self, ch: KSChannel, first: bool) -> None:
-        """One ChFES step for a channel (multi-pass on the first SCF step)."""
-        with trace_region(
-            "ChFES", kpoint=ch.kfrac, spin=ch.spin, first=first
-        ):
-            self._eigensolve_channel(ch, first)
-
-    def _eigensolve_channel(self, ch: KSChannel, first: bool) -> None:
+    def _eigensolve(self, ch: KSChannel) -> None:
+        """One ChFES step for a channel: ``n_init_passes`` from a random
+        start on its first SCF step, ``filter_passes`` warm ones after."""
         opts = self.options
         op = ch.op
-        n = op.n
-        b = op.spectral_upper_bound()
-        if first:
+        first = ch.psi is None
+        with trace_region("ChFES", kpoint=ch.kfrac, spin=ch.spin, first=first):
+            hx0 = None
+            if not first and ch.hpsi is not None and ch.hpsi_v is not None:
+                # the potential term of H~ is exactly diagonal, so the HX
+                # rotated out of the previous RR stage survives the SCF
+                # potential update as hpsi + (v_new - v_old) o psi
+                hx0 = adjust_carried_hx(
+                    ch.hpsi, ch.psi, op.potential_free - ch.hpsi_v
+                )
             seed = (
                 int(1e6 * (1 + ch.kfrac[0] + 10 * ch.kfrac[1] + 100 * ch.kfrac[2]))
                 + 7919 * (0 if ch.spin is None else ch.spin + 1)
             ) % 2**32
-            rng = np.random.default_rng(seed)
-            X = rng.standard_normal((n, self.nstates))
-            if np.issubdtype(op.dtype, np.complexfloating):
-                X = X + 1j * rng.standard_normal((n, self.nstates))
-            X = np.asarray(X, dtype=op.dtype)
-            X = cholesky_orthonormalize(X, block_size=opts.block_size)
-            # crude initial window: amplify the lower third of the spectrum
-            d = op.diagonal()
-            a0 = float(np.min(d)) - 1.0
-            a = a0 + 0.35 * (b - a0)
-            passes = max(opts.n_init_passes, 1)
-        else:
-            X = ch.psi
-            a0 = float(ch.evals[0])
-            a = float(ch.evals[-1]) + 0.01 * (b - float(ch.evals[-1]))
-            passes = max(opts.filter_passes, 1)
-
-        hx0 = None
-        if not first and ch.hpsi is not None and ch.hpsi_v is not None:
-            # the potential term of H~ is exactly diagonal, so the HX
-            # rotated out of the previous RR stage survives the SCF
-            # potential update as hpsi + (v_new - v_old) o psi
-            hx0 = adjust_carried_hx(ch.hpsi, X, op.potential_free - ch.hpsi_v)
-        for p in range(passes):
-            # only a window around Ritz values is capped, not the random start's
-            m = opts.cheb_degree
-            if not (first and p == 0):
-                m = capped_degree(m, a, b, a0, X.dtype)
-            X = chebyshev_filter(
-                op, X, m, a, b, a0,
-                block_size=opts.block_size, ledger=self.ledger,
-                hx0=hx0,
-            )
-            # fused CholGS->RR: one H application of the filtered block
-            # feeds projection AND the carried HX
-            HW = op.apply(X)
-            evals, X, hx0 = fused_cholgs_rr(
-                X,
-                HW,
-                op=op,
+            ch.evals, ch.psi, ch.hpsi = chfes_step(
+                op, ch.psi, ch.evals, hx0,
+                b=op.spectral_upper_bound(),
+                degree=opts.cheb_degree,
+                passes=max(opts.n_init_passes if first else opts.filter_passes, 1),
                 block_size=opts.block_size,
+                nstates=self.nstates,
+                seed=seed,
                 mixed_precision=opts.mixed_precision,
                 ledger=self.ledger,
             )
-            a0 = float(evals[0])
-            a = float(evals[-1]) + 0.01 * (b - float(evals[-1]))
-        ch.psi = X
-        ch.evals = evals
-        ch.hpsi = hx0
-        ch.hpsi_v = op.potential_free.copy()
+            ch.hpsi_v = op.potential_free.copy()

@@ -28,9 +28,6 @@ R012      ``.astype`` casts of loop-invariant data inside loops in the
 R017      ``SharedMemory`` segment creation/attachment outside the
           ``repro/hpc/procranks`` arena, whose finalizer-backed
           lifecycle is the one sanctioned leak-proof owner
-R018      hard-coded ``block_size=`` integer literals at call sites in
-          ``repro/core``/``repro/invdft`` — block choices belong to
-          ``SCFOptions``, not the call site
 ========  ==========================================================
 
 The concurrency-safety rules R013–R016 (unlocked shared-state mutation,
@@ -84,7 +81,6 @@ __all__ = [
     "BroadExceptionHandler",
     "AstypeInsideLoop",
     "SharedMemoryOutsideArena",
-    "HardCodedBlockSize",
 ]
 
 
@@ -914,49 +910,6 @@ class SharedMemoryOutsideArena(Rule):
                     "resource-tracker protocol) so segments cannot leak "
                     "into /dev/shm",
                 )
-
-
-# ----------------------------------------------------------------------------
-@register
-class HardCodedBlockSize(Rule):
-    """R018: literal ``block_size=`` at call sites in the numerical core.
-
-    The wavefunction/subspace block size is a *schedule* knob owned by
-    ``SCFOptions``: a literal baked into a call site silently overrides
-    the user's explicit choice, and BENCH_apply shows the penalty can be
-    3.5x on this host alone.  Callers must thread a variable
-    (``opts.block_size``, ``self.block_size``, a parameter...).
-    Function-signature defaults and dataclass field declarations are not
-    call keywords, so declaring a default stays legal — only hard-wired
-    *call sites* are flagged.
-    """
-
-    rule_id = "R018"
-    severity = "error"
-    description = (
-        "literal block_size= at a call site in repro/core or repro/invdft; "
-        "thread the SCFOptions block choice instead"
-    )
-    path_filters = ("core/", "invdft/")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            for kw in node.keywords:
-                if (
-                    kw.arg == "block_size"
-                    and isinstance(kw.value, ast.Constant)
-                    and isinstance(kw.value.value, int)
-                    and not isinstance(kw.value.value, bool)
-                ):
-                    yield ctx.finding(
-                        self,
-                        kw.value,
-                        f"hard-coded block_size={kw.value.value} at a call "
-                        "site; block choices belong to SCFOptions, pass a "
-                        "threaded variable instead",
-                    )
 
 
 def _data_root(expr: ast.AST) -> str | None:

@@ -3,7 +3,9 @@
 There is no tuner here (DESIGN.md sec 15 says why).  The package name stays
 because the frozen ``benchmarks/ledger/run.py`` stamps every record through
 ``from repro.tune import host_fingerprint`` — the same reason
-``repro.core.scf`` keeps re-exporting ``rayleigh_ritz``.
+``repro.core.scf`` keeps re-exporting ``rayleigh_ritz`` and
+``lanczos_upper_bound``, and ``repro.invdft.inverse`` the three kernels its
+eigensolve now reaches through ``repro.core.scf.chfes_step``.
 """
 
 from __future__ import annotations

@@ -3,29 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.chebyshev import chebyshev_filter
-from repro.core.orthonorm import cholesky_orthonormalize
-from repro.core.rayleigh_ritz import rayleigh_ritz
+from repro.core.scf import chfes_step
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import uniform_mesh
 from repro.hpc.distributed import DistributedKSOperator
 
 
 def _eigensolve(op, nstates=4, passes=5, m=15, seed=0):
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((op.n, nstates)).astype(op.dtype)
-    X = cholesky_orthonormalize(X)
-    b = op.spectral_upper_bound()
-    d = op.diagonal()
-    a0 = float(np.min(d)) - 1.0
-    a = a0 + 0.35 * (b - a0)
-    evals = None
-    for _ in range(passes):
-        X = chebyshev_filter(op, X, m, a, b, a0, block_size=2)
-        X = cholesky_orthonormalize(X)
-        evals, X = rayleigh_ritz(op, X)
-        a0 = float(evals[0])
-        a = float(evals[-1]) + 0.01 * (b - float(evals[-1]))
+    evals, X, _ = chfes_step(
+        op, None, None, None, b=op.spectral_upper_bound(), degree=m,
+        passes=passes, block_size=2, nstates=nstates, seed=seed,
+    )
     return evals, X
 
 

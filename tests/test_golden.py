@@ -1,4 +1,5 @@
-"""Golden-value regression tests for the SCF molecule library and invDFT.
+"""Golden-value regression tests for the SCF molecule library, invDFT and
+the non-self-consistent band structure.
 
 Each test runs a short, fixed-settings calculation and compares scalar
 observables (free energies, eigenvalue spectra, invDFT descent curves)
@@ -29,6 +30,7 @@ import pytest
 
 from repro.atoms.pseudo import AtomicConfiguration
 from repro.core import DFTCalculation, SCFOptions
+from repro.core.bands import band_structure, kpath
 from repro.invdft import InverseDFT
 from repro.pipeline import MOLECULE_LIBRARY
 from repro.xc.lda import LDA
@@ -167,3 +169,41 @@ def test_invdft_farfield_golden(update_golden):
     # the imposed -1/r tail is exact by construction; a loose bound guards
     # against the boundary condition silently not being applied at all
     assert got["boundary_coulomb_residual"] < 1e-8
+
+
+def _run_bands_chain() -> dict:
+    lat = np.diag([4.0, 10.0, 10.0])
+    chain = AtomicConfiguration(
+        ["H"], [[2.0, 5.0, 5.0]], lattice=lat, pbc=(True, False, False)
+    )
+    calc = DFTCalculation(
+        chain, xc=LDA(), padding=5.0, cells_per_axis=(2, 3, 3), degree=3,
+        kpoints=[((0.0, 0.0, 0.0), 0.5), ((0.5, 0.0, 0.0), 0.5)],
+        options=SCFOptions(max_iterations=20, temperature=5e-3),
+    )
+    res = calc.run()
+    bands = band_structure(
+        calc.mesh, res, kpath((0, 0, 0), (0.5, 0, 0), 3), nbands=4
+    )
+    return {
+        "scf_free_energy": float(res.free_energy),
+        "scf_eigenvalues": [np.asarray(ev).tolist() for ev in res.eigenvalues],
+        "bands": bands.tolist(),
+    }
+
+
+def test_bands_golden(update_golden):
+    """Non-self-consistent bands of a periodic H chain along Gamma -> X."""
+    got = _run_bands_chain()
+    fname = "bands_H_chain.json"
+    if update_golden:
+        _store(fname, got)
+        return
+    want = _load(fname)
+    assert got["scf_free_energy"] == pytest.approx(
+        want["scf_free_energy"], rel=RTOL, abs=ATOL
+    )
+    assert len(got["scf_eigenvalues"]) == len(want["scf_eigenvalues"])
+    for ch_got, ch_want in zip(got["scf_eigenvalues"], want["scf_eigenvalues"]):
+        np.testing.assert_allclose(ch_got, ch_want, rtol=RTOL, atol=ATOL)
+    np.testing.assert_allclose(got["bands"], want["bands"], rtol=RTOL, atol=ATOL)

@@ -218,3 +218,20 @@ def test_allreduce_metering():
     vc.allreduce(a)
     assert vc.traffic.allreduce_calls == 1
     assert vc.traffic.allreduce_bytes > 0
+
+
+def test_fig4_example_measures_the_kernel_it_runs(capsys):
+    """``examples/exascale_performance.py``'s Fig. 4 section runs end to end
+    and reports a finite throughput for every block size it times."""
+    import importlib.util
+    import pathlib
+    import re
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "examples/exascale_performance.py"
+    spec = importlib.util.spec_from_file_location("exascale_performance", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    example.fig4_cf_block_size()
+    rates = re.findall(r"B_f=\s*(\d+):\s*([0-9.]+) GFLOP/s", capsys.readouterr().out)
+    assert [int(bf) for bf, _ in rates] == [4, 16, 64]
+    assert all(0.0 < float(rate) < 1e4 for _, rate in rates)

@@ -70,6 +70,44 @@ def test_no_functional_shadows_the_hooked_entry_points():
                 assert not {"evaluate", "potential_and_energy"} & set(vars(cls)), cls
 
 
+def test_bands_and_invdft_fire_the_scf_kernel_points():
+    """``band_structure`` and ``InverseDFT`` solve through
+    ``repro.core.scf.chfes_step``, so one call of each fires the SCF's CF
+    and fused CholGS/RR points: the ledger times them as ``core.cf`` /
+    ``core.cholgs_rr`` only while the step looks the kernels up there."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from repro.atoms.pseudo import AtomicConfiguration
+    from repro.core.bands import band_structure
+    from repro.fem.mesh import uniform_mesh
+    from repro.invdft import InverseDFT
+
+    mesh = uniform_mesh((6.0,) * 3, (2,) * 3, degree=2)
+    r2 = np.sum((mesh.node_coords - 3.0) ** 2, axis=1)
+    rho = np.exp(-r2)
+    rho *= 2.0 / float(mesh.integrate(rho))
+    spin = np.stack([0.5 * rho, 0.5 * rho], axis=1)
+    ground = SimpleNamespace(v_tot=-np.exp(-r2), v_xc_spin=np.zeros_like(spin))
+    inv = InverseDFT(mesh, AtomicConfiguration(["He"], [[3.0, 3.0, 3.0]]), spin)
+
+    layers = _load_layers()
+    wanted = {"repro.core.scf.chebyshev_filter", "repro.core.scf.fused_cholgs_rr"}
+    for run in (
+        lambda: band_structure(mesh, ground, [(0.0, 0.0, 0.0)], nbands=2),
+        lambda: inv.run(np.zeros_like(spin), max_iterations=1),
+    ):
+        recorder = layers.Recorder("probe")
+        undo = layers.install(recorder)
+        try:
+            run()
+        finally:
+            layers.uninstall(undo)
+        fired = {".".join(layers.POINTS[s["point"]][:2]) for s in recorder.spans}
+        assert wanted <= fired, fired
+
+
 def test_neural_functional_and_trainer_fire_their_points():
     """One MLXC potential fires ``xc.eval`` (with the node count) through the
     base-class entry points, ``ml.mlp_forward`` and ``ml.mlp_input_jacobian``;

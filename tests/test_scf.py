@@ -161,9 +161,11 @@ def test_mixed_precision_scf_matches_fp64():
 
 def test_scf_runs_no_lanczos(monkeypatch):
     """The filter's upper bound is the operator's closed form: an SCF, its
-    random-start passes included, makes no Lanczos call."""
+    random-start passes included, and a band structure at its potential
+    make no Lanczos call."""
     import repro.core.chebyshev as chebyshev_mod
     import repro.core.scf as scf_mod
+    from repro.core.bands import band_structure
 
     calls = []
     for mod in (chebyshev_mod, scf_mod):
@@ -172,8 +174,11 @@ def test_scf_runs_no_lanczos(monkeypatch):
             mod, "lanczos_upper_bound",
             lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw),
         )
-    res = _h2(cells_per_axis=3, degree=3, options=SCFOptions(max_iterations=3)).run()
+    calc = _h2(cells_per_axis=3, degree=3, options=SCFOptions(max_iterations=3))
+    res = calc.run()
     assert res.n_iterations == 3
+    bands = band_structure(calc.mesh, res, [(0.0, 0.0, 0.0)], nbands=2)
+    assert bands.shape == (1, 2)
     assert calls == []
 
 
