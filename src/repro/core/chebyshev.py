@@ -5,8 +5,11 @@
 the spectrum, mapped to (-inf, -1), is amplified relative to the unwanted
 part mapped into [-1, 1].  The filter is applied to *column blocks* of size
 ``B_f`` — the knob whose arithmetic-intensity effect the paper studies in
-Fig. 4 — and each block is a sequence of cell-level batched GEMMs
-(:mod:`repro.fem.assembly`).
+Fig. 4 — and each recurrence term of a block is one ``op.apply`` call: in
+process the Kronecker-sum axis kernel :class:`repro.fem.fdm.AxisKinetic`
+(three accumulating axis GEMMs, the potential folded into the last), and
+the cell-level batched GEMMs of :mod:`repro.fem.assembly` only on the rank
+backends.
 
 The window — an upper bound ``b`` and the previous Ritz values (cut ``a``,
 scaling point ``a0``), as in Zhou et al. [44] — and :func:`capped_degree`,

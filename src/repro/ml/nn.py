@@ -10,11 +10,15 @@ relies on:
 * the trainer's mixed derivative ``d/d theta [a . dF/df]`` is real
   forward-over-reverse: ``forward_tangent`` pushes a direction through the
   cached forward pass and ``backward`` takes the adjoints of both the output
-  and its tangent in one sweep (:mod:`repro.ml.training`).  ELU' and ELU''
-  are read off the cached activations (``elu' = a + alpha`` where
-  ``a <= 0``), so no pass evaluates a second ``exp``;
+  and its tangent in one sweep (:mod:`repro.ml.training`).  A forward pass
+  that fills a cache stores each hidden layer's ELU' beside its activation,
+  computed from the activation's own ``exp``; ELU'' z' is the layer's own
+  tangent on the exponential branch.  So no pass evaluates a second ``exp``
+  or recomputes a slope;
 * the forward pass stays **dtype-agnostic** — the complex-step oracle in
   ``tests/reference`` differentiates through it;
+* the network holds its parameters and nothing else: every per-call array
+  lives in the caller's ``cache``, so threads may share one network;
 * parameters are exposed as a flat vector for the Adam optimizer.
 """
 
@@ -42,6 +46,18 @@ def elu_prime(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     return np.where(pos, 1.0, alpha * np.exp(np.where(pos, 0.0, x)))
 
 
+def _elu_and_prime(x: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`elu` and :func:`elu_prime` from one ``exp``, formed in place."""
+    pos = np.real(x) > 0
+    e = np.exp(np.where(pos, 0.0, x))
+    a = e - 1.0
+    a *= alpha
+    np.copyto(a, x, where=pos)
+    e *= alpha
+    np.copyto(e, 1.0, where=pos)
+    return a, e
+
+
 class MLP:
     """Fully connected network with ELU hidden activations, linear output."""
 
@@ -64,23 +80,30 @@ class MLP:
             self.biases.append(np.zeros(nout))
 
     # -- forward / backward ------------------------------------------------
-    def _elu_slope(self, a: np.ndarray) -> np.ndarray:
-        """ELU'(z) read off the activation ``a = ELU(z)`` (no ``exp``)."""
-        return np.where(a > 0, 1.0, a + self.alpha)
-
-    def forward(self, X: np.ndarray, cache: list | None = None) -> np.ndarray:
+    def forward(
+        self, X: np.ndarray, cache: list | None = None, *, keep_inputs: bool = True
+    ) -> np.ndarray:
         """Forward pass; ``X`` is (n, n_in).
 
-        Appends every layer's input (``X``, then the hidden activations) to
-        ``cache`` — all the reverse and tangent passes need.
+        Appends one ``(input, slope)`` pair per layer to ``cache``: the
+        layer's input (``X``, then the hidden activations) and ELU' of the
+        pre-activation that produced it (``None`` beside ``X``) — all the
+        reverse and tangent passes need.  ``keep_inputs=False`` stores
+        ``None`` for the inputs: the slopes are all an input Jacobian's
+        reverse sweep reads, and each input held is another (n, width) array.
         """
-        a = np.atleast_2d(X)
+        a, slope = np.atleast_2d(X), None
         last = len(self.weights) - 1
         for li, (W, b) in enumerate(zip(self.weights, self.biases)):
             if cache is not None:
-                cache.append(a)
+                cache.append((a if keep_inputs else None, slope))
             z = a @ W + b
-            a = z if li == last else elu(z, self.alpha)
+            if li == last:
+                a = z
+            elif cache is None:
+                a = elu(z, self.alpha)
+            else:
+                a, slope = _elu_and_prime(z, self.alpha)
         return a
 
     def forward_tangent(
@@ -95,7 +118,7 @@ class MLP:
         tangents = []
         for li, W in enumerate(self.weights):
             if li:
-                t = t * self._elu_slope(cache[li])
+                t = t * cache[li][1]
             tangents.append(t)
             t = t @ W
         return t, tangents
@@ -121,7 +144,7 @@ class MLP:
         delta = np.atleast_2d(grad_out)
         tdelta = grad_tangent
         for li in range(len(self.weights) - 1, -1, -1):
-            a, WT = cache[li], self.weights[li].T
+            (a, slope), WT = cache[li], self.weights[li].T
             dW[li] = a.T @ delta
             db[li] = delta.sum(axis=0)
             delta = delta @ WT
@@ -129,7 +152,6 @@ class MLP:
                 dW[li] += tangents[li].T @ tdelta
                 tdelta = tdelta @ WT
             if li:
-                slope = self._elu_slope(a)
                 delta = delta * slope
                 if tangents is not None:
                     delta += tdelta * np.where(a > 0, 0.0, tangents[li])
@@ -157,10 +179,10 @@ class MLP:
         if self.layer_sizes[-1] != 1:
             raise ValueError("input_jacobian implemented for scalar outputs")
         acts: list = [] if cache is None else cache
-        out = self.forward(X, acts)
+        out = self.forward(X, acts, keep_inputs=cache is not None)
         delta = np.ones_like(out) @ self.weights[-1].T
         for li in range(len(self.weights) - 1, 0, -1):
-            delta = (delta * self._elu_slope(acts[li])) @ self.weights[li - 1].T
+            delta = (delta * acts[li][1]) @ self.weights[li - 1].T
         return out[:, 0], delta
 
     # -- parameter vector interface ----------------------------------------

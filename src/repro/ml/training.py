@@ -154,7 +154,9 @@ class MLXCTrainer:
         for s in self.samples:
             tape: list = []
             resid_e, norm_e, lv_s, dv, den = self._sample_terms(s, tape)
-            p, df, dp, cache = tape[0]
+            # the network ran on the evaluation's live rows only: everything
+            # pointwise below is gathered by the row index it recorded
+            rows, (p, df, dp, cache) = tape
             w = s.mesh.mass_diag
             le += resid_e**2
             lv += lv_s
@@ -170,15 +172,16 @@ class MLXCTrainer:
             ]
             if self.functional.needs_laplacian:
                 ax.append(s.mesh.gradient_adjoint(adj))
-            ax = np.where(s.live[:, None], np.stack(ax, axis=1), 0.0)
-            p = np.where(s.live, p, 0.0)
+            live = s.live[rows]
+            ax = np.where(live[:, None], np.stack(ax, axis=1)[rows], 0.0)
+            p = np.where(live, p, 0.0)
             # tangents of e = p F along ax; theta-gradient of sum(p' F + p F')
             # and of the energy term's coeff * sum(w p F), in one reverse sweep
             p_dot = np.einsum("nj,nj->n", dp, ax)
             _, tangents = net.forward_tangent(cache, np.einsum("naj,nj->na", df, ax))
             coeff = self.lambda_energy / n * 2.0 * resid_e / norm_e
             gW, gb, _ = net.backward(
-                cache, (coeff * w * p + p_dot)[:, None], tangents, p[:, None]
+                cache, (coeff * w[rows] * p + p_dot)[:, None], tangents, p[:, None]
             )
             grad += net._flatten(gW, gb)
         return self._totals(le, lv), grad

@@ -22,6 +22,8 @@ RR-SR     subspace rotation ``X Q``
 DC        density computation from occupied orbitals
 Occ       Fermi-level search / occupation update
 Mix       Anderson/Kerker density mixing (paper's "Others")
+XC        one ``XCFunctional.evaluate`` (attributes: ``points``, and the
+          ``live`` ones its derivative step ran on); no Table 3 label
 ========  ============================================================
 
 Non-SCF workloads reuse the scheme with their own parents:

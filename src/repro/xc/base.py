@@ -22,6 +22,12 @@ d e / d lap(rho_s)``; only its derivative step differs between functionals:
   back-propagation — one forward and one reverse pass through the network —
   and keep the complex step as their test oracle (``tests/reference``).
 
+The derivative step runs only where the density lives: ``evaluate`` gathers
+the rows with ``rho_up + rho_dn > RHO_FLOOR`` *before* it and scatters
+``exc`` and the derivatives into zeros after (on a Dirichlet mesh the
+boundary nodes hold rho = 0).  Where every row is live it passes the
+caller's arrays through untouched — no copy, no second path.
+
 The nodal XC potential entering the Kohn-Sham Hamiltonian is
 
 .. math::
@@ -42,10 +48,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import RHO_FLOOR
+from repro.obs import trace_region
 
 _CSTEP = 1e-30
 
 __all__ = ["XCFunctional", "XCOutput", "RHO_FLOOR"]
+
+
+def _scatter(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """``values`` at ``rows`` of an otherwise zero length-``n`` array."""
+    out = np.zeros(n, dtype=values.dtype)
+    out[rows] = values
+    return out
 
 
 @dataclass
@@ -128,8 +142,11 @@ class XCFunctional:
     ) -> XCOutput:
         """Evaluate energy density and its derivatives at grid points.
 
-        Missing ``sigma_ud`` / ``sigma_dd`` / Laplacians count as zero.  A
-        list passed as ``tape`` receives whatever the functional's derivative
+        Missing ``sigma_ud`` / ``sigma_dd`` / Laplacians count as zero.  At
+        and below ``RHO_FLOOR`` everything is exactly zero; the derivative
+        step sees the live rows only (module docstring).  A list passed as
+        ``tape`` receives the row index the step ran on (``slice(None)``
+        when every row is live), then whatever the functional's derivative
         step records for a later parameter gradient (see
         :meth:`_energy_and_derivatives`).
         """
@@ -150,14 +167,21 @@ class XCFunctional:
                 np.zeros_like(rho_up) if lap is None else np.asarray(lap, float)
                 for lap in (lap_up, lap_dn)
             ]
-        exc, derivs = self._energy_and_derivatives(args, tape)
-
-        live = (rho_up + rho_dn) > RHO_FLOOR
-        derivs = [np.where(live, d, 0.0) for d in derivs]
+        rows = np.flatnonzero((rho_up + rho_dn) > RHO_FLOOR)
+        n = rho_up.size
+        everywhere = rows.size == n
+        with trace_region("XC", points=n, live=rows.size):
+            if tape is not None:
+                tape.append(slice(None) if everywhere else rows)
+            if everywhere:  # nothing to gather: the caller's arrays, no copy
+                exc, derivs = self._energy_and_derivatives(args, tape)
+            else:
+                exc, derivs = self._energy_and_derivatives([a[rows] for a in args], tape)
+                exc, *derivs = [_scatter(v, rows, n) for v in (exc, *derivs)]
         vrho = np.stack(derivs[:2], axis=-1)
         vsigma = np.stack(derivs[2:5], axis=-1) if self.needs_gradient else None
         vlapl = np.stack(derivs[5:], axis=-1) if self.needs_laplacian else None
-        return XCOutput(np.where(live, exc, 0.0), vrho, vsigma, vlapl)
+        return XCOutput(exc, vrho, vsigma, vlapl)
 
     def potential_and_energy(
         self, mesh, rho_spin: np.ndarray

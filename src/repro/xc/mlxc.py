@@ -86,8 +86,10 @@ class MLXC(XCFunctional):
     def _energy_and_derivatives(self, args, tape=None):
         """Back-propagation: one forward and one reverse pass for all inputs.
 
-        ``tape`` receives ``(p, df, dp, cache)`` — the descriptor layer and the
-        cached forward pass, which the trainer re-uses.
+        ``evaluate`` hands over its live rows only, so nothing is masked
+        here.  ``tape`` receives ``(p, df, dp, cache)`` — the descriptor
+        layer and the cached forward pass on those rows, which the trainer
+        re-uses after the row index ``evaluate`` recorded ahead of it.
         """
         rho_up, rho_dn, s_uu, s_ud, s_dd, *laps = args
         f, p, df, dp = network_inputs_with_partials(

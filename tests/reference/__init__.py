@@ -15,7 +15,10 @@ at a time over the full ``(nnodes, 3)`` coordinate table
 (:func:`reference_gaussian_superposition`), the loop
 ``repro.core.density.gaussian_superposition`` factorises per axis.  The
 complex-step oracle for LDA's closed-form potential needs no code: it is the
-base class's own ``XCFunctional._energy_and_derivatives(LDA(), args)``.  The
+base class's own ``XCFunctional._energy_and_derivatives(LDA(), args)``.
+``XCFunctional.evaluate`` runs that derivative step on the live rows only;
+:func:`reference_evaluate_then_mask` runs it on every row and masks after,
+as ``evaluate`` did before the gather.  The
 complex-step oracles for the back-propagated neural
 functionals and their trainer are in :mod:`tests.reference.mlxc`, the
 fixed-block unpreconditioned MINRES the adjoint solver is checked against in
@@ -27,14 +30,17 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from repro.constants import RHO_FLOOR
 from repro.hpc.flops import gemm_flops
 from repro.obs import kernel_region
 from repro.precision import f32_dtype
+from repro.xc.base import XCOutput
 
 __all__ = [
     "reference_apply_cells",
     "reference_cf_term",
     "reference_cholgs",
+    "reference_evaluate_then_mask",
     "reference_filter_block",
     "reference_gaussian_superposition",
     "reference_gram",
@@ -43,6 +49,23 @@ __all__ = [
     "reference_rotate",
     "reference_scatter_add",
 ]
+
+
+def reference_evaluate_then_mask(functional, *args) -> XCOutput:
+    """The functional's derivative step on *every* row, then ``live = rho >
+    RHO_FLOOR`` applied to what it returned: oracle for the live-row gather
+    of ``XCFunctional.evaluate``.  ``args`` are the 2 / 5 / 7 pointwise
+    inputs (densities, contractions, Laplacians), all of them given."""
+    rho_up = np.maximum(np.asarray(args[0], dtype=float), 0.0)
+    rho_dn = np.maximum(np.asarray(args[1], dtype=float), 0.0)
+    inputs = [rho_up, rho_dn] + [np.asarray(a, float) for a in args[2:]]
+    exc, derivs = functional._energy_and_derivatives(inputs)
+    live = (rho_up + rho_dn) > RHO_FLOOR
+    derivs = [np.where(live, d, 0.0) for d in derivs]
+    vrho = np.stack(derivs[:2], axis=-1)
+    vsigma = np.stack(derivs[2:5], axis=-1) if functional.needs_gradient else None
+    vlapl = np.stack(derivs[5:], axis=-1) if functional.needs_laplacian else None
+    return XCOutput(np.where(live, exc, 0.0), vrho, vsigma, vlapl)
 
 
 def reference_scatter_add(

@@ -7,6 +7,9 @@ are the oracles here.  Tier 1 turns ``RuntimeWarning`` into an error, so
 every case below also asserts that the floors and branches stay silent.
 """
 
+import copy
+import threading
+
 import numpy as np
 import pytest
 
@@ -195,6 +198,55 @@ def test_tangent_and_adjoint_passes_match_complex_oracle():
     assert np.allclose(dX_adj, g * J, rtol=1e-12, atol=1e-14)
 
 
+def test_passes_leave_the_network_as_they_found_it():
+    """Every per-call array (activations, ELU slopes, tangents) lives in the
+    caller's cache: the network's attributes are the same objects holding
+    the same values after every pass."""
+    net = MLP((3, 16, 16, 1), seed=2)
+    before = {k: (v, copy.deepcopy(v)) for k, v in vars(net).items()}
+    X = np.random.default_rng(3).normal(size=(9, 3))
+    cache: list = []
+    net.forward(X, cache)
+    net.forward(X)
+    net.input_jacobian(X)
+    _, tangents = net.forward_tangent(cache, X)
+    net.backward(cache, np.ones((9, 1)), tangents, np.ones((9, 1)))
+    assert vars(net).keys() == before.keys()
+    for key, (obj, snapshot) in before.items():
+        assert vars(net)[key] is obj, key
+        if isinstance(obj, list):
+            assert all(np.array_equal(a, b) for a, b in zip(obj, snapshot)), key
+        else:
+            assert obj == snapshot, key
+
+
+def test_threads_sharing_one_functional_match_a_serial_run():
+    """The serve workers and the SCF's channel threads share one
+    ``MLXC.pretrained()``: concurrent evaluations on a Dirichlet mesh (the
+    gathered path) are bitwise the serial ones."""
+    mesh = uniform_mesh((8.0, 8.0, 8.0), (3, 3, 3), degree=3)
+    spins = []
+    for c in ([3.7, 4.2, 4.1], [4.4, 3.9, 3.6]):
+        rho = np.exp(-np.sum((mesh.node_coords - np.array(c)) ** 2, axis=1) / 2.0)
+        rho[mesh.boundary_mask] = 0.0
+        spins.append(np.stack([0.6 * rho, 0.4 * rho], axis=1))
+    functional = MLXC.pretrained()
+    serial = [functional.potential_and_energy(mesh, spin) for spin in spins]
+    results: dict = {}
+
+    def work(i):
+        results[i] = [functional.potential_and_energy(mesh, spins[i]) for _ in range(4)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for i, (v, e) in enumerate(serial):
+        for v_t, e_t in results[i]:
+            assert e_t == e and np.array_equal(v_t, v)
+
+
 # ----- (b), (c) the trainer --------------------------------------------------------
 @pytest.fixture(scope="module")
 def toy_samples():
@@ -238,6 +290,31 @@ def test_two_samples_sharing_name_and_mesh_train_and_match_oracle(
     assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad))
     assert toy_samples[0] != toy_samples[1]  # identity, not array, equality
     assert toy_samples[0].sigmas is toy_samples[0].sigmas  # computed once
+
+
+@pytest.mark.parametrize("trainer_cls", [MLXCTrainer, MLXCLaplacianTrainer])
+def test_trainer_gathers_by_the_evaluations_rows_between_the_two_floors(trainer_cls):
+    """``evaluate`` keeps rho > RHO_FLOOR, ``TrainingSample.live`` rho >
+    10 RHO_FLOOR.  Nodes between the two are in the network's rows but out
+    of the potential loss; boundary nodes (rho = 0) are in neither.  The
+    gradient still matches the oracle, which masks with ``s.live``."""
+    mesh = uniform_mesh((8.0, 8.0, 8.0), (3, 3, 3), degree=3)
+    r2 = np.sum((mesh.node_coords - np.array([3.8, 4.1, 4.2])) ** 2, axis=1)
+    rho = np.exp(-r2 / 2.0)
+    rho *= 2.0 / float(mesh.integrate(rho))
+    rho[mesh.boundary_mask] = 0.0
+    rho[mesh.free[::41]] = 5.0 * RHO_FLOOR
+    spin = np.stack([0.55 * rho, 0.45 * rho], axis=1)
+    sample = assemble_sample("edge", mesh, spin, *LDA().potential_and_energy(mesh, spin))
+    tr = trainer_cls([sample])
+    tape: list = []
+    tr._sample_terms(sample, tape)
+    assert sample.live.sum() < tape[0].size < mesh.nnodes
+    losses, grad = tr.loss_and_grad()
+    ref_losses, ref_grad = reference_loss_and_grad(tr)
+    for key, want in ref_losses.items():
+        assert losses[key] == pytest.approx(want, rel=1e-12)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad))
 
 
 def test_default_functionals_and_shared_trainer_code(toy_samples):

@@ -9,6 +9,9 @@ from repro.xc import lda as lda_module
 from repro.xc.base import RHO_FLOOR, XCFunctional
 from repro.xc.gga import PBE
 from repro.xc.lda import LDA, pw92_ec
+from repro.xc.mlxc import MLXC
+from repro.xc.mlxc_laplacian import MLXCLaplacian
+from tests.reference import reference_evaluate_then_mask
 
 
 def _fd_vrho(func, rho_up, rho_dn, sigmas=None, h=1e-6):
@@ -273,3 +276,121 @@ def test_pbe_complex_step_runs_through_the_shared_pw92_forms(monkeypatch):
     seen.clear()
     LDA().evaluate(rho, 0.5 * rho)
     assert seen == [False]  # one real pass, no step
+
+
+# ---------------------------------------------------------------------------
+# The derivative step runs on the live rows only.  Its oracle is the
+# evaluate-everything-then-mask form ``evaluate`` had before the gather.
+# ---------------------------------------------------------------------------
+def _contractions(mesh, spin, laplacian):
+    g_up, g_dn = mesh.gradient(spin[:, 0]), mesh.gradient(spin[:, 1])
+    args = [
+        spin[:, 0], spin[:, 1], np.einsum("ij,ij->i", g_up, g_up),
+        np.einsum("ij,ij->i", g_up, g_dn), np.einsum("ij,ij->i", g_dn, g_dn),
+    ]
+    if laplacian:
+        args += [mesh.divergence(g_up), mesh.divergence(g_dn)]
+    return args
+
+
+def _dirichlet_inputs(functional):
+    """A polarised Gaussian on a Dirichlet mesh: rho = 0 on the boundary
+    nodes, a few interior nodes under the floor and a negative one."""
+    from repro.fem.mesh import uniform_mesh
+
+    mesh = uniform_mesh((8.0, 8.0, 8.0), (3, 3, 3), degree=3)
+    r2 = np.sum((mesh.node_coords - np.array([3.7, 4.2, 4.1])) ** 2, axis=1)
+    rho = np.exp(-r2 / 2.0)
+    spin = np.stack([0.6 * rho, 0.4 * rho], axis=1)
+    spin[mesh.boundary_mask] = 0.0
+    interior = mesh.free[::97]
+    spin[interior[:3]] = 0.3 * RHO_FLOOR
+    spin[interior[3], 0] = -0.1
+    args = _contractions(mesh, spin, functional.needs_laplacian)
+    if not functional.needs_gradient:
+        args = args[:2]
+    live = (np.maximum(spin[:, 0], 0.0) + np.maximum(spin[:, 1], 0.0)) > RHO_FLOOR
+    assert 0 < live.sum() < 0.7 * live.size
+    return mesh, spin, args, live
+
+
+def _fields(out):
+    return {name: getattr(out, name) for name in ("exc", "vrho", "vsigma", "vlapl")}
+
+
+@pytest.mark.parametrize("functional", [LDA(), PBE()], ids=["LDA", "PBE"])
+def test_live_gather_is_bitwise_the_evaluate_everything_oracle(functional):
+    mesh, spin, args, live = _dirichlet_inputs(functional)
+    out = functional.evaluate(*args)
+    ref = reference_evaluate_then_mask(functional, *args)
+    for name, got in _fields(out).items():
+        want = getattr(ref, name)
+        assert (got is None) == (want is None), name
+        if got is not None:
+            assert np.array_equal(got, want), name
+            assert np.all(got[~live] == 0.0), name
+    v, exc = functional.potential_and_energy(mesh, spin)
+    assert exc == float(mesh.integrate(ref.exc))
+    if functional.needs_gradient:
+        g_up, g_dn = mesh.gradient(spin[:, 0]), mesh.gradient(spin[:, 1])
+        assert np.array_equal(v, ref.potential(mesh, g_up, g_dn))
+    else:
+        assert np.array_equal(v, ref.vrho)
+
+
+@pytest.mark.parametrize("name", ["MLXC", "MLXC-L"])
+def test_live_gather_of_the_neural_functionals_matches_the_oracle(name):
+    """The network's GEMMs run on fewer rows, which may round differently."""
+    functional = MLXC.pretrained() if name == "MLXC" else MLXCLaplacian(seed=3)
+    _, _, args, live = _dirichlet_inputs(functional)
+    out = functional.evaluate(*args)
+    ref = reference_evaluate_then_mask(functional, *args)
+    for field, got in _fields(out).items():
+        want = getattr(ref, field)
+        assert (got is None) == (want is None), field
+        if got is not None:
+            assert np.all(got[~live] == 0.0) and np.all(want[~live] == 0.0), field
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), field
+
+
+def test_all_live_input_reaches_the_derivative_step_ungathered():
+    """Periodic and positive everywhere: the step receives the caller's own
+    arrays (the clamped densities ``evaluate`` always makes aside), so there
+    is no gather and no copy; the tape's row index is ``slice(None)``."""
+    from repro.fem.mesh import uniform_mesh
+
+    seen: list = []
+
+    class Spy(PBE):
+        def _energy_and_derivatives(self, args, tape=None):
+            seen.append(args)
+            return super()._energy_and_derivatives(args, tape)
+
+    mesh = uniform_mesh((6.0, 6.0, 6.0), (2, 2, 2), degree=3, pbc=(True,) * 3)
+    r2 = np.sum((mesh.node_coords - 3.0) ** 2, axis=1)
+    rho = 0.01 + np.exp(-r2 / 2.0)
+    args = _contractions(mesh, np.stack([0.6 * rho, 0.4 * rho], axis=1), False)
+    tape: list = []
+    out = Spy().evaluate(*args, tape=tape)
+    (got,) = seen
+    assert all(a is b for a, b in zip(got[2:], args[2:]))
+    assert all(np.array_equal(a, b) for a, b in zip(got[:2], args[:2]))
+    assert tape == [slice(None)]
+    ref = reference_evaluate_then_mask(PBE(), *args)
+    for name, field in _fields(out).items():
+        if field is not None:
+            assert np.array_equal(field, getattr(ref, name)), name
+
+
+def test_evaluate_opens_one_xc_span_with_its_point_counts():
+    from repro.obs import set_enabled, trace_region
+
+    _, _, args, live = _dirichlet_inputs(LDA())
+    prev = set_enabled(True)
+    try:
+        with trace_region("outer") as root:
+            LDA().evaluate(*args)
+    finally:
+        set_enabled(prev)
+    assert [c.name for c in root.children] == ["XC"]
+    assert root.children[0].attrs == {"points": live.size, "live": int(live.sum())}
