@@ -54,6 +54,7 @@ def _cmd_info(_args) -> int:
 
     import repro
     from repro.atoms.library import MOLECULE_LIBRARY
+    from repro.core import SCFOptions
     from repro.hpc.distributed import RANK_BACKENDS
     from repro.hpc.machine import MACHINES
     from repro.hpc.runtime import PAPER_WORKLOADS
@@ -64,7 +65,7 @@ def _cmd_info(_args) -> int:
     print(f"  workloads: {', '.join(sorted(PAPER_WORKLOADS))}")
     print(f"  machines:  {', '.join(sorted(MACHINES))}")
     print(f"  backends:  serial, {', '.join(RANK_BACKENDS)} "
-          f"(host cores: {cores}; default proc rank count: {max(2, cores)})")
+          f"(host cores: {cores}; default rank count: {SCFOptions.nranks})")
     print("  commands:")
     width = max(len(n) for n in COMMANDS)
     for name in sorted(COMMANDS):
@@ -90,25 +91,20 @@ def _run_library_scf(args):
     xc = {"lda": LDA, "pbe": PBE}[args.xc]()
     backend = getattr(args, "backend", "serial")
     nranks = max(1, int(getattr(args, "ranks", 2)))
-    initial_rho = getattr(args, "initial_rho", None)
+    checkpoint = getattr(args, "checkpoint", None)
     options = SCFOptions(
         max_iterations=args.max_scf, verbose=True,
         backend=backend, nranks=nranks,
-        initial_rho_path=initial_rho,
+        initial_rho_path=getattr(args, "initial_rho", None),
+        checkpoint_path=checkpoint,
+        checkpoint_every=getattr(args, "checkpoint_every", 1),
+        # what `repro resume` rebuilds the calculation from
+        checkpoint_metadata={
+            "molecule": args.molecule, "xc": args.xc,
+            "degree": args.degree, "cells": args.cells,
+            "max_scf": args.max_scf, "backend": backend, "ranks": nranks,
+        } if checkpoint else None,
     )
-    if getattr(args, "checkpoint", None):
-        options = SCFOptions(
-            max_iterations=args.max_scf, verbose=True,
-            backend=backend, nranks=nranks,
-            initial_rho_path=initial_rho,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_metadata={
-                "molecule": args.molecule, "xc": args.xc,
-                "degree": args.degree, "cells": args.cells,
-                "max_scf": args.max_scf,
-            },
-        )
     calc = DFTCalculation(
         config, xc=xc, degree=args.degree, cells_per_axis=args.cells,
         options=options,
@@ -168,6 +164,7 @@ def _cmd_scf(args) -> int:
 def _cmd_resume(args) -> int:
     """Continue an interrupted ``scf --checkpoint`` run bit-for-bit."""
     from repro.atomicio import ArtifactError
+    from repro.core import SCFOptions
     from repro.core.io import load_scf_state
 
     try:
@@ -186,6 +183,9 @@ def _cmd_resume(args) -> int:
     args.xc = meta["xc"]
     args.degree = int(meta["degree"])
     args.cells = int(meta["cells"])
+    # checkpoints written before the backend was recorded resume serial
+    args.backend = meta.get("backend", "serial")
+    args.ranks = int(meta.get("ranks", SCFOptions.nranks))
     if args.max_scf is None:
         args.max_scf = int(meta["max_scf"])
     args.resume_from = args.checkpoint

@@ -10,7 +10,7 @@ from .hamiltonian import Electrostatics, gaussian_self_energy
 from .io import load_initial_rho, save_seed_density
 from .kerker import KerkerPreconditioner
 from .ksdft import DFTCalculation, auto_mesh, homo_lumo_gap
-from .mixing import AndersonMixer, LinearMixer
+from .mixing import AndersonMixer
 from .occupations import OccupationSet, fermi_dirac, find_fermi_level
 from .orthonorm import blocked_gram, blocked_rotate, cholesky_orthonormalize
 from .rayleigh_ritz import projected_hamiltonian, rayleigh_ritz
@@ -29,7 +29,6 @@ __all__ = [
     "EnergyBreakdown",
     "KSChannel",
     "KerkerPreconditioner",
-    "LinearMixer",
     "OccupationSet",
     "RelaxationResult",
     "SCFDriver",

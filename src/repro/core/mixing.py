@@ -1,9 +1,10 @@
-"""SCF density mixing: simple linear and Anderson (Pulay/DIIS) acceleration.
+"""SCF density mixing: Anderson (Pulay/DIIS) acceleration.
 
 Anderson mixing minimizes the norm of a linear combination of the stored
 residuals ``F_i = rho_out_i - rho_in_i`` and mixes along the optimized
 direction — the standard workhorse for metallic SCF convergence used by
-DFT-FE.
+DFT-FE, and the one mixer the SCF runs.  Its first step, with one residual
+in the window, is the damped update ``rho_in + alpha * F``.
 """
 
 from __future__ import annotations
@@ -12,28 +13,7 @@ from collections import deque
 
 import numpy as np
 
-__all__ = ["LinearMixer", "AndersonMixer"]
-
-
-class LinearMixer:
-    """rho_next = rho_in + alpha * (rho_out - rho_in)."""
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-
-    def reset(self) -> None:  # symmetric API with AndersonMixer
-        pass
-
-    def get_history(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        return [], []  # no window: nothing for a checkpoint to carry
-
-    def set_history(self, rho: list[np.ndarray], res: list[np.ndarray]) -> None:
-        pass
-
-    def mix(self, rho_in: np.ndarray, rho_out: np.ndarray) -> np.ndarray:
-        return rho_in + self.alpha * (rho_out - rho_in)
+__all__ = ["AndersonMixer"]
 
 
 class AndersonMixer:

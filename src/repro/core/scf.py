@@ -22,7 +22,6 @@ the history and the trace in agreement by construction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from repro.atoms.pseudo import AtomicConfiguration
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import Mesh3D
-from repro.obs import SCF_ITERATION, attach_to, current_span, trace_region
+from repro.obs import SCF_ITERATION, trace_region
 from repro.resilience import (
     DegradationReport,
     ResilienceError,
@@ -45,7 +44,7 @@ from .density import atomic_guess_density, density_from_channels
 from .energy import EnergyBreakdown, total_energy
 from .hamiltonian import Electrostatics
 from .io import load_initial_rho, load_scf_state, save_scf_state
-from .mixing import AndersonMixer, LinearMixer
+from .mixing import AndersonMixer
 from .occupations import OccupationSet, find_fermi_level
 from .orthonorm import cholesky_orthonormalize
 from .rayleigh_ritz import rayleigh_ritz
@@ -58,6 +57,13 @@ __all__ = [
     "KSChannel", "SCFOptions", "SCFResult", "SCFDriver", "chfes_step",
     "rayleigh_ritz", "lanczos_upper_bound",
 ]
+
+#: Chebyshev filter degree; ``capped_degree`` lowers it per Ritz-window pass
+CHEB_DEGREE = 15
+#: filtering passes from the random start in the first SCF step
+N_INIT_PASSES = 5
+#: Anderson mixing history window
+MIXING_HISTORY = 6
 
 
 # chfes_step lives here, not in a module of its own, because the benchmark
@@ -152,8 +158,6 @@ class SCFOptions:
     density_tol: float = 1e-6  #: L2 density residual per electron
     energy_tol: float = 1e-8  #: Harris energy change per electron (Ha)
     temperature: float = 1e-3  #: k_B T smearing (Ha)
-    cheb_degree: int = 15  #: filter degree, lowered per pass by ``capped_degree``
-    n_init_passes: int = 5  #: filtering passes in the first SCF step
     #: filtering passes in every later SCF step.  The default single
     #: pass leaves the converged subspace with an O(1e-10) eigenvalue
     #: memory of the starting density; screening campaigns that must
@@ -163,14 +167,9 @@ class SCFOptions:
     filter_passes: int = 1
     block_size: int = 64  #: CF / CholGS / RR block size (the paper's B_f)
     mixed_precision: bool = False
-    mixing_alpha: float = 0.3
-    mixing_history: int = 6
-    mixer: str = "anderson"  #: "anderson" or "linear"
+    mixing_alpha: float = 0.3  #: Anderson mixing step
     poisson_tol: float = 1e-9  #: verified bound on the EP residual |b-Kx|/|b|
     kerker_k0: float | None = None  #: enable Kerker mixing preconditioning
-    #: worker threads for the independent (k, spin) channels; None reads
-    #: REPRO_NUM_THREADS (default 1 = serial)
-    num_threads: int | None = None
     verbose: bool = False
     #: mid-run checkpointing: write the loop state here every
     #: ``checkpoint_every`` iterations (and on convergence); resume with
@@ -196,8 +195,6 @@ class SCFOptions:
     backend: str = "serial"
     #: rank count for the distributed backends
     nranks: int = 2
-    #: FP32 halo exchange on the distributed backends (paper Sec 5.4.2)
-    fp32_halo: bool = False
 
 
 @dataclass
@@ -235,7 +232,7 @@ class _LoopState:
     """
 
     rho_spin: np.ndarray
-    mixer: AndersonMixer | LinearMixer  #: owns the history window
+    mixer: AndersonMixer  #: owns the history window
     iteration: int = 0
     converged: bool = False
     free_energy: float = np.inf  #: the previous iteration's (energy test)
@@ -264,13 +261,6 @@ class SCFDriver:
         self.nstates = int(nstates)
         self.spin_polarized = bool(spin_polarized)
         self.options = options or SCFOptions()
-        # REPRO_NUM_THREADS is read once here, not per SCF step: the
-        # environment is shared mutable state, and the parallel channel
-        # loop must not change width mid-run (reprolint R015).
-        env = os.environ.get("REPRO_NUM_THREADS", "").strip()
-        if env and not (env.isdecimal() and int(env) >= 1):
-            raise ValueError(f"REPRO_NUM_THREADS={env!r} must be an integer >= 1")
-        self._env_threads = int(env) if env else 1
         self.ledger = ledger
         if kpoints is None:
             kpoints = [((0.0, 0.0, 0.0), 1.0)]
@@ -295,16 +285,11 @@ class SCFDriver:
                     from repro.hpc.distributed import DistributedKSOperator
 
                     ops[key] = DistributedKSOperator(
-                        mesh,
-                        self.options.nranks,
-                        fp32_halo=self.options.fp32_halo,
-                        backend=backend,
-                        **common,
+                        mesh, self.options.nranks, backend=backend, **common
                     )
             for i, s in enumerate(spins):
-                # every channel owns its operator (its potential), so the
-                # parallel dispatch cannot race set_potential across spins;
-                # clones share the heavy immutable state of the base op
+                # every channel owns its operator (its potential); clones
+                # share the heavy immutable state of the base op
                 op = ops[key] if i == 0 else ops[key].clone()
                 self.channels.append(
                     KSChannel(kfrac=tuple(kfrac), weight=w, spin=s, op=op)
@@ -315,8 +300,6 @@ class SCFDriver:
                 f"nstates={nstates} cannot hold {config.n_electrons} electrons"
             )
         self.degradation = DegradationReport()
-        self._degraded_serial = False
-        self._iteration = 0
 
     def close(self) -> None:
         """Release operator backend resources (process-rank worker fleets).
@@ -344,16 +327,7 @@ class SCFDriver:
         opts = self.options
         mesh = self.mesh
         self.degradation = DegradationReport()
-        self._degraded_serial = False
-        self._iteration = 0
-        if opts.mixer == "anderson":
-            mixer = AndersonMixer(opts.mixing_alpha, opts.mixing_history)
-        elif opts.mixer == "linear":
-            mixer = LinearMixer(opts.mixing_alpha)
-        else:
-            raise ValueError(
-                f"mixer={opts.mixer!r} must be 'anderson' or 'linear'"
-            )
+        mixer = AndersonMixer(opts.mixing_alpha, MIXING_HISTORY)
         if resume_from is not None:
             state = self._restore_state(load_scf_state(resume_from, mesh), mixer)
         else:
@@ -480,7 +454,7 @@ class SCFDriver:
         if state.converged:  # resumed from a converged checkpoint: nothing to do
             return
         for it in range(state.iteration + 1, opts.max_iterations + 1):
-            state.iteration = self._iteration = it
+            state.iteration = it
             rho_spin = state.rho_spin
             with trace_region(SCF_ITERATION, iteration=it) as it_span:
                 # EP span opened by Electrostatics.solve itself
@@ -567,65 +541,11 @@ class SCFDriver:
                 break
 
     # ------------------------------------------------------------------
-    def _effective_threads(self) -> int:
-        nt = self.options.num_threads
-        if nt is None:
-            nt = self._env_threads
-        return max(1, int(nt))
-
     def _solve_channels(self, v_eff: np.ndarray) -> None:
-        """One ChFES step per (k, spin) channel, serial or thread-parallel.
-
-        Channels are fully independent (each owns its operator and
-        wavefunctions), so they run on a thread pool when more than one
-        worker is configured — BLAS releases the GIL inside the batched
-        GEMMs.  Each worker adopts the caller's open span via
-        ``attach_to``, so the per-channel ChFES spans land under the right
-        SCF iteration in the profile tree.
-
-        A channel whose retries are exhausted in the parallel pool does not
-        abort the run: the pool is degraded to serial execution (recorded
-        in the degradation report) and the failed channels are re-solved
-        with a fresh retry budget.  Only a serial failure escapes, as a
-        structured ``ResilienceError``.
-        """
-        nthreads = min(self._effective_threads(), len(self.channels))
-        if self._degraded_serial:
-            nthreads = 1
-        if nthreads <= 1:
-            for ch in self.channels:
-                self._solve_channel_resilient(ch, v_eff)
-            return
-        # only a run with more than one worker thread needs the pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        parent = current_span()
-
-        def worker(ch: KSChannel) -> None:
-            with attach_to(parent):
-                self._solve_channel_resilient(ch, v_eff)
-
-        failed: list[tuple[KSChannel, ResilienceError]] = []
-        with ThreadPoolExecutor(
-            max_workers=nthreads, thread_name_prefix="chfes"
-        ) as pool:
-            futures = [pool.submit(worker, ch) for ch in self.channels]
-            for ch, f in zip(self.channels, futures):
-                try:
-                    f.result()  # join before the parent span closes
-                except ResilienceError as err:
-                    failed.append((ch, err))
-        if failed:
-            self._degraded_serial = True
-            self.degradation.record(
-                "channel",
-                "parallel->serial",
-                detail=f"{len(failed)} channel(s) exhausted retries: "
-                f"{failed[0][1]}",
-                iteration=self._iteration,
-            )
-            for ch, _ in failed:
-                self._solve_channel_resilient(ch, v_eff)
+        """One ChFES step per (k, spin) channel, in channel order; a
+        channel whose retries run out raises ``ResilienceError``."""
+        for ch in self.channels:
+            self._solve_channel_resilient(ch, v_eff)
 
     def _solve_channel_resilient(self, ch: KSChannel, v_eff: np.ndarray) -> None:
         """One channel solve under the retry policy.
@@ -661,8 +581,8 @@ class SCFDriver:
     def _solve_one_channel(self, ch: KSChannel, v_eff: np.ndarray) -> None:
         if _faults._PLAN is not None:
             _faults.fault_point("channel")
-        # each channel is single-owner state: the write window proves no
-        # two pool workers were ever handed the same channel
+        # each channel is single-owner state: under reprosan the write window
+        # raises if any other thread writes the channel during its solve
         san = _sanitize._STATE
         if san is not None:
             san.write_begin(f"KSChannel:{id(ch)}")
@@ -675,7 +595,7 @@ class SCFDriver:
                 san.write_end(f"KSChannel:{id(ch)}")
 
     def _eigensolve(self, ch: KSChannel) -> None:
-        """One ChFES step for a channel: ``n_init_passes`` from a random
+        """One ChFES step for a channel: ``N_INIT_PASSES`` from a random
         start on its first SCF step, ``filter_passes`` warm ones after."""
         opts = self.options
         op = ch.op
@@ -696,8 +616,8 @@ class SCFDriver:
             ch.evals, ch.psi, ch.hpsi = chfes_step(
                 op, ch.psi, ch.evals, hx0,
                 b=op.spectral_upper_bound(),
-                degree=opts.cheb_degree,
-                passes=max(opts.n_init_passes if first else opts.filter_passes, 1),
+                degree=CHEB_DEGREE,
+                passes=max(N_INIT_PASSES if first else opts.filter_passes, 1),
                 block_size=opts.block_size,
                 nstates=self.nstates,
                 seed=seed,

@@ -200,9 +200,11 @@ def batched_rotate(
     straight into ``out`` (a fresh array when not given); later blocks
     accumulate through a pooled product buffer.  The summation order — and
     with ``mixed_precision`` the FP32 off-diagonal block products, read from
-    single-cast mirrors — matches the reference :func:`~repro.core.
-    orthonorm.blocked_rotate` exactly (the only divergence is the sign of
-    exact-zero entries, which the reference obtains as ``0.0 + (-0.0)``).
+    single-cast mirrors — matches the per-block oracle
+    ``tests/reference.reference_rotate`` exactly (the only divergence is the
+    sign of exact-zero entries, which the oracle obtains as
+    ``0.0 + (-0.0)``); :func:`~repro.core.orthonorm.blocked_rotate` is a
+    wrapper around this function.
     ``out`` must not overlap ``X`` or ``Q``.
     """
     n, nvec = X.shape

@@ -371,12 +371,13 @@ class KSOperator:
     def clone(self) -> "KSOperator":
         """Operator sharing all immutable state but owning its potential.
 
-        The parallel multi-channel ChFES gives each (k, spin) channel its
-        own clone so concurrent ``set_potential`` calls cannot race; the
+        The SCF gives the second spin channel of a k-point its own clone,
+        so each channel's operator holds that channel's potential (and the
+        kernel batch folded from it) rather than the last one set; the
         heavy pieces (axis matrices, nonlocal projectors, the thread-local
-        workspace, the rank cluster) are shared.  A shared
-        cluster serializes concurrent applies itself (the process backend
-        holds a lock across begin/finish).
+        workspace, the rank cluster) are shared.  A shared cluster
+        serializes concurrent applies itself (the process backend holds a
+        lock across begin/finish).
         """
         new = type(self).__new__(type(self))
         new.__dict__.update(self.__dict__)

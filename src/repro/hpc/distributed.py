@@ -4,15 +4,16 @@
 :class:`repro.fem.assembly.KSOperator` whose stiffness product runs on a
 rank backend — :class:`repro.hpc.cluster.VirtualCluster` (simulated ranks,
 metered traffic) or :class:`repro.hpc.procranks.ProcRankCluster` (real
-forked ranks over shared memory) — through the owner-sum halo protocol,
-with optional FP32 boundary communication.  Everything else (the Löwdin
-scaling, the potential and nonlocal terms, ``out=``, the workspace, the
-FLOP ledger, ``apply_begin`` / ``apply_finish``) is inherited, so the
-ChFES eigensolver runs unchanged.  The two backends are bitwise identical,
-which is how the paper's mixed-precision and overlap claims are validated
-at the eigensolver level: spectra (and SCF energies) must match across
-backends bit for bit, and the serial FP64 spectrum to well below the
-discretization error.
+forked ranks over shared memory) — through the owner-sum halo protocol.
+Everything else (the Löwdin scaling, the potential and nonlocal terms,
+``out=``, the workspace, the FLOP ledger, ``apply_begin`` /
+``apply_finish``) is inherited, so the ChFES eigensolver runs unchanged.
+The two backends are bitwise identical, which is how the paper's overlap
+claim is validated at the eigensolver level: spectra (and SCF energies)
+must match across backends bit for bit, and the serial FP64 spectrum to
+well below the discretization error.  The FP32 halo of Sec 5.4.2 lives
+on :class:`~repro.hpc.cluster.VirtualCluster` alone, which a caller hands
+to ``KSOperator(mesh, ranks=...)`` directly.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ __all__ = ["DistributedKSOperator", "RANK_BACKENDS"]
 RANK_BACKENDS = ("virtual", "proc")
 
 
-def _make_cluster(backend: str, mesh, nranks, kfrac, fp32_halo, overlap):
+def _make_cluster(backend: str, mesh, nranks, kfrac, overlap):
     if backend == "virtual":
-        return VirtualCluster(mesh, nranks, kfrac=kfrac, fp32_halo=fp32_halo)
+        return VirtualCluster(mesh, nranks, kfrac=kfrac)
     if backend == "proc":
         from .procranks import ProcRankCluster
 
-        return ProcRankCluster(
-            mesh, nranks, kfrac=kfrac, fp32_halo=fp32_halo, overlap=overlap
-        )
+        return ProcRankCluster(mesh, nranks, kfrac=kfrac, overlap=overlap)
     raise ValueError(
         f"unknown rank backend {backend!r} (choose from {RANK_BACKENDS})"
     )
@@ -51,7 +50,6 @@ class DistributedKSOperator(KSOperator):
         mesh: Mesh3D,
         nranks: int,
         kfrac: tuple[float, float, float] | None = None,
-        fp32_halo: bool = False,
         backend: str = "virtual",
         overlap: bool | None = None,
         ledger=None,
@@ -65,7 +63,7 @@ class DistributedKSOperator(KSOperator):
             ledger=ledger,
             nonlocal_projectors=nonlocal_projectors,
             workspace=workspace,
-            ranks=_make_cluster(backend, mesh, nranks, kfrac, fp32_halo, overlap),
+            ranks=_make_cluster(backend, mesh, nranks, kfrac, overlap),
         )
 
     # An own name for the inherited entry point: the benchmark ledger hooks

@@ -9,9 +9,10 @@ Bitwise contract: for any input block, ``apply_stiffness`` returns the
 same bits as the virtual cluster, overlap on or off.  The partition orders
 every rank's cells boundary-first, both backends apply cells through the
 shared :meth:`repro.fem.assembly.CellStiffness.add_cells` in the same two
-passes, halo partials are FP32-rounded at the same point, and owners accumulate
-received payloads in increasing sender order — only the *schedule*
-(interior compute concurrent with in-flight ghosts) differs.
+passes, and owners accumulate received payloads in increasing sender order
+— only the *schedule* (interior compute concurrent with in-flight ghosts)
+differs.  Halo partials travel in FP64: the FP32 wire of paper Sec 5.4.2 is
+metered on the virtual cluster only.
 
 Synchronization is blocking-semaphore based, deliberately: per-worker
 command semaphores, one counted done semaphore, and per-directed-edge
@@ -143,12 +144,11 @@ class ProcRankCluster(VirtualCluster):
         mesh: Mesh3D,
         nranks: int,
         kfrac: tuple[float, float, float] | None = None,
-        fp32_halo: bool = False,
         overlap: bool | None = None,
         block_capacity: int = 16,
         allreduce_capacity: int = 1 << 16,
     ) -> None:
-        super().__init__(mesh, nranks, kfrac=kfrac, fp32_halo=fp32_halo)
+        super().__init__(mesh, nranks, kfrac=kfrac)
         self.overlap = overlap_from_env() if overlap is None else bool(overlap)
         self._dtype = np.dtype(np.result_type(self.stiff.dtype, np.float64))
         self._lock = threading.RLock()
@@ -157,7 +157,7 @@ class ProcRankCluster(VirtualCluster):
         self._gen = 0
         self._bcap = max(1, int(block_capacity))
         self._ar_bytes = max(1, int(allreduce_capacity))
-        self._plans = W.build_plans(self.partition, self.stiff, fp32_halo)
+        self._plans = W.build_plans(self.partition, self.stiff)
         self._remote_of_rank = [
             halo[self._owner[halo] != r] for r, halo in enumerate(self._halo_of_rank)
         ]

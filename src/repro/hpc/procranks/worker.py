@@ -12,9 +12,6 @@ rank-for-rank, bit for bit:
   list, so the per-node ``np.add.at`` accumulation order matches the
   virtual cluster exactly whether or not the interior pass is overlapped
   with the exchange;
-* partial sums bound for other owners are (optionally) rounded through
-  FP32 — the paper's Sec 5.4.2 halo precision — *before* they hit the
-  wire, exactly where the virtual cluster rounds them;
 * the owner adds received payloads in increasing sender rank order, the
   same order the virtual cluster's ``y += local`` loop realizes.
 
@@ -34,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs import Stopwatch
-from repro.precision import f32_dtype
 
 from .arena import SharedArena
 
@@ -83,25 +79,20 @@ class RankPlan:
     n_boundary: int
     #: global nodes this rank owns (sorted)
     owned: np.ndarray
-    #: halo nodes this rank touches but does not own (FP32 rounding set)
-    remote: np.ndarray
     #: outgoing edges: (dst_rank, global nodes shipped), increasing dst
     send_edges: list[tuple[int, np.ndarray]] = field(default_factory=list)
     #: incoming edges: (src_rank, nodes, positions within ``owned``),
     #: increasing src — the owner-sum accumulation order
     recv_edges: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
-    fp32_halo: bool = False
     #: cell stiffness (with its mesh connectivity), shared via fork
     stiff: object | None = None
 
 
-def build_plans(partition, stiff, fp32_halo: bool) -> list[RankPlan]:
+def build_plans(partition, stiff) -> list[RankPlan]:
     """One :class:`RankPlan` per rank of ``partition``."""
     nranks = len(partition.cells_of_rank)
-    owner = partition.owner
     plans = []
     for r in range(nranks):
-        halo = partition.halo_nodes_of_rank(r)
         owned = partition.owned_nodes(r)
         plan = RankPlan(
             rank=r,
@@ -110,8 +101,6 @@ def build_plans(partition, stiff, fp32_halo: bool) -> list[RankPlan]:
             cells=partition.cells_of_rank[r],
             n_boundary=partition.n_boundary_of_rank[r],
             owned=owned,
-            remote=halo[owner[halo] != r],
-            fp32_halo=fp32_halo,
             stiff=stiff,
         )
         for dst in range(nranks):
@@ -189,14 +178,6 @@ def _do_apply(plan: RankPlan, views: _Views, links, ctrl_row, tim_row) -> None:
         sw.restart()
         stiff.add_cells(X, plan.cells[nb:], local)
         t_interior = sw.restart()
-
-    # FP32 halo downcast (paper Sec 5.4.2): only the partials crossing the
-    # rank boundary are rounded, exactly as the virtual cluster rounds them.
-    # Halo nodes receive no interior-cell contributions, so these values are
-    # final right after the boundary pass.
-    if plan.fp32_halo and plan.remote.size:
-        f32 = f32_dtype(dtype)
-        local[plan.remote] = local[plan.remote].astype(f32).astype(dtype)
 
     # post the ghost sends: double-buffered bounded channel per edge
     for dst, nodes in plan.send_edges:

@@ -41,7 +41,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "read_jsonl",
         ),
         "tracer": (
-            "Span", "Stopwatch", "Tracer", "add_counter", "add_event", "attach_to",
+            "Span", "Stopwatch", "Tracer", "add_counter", "add_event",
             "current_span", "get_tracer", "is_enabled", "kernel_region", "set_enabled",
             "trace_region", "traced",
         ),

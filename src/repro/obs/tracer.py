@@ -25,12 +25,11 @@ module (or :class:`Stopwatch` below) — reprolint rule R009 enforces it.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
 import threading
 import time
-from typing import Any, Callable, ContextManager, Iterable, Iterator, TypeVar
+from typing import Any, Callable, ContextManager, Iterable, TypeVar
 
 from repro.tools import sanitize as _sanitize
 
@@ -40,7 +39,6 @@ __all__ = [
     "Tracer",
     "add_counter",
     "add_event",
-    "attach_to",
     "current_span",
     "get_tracer",
     "is_enabled",
@@ -399,40 +397,6 @@ def kernel_region(name: str, ledger: Any = None, **attrs: Any) -> ContextManager
     if not _ENABLED:
         return _NoopRegion(name, ledger) if ledger is not None else _NoopSpan()
     return _Region(Span(name, attrs or None), ledger)
-
-
-@contextlib.contextmanager
-def attach_to(parent: Any) -> Iterator[None]:
-    """Adopt an open span from another thread as this thread's current span.
-
-    Worker threads (e.g. the parallel (k, spin) ChFES channels) start with
-    an empty span stack, so their ``trace_region`` spans would become
-    detached roots.  Wrapping the worker body in
-    ``with attach_to(parent_span):`` seeds the stack with the caller's open
-    span instead: child spans parent correctly (``children.append`` is
-    atomic under the GIL, so siblings from several workers interleave
-    safely) and nothing is emitted to the sinks early, because the adopted
-    span is closed by its owning thread, not here.
-
-    The parent must outlive the block — join the workers before closing it.
-    No-op when tracing is disabled or ``parent`` is ``None``/no-op.
-    """
-    if not _ENABLED or not isinstance(parent, Span):
-        yield
-        return
-    stack = _TRACER._stack()
-    stack.append(parent)
-    try:
-        yield
-    finally:
-        # unwind anything a worker left open (exception paths), then detach
-        now = _clock()
-        while stack and stack[-1] is not parent:
-            dangling = stack.pop()
-            if dangling.t_end == 0.0:
-                dangling.t_end = now
-        if stack:
-            stack.pop()
 
 
 def traced(name: str | None = None, **attrs: Any) -> Callable[[F], F]:

@@ -10,8 +10,7 @@ long-running loops (SCF, inverse DFT, MLXC training):
   with a deterministic backoff schedule, recorded as reproscope events and
   counters, converting exhausted recovery into a structured
   :class:`ResilienceError` that names the failing site.
-* :mod:`repro.resilience.degrade` — the degradation ladder (parallel
-  channels -> serial, ScatterMap -> reference scatter) and the
+* :mod:`repro.resilience.degrade` — the degradation ladder and the
   :class:`DegradationReport` attached to results.
 
 Mid-run checkpoint/resume — the third leg of the robustness story — lives

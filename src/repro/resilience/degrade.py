@@ -1,16 +1,13 @@
 """Graceful degradation: the ladder a faulting run descends, with a report.
 
-When bounded retries at full speed keep failing, the drivers trade
-performance for survival instead of aborting:
-
-1. retry the failing step in place (:class:`~repro.resilience.retry.
-   RetryPolicy`);
-2. drop the parallel (k, spin) channel pool to serial execution;
-3. give up with a structured ``ResilienceError``.
-
-Every rung taken is recorded in a :class:`DegradationReport` — attached to
-the ``SCFResult`` and printed by the CLI — so a run that survived on
-degraded paths says so instead of silently running slow.
+A faulting step is retried in place (:class:`~repro.resilience.retry.
+RetryPolicy`); when the budget runs out the driver gives up with a
+structured ``ResilienceError``.  A fallback that trades performance for
+survival between those two rungs is recorded in a
+:class:`DegradationReport` — attached to the ``SCFResult`` and printed by
+the CLI — so a run that survived on degraded paths says so instead of
+silently running slow.  No SCF path records one at present, so the report
+is empty on every run.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ class DegradationEvent:
     """One rung taken on the degradation ladder."""
 
     site: str  #: fault site that forced the fallback
-    action: str  #: e.g. "parallel->serial"
+    action: str  #: what the run fell back to, e.g. "fast->reference"
     detail: str = ""
     iteration: int | None = None  #: outer-loop iteration, when known
 

@@ -1,10 +1,10 @@
 """Concurrency-safety rules (R013–R016) for reprolint.
 
-The parallel-ChFES channel loop (``ThreadPoolExecutor`` in
-``core/scf.py``) and the upcoming multi-rank scale-out multiply the
-number of threads touching shared numerical state.  These rules find
-the static half of that hazard class; the runtime half is covered by
-:mod:`repro.tools.sanitize` (``REPRO_SANITIZE=1``).
+The serve runtime's slice workers (``repro/serve/server.py``) run several
+solvers on threads of one process, so more than one thread touches
+shared numerical state.  These rules find the static half of that hazard
+class; the runtime half is covered by :mod:`repro.tools.sanitize`
+(``REPRO_SANITIZE=1``).
 
 ========  ==========================================================
 R013      unlocked mutation of registered shared state (FlopLedger,
@@ -194,8 +194,8 @@ class UnlockedSharedStateMutation(Rule):
     """R013: unlocked shared-state mutation reachable from worker threads.
 
     ``FlopLedger`` tallies, ``Workspace`` pools, tracer sink lists and
-    traffic meters are mutated from the parallel channel loop; every
-    such mutation must hold the owning lock.  The rule resolves thread
+    traffic meters are mutated from worker threads; every such mutation
+    must hold the owning lock.  The rule resolves thread
     entries (``pool.submit`` targets, ``threading.Thread`` targets),
     closes over the module-local call graph, and flags attribute or
     subscript stores — and in-place container mutations — whose base

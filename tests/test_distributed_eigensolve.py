@@ -6,6 +6,7 @@ import pytest
 from repro.core.scf import chfes_step
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import uniform_mesh
+from repro.hpc.cluster import VirtualCluster
 from repro.hpc.distributed import DistributedKSOperator
 
 
@@ -45,7 +46,7 @@ def test_distributed_fp32_halo_spectrum_accuracy(problem):
     serial = KSOperator(mesh)
     serial.set_potential(v)
     e_ref, _ = _eigensolve(serial)
-    dist32 = DistributedKSOperator(mesh, nranks=6, fp32_halo=True)
+    dist32 = KSOperator(mesh, ranks=VirtualCluster(mesh, 6, fp32_halo=True))
     dist32.set_potential(v)
     e_32, _ = _eigensolve(dist32)
     err = np.abs(e_32 - e_ref).max()

@@ -72,10 +72,11 @@ def test_xc_output_shapes():
 
 def test_scf_options_defaults_sane():
     from repro.core import SCFOptions
+    from repro.core.scf import CHEB_DEGREE
 
     o = SCFOptions()
     assert 0 < o.mixing_alpha <= 1
-    assert o.cheb_degree > 0
+    assert CHEB_DEGREE > 0
     assert o.block_size > 0
 
 

@@ -6,7 +6,8 @@ The reads must be exactly the variables README.md documents (an
 undocumented knob, or a documented one nothing reads, fails here); writes
 must not exist at all — the environment is process-global state shared by
 every thread of a ``repro.serve`` process, so a kernel path may never be
-selected by mutating it.
+selected by mutating it.  The other configuration surface, the field names
+of ``SCFOptions``, is pinned here too.
 """
 
 from __future__ import annotations
@@ -104,3 +105,19 @@ def test_env_reads_equal_the_documented_variables():
 def test_package_never_writes_the_environment():
     _, writes = _scan_package()
     assert writes == []
+
+
+def test_scf_options_fields_are_pinned():
+    """Every ``SCFOptions`` field is a knob some caller sets; a new one
+    shows up here as a reviewed diff."""
+    from dataclasses import fields
+
+    from repro.core import SCFOptions
+
+    assert [f.name for f in fields(SCFOptions)] == [
+        "max_iterations", "density_tol", "energy_tol", "temperature",
+        "filter_passes", "block_size", "mixed_precision", "mixing_alpha",
+        "poisson_tol", "kerker_k0", "verbose", "checkpoint_path",
+        "checkpoint_every", "checkpoint_metadata", "initial_rho_path",
+        "retry_policy", "backend", "nranks",
+    ]

@@ -1,10 +1,10 @@
-"""Fast matrix-free apply path: scatter maps, workspaces, parallel ChFES.
+"""Fast matrix-free apply path: scatter maps, workspaces, rank engines.
 
 The contract under test is *bit-for-bit* equivalence wherever two paths run
 the same arithmetic: the precomputed :class:`~repro.fem.scatter.ScatterMap`,
-the pooled and the unpooled workspace, the rank engines' recurrence and the
-thread-parallel (k, spin) channel dispatch must reproduce the reference
-``np.add.at`` / allocate-per-call / serial implementations exactly.  The
+the pooled and the unpooled workspace and the rank engines' recurrence
+must reproduce the reference ``np.add.at`` / allocate-per-call
+implementations exactly.  The
 in-process Chebyshev term is fused into the axis kernel's GEMMs — other
 roundings than the allocating oracle's passes — and is held to it at
 ``TERM_RTOL`` of the block's largest entry.
@@ -269,49 +269,3 @@ def test_filter_block_overlapped_matches_eager_and_reference(mesh, carry_hx0):
     finally:
         for op in ops:
             op.close()
-
-
-# ---------------------------------------------------------------------------
-# Parallel multi-channel ChFES vs serial
-# ---------------------------------------------------------------------------
-def _mg2_spin_polarised(nthreads, cells, degree, max_iterations):
-    """Mg2 at Gamma and Z/2, spin-polarised: four (k, spin) channels."""
-    from repro.core import DFTCalculation, SCFOptions
-    from repro.materials.lattice import hcp_orthorhombic, supercell
-    from repro.xc.lda import LDA
-
-    lat, sym, frac = hcp_orthorhombic()
-    cfg = supercell(lat, sym, frac, (1, 1, 1), pbc=(True, True, True))
-    kpts = [((0.0, 0.0, 0.0), 0.5), ((0.0, 0.0, 0.5), 0.5)]
-    opts = SCFOptions(
-        max_iterations=max_iterations, temperature=5e-3, num_threads=nthreads
-    )
-    calc = DFTCalculation(
-        cfg, xc=LDA(), cells_per_axis=cells, degree=degree,
-        kpoints=kpts, spin_polarized=True, options=opts,
-    )
-    assert len(calc.driver.channels) == 4  # 2 k-points x 2 spins
-    return calc.run()
-
-
-def _assert_same_bits(parallel, serial):
-    # channels are independent and deterministically seeded: the parallel
-    # dispatch must agree with the serial loop to the bit
-    assert parallel.free_energy == serial.free_energy
-    assert parallel.fermi_level == serial.fermi_level
-    assert np.array_equal(parallel.rho_spin, serial.rho_spin)
-    for ep, es in zip(parallel.eigenvalues, serial.eigenvalues):
-        assert np.array_equal(ep, es)
-
-
-@pytest.mark.slow
-def test_parallel_channels_match_serial():
-    size = dict(cells=(2, 3, 3), degree=3, max_iterations=4)
-    _assert_same_bits(_mg2_spin_polarised(4, **size), _mg2_spin_polarised(1, **size))
-
-
-def test_two_channel_threads_match_serial():
-    """The fast twin: the spin clones of one k-point run on two threads, each
-    with its own potential folded into its own kernel batch."""
-    size = dict(cells=(2, 2, 2), degree=2, max_iterations=3)
-    _assert_same_bits(_mg2_spin_polarised(2, **size), _mg2_spin_polarised(1, **size))

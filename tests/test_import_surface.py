@@ -175,7 +175,7 @@ LAZY_PACKAGES = {
     "repro.obs": [
         "AggregatedNode", "CHFES_CHILDREN", "ChromeTraceSink", "InMemoryAggregator",
         "JsonlSink", "PAPER_KERNELS", "SCF_ITERATION", "Span", "Stopwatch",
-        "TABLE3_ORDER", "Tracer", "add_counter", "add_event", "attach_to",
+        "TABLE3_ORDER", "Tracer", "add_counter", "add_event",
         "current_span", "fold_record", "get_tracer", "is_enabled", "kernel_region",
         "kernel_totals", "merge_jsonl", "merge_records", "model_vs_measured",
         "paper_label", "read_jsonl", "render_tree", "set_enabled", "trace_region",

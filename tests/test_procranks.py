@@ -63,20 +63,6 @@ def test_overlap_schedules_bitwise_equal():
     assert np.array_equal(y_on, y_off)
 
 
-def test_fp32_halo_bitwise_matches_virtual():
-    """The fp32 boundary rounding happens at the same protocol point."""
-    mesh = _mesh()
-    x = np.random.default_rng(2).normal(size=(mesh.nnodes, 2))
-    ref = VirtualCluster(mesh, 4, fp32_halo=True).apply_stiffness(x)
-    with ProcRankCluster(mesh, 4, fp32_halo=True) as pc:
-        y = pc.apply_stiffness(x)
-        traffic = pc.traffic.p2p_bytes
-    assert np.array_equal(y, ref)
-    vc = VirtualCluster(mesh, 4, fp32_halo=True)
-    vc.apply_stiffness(x)
-    assert traffic == vc.traffic.p2p_bytes  # identical metering
-
-
 def test_traffic_metering_matches_virtual():
     mesh = _mesh()
     x = np.random.default_rng(3).normal(size=(mesh.nnodes, 4))
@@ -488,7 +474,7 @@ def test_scheduler_policy_carries_backend(tmp_path):
     sched.release(job)
 
 
-def test_cli_info_reports_backends(capsys):
+def test_cli_info_reports_backends(capsys, monkeypatch):
     from repro.__main__ import main
 
     assert main(["info"]) == 0
@@ -496,6 +482,11 @@ def test_cli_info_reports_backends(capsys):
     assert "backends:" in out
     assert "proc" in out and "virtual" in out and "serial" in out
     assert f"host cores: {os.cpu_count() or 1}" in out
+    # the rank default is SCFOptions.nranks (and --ranks), whatever the host
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert main(["info"]) == 0
+    out = capsys.readouterr().out
+    assert "host cores: 8; default rank count: 2)" in out
 
 
 def test_cli_scf_proc_backend(capsys):

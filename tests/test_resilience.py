@@ -354,12 +354,12 @@ def test_h2o_kill_at_iteration_k_and_resume_bit_identical(tmp_path):
     resume from the checkpoint, and land on the *identical* free energy.
 
     The schedule is not the math: a run interrupted and resumed under an
-    explicit block size and channel-thread width lands on the bits of the
-    uninterrupted run at the defaults.
+    explicit block size lands on the bits of the uninterrupted run at the
+    defaults.
     """
     _, ref = _run_molecule("H2O")
     assert ref.converged
-    for schedule in ({}, {"block_size": 16, "num_threads": 2}):
+    for schedule in ({}, {"block_size": 16}):
         ck = str(tmp_path / f"h2o-{len(schedule)}.ckpt")
         _, partial = _run_molecule(
             "H2O", max_iterations=4, checkpoint=ck, **schedule

@@ -275,7 +275,7 @@ def test_unarmed_instrumentation_never_touches_sanitizer(monkeypatch):
     tr.remove_sink(sink)
 
 
-def _h2_result(num_threads: int):
+def _h2_result():
     from repro.atoms.pseudo import AtomicConfiguration
     from repro.core import DFTCalculation, SCFOptions
     from repro.xc.lda import LDA
@@ -287,20 +287,34 @@ def _h2_result(num_threads: int):
         padding=5.0,
         cells_per_axis=3,
         degree=2,
-        spin_polarized=True,  # two channels, so the pool really engages
-        options=SCFOptions(max_iterations=2, num_threads=num_threads),
+        spin_polarized=True,  # two channels, two write windows per step
+        options=SCFOptions(max_iterations=2),
     )
     return calc.run()
 
 
 def test_armed_parallel_scf_is_clean_and_bit_identical():
-    """The instrumented hot path holds its locks (no RaceReport), and
+    """Two SCFs on two threads of one process, as the serve workers run
+    them: the instrumented hot path holds its locks (no RaceReport), and
     arming the sanitizer does not perturb the numerics."""
-    serial = _h2_result(1)
-    parallel = _h2_result(2)
-    assert parallel.free_energy == serial.free_energy
-    assert np.array_equal(parallel.rho_spin, serial.rho_spin)
+    serial = _h2_result()
+    outcomes: list = [None, None]
+
+    def solve(i: int) -> None:
+        try:
+            outcomes[i] = _h2_result()
+        except BaseException as exc:  # re-raised on the main thread below
+            outcomes[i] = exc
+
     with sanitize.sanitized():
-        armed = _h2_result(2)  # raises RaceReport on any unlocked overlap
-    assert armed.free_energy == serial.free_energy
-    assert np.array_equal(armed.rho_spin, serial.rho_spin)
+        threads = [threading.Thread(target=solve, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    for armed in outcomes:
+        if isinstance(armed, BaseException):
+            raise armed  # a RaceReport on any unlocked overlap
+        assert armed.free_energy == serial.free_energy
+        assert np.array_equal(armed.rho_spin, serial.rho_spin)

@@ -188,21 +188,6 @@ def test_nstates_too_small_raises():
         DFTCalculation(config, nstates=0, cells_per_axis=3, degree=3)
 
 
-def test_unknown_mixer_is_refused_not_run_as_linear():
-    calc = _h2(cells_per_axis=3, degree=3, options=SCFOptions(mixer="andersen"))
-    with pytest.raises(ValueError, match="'andersen'.*'anderson' or 'linear'"):
-        calc.run()
-
-
-def test_bad_thread_count_in_the_environment_names_the_variable(monkeypatch):
-    for value in ("two", "0", "-1", "1.5"):
-        monkeypatch.setenv("REPRO_NUM_THREADS", value)
-        with pytest.raises(ValueError, match=f"REPRO_NUM_THREADS='{value}'"):
-            _h2(cells_per_axis=3, degree=3)
-    monkeypatch.setenv("REPRO_NUM_THREADS", " 2 ")
-    assert _h2(cells_per_axis=3, degree=3).driver._effective_threads() == 2
-
-
 def test_self_energy_value():
     cfg = AtomicConfiguration(["H"], [[0, 0, 0]])
     e = gaussian_self_energy(cfg)

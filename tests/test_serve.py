@@ -614,28 +614,45 @@ def test_cli_info_lists_registered_commands_dynamically(capsys):
 
 
 def test_cli_scf_checkpoint_metadata_round_trips_through_resume(
-    capsys, tmp_path
+    capsys, tmp_path, monkeypatch
 ):
-    """satellite: ``scf --checkpoint`` metadata drives ``resume`` bit-for-bit."""
+    """satellite: ``scf --checkpoint`` metadata drives ``resume`` bit-for-bit,
+    on the rank backend the interrupted run used."""
     from repro.__main__ import main
+    from repro.core import DFTCalculation
     from repro.core.io import load_scf_state
 
-    ckpt = str(tmp_path / "h2.ckpt")
-    base = ["scf", "H2", "--degree", "2", "--cells", "3"]
-    # uninterrupted reference run
-    assert main(base + ["--max-scf", "40"]) == 0
-    reference = capsys.readouterr().out.strip().splitlines()[-1]
-    # interrupted run: budget too small to converge
-    assert main(base + ["--max-scf", "3", "--checkpoint", ckpt]) == 1
-    capsys.readouterr()
-    meta = load_scf_state(ckpt)["metadata"]
-    assert meta == {
-        "molecule": "H2", "xc": "lda", "degree": 2, "cells": 3, "max_scf": 3,
-    }
-    # resume re-derives the whole configuration from that metadata
-    assert main(["resume", ckpt, "--max-scf", "40"]) == 0
-    resumed = capsys.readouterr().out.strip().splitlines()[-1]
-    assert resumed == reference  # same energy, same gap, bit for bit
+    runs = []  # (backend, energy) of every CLI solve, in order
+    run = DFTCalculation.run
+
+    def recording_run(self, *args, **kwargs):
+        res = run(self, *args, **kwargs)
+        runs.append((self.options.backend, res.energy))
+        return res
+
+    monkeypatch.setattr(DFTCalculation, "run", recording_run)
+    for backend in ("serial", "virtual"):
+        ckpt = str(tmp_path / f"h2-{backend}.ckpt")
+        base = ["scf", "H2", "--degree", "2", "--cells", "3",
+                "--backend", backend]
+        # uninterrupted reference run
+        assert main(base + ["--max-scf", "40"]) == 0
+        reference = capsys.readouterr().out.strip().splitlines()[-1]
+        # interrupted run: budget too small to converge
+        assert main(base + ["--max-scf", "3", "--checkpoint", ckpt]) == 1
+        capsys.readouterr()
+        meta = load_scf_state(ckpt)["metadata"]
+        assert meta == {
+            "molecule": "H2", "xc": "lda", "degree": 2, "cells": 3,
+            "max_scf": 3, "backend": backend, "ranks": 2,
+        }
+        # resume re-derives the whole configuration from that metadata
+        assert main(["resume", ckpt, "--max-scf", "40"]) == 0
+        resumed = capsys.readouterr().out.strip().splitlines()[-1]
+        assert resumed == reference  # same energy and gap as printed
+        (_, e_ref), _, (resumed_backend, e_resumed) = runs[-3:]
+        assert resumed_backend == backend
+        assert e_resumed == e_ref  # bit for bit
 
 
 # ---------------------------------------------------------------------------

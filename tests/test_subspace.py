@@ -325,6 +325,7 @@ def _count_scf_applies(monkeypatch, n_scf: int, ledger=None):
     included), ``flops`` (``cell_gemm`` FLOPs the ledger took in during
     those calls) and ``unit`` (the metered FLOPs of one column).
     """
+    import repro.core.scf as scf_module
     from repro.atoms.pseudo import AtomicConfiguration
     from repro.core import DFTCalculation, SCFOptions
     from repro.fem.assembly import KSOperator
@@ -348,6 +349,8 @@ def _count_scf_applies(monkeypatch, n_scf: int, ledger=None):
         return result
 
     monkeypatch.setattr(KSOperator, "apply", counting_apply)
+    monkeypatch.setattr(scf_module, "CHEB_DEGREE", 6)
+    monkeypatch.setattr(scf_module, "N_INIT_PASSES", 2)
     config = AtomicConfiguration(["H", "H"], [[0, 0, 0], [1.4, 0, 0]])
     calc = DFTCalculation(
         config,
@@ -356,8 +359,6 @@ def _count_scf_applies(monkeypatch, n_scf: int, ledger=None):
         degree=2,
         options=SCFOptions(
             max_iterations=n_scf,
-            cheb_degree=6,
-            n_init_passes=2,
             density_tol=1e-300,
             energy_tol=1e-300,
         ),
@@ -373,7 +374,7 @@ def _count_scf_applies(monkeypatch, n_scf: int, ledger=None):
 def test_chfes_saves_exactly_one_apply_per_iteration(monkeypatch):
     """One operator application of the subspace per RR stage is elided.
 
-    With m = cheb_degree, p = n_init_passes and N SCF iterations, a filter
+    With m = CHEB_DEGREE, p = N_INIT_PASSES and N SCF iterations, a filter
     plus a standalone Rayleigh-Ritz would issue (p + N - 1)(m + 1)
     full-subspace applies; the SCF carries HX through the fused subspace
     stage and issues exactly p·m + 1 + (N-1)·m.
