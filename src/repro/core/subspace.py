@@ -312,8 +312,7 @@ def fused_cholgs_rr(
         workspace=ws,
     )
     # distributed operators sum the gram over ranks: an allreduce on the
-    # cluster (metered on the virtual backend, bytes carried for real
-    # through shared memory on the process backend — bitwise identity)
+    # cluster (an identity that meters its wire bytes, on either backend)
     cluster = getattr(op, "cluster", None)
     if cluster is not None:
         S = cluster.allreduce(S)

@@ -507,9 +507,10 @@ class KSOperator:
         return self._deliver(y, X, out)
 
     def apply_begin(self, X: np.ndarray):
-        """Ship a block to the rank cluster (an overlapping one returns at
-        once; any other runs the product at the join): the handle of
-        :meth:`apply_finish`."""
+        """Ship a block to the rank cluster: the handle of
+        :meth:`apply_finish`.  The process backend returns at once, its
+        workers computing until the join; the virtual one runs the product
+        at the join."""
         full = self._lift(X)
         if self.ledger is not None:
             # forked rank workers cannot reach the ledger: charge their cell

@@ -79,12 +79,12 @@ class Partition:
         # Reorder each rank's cells *boundary-first* (stable within each
         # class).  Boundary cells are the ones touching a halo node — the
         # only cells whose contributions cross rank boundaries.  Computing
-        # them first lets an overlapping backend post its halo sends before
+        # them first lets the process backend post its halo sends before
         # the interior work, and because every backend (virtual and
         # process-level) iterates the same reordered list, the per-node
         # accumulation order — hence the bitwise result — is identical
-        # whether or not the interior compute is overlapped with the
-        # exchange.  The halo/owner/node caches are order-insensitive
+        # whether the interior compute runs under the exchange or after
+        # it.  The halo/owner/node caches are order-insensitive
         # (np.unique), so they may be materialized before the reorder.
         is_halo = np.zeros(self.mesh.nnodes, dtype=bool)
         is_halo[self.halo_nodes] = True

@@ -51,9 +51,6 @@ class TrafficReport:
 class VirtualCluster:
     """P simulated ranks executing the distributed stiffness application."""
 
-    #: whether the backend overlaps halo exchange with interior compute
-    #: (the in-process cluster is sequential by construction)
-    overlap = False
     #: backend name reported by ``repro info`` and the traffic reports
     backend = "virtual"
 
@@ -125,7 +122,7 @@ class VirtualCluster:
             if _faults._PLAN is not None and remote.size:
                 # reprochaos site: the halo payload may be dropped/poisoned;
                 # the protocol below retransmits until it arrives pristine
-                self._deliver_halo(local, remote, B, self._neighbors[r])
+                self._deliver_halo(local, r, remote.size, B)
             if self.fp32_halo and remote.size:
                 # Whitelisted FP32 halo downcast (paper Sec 5.4.2): only the
                 # partial sums crossing rank boundaries travel in FP32; the
@@ -168,7 +165,7 @@ class VirtualCluster:
     _MAX_HALO_RETRANSMITS = 3
 
     def _deliver_halo(
-        self, local: np.ndarray, remote: np.ndarray, B: int, neighbors: int
+        self, local: np.ndarray, r: int, remote_size: int, B: int
     ) -> None:
         """Self-healing halo transfer under an armed fault plan.
 
@@ -191,9 +188,7 @@ class VirtualCluster:
                 return
             attempts += 1
             add_counter("halo_retransmits", 1)
-            halo_bytes = 2 * remote.size * B * self.halo_word_bytes
-            self.traffic.p2p_bytes += halo_bytes
-            self.traffic.p2p_messages += 2 * neighbors
+            self._meter_halo(r, remote_size, B)
             if attempts > self._MAX_HALO_RETRANSMITS:
                 raise ResilienceError(
                     "halo",

@@ -4,7 +4,8 @@
 :class:`repro.fem.assembly.KSOperator` whose stiffness product runs on a
 rank backend — :class:`repro.hpc.cluster.VirtualCluster` (simulated ranks,
 metered traffic) or :class:`repro.hpc.procranks.ProcRankCluster` (real
-forked ranks over shared memory) — through the owner-sum halo protocol.
+forked ranks over shared memory, their interior cells computing under the
+halo exchange) — through the owner-sum halo protocol.
 Everything else (the Löwdin scaling, the potential and nonlocal terms,
 ``out=``, the workspace, the FLOP ledger, ``apply_begin`` /
 ``apply_finish``) is inherited, so the ChFES eigensolver runs unchanged.
@@ -30,13 +31,13 @@ __all__ = ["DistributedKSOperator", "RANK_BACKENDS"]
 RANK_BACKENDS = ("virtual", "proc")
 
 
-def _make_cluster(backend: str, mesh, nranks, kfrac, overlap):
+def _make_cluster(backend: str, mesh, nranks, kfrac):
     if backend == "virtual":
         return VirtualCluster(mesh, nranks, kfrac=kfrac)
     if backend == "proc":
         from .procranks import ProcRankCluster
 
-        return ProcRankCluster(mesh, nranks, kfrac=kfrac, overlap=overlap)
+        return ProcRankCluster(mesh, nranks, kfrac=kfrac)
     raise ValueError(
         f"unknown rank backend {backend!r} (choose from {RANK_BACKENDS})"
     )
@@ -51,7 +52,6 @@ class DistributedKSOperator(KSOperator):
         nranks: int,
         kfrac: tuple[float, float, float] | None = None,
         backend: str = "virtual",
-        overlap: bool | None = None,
         ledger=None,
         nonlocal_projectors=None,
         workspace: Workspace | None = None,
@@ -63,7 +63,7 @@ class DistributedKSOperator(KSOperator):
             ledger=ledger,
             nonlocal_projectors=nonlocal_projectors,
             workspace=workspace,
-            ranks=_make_cluster(backend, mesh, nranks, kfrac, overlap),
+            ranks=_make_cluster(backend, mesh, nranks, kfrac),
         )
 
     # An own name for the inherited entry point: the benchmark ledger hooks

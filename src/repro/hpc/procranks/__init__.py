@@ -2,9 +2,10 @@
 
 ``repro.hpc.procranks`` promotes the domain-decomposed solver from
 *simulated* ranks (:class:`repro.hpc.VirtualCluster`, one process, metered
-traffic) to **real** ranks: P forked OS processes moving halo and
-collective payloads through named ``multiprocessing.shared_memory``
-segments, with asynchronous compute/communication overlap in the apply.
+traffic) to **real** ranks: P forked OS processes, pinned round-robin to
+the allowed cores, moving halo payloads through named
+``multiprocessing.shared_memory`` segments while their interior cells
+compute — the one schedule the apply has.
 
 Layout:
 
@@ -14,18 +15,12 @@ Layout:
 * :mod:`.cluster` — :class:`ProcRankCluster`, the drop-in
   ``VirtualCluster`` replacement selected with ``backend="proc"``.
 
-The backend is bitwise-identical to the virtual cluster, overlap on or
-off — the partition-invariance suite asserts it down to the SCF energies.
+The backend is bitwise-identical to the virtual cluster — the
+partition-invariance suite asserts it down to the SCF energies.
 """
 
 from .arena import SharedArena
-from .cluster import ProcRankCluster, overlap_from_env
+from .cluster import ProcRankCluster
 from .worker import RankPlan, build_plans
 
-__all__ = [
-    "ProcRankCluster",
-    "RankPlan",
-    "SharedArena",
-    "build_plans",
-    "overlap_from_env",
-]
+__all__ = ["ProcRankCluster", "RankPlan", "SharedArena", "build_plans"]

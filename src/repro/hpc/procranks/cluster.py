@@ -2,15 +2,18 @@
 
 The process-level counterpart of :class:`repro.hpc.cluster.VirtualCluster`:
 same partition, same owner-sum halo protocol, same traffic metering — but
-the ranks are forked workers and the halo/collective payloads actually move
-through named shared-memory segments (:class:`.arena.SharedArena`).
+the ranks are forked workers and the halo payloads actually move through
+named shared-memory segments (:class:`.arena.SharedArena`).  Collectives
+are the inherited :meth:`VirtualCluster.allreduce`: the Gram and projection
+matrices it reduces are formed in the parent, so no worker holds a partial
+sum, and the identity plus its metered wire bytes is the whole operation.
 
 Bitwise contract: for any input block, ``apply_stiffness`` returns the
-same bits as the virtual cluster, overlap on or off.  The partition orders
-every rank's cells boundary-first, both backends apply cells through the
-shared :meth:`repro.fem.assembly.CellStiffness.add_cells` in the same two
-passes, and owners accumulate received payloads in increasing sender order
-— only the *schedule* (interior compute concurrent with in-flight ghosts)
+same bits as the virtual cluster.  The partition orders every rank's cells
+boundary-first, both backends apply cells through the shared
+:meth:`repro.fem.assembly.CellStiffness.add_cells` in the same two passes,
+and owners accumulate received payloads in increasing sender order — only
+the *schedule* (interior compute concurrent with in-flight ghosts)
 differs.  Halo partials travel in FP64: the FP32 wire of paper Sec 5.4.2 is
 metered on the virtual cluster only.
 
@@ -21,10 +24,6 @@ bounded channel of depth 2).  There is no global barrier inside an apply;
 the parent only joins on the done count to read the output slab.  Nothing
 spins — on an oversubscribed host (the CI box has a single core) the
 workers time-slice instead of starving each other.
-
-``REPRO_OVERLAP=0`` (read once, at construction — hot paths never touch
-the environment) selects the synchronous schedule, bit-for-bit equal to
-the overlapped one.
 """
 
 from __future__ import annotations
@@ -46,31 +45,10 @@ from ..cluster import VirtualCluster
 from .arena import SharedArena
 from . import worker as W
 
-__all__ = [
-    "ProcRankCluster",
-    "overlap_from_env",
-    "pin_workers",
-    "pinning_from_env",
-]
+__all__ = ["ProcRankCluster", "pin_workers"]
 
 #: timing-slab phases exposed by :meth:`ProcRankCluster.phase_report`
 PHASE_NAMES = ("boundary_s", "interior_s", "halo_wait_s", "recv_s", "apply_total_s")
-
-
-def overlap_from_env(default: bool = True) -> bool:
-    """Resolve the ``REPRO_OVERLAP`` knob (constructor-time only)."""
-    raw = os.environ.get("REPRO_OVERLAP")
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no")
-
-
-def pinning_from_env(default: bool = True) -> bool:
-    """Resolve the ``REPRO_PIN`` knob (constructor-time only)."""
-    raw = os.environ.get("REPRO_PIN")
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no")
 
 
 def pin_workers(pids: list[int]) -> dict[int, int]:
@@ -84,7 +62,6 @@ def pin_workers(pids: list[int]) -> dict[int, int]:
     - skipped when the parent's allowed CPU set has fewer than two
       cores (pinning P workers onto one core just serializes them
       harder than the scheduler would),
-    - disabled by ``REPRO_PIN=0``,
     - an ``OSError`` from the kernel (e.g. a worker already exited)
       leaves that worker unpinned.
 
@@ -144,19 +121,15 @@ class ProcRankCluster(VirtualCluster):
         mesh: Mesh3D,
         nranks: int,
         kfrac: tuple[float, float, float] | None = None,
-        overlap: bool | None = None,
         block_capacity: int = 16,
-        allreduce_capacity: int = 1 << 16,
     ) -> None:
         super().__init__(mesh, nranks, kfrac=kfrac)
-        self.overlap = overlap_from_env() if overlap is None else bool(overlap)
         self._dtype = np.dtype(np.result_type(self.stiff.dtype, np.float64))
         self._lock = threading.RLock()
         self._closed = False
         self._seq = 0
         self._gen = 0
         self._bcap = max(1, int(block_capacity))
-        self._ar_bytes = max(1, int(allreduce_capacity))
         self._plans = W.build_plans(self.partition, self.stiff)
         self._remote_of_rank = [
             halo[self._owner[halo] != r] for r, halo in enumerate(self._halo_of_rank)
@@ -178,8 +151,7 @@ class ProcRankCluster(VirtualCluster):
             ctx.Process(
                 target=W.worker_main,
                 args=(
-                    self._plans[r], self.arena.uid, self._links,
-                    self._bcap, self._ar_bytes, self._dtype,
+                    self._plans[r], self.arena.uid, self._links, self._bcap, self._dtype,
                 ),
                 name=f"repro-rank-{r}",
                 daemon=True,
@@ -189,12 +161,8 @@ class ProcRankCluster(VirtualCluster):
         for p in self._workers:
             p.start()
         #: {pid: core} placements that actually applied (empty when
-        #: pinning was skipped or ``REPRO_PIN=0`` disabled it)
-        self.pinned: dict[int, int] = (
-            pin_workers([p.pid for p in self._workers])
-            if pinning_from_env()
-            else {}
-        )
+        #: :func:`pin_workers` skipped the host)
+        self.pinned: dict[int, int] = pin_workers([p.pid for p in self._workers])
         # backstop: even an abandoned cluster reaps its workers and
         # segments (the arena holds its own unlink finalizer as well)
         import weakref
@@ -208,7 +176,7 @@ class ProcRankCluster(VirtualCluster):
 
     def _gen_tags(self, gen: int) -> list[str]:
         g = f"g{gen}"
-        tags = [f"x-{g}", f"y-{g}", f"ari-{g}", f"aro-{g}"]
+        tags = [f"x-{g}", f"y-{g}"]
         for p in self._plans:
             for dst, _ in p.send_edges:
                 tags.append(f"edge-{p.rank}-{dst}-{g}")
@@ -219,25 +187,21 @@ class ProcRankCluster(VirtualCluster):
         nn = self.mesh.nnodes
         self._xview = self.arena.create(f"x-{g}", (nn, self._bcap), self._dtype)
         self._yview = self.arena.create(f"y-{g}", (nn, self._bcap), self._dtype)
-        self._ari = self.arena.create(f"ari-{g}", (self._ar_bytes,), np.uint8)
-        self._aro = self.arena.create(f"aro-{g}", (self._ar_bytes,), np.uint8)
         for p in self._plans:
             for dst, nodes in p.send_edges:
                 self.arena.create(
                     f"edge-{p.rank}-{dst}-{g}", (2, nodes.size, self._bcap), self._dtype
                 )
 
-    def _remap(self, bcap: int | None = None, ar_bytes: int | None = None) -> None:
-        """Grow the arena (new generation of segments), lock-step with workers."""
+    def _remap(self, bcap: int) -> None:
+        """Grow the block capacity (new generation of segments), lock-step
+        with the workers."""
         old_tags = self._gen_tags(self._gen)
         self._gen += 1
-        if bcap is not None:
-            # grow geometrically so repeated block-size bumps settle fast
-            self._bcap = max(bcap, 2 * self._bcap)
-        if ar_bytes is not None:
-            self._ar_bytes = max(ar_bytes, 2 * self._ar_bytes)
+        # grow geometrically so repeated block-size bumps settle fast
+        self._bcap = max(bcap, 2 * self._bcap)
         self._create_gen_segments()
-        self._post(W.OP_REMAP, B=self._bcap, nbytes=self._ar_bytes)
+        self._post(W.OP_REMAP, B=self._bcap)
         self._wait_done()
         for tag in old_tags:
             self.arena.drop(tag)
@@ -245,7 +209,7 @@ class ProcRankCluster(VirtualCluster):
     # ------------------------------------------------------------------
     # command plumbing
 
-    def _post(self, opcode: int, B: int = 0, overlap: bool = False, nbytes: int = 0) -> None:
+    def _post(self, opcode: int, B: int = 0) -> None:
         self._seq += 1
         ctrl = self._ctrl
         for r in range(self.nranks):
@@ -253,8 +217,6 @@ class ProcRankCluster(VirtualCluster):
             ctrl[r, W.C_SEQ] = self._seq
             ctrl[r, W.C_B] = B
             ctrl[r, W.C_GEN] = self._gen
-            ctrl[r, W.C_OVERLAP] = int(overlap)
-            ctrl[r, W.C_NBYTES] = nbytes
             ctrl[r, W.C_STATUS] = 0
         for r in range(self.nranks):
             self._links.cmd[r].release()
@@ -309,7 +271,7 @@ class ProcRankCluster(VirtualCluster):
                 y = super().apply_stiffness(x_full)
                 return _ApplyHandle(kind="done", y=y)
             if B > self._bcap:
-                self._remap(bcap=B)
+                self._remap(B)
             san = _sanitize._STATE
             if san is not None:
                 san.write_begin(self._san_tag + ":arena")
@@ -318,7 +280,7 @@ class ProcRankCluster(VirtualCluster):
             finally:
                 if san is not None:
                     san.write_end(self._san_tag + ":arena")
-            self._post(W.OP_APPLY, B=B, overlap=self.overlap)
+            self._post(W.OP_APPLY, B=B)
             return _ApplyHandle(kind="pending", B=B, squeeze=squeeze)
         # lock-release-on-unwind, not a handler: everything (including an
         # injected fault) is re-raised after the begin/finish lock is undone
@@ -354,42 +316,11 @@ class ProcRankCluster(VirtualCluster):
                 remote = self._remote_of_rank[r]
                 if _faults._PLAN is not None and remote.size:
                     # reprochaos halo site, same self-healing protocol
-                    self._deliver_halo(y, remote, B, self._neighbors[r])
+                    self._deliver_halo(y, r, remote.size, B)
                 self._meter_halo(r, remote.size, B)
             return y[:, 0] if handle.squeeze else y
         finally:
             self._lock.release()
-
-    def allreduce(self, array: np.ndarray) -> np.ndarray:
-        """Allreduce carried for real: every rank copies its slab through
-        shared memory (reduce-scatter + allgather data movement); the
-        round-tripped bytes are bit-identical to the input."""
-        with self._lock:
-            if self._closed:
-                return super().allreduce(array)
-            data = np.ascontiguousarray(array)
-            nbytes = data.nbytes
-            if nbytes > self._ar_bytes:
-                self._remap(ar_bytes=nbytes)
-            flat = np.frombuffer(data.tobytes(), dtype=np.uint8)
-            san = _sanitize._STATE
-            if san is not None:
-                san.write_begin(self._san_tag + ":arena")
-            try:
-                self._ari[:nbytes] = flat
-            finally:
-                if san is not None:
-                    san.write_end(self._san_tag + ":arena")
-            self._post(W.OP_ALLREDUCE, nbytes=nbytes)
-            self._wait_done()
-            out = np.frombuffer(
-                self._aro[:nbytes].tobytes(), dtype=array.dtype
-            ).reshape(array.shape)
-            wire_bytes = array.nbytes * 2 * (self.nranks - 1) / max(self.nranks, 1)
-            self.traffic.allreduce_bytes += wire_bytes
-            self.traffic.allreduce_calls += 1
-            add_counter("allreduce_bytes", wire_bytes)
-            return out
 
     # ------------------------------------------------------------------
     # phase report & lifecycle
@@ -398,8 +329,10 @@ class ProcRankCluster(VirtualCluster):
         """Measured per-phase seconds, summed over ranks and applies.
 
         ``halo_wait_fraction`` is the fraction of total apply time spent
-        blocked on in-flight ghosts (what overlap is supposed to hide); the
-        benchmark ledger reads it as ``hpc.halo_wait_frac``.
+        blocked on in-flight ghosts (what running the interior cells under
+        the exchange is supposed to hide); the benchmark ledger reads it as
+        ``hpc.halo_wait_frac``.  The same phases reach an open trace as the
+        ``proc_*_s`` counters of every apply.
         """
         with self._lock:
             tot = self._phase_totals
@@ -408,7 +341,6 @@ class ProcRankCluster(VirtualCluster):
             }
             report["applies"] = self._applies
             report["nranks"] = self.nranks
-            report["overlap"] = self.overlap
             total = report["apply_total_s"]
             report["halo_wait_fraction"] = (
                 report["halo_wait_s"] / total if total > 0 else 0.0
@@ -417,49 +349,6 @@ class ProcRankCluster(VirtualCluster):
                 name: tot[:, i].tolist() for i, name in enumerate(PHASE_NAMES)
             }
             return report
-
-    def span_records(self) -> list[dict]:
-        """The measured worker phases as JSONL-schema span records.
-
-        Workers have no tracer (they live in forked processes), so their
-        timings surface as *records* in the stable
-        :class:`repro.obs.JsonlSink` schema: one ``ProcRanks`` root, one
-        ``rank{r}`` child per worker, one leaf per phase.
-        :func:`repro.obs.merge.merge_records` folds these into the
-        parent's aggregator so one profile tree spans every process.
-        """
-        with self._lock:
-            tot = self._phase_totals
-
-            def record(path: list[str], dur: float, tid: int, **counters) -> dict:
-                return {
-                    "name": path[-1], "path": path, "start": 0.0, "dur": dur,
-                    "tid": tid, "attrs": {}, "counters": dict(counters),
-                }
-
-            out = [
-                record(
-                    ["ProcRanks"], float(tot[:, W.PH_TOTAL].sum()), 0,
-                    applies=float(self._applies), nranks=float(self.nranks),
-                    overlap=float(self.overlap),
-                )
-            ]
-            for r in range(self.nranks):
-                out.append(
-                    record(["ProcRanks", f"rank{r}"], float(tot[r, W.PH_TOTAL]), r)
-                )
-                for col, leaf in (
-                    (W.PH_BOUNDARY, "boundary"),
-                    (W.PH_INTERIOR, "interior"),
-                    (W.PH_WAIT, "halo_wait"),
-                    (W.PH_RECV, "recv"),
-                ):
-                    out.append(
-                        record(
-                            ["ProcRanks", f"rank{r}", leaf], float(tot[r, col]), r
-                        )
-                    )
-            return out
 
     def close(self) -> None:
         """Shut the worker fleet down and unlink every arena segment."""

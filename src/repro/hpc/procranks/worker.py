@@ -1,7 +1,7 @@
 """Rank worker: the per-process side of the shared-memory halo protocol.
 
 Each rank runs :func:`worker_main` in a forked child.  The parent posts a
-command (apply / allreduce / remap / shutdown) into the control slab and
+command (apply / remap / shutdown) into the control slab and
 releases the rank's command semaphore; the worker executes it against the
 shared arena and releases the counted done semaphore.
 
@@ -10,16 +10,13 @@ rank-for-rank, bit for bit:
 
 * cells are applied **boundary-first** in the partition's reordered cell
   list, so the per-node ``np.add.at`` accumulation order matches the
-  virtual cluster exactly whether or not the interior pass is overlapped
-  with the exchange;
+  virtual cluster's two passes exactly;
 * the owner adds received payloads in increasing sender rank order, the
   same order the virtual cluster's ``y += local`` loop realizes.
 
-Overlap mode posts the ghost sends right after the boundary pass and runs
-the interior cells while neighbor payloads are in flight; synchronous mode
-(``REPRO_OVERLAP=0``) finishes all compute first.  Both orders perform the
-identical arithmetic on identical operands, so they are bitwise equal —
-only the *schedule* differs, which is what the phase timings measure.
+The ghost sends go out right after the boundary pass, and the interior
+cells run while neighbor payloads are in flight; the phase timings
+measure how much of the exchange that hides.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from .arena import SharedArena
 
 __all__ = [
     "OP_APPLY",
-    "OP_ALLREDUCE",
     "OP_REMAP",
     "OP_SHUTDOWN",
     "PH_BOUNDARY",
@@ -52,13 +48,13 @@ __all__ = [
 ]
 
 # control slab columns (int64, one row per rank)
-C_OPCODE, C_SEQ, C_B, C_GEN, C_OVERLAP, C_NBYTES, C_SPARE, C_STATUS = range(8)
-CTRL_COLS = 8
-OP_APPLY, OP_ALLREDUCE, OP_REMAP, OP_SHUTDOWN = 1, 2, 3, 4
+C_OPCODE, C_SEQ, C_B, C_GEN, C_STATUS = range(5)
+CTRL_COLS = 5
+OP_APPLY, OP_REMAP, OP_SHUTDOWN = 1, 2, 3
 
 # timing slab columns (float64 seconds, one row per rank)
-PH_BOUNDARY, PH_INTERIOR, PH_WAIT, PH_RECV, PH_TOTAL, PH_SEQ = range(6)
-TIM_COLS = 8
+PH_BOUNDARY, PH_INTERIOR, PH_WAIT, PH_RECV, PH_TOTAL = range(5)
+TIM_COLS = 5
 
 
 @dataclass
@@ -117,25 +113,16 @@ def build_plans(partition, stiff) -> list[RankPlan]:
     return plans
 
 
-def _allreduce_chunk(nbytes: int, rank: int, nranks: int) -> tuple[int, int]:
-    """Byte range rank ``rank`` carries in the reduce-scatter/allgather."""
-    base, rem = divmod(nbytes, nranks)
-    lo = rank * base + min(rank, rem)
-    return lo, lo + base + (1 if rank < rem else 0)
-
-
 class _Views:
     """The worker's attached ndarray views of the current generation."""
 
     def __init__(self, arena: SharedArena, plan: RankPlan, gen: int,
-                 bcap: int, ar_bytes: int, dtype) -> None:
+                 bcap: int, dtype) -> None:
         self.gen = gen
         self.bcap = bcap
         g = f"g{gen}"
         self.x = arena.attach(f"x-{g}", (plan.nnodes, bcap), dtype)
         self.y = arena.attach(f"y-{g}", (plan.nnodes, bcap), dtype)
-        self.ar_in = arena.attach(f"ari-{g}", (max(ar_bytes, 1),), np.uint8)
-        self.ar_out = arena.attach(f"aro-{g}", (max(ar_bytes, 1),), np.uint8)
         self.send = {
             dst: arena.attach(f"edge-{plan.rank}-{dst}-{g}", (2, nodes.size, bcap), dtype)
             for dst, nodes in plan.send_edges
@@ -147,7 +134,7 @@ class _Views:
 
     def drop(self, arena: SharedArena, plan: RankPlan) -> None:
         g = f"g{self.gen}"
-        for tag in [f"x-{g}", f"y-{g}", f"ari-{g}", f"aro-{g}"]:
+        for tag in [f"x-{g}", f"y-{g}"]:
             arena.drop(tag)
         for dst, _ in plan.send_edges:
             arena.drop(f"edge-{plan.rank}-{dst}-{g}")
@@ -160,7 +147,6 @@ def _do_apply(plan: RankPlan, views: _Views, links, ctrl_row, tim_row) -> None:
     sw_total = Stopwatch()
     seq = int(ctrl_row[C_SEQ])
     B = int(ctrl_row[C_B])
-    overlap = bool(ctrl_row[C_OVERLAP])
     slot = seq % 2
     X = views.x[:, :B]
     dtype = views.x.dtype
@@ -173,20 +159,15 @@ def _do_apply(plan: RankPlan, views: _Views, links, ctrl_row, tim_row) -> None:
         stiff.add_cells(X, plan.cells[:nb], local)
     t_boundary = sw.restart()
 
-    t_interior = 0.0
-    if not overlap and nb < plan.cells.size:
-        sw.restart()
-        stiff.add_cells(X, plan.cells[nb:], local)
-        t_interior = sw.restart()
-
     # post the ghost sends: double-buffered bounded channel per edge
     for dst, nodes in plan.send_edges:
         links.edge_free[(plan.rank, dst)].acquire()
         views.send[dst][slot, :, :B] = local[nodes]
         links.edge_data[(plan.rank, dst)].release()
 
-    if overlap and nb < plan.cells.size:
-        # interior compute proceeds while neighbor payloads are in flight
+    # interior compute proceeds while neighbor payloads are in flight
+    t_interior = 0.0
+    if nb < plan.cells.size:
         sw.restart()
         stiff.add_cells(X, plan.cells[nb:], local)
         t_interior = sw.restart()
@@ -211,15 +192,14 @@ def _do_apply(plan: RankPlan, views: _Views, links, ctrl_row, tim_row) -> None:
     tim_row[PH_WAIT] = t_wait
     tim_row[PH_RECV] = t_recv
     tim_row[PH_TOTAL] = sw_total.elapsed()
-    tim_row[PH_SEQ] = float(seq)
 
 
-def worker_main(plan: RankPlan, uid: str, links, bcap: int, ar_bytes: int, dtype) -> None:
+def worker_main(plan: RankPlan, uid: str, links, bcap: int, dtype) -> None:
     """Entry point of one forked rank worker: wait, execute, acknowledge."""
     arena = SharedArena(uid=uid, create=False)
     ctrl = arena.attach("ctrl", (plan.nranks, CTRL_COLS), np.int64)
     tim = arena.attach("tim", (plan.nranks, TIM_COLS), np.float64)
-    views = _Views(arena, plan, 0, bcap, ar_bytes, dtype)
+    views = _Views(arena, plan, 0, bcap, dtype)
     row = ctrl[plan.rank]
     tim_row = tim[plan.rank]
     try:
@@ -232,15 +212,9 @@ def worker_main(plan: RankPlan, uid: str, links, bcap: int, ar_bytes: int, dtype
                     break
                 if op == OP_REMAP:
                     views.drop(arena, plan)
-                    views = _Views(
-                        arena, plan, int(row[C_GEN]), int(row[C_B]),
-                        int(row[C_NBYTES]), dtype,
-                    )
+                    views = _Views(arena, plan, int(row[C_GEN]), int(row[C_B]), dtype)
                 elif op == OP_APPLY:
                     _do_apply(plan, views, links, row, tim_row)
-                elif op == OP_ALLREDUCE:
-                    lo, hi = _allreduce_chunk(int(row[C_NBYTES]), plan.rank, plan.nranks)
-                    views.ar_out[lo:hi] = views.ar_in[lo:hi]
                 row[C_STATUS] = 0
             # the crash-to-status boundary of the rank protocol: a worker
             # failure is reported via C_STATUS and re-raised on the parent

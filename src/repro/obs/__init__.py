@@ -6,7 +6,9 @@ labels (:mod:`repro.obs.kernels`), counters for FLOPs / bytes moved /
 halo-exchange volume fed by the HPC substrate, and pluggable sinks
 (:mod:`repro.obs.sinks`) — an in-memory aggregator behind the CLI's
 ``--profile`` breakdowns, a JSONL metrics writer, and a Chrome-trace-event
-exporter viewable in Perfetto.
+exporter viewable in Perfetto.  One process, one tracer: the process rank
+backend's forked workers have none, and their measured phases reach the
+open span as the parent's ``proc_*_s`` counters on every apply.
 
 Quick use::
 
@@ -34,7 +36,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "CHFES_CHILDREN", "PAPER_KERNELS", "SCF_ITERATION", "TABLE3_ORDER",
             "paper_label",
         ),
-        "merge": ("fold_record", "merge_jsonl", "merge_records"),
         "report": ("kernel_totals", "model_vs_measured", "render_tree"),
         "sinks": (
             "AggregatedNode", "ChromeTraceSink", "InMemoryAggregator", "JsonlSink",

@@ -23,20 +23,6 @@ deterministic collectives, explicit dtypes, lock discipline):
 
 from __future__ import annotations
 
-from .contracts import (
-    ContractViolation,
-    contracts_enabled,
-    disable_contracts,
-    dtype_contract,
-    enable_contracts,
-    shape_contract,
-)
+from .contracts import ContractViolation, dtype_contract, shape_contract
 
-__all__ = [
-    "ContractViolation",
-    "contracts_enabled",
-    "disable_contracts",
-    "dtype_contract",
-    "enable_contracts",
-    "shape_contract",
-]
+__all__ = ["ContractViolation", "dtype_contract", "shape_contract"]

@@ -22,28 +22,18 @@ entries pin a dimension exactly and ``None`` entries match anything.
 dtype — the no-FP32-leak invariant.
 
 Checks cost a few attribute lookups per call (negligible next to the GEMMs
-they guard) and can be globally switched off with
-:func:`disable_contracts` or the ``REPRO_DISABLE_CONTRACTS`` environment
-variable.
+they guard) and are always on.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-import os
 from typing import Any, Callable, TypeVar
 
 import numpy as np
 
-__all__ = [
-    "ContractViolation",
-    "shape_contract",
-    "dtype_contract",
-    "enable_contracts",
-    "disable_contracts",
-    "contracts_enabled",
-]
+__all__ = ["ContractViolation", "shape_contract", "dtype_contract"]
 
 F = TypeVar("F", bound=Callable[..., Any])
 
@@ -55,25 +45,6 @@ _KINDS: dict[str, type] = {
     "integer": np.integer,
     "number": np.number,
 }
-
-_enabled = os.environ.get("REPRO_DISABLE_CONTRACTS", "") == ""
-
-
-def enable_contracts() -> None:
-    """Turn contract checking on (the default)."""
-    global _enabled
-    _enabled = True
-
-
-def disable_contracts() -> None:
-    """Turn contract checking off globally (e.g. for benchmarking)."""
-    global _enabled
-    _enabled = False
-
-
-def contracts_enabled() -> bool:
-    return _enabled
-
 
 class ContractViolation(TypeError):
     """An array argument or result broke a declared shape/dtype contract."""
@@ -134,8 +105,6 @@ def shape_contract(*, returns: tuple | None = None, **arg_specs: tuple) -> Calla
 
         @functools.wraps(func)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not _enabled:
-                return func(*args, **kwargs)
             dims: dict[str, int] = {}
             values = bind(args, kwargs)
             for argname, spec in arg_specs.items():
@@ -172,8 +141,6 @@ def dtype_contract(
 
         @functools.wraps(func)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not _enabled:
-                return func(*args, **kwargs)
             values = bind(args, kwargs)
             for argname, kind in arg_kinds.items():
                 if argname not in values:

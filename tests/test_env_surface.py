@@ -102,6 +102,21 @@ def test_env_reads_equal_the_documented_variables():
     )
 
 
+def test_env_reads_are_pinned():
+    """Three variables, one module each: a new knob shows up here as a
+    reviewed diff, like a new ``SCFOptions`` field."""
+    readers = {
+        str(path.relative_to(SRC)): reads
+        for path in SRC.rglob("*.py")
+        if (reads := _scan(ast.parse(path.read_text()))[0])
+    }
+    assert readers == {
+        "obs/tracer.py": {"REPRO_TRACE"},
+        "resilience/faults.py": {"REPRO_FAULTS"},
+        "tools/sanitize.py": {"REPRO_SANITIZE"},
+    }
+
+
 def test_package_never_writes_the_environment():
     _, writes = _scan_package()
     assert writes == []

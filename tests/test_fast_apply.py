@@ -244,9 +244,10 @@ def test_filter_block_workspace_matches_reference(mesh):
 
 @pytest.mark.parametrize("carry_hx0", [False, True])
 def test_filter_block_overlapped_matches_eager_and_reference(mesh, carry_hx0):
-    """One recurrence, three schedules: begin/finish on an overlapping proc
-    fleet, the same fleet eager, and the in-process ranks all reproduce the
-    allocating oracle bit for bit — with and without a carried ``H X``."""
+    """One recurrence, two schedules: begin/finish on a proc fleet whose
+    workers compute while the caller works, and the in-process ranks that
+    run each product at the join, both reproduce the allocating oracle bit
+    for bit — with and without a carried ``H X``."""
     from repro.hpc.distributed import DistributedKSOperator
 
     rng = np.random.default_rng(11)
@@ -254,13 +255,11 @@ def test_filter_block_overlapped_matches_eager_and_reference(mesh, carry_hx0):
     X = rng.standard_normal((mesh.free.size, 4))
     ops = [
         DistributedKSOperator(mesh, 2, backend="virtual"),
-        DistributedKSOperator(mesh, 2, backend="proc", overlap=False),
-        DistributedKSOperator(mesh, 2, backend="proc", overlap=True),
+        DistributedKSOperator(mesh, 2, backend="proc"),
     ]
     try:
         for op in ops:
             op.set_potential(v)
-        assert [op.cluster.overlap for op in ops] == [False, False, True]
         hx0 = ops[0].apply(X) if carry_hx0 else None
         want = reference_filter_block(ops[0], X, 8, -0.5, 30.0, -4.0, hx0=hx0)
         for op in ops:

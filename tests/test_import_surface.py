@@ -176,11 +176,12 @@ LAZY_PACKAGES = {
         "AggregatedNode", "CHFES_CHILDREN", "ChromeTraceSink", "InMemoryAggregator",
         "JsonlSink", "PAPER_KERNELS", "SCF_ITERATION", "Span", "Stopwatch",
         "TABLE3_ORDER", "Tracer", "add_counter", "add_event",
-        "current_span", "fold_record", "get_tracer", "is_enabled", "kernel_region",
-        "kernel_totals", "merge_jsonl", "merge_records", "model_vs_measured",
-        "paper_label", "read_jsonl", "render_tree", "set_enabled", "trace_region",
-        "traced",
+        "current_span", "get_tracer", "is_enabled", "kernel_region",
+        "kernel_totals", "model_vs_measured", "paper_label", "read_jsonl",
+        "render_tree", "set_enabled", "trace_region", "traced",
     ],
+    #: not lazy — the runtime contracts, which have no off switch
+    "repro.tools": ["ContractViolation", "dtype_contract", "shape_contract"],
     #: not lazy — one plain module, kept for the ledger's ``host_fingerprint``
     "repro.tune": ["blas_vendor", "host_fingerprint"],
 }

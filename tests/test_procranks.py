@@ -1,11 +1,10 @@
-"""Process-level rank backend: bitwise parity, leaks, overlap, phase timings.
+"""Process-level rank backend: bitwise parity, leaks, phase timings, pinning.
 
 The contract under test (DESIGN.md sec 14): :class:`ProcRankCluster` is the
 :class:`VirtualCluster` protocol executed by real forked rank processes
 over shared memory, and it is *bitwise* equal to the virtual backend at
-the same partition — overlap schedule on or off — while every shared
-segment is reclaimed on normal exit, on exceptions, and after a worker is
-killed mid-fleet.
+the same partition, while every shared segment is reclaimed on normal
+exit, on exceptions, and after a worker is killed mid-fleet.
 """
 
 import multiprocessing
@@ -18,8 +17,8 @@ from repro.fem.assembly import CellStiffness
 from repro.fem.mesh import uniform_mesh
 from repro.hpc.cluster import VirtualCluster
 from repro.hpc.procranks import ProcRankCluster, SharedArena
-from repro.hpc.procranks.cluster import overlap_from_env
-from repro.obs import InMemoryAggregator, merge_records
+from repro.hpc.procranks import cluster as C
+from repro.obs import set_enabled, trace_region
 from repro.resilience import ResilienceError
 from repro.tools import sanitize
 
@@ -32,14 +31,13 @@ def _mesh(cells=3, degree=3):
 # bitwise parity with the virtual cluster
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("nranks", [1, 2, 4])
-@pytest.mark.parametrize("overlap", [True, False])
-def test_apply_bitwise_matches_virtual(nranks, overlap):
+def test_apply_bitwise_matches_virtual(nranks):
     mesh = _mesh()
     x = np.random.default_rng(0).normal(size=(mesh.nnodes, 3))
     vc = VirtualCluster(mesh, nranks)
     ref = vc.apply_stiffness(x)
     ref1d = vc.apply_stiffness(x[:, 0])  # B=1 GEMMs round differently
-    with ProcRankCluster(mesh, nranks, overlap=overlap) as pc:
+    with ProcRankCluster(mesh, nranks) as pc:
         y = pc.apply_stiffness(x)
         y1d = pc.apply_stiffness(x[:, 0])
     assert np.array_equal(y, ref)  # bitwise, not allclose
@@ -47,22 +45,12 @@ def test_apply_bitwise_matches_virtual(nranks, overlap):
     assert y1d.ndim == 1  # 1-D in, 1-D out (squeeze contract)
 
 
-def test_overlap_schedules_bitwise_equal():
-    mesh = _mesh()
-    x = np.random.default_rng(1).normal(size=(mesh.nnodes, 5))
-    with ProcRankCluster(mesh, 3, overlap=True) as on:
-        y_on = on.apply_stiffness(x)
-    with ProcRankCluster(mesh, 3, overlap=False) as off:
-        y_off = off.apply_stiffness(x)
-    assert np.array_equal(y_on, y_off)
-
-
 def test_traffic_metering_matches_virtual():
     mesh = _mesh()
     x = np.random.default_rng(3).normal(size=(mesh.nnodes, 4))
     vc = VirtualCluster(mesh, 4)
     vc.apply_stiffness(x)
-    with ProcRankCluster(mesh, 4, overlap=True) as pc:
+    with ProcRankCluster(mesh, 4) as pc:
         pc.apply_stiffness(x)
         assert pc.traffic.p2p_bytes == vc.traffic.p2p_bytes
         assert pc.traffic.p2p_messages == vc.traffic.p2p_messages
@@ -98,15 +86,6 @@ def test_remap_grows_block_capacity_bitwise():
         assert np.array_equal(pc.apply_stiffness(x), ref)  # still live
         uid = pc.arena.uid
     assert SharedArena.live_segment_names(uid) == []  # old gens dropped too
-
-
-def test_remap_grows_allreduce_capacity():
-    mesh = _mesh(cells=2, degree=2)
-    a = np.random.default_rng(6).normal(size=(1024,))
-    with ProcRankCluster(mesh, 3, allreduce_capacity=64) as pc:
-        out = pc.allreduce(a)  # nbytes > capacity: remap mid-flight
-        assert pc._gen >= 1
-        assert np.array_equal(out, VirtualCluster(mesh, 3).allreduce(a))
 
 
 def test_unsupported_dtype_falls_back_in_process():
@@ -183,63 +162,70 @@ def test_arena_attach_requires_uid_and_no_create():
 
 
 # ---------------------------------------------------------------------------
-# measured phases, span merge
+# measured phases and worker pinning
 # ---------------------------------------------------------------------------
 def test_phase_report_populated():
     mesh = _mesh()
-    with ProcRankCluster(mesh, 2, overlap=True) as pc:
-        for _ in range(3):
-            pc.apply_stiffness(np.ones((mesh.nnodes, 4)))
-        rep = pc.phase_report()
+    prev = set_enabled(True)
+    try:
+        with ProcRankCluster(mesh, 2) as pc, trace_region("applies") as span:
+            for _ in range(3):
+                pc.apply_stiffness(np.ones((mesh.nnodes, 4)))
+            rep = pc.phase_report()
+    finally:
+        set_enabled(prev)
     assert rep["applies"] == 3
-    assert rep["nranks"] == 2 and rep["overlap"] is True
+    assert rep["nranks"] == 2
     assert rep["apply_total_s"] > 0.0
     assert 0.0 <= rep["halo_wait_fraction"] <= 1.0
     for name in ("boundary_s", "interior_s", "halo_wait_s", "recv_s"):
         assert len(rep["per_rank"][name]) == 2
         assert all(v >= 0.0 for v in rep["per_rank"][name])
+        # the same worker phases reach the open span as proc_*_s counters
+        assert span.counters[f"proc_{name}"] == pytest.approx(rep[name])
 
 
-def test_span_records_merge_into_one_tree():
-    mesh = _mesh()
-    with ProcRankCluster(mesh, 2) as pc:
-        pc.apply_stiffness(np.ones((mesh.nnodes, 2)))
-        records = pc.span_records()
-    agg = InMemoryAggregator()
-    merge_records(records, agg)
-    root = agg.get("ProcRanks")
-    assert root is not None and agg.roots_seen == 1
-    rank_total = sum(
-        agg.get("ProcRanks", f"rank{r}").seconds for r in range(2)
+def test_pin_workers_round_robins_over_allowed_cores(monkeypatch):
+    calls = {}
+    monkeypatch.setattr(C.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(
+        C.os, "sched_setaffinity",
+        lambda pid, cores: calls.__setitem__(pid, set(cores)),
+        raising=False,
     )
-    # structural self-time: the root's self is total minus its children
-    assert root.self_seconds == pytest.approx(root.seconds - rank_total)
-    leaves = {"boundary", "interior", "halo_wait", "recv"}
-    for r in range(2):
-        for leaf in leaves:
-            assert agg.get("ProcRanks", f"rank{r}", leaf) is not None
-    assert root.counters["nranks"] == 2.0
+    placed = C.pin_workers([101, 102, 103, 104])
+    assert placed == {101: 0, 102: 1, 103: 2, 104: 0}
+    assert calls == {101: {0}, 102: {1}, 103: {2}, 104: {0}}
 
 
-def test_overlap_from_env(monkeypatch):
-    monkeypatch.delenv("REPRO_OVERLAP", raising=False)
-    assert overlap_from_env() is True
-    assert overlap_from_env(default=False) is False
-    for off in ("0", "false", "OFF", " no "):
-        monkeypatch.setenv("REPRO_OVERLAP", off)
-        assert overlap_from_env() is False
-    monkeypatch.setenv("REPRO_OVERLAP", "1")
-    assert overlap_from_env() is True
+def test_pin_workers_skips_single_core_hosts(monkeypatch):
+    monkeypatch.setattr(C.os, "sched_getaffinity", lambda pid: {0})
+    died = []
+    monkeypatch.setattr(
+        C.os, "sched_setaffinity",
+        lambda pid, cores: died.append(pid), raising=False,
+    )
+    assert C.pin_workers([101, 102]) == {}
+    assert died == []  # the guard fired before any syscall
 
 
-def test_env_knob_selects_schedule(monkeypatch):
+def test_cluster_records_pin_placements(monkeypatch):
+    """The fleet pins its real worker pids (simulated multi-core host)."""
+    placements = {}
+    monkeypatch.setattr(C.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(
+        C.os, "sched_setaffinity",
+        lambda pid, cores: placements.__setitem__(pid, set(cores)),
+        raising=False,
+    )
     mesh = _mesh(cells=2, degree=2)
-    monkeypatch.setenv("REPRO_OVERLAP", "0")
     with ProcRankCluster(mesh, 2) as pc:
-        assert pc.overlap is False
-    monkeypatch.delenv("REPRO_OVERLAP")
-    with ProcRankCluster(mesh, 2) as pc:
-        assert pc.overlap is True
+        pids = [p.pid for p in pc._workers]
+        assert pc.pinned == {pids[0]: 0, pids[1]: 1}
+        assert placements == {pids[0]: {0}, pids[1]: {1}}
+        # pinned or not, the fleet still computes
+        x = np.random.default_rng(0).normal(size=mesh.nnodes)
+        assert np.all(np.isfinite(pc.apply_stiffness(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +247,10 @@ def _scf_energy(backend, nranks, max_iterations=6):
     return float(res.energy)
 
 
-@pytest.mark.parametrize("overlap_env", ["1", "0"])
-def test_scf_bitwise_proc_vs_virtual(monkeypatch, overlap_env):
-    monkeypatch.setenv("REPRO_OVERLAP", overlap_env)
+def test_scf_bitwise_proc_vs_virtual():
     e_virtual = _scf_energy("virtual", 2)
     e_proc = _scf_energy("proc", 2)
-    assert e_proc == e_virtual  # bitwise across backends and schedules
+    assert e_proc == e_virtual  # bitwise across backends
     assert SharedArena.live_segment_names() == []
 
 
@@ -383,19 +367,17 @@ def test_mg32_backends_agree():
     assert abs(runs["serial"][1] - runs["virtual"][1]) <= 1e-10
 
 
-def test_nonlocal_projectors_run_on_every_backend(monkeypatch):
+def test_nonlocal_projectors_run_on_every_backend():
     """The separable projector term is the operator's, whatever engine runs
-    the stiffness: rank backends bitwise equal (overlap on and off) and at
-    the serial energy to owner-sum rounding."""
+    the stiffness: rank backends bitwise equal and at the serial energy to
+    owner-sum rounding."""
     e_serial, _ = _he_scf("serial", projectors=True)
     e_local, _ = _he_scf("serial")
     assert abs(e_serial - e_local) > 1e-3  # the projectors really act
     e_virtual, _ = _he_scf("virtual", projectors=True)
     assert e_virtual == pytest.approx(e_serial, abs=1e-10)
-    for overlap_env in ("1", "0"):
-        monkeypatch.setenv("REPRO_OVERLAP", overlap_env)
-        e_proc, _ = _he_scf("proc", projectors=True)
-        assert e_proc == e_virtual  # bitwise
+    e_proc, _ = _he_scf("proc", projectors=True)
+    assert e_proc == e_virtual  # bitwise
     assert SharedArena.live_segment_names() == []
 
 
@@ -404,7 +386,7 @@ def test_sanitizer_clean_on_proc_apply():
     mesh = _mesh()
     sanitize.arm()
     try:
-        with ProcRankCluster(mesh, 2, overlap=True) as pc:
+        with ProcRankCluster(mesh, 2) as pc:
             x = np.random.default_rng(8).normal(size=(mesh.nnodes, 4))
             for _ in range(2):
                 pc.apply_stiffness(x)

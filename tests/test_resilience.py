@@ -30,6 +30,7 @@ from repro.fem.mesh import uniform_mesh
 from repro.hpc.distributed import DistributedKSOperator
 from repro.invdft import InverseDFT
 from repro.ml.training import MLXCTrainer, assemble_sample
+from repro.obs import set_enabled, trace_region
 from repro.pipeline import MOLECULE_LIBRARY
 from repro.resilience import (
     FAULT_SITES,
@@ -422,10 +423,18 @@ def dist_problem():
 def test_halo_fault_heals_bitwise(dist_problem, kind):
     op, X, clean = dist_problem
     plan = FaultPlan([FaultSpec("halo", 2, kind, 2)], slow_seconds=0.0)
-    with chaos(plan):
-        faulted = op.apply(X)
+    p2p_before = op.traffic.p2p_bytes
+    prev = set_enabled(True)
+    try:
+        with chaos(plan), trace_region("halo-drill") as span:
+            faulted = op.apply(X)
+    finally:
+        set_enabled(prev)
     assert plan.fired
     np.testing.assert_array_equal(clean, faulted)
+    # every attempt, retransmits included, reaches the trace and the meter
+    traced = sum(s.counters.get("halo_bytes", 0.0) for _, s in span.walk())
+    assert traced == op.traffic.p2p_bytes - p2p_before > 0
 
 
 @pytest.mark.chaos

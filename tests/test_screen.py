@@ -7,7 +7,7 @@ out-of-distribution refusal, the ML density surrogate's training and
 refusal ladder, seed-density artifacts (``save_seed_density`` /
 ``load_initial_rho`` / ``SCFOptions.initial_rho_path``), the golden
 cold-vs-seeded 1e-12 energy agreement, the in-process and serve
-campaign modes, proc-backend worker pinning (``REPRO_PIN``), the
+campaign modes, the
 ``python -m repro screen`` / ``scf --initial-rho`` CLIs, and the seeding
 gates over the serve runtime (>= 25 % fewer SCF iterations, energies within
 1e-12 Ha of the cold pass).
@@ -21,7 +21,6 @@ import pytest
 from repro.atoms.pseudo import AtomicConfiguration
 from repro.core import DFTCalculation, SCFOptions, save_seed_density
 from repro.core.io import load_initial_rho
-from repro.fem.mesh import uniform_mesh
 from repro.screen import (
     DensitySurrogate,
     ScreenCampaign,
@@ -392,88 +391,6 @@ def test_campaign_rejects_bad_inputs():
         ScreenCampaign(fam, n_anchors=0)
     with pytest.raises(ValueError, match="xc"):
         ScreenCampaign(fam, xc="b3lyp")
-
-
-# ---------------------------------------------------------------------------
-# proc-backend worker pinning
-# ---------------------------------------------------------------------------
-def test_pin_workers_round_robins_over_allowed_cores(monkeypatch):
-    from repro.hpc.procranks import cluster as C
-
-    calls = {}
-    monkeypatch.setattr(C.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(
-        C.os, "sched_setaffinity",
-        lambda pid, cores: calls.__setitem__(pid, set(cores)),
-        raising=False,
-    )
-    placed = C.pin_workers([101, 102, 103, 104])
-    assert placed == {101: 0, 102: 1, 103: 2, 104: 0}
-    assert calls == {101: {0}, 102: {1}, 103: {2}, 104: {0}}
-
-
-def test_pin_workers_skips_single_core_hosts(monkeypatch):
-    from repro.hpc.procranks import cluster as C
-
-    monkeypatch.setattr(C.os, "sched_getaffinity", lambda pid: {0})
-    died = []
-    monkeypatch.setattr(
-        C.os, "sched_setaffinity",
-        lambda pid, cores: died.append(pid), raising=False,
-    )
-    assert C.pin_workers([101, 102]) == {}
-    assert died == []  # the guard fired before any syscall
-
-
-def test_repro_pin_env_disables_pinning(monkeypatch):
-    from repro.hpc.procranks.cluster import pinning_from_env
-
-    monkeypatch.delenv("REPRO_PIN", raising=False)
-    assert pinning_from_env() is True
-    monkeypatch.setenv("REPRO_PIN", "0")
-    assert pinning_from_env() is False
-    monkeypatch.setenv("REPRO_PIN", "off")
-    assert pinning_from_env() is False
-    monkeypatch.setenv("REPRO_PIN", "1")
-    assert pinning_from_env() is True
-
-
-def test_cluster_records_pin_placements(monkeypatch):
-    """The fleet pins its real worker pids (simulated multi-core host)."""
-    from repro.hpc.procranks import ProcRankCluster
-    from repro.hpc.procranks import cluster as C
-
-    placements = {}
-    monkeypatch.delenv("REPRO_PIN", raising=False)
-    monkeypatch.setattr(C.os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(
-        C.os, "sched_setaffinity",
-        lambda pid, cores: placements.__setitem__(pid, set(cores)),
-        raising=False,
-    )
-    mesh = uniform_mesh((4.0,) * 3, (2,) * 3, degree=2)
-    with ProcRankCluster(mesh, 2) as pc:
-        pids = [p.pid for p in pc._workers]
-        assert pc.pinned == {pids[0]: 0, pids[1]: 1}
-        assert placements == {pids[0]: {0}, pids[1]: {1}}
-        # pinned or not, the fleet still computes
-        x = np.random.default_rng(0).normal(size=mesh.nnodes)
-        assert np.all(np.isfinite(pc.apply_stiffness(x)))
-
-
-def test_cluster_env_off_skips_pinning(monkeypatch):
-    from repro.hpc.procranks import ProcRankCluster
-    from repro.hpc.procranks import cluster as C
-
-    monkeypatch.setenv("REPRO_PIN", "0")
-    monkeypatch.setattr(
-        C.os, "sched_setaffinity",
-        lambda pid, cores: pytest.fail("REPRO_PIN=0 must skip pinning"),
-        raising=False,
-    )
-    mesh = uniform_mesh((4.0,) * 3, (2,) * 3, degree=2)
-    with ProcRankCluster(mesh, 2) as pc:
-        assert pc.pinned == {}
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.tools.contracts import (
-    ContractViolation,
-    contracts_enabled,
-    disable_contracts,
-    dtype_contract,
-    enable_contracts,
-    shape_contract,
-)
+from repro.tools.contracts import ContractViolation, dtype_contract, shape_contract
 from repro.tools.lint import lint_paths
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -123,22 +116,6 @@ def test_dtype_contract_preserves_catches_fp32_leak():
     assert safe(np.ones(2)).dtype == np.float64
     with pytest.raises(ContractViolation, match="dtype"):
         leaky(np.ones(2))
-
-
-def test_contracts_can_be_disabled_globally():
-    @shape_contract(x=("n", "n"))
-    def f(x):
-        return x
-
-    assert contracts_enabled()
-    disable_contracts()
-    try:
-        assert not contracts_enabled()
-        f(np.ones(3))  # would violate if contracts were active
-    finally:
-        enable_contracts()
-    with pytest.raises(ContractViolation):
-        f(np.ones(3))
 
 
 def test_production_kernel_contract_fires():
