@@ -10,9 +10,21 @@ evaluate
         + \\tfrac12 \\int (\\rho - \\rho_c) v_{tot}
         - E_{self} + E_{xc}[\\rho],
 
-with the Mermin free energy ``F = E - T S``.  The Harris-Foulkes variant
-evaluates every density-dependent term at the *input* density of the SCF
-iteration (no extra Poisson solve); at self-consistency both coincide.
+with the Mermin free energy ``F = E - T S``.  The eigenvalues ``epsilon_i``
+come from a Hamiltonian built from some input potential ``v_in``, and the
+double-counting term must use that same ``v_in``: then the band energy minus
+``int rho v_in`` is the kinetic (plus nonlocal) energy of the orbitals, and
+``F`` is stationary in the density error (``E`` alone is not once the
+smearing gives fractional occupations).  The SCF evaluates it twice:
+
+* in the loop, Harris-Foulkes: every term at the iteration's input density
+  (no extra Poisson solve);
+* once at the end, the Kohn-Sham energy: the electrostatic and XC terms at
+  the output density, the double counting still with ``v_in``.
+
+Pairing the eigenvalues with the *output* density's potential instead leaves
+an error first order in ``rho_out - rho_in``: 1.5e-5 Ha on H2O at the
+default density tolerance, against 5e-11 for the consistent pairing.
 """
 
 from __future__ import annotations
@@ -63,8 +75,10 @@ def total_energy(
     """Assemble the energy breakdown from SCF quantities.
 
     ``v_eff_spin`` is (nnodes, 2), the per-spin effective potential that was
-    in the Hamiltonian producing ``eigenvalues``; ``rho_spin`` (nnodes, 2)
-    is the density at which the functional is evaluated.
+    in the Hamiltonian producing ``eigenvalues`` -- never the potential of
+    ``rho_spin`` when that is another density; ``rho_spin`` (nnodes, 2) is
+    the density at which the functional is evaluated, and ``v_tot`` and
+    ``exc`` are computed from it.
     """
     band = float(
         sum(

@@ -42,7 +42,7 @@ __all__ = [
     "load_mlxc_state",
 ]
 
-STATE_SCHEMA = "repro-state/3"
+STATE_SCHEMA = "repro-state/4"
 
 
 def _mesh_identity(mesh) -> dict | None:

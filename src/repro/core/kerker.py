@@ -16,6 +16,14 @@ factorisation (:class:`repro.fem.fdm.FastDiagonalization`): the GLL mass is
 ``M = W_x (x) W_y (x) W_z``, so the shifted Helmholtz problem
 ``(K + k_0^2 M) u = M F`` has the same separable eigenbasis as the Poisson
 operator and is solved exactly, without iteration, once per mixing step.
+
+The SCF preconditions every fully periodic cell at :data:`KERKER_K0`,
+1 Å⁻¹, and mixes there at twice the Anderson step of a cell with a Dirichlet
+axis (:mod:`repro.core.mixing`).  Molecules and cells with a Dirichlet axis
+mix unpreconditioned.  Measured on the Mg cells of EXPERIMENTS.md: the
+doubled step takes Mg32 from 12 iterations to 17 without Kerker and to 8
+with it; k0 from 0.3 to 0.6 Bohr⁻¹ stays within one iteration of that on
+Mg4 to Mg64, and 0.8 costs one or two more.
 """
 
 from __future__ import annotations
@@ -24,7 +32,10 @@ import numpy as np
 
 from repro.fem.mesh import Mesh3D
 
-__all__ = ["KerkerPreconditioner"]
+__all__ = ["KERKER_K0", "KerkerPreconditioner"]
+
+#: screening wavevector of the periodic SCF: 1 Å⁻¹ in Bohr⁻¹
+KERKER_K0 = 0.529177210903
 
 
 class KerkerPreconditioner:
@@ -38,7 +49,7 @@ class KerkerPreconditioner:
         Screening wavevector (Bohr^-1); ~0.5-1.0 for typical metals.
     """
 
-    def __init__(self, mesh: Mesh3D, k0: float = 0.8) -> None:
+    def __init__(self, mesh: Mesh3D, k0: float = KERKER_K0) -> None:
         if k0 <= 0:
             raise ValueError("k0 must be positive")
         self.mesh = mesh

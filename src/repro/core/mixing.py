@@ -5,6 +5,13 @@ residuals ``F_i = rho_out_i - rho_in_i`` and mixes along the optimized
 direction — the standard workhorse for metallic SCF convergence used by
 DFT-FE, and the one mixer the SCF runs.  Its first step, with one residual
 in the window, is the damped update ``rho_in + alpha * F``.
+
+The SCF's step depends on the cell: :data:`ALPHA_DIRICHLET` on a molecule
+or any cell with a Dirichlet axis, :data:`ALPHA_PERIODIC` on a fully
+periodic cell, whose residual is Kerker-preconditioned
+(:mod:`repro.core.kerker`).  Without Kerker the larger step lets the
+long-wavelength charge sloshing of a metal grow: Mg32 needs 17 iterations
+instead of 12.
 """
 
 from __future__ import annotations
@@ -13,7 +20,12 @@ from collections import deque
 
 import numpy as np
 
-__all__ = ["AndersonMixer"]
+__all__ = ["ALPHA_DIRICHLET", "ALPHA_PERIODIC", "AndersonMixer"]
+
+#: Anderson step on a cell with a Dirichlet axis (molecules, chains, slabs)
+ALPHA_DIRICHLET = 0.3
+#: Anderson step on a fully periodic, Kerker-preconditioned cell
+ALPHA_PERIODIC = 0.6
 
 
 class AndersonMixer:
@@ -28,7 +40,9 @@ class AndersonMixer:
     regularization for robustness on near-degenerate histories).
     """
 
-    def __init__(self, alpha: float = 0.3, history: int = 5, reg: float = 1e-12) -> None:
+    def __init__(
+        self, alpha: float = ALPHA_DIRICHLET, history: int = 5, reg: float = 1e-12
+    ) -> None:
         if history < 1:
             raise ValueError("history must be >= 1")
         self.alpha = alpha

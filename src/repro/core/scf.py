@@ -10,6 +10,13 @@ Each SCF iteration performs the sequence the paper benchmarks in Table 3:
 5. **DC** — density computation;
 6. Anderson-mixed density update, Harris-Foulkes energy estimate.
 
+A fully periodic cell preconditions the density residual with Kerker
+(:mod:`repro.core.kerker`) and mixes at twice the Anderson step of a cell
+with a Dirichlet axis: Kerker damps the long-wavelength charge sloshing that
+caps the step on a metal.  The final energy is the Kohn-Sham functional at
+the output density, its double-counting term taken with the potential of the
+Hamiltonian that produced the eigenvalues (:mod:`repro.core.energy`).
+
 The first SCF step runs several filtering passes from a random subspace
 (paper footnote 8); the filter's upper bound is closed-form, no Lanczos.
 
@@ -40,7 +47,8 @@ from .density import atomic_guess_density, density_from_channels
 from .energy import EnergyBreakdown, total_energy
 from .hamiltonian import Electrostatics
 from .io import load_initial_rho, load_scf_state, save_scf_state
-from .mixing import AndersonMixer
+from .kerker import KERKER_K0, KerkerPreconditioner
+from .mixing import ALPHA_DIRICHLET, ALPHA_PERIODIC, AndersonMixer
 from .occupations import OccupationSet, find_fermi_level
 from .orthonorm import cholesky_orthonormalize
 from .rayleigh_ritz import rayleigh_ritz
@@ -60,6 +68,9 @@ CHEB_DEGREE = 15
 N_INIT_PASSES = 5
 #: Anderson mixing history window
 MIXING_HISTORY = 6
+# KERKER_K0 (imported above) is read here at call time too: a test turns the
+# periodic cell's Kerker preconditioning off with monkeypatch.setattr(
+# repro.core.scf, "KERKER_K0", None)
 
 
 # chfes_step lives here, not in a module of its own, because the benchmark
@@ -163,9 +174,11 @@ class SCFOptions:
     filter_passes: int = 1
     block_size: int = 64  #: CF / CholGS / RR block size (the paper's B_f)
     mixed_precision: bool = False
-    mixing_alpha: float = 0.3  #: Anderson mixing step
+    #: Anderson mixing step; None derives it from the cell: ALPHA_PERIODIC
+    #: on a fully periodic one (Kerker-preconditioned), ALPHA_DIRICHLET on
+    #: one with a Dirichlet axis
+    mixing_alpha: float | None = None
     poisson_tol: float = 1e-9  #: verified bound on the EP residual |b-Kx|/|b|
-    kerker_k0: float | None = None  #: enable Kerker mixing preconditioning
     verbose: bool = False
     #: mid-run checkpointing: write the loop state here every
     #: ``checkpoint_every`` iterations (and on convergence); resume with
@@ -231,6 +244,9 @@ class _LoopState:
     converged: bool = False
     free_energy: float = np.inf  #: the previous iteration's (energy test)
     occset: OccupationSet | None = None
+    #: (nnodes, 2) effective potential of the last Hamiltonian: the final
+    #: energy's double counting pairs it with that Hamiltonian's eigenvalues
+    v_eff: np.ndarray | None = None
     history: list[dict] = field(default_factory=list)
 
 
@@ -319,7 +335,14 @@ class SCFDriver:
     ) -> SCFResult:
         opts = self.options
         mesh = self.mesh
-        mixer = AndersonMixer(opts.mixing_alpha, MIXING_HISTORY)
+        periodic = all(mesh.pbc)
+        alpha = opts.mixing_alpha
+        if alpha is None:
+            alpha = ALPHA_PERIODIC if periodic else ALPHA_DIRICHLET
+        mixer = AndersonMixer(alpha, MIXING_HISTORY)
+        kerker = None
+        if periodic and KERKER_K0 is not None:
+            kerker = KerkerPreconditioner(mesh, k0=KERKER_K0)
         if resume_from is not None:
             state = self._restore_state(load_scf_state(resume_from, mesh), mixer)
         else:
@@ -331,20 +354,20 @@ class SCFDriver:
                 else atomic_guess_density(mesh, self.config, initial_polarization),
                 mixer,
             )
-        self._scf_loop(state)
+        self._scf_loop(state, kerker)
         rho_spin, occset = state.rho_spin, state.occset
 
-        # Final self-consistent energy at the output density.
+        # Final energy: the Kohn-Sham functional at the output density, its
+        # double counting taken with the potential the eigenvalues came from
         v_tot = self.electrostatics.solve(rho_spin.sum(axis=1), tol=opts.poisson_tol)
         v_xc, exc = self.xc.potential_and_energy(mesh, rho_spin)
-        v_eff = v_tot[:, None] + v_xc
         breakdown = total_energy(
             mesh,
             [ch.evals for ch in self.channels],
             occset.occupations,
             [ch.weight for ch in self.channels],
             rho_spin,
-            v_eff,
+            state.v_eff,
             v_tot,
             self.electrostatics.core_density,
             self.electrostatics.self_energy,
@@ -401,6 +424,7 @@ class SCFDriver:
                 fermi_level=saved["fermi_level"],
                 entropy=saved["entropy"],
             ),
+            v_eff=saved["v_eff"],
             history=saved["history"],
         )
 
@@ -416,6 +440,7 @@ class SCFDriver:
             fermi_level=state.occset.fermi_level,
             entropy=state.occset.entropy,
             occupations=state.occset.occupations,
+            v_eff=state.v_eff,
             channels=[
                 {"kfrac": ch.kfrac, "weight": ch.weight, "spin": ch.spin,
                  **ch.carried()}
@@ -431,17 +456,15 @@ class SCFDriver:
             metadata=self.options.checkpoint_metadata or {},
         )
 
-    def _scf_loop(self, state: _LoopState) -> None:
-        """Advance ``state`` to convergence or ``max_iterations``."""
+    def _scf_loop(
+        self, state: _LoopState, kerker: KerkerPreconditioner | None
+    ) -> None:
+        """Advance ``state`` to convergence or ``max_iterations``, the
+        residual Kerker-preconditioned before mixing when ``kerker`` is set."""
         opts = self.options
         mesh = self.mesh
         n_e = self.config.n_electrons
         degeneracy = 1.0 if self.spin_polarized else 2.0
-        kerker = None
-        if opts.kerker_k0 is not None:
-            from .kerker import KerkerPreconditioner
-
-            kerker = KerkerPreconditioner(mesh, k0=opts.kerker_k0)
         if state.converged:  # resumed from a converged checkpoint: nothing to do
             return
         for it in range(state.iteration + 1, opts.max_iterations + 1):
@@ -454,7 +477,7 @@ class SCFDriver:
                 )
                 with trace_region("DH"):
                     v_xc, exc = self.xc.potential_and_energy(mesh, rho_spin)
-                    v_eff = v_tot[:, None] + v_xc  # (nnodes, 2)
+                    v_eff = state.v_eff = v_tot[:, None] + v_xc  # (nnodes, 2)
 
                 self._solve_channels(v_eff)
 

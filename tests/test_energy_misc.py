@@ -72,10 +72,12 @@ def test_xc_output_shapes():
 
 def test_scf_options_defaults_sane():
     from repro.core import SCFOptions
+    from repro.core.mixing import ALPHA_DIRICHLET, ALPHA_PERIODIC
     from repro.core.scf import CHEB_DEGREE
 
     o = SCFOptions()
-    assert 0 < o.mixing_alpha <= 1
+    assert o.mixing_alpha is None  # derived from the cell
+    assert 0 < ALPHA_DIRICHLET < ALPHA_PERIODIC <= 1
     assert CHEB_DEGREE > 0
     assert o.block_size > 0
 

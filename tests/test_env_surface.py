@@ -132,7 +132,7 @@ def test_scf_options_fields_are_pinned():
     assert [f.name for f in fields(SCFOptions)] == [
         "max_iterations", "density_tol", "energy_tol", "temperature",
         "filter_passes", "block_size", "mixed_precision", "mixing_alpha",
-        "poisson_tol", "kerker_k0", "verbose", "checkpoint_path",
+        "poisson_tol", "verbose", "checkpoint_path",
         "checkpoint_every", "checkpoint_metadata", "initial_rho_path",
         "retry_policy", "backend", "nranks",
     ]

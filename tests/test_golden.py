@@ -15,9 +15,7 @@ counts the dgemm reduction order can differ, which perturbs O(1 Ha)
 energies at the ~1e-13 level and individual eigenvalues similarly.  We
 assert at rtol=5e-11 / atol=1e-10 — three orders looser than cross-BLAS
 noise, yet ~100x tighter than any genuine discretization or algorithm
-change we have ever observed (those move the 6th decimal or more).  A
-golden file may carry its own ``"atol"`` (see ``_atol``); only ``scf_Li2``
-does.
+change we have ever observed (those move the 6th decimal or more).
 """
 
 from __future__ import annotations
@@ -53,27 +51,9 @@ def _load(name: str) -> dict:
     return json.loads(path.read_text())
 
 
-def _atol(want: dict) -> float:
-    """The golden's own absolute tolerance, ATOL when it carries none.
-
-    ``scf_Li2.json`` carries 5e-7: two near-degenerate pairs straddle the
-    Fermi level (-0.10771196 / -0.10771186 Ha), so which one a rounding-level
-    change favours moves the energy by ~1e-7 Ha at unchanged ``converged`` /
-    ``n_iterations`` -- PR 15 -9.2e-8, PR 19 +7.7e-8, PR 22 -7.7e-9 (LDA's
-    closed-form potential, 1e-15 relative; its prototype, the same formulas in
-    another operation order, -8.4e-8), and a 1e-14 Bohr nudge of one atom
-    2.0e-7 (ROADMAP item 4).  The file was regenerated three times for
-    that; the bound now says what the value is good to until item 4-A's
-    estimate replaces it.
-    """
-    return float(want.get("atol", ATOL))
-
-
 def _store(name: str, payload: dict) -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     path = GOLDEN_DIR / name
-    if path.exists() and "atol" in (old := json.loads(path.read_text())):
-        payload = {**payload, "atol": old["atol"]}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -106,14 +86,29 @@ def test_scf_molecule_golden(molecule, update_golden):
         _store(fname, got)
         return
     want = _load(fname)
-    atol = _atol(want)
     assert got["converged"] == want["converged"]
     assert got["n_iterations"] == want["n_iterations"]
     for key in ("energy", "free_energy", "fermi_level"):
-        assert got[key] == pytest.approx(want[key], rel=RTOL, abs=atol), key
+        assert got[key] == pytest.approx(want[key], rel=RTOL, abs=ATOL), key
     assert len(got["eigenvalues"]) == len(want["eigenvalues"])
     for ch_got, ch_want in zip(got["eigenvalues"], want["eigenvalues"]):
-        np.testing.assert_allclose(ch_got, ch_want, rtol=RTOL, atol=atol)
+        np.testing.assert_allclose(ch_got, ch_want, rtol=RTOL, atol=ATOL)
+
+
+def test_scf_default_energy_is_at_the_tight_energy():
+    """At default tolerances the H2O energy is within 1e-7 Ha of a tightly
+    converged one: the final energy is variational in the density error."""
+    symbols, positions, *_ = MOLECULE_LIBRARY["H2O"]
+    config = AtomicConfiguration(list(symbols), np.asarray(positions, float))
+    tight = SCFOptions(
+        max_iterations=200, density_tol=1e-10, energy_tol=1e-12,
+        poisson_tol=1e-12, filter_passes=2,
+    )
+    e_tight = DFTCalculation(
+        config, xc=LDA(), degree=SCF_DEGREE, cells_per_axis=SCF_CELLS,
+        options=tight,
+    ).run().energy
+    assert abs(_run_molecule("H2O")["energy"] - e_tight) <= 1e-7
 
 
 def _run_invdft_farfield() -> dict:

@@ -86,16 +86,24 @@ def test_kerker_spin_stack_and_validation():
         KerkerPreconditioner(mesh, k0=0.0)
 
 
-def test_kerker_scf_reaches_same_ground_state():
-    """Kerker-preconditioned SCF converges to the plain-mixing energy."""
+def test_kerker_scf_reaches_same_ground_state(monkeypatch):
+    """A fully periodic cell mixes Kerker-preconditioned by default; turned
+    off, the same Anderson step reaches the same energy in more iterations
+    (Mg16: 11 instead of 8, the sloshing grows with the cell)."""
+    import repro.core.scf
+
     lat, sym, frac = hcp_orthorhombic()
-    cfg = supercell(lat, sym, frac, (1, 1, 1), pbc=(True, True, True))
-    base = SCFOptions(max_iterations=60, temperature=5e-3)
-    kerk = SCFOptions(max_iterations=60, temperature=5e-3, kerker_k0=0.8)
-    r0 = DFTCalculation(cfg, xc=LDA(), cells_per_axis=(2, 3, 3), degree=4,
-                        options=base).run()
-    r1 = DFTCalculation(cfg, xc=LDA(), cells_per_axis=(2, 3, 3), degree=4,
-                        options=kerk).run()
+    cfg = supercell(lat, sym, frac, (1, 2, 2), pbc=(True, True, True))
+
+    def run():
+        return DFTCalculation(
+            cfg, xc=LDA(), cells_per_axis=(2, 4, 4), degree=3,
+            options=SCFOptions(max_iterations=60, temperature=5e-3),
+        ).run()
+
+    r1 = run()
+    monkeypatch.setattr(repro.core.scf, "KERKER_K0", None)
+    r0 = run()
     assert r0.converged and r1.converged
-    assert np.isclose(r1.energy, r0.energy, atol=1e-5)
-    assert r1.n_iterations < 2 * r0.n_iterations  # no pathological slowdown
+    assert np.isclose(r1.energy, r0.energy, atol=1e-6)
+    assert r1.n_iterations < r0.n_iterations

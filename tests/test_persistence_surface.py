@@ -172,3 +172,16 @@ def test_carried_field_is_rewound_before_a_retry(name, interrupted, monkeypatch)
     monkeypatch.setattr(driver, "_solve_one_channel", attempt)
     driver._solve_channel_resilient(channel, v_eff=None)
     assert len(seen) == 2 and seen[1] is before
+
+
+def test_a_converged_checkpoint_resumes_to_the_same_energy(tmp_path):
+    """Resuming a converged run restores and evaluates only: the final energy
+    pairs the eigenvalues with the potential the channels carry, so the
+    resumed result is the uninterrupted one bit for bit."""
+    path = str(tmp_path / "done.ckpt")
+    done = _h2(checkpoint_path=path).run()
+    assert done.converged
+    again = _h2().run(resume_from=path)
+    assert again.n_iterations == done.n_iterations
+    assert again.energy == done.energy
+    assert again.free_energy == done.free_energy

@@ -363,7 +363,7 @@ def test_mg32_backends_agree():
         runs[backend] = (int(res.n_iterations), float(res.energy))
     assert SharedArena.live_segment_names() == []
     assert runs["virtual"] == runs["proc"]  # bitwise
-    assert runs["serial"][0] == runs["virtual"][0] == 12
+    assert runs["serial"][0] == runs["virtual"][0] == 8
     assert abs(runs["serial"][1] - runs["virtual"][1]) <= 1e-10
 
 
