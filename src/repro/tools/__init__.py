@@ -7,9 +7,8 @@ deterministic collectives, explicit dtypes, lock discipline):
 * :mod:`repro.tools.lint` — ``reprolint``, a flow-aware static analyzer
   (per-function CFG + reaching definitions + dtype abstract
   interpretation) with a rule registry, per-rule severities,
-  ``# reprolint: disable=...`` suppressions, finding baselines and
-  text/JSON/SARIF output.  Run it as ``python -m repro.tools.lint src/``
-  or ``python -m repro lint``.
+  ``# reprolint: disable=...`` suppressions and text/JSON output.  Run it
+  as ``python -m repro.tools.lint src/`` or ``python -m repro lint``.
 * :mod:`repro.tools.contracts` — ``@shape_contract`` / ``@dtype_contract``
   runtime decorators used in the hot kernels to pin down array shapes and
   to assert that FP32-blocked kernels never leak reduced precision into

@@ -14,17 +14,13 @@ Framework features:
   (:mod:`~repro.tools.lint.cfg`, :mod:`~repro.tools.lint.dataflow`) —
   R001/R006/R012 track reduced-precision values to their escape points,
   and the concurrency pass (:mod:`~repro.tools.lint.concurrency`,
-  R013–R016) resolves thread entries and lock scopes;
+  R013, R014, R016) resolves thread entries and lock scopes;
 * line-level suppressions — ``# reprolint: disable=R001`` (or
   ``disable=R001,R003``, or a bare ``disable`` for all rules) on the
   flagged line, and ``# reprolint: disable-file=R001`` near the top of a
   file for file-wide suppression;
-* text, JSON and SARIF 2.1.0 output (``--format sarif`` for CI code
-  annotations); exit code 0 (clean), 1 (findings), 2 (usage or
-  unreadable input);
-* baselines — ``--baseline FILE --write-baseline`` snapshots current
-  findings, later ``--baseline FILE`` runs fail only on *new* ones —
-  and ``--changed`` to lint only files touched per git.
+* text and JSON output; exit code 0 (clean), 1 (findings), 2 (usage or
+  unreadable input).
 
 Programmatic use::
 
@@ -33,9 +29,8 @@ Programmatic use::
 
 Command line::
 
-    python -m repro.tools.lint src/ [--format json|sarif]
-        [--select R001,R004] [--baseline FILE [--write-baseline]]
-        [--changed]
+    python -m repro.tools.lint src/ [--format json] [--select R001,R004]
+        [--list-rules]
 """
 
 from __future__ import annotations
@@ -206,13 +201,7 @@ def _suppressions(lines: list[str]) -> tuple[dict[int, set[str] | None], set[str
                 elif file_wide is not None:
                     file_wide |= ruleset
         else:
-            if i in per_line and per_line[i] is not None and ruleset is not None:
-                per_line[i] |= ruleset  # type: ignore[operator]
-            else:
-                per_line[i] = (
-                    None if (ruleset is None or per_line.get(i, set()) is None)
-                    else ruleset
-                )
+            per_line[i] = ruleset
     return per_line, file_wide
 
 
@@ -321,25 +310,13 @@ def main(argv: list[str] | None = None) -> int:
         description="reprolint: numerical-safety static analysis",
     )
     ap.add_argument("paths", nargs="*", default=["src"], help="files or directories")
-    ap.add_argument("--format", choices=("text", "json", "sarif"), default="text")
+    ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument(
         "--select", default=None, metavar="R001,R002",
         help="comma-separated rule ids to run (default: all)",
     )
     ap.add_argument(
         "--list-rules", action="store_true", help="print the rule set and exit"
-    )
-    ap.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppress findings recorded in FILE; fail only on new ones",
-    )
-    ap.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to --baseline FILE and exit 0",
-    )
-    ap.add_argument(
-        "--changed", action="store_true",
-        help="lint only files changed per git (status vs HEAD + untracked)",
     )
     try:
         args = ap.parse_args(argv)
@@ -361,56 +338,17 @@ def main(argv: list[str] | None = None) -> int:
         if not select:
             print("reprolint: --select given but names no rules", file=sys.stderr)
             return 2
-    if args.write_baseline and not args.baseline:
-        print(
-            "reprolint: --write-baseline requires --baseline FILE",
-            file=sys.stderr,
-        )
-        return 2
-
-    from . import baseline as _baseline
-
-    paths: list = list(args.paths)
-    if args.changed:
-        try:
-            paths = list(_baseline.changed_paths(paths))
-        except RuntimeError as exc:
-            print(f"reprolint: {exc}", file=sys.stderr)
-            return 2
 
     errors: list[str] = []
     try:
-        findings = lint_paths(paths, select=select, on_error=errors.append)
+        findings = lint_paths(args.paths, select=select, on_error=errors.append)
     except KeyError as exc:
         print(f"reprolint: {exc.args[0]}", file=sys.stderr)
         return 2
     for msg in errors:
         print(msg, file=sys.stderr)
 
-    if args.write_baseline:
-        _baseline.write_baseline(args.baseline, findings)
-        print(
-            f"reprolint: wrote baseline with {len(findings)} finding(s) "
-            f"to {args.baseline}"
-        )
-        return 2 if errors else 0
-    if args.baseline:
-        try:
-            counts = _baseline.load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"reprolint: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        findings = _baseline.new_findings(findings, counts)
-
-    if args.format == "json":
-        out = format_json(findings)
-    elif args.format == "sarif":
-        from . import sarif as _sarif
-
-        out = _sarif.format_sarif(findings, all_rules(select))
-    else:
-        out = format_text(findings)
-    print(out)
+    print(format_json(findings) if args.format == "json" else format_text(findings))
     if errors:
         return 2
     return 1 if findings else 0

@@ -1,4 +1,4 @@
-"""Concurrency-safety rules (R013–R016) for reprolint.
+"""Concurrency-safety rules (R013, R014, R016) for reprolint.
 
 The serve runtime's slice workers (``repro/serve/server.py``) run several
 solvers on threads of one process, so more than one thread touches
@@ -14,14 +14,10 @@ R013      unlocked mutation of registered shared state (FlopLedger,
 R014      pooled-buffer escape: a workspace-acquired buffer stored on
           ``self`` or returned past its scope without a documented
           ownership contract
-R015      ``os.environ`` reads inside hot loops of the numerical core
-          or the serve runtime (directly in a loop body, or in
-          functions reachable from one via the module-local call
-          graph)
 R016      module-global mutation in thread-entry-reachable functions
 ========  ==========================================================
 
-All four are module-local analyses: thread entries, call graphs and
+All three are module-local analyses: thread entries, call graphs and
 lock scopes are resolved within one file.  A ``with <lock>:`` block
 (any context expression whose dotted name contains ``lock``) sanctions
 the mutations inside it.
@@ -38,7 +34,6 @@ from .dataflow import dotted_name, module_functions
 __all__ = [
     "UnlockedSharedStateMutation",
     "PooledBufferEscape",
-    "EnvReadInHotLoop",
     "GlobalMutationInThreadEntry",
 ]
 
@@ -392,100 +387,6 @@ class PooledBufferEscape(Rule):
                                 "a .copy() or document the ownership "
                                 "contract",
                             )
-
-
-# ----------------------------------------------------------------------------
-@register
-class EnvReadInHotLoop(Rule):
-    """R015: ``os.environ`` reads on the hot path of core or serve.
-
-    Reading configuration from the environment inside the SCF/filter
-    loops — or the serve runtime's dispatch/slice loops, which run once
-    per queued job — re-pays dict lookups and string parsing thousands
-    of times and makes behavior racy against tests that mutate
-    ``os.environ``.  Read once at construction time and cache.  A read
-    is *hot* when it sits syntactically inside a loop, or inside a
-    function reachable from a loop body via the module-local call graph.
-    """
-
-    rule_id = "R015"
-    severity = "error"
-    description = (
-        "os.environ/os.getenv read inside a hot loop of repro/core or "
-        "repro/serve; read once at construction time and cache"
-    )
-    path_filters = ("core/", "serve/")
-
-    @staticmethod
-    def _env_reads(tree: ast.Module) -> list[ast.AST]:
-        reads: list[ast.AST] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                dotted = dotted_name(node.func)
-                if dotted in ("os.environ.get", "os.getenv"):
-                    reads.append(node)
-            elif isinstance(node, ast.Subscript):
-                if dotted_name(node.value) == "os.environ":
-                    reads.append(node)
-        return reads
-
-    @staticmethod
-    def _hot_functions(tree: ast.Module) -> set[str]:
-        """Names of functions called (transitively) from loop bodies."""
-        table = _function_table(tree)
-        hot: set[str] = set()
-        work: list[str] = []
-        for fn in module_functions(tree):
-            for node in ast.walk(fn):
-                if not isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-                    continue
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Call):
-                        callee = _callee_name(sub.func)
-                        if callee and callee in table:
-                            work.append(callee)
-        while work:
-            name = work.pop()
-            if name in hot:
-                continue
-            hot.add(name)
-            for node in ast.walk(table[name]):
-                if isinstance(node, ast.Call):
-                    callee = _callee_name(node.func)
-                    if callee and callee in table and callee not in hot:
-                        work.append(callee)
-        return hot
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        reads = self._env_reads(ctx.tree)
-        if not reads:
-            return
-        hot = self._hot_functions(ctx.tree)
-        read_ids = {id(r) for r in reads}
-        # classify each read by enclosing function / loop nesting
-        flagged: set[int] = set()
-
-        def visit(node: ast.AST, fn_name: str | None, in_loop: bool) -> None:
-            if id(node) in read_ids and id(node) not in flagged:
-                if in_loop or (fn_name is not None and fn_name in hot):
-                    flagged.add(id(node))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                fn_name, in_loop = node.name, False
-            elif isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-                in_loop = True
-            for child in ast.iter_child_nodes(node):
-                visit(child, fn_name, in_loop)
-
-        visit(ctx.tree, None, False)
-        for read in reads:
-            if id(read) in flagged:
-                yield ctx.finding(
-                    self,
-                    read,
-                    "os.environ read on the numerical-core hot path "
-                    "(inside or reachable from a loop); read the variable "
-                    "once at construction time and cache it",
-                )
 
 
 # ----------------------------------------------------------------------------

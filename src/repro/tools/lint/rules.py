@@ -30,10 +30,11 @@ R017      ``SharedMemory`` segment creation/attachment outside the
           lifecycle is the one sanctioned leak-proof owner
 ========  ==========================================================
 
-The concurrency-safety rules R013–R016 (unlocked shared-state mutation,
-pooled-buffer escapes, hot-loop environment reads, module-global
-mutation from thread entries) live in
-:mod:`repro.tools.lint.concurrency`.
+The concurrency-safety rules R013, R014 and R016 (unlocked shared-state
+mutation, pooled-buffer escapes, module-global mutation from thread
+entries) live in :mod:`repro.tools.lint.concurrency`.  Environment reads
+need no rule: ``tests/test_env_surface.py`` pins every one the package
+makes.
 
 R001, R006 and R012 are *flow-aware*: they run reaching definitions and
 a dtype abstract interpretation over per-function CFGs (see

@@ -1,9 +1,9 @@
 """reprosan — opt-in runtime race sanitizer for shared numerical state.
 
-The static concurrency pass (reprolint R013–R016) proves lock
+The static concurrency pass (reprolint R013, R014, R016) proves lock
 discipline where it can *see* it; this module checks it where it can't:
 at runtime, across module boundaries, under the real thread
-interleavings of the parallel-ChFES channel loop.
+interleavings of the serve runtime's slice workers.
 
 Armed via ``REPRO_SANITIZE=1`` in the environment (checked once at
 import), or programmatically with :func:`arm` / the :func:`sanitized`

@@ -22,7 +22,9 @@ as ``evaluate`` did before the gather.  The
 complex-step oracles for the back-propagated neural
 functionals and their trainer are in :mod:`tests.reference.mlxc`, the
 fixed-block unpreconditioned MINRES the adjoint solver is checked against in
-:mod:`tests.reference.minres`.
+:mod:`tests.reference.minres`, and the Jordan–Wigner Fock-space
+diagonaliser the Slater–Condon FCI solver is checked against in
+:mod:`tests.reference.fock`.
 """
 
 from __future__ import annotations

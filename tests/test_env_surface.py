@@ -1,9 +1,11 @@
 """The environment surface of ``src/repro`` is documented and read-only.
 
-An AST scan finds every ``REPRO_*`` name the package reads from
-``os.environ`` / ``os.getenv`` and every write to the process environment.
-The reads must be exactly the variables README.md documents (an
-undocumented knob, or a documented one nothing reads, fails here); writes
+An AST scan finds every literal key the package reads from ``os.environ``
+/ ``os.getenv`` and every write to the process environment.  The reads are
+pinned, whatever their prefix, to three variables in three modules outside
+``core/`` and ``serve/``; the ``REPRO_*`` ones must be exactly the variables
+README.md documents (an undocumented knob, or a documented one nothing
+reads, fails here); writes
 must not exist at all — the environment is process-global state shared by
 every thread of a ``repro.serve`` process, so a kernel path may never be
 selected by mutating it.  The other configuration surface, the field names
@@ -36,7 +38,7 @@ def _literal(node: ast.AST) -> str | None:
 
 
 def _scan(tree: ast.AST) -> tuple[set[str], list[int]]:
-    """(REPRO_* names read, line numbers of environment writes)."""
+    """(literal keys read, line numbers of environment writes)."""
     reads: set[str] = set()
     writes: list[int] = []
     for node in ast.walk(tree):
@@ -62,7 +64,7 @@ def _scan(tree: ast.AST) -> tuple[set[str], list[int]]:
         ):
             if (key := _literal(node.left)) is not None:
                 reads.add(key)  # "REPRO_X" in os.environ
-    return {r for r in reads if r.startswith("REPRO_")}, writes
+    return reads, writes
 
 
 def _scan_package() -> tuple[set[str], list[str]]:
@@ -89,12 +91,12 @@ def test_scanner_sees_every_access_form():
         "del os.environ['REPRO_H']\n"
         "os.putenv('REPRO_I', '1')\n"
     ))
-    assert reads == {"REPRO_A", "REPRO_B", "REPRO_C", "REPRO_D"}
+    assert reads == {"REPRO_A", "REPRO_B", "REPRO_C", "REPRO_D", "HOME"}
     assert writes == [7, 8, 9, 10, 11]
 
 
 def test_env_reads_equal_the_documented_variables():
-    reads, _ = _scan_package()
+    reads = {r for r in _scan_package()[0] if r.startswith("REPRO_")}
     documented = set(re.findall(r"\bREPRO_[A-Z0-9_]+\b", (REPO / "README.md").read_text()))
     assert reads == documented, (
         f"read but undocumented: {sorted(reads - documented)}; "
@@ -103,8 +105,9 @@ def test_env_reads_equal_the_documented_variables():
 
 
 def test_env_reads_are_pinned():
-    """Three variables, one module each: a new knob shows up here as a
-    reviewed diff, like a new ``SCFOptions`` field."""
+    """Three variables, one module each: a new read of any key (``HOME``
+    as much as ``REPRO_*``) shows up here as a reviewed diff, like a new
+    ``SCFOptions`` field."""
     readers = {
         str(path.relative_to(SRC)): reads
         for path in SRC.rglob("*.py")

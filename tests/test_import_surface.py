@@ -149,10 +149,8 @@ LAZY_PACKAGES = {
         "strong_scaling", "time_to_solution",
     ],
     "repro.qmb": [
-        "CCDResult", "FCIResult", "FCISolver", "OrbitalIntegrals", "RHFResult", "ccd",
-        "ccsd", "compute_integrals", "creation_operator", "density_from_rdm",
-        "determinants", "excitation_sign", "excite", "fock_space_ground_state",
-        "mp2_energy", "occ_list", "restricted_hartree_fock",
+        "FCIResult", "FCISolver", "OrbitalIntegrals", "compute_integrals",
+        "density_from_rdm", "determinants", "excitation_sign", "excite", "occ_list",
     ],
     "repro.invdft": [
         "BlockMinresResult", "InverseDFT", "InverseDFTResult", "adjoint_rhs",

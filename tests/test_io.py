@@ -1,9 +1,8 @@
-"""Checkpoint/restart and XYZ interchange."""
+"""Checkpoint/restart of converged ground states."""
 
 import numpy as np
 import pytest
 
-from repro.atoms.io import read_xyz, write_xyz
 from repro.atoms.pseudo import AtomicConfiguration
 from repro.core import DFTCalculation, SCFOptions
 from repro.core.io import load_checkpoint, save_checkpoint
@@ -56,48 +55,3 @@ def test_checkpoint_mesh_mismatch_rejected(tmp_path, he_scf):
     with pytest.raises(ValueError):
         load_checkpoint(p, mesh=other)
 
-
-def test_xyz_roundtrip_isolated(tmp_path):
-    cfg = AtomicConfiguration(
-        ["H", "He", "Li"], [[0, 0, 0], [1.5, 0.25, -0.75], [3.0, 1.0, 2.0]]
-    )
-    p = str(tmp_path / "mol.xyz")
-    write_xyz(p, cfg, comment="test molecule")
-    back = read_xyz(p)
-    assert back.symbols == cfg.symbols
-    assert np.allclose(back.positions, cfg.positions, atol=1e-10)
-    assert back.lattice is None
-
-
-def test_xyz_roundtrip_periodic(tmp_path):
-    lat = np.diag([4.0, 5.0, 6.0])
-    cfg = AtomicConfiguration(
-        ["Mg", "Mg"], [[0, 0, 0], [2.0, 2.5, 3.0]], lattice=lat,
-        pbc=(True, False, True),
-    )
-    p = str(tmp_path / "cell.xyz")
-    write_xyz(p, cfg)
-    back = read_xyz(p)
-    assert np.allclose(back.lattice, lat)
-    assert back.pbc == (True, False, True)
-    assert back.n_electrons == cfg.n_electrons
-
-
-def test_xyz_rejects_garbage(tmp_path):
-    p = tmp_path / "bad.xyz"
-    p.write_text("")
-    with pytest.raises(ValueError):
-        read_xyz(str(p))
-
-
-def test_xyz_benchmark_system_roundtrip(tmp_path):
-    """The full DislocMgY geometry survives an interchange round-trip."""
-    from repro.materials.systems import build_system
-
-    s = build_system("DislocMgY")
-    p = str(tmp_path / "disloc.xyz")
-    write_xyz(p, s.config, comment="DislocMgY")
-    back = read_xyz(p)
-    assert back.natoms == 6016
-    assert back.n_electrons == 12041
-    assert np.allclose(back.positions, s.config.positions, atol=1e-9)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.qmb.fci import FCISolver, density_from_rdm
-from repro.qmb.fock import fock_space_ground_state
 from repro.qmb.integrals import OrbitalIntegrals, compute_integrals
 from repro.qmb.slater import (
     determinants,
@@ -15,6 +14,7 @@ from repro.qmb.slater import (
     excite,
     occ_list,
 )
+from tests.reference.fock import fock_space_ground_state
 
 
 def _random_integrals(n, seed=0, e_core=0.0):

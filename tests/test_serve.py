@@ -578,16 +578,9 @@ def test_serve_package_is_concurrency_lint_clean():
 
     findings = lint_paths(
         [str(REPO / "src" / "repro" / "serve")],
-        select=("R013", "R014", "R015", "R016"),
+        select=("R013", "R014", "R016"),
     )
     assert findings == []
-
-
-def test_r015_covers_serve_paths():
-    from repro.tools.lint import all_rules
-
-    (r015,) = [r for r in all_rules() if r.rule_id == "R015"]
-    assert "serve/" in r015.path_filters
 
 
 # ---------------------------------------------------------------------------
