@@ -18,7 +18,11 @@ the output density, its double-counting term taken with the potential of the
 Hamiltonian that produced the eigenvalues (:mod:`repro.core.energy`).
 
 The first SCF step runs several filtering passes from a random subspace
-(paper footnote 8); the filter's upper bound is closed-form, no Lanczos.
+(paper footnote 8) on the first channel of each spin.  A later k-point of
+that spin starts warm instead: its first step filters once, from the
+previous k-point's Ritz vectors carried over by the Bloch phase plus a
+little of the random block.  The filter's upper bound is closed-form, no
+Lanczos.
 
 Every phase of the iteration is wrapped in a reproscope span
 (:mod:`repro.obs`) named after the paper's kernel labels, so a traced run
@@ -64,8 +68,13 @@ __all__ = [
 
 #: Chebyshev filter degree; ``capped_degree`` lowers it per Ritz-window pass
 CHEB_DEGREE = 15
-#: filtering passes from the random start in the first SCF step
+#: filtering passes from the random start in the first SCF step of the first
+#: channel of each spin; a later k-point's first step is a warm one
 N_INIT_PASSES = 5
+#: column weight of the random start mixed into a later k-point's Bloch-lifted
+#: start: a symmetry sector the earlier k-point's states leave empty would
+#: otherwise stay empty under the filter
+LIFT_NOISE = 0.3
 #: Anderson mixing history window
 MIXING_HISTORY = 6
 # KERKER_K0 (imported above) is read here at call time too: a test turns the
@@ -93,13 +102,7 @@ def chfes_step(
     CholGS -> RR stage.  Returns the Ritz values, vectors and their HX.
     """
     if X is None:
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((op.n, nstates))
-        if np.issubdtype(op.dtype, np.complexfloating):
-            X = X + 1j * rng.standard_normal((op.n, nstates))
-        X = cholesky_orthonormalize(
-            np.asarray(X, dtype=op.dtype), block_size=block_size
-        )
+        X = _random_start(op, nstates, seed, block_size)
         evals = None
     for _ in range(passes):
         if evals is None:
@@ -119,6 +122,33 @@ def chfes_step(
             mixed_precision=mixed_precision, ledger=ledger,
         )
     return evals, X, hx0
+
+
+def _random_start(op, nstates: int, seed: int, block_size: int) -> np.ndarray:
+    """``nstates`` orthonormalised random columns of ``op``'s dtype from
+    ``seed``: the cold start of :func:`chfes_step`."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((op.n, nstates))
+    if np.issubdtype(op.dtype, np.complexfloating):
+        X = X + 1j * rng.standard_normal((op.n, nstates))
+    return cholesky_orthonormalize(
+        np.asarray(X, dtype=op.dtype), block_size=block_size
+    )
+
+
+def _bloch_lift(mesh: Mesh3D, psi: np.ndarray, kfrom, kto, dtype) -> np.ndarray:
+    """Free-node Bloch functions at ``kfrom`` carried to ``kto``, as ``dtype``.
+
+    Each node is multiplied by ``exp(2 pi i (kto - kfrom) . x / L)``, ``x``
+    measured from the cell origin: the smooth phase turns the twisted
+    boundary condition of ``kfrom`` into that of ``kto`` and commutes with
+    the diagonal Löwdin scaling.
+    """
+    dk = np.subtract(kto, kfrom, dtype=float)
+    if not dk.any():
+        return psi.astype(dtype)
+    x = mesh.node_coords[mesh.free] / mesh.lengths
+    return np.exp(2j * np.pi * (x @ dk))[:, None] * psi
 
 
 def _carried(default=None):
@@ -608,14 +638,35 @@ class SCFDriver:
             if san is not None:
                 san.write_end(f"KSChannel:{id(ch)}")
 
+    def _warm_neighbour(self, ch: KSChannel) -> KSChannel | None:
+        """The channel whose Ritz pairs seed ``ch``'s first SCF step: the
+        nearest earlier channel of its spin, if that one has solved and its
+        orbitals cast to ``ch``'s dtype (Gamma -> k, never complex -> real).
+        Channels solve in order, so on a first step that is this step."""
+        i = next(j for j, c in enumerate(self.channels) if c is ch)
+        for prev in reversed(self.channels[:i]):
+            if prev.spin == ch.spin:
+                if prev.psi is not None and np.can_cast(prev.psi.dtype, ch.op.dtype):
+                    return prev
+                return None
+        return None
+
     def _eigensolve(self, ch: KSChannel) -> None:
-        """One ChFES step for a channel: ``N_INIT_PASSES`` from a random
-        start on its first SCF step, ``filter_passes`` warm ones after."""
+        """One ChFES step for a channel, ``filter_passes`` warm passes from
+        its own Ritz pairs after the first SCF step.
+
+        On the first step the first channel of each spin runs
+        ``N_INIT_PASSES`` from a random start.  A later one starts from its
+        :meth:`_warm_neighbour`'s Ritz vectors, Bloch-lifted to its k-point,
+        plus ``LIFT_NOISE`` times the random start it would have drawn, and
+        runs ``filter_passes`` in that neighbour's Ritz window.
+        """
         opts = self.options
         op = ch.op
         first = ch.psi is None
         with trace_region("ChFES", kpoint=ch.kfrac, spin=ch.spin, first=first):
-            hx0 = None
+            X, evals, hx0 = ch.psi, ch.evals, None
+            passes = opts.filter_passes
             if not first and ch.hpsi is not None and ch.hpsi_v is not None:
                 # the potential term of H~ is exactly diagonal, so the HX
                 # rotated out of the previous RR stage survives the SCF
@@ -627,11 +678,23 @@ class SCFDriver:
                 int(1e6 * (1 + ch.kfrac[0] + 10 * ch.kfrac[1] + 100 * ch.kfrac[2]))
                 + 7919 * (0 if ch.spin is None else ch.spin + 1)
             ) % 2**32
+            src = self._warm_neighbour(ch) if first else None
+            if src is not None:
+                lifted = _bloch_lift(
+                    self.mesh, src.psi, src.kfrac, ch.kfrac, op.dtype
+                )
+                noise = _random_start(op, self.nstates, seed, opts.block_size)
+                X = cholesky_orthonormalize(
+                    lifted + LIFT_NOISE * noise, block_size=opts.block_size
+                )
+                evals = src.evals
+            elif first:
+                passes = N_INIT_PASSES
             ch.evals, ch.psi, ch.hpsi = chfes_step(
-                op, ch.psi, ch.evals, hx0,
+                op, X, evals, hx0,
                 b=op.spectral_upper_bound(),
                 degree=CHEB_DEGREE,
-                passes=max(N_INIT_PASSES if first else opts.filter_passes, 1),
+                passes=max(passes, 1),
                 block_size=opts.block_size,
                 nstates=self.nstates,
                 seed=seed,

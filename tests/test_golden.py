@@ -166,7 +166,9 @@ def test_invdft_farfield_golden(update_golden):
     assert got["boundary_coulomb_residual"] < 1e-8
 
 
-def _run_bands_chain() -> dict:
+def _bands_chain_scf(**options):
+    """The periodic H chain's SCF at Gamma and X: ``(calc, result)``;
+    ``options`` override its ``SCFOptions``."""
     lat = np.diag([4.0, 10.0, 10.0])
     chain = AtomicConfiguration(
         ["H"], [[2.0, 5.0, 5.0]], lattice=lat, pbc=(True, False, False)
@@ -174,9 +176,13 @@ def _run_bands_chain() -> dict:
     calc = DFTCalculation(
         chain, xc=LDA(), padding=5.0, cells_per_axis=(2, 3, 3), degree=3,
         kpoints=[((0.0, 0.0, 0.0), 0.5), ((0.5, 0.0, 0.0), 0.5)],
-        options=SCFOptions(max_iterations=20, temperature=5e-3),
+        options=SCFOptions(**{"max_iterations": 20, "temperature": 5e-3, **options}),
     )
-    res = calc.run()
+    return calc, calc.run()
+
+
+def _run_bands_chain() -> dict:
+    calc, res = _bands_chain_scf()
     bands = band_structure(
         calc.mesh, res, kpath((0, 0, 0), (0.5, 0, 0), 3), nbands=4
     )
@@ -202,3 +208,23 @@ def test_bands_golden(update_golden):
     for ch_got, ch_want in zip(got["scf_eigenvalues"], want["scf_eigenvalues"]):
         np.testing.assert_allclose(ch_got, ch_want, rtol=RTOL, atol=ATOL)
     np.testing.assert_allclose(got["bands"], want["bands"], rtol=RTOL, atol=ATOL)
+
+
+def test_bands_chain_scf_skips_no_state():
+    """Each channel's Ritz pairs are its final Hamiltonian's lowest states.
+
+    With ``r`` the largest Ritz residual, every eigenvalue of the dense
+    matrix below ``max(ritz) - r`` must be one the channel holds, so there
+    are at most ``nstates`` of them: a start that leaves a symmetry sector
+    empty (the X channel seeded from Gamma with no random block) converges
+    past a missing state and fails here.  Every occupied state matches its
+    dense eigenvalue.
+    """
+    _, res = _bands_chain_scf()
+    for ch, occ in zip(res.channels, res.occupations):
+        dense = np.linalg.eigvalsh(ch.op.matrix())
+        r = np.linalg.norm(ch.op.apply(ch.psi) - ch.psi * ch.evals, axis=0)
+        nstates = ch.evals.size
+        assert np.count_nonzero(dense < ch.evals.max() - r.max()) <= nstates
+        held = occ > 1e-6
+        np.testing.assert_allclose(ch.evals[held], dense[:nstates][held], atol=1e-6)

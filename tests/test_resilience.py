@@ -48,6 +48,8 @@ from repro.resilience import (
 from repro.xc.lda import LDA
 from repro.xc.mlxc import MLXC
 
+from tests.test_golden import _bands_chain_scf
+
 
 @pytest.fixture(autouse=True)
 def _disarmed():
@@ -314,6 +316,21 @@ def test_scf_single_fault_recovers_bit_identical(site, kind, h2_reference):
     assert res.converged
     assert res.free_energy == h2_reference.free_energy  # bit for bit
     np.testing.assert_array_equal(res.rho_spin, h2_reference.rho_spin)
+
+
+@pytest.mark.chaos
+def test_faulted_seeded_kpoint_step_rewinds_bit_identical():
+    """A crash in the X channel's first attempt (channel invocation 2, the
+    step seeded from the Gamma channel's Ritz vectors) rewinds to an empty
+    channel; the retry seeds again from the same Gamma solve, bit for bit."""
+    _, reference = _bands_chain_scf()
+    plan = FaultPlan([FaultSpec("channel", 2, "raise")])
+    with chaos(plan):
+        _, res = _bands_chain_scf()
+    assert plan.fired, "the planned fault never fired"
+    assert res.converged
+    assert res.free_energy == reference.free_energy  # bit for bit
+    np.testing.assert_array_equal(res.rho_spin, reference.rho_spin)
 
 
 @pytest.mark.chaos

@@ -396,6 +396,74 @@ def test_scf_ledger_shows_fewer_cell_gemm_flops(monkeypatch):
     assert census["flops"] == census["unit"] * census["columns"]
 
 
+def _count_chain_applies(monkeypatch, n_scf: int):
+    """Per-channel apply census of a short fixed-iteration H-chain SCF at
+    Gamma and X.
+
+    Returns ``(applies, filters)``: full-subspace applies per channel, and
+    per channel the ``(degree, carried hx0)`` of every ``chebyshev_filter``
+    call in order.
+    """
+    import repro.core.scf as scf_module
+    from repro.fem.assembly import KSOperator
+
+    from tests.test_golden import _bands_chain_scf
+
+    block_columns: dict[int, int] = {}
+    filters: dict[int, list] = {}
+    orig_apply, orig_filter = KSOperator.apply, scf_module.chebyshev_filter
+
+    def counting_apply(self, X, out=None, **term):
+        if X.ndim == 2:
+            block_columns[id(self)] = block_columns.get(id(self), 0) + X.shape[1]
+        return orig_apply(self, X, out=out, **term)
+
+    def recording_filter(op, X, m, *args, hx0=None, **kw):
+        filters.setdefault(id(op), []).append((m, hx0 is not None))
+        return orig_filter(op, X, m, *args, hx0=hx0, **kw)
+
+    monkeypatch.setattr(KSOperator, "apply", counting_apply)
+    monkeypatch.setattr(scf_module, "chebyshev_filter", recording_filter)
+    monkeypatch.setattr(scf_module, "CHEB_DEGREE", 6)
+    monkeypatch.setattr(scf_module, "N_INIT_PASSES", 2)
+    _, res = _bands_chain_scf(
+        max_iterations=n_scf, density_tol=1e-300, energy_tol=1e-300
+    )
+    assert res.n_iterations == n_scf
+    applies, calls = [], []
+    for ch in res.channels:
+        nvec = ch.psi.shape[1]
+        assert block_columns[id(ch.op)] % nvec == 0
+        applies.append(block_columns[id(ch.op)] // nvec)
+        calls.append(filters[id(ch.op)])
+    return applies, calls
+
+
+def test_later_kpoint_first_step_is_one_warm_pass(monkeypatch):
+    """The X channel starts from the Gamma channel's Bloch-lifted Ritz
+    vectors: one filtering pass on its first SCF step instead of p.
+
+    With m = CHEB_DEGREE, p = N_INIT_PASSES and N SCF iterations, the Gamma
+    channel keeps its census p·m + 1 + (N-1)·m (see
+    ``test_chfes_saves_exactly_one_apply_per_iteration``).  The X channel's
+    first step is one pass from the lifted block, which has no carried HX to
+    stand in for the filter's first apply: m₁ applies, where m₁ =
+    ``capped_degree(m, a, b, a0)`` in the Gamma channel's Ritz window, plus
+    the fused CholGS -> RR apply; every later step is a warm one of m.  So
+    X issues m₁ + 1 + (N-1)·m and saves (p-1)·m + (m - m₁) over a cold start.
+    """
+    m, p, N = 6, 2, 3
+    (gamma, x), (gamma_calls, x_calls) = _count_chain_applies(monkeypatch, N)
+    assert gamma == p * m + 1 + (N - 1) * m
+    assert len(gamma_calls) == p + N - 1
+    # one pass per SCF step; only the first one runs without a carried HX
+    assert [hx for _, hx in x_calls] == [False] + [True] * (N - 1)
+    m1 = x_calls[0][0]
+    assert 1 <= m1 <= m and all(deg == m for deg, _ in x_calls[1:])
+    assert x == m1 + 1 + (N - 1) * m
+    assert (p * m + 1 + (N - 1) * m) - x == (p - 1) * m + (m - m1)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint round-trip of the carry
 def _mesh():
