@@ -375,15 +375,12 @@ def _cmd_screen(args) -> int:
         surrogate=args.surrogate,
         n_anchors=args.anchors,
     )
-    if args.serve is not None:
-        report = campaign.run_via_serve(args.serve, workers=args.workers)
-    else:
-        report = campaign.run()
+    report = campaign.run()
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
         return 0 if all(o.converged for o in report.outcomes) else 1
     print(f"screened {len(report.outcomes)} members of {report.family} "
-          f"({report.mode}) in {report.wall_seconds:.2f} s")
+          f"in {report.wall_seconds:.2f} s")
     for o in report.outcomes:
         print(f"  {o.name:<18} E = {o.energy:+.10f} Ha  "
               f"{o.iterations:3d} iters  seed={o.seed_source}"
@@ -435,8 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         p.add_argument(
             "--initial-rho", metavar="PATH", default=None,
-            help="warm-start the SCF from a converged density: a seed "
-                 "artifact or any scf checkpoint written on the same mesh",
+            help="warm-start the SCF from the density in a result or scf "
+                 "checkpoint written on the same mesh",
         )
         p.add_argument(
             "--checkpoint-every", type=int, default=1, metavar="N",
@@ -564,14 +561,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--anchors", type=int, default=1,
         help="members solved cold at the head of the plan (default: 1)",
-    )
-    p.add_argument(
-        "--serve", default=None, metavar="WORKDIR",
-        help="batch members through the serve runtime in WORKDIR",
-    )
-    p.add_argument(
-        "--workers", type=int, default=2,
-        help="serve worker threads with --serve (default: 2)",
     )
     p.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"

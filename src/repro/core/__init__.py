@@ -7,7 +7,7 @@ from .dos import density_of_states, integrated_dos
 from .energy import EnergyBreakdown, total_energy
 from .forces import RelaxationResult, hellmann_feynman_forces, nonlocal_forces, relax
 from .hamiltonian import Electrostatics, gaussian_self_energy
-from .io import load_initial_rho, save_seed_density
+from .io import load_initial_rho
 from .kerker import KerkerPreconditioner
 from .ksdft import DFTCalculation, auto_mesh, homo_lumo_gap
 from .mixing import AndersonMixer
@@ -62,6 +62,5 @@ __all__ = [
     "projected_hamiltonian",
     "relax",
     "rayleigh_ritz",
-    "save_seed_density",
     "total_energy",
 ]

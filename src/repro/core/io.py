@@ -4,11 +4,9 @@ Production DFT runs at the paper's scale are restartable; this module is the
 laptop-scale equivalent.  Every file is one artifact (:mod:`repro.atomicio`:
 atomic, schema-tagged, digest-checked) whose tree is ``{"kind", "mesh",
 "state"}`` — what the file is, the identity of the mesh it was written on,
-and the writer's state tree.  Five kinds:
+and the writer's state tree.  Four kinds:
 
 * ``result`` — a converged ``SCFResult`` (:func:`save_checkpoint`);
-* ``rho`` — a bare spin density (:func:`save_seed_density`), the warm-start
-  seed the screening driver and the serve runners pass between jobs;
 * ``scf`` / ``invdft`` / ``mlxc`` — *all* loop-carried state of a driver at an
   iteration boundary, so that ``resume_from=`` reproduces the uninterrupted
   run **bit for bit**: beyond density and wavefunctions, the mixer window,
@@ -33,7 +31,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_initial_rho",
-    "save_seed_density",
     "save_scf_state",
     "load_scf_state",
     "save_invdft_state",
@@ -131,34 +128,14 @@ def load_checkpoint(path: str, mesh=None) -> dict:
     return {**state, "n_channels": len(state["channels"])}
 
 
-def save_seed_density(
-    path: str, mesh, rho_spin: np.ndarray, metadata: dict | None = None
-) -> None:
-    """Persist a bare spin density as a warm-start seed artifact.
-
-    Far lighter than a full checkpoint (no wavefunctions, no mixer state).
-    The screening driver's seed store and the serve runners write these for
-    cross-job density reuse.
-    """
-    rho_spin = np.asarray(rho_spin, dtype=float)
-    if rho_spin.shape[0] != mesh.nnodes:
-        raise ValueError(
-            f"rho_spin has {rho_spin.shape[0]} nodes, mesh has {mesh.nnodes}"
-        )
-    _save(
-        path, "rho", _mesh_identity(mesh),
-        {"rho_spin": rho_spin, "metadata": metadata or {}},
-    )
-
-
 def load_initial_rho(path: str, mesh) -> np.ndarray:
-    """The stored spin density of a ``rho``, ``scf`` or ``result`` file, to
-    seed a fresh SCF through ``run(rho0=...)``.
+    """The stored spin density of an ``scf`` or ``result`` file, to seed a
+    fresh SCF through ``run(rho0=...)``.
 
     The mesh is always validated, so a seed from the wrong discretization
     fails loudly instead of producing a silently wrong warm start.
     """
-    state = _load(path, ("rho", "scf", "result"), _mesh_identity(mesh))
+    state = _load(path, ("scf", "result"), _mesh_identity(mesh))
     return np.asarray(state["rho_spin"], dtype=float)
 
 

@@ -219,7 +219,7 @@ class SCFOptions:
     #: the calculation for ``python -m repro resume``)
     checkpoint_metadata: dict | None = None
     #: seed the first SCF iteration from the density stored in this file
-    #: (a seed density, a converged result or a mid-run state;
+    #: (a ``save_checkpoint`` result or a mid-run ``scf`` state;
     #: mesh-validated at load).  An explicit ``run(rho0=...)`` argument
     #: takes precedence.
     initial_rho_path: str | None = None

@@ -1,9 +1,8 @@
 """High-throughput family screening with warm-start reuse (DESIGN.md sec 16).
 
 The paper's applications are parameterized structure families; this
-package turns the solver + serve runtime into a fast *fleet* for
-sweeping them.  A campaign orders a family small-to-large and replaces
-cold superposition starts with reused state: a shared-discretization
+package sweeps one in process.  A campaign orders a family small-to-large
+and replaces cold superposition starts with reused state: a shared-discretization
 setup cache, a nearest-neighbor converged-density seed store, and an ML
 density surrogate trained on the small members — all correctness-
 neutral (seeds change iteration counts, never converged energies).
@@ -23,11 +22,9 @@ from .family import (
     domain_mesh,
     family_domain,
     solute_chain_family,
-    solute_crystal_family,
     structure_descriptor,
 )
 from .seeds import SeedEntry, SeedStore, meshes_match
-from .serve import ScreenJobSpec, run_screen_member
 from .surrogate import DensitySurrogate, node_features
 
 __all__ = [
@@ -37,7 +34,6 @@ __all__ = [
     "FamilyMember",
     "MemberOutcome",
     "ScreenCampaign",
-    "ScreenJobSpec",
     "SeedEntry",
     "SeedStore",
     "StructureFamily",
@@ -47,8 +43,6 @@ __all__ = [
     "family_domain",
     "meshes_match",
     "node_features",
-    "run_screen_member",
     "solute_chain_family",
-    "solute_crystal_family",
     "structure_descriptor",
 ]

@@ -16,12 +16,6 @@ instead of cold:
 4. anything still unseeded falls back to the superposition-of-atomic-
    densities cold start.
 
-Two execution modes share the decision ladder: :meth:`ScreenCampaign.
-run` solves in-process (seeds as in-memory arrays), :meth:`ScreenCampaign.
-run_via_serve` submits members through :mod:`repro.serve` in waves —
-anchors first, then one seeded batch whose ``seed_rho`` hints point at
-density artifacts harvested from the anchor wave.
-
 Correctness is non-negotiable: a seed changes the iteration count,
 never the answer.  ``tests/test_screen.py`` gates every seeded member's
 energy against its cold-start golden value at 1e-12 while demonstrating
@@ -30,22 +24,18 @@ the >= 25% iteration saving.
 
 from __future__ import annotations
 
-import os
-import pathlib
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.atoms.pseudo import AtomicConfiguration
-from repro.core import DFTCalculation, SCFOptions, load_initial_rho
-from repro.core.io import save_seed_density
+from repro.core import DFTCalculation, SCFOptions
 from repro.fem.mesh import Mesh3D
 from repro.obs import Stopwatch, add_counter, trace_region
 
-from .family import FamilyMember, StructureFamily, domain_mesh, family_domain
+from .family import StructureFamily, domain_mesh, family_domain
 from .seeds import SeedStore
-from .serve import SCREEN_SCF_DEFAULTS, ScreenJobSpec
 from .surrogate import DensitySurrogate
 
 __all__ = [
@@ -54,6 +44,18 @@ __all__ = [
     "MemberOutcome",
     "ScreenCampaign",
 ]
+
+#: screening runs tighter than the interactive defaults (``ScreenCampaign``'s
+#: default ``SCFOptions``, keyed by field): the 1e-12
+#: cold-vs-seeded energy gate needs the fixed point pinned well below the
+#: gate and the eigensolver double-filtered (one Chebyshev pass keeps
+#: ~5e-12 of subspace trajectory memory); the Hartree solve is a pure
+#: function of the density, so ``poisson_tol`` only bounds its verified
+#: residual
+SCREEN_SCF_DEFAULTS = dict(
+    max_iterations=300, density_tol=1e-14, energy_tol=1e-14,
+    filter_passes=2, poisson_tol=1e-12,
+)
 
 
 class DiscretizationCache:
@@ -120,13 +122,11 @@ class CampaignReport:
     """What a campaign hands back (and what the benchmark ledger meters)."""
 
     family: str
-    mode: str  #: "inprocess" or "serve"
     outcomes: tuple[MemberOutcome, ...]
     wall_seconds: float
     seed_stats: dict = field(default_factory=dict)
     setup_cache: dict = field(default_factory=dict)
     surrogate_stats: dict = field(default_factory=dict)
-    serve_stats: dict = field(default_factory=dict)
 
     @property
     def total_iterations(self) -> int:
@@ -151,7 +151,6 @@ class CampaignReport:
     def as_dict(self) -> dict[str, Any]:
         return {
             "family": self.family,
-            "mode": self.mode,
             "members": len(self.outcomes),
             "total_iterations": self.total_iterations,
             "seeded_fraction": self.seeded_fraction,
@@ -160,7 +159,6 @@ class CampaignReport:
             "seed_stats": dict(self.seed_stats),
             "setup_cache": dict(self.setup_cache),
             "surrogate_stats": dict(self.surrogate_stats),
-            "serve_stats": dict(self.serve_stats),
             "outcomes": [
                 {
                     "name": o.name,
@@ -205,6 +203,12 @@ class ScreenCampaign:
             raise ValueError("campaigns need at least one cold anchor")
         if xc not in ("lda", "pbe"):
             raise ValueError("xc must be 'lda' or 'pbe'")
+        if not family.isolated:
+            raise ValueError(
+                "screening campaigns need an isolated-system family "
+                "(one shared domain); run periodic cells through "
+                "DFTCalculation directly"
+            )
         self.family = family
         self.xc = xc
         self.degree = int(degree)
@@ -231,33 +235,6 @@ class ScreenCampaign:
         from repro.xc import LDA, PBE
 
         return {"lda": LDA, "pbe": PBE}[self.xc]()
-
-    def _shared_discretization(
-        self,
-    ) -> tuple[Mesh3D, dict[str, AtomicConfiguration]]:
-        lengths, configs = family_domain(self.family, self.padding)
-        mesh = self.setup_cache.get(
-            lengths, self.cells_per_axis, self.degree, self.grading_ratio
-        )
-        return mesh, configs
-
-    def _member_discretization(
-        self, member: FamilyMember
-    ) -> tuple[Mesh3D, AtomicConfiguration]:
-        """Per-member embedding (non-shared families, e.g. periodic)."""
-        cfg = member.config
-        if any(cfg.pbc):
-            raise NotImplementedError(
-                "periodic screening members need per-member auto meshes; "
-                "run them through DFTCalculation directly"
-            )
-        lo = cfg.positions.min(axis=0) - self.padding
-        lengths = (cfg.positions.max(axis=0) + self.padding) - lo
-        mesh = self.setup_cache.get(
-            lengths, self.cells_per_axis, self.degree, self.grading_ratio
-        )
-        shifted = AtomicConfiguration(list(cfg.symbols), cfg.positions - lo)
-        return mesh, shifted
 
     def _surrogate_ready(self) -> bool:
         s = self.surrogate
@@ -296,21 +273,6 @@ class ScreenCampaign:
         add_counter("screen_cold_starts", 1)
         return None, "cold", info
 
-    def _harvest(
-        self,
-        member: FamilyMember,
-        descriptor: np.ndarray,
-        mesh: Mesh3D,
-        config: AtomicConfiguration,
-        rho_spin: np.ndarray,
-        artifact: str | None = None,
-    ) -> None:
-        self.store.put(
-            member.name, descriptor, rho_spin, mesh, artifact=artifact
-        )
-        if self.surrogate is not None:
-            self.surrogate.add_sample(mesh, config, rho_spin)
-
     def _surrogate_dict(self) -> dict[str, Any]:
         s = self.surrogate
         if s is None:
@@ -326,41 +288,39 @@ class ScreenCampaign:
     def run(self) -> CampaignReport:
         """Solve every member in-process, small-to-large."""
         plan = self.family.ordered()
-        shared = self.family.isolated
-        if shared:
-            mesh, configs = self._shared_discretization()
+        lengths, configs = family_domain(self.family, self.padding)
+        mesh = self.setup_cache.get(
+            lengths, self.cells_per_axis, self.degree, self.grading_ratio
+        )
         watch = Stopwatch()
         outcomes: list[MemberOutcome] = []
         with trace_region(
             "screen.campaign", family=self.family.name, members=len(plan)
         ):
             for rank, member in enumerate(plan):
-                if shared:
-                    m_mesh, config = mesh, configs[member.name]
-                    if rank > 0:
-                        # every member after the first reuses the shared
-                        # discretization — count it like a cache hit
-                        self.setup_cache.hits += 1
-                        add_counter("screen_setup_cache_hits", 1)
-                else:
-                    m_mesh, config = self._member_discretization(member)
+                config = configs[member.name]
+                if rank > 0:
+                    # every member after the first reuses the shared
+                    # discretization — count it like a cache hit
+                    self.setup_cache.hits += 1
+                    add_counter("screen_setup_cache_hits", 1)
                 descriptor = member.descriptor()
                 seed, source, info = self._choose_seed(
-                    rank, descriptor, m_mesh, config
+                    rank, descriptor, mesh, config
                 )
                 with trace_region(
                     "screen.member", member=member.name, seed=source
                 ):
                     calc = DFTCalculation(
-                        config, xc=self._xc(), mesh=m_mesh,
+                        config, xc=self._xc(), mesh=mesh,
                         options=self.options,
                     )
                     with calc:
                         res = calc.run(rho0=seed)
                 add_counter("screen_scf_iterations", res.n_iterations)
-                self._harvest(
-                    member, descriptor, m_mesh, config, res.rho_spin
-                )
+                self.store.put(member.name, descriptor, res.rho_spin, mesh)
+                if self.surrogate is not None:
+                    self.surrogate.add_sample(mesh, config, res.rho_spin)
                 outcomes.append(
                     MemberOutcome(
                         name=member.name,
@@ -376,163 +336,9 @@ class ScreenCampaign:
                 )
         return CampaignReport(
             family=self.family.name,
-            mode="inprocess",
             outcomes=tuple(outcomes),
             wall_seconds=watch.elapsed(),
             seed_stats=self.store.stats.as_dict(),
             setup_cache=self.setup_cache.as_dict(),
             surrogate_stats=self._surrogate_dict(),
         )
-
-    # ------------------------------------------------------------------
-    def run_via_serve(
-        self,
-        workdir: str | os.PathLike,
-        *,
-        workers: int = 2,
-        total_ranks: int = 8,
-        backend: str = "serial",
-        cache: Any = None,
-    ) -> CampaignReport:
-        """Batch the family through :mod:`repro.serve` in seeded waves.
-
-        Wave 1 submits the cold anchors; their converged densities come
-        back as on-disk artifacts (``SchedulerPolicy.artifact_dir``).
-        Wave 2 submits everything else as one batch, each request
-        carrying a ``seed_rho`` hint — the nearest anchor's artifact, or
-        a surrogate prediction written as a fresh seed file.  Seeds ride
-        on the request, never in the spec, so the jobs' content
-        addresses (cache keys) are identical to a cold campaign's.
-        """
-        from repro.serve import ResultCache, SchedulerPolicy, ServeRequest
-        from repro.serve.server import run_jobs
-
-        if not self.family.isolated:
-            raise NotImplementedError(
-                "serve campaigns require an isolated-system family "
-                "(shared domain)"
-            )
-        root = pathlib.Path(workdir)
-        artifact_dir = root / "artifacts"
-        seed_dir = root / "seeds"
-        policy = SchedulerPolicy(
-            total_ranks=total_ranks, backend=backend,
-            artifact_dir=str(artifact_dir),
-        )
-        cache = cache if cache is not None else ResultCache(root / "cache")
-        mesh, configs = self._shared_discretization()
-        lengths = mesh.lengths
-        plan = self.family.ordered()
-
-        def _spec(member: FamilyMember) -> ScreenJobSpec:
-            cfg = configs[member.name]
-            return ScreenJobSpec(
-                family=self.family.name,
-                member=member.name,
-                symbols=tuple(cfg.symbols),
-                positions=tuple(
-                    tuple(float(x) for x in p) for p in cfg.positions
-                ),
-                domain=tuple(float(x) for x in lengths),
-                xc=self.xc,
-                degree=self.degree,
-                cells=self.cells_per_axis,
-                grading_ratio=self.grading_ratio,
-                max_scf=self.options.max_iterations,
-                density_tol=self.options.density_tol,
-                energy_tol=self.options.energy_tol,
-                filter_passes=self.options.filter_passes,
-                poisson_tol=self.options.poisson_tol,
-            )
-
-        n_anchor = min(self.n_anchors, len(plan)) if self.seeding else len(plan)
-        watch = Stopwatch()
-        waves = [plan[:n_anchor], plan[n_anchor:]]
-        outcomes: list[MemberOutcome] = []
-        serve_walls: list[float] = []
-        sources: dict[str, tuple[str, dict]] = {}
-        for wave_idx, wave in enumerate(w for w in waves if w):
-            requests = []
-            for member in wave:
-                seed_path, source, info = (None, "cold", {"reason": "anchor"})
-                if wave_idx > 0:
-                    seed_path, source, info = self._serve_seed(
-                        member, mesh, configs[member.name], seed_dir
-                    )
-                sources[member.name] = (source, info)
-                requests.append(
-                    ServeRequest(spec=_spec(member), seed_rho=seed_path)
-                )
-            report = run_jobs(
-                requests, workdir=root, policy=policy, workers=workers,
-                cache=cache,
-            )
-            serve_walls.append(report.wall_seconds)
-            for member, job in zip(wave, report.jobs):
-                payload = job.result or {}
-                if job.error is not None:
-                    raise RuntimeError(
-                        f"screen member {member.name} failed: {job.error}"
-                    )
-                source, info = sources[member.name]
-                outcomes.append(
-                    MemberOutcome(
-                        name=member.name,
-                        params=dict(member.params),
-                        n_electrons=int(member.config.n_electrons),
-                        energy=float(payload["energy"]),
-                        free_energy=float(payload["free_energy"]),
-                        iterations=int(payload["n_iterations"]),
-                        converged=bool(payload["converged"]),
-                        seed_source=source,
-                        seed_info=info,
-                    )
-                )
-                artifact = payload.get("artifact")
-                if artifact is not None and wave_idx == 0:
-                    rho = load_initial_rho(artifact, mesh)
-                    self._harvest(
-                        member, member.descriptor(), mesh,
-                        configs[member.name], rho, artifact=artifact,
-                    )
-        order = {m.name: i for i, m in enumerate(plan)}
-        outcomes.sort(key=lambda o: order[o.name])
-        return CampaignReport(
-            family=self.family.name,
-            mode="serve",
-            outcomes=tuple(outcomes),
-            wall_seconds=watch.elapsed(),
-            seed_stats=self.store.stats.as_dict(),
-            setup_cache=self.setup_cache.as_dict(),
-            surrogate_stats=self._surrogate_dict(),
-            serve_stats={
-                "waves": len(serve_walls),
-                "serve_wall_seconds": sum(serve_walls),
-            },
-        )
-
-    def _serve_seed(
-        self,
-        member: FamilyMember,
-        mesh: Mesh3D,
-        config: AtomicConfiguration,
-        seed_dir: pathlib.Path,
-    ) -> tuple[str | None, str, dict]:
-        """Pick a seed *path* for a served member (artifact or written)."""
-        descriptor = member.descriptor()
-        rho, source, info = self._choose_seed(
-            self.n_anchors, descriptor, mesh, config
-        )
-        if rho is None:
-            return None, "cold", info
-        if source == "neighbor" and info.get("artifact"):
-            # the neighbor's converged density already exists on disk —
-            # hand its artifact straight to the runner
-            return str(info["artifact"]), source, info
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        path = seed_dir / f"{member.name}.rho.npz"
-        save_seed_density(
-            str(path), mesh, rho,
-            metadata={"member": member.name, "source": source},
-        )
-        return str(path), source, info

@@ -34,7 +34,6 @@ __all__ = [
     "domain_mesh",
     "family_domain",
     "solute_chain_family",
-    "solute_crystal_family",
     "structure_descriptor",
 ]
 
@@ -174,9 +173,8 @@ def domain_mesh(
     """Mesh over a fixed domain, graded toward the domain center.
 
     Deterministic in its arguments alone (no per-structure grading), so
-    the in-process campaign, the serve runner and the ``--initial-rho``
-    CLI all reconstruct bit-identical meshes from the same numbers —
-    the property that makes seed densities portable across processes.
+    the same numbers always rebuild a bit-identical mesh — the property
+    that makes seed densities transfer between members as bitwise copies.
     """
     if isinstance(cells_per_axis, int):
         cells_per_axis = (cells_per_axis,) * 3
@@ -277,38 +275,3 @@ def solute_chain_family(
         name=f"{host}{n}-{solute}-sweep", members=tuple(members)
     )
 
-
-def solute_crystal_family(
-    solute: str = "Y",
-    reps: tuple[int, int, int] = (1, 1, 1),
-    counts: Sequence[int] = (0, 1, 2),
-    seed: int = 0,
-) -> StructureFamily:
-    """Mg supercells at increasing solute concentration (composition axis).
-
-    Built on the :mod:`repro.materials` substrate (HCP lattice +
-    supercell + seeded substitution) — the family shape of the paper's
-    Mg–Y alloy study.  Periodic members, so campaigns discretize them
-    per-member instead of through a shared domain.
-    """
-    from repro.materials import hcp_orthorhombic, substitute_solutes, supercell
-
-    lattice, symbols, frac = hcp_orthorhombic()
-    base = supercell(lattice, symbols, frac, reps)
-    members = []
-    for count in counts:
-        count = int(count)
-        cfg = (
-            base
-            if count == 0
-            else substitute_solutes(base, solute, count, seed=seed)
-        )
-        members.append(
-            FamilyMember(
-                name=f"Mg{len(base.symbols)}-{solute}{count}", config=cfg,
-                params={"count": count, "seed": int(seed)},
-            )
-        )
-    return StructureFamily(
-        name=f"Mg-{solute}-concentration", members=tuple(members)
-    )

@@ -16,8 +16,7 @@ in descriptor space.  Three outcomes:
 
 A seed only shapes the SCF *trajectory*, never its fixed point: the
 solver still converges to the member's own ground state (the golden
-tests pin cold-vs-seeded energies to 1e-12).  That is why seed identity
-deliberately stays out of serve cache keys.
+tests pin cold-vs-seeded energies to 1e-12).
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ class SeedEntry:
     descriptor: np.ndarray
     rho_spin: np.ndarray
     mesh: Mesh3D
-    #: optional on-disk artifact holding the same density (serve mode
-    #: hands this path to remote runners instead of shipping the array)
-    artifact: str | None = None
     index: int = 0  #: insertion order (the deterministic tie-break)
 
 
@@ -120,7 +116,6 @@ class SeedStore:
         descriptor: np.ndarray,
         rho_spin: np.ndarray,
         mesh: Mesh3D,
-        artifact: str | None = None,
     ) -> SeedEntry:
         """Deposit a converged density (stored as a private copy)."""
         entry = SeedEntry(
@@ -128,7 +123,6 @@ class SeedStore:
             descriptor=np.asarray(descriptor, dtype=float).copy(),
             rho_spin=np.asarray(rho_spin, dtype=float).copy(),
             mesh=mesh,
-            artifact=artifact,
             index=len(self.entries),
         )
         self.entries.append(entry)
@@ -183,8 +177,7 @@ class SeedStore:
                 "source": None, "reason": "ood",
                 "neighbor": entry.key, "distance": dist,
             }
-        info = {"neighbor": entry.key, "distance": dist,
-                "artifact": entry.artifact}
+        info = {"neighbor": entry.key, "distance": dist}
         if meshes_match(entry.mesh, mesh):
             self.stats.hits_exact += 1
             info["source"] = "exact"

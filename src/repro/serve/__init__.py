@@ -1,17 +1,21 @@
 """repro.serve — async simulation-as-a-service runtime.
 
-The serving layer of the reproduction (ROADMAP item 1): long-running
-solver pipelines (SCF, band structures, inverse DFT, MLXC training)
+The serving layer of the reproduction (ROADMAP item 1): requests
 become *jobs* — serializable, content-addressed request specs — flowing
 through a priority queue, a preemptive rank-packing scheduler and a
-disk-backed result cache:
+disk-backed result cache.  Two job kinds:
+
+==========  ===========================================================
+``scf``     ground-state SCF of a library molecule (sliceable)
+``probe``   synthetic deterministic workload for load generation
+==========  ===========================================================
 
 * :mod:`repro.serve.jobs` — frozen spec dataclasses, canonical JSON,
   SHA-256 job keys;
 * :mod:`repro.serve.queue` — the per-job state machine and the
   thread-safe priority heap (priority, earliest deadline, arrival);
-* :mod:`repro.serve.scheduler` — rank budgets sized like a
-  ``VirtualCluster``, time slices, deadline expiry;
+* :mod:`repro.serve.scheduler` — rank budgets, time slices, deadline
+  expiry;
 * :mod:`repro.serve.cache` — self-verifying content-addressed results,
   atomic writes;
 * :mod:`repro.serve.runners` — one slice of driver work per call,
@@ -27,14 +31,10 @@ CLI: ``python -m repro serve --jobs 100 --workers 4``.
 from .cache import CacheStats, ResultCache
 from .jobs import (
     JOB_TYPES,
-    BandsJobSpec,
-    InvDFTJobSpec,
     JobSpec,
-    MLXCTrainJobSpec,
     ProbeJobSpec,
     SCFJobSpec,
     canonical_json,
-    register_job_type,
     spec_from_dict,
 )
 from .loadgen import probe_load, scf_load
@@ -52,15 +52,12 @@ from .server import (
 __all__ = [
     "JOB_TYPES",
     "RUNNERS",
-    "BandsJobSpec",
     "CacheStats",
-    "InvDFTJobSpec",
     "Job",
     "JobQueue",
     "JobSpec",
     "JobState",
     "JobStateError",
-    "MLXCTrainJobSpec",
     "ProbeJobSpec",
     "RankBudget",
     "ResultCache",
@@ -75,7 +72,6 @@ __all__ = [
     "SliceOutcome",
     "canonical_json",
     "probe_load",
-    "register_job_type",
     "run_jobs",
     "run_slice",
     "scf_load",

@@ -9,22 +9,19 @@ physics are the same job, byte for byte, across processes and sessions;
 this extends the checksum discipline of the PR 1 model-artifact guard to
 the request path.
 
-Spec kinds mirror the repository's long-running drivers:
+Two closed spec kinds:
 
 ==========  ===========================================================
 ``scf``     ground-state SCF of a library molecule (sliceable: the
             scheduler may preempt it at checkpointed iteration
             boundaries and resume later, bit for bit)
-``bands``   SCF plus a frozen-potential band structure along a k-path
-``invdft``  QMB reference + inverse-DFT exact-XC-potential extraction
-``mlxc``    invDFT training-set build + MLXC functional training
 ``probe``   synthetic deterministic workload (seeded numpy iteration)
             for load generation and runtime benchmarks — exercises the
             queue/scheduler/cache machinery without solver cost
 ==========  ===========================================================
 
-Register a new kind by decorating a frozen dataclass subclass of
-:class:`JobSpec` with :func:`register_job_type`.
+:data:`JOB_TYPES` maps each kind to its spec class; :func:`spec_from_dict`
+rebuilds a spec from its envelope through it.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, ClassVar, Iterator, Mapping, TypeVar
+from typing import Any, ClassVar, Iterator, Mapping
 
 from repro.atoms.library import MOLECULE_LIBRARY
 
@@ -42,22 +39,13 @@ __all__ = [
     "JOB_TYPES",
     "JobSpec",
     "SCFJobSpec",
-    "BandsJobSpec",
-    "InvDFTJobSpec",
-    "MLXCTrainJobSpec",
     "ProbeJobSpec",
     "canonical_json",
-    "register_job_type",
     "spec_from_dict",
 ]
 
 #: schema tag of the serialized job envelope
 JOB_SPEC_SCHEMA = "repro-serve-job/1"
-
-#: registered spec classes, keyed by ``kind``
-JOB_TYPES: dict[str, type["JobSpec"]] = {}
-
-_S = TypeVar("_S", bound="type[JobSpec]")
 
 
 def _normalize(value: Any) -> Any:
@@ -113,16 +101,6 @@ class JobSpec:
         return hashlib.sha256(blob).hexdigest()
 
 
-def register_job_type(cls: _S) -> _S:
-    """Class decorator adding a spec class to :data:`JOB_TYPES`."""
-    if not cls.kind:
-        raise ValueError(f"{cls.__name__} must set a non-empty kind")
-    if cls.kind in JOB_TYPES:
-        raise ValueError(f"duplicate job kind {cls.kind!r}")
-    JOB_TYPES[cls.kind] = cls
-    return cls
-
-
 def spec_from_dict(data: Mapping[str, Any]) -> JobSpec:
     """Rebuild a spec from its :meth:`JobSpec.to_dict` envelope.
 
@@ -144,39 +122,24 @@ def spec_from_dict(data: Mapping[str, Any]) -> JobSpec:
     unknown = sorted(set(params) - names)
     if unknown:
         raise ValueError(f"unknown {kind} spec parameters {unknown}")
-    kwargs = {k: _listify(cls, k, v) for k, v in params.items()}
-    spec = cls(**kwargs)
+    spec = cls(**params)
     spec.validate()
     return spec
-
-
-def _listify(cls: type[JobSpec], name: str, value: Any) -> Any:
-    """JSON lists back to tuples where the field is tuple-typed."""
-    field = next(f for f in dataclasses.fields(cls) if f.name == name)
-    ann = str(field.type)
-    if isinstance(value, list) and "tuple" in ann:
-        return tuple(
-            tuple(v) if isinstance(v, list) else v for v in value
-        )
-    return value
 
 
 # ---------------------------------------------------------------------------
 _XC_CHOICES = ("lda", "pbe")
 
 
-def _check_scf_params(
-    spec: "SCFJobSpec | BandsJobSpec | InvDFTJobSpec",
-) -> Iterator[str]:
+def _check_scf_params(spec: "SCFJobSpec") -> Iterator[str]:
     if spec.molecule not in MOLECULE_LIBRARY:
         yield f"unknown molecule {spec.molecule!r}"
-    if getattr(spec, "xc", "lda") not in _XC_CHOICES:
+    if spec.xc not in _XC_CHOICES:
         yield f"xc must be one of {_XC_CHOICES}"
     if spec.degree < 1 or spec.cells < 2:
         yield "mesh needs degree >= 1 and cells >= 2"
 
 
-@register_job_type
 @dataclass(frozen=True)
 class SCFJobSpec(JobSpec):
     """Ground-state SCF of a library molecule.
@@ -206,92 +169,6 @@ class SCFJobSpec(JobSpec):
             raise ValueError(f"invalid scf spec: {'; '.join(problems)}")
 
 
-@register_job_type
-@dataclass(frozen=True)
-class BandsJobSpec(JobSpec):
-    """SCF plus a frozen-potential band structure along one k-path."""
-
-    kind: ClassVar[str] = "bands"
-
-    molecule: str = "H2"
-    xc: str = "lda"
-    degree: int = 3
-    cells: int = 3
-    padding: float = 6.0
-    max_scf: int = 40
-    k_start: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    k_end: tuple[float, float, float] = (0.5, 0.0, 0.0)
-    n_kpoints: int = 3
-    nbands: int = 4
-    ranks: int = 1
-
-    def validate(self) -> None:
-        super().validate()
-        problems = list(_check_scf_params(self))
-        if self.n_kpoints < 2:
-            problems.append("a k-path needs at least two points")
-        if self.nbands < 1:
-            problems.append("nbands must be >= 1")
-        if problems:
-            raise ValueError(f"invalid bands spec: {'; '.join(problems)}")
-
-
-@register_job_type
-@dataclass(frozen=True)
-class InvDFTJobSpec(JobSpec):
-    """QMB (FCI) reference plus inverse-DFT exact-XC extraction."""
-
-    kind: ClassVar[str] = "invdft"
-
-    molecule: str = "H2"
-    degree: int = 2
-    cells: int = 3
-    max_iterations: int = 30
-    minres_tol: float = 1e-6
-    minres_maxiter: int = 150
-    eta: float = 2.0
-    ranks: int = 2
-
-    def validate(self) -> None:
-        super().validate()
-        problems = list(_check_scf_params(self))
-        if self.max_iterations < 1:
-            problems.append("max_iterations must be >= 1")
-        if problems:
-            raise ValueError(f"invalid invdft spec: {'; '.join(problems)}")
-
-
-@register_job_type
-@dataclass(frozen=True)
-class MLXCTrainJobSpec(JobSpec):
-    """invDFT training-set build + MLXC functional training."""
-
-    kind: ClassVar[str] = "mlxc"
-
-    molecules: tuple[str, ...] = ("H2",)
-    degree: int = 2
-    cells: int = 3
-    invdft_iterations: int = 30
-    epochs: int = 50
-    lr: float = 2e-3
-    seed: int = 0
-    ranks: int = 2
-
-    def validate(self) -> None:
-        super().validate()
-        problems = []
-        if not self.molecules:
-            problems.append("needs at least one training molecule")
-        unknown = [m for m in self.molecules if m not in MOLECULE_LIBRARY]
-        if unknown:
-            problems.append(f"unknown molecules {unknown}")
-        if self.epochs < 1:
-            problems.append("epochs must be >= 1")
-        if problems:
-            raise ValueError(f"invalid mlxc spec: {'; '.join(problems)}")
-
-
-@register_job_type
 @dataclass(frozen=True)
 class ProbeJobSpec(JobSpec):
     """Synthetic deterministic workload for load generation.
@@ -312,3 +189,9 @@ class ProbeJobSpec(JobSpec):
         super().validate()
         if self.size < 1 or self.iters < 0:
             raise ValueError("probe spec needs size >= 1 and iters >= 0")
+
+
+#: the spec class of each kind
+JOB_TYPES: dict[str, type[JobSpec]] = {
+    SCFJobSpec.kind: SCFJobSpec, ProbeJobSpec.kind: ProbeJobSpec,
+}

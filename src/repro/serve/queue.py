@@ -102,11 +102,6 @@ class Job:
     cache_hit: bool = False
     coalesced_into: int | None = None
     cancel_requested: bool = False
-    #: warm-start hint: path of a checkpoint whose density seeds this
-    #: job's first SCF iteration.  Scheduling metadata like ``priority``
-    #: — it shapes the trajectory's length, never its fixed point, so it
-    #: is deliberately NOT part of the spec (cache keys stay seed-free).
-    seed_rho: str | None = None
     allocated_ranks: tuple[int, ...] = ()
     followers: list["Job"] = field(default_factory=list)
 

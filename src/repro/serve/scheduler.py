@@ -4,9 +4,7 @@ The scheduler owns the admission decisions of the serve runtime:
 
 * **Rank packing** — jobs declare how many virtual-cluster ranks they
   occupy (``spec.ranks``); the :class:`RankBudget` hands out explicit
-  rank-id sets from a fixed pool (sized like an
-  :class:`repro.hpc.cluster.VirtualCluster` — see
-  :meth:`RankBudget.for_cluster`) and a job is dispatched only when its
+  rank-id sets from a fixed pool and a job is dispatched only when its
   ranks fit, first-fit in queue order.  Narrow jobs may overtake a wide
   job that does not currently fit; the wide job keeps its queue position.
 
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import Any
 
 from .queue import Job, JobQueue, JobState
 from .runners import SliceContext
@@ -48,10 +45,6 @@ class SchedulerPolicy:
     #: (real shared-memory rank processes).  Policy-level, not part of
     #: job specs, so cache keys stay backend-independent.
     backend: str = "serial"
-    #: directory where runners persist converged-density artifacts for
-    #: warm-start harvesting (None = no artifacts).  Policy-level like
-    #: ``backend``: artifact placement never enters a job's identity.
-    artifact_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.total_ranks < 1:
@@ -70,11 +63,6 @@ class RankBudget:
             raise ValueError("a rank budget needs at least one rank")
         self.total = int(total)
         self._free: set[int] = set(range(self.total))
-
-    @classmethod
-    def for_cluster(cls, cluster: Any) -> "RankBudget":
-        """Budget sized to a ``VirtualCluster`` (its realized ``nranks``)."""
-        return cls(int(cluster.nranks))
 
     @property
     def free(self) -> int:
@@ -166,8 +154,6 @@ class Scheduler:
             checkpoint_path=checkpoint,
             backend=self.policy.backend,
             ranks=max(1, int(getattr(job.spec, "ranks", 1))),
-            seed_rho=job.seed_rho,
-            artifact_dir=self.policy.artifact_dir,
         )
 
     def release(self, job: Job) -> None:

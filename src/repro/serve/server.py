@@ -5,8 +5,8 @@ answers repeats from the content-addressed :class:`~repro.serve.cache.
 ResultCache` without touching a solver, coalesces duplicate in-flight
 specs onto one primary job, and dispatches everything else through the
 preemptive :class:`~repro.serve.scheduler.Scheduler` onto a
-``ThreadPoolExecutor`` whose threads drive the existing SCF / bands /
-invDFT / MLXC drivers one slice at a time.
+``ThreadPoolExecutor`` whose threads drive the SCF driver (or the
+synthetic probe) one slice at a time.
 
 Threading discipline (what a ``REPRO_SANITIZE=1`` run proves):
 
@@ -60,9 +60,6 @@ class ServeRequest:
     spec: JobSpec
     priority: int = 0
     deadline: float | None = None
-    #: warm-start hint: checkpoint path whose density seeds the first
-    #: SCF iteration (see ``Job.seed_rho``; not part of the cache key)
-    seed_rho: str | None = None
 
 
 @dataclass
@@ -174,7 +171,6 @@ class SimulationServer:
         *,
         priority: int = 0,
         deadline: float | None = None,
-        seed_rho: str | None = None,
     ) -> Job:
         """Validate, cache-check, coalesce or enqueue one request.
 
@@ -191,7 +187,6 @@ class SimulationServer:
             priority=priority,
             deadline=deadline,
             submitted_at=self._now(),
-            seed_rho=seed_rho,
         )
         self._jobs[job.job_id] = job
         self._events[job.job_id] = asyncio.Event()
@@ -230,10 +225,7 @@ class SimulationServer:
         self, requests: Iterable[ServeRequest]
     ) -> list[Job]:
         return [
-            await self.submit(
-                r.spec, priority=r.priority, deadline=r.deadline,
-                seed_rho=r.seed_rho,
-            )
+            await self.submit(r.spec, priority=r.priority, deadline=r.deadline)
             for r in requests
         ]
 

@@ -1,7 +1,7 @@
 """Persisted artifacts: one corruption matrix, one round-trip property.
 
 Every file the package writes — SCF / invDFT / MLXC loop state, converged
-results, seed densities, MLP weights, cache entries — goes
+results, MLP weights, cache entries — goes
 through ``repro.atomicio.write_artifact`` and comes back through
 ``read_artifact``.  So the questions "what happens to a damaged file" and
 "does everything survive a round trip" are asked once, here, of every kind:
@@ -47,7 +47,6 @@ from repro.core.io import (
     save_invdft_state,
     save_mlxc_state,
     save_scf_state,
-    save_seed_density,
 )
 from repro.fem.mesh import uniform_mesh
 from repro.ml.nn import MLP
@@ -122,14 +121,6 @@ def _write_result(tmp: pathlib.Path, seed: int) -> pathlib.Path:
     return path
 
 
-def _write_rho(tmp: pathlib.Path, seed: int) -> pathlib.Path:
-    mesh = _mesh()
-    path = tmp / "seed.rho.npz"
-    rho = np.random.default_rng(seed).random((mesh.nnodes, 2))
-    save_seed_density(str(path), mesh, rho, metadata={"member": "x"})
-    return path
-
-
 def _write_weights(tmp: pathlib.Path, seed: int) -> pathlib.Path:
     path = tmp / "net.npz"
     MLP((3, 4, 1), seed=seed).save(str(path))
@@ -163,7 +154,8 @@ KINDS = [
     Kind("mlxc", STATE_SCHEMA, _write_mlxc, lambda p: load_mlxc_state(p, n_params=17)),
     Kind("result", STATE_SCHEMA, _write_result,
          lambda p: load_checkpoint(p, _mesh()), lambda p: load_checkpoint(p, _mesh(3))),
-    Kind("rho", STATE_SCHEMA, _write_rho,
+    # the warm-start reader, over a result file
+    Kind("rho", STATE_SCHEMA, _write_result,
          lambda p: load_initial_rho(p, _mesh()), lambda p: load_initial_rho(p, _mesh(3))),
     Kind("weights", MLP.WEIGHTS_SCHEMA, _write_weights, MLP.load),
     Kind("cache", CACHE_SCHEMA, _write_cache, lambda p: read_artifact(p, CACHE_SCHEMA)),
@@ -253,10 +245,10 @@ def test_damaged_artifact_is_refused_at_the_reader(kind, damage, tmp_path):
 
 @pytest.mark.parametrize("kind", STATE_KINDS, ids=repr)
 def test_a_file_of_another_kind_is_refused(kind, tmp_path):
-    """All five ``repro-state`` kinds share one schema; the kind is checked
+    """All four ``repro-state`` kinds share one schema; the kind is checked
     on top of it.  (For weights and cache entries another kind *is*
     another schema — the ``wrong_schema`` column above.)"""
-    other = _write_mlxc if kind.name != "mlxc" else _write_rho
+    other = _write_mlxc if kind.name != "mlxc" else _write_result
     err = _refusal(kind.read, other(tmp_path, 0))
     assert err.reason == "wrong kind"
 
@@ -270,7 +262,7 @@ def test_a_file_from_another_mesh_is_refused(kind, tmp_path):
 
 
 def test_initial_rho_comes_from_any_file_that_holds_a_density(tmp_path):
-    for write in (_write_rho, _write_scf, _write_result):
+    for write in (_write_scf, _write_result):
         path = write(tmp_path, 3)
         rho = load_initial_rho(str(path), _mesh())
         assert rho.shape == (_mesh().nnodes, 2) and rho.dtype == float
@@ -496,7 +488,7 @@ def test_cli_resume_from_a_bad_file_prints_one_line_and_exits_2(
 def test_cli_resume_from_the_wrong_kind_of_file(tmp_path, capsys):
     from repro.__main__ import main
 
-    path = _write_rho(tmp_path, 0)
+    path = _write_result(tmp_path, 0)
     assert main(["resume", str(path)]) == 2
     assert "wrong kind" in _one_line(capsys, path)
 

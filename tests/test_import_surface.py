@@ -182,6 +182,22 @@ LAZY_PACKAGES = {
     "repro.tools": ["ContractViolation", "dtype_contract", "shape_contract"],
     #: not lazy — one plain module, kept for the ledger's ``host_fingerprint``
     "repro.tune": ["blas_vendor", "host_fingerprint"],
+    #: not lazy — screening runs in process only (no job kind, no seed files)
+    "repro.screen": [
+        "CampaignReport", "DensitySurrogate", "DiscretizationCache", "FamilyMember",
+        "MemberOutcome", "ScreenCampaign", "SeedEntry", "SeedStore", "StructureFamily",
+        "chain_family", "dimer_family", "domain_mesh", "family_domain", "meshes_match",
+        "node_features", "solute_chain_family", "structure_descriptor",
+    ],
+    #: not lazy — two job kinds (``scf``, ``probe``) in literal tables
+    "repro.serve": [
+        "CacheStats", "JOB_TYPES", "Job", "JobQueue", "JobSpec", "JobState",
+        "JobStateError", "ProbeJobSpec", "RUNNERS", "RankBudget", "ResultCache",
+        "SCFJobSpec", "Scheduler", "SchedulerPolicy", "ServeReport", "ServeRequest",
+        "ServerStats", "SimulationServer", "SliceContext", "SliceOutcome",
+        "canonical_json", "probe_load", "run_jobs", "run_slice", "scf_load",
+        "spec_from_dict",
+    ],
 }
 
 

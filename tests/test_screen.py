@@ -4,28 +4,29 @@ Covers the screening subsystem end to end — family builders and the
 shared-domain embedding, deterministic nearest-neighbor seed selection,
 bitwise matching-mesh seed transfer, interpolated cross-mesh transfer,
 out-of-distribution refusal, the ML density surrogate's training and
-refusal ladder, seed-density artifacts (``save_seed_density`` /
+refusal ladder, seeding from a saved density (``save_checkpoint`` /
 ``load_initial_rho`` / ``SCFOptions.initial_rho_path``), the golden
-cold-vs-seeded 1e-12 energy agreement, the in-process and serve
-campaign modes, the
-``python -m repro screen`` / ``scf --initial-rho`` CLIs, and the seeding
-gates over the serve runtime (>= 25 % fewer SCF iterations, energies within
-1e-12 Ha of the cold pass).
+cold-vs-seeded 1e-12 energy agreement, the campaign and its input checks,
+the ``python -m repro screen`` / ``scf --initial-rho`` CLIs, and the
+seeding gates (>= 25 % fewer SCF iterations, energies within 1e-12 Ha of
+the cold pass).
 """
 
 import json
+import types
 
 import numpy as np
 import pytest
 
 from repro.atoms.pseudo import AtomicConfiguration
-from repro.core import DFTCalculation, SCFOptions, save_seed_density
-from repro.core.io import load_initial_rho
+from repro.core import DFTCalculation, SCFOptions
+from repro.core.io import load_initial_rho, save_checkpoint
 from repro.screen import (
     DensitySurrogate,
+    FamilyMember,
     ScreenCampaign,
-    ScreenJobSpec,
     SeedStore,
+    StructureFamily,
     chain_family,
     dimer_family,
     domain_mesh,
@@ -34,7 +35,6 @@ from repro.screen import (
     node_features,
     structure_descriptor,
 )
-from repro.serve import ResultCache, spec_from_dict
 from repro.xc import LDA
 
 #: the verified screening numerics: tight tolerances, double-filtered
@@ -227,8 +227,14 @@ def test_seed_density_round_trip_and_mesh_validation(tmp_path):
     mesh = domain_mesh((6.0,) * 3, 2, 2)
     rng = np.random.default_rng(5)
     rho = np.abs(rng.normal(size=(mesh.nnodes, 2)))
-    path = str(tmp_path / "seed.rho.npz")
-    save_seed_density(path, mesh, rho, metadata={"member": "x"})
+    # what save_checkpoint reads of an SCFResult, holding that density
+    result = types.SimpleNamespace(
+        converged=True, energy=-1.0, free_energy=-1.0, fermi_level=0.0,
+        rho_spin=rho, v_tot=rho[:, 0], v_xc_spin=rho, channels=[],
+        eigenvalues=[], occupations=[],
+    )
+    path = str(tmp_path / "seed.npz")
+    save_checkpoint(path, mesh, result)
     np.testing.assert_array_equal(load_initial_rho(path, mesh), rho)
 
     other = domain_mesh((6.0,) * 3, 2, 3)
@@ -247,8 +253,8 @@ def test_initial_rho_path_matches_in_memory_seed(tmp_path):
         shifted["H2-b1.300"], xc=LDA(), mesh=mesh, options=base
     ) as calc:
         donor = calc.run()
-    path = str(tmp_path / "donor.rho.npz")
-    save_seed_density(path, mesh, donor.rho_spin)
+    path = str(tmp_path / "donor.npz")
+    save_checkpoint(path, mesh, donor)
 
     with DFTCalculation(
         shifted["H2-b1.450"], xc=LDA(), mesh=mesh, options=base
@@ -315,48 +321,11 @@ def test_golden_neighbor_seeded_h2o_matches_cold_energy():
 
 
 # ---------------------------------------------------------------------------
-# the serve job spec
-# ---------------------------------------------------------------------------
-def test_screen_spec_round_trip_and_validation():
-    spec = ScreenJobSpec(
-        family="f", member="m", symbols=("H", "H"),
-        positions=((5.0, 5.0, 5.0), (6.4, 5.0, 5.0)),
-        domain=(11.4, 10.0, 10.0),
-    )
-    again = spec_from_dict(spec.to_dict())
-    assert again == spec and again.job_key() == spec.job_key()
-    # one declaration (``SCREEN_SCF_DEFAULTS``) feeds the spec's defaults and
-    # the campaign's: the default content address and options are pinned
-    assert ScreenJobSpec().job_key() == (
-        "e44ac4a55fe1e94d996155d4d7fc60b0d270c259291ca75ba2501bbeefb29a78"
-    )
-    assert ScreenCampaign(dimer_family()).options == SCFOptions(
-        max_iterations=300, density_tol=1e-14, energy_tol=1e-14,
-        filter_passes=2, poisson_tol=1e-12,
-    )
-
-    with pytest.raises(ValueError, match="outside the domain"):
-        ScreenJobSpec(
-            symbols=("H",), positions=((99.0, 0.0, 0.0),),
-            domain=(10.0, 10.0, 10.0),
-        ).validate()
-    with pytest.raises(ValueError, match="filter_passes"):
-        ScreenJobSpec(filter_passes=0).validate()
-
-
-def test_seed_hint_is_not_part_of_the_content_address():
-    from repro.serve import ServeRequest
-
-    spec = ScreenJobSpec()
-    a = ServeRequest(spec=spec)
-    b = ServeRequest(spec=spec, seed_rho="/tmp/some-seed.npz")
-    assert a.spec.job_key() == b.spec.job_key()
-
-
-# ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------
 def test_campaign_inprocess_seeded_matches_cold_goldens():
+    # the goldens below hold at the screening numerics, the default options
+    assert ScreenCampaign(dimer_family()).options == SCFOptions(**SCREEN_OPTS)
     fam = dimer_family(bonds=(1.3, 1.4, 1.5))
     kwargs = dict(degree=2, cells_per_axis=2, padding=5.0)
     cold = ScreenCampaign(fam, seeding=False, **kwargs).run()
@@ -372,25 +341,20 @@ def test_campaign_inprocess_seeded_matches_cold_goldens():
     assert warm.setup_cache["hits"] == 2.0
 
 
-def test_campaign_via_serve_harvests_artifacts(tmp_path):
-    fam = dimer_family(bonds=(1.3, 1.45))
-    report = ScreenCampaign(
-        fam, degree=2, cells_per_axis=2, padding=5.0, n_anchors=1
-    ).run_via_serve(tmp_path, workers=1, total_ranks=1)
-    assert report.mode == "serve"
-    assert [o.seed_source for o in report.outcomes] == ["cold", "neighbor"]
-    assert all(o.converged for o in report.outcomes)
-    assert report.serve_stats["waves"] == 2
-    artifacts = list((tmp_path / "artifacts").glob("*.rho.npz"))
-    assert len(artifacts) == 2  # every member deposited its density
-
-
 def test_campaign_rejects_bad_inputs():
     fam = dimer_family(bonds=(1.3,))
     with pytest.raises(ValueError, match="anchor"):
         ScreenCampaign(fam, n_anchors=0)
     with pytest.raises(ValueError, match="xc"):
         ScreenCampaign(fam, xc="b3lyp")
+    # a periodic member has no place in a shared domain: refused up front
+    crystal = AtomicConfiguration(
+        ["H"], [[1.0, 1.0, 1.0]], lattice=np.eye(3) * 4.0,
+        pbc=(True, True, True),
+    )
+    periodic = StructureFamily("cell", (FamilyMember("H-cell", crystal),))
+    with pytest.raises(ValueError, match="isolated"):
+        ScreenCampaign(periodic)
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +438,17 @@ def test_cli_info_lists_screen_and_no_tuner(capsys):
 # ---------------------------------------------------------------------------
 # the screening gates: seeded saves iterations, never moves an energy
 # ---------------------------------------------------------------------------
-def _serve_scan(bonds, root, *, seeding: bool):
-    """One pass over a dimer scan through the serve runtime, with a cache of
-    its own so the seeded pass cannot replay the cold one."""
+def _scan(bonds, *, seeding: bool):
+    """One campaign over a dimer scan: cold, or seeded with the surrogate."""
     kwargs = dict(degree=2, cells_per_axis=2, padding=5.0)
-    campaign = ScreenCampaign(
+    return ScreenCampaign(
         dimer_family(bonds=bonds), seeding=seeding, surrogate=seeding, **kwargs
-    )
-    return campaign.run_via_serve(
-        root / "work", workers=1, cache=ResultCache(root / "cache")
-    )
+    ).run()
 
 
-def _assert_seeding_gates(bonds, tmp_path):
-    cold = _serve_scan(bonds, tmp_path / "cold", seeding=False)
-    seeded = _serve_scan(bonds, tmp_path / "seeded", seeding=True)
+def _assert_seeding_gates(bonds):
+    cold = _scan(bonds, seeding=False)
+    seeded = _scan(bonds, seeding=True)
     e_cold, e_seeded = cold.energies(), seeded.energies()
     assert set(e_cold) == set(e_seeded) and len(e_cold) == len(bonds)
     assert all(o.converged for o in cold.outcomes + seeded.outcomes)
@@ -497,12 +457,12 @@ def _assert_seeding_gates(bonds, tmp_path):
     return seeded
 
 
-def test_seeded_serve_scan_saves_iterations_at_cold_energies(tmp_path):
-    seeded = _assert_seeding_gates((1.25, 1.35, 1.45), tmp_path)
+def test_seeded_scan_saves_iterations_at_cold_energies():
+    seeded = _assert_seeding_gates((1.25, 1.35, 1.45))
     assert seeded.seeded_fraction == pytest.approx(2 / 3)
 
 
 @pytest.mark.slow
-def test_seeded_serve_scan_full_sweep(tmp_path):
+def test_seeded_scan_full_sweep():
     bonds = (1.15, 1.2, 1.25, 1.3, 1.35, 1.4, 1.45, 1.5, 1.55, 1.6)
-    _assert_seeding_gates(bonds, tmp_path)
+    _assert_seeding_gates(bonds)

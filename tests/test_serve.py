@@ -219,17 +219,6 @@ def test_rank_budget_allocates_and_releases_explicit_ids():
         budget.allocate(0)
 
 
-def test_rank_budget_sized_from_virtual_cluster():
-    from repro.fem.mesh import uniform_mesh
-    from repro.hpc import VirtualCluster
-
-    mesh = uniform_mesh((4.0,) * 3, (3,) * 3, 2, pbc=(True, True, True))
-    cluster = VirtualCluster(mesh, nranks=4)
-    budget = RankBudget.for_cluster(cluster)
-    assert budget.total == cluster.nranks
-    assert budget.allocate(cluster.nranks) == tuple(range(cluster.nranks))
-
-
 # ---------------------------------------------------------------------------
 # result cache
 def test_cache_round_trip_and_self_verification(tmp_path):
@@ -441,6 +430,9 @@ def test_damaged_checkpoint_fails_the_job_in_one_attempt(monkeypatch, tmp_path):
 
 
 def test_runner_registry_rejects_unknown_kind():
+    # the two literal tables name the same closed set of kinds
+    assert set(RUNNERS) == set(JOB_TYPES) == {"scf", "probe"}
+
     class Fake:
         kind = "nope"
 
