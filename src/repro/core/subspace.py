@@ -55,8 +55,8 @@ __all__ = [
 ]
 
 #: pooled intermediates of the engine (FP32 mirrors, batched product
-#: stacks, per-block accumulator products); thread-local, shared by the
-#: parallel (k, spin) channels
+#: stacks, per-block accumulator products); thread-local, so serve's
+#: concurrent slice workers each get their own buffers
 ENGINE_WORKSPACE = Workspace()
 
 

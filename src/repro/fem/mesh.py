@@ -355,20 +355,6 @@ class Mesh3D:
         self._scatter_map3.add_to(np.concatenate(parts), out)
         return out / self.mass_diag
 
-    def gradient_adjoint(self, v_field: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`gradient`: (nnodes, 3) -> (nnodes,) such that
-        ``sum_I v_I . grad(f)_I == sum_I adj(v)_I f_I`` for any scalar f.
-
-        The per-axis kernel coincides with :meth:`divergence_adjoint`'s
-        (both are ``E^T G_a^T W E M^{-1}``), so the adjoint Laplacian needed
-        by Laplacian-level functionals composes as
-        ``lap_adj = gradient_adjoint(divergence_adjoint(a))``.
-        """
-        out = np.zeros(self.nnodes, dtype=v_field.dtype)
-        for a in range(3):
-            out += self.divergence_adjoint(v_field[:, a])[:, a]
-        return out
-
     def divergence_adjoint(self, a_field: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`divergence`: returns (nnodes, 3) such that
         ``sum_I a_I div(u)_I == sum_I adj(a)_I . u_I`` for any vector field

@@ -14,7 +14,7 @@ Rules of use (also documented in DESIGN.md):
   ``get`` and the end of the enclosing operation — two live buffers must
   use two tags.
 * Pools are **thread-local**: the same :class:`Workspace` object can be
-  shared across the parallel (k, spin) channels; each thread sees its own
+  shared by serve's concurrent slice workers; each thread sees its own
   buffers.
 * ``Workspace(enabled=False)`` degrades every ``get`` to a fresh
   allocation — the A/B switch used by ``benchmarks/bench_apply.py``.

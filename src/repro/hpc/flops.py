@@ -59,9 +59,9 @@ class KernelTally:
 class FlopLedger:
     """Per-kernel FLOP and wall-time ledger.
 
-    Mutations are guarded by a lock: one ledger is shared by the parallel
-    (k, spin) ChFES channel threads, whose kernels all charge FLOPs and
-    seconds concurrently.  ``cell_gemm`` holds the stiffness-product GEMM
+    Mutations are guarded by a lock: serve's slice workers each drive an
+    SCF on their own thread, so a ledger shared by two of them is charged
+    concurrently.  ``cell_gemm`` holds the stiffness-product GEMM
     FLOPs of whichever engine ran — the axis GEMMs in process
     (:meth:`repro.fem.fdm.AxisKinetic.flops`), the cell GEMMs on ranks and in
     Poisson (:meth:`repro.fem.assembly.CellStiffness.gemm_flops`).

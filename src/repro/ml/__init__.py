@@ -8,11 +8,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "descriptors": (
             "descriptors_from_spin_density", "feature_map", "network_inputs",
             "network_inputs_with_partials", "phi_spin_factor", "reduced_gradient",
-            "reduced_laplacian",
         ),
         "nn": ("Adam", "MLP", "elu", "elu_prime"),
-        "training": (
-            "MLXCLaplacianTrainer", "MLXCTrainer", "TrainingSample", "assemble_sample",
-        ),
+        "training": ("MLXCTrainer", "TrainingSample", "assemble_sample"),
     },
 )

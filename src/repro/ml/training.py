@@ -9,13 +9,12 @@ autodiff framework would generate are hand-written, in real arithmetic:
 The potential loss needs the *mixed* second derivative
 ``d/d theta [ d e / d (inputs) ]`` (parameter gradient of an
 input-derivative), including the weak-divergence term from the
-s-dependence (and the Laplacian term from the q-dependence).  Two steps:
+s-dependence.  Two steps:
 
 * the linearity of the divergence (its adjoint, ``Mesh3D.
-  divergence_adjoint``, composed with ``gradient_adjoint`` for the
-  Laplacian) turns the loss gradient into a pointwise-weighted sum
-  ``sum_I a_I . (d e / d x)_I`` over the network's pointwise inputs
-  ``x = (rho_up, rho_dn, sigma[, lap rho])``;
+  divergence_adjoint``) turns the loss gradient into a pointwise-weighted
+  sum ``sum_I a_I . (d e / d x)_I`` over the network's pointwise inputs
+  ``x = (rho_up, rho_dn, sigma)``;
 * with ``e = p F``, that sum is ``sum_I (p' F + p F')_I``, primes being
   tangents along ``a``: :meth:`MLP.forward_tangent` pushes the direction
   through the forward pass the evaluation already cached, and one
@@ -42,7 +41,7 @@ from repro.resilience import ResilienceError
 
 from .nn import Adam
 
-__all__ = ["TrainingSample", "MLXCTrainer", "MLXCLaplacianTrainer", "assemble_sample"]
+__all__ = ["TrainingSample", "MLXCTrainer", "assemble_sample"]
 
 
 @dataclass(eq=False)  # array fields: identity, not element-wise, equality
@@ -68,11 +67,6 @@ class TrainingSample:
         s_ud = np.einsum("ij,ij->i", self.grad_up, self.grad_dn)
         s_dd = np.einsum("ij,ij->i", self.grad_dn, self.grad_dn)
         return s_uu, s_ud, s_dd
-
-    @cached_property
-    def laplacians(self) -> tuple[np.ndarray, np.ndarray]:
-        """Spin Laplacians from the stored recovered gradients."""
-        return self.mesh.divergence(self.grad_up), self.mesh.divergence(self.grad_dn)
 
 
 def assemble_sample(
@@ -108,24 +102,19 @@ class MLXCTrainer:
             raise ValueError("need at least one training sample")
         self.samples = samples
         if functional is None:
-            functional = self._default_functional()
+            from repro.xc.mlxc import MLXC  # lazy: avoids ml <-> xc cycle
+
+            functional = MLXC()
         self.functional = functional
         self.lambda_energy = lambda_energy
         self.lambda_potential = lambda_potential
-
-    @staticmethod
-    def _default_functional():
-        from repro.xc.mlxc import MLXC  # lazy: avoids ml <-> xc cycle
-
-        return MLXC()
 
     # ------------------------------------------------------------------
     def _sample_terms(self, s: TrainingSample, tape: list | None = None):
         """Sample ``s``: energy residual and its norm, potential loss term, and
         the masked potential residual (n, 2) and denominator it is made of."""
-        laps = s.laplacians if self.functional.needs_laplacian else ()
         out = self.functional.evaluate(
-            s.rho_spin[:, 0], s.rho_spin[:, 1], *s.sigmas, *laps, tape=tape
+            s.rho_spin[:, 0], s.rho_spin[:, 1], *s.sigmas, tape=tape
         )
         v_ml = out.potential(s.mesh, s.grad_up, s.grad_dn)
         norm_e = max(abs(s.exc_target), 1e-3)
@@ -160,18 +149,15 @@ class MLXCTrainer:
             w = s.mesh.mass_diag
             le += resid_e**2
             lv += lv_s
-            # dL/dv_sI, then through the adjoint divergence (and Laplacian):
-            # pointwise weights on d e / d (rho_up, rho_dn, sigma[, lap rho]);
-            # e sees only the total sigma and Laplacian, so both spin channels
-            # share one adjoint field
+            # dL/dv_sI, then through the adjoint divergence: pointwise weights
+            # on d e / d (rho_up, rho_dn, sigma); e sees only the total sigma,
+            # so both spin channels share one adjoint field
             a = self.lambda_potential / n * 2.0 / den * w[:, None] * s.rho_spin**2 * dv
             adj = s.mesh.divergence_adjoint(a[:, 0] + a[:, 1])
             ax = [
                 a[:, 0], a[:, 1],
                 -2.0 * np.einsum("ij,ij->i", s.grad_up + s.grad_dn, adj),
             ]
-            if self.functional.needs_laplacian:
-                ax.append(s.mesh.gradient_adjoint(adj))
             live = s.live[rows]
             ax = np.where(live[:, None], np.stack(ax, axis=1)[rows], 0.0)
             p = np.where(live, p, 0.0)
@@ -247,15 +233,3 @@ class MLXCTrainer:
                         )
         net.set_params(theta)
         return history
-
-
-class MLXCLaplacianTrainer(MLXCTrainer):
-    """The same trainer, defaulting to the Laplacian-descriptor functional
-    (MLXC-L): the potential's second-order term ``+ lap(d e / d lap(rho))``
-    enters the loss gradient through the adjoint Laplacian."""
-
-    @staticmethod
-    def _default_functional():
-        from repro.xc.mlxc_laplacian import MLXCLaplacian
-
-        return MLXCLaplacian()

@@ -5,8 +5,8 @@ thread-safe span tracer whose span names follow the paper's Table 3 kernel
 labels (:mod:`repro.obs.kernels`), counters for FLOPs / bytes moved /
 halo-exchange volume fed by the HPC substrate, and pluggable sinks
 (:mod:`repro.obs.sinks`) — an in-memory aggregator behind the CLI's
-``--profile`` breakdowns, a JSONL metrics writer, and a Chrome-trace-event
-exporter viewable in Perfetto.  One process, one tracer: the process rank
+``--profile`` breakdowns and a Chrome-trace-event exporter viewable in
+Perfetto.  One process, one tracer: the process rank
 backend's forked workers have none, and their measured phases reach the
 open span as the parent's ``proc_*_s`` counters on every apply.
 
@@ -37,10 +37,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "paper_label",
         ),
         "report": ("kernel_totals", "model_vs_measured", "render_tree"),
-        "sinks": (
-            "AggregatedNode", "ChromeTraceSink", "InMemoryAggregator", "JsonlSink",
-            "read_jsonl",
-        ),
+        "sinks": ("AggregatedNode", "ChromeTraceSink", "InMemoryAggregator"),
         "tracer": (
             "Span", "Stopwatch", "Tracer", "add_counter", "add_event",
             "current_span", "get_tracer", "is_enabled", "kernel_region", "set_enabled",

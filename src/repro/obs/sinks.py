@@ -1,14 +1,11 @@
 """reproscope sinks: where finished span trees go.
 
-Three built-ins, all subscribing to :meth:`repro.obs.tracer.Tracer.add_sink`
+Two built-ins, both subscribing to :meth:`repro.obs.tracer.Tracer.add_sink`
 and receiving every finished *root* span:
 
 * :class:`InMemoryAggregator` — folds spans into per-tree-path statistics
   (calls, total/self seconds, counters); the data behind ``--profile``
   breakdowns and the overhead tests.
-* :class:`JsonlSink` — one JSON object per span (depth-first), append-only;
-  cheap machine-readable metrics for scripts, round-trips losslessly via
-  :func:`read_jsonl`.
 * :class:`ChromeTraceSink` — Chrome trace-event JSON (complete ``"X"``
   events) loadable in ``chrome://tracing`` or https://ui.perfetto.dev.
 
@@ -31,8 +28,6 @@ __all__ = [
     "AggregatedNode",
     "ChromeTraceSink",
     "InMemoryAggregator",
-    "JsonlSink",
-    "read_jsonl",
 ]
 
 
@@ -129,62 +124,6 @@ class InMemoryAggregator:
 
     def close(self) -> None:
         """Part of the sink protocol; nothing to flush."""
-
-
-def _span_record(span: Span, epoch: float) -> dict[str, Any]:
-    return {
-        "name": span.name,
-        "path": list(span.path()),
-        "start": span.t_start - epoch,
-        "dur": span.duration,
-        "tid": span.thread_id,
-        "attrs": dict(span.attrs),
-        "counters": dict(span.counters),
-    }
-
-
-class JsonlSink:
-    """Write one JSON line per span, depth-first per finished root.
-
-    Accepts a path (opened for append) or any text stream.  Lines follow
-    the stable schema of :func:`_span_record`; :func:`read_jsonl` parses
-    them back.
-    """
-
-    def __init__(self, target: str | os.PathLike[str] | TextIO, epoch: float = 0.0) -> None:
-        self._lock = threading.Lock()
-        self.epoch = epoch
-        if isinstance(target, (str, os.PathLike)):
-            path = pathlib.Path(target)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._stream: TextIO = path.open("a", encoding="utf-8")
-            self._owns_stream = True
-        else:
-            self._stream = target
-            self._owns_stream = False
-
-    def on_root_span(self, root: Span) -> None:
-        lines = [
-            json.dumps(_span_record(span, self.epoch), sort_keys=True)
-            for _, span in root.walk()
-        ]
-        with self._lock:
-            self._stream.write("\n".join(lines) + "\n")
-
-    def close(self) -> None:
-        with self._lock:
-            self._stream.flush()
-            if self._owns_stream:
-                self._stream.close()
-
-
-def read_jsonl(source: str | os.PathLike[str] | TextIO) -> list[dict[str, Any]]:
-    """Parse a :class:`JsonlSink` file back into span records."""
-    if isinstance(source, (str, os.PathLike)):
-        text = pathlib.Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 class ChromeTraceSink:

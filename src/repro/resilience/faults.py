@@ -138,11 +138,11 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic, seeded set of :class:`FaultSpec` to fire.
 
-    Thread-safe: the per-site invocation counters are lock-guarded, so the
-    parallel (k, spin) channel workers count deterministically *per site*
+    Thread-safe: the per-site invocation counters are lock-guarded, so
+    serve's concurrent slice workers count deterministically *per site*
     (a spec keyed on a site shared by concurrent workers fires on whichever
     worker draws the matching invocation — pin specs to serially-visited
-    sites, or run single-threaded, for fully reproducible chaos runs).
+    sites, or run one worker, for fully reproducible chaos runs).
     """
 
     specs: list[FaultSpec] = field(default_factory=list)

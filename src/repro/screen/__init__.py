@@ -2,15 +2,14 @@
 
 The paper's applications are parameterized structure families; this
 package sweeps one in process.  A campaign orders a family small-to-large
-and replaces cold superposition starts with reused state: a shared-discretization
-setup cache, a nearest-neighbor converged-density seed store, and an ML
+and replaces cold superposition starts with reused state: one shared
+discretization, a nearest-neighbor converged-density seed store, and an ML
 density surrogate trained on the small members — all correctness-
 neutral (seeds change iteration counts, never converged energies).
 """
 
 from .driver import (
     CampaignReport,
-    DiscretizationCache,
     MemberOutcome,
     ScreenCampaign,
 )
@@ -30,7 +29,6 @@ from .surrogate import DensitySurrogate, node_features
 __all__ = [
     "CampaignReport",
     "DensitySurrogate",
-    "DiscretizationCache",
     "FamilyMember",
     "MemberOutcome",
     "ScreenCampaign",

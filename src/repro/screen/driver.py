@@ -5,9 +5,8 @@ StructureFamily` into an execution plan and runs it small-to-large, so
 every solve after the first few **anchors** starts from reused state
 instead of cold:
 
-1. the **setup cache** shares mesh / ScatterMap / quadrature
-   construction across members with identical discretization (a
-   shared-domain family builds its mesh exactly once);
+1. the family's one shared domain is discretized once: every member
+   reuses its mesh / ScatterMap / quadrature construction;
 2. the **seed store** (:mod:`repro.screen.seeds`) warm-starts each
    member from its nearest converged neighbor;
 3. the **density surrogate** (:mod:`repro.screen.surrogate`), trained
@@ -40,7 +39,6 @@ from .surrogate import DensitySurrogate
 
 __all__ = [
     "CampaignReport",
-    "DiscretizationCache",
     "MemberOutcome",
     "ScreenCampaign",
 ]
@@ -56,49 +54,6 @@ SCREEN_SCF_DEFAULTS = dict(
     max_iterations=300, density_tol=1e-14, energy_tol=1e-14,
     filter_passes=2, poisson_tol=1e-12,
 )
-
-
-class DiscretizationCache:
-    """Share mesh construction across identically-discretized members.
-
-    Building a :class:`Mesh3D` also builds its ScatterMaps, quadrature
-    weights and connectivity — the per-member setup cost the paper's
-    DFT-FE amortizes across a campaign.  Keyed on the exact
-    discretization arguments of :func:`~repro.screen.family.domain_mesh`,
-    which is deterministic in them.
-    """
-
-    def __init__(self) -> None:
-        self._meshes: dict[tuple, Mesh3D] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(
-        self,
-        lengths: np.ndarray,
-        cells_per_axis: int | tuple[int, int, int],
-        degree: int,
-        grading_ratio: float,
-    ) -> Mesh3D:
-        key = (
-            tuple(float(x) for x in np.asarray(lengths, dtype=float)),
-            cells_per_axis if isinstance(cells_per_axis, int)
-            else tuple(cells_per_axis),
-            int(degree),
-            float(grading_ratio),
-        )
-        mesh = self._meshes.get(key)
-        if mesh is not None:
-            self.hits += 1
-            add_counter("screen_setup_cache_hits", 1)
-            return mesh
-        self.misses += 1
-        mesh = domain_mesh(lengths, cells_per_axis, degree, grading_ratio)
-        self._meshes[key] = mesh
-        return mesh
-
-    def as_dict(self) -> dict[str, float]:
-        return {"hits": float(self.hits), "misses": float(self.misses)}
 
 
 @dataclass(frozen=True)
@@ -228,7 +183,6 @@ class ScreenCampaign:
             self.surrogate = DensitySurrogate()
         else:
             self.surrogate = None
-        self.setup_cache = DiscretizationCache()
 
     # ------------------------------------------------------------------
     def _xc(self) -> Any:
@@ -289,9 +243,7 @@ class ScreenCampaign:
         """Solve every member in-process, small-to-large."""
         plan = self.family.ordered()
         lengths, configs = family_domain(self.family, self.padding)
-        mesh = self.setup_cache.get(
-            lengths, self.cells_per_axis, self.degree, self.grading_ratio
-        )
+        mesh = domain_mesh(lengths, self.cells_per_axis, self.degree, self.grading_ratio)
         watch = Stopwatch()
         outcomes: list[MemberOutcome] = []
         with trace_region(
@@ -299,10 +251,7 @@ class ScreenCampaign:
         ):
             for rank, member in enumerate(plan):
                 config = configs[member.name]
-                if rank > 0:
-                    # every member after the first reuses the shared
-                    # discretization — count it like a cache hit
-                    self.setup_cache.hits += 1
+                if rank > 0:  # reuses the one mesh built above
                     add_counter("screen_setup_cache_hits", 1)
                 descriptor = member.descriptor()
                 seed, source, info = self._choose_seed(
@@ -339,6 +288,6 @@ class ScreenCampaign:
             outcomes=tuple(outcomes),
             wall_seconds=watch.elapsed(),
             seed_stats=self.store.stats.as_dict(),
-            setup_cache=self.setup_cache.as_dict(),
+            setup_cache={"hits": float(len(plan) - 1), "misses": 1.0},
             surrogate_stats=self._surrogate_dict(),
         )

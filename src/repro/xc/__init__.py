@@ -10,6 +10,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "hybrid": ("PBE0", "hf_exchange_energy"),
         "lda": ("LDA",),
         "mlxc": ("MLXC",),
-        "mlxc_laplacian": ("MLXCLaplacian",),
     },
 )

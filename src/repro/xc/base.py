@@ -2,12 +2,11 @@
 
 A functional implements ``exc_density`` — the XC energy per unit volume as a
 function of the spin densities, (for GGAs and MLXC) the gradient
-contractions ``sigma_ab = grad(rho_a) . grad(rho_b)`` (libxc convention) and
-(for MLXC-L) the spin Laplacians.
+contractions ``sigma_ab = grad(rho_a) . grad(rho_b)`` (libxc convention).
 
 :meth:`XCFunctional.evaluate` is the one entry point for the derivatives
-``vrho = d e / d rho_s``, ``vsigma = d e / d sigma_ab`` and ``vlapl =
-d e / d lap(rho_s)``; only its derivative step differs between functionals:
+``vrho = d e / d rho_s`` and ``vsigma = d e / d sigma_ab``; only its
+derivative step differs between functionals:
 
 * PBE and PBE0 use *complex-step differentiation*: for an analytic
   implementation ``f'(x) = Im f(x + i h) / h`` is exact to machine precision
@@ -34,11 +33,9 @@ The nodal XC potential entering the Kohn-Sham Hamiltonian is
 
     v_{xc}^{s} = \\partial e/\\partial\\rho_s
         - \\nabla\\cdot\\big(2 v^{\\sigma}_{ss}\\nabla\\rho_s
-        + v^{\\sigma}_{s\\bar s}\\nabla\\rho_{\\bar s}\\big)
-        + \\nabla^2\\big(\\partial e/\\partial\\nabla^2\\rho_s\\big),
+        + v^{\\sigma}_{s\\bar s}\\nabla\\rho_{\\bar s}\\big),
 
-with the divergence and Laplacian evaluated by the mesh's recovery
-operators.
+with the divergence evaluated by the mesh's recovery operators.
 """
 
 from __future__ import annotations
@@ -69,7 +66,6 @@ class XCOutput:
     exc: np.ndarray  #: (n,) XC energy density (energy / volume)
     vrho: np.ndarray  #: (n, 2) d exc / d rho_s
     vsigma: np.ndarray | None  #: (n, 3) d exc / d sigma_[uu, ud, dd], or None
-    vlapl: np.ndarray | None = None  #: (n, 2) d exc / d lap(rho_s), or None
 
     def potential(self, mesh, g_up: np.ndarray, g_dn: np.ndarray) -> np.ndarray:
         """Nodal v_xc (n, 2) from the pointwise derivatives and the density
@@ -79,9 +75,6 @@ class XCOutput:
         vec_dn = 2.0 * vs[:, 2:3] * g_dn + vs[:, 1:2] * g_up
         v_up = self.vrho[:, 0] - mesh.divergence(vec_up)
         v_dn = self.vrho[:, 1] - mesh.divergence(vec_dn)
-        if self.vlapl is not None:
-            v_up = v_up + mesh.divergence(mesh.gradient(self.vlapl[:, 0]))
-            v_dn = v_dn + mesh.divergence(mesh.gradient(self.vlapl[:, 1]))
         return np.stack([v_up, v_dn], axis=1)
 
 
@@ -90,8 +83,6 @@ class XCFunctional:
 
     name = "base"
     needs_gradient = False
-    #: whether ``exc_density`` also takes the two spin Laplacians
-    needs_laplacian = False
     #: accuracy level in the paper's Fig. 1 taxonomy (1=LDA ... 4=QMB-like)
     level = 0
 
@@ -104,11 +95,7 @@ class XCFunctional:
         sigma_ud: np.ndarray | None = None,
         sigma_dd: np.ndarray | None = None,
     ) -> np.ndarray:
-        """XC energy per unit volume (dtype-agnostic: supports complex).
-
-        Functionals with ``needs_laplacian`` take ``lap_up, lap_dn`` after
-        the contractions.
-        """
+        """XC energy per unit volume (dtype-agnostic: supports complex)."""
         raise NotImplementedError
 
     def _energy_and_derivatives(
@@ -136,13 +123,11 @@ class XCFunctional:
         sigma_uu: np.ndarray | None = None,
         sigma_ud: np.ndarray | None = None,
         sigma_dd: np.ndarray | None = None,
-        lap_up: np.ndarray | None = None,
-        lap_dn: np.ndarray | None = None,
         tape: list | None = None,
     ) -> XCOutput:
         """Evaluate energy density and its derivatives at grid points.
 
-        Missing ``sigma_ud`` / ``sigma_dd`` / Laplacians count as zero.  At
+        Missing ``sigma_ud`` / ``sigma_dd`` count as zero.  At
         and below ``RHO_FLOOR`` everything is exactly zero; the derivative
         step sees the live rows only (module docstring).  A list passed as
         ``tape`` receives the row index the step ran on (``slice(None)``
@@ -162,11 +147,6 @@ class XCFunctional:
                 sigma_dd = np.zeros_like(sigma_uu)
             args += [np.asarray(sigma_uu, float), np.asarray(sigma_ud, float),
                      np.asarray(sigma_dd, float)]
-        if self.needs_laplacian:
-            args += [
-                np.zeros_like(rho_up) if lap is None else np.asarray(lap, float)
-                for lap in (lap_up, lap_dn)
-            ]
         rows = np.flatnonzero((rho_up + rho_dn) > RHO_FLOOR)
         n = rho_up.size
         everywhere = rows.size == n
@@ -180,8 +160,7 @@ class XCFunctional:
                 exc, *derivs = [_scatter(v, rows, n) for v in (exc, *derivs)]
         vrho = np.stack(derivs[:2], axis=-1)
         vsigma = np.stack(derivs[2:5], axis=-1) if self.needs_gradient else None
-        vlapl = np.stack(derivs[5:], axis=-1) if self.needs_laplacian else None
-        return XCOutput(exc, vrho, vsigma, vlapl)
+        return XCOutput(exc, vrho, vsigma)
 
     def potential_and_energy(
         self, mesh, rho_spin: np.ndarray
@@ -189,8 +168,7 @@ class XCFunctional:
         """Nodal XC potential (nnodes, 2) and total XC energy on a mesh.
 
         ``rho_spin`` is the (nnodes, 2) spin density.  GGA-type functionals
-        include the weak-divergence term (and Laplacian-level ones the
-        second-order term) via the mesh recovery operators.
+        include the weak-divergence term via the mesh recovery operators.
         """
         rho_up, rho_dn = rho_spin[:, 0], rho_spin[:, 1]
         if not self.needs_gradient:
@@ -203,12 +181,7 @@ class XCFunctional:
         s_uu = np.einsum("ij,ij->i", g_up, g_up)
         s_ud = np.einsum("ij,ij->i", g_up, g_dn)
         s_dd = np.einsum("ij,ij->i", g_dn, g_dn)
-        laps = (
-            (mesh.divergence(g_up), mesh.divergence(g_dn))
-            if self.needs_laplacian
-            else ()
-        )
-        out = self.evaluate(rho_up, rho_dn, s_uu, s_ud, s_dd, *laps)
+        out = self.evaluate(rho_up, rho_dn, s_uu, s_ud, s_dd)
         exc_total = float(mesh.integrate(out.exc))
         return out.potential(mesh, g_up, g_dn), exc_total
 

@@ -19,9 +19,6 @@ passes in place of the paper's autodiff framework.  The base class then adds
 the gradient/divergence term with the mesh recovery operators.
 ``exc_density`` stays dtype-agnostic so that the complex-step evaluation
 (``tests/reference``) remains the oracle for all of this.
-
-:class:`MLXC` is the one neural functional; its ``descriptors`` list is the
-parameter (:class:`repro.xc.mlxc_laplacian.MLXCLaplacian` appends ``q``).
 """
 
 from __future__ import annotations
@@ -52,34 +49,19 @@ class MLXC(XCFunctional):
     name = "MLXC"
     needs_gradient = True
     level = 4
-    #: what F_DNN sees; a trailing "q" adds the reduced density Laplacian
-    descriptors: tuple[str, ...] = ("rho", "xi", "s")
 
     def __init__(self, network: MLP | None = None, seed: int = 0) -> None:
-        n_in = len(self.descriptors)
-        self.network = (
-            network if network is not None
-            else MLP((n_in,) + DEFAULT_LAYERS[1:], seed=seed)
-        )
+        n_in = DEFAULT_LAYERS[0]
+        self.network = network if network is not None else MLP(DEFAULT_LAYERS, seed=seed)
         if self.network.layer_sizes[0] != n_in or self.network.layer_sizes[-1] != 1:
             raise ValueError(
                 f"{self.name} network must map {n_in} descriptors to a scalar F"
             )
 
-    @property
-    def needs_laplacian(self) -> bool:
-        return "q" in self.descriptors
-
     # ------------------------------------------------------------------
-    def exc_density(self, rho_up, rho_dn, sigma_uu=None, sigma_ud=None,
-                    sigma_dd=None, lap_up=None, lap_dn=None):
-        """Eq. 3; with the ``q`` descriptor, absent Laplacians count as zero."""
-        lap = None
-        if self.needs_laplacian:
-            lap = np.zeros(np.shape(rho_up)) if lap_up is None else lap_up + lap_dn
-        feats, pref, _ = network_inputs(
-            rho_up, rho_dn, sigma_uu + 2.0 * sigma_ud + sigma_dd, lap
-        )
+    def exc_density(self, rho_up, rho_dn, sigma_uu=None, sigma_ud=None, sigma_dd=None):
+        """Eq. 3."""
+        feats, pref, _ = network_inputs(rho_up, rho_dn, sigma_uu + 2.0 * sigma_ud + sigma_dd)
         e = pref * self.network.forward(feats)[:, 0]
         return np.where(np.real(rho_up + rho_dn) > RHO_FLOOR, e, 0.0)
 
@@ -91,26 +73,18 @@ class MLXC(XCFunctional):
         layer and the cached forward pass on those rows, which the trainer
         re-uses after the row index ``evaluate`` recorded ahead of it.
         """
-        rho_up, rho_dn, s_uu, s_ud, s_dd, *laps = args
-        f, p, df, dp = network_inputs_with_partials(
-            rho_up, rho_dn, s_uu + 2.0 * s_ud + s_dd,
-            laps[0] + laps[1] if laps else None,
-        )
+        rho_up, rho_dn, s_uu, s_ud, s_dd = args
+        f, p, df, dp = network_inputs_with_partials(rho_up, rho_dn, s_uu + 2.0 * s_ud + s_dd)
         cache = None if tape is None else []
         F, dF = self.network.input_jacobian(f, cache)
         if tape is not None:
             tape.append((p, df, dp, cache))
-        # d e / d (rho_up, rho_dn, sigma_total[, lap_total]); sigma_total
-        # counts sigma_ud twice and both spin Laplacians enter lap_total alike
+        # d e / d (rho_up, rho_dn, sigma_total); sigma_total counts sigma_ud twice
         de = dp * F[:, None] + p[:, None] * np.einsum("na,naj->nj", dF, df)
-        d_up, d_dn, d_sigma, *d_lap = de.T
-        return p * F, [d_up, d_dn, d_sigma, 2.0 * d_sigma, d_sigma] + d_lap * 2
+        d_up, d_dn, d_sigma = de.T
+        return p * F, [d_up, d_dn, d_sigma, 2.0 * d_sigma, d_sigma]
 
     # ------------------------------------------------------------------
-    def enhancement_factor(self, rho, xi, s, q=None) -> np.ndarray:
-        """Evaluate F_DNN directly on descriptor values (diagnostics)."""
-        return np.real(self.network.forward(feature_map(rho, xi, s, q))[:, 0])
-
     def save(self, path: str) -> None:
         """Persist the trained network weights."""
         self.network.save(path)
@@ -143,15 +117,12 @@ class MLXC(XCFunctional):
 
         Used as the training warm start (and in tests): fits
         ``F_ref = e_ref / (rho^(4/3) phi)`` over a physical range of
-        (rho, xi, s) by Adam on an MSE loss.  A semilocal reference is
-        q-independent, so with the ``q`` descriptor (drawn uniformly) the fit
-        teaches F to ignore it initially.
+        (rho, xi, s) by Adam on an MSE loss.
         """
         rng = np.random.default_rng(seed)
         rho = 10.0 ** rng.uniform(-3, 1, n_samples)
         xi = rng.uniform(-0.98, 0.98, n_samples)
         s = 10.0 ** rng.uniform(-2, 1, n_samples)
-        q = rng.uniform(-3.0, 3.0, n_samples) if "q" in cls.descriptors else None
         rho_up = 0.5 * rho * (1 + xi)
         rho_dn = 0.5 * rho * (1 - xi)
         grad = s * 2.0 * (3 * np.pi**2) ** (-1 / 3) * rho ** (4 / 3)
@@ -165,7 +136,7 @@ class MLXC(XCFunctional):
         else:
             e_ref = np.real(reference.exc_density(rho_up, rho_dn))
         F_target = e_ref / (rho ** (4 / 3) * phi_spin_factor(xi))
-        feats = feature_map(rho, xi, s, q)
+        feats = feature_map(rho, xi, s)
         functional = cls(seed=seed)
         net = functional.network
         opt = Adam(lr=3e-3)

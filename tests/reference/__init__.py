@@ -56,8 +56,8 @@ __all__ = [
 def reference_evaluate_then_mask(functional, *args) -> XCOutput:
     """The functional's derivative step on *every* row, then ``live = rho >
     RHO_FLOOR`` applied to what it returned: oracle for the live-row gather
-    of ``XCFunctional.evaluate``.  ``args`` are the 2 / 5 / 7 pointwise
-    inputs (densities, contractions, Laplacians), all of them given."""
+    of ``XCFunctional.evaluate``.  ``args`` are the 2 / 5 pointwise
+    inputs (densities, contractions), all of them given."""
     rho_up = np.maximum(np.asarray(args[0], dtype=float), 0.0)
     rho_dn = np.maximum(np.asarray(args[1], dtype=float), 0.0)
     inputs = [rho_up, rho_dn] + [np.asarray(a, float) for a in args[2:]]
@@ -66,8 +66,7 @@ def reference_evaluate_then_mask(functional, *args) -> XCOutput:
     derivs = [np.where(live, d, 0.0) for d in derivs]
     vrho = np.stack(derivs[:2], axis=-1)
     vsigma = np.stack(derivs[2:5], axis=-1) if functional.needs_gradient else None
-    vlapl = np.stack(derivs[5:], axis=-1) if functional.needs_laplacian else None
-    return XCOutput(np.where(live, exc, 0.0), vrho, vsigma, vlapl)
+    return XCOutput(np.where(live, exc, 0.0), vrho, vsigma)
 
 
 def reference_scatter_add(

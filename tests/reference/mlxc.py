@@ -14,7 +14,7 @@ hand-written passes in :mod:`repro.ml.nn`, :mod:`repro.ml.descriptors`,
 * :func:`reference_param_grad` — the complex-safe forward / reverse pass
   with ``(z, a)`` caches and ``elu_prime(z)``;
 * :func:`reference_loss_and_grad` — the composite loss and its parameter
-  gradient over all five (MLXC) or seven (MLXC-L) pointwise inputs.
+  gradient over all five pointwise inputs.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ H_CSTEP = 1e-25
 def reference_xc_evaluate(functional, *args, step: float = CSTEP) -> XCOutput:
     """``evaluate`` with every derivative by complex step on ``exc_density``.
 
-    ``args`` are the 2 / 5 / 7 pointwise inputs (densities, contractions,
-    Laplacians), clamped and masked as ``XCFunctional.evaluate`` does.
+    ``args`` are the 2 / 5 pointwise inputs (densities, contractions),
+    clamped and masked as ``XCFunctional.evaluate`` does.
     """
     args = [np.asarray(a, dtype=float) for a in args]
     args[0], args[1] = np.maximum(args[0], 0.0), np.maximum(args[1], 0.0)
@@ -58,7 +58,6 @@ def reference_xc_evaluate(functional, *args, step: float = CSTEP) -> XCOutput:
         exc=exc,
         vrho=np.stack(derivs[:2], axis=-1),
         vsigma=np.stack(derivs[2:5], axis=-1) if len(args) > 2 else None,
-        vlapl=np.stack(derivs[5:], axis=-1) if len(args) > 5 else None,
     )
 
 
@@ -88,11 +87,8 @@ def reference_param_grad(net, X: np.ndarray, grad_out: np.ndarray) -> np.ndarray
     return net._flatten(dW, db)
 
 
-def _sample_inputs(trainer, s) -> list[np.ndarray]:
-    args = [s.rho_spin[:, 0], s.rho_spin[:, 1], *s.sigmas]
-    if trainer.functional.needs_laplacian:
-        args += [s.mesh.divergence(s.grad_up), s.mesh.divergence(s.grad_dn)]
-    return args
+def _sample_inputs(s) -> list[np.ndarray]:
+    return [s.rho_spin[:, 0], s.rho_spin[:, 1], *s.sigmas]
 
 
 def _weighted_e_param_grad(trainer, s, point_weights, input_pert=None):
@@ -100,13 +96,11 @@ def _weighted_e_param_grad(trainer, s, point_weights, input_pert=None):
     are complex-perturbed along it and ``Im / h`` of the parameter gradient —
     the mixed second derivative — is returned."""
     dtype = float if input_pert is None else complex
-    args = [a.astype(dtype) for a in _sample_inputs(trainer, s)]
+    args = [a.astype(dtype) for a in _sample_inputs(s)]
     if input_pert is not None:
         args = [a + 1j * H_CSTEP * d for a, d in zip(args, input_pert)]
-    ru, rd, s_uu, s_ud, s_dd, *laps = args
-    feats, pref, _ = network_inputs(
-        ru, rd, s_uu + 2.0 * s_ud + s_dd, laps[0] + laps[1] if laps else None
-    )
+    ru, rd, s_uu, s_ud, s_dd = args
+    feats, pref, _ = network_inputs(ru, rd, s_uu + 2.0 * s_ud + s_dd)
     pref = np.where(s.live, pref, 0.0)
     flat = reference_param_grad(
         trainer.functional.network, feats, (point_weights * pref)[:, None]
@@ -121,7 +115,7 @@ def reference_loss_and_grad(trainer) -> tuple[dict, np.ndarray]:
     n = len(trainer.samples)
     for s in trainer.samples:
         mesh, w = s.mesh, s.mesh.mass_diag
-        out = reference_xc_evaluate(trainer.functional, *_sample_inputs(trainer, s))
+        out = reference_xc_evaluate(trainer.functional, *_sample_inputs(s))
         v_ml = out.potential(mesh, s.grad_up, s.grad_dn)
         # --- energy term ----------------------------------------------------
         norm_e = max(abs(s.exc_target), 1e-3)
@@ -133,7 +127,7 @@ def reference_loss_and_grad(trainer) -> tuple[dict, np.ndarray]:
         dv = (v_ml - s.v_target) * s.live[:, None]
         den = float(np.sum(w[:, None] * (s.rho_spin * s.v_target) ** 2)) + 1e-30
         lv += float(np.sum(w[:, None] * (s.rho_spin * dv) ** 2)) / den
-        # dL/dv_sI, translated to pointwise weights on vrho, vsigma, vlapl
+        # dL/dv_sI, translated to pointwise weights on vrho, vsigma
         a = trainer.lambda_potential / n * 2.0 / den * w[:, None] * s.rho_spin**2 * dv
         badj_u = -mesh.divergence_adjoint(a[:, 0])
         badj_d = -mesh.divergence_adjoint(a[:, 1])
@@ -143,12 +137,6 @@ def reference_loss_and_grad(trainer) -> tuple[dict, np.ndarray]:
             "ij,ij->i", s.grad_up, badj_d
         )
         pert = [a[:, 0], a[:, 1], c_uu, c_ud, c_dd]
-        if out.vlapl is not None:
-            # adjoint Laplacian weights for the + lap(e_lap) potential term
-            pert += [
-                mesh.gradient_adjoint(mesh.divergence_adjoint(a[:, 0])),
-                mesh.gradient_adjoint(mesh.divergence_adjoint(a[:, 1])),
-            ]
         grad += _weighted_e_param_grad(trainer, s, np.ones(mesh.nnodes), pert)
     total = (trainer.lambda_energy * le + trainer.lambda_potential * lv) / n
     return {"total": total, "energy": le / n, "potential": lv / n}, grad

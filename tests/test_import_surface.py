@@ -136,8 +136,8 @@ def test_the_hooked_pipeline_name_is_a_module_attribute():
 #: as listed by its eager ``__init__`` at the parent of the change
 LAZY_PACKAGES = {
     "repro.xc": [
-        "LDA", "MLXC", "MLXCLaplacian", "PBE", "PBE0", "RHO_FLOOR", "XCFunctional",
-        "XCOutput", "hf_exchange_energy",
+        "LDA", "MLXC", "PBE", "PBE0", "RHO_FLOOR", "XCFunctional", "XCOutput",
+        "hf_exchange_energy",
     ],
     "repro.hpc": [
         "CRUSHER", "DistributedKSOperator", "FRONTIER", "FlopLedger", "KernelTally",
@@ -157,10 +157,10 @@ LAZY_PACKAGES = {
         "block_minres", "exact_xc_energy", "potential_gradient", "solve_adjoint",
     ],
     "repro.ml": [
-        "MLP", "MLXCLaplacianTrainer", "MLXCTrainer", "TrainingSample", "Adam",
+        "MLP", "MLXCTrainer", "TrainingSample", "Adam",
         "descriptors_from_spin_density", "elu", "elu_prime", "feature_map",
         "assemble_sample", "network_inputs", "network_inputs_with_partials",
-        "phi_spin_factor", "reduced_gradient", "reduced_laplacian",
+        "phi_spin_factor", "reduced_gradient",
     ],
     "repro.materials": [
         "MG_A", "MG_C", "SYSTEM_BUILDERS", "TAU", "BenchmarkSystem",
@@ -172,10 +172,10 @@ LAZY_PACKAGES = {
     ],
     "repro.obs": [
         "AggregatedNode", "CHFES_CHILDREN", "ChromeTraceSink", "InMemoryAggregator",
-        "JsonlSink", "PAPER_KERNELS", "SCF_ITERATION", "Span", "Stopwatch",
+        "PAPER_KERNELS", "SCF_ITERATION", "Span", "Stopwatch",
         "TABLE3_ORDER", "Tracer", "add_counter", "add_event",
         "current_span", "get_tracer", "is_enabled", "kernel_region",
-        "kernel_totals", "model_vs_measured", "paper_label", "read_jsonl",
+        "kernel_totals", "model_vs_measured", "paper_label",
         "render_tree", "set_enabled", "trace_region", "traced",
     ],
     #: not lazy — the runtime contracts, which have no off switch
@@ -184,7 +184,7 @@ LAZY_PACKAGES = {
     "repro.tune": ["blas_vendor", "host_fingerprint"],
     #: not lazy — screening runs in process only (no job kind, no seed files)
     "repro.screen": [
-        "CampaignReport", "DensitySurrogate", "DiscretizationCache", "FamilyMember",
+        "CampaignReport", "DensitySurrogate", "FamilyMember",
         "MemberOutcome", "ScreenCampaign", "SeedEntry", "SeedStore", "StructureFamily",
         "chain_family", "dimer_family", "domain_mesh", "family_domain", "meshes_match",
         "node_features", "solute_chain_family", "structure_descriptor",

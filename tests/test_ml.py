@@ -9,6 +9,7 @@ from repro.fem.mesh import uniform_mesh
 from repro.ml.descriptors import (
     descriptors_from_spin_density,
     feature_map,
+    network_inputs,
     phi_spin_factor,
     reduced_gradient,
 )
@@ -159,16 +160,26 @@ def test_mlxc_scaling_prefactor_structure():
 
 
 def test_mlxc_spin_symmetry():
-    """Exchanging spin channels leaves e_xc invariant (phi, |xi| symmetric)."""
-    m = MLXC(seed=1)
-    # symmetrize in xi by construction test: swap up/dn with xi -> -xi
+    """Exchanging the spin channels leaves Eq. 3's prefactor rho^(4/3) phi(xi)
+    and the rho and s features unchanged and flips the xi feature's sign:
+    whatever spin asymmetry e_xc has is F_DNN's."""
+    ru, rd = np.array([0.5, 0.3, 1e-3]), np.array([0.1, 0.3, 2e-3])
+    sigma = np.array([0.2, 0.0, 1e-6])
+    f_ab, p_ab, _ = network_inputs(ru, rd, sigma)
+    f_ba, p_ba, _ = network_inputs(rd, ru, sigma)
+    assert np.array_equal(p_ab, p_ba)
+    assert np.array_equal(f_ab[:, [0, 2]], f_ba[:, [0, 2]])
+    assert np.array_equal(f_ab[:, 1], -f_ba[:, 1])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: F_DNN is not even in ξ")
+def test_mlxc_exc_is_spin_flip_symmetric():
+    """e_xc(rho_up, rho_dn) == e_xc(rho_dn, rho_up) for the shipped network;
+    it reads -0.5023 against -0.4638 at rho_up = 0.5, rho_dn = 0.1."""
+    m = MLXC.pretrained()
     ru, rd = np.array([0.5]), np.array([0.1])
     zero = np.zeros(1)
-    e_ab = m.exc_density(ru, rd, zero, zero, zero)
-    e_ba = m.exc_density(rd, ru, zero, zero, zero)
-    # the DNN sees xi vs -xi: not identical unless trained; but prefactor is.
-    # We test the *architecture* invariance after antisymmetrizing inputs:
-    assert e_ab.shape == e_ba.shape  # smoke: both evaluate
+    assert m.exc_density(ru, rd, zero, zero, zero) == m.exc_density(rd, ru, zero, zero, zero)
 
 
 def test_mlxc_vacuum_zeroed():

@@ -1,6 +1,6 @@
 """Back-propagated MLXC against its complex-step oracle (``tests/reference``).
 
-The neural functionals get ``vrho`` / ``vsigma`` / ``vlapl`` from one forward
+The neural functional gets ``vrho`` / ``vsigma`` from one forward
 and one reverse pass, and the trainer its mixed parameter/input derivative
 from real forward-over-reverse passes; the complex-step forms they replaced
 are the oracles here.  Tier 1 turns ``RuntimeWarning`` into an error, so
@@ -17,11 +17,10 @@ from repro.constants import RHO_FLOOR
 from repro.fem.mesh import uniform_mesh
 from repro.ml.descriptors import phi_spin_factor
 from repro.ml.nn import MLP
-from repro.ml.training import MLXCLaplacianTrainer, MLXCTrainer, assemble_sample
+from repro.ml.training import MLXCTrainer, assemble_sample
 from repro.xc.gga import PBE
 from repro.xc.lda import LDA
 from repro.xc.mlxc import MLXC
-from repro.xc.mlxc_laplacian import MLXCLaplacian
 from tests.reference.mlxc import (
     reference_loss_and_grad,
     reference_param_grad,
@@ -29,7 +28,6 @@ from tests.reference.mlxc import (
 )
 
 _S_PREF = (3.0 * np.pi**2) ** (1.0 / 3.0)
-_Q_PREF = 4.0 * (3.0 * np.pi**2) ** (2.0 / 3.0)
 
 
 def _assert_matches_oracle(out, ref, scales=None, tol=1e-10):
@@ -38,7 +36,7 @@ def _assert_matches_oracle(out, ref, scales=None, tol=1e-10):
     one, to the natural magnitude ``p / x`` of ``d e / d x`` at that point (a
     derivative that changes sign has no magnitude of its own there)."""
     assert np.array_equal(out.exc, ref.exc)
-    for name in ("vrho", "vsigma", "vlapl"):
+    for name in ("vrho", "vsigma"):
         got, want = getattr(out, name), getattr(ref, name)
         assert (got is None) == (want is None), name
         if got is None:
@@ -54,8 +52,8 @@ def _assert_matches_oracle(out, ref, scales=None, tol=1e-10):
 # ----- (a) evaluate vs the complex-step oracle ---------------------------------
 @pytest.mark.parametrize(
     "functional",
-    [MLXC(seed=1), MLXC.pretrained(), MLXCLaplacian(seed=1)],
-    ids=["MLXC", "MLXC-pretrained", "MLXC-L"],
+    [MLXC(seed=1), MLXC.pretrained()],
+    ids=["MLXC", "MLXC-pretrained"],
 )
 def test_backprop_evaluate_matches_complex_step_over_descriptor_range(functional):
     rng = np.random.default_rng(0)
@@ -69,23 +67,14 @@ def test_backprop_evaluate_matches_complex_step_over_descriptor_range(functional
         sigma * ((1 + xi) / 2) ** 2, sigma * (1 + xi) * (1 - xi) / 4,
         sigma * ((1 - xi) / 2) ** 2,
     ]
-    if functional.needs_laplacian:
-        lap = rng.uniform(-3, 3, n) * _Q_PREF * rho ** (5.0 / 3.0)
-        share = rng.uniform(0, 1, n)
-        args += [share * lap, (1 - share) * lap]
     pref = rho ** (4.0 / 3.0) * phi_spin_factor(xi)
-    scales = {
-        "vrho": pref / rho,
-        "vsigma": pref / sigma,
-        "vlapl": pref / (_Q_PREF * rho ** (5.0 / 3.0)),
-    }
+    scales = {"vrho": pref / rho, "vsigma": pref / sigma}
     _assert_matches_oracle(
         functional.evaluate(*args), reference_xc_evaluate(functional, *args), scales
     )
 
 
-@pytest.mark.parametrize("cls", [MLXC, MLXCLaplacian])
-def test_backprop_evaluate_matches_complex_step_at_the_edges(cls):
+def test_backprop_evaluate_matches_complex_step_at_the_edges():
     """rho at and below the floor, a negative (clamped) density, one empty
     spin channel, sigma = 0, sigma_ud < 0 (and a negative total sigma).
 
@@ -97,58 +86,31 @@ def test_backprop_evaluate_matches_complex_step_at_the_edges(cls):
     """
     f = RHO_FLOOR
     columns = [
-        # rho_up, rho_dn, s_uu,  s_ud,  s_dd, lap
-        (f,       0.0,    0.1,   0.0,   0.0,  0.1),   # rho == floor: vacuum
-        (0.5 * f, 0.5 * f, 0.1,  0.0,   0.1, -0.1),   # rho == floor, split
-        (0.3 * f, 0.3 * f, 0.0,  0.0,   0.0,  0.0),   # below the floor
-        (0.0,     0.0,    0.0,   0.0,   0.0,  0.0),
-        (2 * f,   2 * f,  0.0,   0.0,   0.0,  0.0),   # just above it
-        (-0.2,    0.5,    0.2,   0.1,   0.2,  0.3),   # negative input: xi = -1
-        (0.25,    0.0,    0.3,   0.0,   0.0, -0.5),   # xi = +1
-        (0.0,     0.5,    0.0,   0.0,   0.4,  0.2),   # xi = -1
-        (2.0**-30, 0.0,   1e-20, 0.0,   0.0,  1e-12), # xi = +1, low density
-        (0.3,     0.2,    0.0,   0.0,   0.0,  0.0),   # sigma = 0
-        (0.3,     0.2,    0.1,  -0.02,  0.1,  0.4),   # sigma_ud < 0
-        (0.3,     0.2,    0.1,  -0.3,   0.1,  0.4),   # total sigma < 0
-        (0.3,     0.2,    0.1,   0.05,  0.2,  0.0),   # q = 0
+        # rho_up, rho_dn, s_uu,  s_ud,  s_dd
+        (f,       0.0,    0.1,   0.0,   0.0),   # rho == floor: vacuum
+        (0.5 * f, 0.5 * f, 0.1,  0.0,   0.1),   # rho == floor, split
+        (0.3 * f, 0.3 * f, 0.0,  0.0,   0.0),   # below the floor
+        (0.0,     0.0,    0.0,   0.0,   0.0),
+        (2 * f,   2 * f,  0.0,   0.0,   0.0),   # just above it
+        (-0.2,    0.5,    0.2,   0.1,   0.2),   # negative input: xi = -1
+        (0.25,    0.0,    0.3,   0.0,   0.0),   # xi = +1
+        (0.0,     0.5,    0.0,   0.0,   0.4),   # xi = -1
+        (2.0**-30, 0.0,   1e-20, 0.0,   0.0),   # xi = +1, low density
+        (0.3,     0.2,    0.0,   0.0,   0.0),   # sigma = 0
+        (0.3,     0.2,    0.1,  -0.02,  0.1),   # sigma_ud < 0
+        (0.3,     0.2,    0.1,  -0.3,   0.1),   # total sigma < 0
+        (0.3,     0.2,    0.1,   0.05,  0.2),   # sigma_ud > 0
     ]
     args = [np.array(col) for col in zip(*columns)]
-    functional = cls(seed=2)
-    args = args[:5] + ([0.5 * args[5]] * 2 if functional.needs_laplacian else [])
+    functional = MLXC(seed=2)
     out = functional.evaluate(*args)
     _assert_matches_oracle(out, reference_xc_evaluate(functional, *args, step=1e-90))
     assert np.all(out.exc[:4] == 0.0) and np.all(out.vrho[:4] == 0.0)
     assert np.all(out.exc[4:] != 0.0)
     assert np.all(np.isfinite(out.vrho)) and np.all(np.isfinite(out.vsigma))
-    # e sees only the total sigma (and Laplacian)
+    # e sees only the total sigma
     assert np.array_equal(out.vsigma[:, 1], 2.0 * out.vsigma[:, 0])
     assert np.array_equal(out.vsigma[:, 2], out.vsigma[:, 0])
-    if functional.needs_laplacian:
-        assert np.array_equal(out.vlapl[:, 0], out.vlapl[:, 1])
-
-
-def test_laplacian_potential_matches_complex_step_on_a_mesh():
-    """``potential_and_energy`` with the ``+ lap(vlapl)`` term, against the
-    oracle's derivatives assembled with the same recovery operators."""
-    mesh = uniform_mesh((6.0, 6.0, 6.0), (2, 2, 2), degree=3)
-    # off every node and symmetry plane: where |grad rho|^2 drops below the
-    # oracle's step (1e-30) its complex step is no longer a derivative
-    r2 = np.sum((mesh.node_coords - np.array([2.7, 3.2, 3.1])) ** 2, axis=1)
-    rho = np.exp(-r2 / 2.0)
-    spin = np.stack([0.6 * rho, 0.4 * rho], axis=1)
-    m = MLXCLaplacian(seed=4)
-    v, exc = m.potential_and_energy(mesh, spin)
-    g_up, g_dn = mesh.gradient(spin[:, 0]), mesh.gradient(spin[:, 1])
-    ref = reference_xc_evaluate(
-        m, spin[:, 0], spin[:, 1],
-        np.einsum("ij,ij->i", g_up, g_up), np.einsum("ij,ij->i", g_up, g_dn),
-        np.einsum("ij,ij->i", g_dn, g_dn),
-        mesh.divergence(g_up), mesh.divergence(g_dn),
-    )
-    assert ref.vlapl is not None and np.any(ref.vlapl != 0.0)
-    assert exc == float(mesh.integrate(ref.exc))
-    v_ref = ref.potential(mesh, g_up, g_dn)
-    assert np.max(np.abs(v - v_ref)) <= 1e-10 * np.max(np.abs(v_ref))
 
 
 # ----- (d) the network's own passes ----------------------------------------------
@@ -267,21 +229,13 @@ def toy_samples():
 
 
 @pytest.mark.parametrize(
-    "trainer_cls, functional",
-    [
-        (MLXCTrainer, MLXC(seed=3)),
-        (MLXCTrainer, MLXC.pretrained()),
-        (MLXCLaplacianTrainer, MLXCLaplacian(seed=5)),
-    ],
-    ids=["MLXC", "MLXC-pretrained", "MLXC-L"],
+    "functional", [MLXC(seed=3), MLXC.pretrained()], ids=["MLXC", "MLXC-pretrained"]
 )
-def test_two_samples_sharing_name_and_mesh_train_and_match_oracle(
-    toy_samples, trainer_cls, functional
-):
+def test_two_samples_sharing_name_and_mesh_train_and_match_oracle(toy_samples, functional):
     """Regression: ``samples.index(s)`` on an ``eq=True`` dataclass with array
     fields raised on the second sample.  Also (b): the gradient against the
     complex-step-times-backprop oracle."""
-    tr = trainer_cls(toy_samples, functional)
+    tr = MLXCTrainer(toy_samples, functional)
     losses, grad = tr.loss_and_grad()
     ref_losses, ref_grad = reference_loss_and_grad(tr)
     for key, want in ref_losses.items():
@@ -292,8 +246,7 @@ def test_two_samples_sharing_name_and_mesh_train_and_match_oracle(
     assert toy_samples[0].sigmas is toy_samples[0].sigmas  # computed once
 
 
-@pytest.mark.parametrize("trainer_cls", [MLXCTrainer, MLXCLaplacianTrainer])
-def test_trainer_gathers_by_the_evaluations_rows_between_the_two_floors(trainer_cls):
+def test_trainer_gathers_by_the_evaluations_rows_between_the_two_floors():
     """``evaluate`` keeps rho > RHO_FLOOR, ``TrainingSample.live`` rho >
     10 RHO_FLOOR.  Nodes between the two are in the network's rows but out
     of the potential loss; boundary nodes (rho = 0) are in neither.  The
@@ -306,7 +259,8 @@ def test_trainer_gathers_by_the_evaluations_rows_between_the_two_floors(trainer_
     rho[mesh.free[::41]] = 5.0 * RHO_FLOOR
     spin = np.stack([0.55 * rho, 0.45 * rho], axis=1)
     sample = assemble_sample("edge", mesh, spin, *LDA().potential_and_energy(mesh, spin))
-    tr = trainer_cls([sample])
+    tr = MLXCTrainer([sample])
+    assert type(tr.functional) is MLXC  # the default functional
     tape: list = []
     tr._sample_terms(sample, tape)
     assert sample.live.sum() < tape[0].size < mesh.nnodes
@@ -315,14 +269,6 @@ def test_trainer_gathers_by_the_evaluations_rows_between_the_two_floors(trainer_
     for key, want in ref_losses.items():
         assert losses[key] == pytest.approx(want, rel=1e-12)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad))
-
-
-def test_default_functionals_and_shared_trainer_code(toy_samples):
-    """The Laplacian trainer is the trainer with another default functional."""
-    assert type(MLXCTrainer(toy_samples).functional) is MLXC
-    assert type(MLXCLaplacianTrainer(toy_samples).functional) is MLXCLaplacian
-    own = set(vars(MLXCLaplacianTrainer)) - {"__module__", "__doc__"}
-    assert own == {"_default_functional"}
 
 
 #: ``MLXCTrainer([toy], MLXC.pretrained()).train(epochs=3)`` at the parent

@@ -1,7 +1,6 @@
 """Tests for reproscope (repro.obs): tracer, sinks, reports, bench harness."""
 
 import importlib.util
-import io
 import json
 import pathlib
 import threading
@@ -12,7 +11,6 @@ import pytest
 from repro.obs import (
     ChromeTraceSink,
     InMemoryAggregator,
-    JsonlSink,
     Stopwatch,
     TABLE3_ORDER,
     add_counter,
@@ -22,7 +20,6 @@ from repro.obs import (
     kernel_region,
     kernel_totals,
     paper_label,
-    read_jsonl,
     render_tree,
     set_enabled,
     trace_region,
@@ -182,38 +179,7 @@ def test_render_tree_and_kernel_totals(tracer, agg):
 
 
 # ---------------------------------------------------------------------------
-# JSONL + Chrome trace sinks
-def test_jsonl_round_trip(tracer):
-    buf = io.StringIO()
-    sink = get_tracer().add_sink(JsonlSink(buf, epoch=get_tracer().epoch))
-    with trace_region("EP", ndof=100):
-        with trace_region("Poisson-CG"):
-            add_counter("iterations", 3)
-    get_tracer().remove_sink(sink)
-
-    records = read_jsonl(io.StringIO(buf.getvalue()))
-    by_name = {r["name"]: r for r in records}
-    assert set(by_name) == {"EP", "Poisson-CG"}
-    assert by_name["EP"]["attrs"]["ndof"] == 100
-    assert by_name["Poisson-CG"]["path"] == ["EP", "Poisson-CG"]
-    assert by_name["Poisson-CG"]["counters"]["iterations"] == 3
-    for r in records:
-        assert r["dur"] >= 0.0 and r["start"] >= 0.0
-        assert isinstance(r["tid"], int)
-
-
-def test_jsonl_file_target_appends(tracer, tmp_path):
-    path = tmp_path / "spans.jsonl"
-    for _ in range(2):
-        sink = get_tracer().add_sink(JsonlSink(path, epoch=get_tracer().epoch))
-        with trace_region("CF"):
-            pass
-        get_tracer().remove_sink(sink)
-        sink.close()
-    records = read_jsonl(path)
-    assert len(records) == 2 and all(r["name"] == "CF" for r in records)
-
-
+# Chrome trace sink
 def test_chrome_trace_is_valid_json(tracer, tmp_path):
     out = tmp_path / "trace.json"
     sink = get_tracer().add_sink(

@@ -10,7 +10,6 @@ from repro.xc.base import RHO_FLOOR, XCFunctional
 from repro.xc.gga import PBE
 from repro.xc.lda import LDA, pw92_ec
 from repro.xc.mlxc import MLXC
-from repro.xc.mlxc_laplacian import MLXCLaplacian
 from tests.reference import reference_evaluate_then_mask
 
 
@@ -282,15 +281,12 @@ def test_pbe_complex_step_runs_through_the_shared_pw92_forms(monkeypatch):
 # The derivative step runs on the live rows only.  Its oracle is the
 # evaluate-everything-then-mask form ``evaluate`` had before the gather.
 # ---------------------------------------------------------------------------
-def _contractions(mesh, spin, laplacian):
+def _contractions(mesh, spin):
     g_up, g_dn = mesh.gradient(spin[:, 0]), mesh.gradient(spin[:, 1])
-    args = [
+    return [
         spin[:, 0], spin[:, 1], np.einsum("ij,ij->i", g_up, g_up),
         np.einsum("ij,ij->i", g_up, g_dn), np.einsum("ij,ij->i", g_dn, g_dn),
     ]
-    if laplacian:
-        args += [mesh.divergence(g_up), mesh.divergence(g_dn)]
-    return args
 
 
 def _dirichlet_inputs(functional):
@@ -306,7 +302,7 @@ def _dirichlet_inputs(functional):
     interior = mesh.free[::97]
     spin[interior[:3]] = 0.3 * RHO_FLOOR
     spin[interior[3], 0] = -0.1
-    args = _contractions(mesh, spin, functional.needs_laplacian)
+    args = _contractions(mesh, spin)
     if not functional.needs_gradient:
         args = args[:2]
     live = (np.maximum(spin[:, 0], 0.0) + np.maximum(spin[:, 1], 0.0)) > RHO_FLOOR
@@ -315,7 +311,7 @@ def _dirichlet_inputs(functional):
 
 
 def _fields(out):
-    return {name: getattr(out, name) for name in ("exc", "vrho", "vsigma", "vlapl")}
+    return {name: getattr(out, name) for name in ("exc", "vrho", "vsigma")}
 
 
 @pytest.mark.parametrize("functional", [LDA(), PBE()], ids=["LDA", "PBE"])
@@ -338,10 +334,9 @@ def test_live_gather_is_bitwise_the_evaluate_everything_oracle(functional):
         assert np.array_equal(v, ref.vrho)
 
 
-@pytest.mark.parametrize("name", ["MLXC", "MLXC-L"])
-def test_live_gather_of_the_neural_functionals_matches_the_oracle(name):
+def test_live_gather_of_the_neural_functionals_matches_the_oracle():
     """The network's GEMMs run on fewer rows, which may round differently."""
-    functional = MLXC.pretrained() if name == "MLXC" else MLXCLaplacian(seed=3)
+    functional = MLXC.pretrained()
     _, _, args, live = _dirichlet_inputs(functional)
     out = functional.evaluate(*args)
     ref = reference_evaluate_then_mask(functional, *args)
@@ -369,7 +364,7 @@ def test_all_live_input_reaches_the_derivative_step_ungathered():
     mesh = uniform_mesh((6.0, 6.0, 6.0), (2, 2, 2), degree=3, pbc=(True,) * 3)
     r2 = np.sum((mesh.node_coords - 3.0) ** 2, axis=1)
     rho = 0.01 + np.exp(-r2 / 2.0)
-    args = _contractions(mesh, np.stack([0.6 * rho, 0.4 * rho], axis=1), False)
+    args = _contractions(mesh, np.stack([0.6 * rho, 0.4 * rho], axis=1))
     tape: list = []
     out = Spy().evaluate(*args, tape=tape)
     (got,) = seen
@@ -394,3 +389,18 @@ def test_evaluate_opens_one_xc_span_with_its_point_counts():
         set_enabled(prev)
     assert [c.name for c in root.children] == ["XC"]
     assert root.children[0].attrs == {"points": live.size, "live": int(live.sum())}
+
+
+def test_xc_interface_is_pinned():
+    """What every functional returns and what ``evaluate`` takes: the spin
+    densities, the three gradient contractions and the trainer's tape.  A
+    new field or argument shows up here as a reviewed diff."""
+    import inspect
+    from dataclasses import fields
+
+    from repro.xc.base import XCOutput
+
+    assert [f.name for f in fields(XCOutput)] == ["exc", "vrho", "vsigma"]
+    assert list(inspect.signature(XCFunctional.evaluate).parameters)[1:] == [
+        "rho_up", "rho_dn", "sigma_uu", "sigma_ud", "sigma_dd", "tape",
+    ]
