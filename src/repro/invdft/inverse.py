@@ -19,6 +19,11 @@ the converged total potential decomposes as
 ``rho_KS = rho_t``.  The far-field behaviour of ``v_xc`` is pinned by the
 Dirichlet frame (updates live on interior DoFs only), mirroring the paper's
 -1/r far-field condition at the box scale.
+
+A spin-unpolarized problem — the target's two spin columns and the starting
+``v_xc``'s bitwise equal, as a closed-shell FCI density and its LDA potential
+are — is one spin channel solved twice: the run solves spin 0 alone and
+mirrors its Ritz pairs and updates onto spin 1.
 """
 
 from __future__ import annotations
@@ -217,6 +222,14 @@ class InverseDFT:
             state is snapshotted every ``checkpoint_every`` iterations, and
             ``resume_from`` continues an interrupted optimization with the
             same trajectory as the uninterrupted run.
+
+        When ``rho_target_spin``'s columns are bitwise equal and so are
+        those of the ``v_xc`` being iterated (after the far-field handling,
+        or the checkpoint's on ``resume_from``), every step runs for spin 0
+        only and is copied onto spin 1: the two-spin loop with spin 1
+        drawing spin 0's seeds.  Results keep both columns; the history's
+        ``minres_iterations`` and ``adjoint_columns`` count the spins
+        actually solved.
         """
         mesh = self.mesh
         w = np.ones(mesh.nnodes) if weight is None else np.asarray(weight)
@@ -237,6 +250,10 @@ class InverseDFT:
             self._psi, self._evals = st.psi, st.evals
         else:
             st = _LoopState(v_xc, v_xc.copy(), eta, self._psi, self._evals)
+        mirrored = np.array_equal(self.rho_t[:, 0], self.rho_t[:, 1]) and (
+            np.array_equal(st.v_xc[:, 0], st.v_xc[:, 1])
+        )
+        spins = (0,) if mirrored else (0, 1)
 
         def save_ck() -> None:
             if checkpoint_path is None:
@@ -251,8 +268,10 @@ class InverseDFT:
         for it in range(st.iteration + 1, max_iterations + 1):
             st.iteration = it
             with trace_region("invDFT-iteration", iteration=it):
-                for s in (0, 1):
+                for s in spins:
                     self._eigensolve(s, st.v_xc[:, s])
+                if mirrored:
+                    self._psi[1], self._evals[1] = self._psi[0], self._evals[0]
                 occ = find_fermi_level(
                     [self._evals[0]], [1.0], self.n_up, self.temperature, degeneracy=1.0
                 ).occupations + find_fermi_level(
@@ -286,7 +305,7 @@ class InverseDFT:
                 st.err_prev = st.err
                 st.eta *= 1.05
                 sols = []
-                for s in (0, 1):
+                for s in spins:
                     with trace_region("XC-update", spin=s):
                         G = adjoint_rhs(
                             mesh, self._psi[s], occ[s], w * dr[:, s]
@@ -315,12 +334,15 @@ class InverseDFT:
                         u = potential_gradient(mesh, self._psi[s], sol.x)
                         st.v_xc[:, s] -= st.eta * u
                         sols.append(sol)
+                if mirrored:
+                    st.v_xc[:, 1] = st.v_xc[:, 0]
                 # the adjoint leg of the a-posteriori record: work done and
-                # the worst column's residual, both spins together
+                # the worst column's residual over the spins actually solved
+                # (spin 0 alone in a mirrored run)
                 solved = sum(int(np.count_nonzero(r.column_iterations)) for r in sols)
                 st.history[-1].update(
                     minres_iterations=sum(r.iterations for r in sols),
-                    adjoint_columns=[solved, 2 * self.nstates],
+                    adjoint_columns=[solved, len(spins) * self.nstates],
                     adjoint_residual=max(float(r.residuals.max()) for r in sols),
                 )
                 save_ck()

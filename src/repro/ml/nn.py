@@ -46,16 +46,25 @@ def elu_prime(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     return np.where(pos, 1.0, alpha * np.exp(np.where(pos, 0.0, x)))
 
 
-def _elu_and_prime(x: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`elu` and :func:`elu_prime` from one ``exp``, formed in place."""
-    pos = np.real(x) > 0
-    e = np.exp(np.where(pos, 0.0, x))
-    a = e - 1.0
-    a *= alpha
-    np.copyto(a, x, where=pos)
+def _elu_and_prime(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`elu` and :func:`elu_prime` of a real ``z`` from one ``exp``,
+    branch-free; the activation is formed in ``z``'s buffer.
+
+    ``e = exp(min(z, 0))`` is exactly 1 on the positive branch, so
+    ``max(z, 0) + alpha (e - 1)`` is ``z`` there, and the slope ``alpha e``
+    is ``(e - p) alpha + p`` with ``p`` the 0/1 indicator of that branch.
+    """
+    e = np.minimum(z, 0.0)
+    np.exp(e, out=e)
+    pos = z > 0
+    np.maximum(z, 0.0, out=z)
+    t = e - 1.0
+    t *= alpha
+    z += t
+    e -= pos
     e *= alpha
-    np.copyto(e, 1.0, where=pos)
-    return a, e
+    e += pos
+    return z, e
 
 
 class MLP:
@@ -97,7 +106,8 @@ class MLP:
         for li, (W, b) in enumerate(zip(self.weights, self.biases)):
             if cache is not None:
                 cache.append((a if keep_inputs else None, slope))
-            z = a @ W + b
+            z = a @ W
+            z += b
             if li == last:
                 a = z
             elif cache is None:
@@ -118,7 +128,7 @@ class MLP:
         tangents = []
         for li, W in enumerate(self.weights):
             if li:
-                t = t * cache[li][1]
+                t *= cache[li][1]  # t is the last GEMM's own output
             tangents.append(t)
             t = t @ W
         return t, tangents
@@ -151,11 +161,13 @@ class MLP:
             if tangents is not None:
                 dW[li] += tangents[li].T @ tdelta
                 tdelta = tdelta @ WT
-            if li:
-                delta = delta * slope
+            if li:  # delta and tdelta are this sweep's own GEMM outputs
+                delta *= slope
                 if tangents is not None:
-                    delta += tdelta * np.where(a > 0, 0.0, tangents[li])
-                    tdelta = tdelta * slope
+                    curv = tdelta * tangents[li]
+                    curv *= a <= 0
+                    delta += curv
+                    tdelta *= slope
         return dW, db, delta
 
     def value_and_param_grad(
@@ -182,7 +194,8 @@ class MLP:
         out = self.forward(X, acts, keep_inputs=cache is not None)
         delta = np.ones_like(out) @ self.weights[-1].T
         for li in range(len(self.weights) - 1, 0, -1):
-            delta = (delta * acts[li][1]) @ self.weights[li - 1].T
+            delta *= acts[li][1]
+            delta = delta @ self.weights[li - 1].T
         return out[:, 0], delta
 
     # -- parameter vector interface ----------------------------------------

@@ -83,8 +83,16 @@ def qmb_reference(
     phi = orbitals_to_nodes(calc.mesh, seed.channels[0].psi)[:, :n_orb]
     ints = compute_integrals(calc.mesh, calc.config, phi)
     fci = FCISolver(ints, n_a, n_b).ground_state()
-    rho_up = density_from_rdm(phi, fci.rdm1_alpha)
-    rho_dn = density_from_rdm(phi, fci.rdm1_beta)
+    if n_a == n_b:
+        # an M_s = 0 spin eigenstate has zero spin density: the two RDMs
+        # differ by FCI rounding only, and equal columns let invDFT solve
+        # one spin channel (InverseDFT.run mirrors it)
+        rho_up = rho_dn = density_from_rdm(
+            phi, 0.5 * (fci.rdm1_alpha + fci.rdm1_beta)
+        )
+    else:
+        rho_up = density_from_rdm(phi, fci.rdm1_alpha)
+        rho_dn = density_from_rdm(phi, fci.rdm1_beta)
     return QMBReference(
         name=name,
         calc=calc,

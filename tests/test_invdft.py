@@ -324,3 +324,56 @@ def test_solve_adjoint_spends_no_applies_on_dead_columns(adjoint_problems):
     # whole block once (the norms that rank the columns), then live columns
     assert ledger["Adjoint"].calls == 1
     assert ledger["fdm_gemm"].flops_fp64 == op.mesh.fdm.flops * (4 + res.iterations)
+
+
+# ---------------------------------------------------------------------------
+# a spin-unpolarized target: spin 0 is solved and mirrored onto spin 1
+
+
+@pytest.fixture(scope="module")
+def he_target():
+    """He from a spin-restricted LDA SCF: bitwise-equal spin columns of the
+    density and of its LDA potential."""
+    from repro.atoms.pseudo import AtomicConfiguration
+    from repro.core import DFTCalculation
+    from repro.xc.lda import LDA
+
+    calc = DFTCalculation(
+        AtomicConfiguration(["He"], [[0, 0, 0]]), xc=LDA(), padding=6.0,
+        cells_per_axis=3, degree=2, nstates=3,
+    )
+    return calc, calc.run()
+
+
+def _invert(calc, rho_spin, v_xc, iterations=4):
+    from repro.invdft import InverseDFT
+
+    inv = InverseDFT(
+        calc.mesh, calc.config, rho_spin, nstates=3, minres_tol=1e-6,
+        minres_maxiter=60,
+    )
+    return inv.run(v_xc, eta=1.0, max_iterations=iterations, tol=0.0)
+
+
+def test_invdft_mirrors_a_spin_symmetric_target(he_target):
+    calc, res = he_target
+    assert np.array_equal(res.rho_spin[:, 0], res.rho_spin[:, 1])
+    out = _invert(calc, res.rho_spin, res.v_xc_spin.copy())
+    # one spin's adjoint columns per update: spin 0 alone was solved
+    assert all(h["adjoint_columns"][1] == 3 for h in out.history)
+    np.testing.assert_array_equal(out.v_xc[:, 0], out.v_xc[:, 1])
+    np.testing.assert_array_equal(out.rho_ks[:, 0], out.rho_ks[:, 1])
+    np.testing.assert_array_equal(out.eigenvalues[0], out.eigenvalues[1])
+
+    # one ulp on spin 1's starting v_xc at one interior node: not symmetric,
+    # so the two-spin loop runs, and lands where the mirrored run did
+    v1 = res.v_xc_spin.copy()
+    node = calc.mesh.free[calc.mesh.free.size // 2]
+    v1[node, 1] = np.nextafter(v1[node, 1], np.inf)
+    both = _invert(calc, res.rho_spin, v1)
+    assert all(h["adjoint_columns"][1] == 6 for h in both.history)
+    np.testing.assert_allclose(
+        [h["density_error"] for h in both.history],
+        [h["density_error"] for h in out.history], rtol=1e-6,
+    )
+    np.testing.assert_allclose(both.v_xc, out.v_xc, rtol=1e-6)

@@ -71,3 +71,53 @@ def test_train_and_deploy_mlxc_small(h2_ref):
     # the LDA seed; the production-quality comparison lives in
     # benchmarks/bench_fig3_mlxc_accuracy.py with the shipped weights
     assert err_mlxc < 1.2 * err_lda
+
+
+def _qmb_reference_with_rdms(monkeypatch, name):
+    """``qmb_reference`` at small settings, with the orbitals and the FCI
+    result it built its density from."""
+    import repro.qmb.fci as fci
+
+    seen = {}
+    ground_state = fci.FCISolver.ground_state
+    density_from_rdm = fci.density_from_rdm
+
+    def record_ground_state(self):
+        seen["fci"] = ground_state(self)
+        return seen["fci"]
+
+    def record_density(phi, rdm1):
+        seen["phi"] = phi
+        return density_from_rdm(phi, rdm1)
+
+    monkeypatch.setattr(fci.FCISolver, "ground_state", record_ground_state)
+    monkeypatch.setattr(fci, "density_from_rdm", record_density)
+    ref = qmb_reference(name, cells_per_axis=3, degree=2)
+    ref.calc.close()
+    return ref, seen["phi"], seen["fci"]
+
+
+@pytest.mark.parametrize("name", ["H2", "LiH"])
+def test_qmb_reference_closed_shell_spin_columns_are_equal(monkeypatch, name):
+    """n_alpha == n_beta: both columns are the density of the spin-averaged
+    RDM, bitwise equal, and they add up to the two RDMs' density."""
+    from repro.qmb.fci import density_from_rdm
+
+    ref, phi, gs = _qmb_reference_with_rdms(monkeypatch, name)
+    rho = ref.rho_qmb_spin
+    np.testing.assert_array_equal(rho[:, 0], rho[:, 1])
+    old = density_from_rdm(phi, gs.rdm1_alpha) + density_from_rdm(phi, gs.rdm1_beta)
+    np.testing.assert_allclose(rho.sum(axis=1), old, rtol=0.0, atol=1e-14)
+
+
+def test_qmb_reference_open_shell_keeps_both_rdms(monkeypatch):
+    from repro.qmb.fci import density_from_rdm
+
+    ref, phi, gs = _qmb_reference_with_rdms(monkeypatch, "Li")
+    assert ref.n_alpha != ref.n_beta
+    np.testing.assert_array_equal(
+        ref.rho_qmb_spin[:, 0], density_from_rdm(phi, gs.rdm1_alpha)
+    )
+    np.testing.assert_array_equal(
+        ref.rho_qmb_spin[:, 1], density_from_rdm(phi, gs.rdm1_beta)
+    )

@@ -470,11 +470,27 @@ def test_halo_persistent_loss_raises_structured(dist_problem):
 # ===========================================================================
 @pytest.fixture(scope="module")
 def he_inverse_problem():
+    """He from a spin-restricted SCF: equal spin columns, so invDFT solves
+    spin 0 and mirrors it."""
     config = AtomicConfiguration(["He"], [[0, 0, 0]])
     calc = DFTCalculation(
         config, xc=LDA(), padding=6.0, cells_per_axis=3, degree=2, nstates=3
     )
     res = calc.run()
+    return calc, res
+
+
+@pytest.fixture(scope="module")
+def li_inverse_problem():
+    """Li from a spin-polarized SCF: two different spin densities, so invDFT
+    runs its two-spin loop."""
+    config = AtomicConfiguration(["Li"], [[0, 0, 0]])
+    calc = DFTCalculation(
+        config, xc=LDA(), padding=6.0, cells_per_axis=3, degree=2, nstates=3,
+        spin_polarized=True,
+    )
+    res = calc.run()
+    assert not np.array_equal(res.rho_spin[:, 0], res.rho_spin[:, 1])
     return calc, res
 
 
@@ -488,10 +504,7 @@ def _run_inverse(calc, res, retry=None, minres_maxiter=60, **kwargs):
     )
 
 
-@pytest.mark.chaos
-@pytest.mark.parametrize("kind", FAULT_SITES["minres"])
-def test_minres_fault_recovers_bit_identical(he_inverse_problem, kind):
-    calc, res = he_inverse_problem
+def _check_minres_fault_recovers(calc, res, kind):
     # the fault lands mid-run whatever the solver's iteration count: the
     # index comes from counting the clean run (an empty plan only counts)
     counted = FaultPlan()
@@ -506,6 +519,18 @@ def test_minres_fault_recovers_bit_identical(he_inverse_problem, kind):
     assert [h["density_error"] for h in out.history] == [
         h["density_error"] for h in ref.history
     ]
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("kind", FAULT_SITES["minres"])
+def test_minres_fault_recovers_bit_identical(he_inverse_problem, kind):
+    _check_minres_fault_recovers(*he_inverse_problem, kind)
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("kind", FAULT_SITES["minres"])
+def test_minres_fault_recovers_bit_identical_polarized(li_inverse_problem, kind):
+    _check_minres_fault_recovers(*li_inverse_problem, kind)
 
 
 @pytest.mark.chaos
@@ -532,10 +557,11 @@ def test_minres_exhausted_maxiter_raises_structured(he_inverse_problem):
     assert ei.value.site == "minres"
 
 
-def test_invdft_history_and_trace_record_the_adjoint_leg(he_inverse_problem):
+def _check_adjoint_leg_recorded(calc, res, nspins):
+    """Three updates of ``nspins`` MINRES calls each, as the history and the
+    trace both record them."""
     from repro.obs import InMemoryAggregator, get_tracer, set_enabled
 
-    calc, res = he_inverse_problem
     tracer = get_tracer()
     prev = set_enabled(True)
     agg = tracer.add_sink(InMemoryAggregator())
@@ -547,8 +573,8 @@ def test_invdft_history_and_trace_record_the_adjoint_leg(he_inverse_problem):
     assert len(out.history) == 3
     for row in out.history:  # every row updated v_xc (no overshoot, no stop)
         solved, total = row["adjoint_columns"]
-        assert total == 6 and 1 <= solved <= total
-        assert 1 <= row["minres_iterations"] <= 2 * 60
+        assert total == 3 * nspins and 1 <= solved <= total
+        assert 1 <= row["minres_iterations"] <= nspins * 60
         assert 0.0 < row["adjoint_residual"] <= 1e-6
     spans = [n for n in agg.nodes() if n.name == "MINRES"]
     calls = sum(n.calls for n in spans)
@@ -556,10 +582,21 @@ def test_invdft_history_and_trace_record_the_adjoint_leg(he_inverse_problem):
         k: sum(n.counters[k] for n in spans)
         for k in ("iterations", "columns", "columns_skipped")
     }
-    assert calls == 6  # two spins x three updates
+    assert calls == 3 * nspins  # solved spins x three updates
     assert count["columns"] + count["columns_skipped"] == 3 * calls
     assert count["columns"] == sum(r["adjoint_columns"][0] for r in out.history)
     assert count["iterations"] == sum(r["minres_iterations"] for r in out.history)
+
+
+def test_invdft_history_and_trace_record_the_adjoint_leg(he_inverse_problem):
+    # He's spin columns are equal: spin 0 is solved and mirrored
+    _check_adjoint_leg_recorded(*he_inverse_problem, nspins=1)
+
+
+def test_invdft_history_and_trace_record_the_adjoint_leg_polarized(
+    li_inverse_problem,
+):
+    _check_adjoint_leg_recorded(*li_inverse_problem, nspins=2)
 
 
 def test_invdft_resumes_parent_format_checkpoint(he_inverse_problem, tmp_path):
@@ -586,8 +623,7 @@ def test_invdft_resumes_parent_format_checkpoint(he_inverse_problem, tmp_path):
     assert resumed.history[3:] == full.history[3:]
 
 
-def test_invdft_checkpoint_resume_bit_identical(he_inverse_problem, tmp_path):
-    calc, res = he_inverse_problem
+def _check_checkpoint_resume(calc, res, tmp_path):
     full = _run_inverse(calc, res, max_iterations=6)
     ck = str(tmp_path / "inv.ckpt")
     _run_inverse(calc, res, max_iterations=3, checkpoint_path=ck)
@@ -596,6 +632,16 @@ def test_invdft_checkpoint_resume_bit_identical(he_inverse_problem, tmp_path):
     assert [h["density_error"] for h in resumed.history[-3:]] == [
         h["density_error"] for h in full.history[-3:]
     ]
+
+
+def test_invdft_checkpoint_resume_bit_identical(he_inverse_problem, tmp_path):
+    _check_checkpoint_resume(*he_inverse_problem, tmp_path)
+
+
+def test_invdft_checkpoint_resume_bit_identical_polarized(
+    li_inverse_problem, tmp_path
+):
+    _check_checkpoint_resume(*li_inverse_problem, tmp_path)
 
 
 # ===========================================================================
