@@ -3,9 +3,9 @@
 Times the full repo self-check (``lint_paths`` over ``src``,
 ``benchmarks`` and ``examples`` with every rule enabled — the same call
 ``tests/test_static_analysis.py`` gates on) and a rules-only pass over
-``src`` to separate parse cost from analysis cost.  The flow-aware
-engine (CFG + reaching definitions + dtype abstract interpretation per
-function) replaced the old single-pass pattern matchers, so this
+``src`` to separate parse cost from analysis cost.  Every rule is a
+single pass over one file's AST (the concurrency rules close over the
+module's call graph), so the cost should stay linear in the source; this
 benchmark exists to catch accidental superlinear blowups: the headline
 gate is that the whole self-check finishes in a few seconds.
 
@@ -79,7 +79,7 @@ def bench() -> dict:
 
 
 def test_selfcheck_gate():
-    """The flow-aware self-check stays clean and inside its time budget."""
+    """The self-check stays clean and inside its time budget."""
     result = bench()
     assert result["findings"] == 0
     assert result["wall_seconds"] < GATE_SECONDS, result

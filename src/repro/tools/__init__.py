@@ -4,9 +4,8 @@ Three complementary layers guard the numerical invariants the paper's
 performance results depend on (mixed-precision block structure,
 deterministic collectives, explicit dtypes, lock discipline):
 
-* :mod:`repro.tools.lint` — ``reprolint``, a flow-aware static analyzer
-  (per-function CFG + reaching definitions + dtype abstract
-  interpretation) with a rule registry, per-rule severities,
+* :mod:`repro.tools.lint` — ``reprolint``, a single-pass AST analyzer
+  with a rule registry, per-rule severities and path scoping,
   ``# reprolint: disable=...`` suppressions and text/JSON output.  Run it
   as ``python -m repro.tools.lint src/`` or ``python -m repro lint``.
 * :mod:`repro.tools.contracts` — ``@shape_contract`` / ``@dtype_contract``

@@ -10,11 +10,11 @@ Framework features:
 
 * a rule registry (:func:`register`) with per-rule severity and optional
   path scoping (e.g. R003 only applies under ``hpc/``);
-* flow-aware rules backed by per-function CFGs and dataflow analyses
-  (:mod:`~repro.tools.lint.cfg`, :mod:`~repro.tools.lint.dataflow`) —
-  R001/R006/R012 track reduced-precision values to their escape points,
-  and the concurrency pass (:mod:`~repro.tools.lint.concurrency`,
-  R013, R014, R016) resolves thread entries and lock scopes;
+* single-pass AST rules (:mod:`~repro.tools.lint.rules`) and a
+  module-local concurrency pass (:mod:`~repro.tools.lint.concurrency`,
+  R013, R014, R016) that resolves thread entries and lock scopes, both
+  built on the shared AST helpers below (:func:`dotted_name`,
+  :func:`module_functions`, :func:`target_names`, :func:`header_exprs`);
 * line-level suppressions — ``# reprolint: disable=R001`` (or
   ``disable=R001,R003``, or a bare ``disable`` for all rules) on the
   flagged line, and ``# reprolint: disable-file=R001`` near the top of a
@@ -145,6 +145,61 @@ class Rule:
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
+
+
+# ----------------------------------------------------------------------------
+# AST helpers shared by the rule modules
+def dotted_name(node: ast.AST) -> str | None:
+    """Render a Name/Attribute chain as ``a.b.c`` (None if not a chain)."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def module_functions(
+    tree: ast.Module,
+) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """Every function and method in the module, nested ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def target_names(t: ast.AST) -> Iterator[str]:
+    """Names bound by an assignment/``for``/``with`` target expression."""
+    if isinstance(t, ast.Name):
+        yield t.id
+    elif isinstance(t, (ast.Tuple, ast.List)):
+        for e in t.elts:
+            yield from target_names(e)
+    elif isinstance(t, ast.Starred):
+        yield from target_names(t.value)
+
+
+def header_exprs(stmt: ast.AST) -> list[ast.AST]:
+    """What a statement evaluates *itself*, not in a nested body: a
+    compound statement's test / iterable / context expressions, or the
+    whole of a simple statement."""
+    if isinstance(stmt, (ast.If, ast.While)):
+        return [stmt.test]
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        return [stmt.iter]
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in stmt.items]
+    if isinstance(stmt, ast.Match):
+        return [stmt.subject]
+    if isinstance(stmt, ast.ExceptHandler):
+        return [stmt.type] if stmt.type is not None else []
+    if isinstance(
+        stmt, (ast.Try, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    ):
+        return []
+    return [stmt]
 
 
 RULE_REGISTRY: dict[str, type[Rule]] = {}

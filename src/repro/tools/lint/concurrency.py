@@ -28,8 +28,15 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from . import FileContext, Finding, Rule, register
-from .dataflow import dotted_name, module_functions
+from . import (
+    FileContext,
+    Finding,
+    Rule,
+    dotted_name,
+    module_functions,
+    register,
+    target_names,
+)
 
 __all__ = [
     "UnlockedSharedStateMutation",
@@ -475,14 +482,7 @@ def assigned_locally(fn: ast.AST, name: str) -> set[str]:
                 if isinstance(target, ast.Name) and target.id == name:
                     return {name}
         elif isinstance(node, (ast.For, ast.AsyncFor)):
-            if name in {n for n in _iter_target_names(node.target)}:
+            if name in target_names(node.target):
                 return {name}
     return set()
 
-
-def _iter_target_names(t: ast.AST) -> Iterator[str]:
-    if isinstance(t, ast.Name):
-        yield t.id
-    elif isinstance(t, (ast.Tuple, ast.List)):
-        for e in t.elts:
-            yield from _iter_target_names(e)

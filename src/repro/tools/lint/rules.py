@@ -4,8 +4,8 @@ Each rule targets a failure mode this codebase has actually had to defend
 against (see DESIGN.md "Correctness tooling"):
 
 ========  ==========================================================
-R001      precision-losing ``astype`` downcasts outside the
-          whitelisted mixed-precision kernels
+R001      reduced-precision casts, allocations and mirror-helper
+          calls outside the mixed-precision kernels
 R002      complex-step differentiation helpers that perturb with a
           complex step but never extract ``.real``/``.imag``
 R003      nondeterminism (legacy ``np.random`` global RNG, unseeded
@@ -22,7 +22,7 @@ R010      ``np.add.at`` scatter-adds outside the sanctioned
           ``repro/fem`` fast-scatter implementation
 R011      broad ``except Exception`` / ``except BaseException`` / bare
           ``except`` outside the ``repro/resilience`` recovery boundary
-R012      ``.astype`` casts of loop-invariant data inside loops in the
+R012      ``.astype`` casts inside ``for``/``while`` bodies in the
           numerical core, where the batched subspace engine's
           single-cast mirrors belong
 R017      ``SharedMemory`` segment creation/attachment outside the
@@ -36,11 +36,9 @@ entries) live in :mod:`repro.tools.lint.concurrency`.  Environment reads
 need no rule: ``tests/test_env_surface.py`` pins every one the package
 makes.
 
-R001, R006 and R012 are *flow-aware*: they run reaching definitions and
-a dtype abstract interpretation over per-function CFGs (see
-:mod:`repro.tools.lint.cfg` / :mod:`repro.tools.lint.dataflow`) so that
-a downcast is flagged only where the reduced-precision value *escapes*
-a non-whitelisted scope, not merely where ``.astype`` appears.
+Every rule is a single pass over one module's AST: no control flow or
+dataflow is modelled, so a rule flags the construct wherever it appears
+and a sanctioned exception is a path exclusion or a line pragma.
 
 Add a rule by subclassing :class:`~repro.tools.lint.Rule`, decorating it
 with :func:`~repro.tools.lint.register`, and yielding
@@ -50,22 +48,17 @@ with :func:`~repro.tools.lint.register`, and yielding
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterator
 
-from . import FileContext, Finding, Rule, register
-from .cfg import (
-    assigned_names,
-    build_cfg,
+from . import (
+    FileContext,
+    Finding,
+    Rule,
+    dotted_name,
     header_exprs,
-    shallow_defs,
-    target_names,
-)
-from .dataflow import (
-    Escape,
-    LowOrigin,
-    ReachingDefinitions,
-    analyze_module_dtypes,
     module_functions,
+    register,
 )
 
 __all__ = [
@@ -85,72 +78,151 @@ __all__ = [
 ]
 
 
+#: attribute / string spellings of reduced-precision dtypes
+_LOWPREC_ATTRS = frozenset(
+    {"float32", "complex64", "float16", "half", "single", "csingle"}
+)
+_LOWPREC_STRINGS = frozenset(
+    {"float32", "complex64", "float16", "single", "f4", "c8", "f2"}
+)
+#: call leaves that produce a reduced-precision array by convention
+_HELPER_RE = re.compile(r"(fp32|f32|c64|mirror)", re.IGNORECASE)
+#: numpy constructors taking a dtype, with its positional index
+_NP_DTYPE_POS = {
+    "zeros": 1, "empty": 1, "ones": 1, "full": 2, "array": 1,
+    "asarray": 1, "ascontiguousarray": 1, "asfortranarray": 1,
+    "zeros_like": 1, "empty_like": 1, "ones_like": 1, "full_like": 2,
+}
 
-def _dotted(node: ast.AST) -> str | None:
-    """Render a Name/Attribute chain as ``a.b.c`` (None if not a chain)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
-
-def _functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
+def lowprec_dtype_names(tree: ast.Module) -> set[str]:
+    """Names assigned from a reduced-precision *dtype-valued* expression
+    (``f32 = np.float32``, ``pdt = f32_dtype(X.dtype)``...)."""
+    names: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and is_lowprec_dtype(
+                node.value, names
+            ):
+                names.add(target.id)
+    return names
+
+
+def is_lowprec_dtype(node: ast.AST, names: set[str]) -> bool:
+    """Does this expression denote a reduced-precision dtype value?"""
+    if isinstance(node, ast.Attribute) and node.attr in _LOWPREC_ATTRS:
+        return True
+    if isinstance(node, ast.Name) and node.id in names:
+        return True
+    if isinstance(node, ast.Constant) and node.value in _LOWPREC_STRINGS:
+        return True
+    if isinstance(node, ast.IfExp):
+        return is_lowprec_dtype(node.body, names) or is_lowprec_dtype(
+            node.orelse, names
+        )
+    if isinstance(node, ast.Call):
+        dotted = dotted_name(node.func)
+        if dotted is not None:
+            leaf = dotted.rsplit(".", maxsplit=1)[-1]
+            # np.dtype("float32"), and helper factories like f32_dtype(...)
+            if leaf == "dtype" and node.args and is_lowprec_dtype(
+                node.args[0], names
+            ):
+                return True
+            if "f32" in leaf or "c64" in leaf:
+                return True
+    return False
+
+
+def _is_astype(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "astype"
+    )
+
+
+def _dtype_arg(call: ast.Call, pos: int) -> ast.AST | None:
+    """The ``dtype=`` keyword of a call, else its ``pos``-th argument."""
+    for kw in call.keywords:
+        if kw.arg == "dtype":
+            return kw.value
+    return call.args[pos] if len(call.args) > pos else None
 
 
 # ----------------------------------------------------------------------------
 @register
 class DowncastOutsideWhitelist(Rule):
-    """R001: a reduced-precision value *escapes* a non-whitelisted scope.
+    """R001: reduced precision outside the mixed-precision kernels.
 
     The paper's speedups rely on FP32 *blocks* inside CholGS-S/CholGS-O,
-    RR-P/RR-SR and the halo exchange — and nowhere else.  The dataflow
-    engine (:mod:`repro.tools.lint.dataflow`) tracks every downcast,
-    low-precision allocation and mirror-helper call through assignments,
-    slicing and arithmetic; a finding is reported at the *origin* only
-    when the value leaks out of its scope — via ``return``/``yield``, an
-    attribute store, or a module-level binding.  Downcasts that are
-    immediately upcast back (``x.astype(f32) ... .astype(x.dtype)``) or
-    stored into an existing wider buffer (``out[...] = x32`` upcasts on
-    assignment) are confined and therefore clean; functions whose name
-    marks them as mixed-precision kernels (``fp32_mirror``, ``*_f32``...)
-    are whitelisted wholesale.
+    RR-P/RR-SR and the halo exchange — and nowhere else.  Three constructs
+    make reduced precision and are flagged wherever they appear: an
+    ``.astype`` to a reduced dtype, a numpy allocation with a reduced
+    ``dtype``, and a call to a mirror helper (``fp32`` / ``f32`` / ``c64``
+    / ``mirror`` in its name; ``*dtype*`` factories return dtypes, not
+    arrays).  A reduced dtype is resolved syntactically: attribute and
+    string spellings, ``np.dtype(...)`` of one, and module names bound to
+    one.  The one pattern left alone is a cast straight back up in the
+    same expression (``x.astype(f32).astype(dtype)``, the FP32 halo's
+    rounding).  The single-cast helper (``repro/precision.py``) and the
+    CholGS/RR FP32 engine (``repro/core/subspace.py``) are excluded by
+    path; any other sanctioned site carries a
+    ``# reprolint: disable=R001`` pragma.
     """
 
     rule_id = "R001"
     severity = "error"
     description = (
-        "reduced-precision value (astype downcast, low-precision "
-        "allocation, mirror helper) escapes a scope outside the "
-        "whitelisted mixed-precision kernels"
+        "reduced-precision astype downcast, low-precision allocation or "
+        "mirror-helper call outside the mixed-precision kernels"
     )
+    path_excludes = ("repro/precision.py", "repro/core/subspace.py")
+
+    @staticmethod
+    def _reduced(call: ast.Call, names: set[str]) -> str | None:
+        """What reduced precision ``call`` makes, or None."""
+        if _is_astype(call):
+            dtype = _dtype_arg(call, 0)
+            if dtype is not None and is_lowprec_dtype(dtype, names):
+                return "astype() to a reduced-precision dtype"
+            return None
+        dotted = dotted_name(call.func)
+        if dotted is None:
+            return None
+        parts = dotted.split(".")
+        leaf = parts[-1]
+        if len(parts) >= 2 and parts[0] in ("np", "numpy"):
+            pos = _NP_DTYPE_POS.get(leaf)
+            if pos is not None:
+                dtype = _dtype_arg(call, pos)
+                if dtype is not None and is_lowprec_dtype(dtype, names):
+                    return f"np.{leaf} with a reduced-precision dtype"
+            return None
+        if "dtype" not in leaf.lower() and _HELPER_RE.search(leaf):
+            return f"call to {dotted}()"
+        return None
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        report = analyze_module_dtypes(ctx.tree)
-        by_origin: dict[int, tuple[LowOrigin, list[Escape]]] = {}
-        for esc in report.escapes:
-            entry = by_origin.setdefault(
-                id(esc.origin.node), (esc.origin, [])
-            )
-            entry[1].append(esc)
-        for origin, escapes in by_origin.values():
-            first = min(
-                escapes, key=lambda e: getattr(e.site, "lineno", 0)
-            )
-            yield ctx.finding(
-                self,
-                origin.node,
-                f"{origin.detail} escapes '{first.scope}' via {first.kind} "
-                f"(line {getattr(first.site, 'lineno', '?')}); confine the "
-                "reduced-precision value to a whitelisted kernel or "
-                "annotate with `# reprolint: disable=R001`",
-            )
+        names = lowprec_dtype_names(ctx.tree)
+        upcast_back: set[int] = set()
+        # ast.walk is breadth-first: an outer call is seen before the
+        # inner cast it may send straight back up
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call) or id(node) in upcast_back:
+                continue
+            detail = self._reduced(node, names)
+            if detail is not None:
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"{detail} outside the mixed-precision kernels; confine "
+                    "reduced precision to repro.precision / core.subspace "
+                    "or annotate with `# reprolint: disable=R001`",
+                )
+            elif _is_astype(node) and _is_astype(node.func.value):
+                upcast_back.add(id(node.func.value))
 
 
 # ----------------------------------------------------------------------------
@@ -226,7 +298,7 @@ class ComplexStepLeak(Rule):
             if isinstance(node, ast.Attribute) and node.attr in ("real", "imag"):
                 return True
             if isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
+                dotted = dotted_name(node.func)
                 if dotted is not None and dotted.rsplit(".", 1)[-1] in (
                     "real",
                     "imag",
@@ -240,7 +312,7 @@ class ComplexStepLeak(Rule):
         return False
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for fn in _functions(ctx.tree):
+        for fn in module_functions(ctx.tree):
             pert = self._perturbation(fn)
             if pert is not None and not self._restores_real(fn):
                 yield ctx.finding(
@@ -284,7 +356,7 @@ class NondeterministicCollective(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
+                dotted = dotted_name(node.func)
                 if dotted in (None, ""):
                     continue
                 parts = dotted.split(".")
@@ -355,13 +427,13 @@ class MutableDefaultArgument(Rule):
         ):
             return True
         if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted is not None and dotted.rsplit(".", 1)[-1] in self._CTOR_NAMES:
                 return True
         return False
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for fn in _functions(ctx.tree):
+        for fn in module_functions(ctx.tree):
             args = fn.args
             named = args.posonlyargs + args.args
             for arg, default in zip(named[len(named) - len(args.defaults):],
@@ -434,7 +506,12 @@ class ImplicitDtypeAllocation(Rule):
     ``np.zeros(n)`` defaults to float64 — until someone feeds the result
     into a complex (Bloch) code path and the imaginary part is silently
     discarded on assignment.  In ``core/`` and the assembly kernels every
-    allocation states its dtype.
+    allocation states its dtype.  Besides a direct ``np.zeros`` /
+    ``np.empty`` without one, the rule flags a call through a name bound
+    to either allocator, ``dtype=None``, and ``dtype=<name>`` where the
+    name is bound to ``None``.  A name counts as bound if any assignment
+    in the module binds it so, which over-approximates the bindings that
+    can reach the call.
     """
 
     rule_id = "R006"
@@ -446,15 +523,9 @@ class ImplicitDtypeAllocation(Rule):
     path_filters = ("core/", "fem/assembly.py")
 
     @staticmethod
-    def _has_dtype(node: ast.Call) -> bool:
-        return len(node.args) >= 2 or any(
-            kw.arg == "dtype" for kw in node.keywords
-        )
-
-    @staticmethod
     def _allocator_leaf(value: ast.AST) -> str | None:
-        """``np.zeros``/``np.empty`` when ``value`` is that bare attribute."""
-        dotted = _dotted(value)
+        """``zeros``/``empty`` when ``value`` is bare ``np.zeros``/``np.empty``."""
+        dotted = dotted_name(value)
         if dotted is None:
             return None
         parts = dotted.split(".")
@@ -466,121 +537,56 @@ class ImplicitDtypeAllocation(Rule):
         return None
 
     @staticmethod
-    def _shallow_calls(stmt: ast.AST) -> Iterator[ast.Call]:
-        """Calls evaluated by this block statement itself."""
-        for expr in header_exprs(stmt):
-            for sub in ast.walk(expr):
-                if isinstance(sub, ast.Call):
-                    yield sub
+    def _is_none(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and node.value is None
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        # syntactic base case: direct np.zeros/np.empty without a dtype
+        aliases: dict[str, str] = {}
+        none_names: set[str] = set()
+        calls: list[ast.Call] = []
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
+            if isinstance(node, ast.Call):
+                calls.append(node)
+            elif isinstance(node, ast.Assign):
+                leaf = self._allocator_leaf(node.value)
+                for target in node.targets:
+                    if not isinstance(target, ast.Name):
+                        continue
+                    if leaf is not None:
+                        aliases[target.id] = leaf
+                    elif self._is_none(node.value):
+                        none_names.add(target.id)
+        for call in calls:
+            name = call.func.id if isinstance(call.func, ast.Name) else None
+            leaf = aliases.get(name) or self._allocator_leaf(call.func)
+            if leaf is None:
                 continue
-            leaf = self._allocator_leaf(node.func)
-            if leaf is not None and not self._has_dtype(node):
+            dtype = _dtype_arg(call, 1)
+            if dtype is None:
+                what = f"'{name}' (an alias of np.{leaf})" if name else (
+                    f"np.{leaf}()"
+                )
                 yield ctx.finding(
                     self,
-                    node,
-                    f"np.{leaf}() without explicit dtype= in the "
-                    "numerical core; state the dtype (float or the "
-                    "operator's complex dtype)",
+                    call,
+                    f"{what} without explicit dtype= in the numerical "
+                    "core; state the dtype (float or the operator's "
+                    "complex dtype)",
                 )
-        yield from self._flow_findings(ctx)
-
-    def _flow_findings(self, ctx: FileContext) -> Iterator[Finding]:
-        """Reaching-definitions extensions: aliased allocators and dtype
-        variables that may be None at the allocation site."""
-        tree = ctx.tree
-        module_aliases: dict[str, str] = {}
-        for stmt in tree.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-            ):
-                leaf = self._allocator_leaf(stmt.value)
-                if leaf is not None:
-                    module_aliases[stmt.targets[0].id] = leaf
-        for scope in (tree, *module_functions(tree)):
-            rd = ReachingDefinitions(build_cfg(scope))
-            rd.run()
-            for block in rd.cfg.blocks:
-                for stmt in block.stmts:
-                    for call in self._shallow_calls(stmt):
-                        yield from self._check_call(
-                            ctx, call, stmt, rd, module_aliases
-                        )
-
-    def _alias_leaf(
-        self,
-        call: ast.Call,
-        stmt: ast.AST,
-        rd: ReachingDefinitions,
-        module_aliases: dict[str, str],
-    ) -> str | None:
-        """Allocator behind a plain-name call, via its reaching defs."""
-        if not isinstance(call.func, ast.Name):
-            return None
-        defs = rd.defs_at(stmt, call.func.id)
-        if defs:
-            leaves = {
-                self._allocator_leaf(d.value)
-                if isinstance(d, ast.Assign)
-                else None
-                for d in defs
-            }
-            if len(leaves) == 1:
-                return leaves.pop()
-            return None
-        return module_aliases.get(call.func.id)
-
-    def _check_call(
-        self,
-        ctx: FileContext,
-        call: ast.Call,
-        stmt: ast.AST,
-        rd: ReachingDefinitions,
-        module_aliases: dict[str, str],
-    ) -> Iterator[Finding]:
-        alias_leaf = self._alias_leaf(call, stmt, rd, module_aliases)
-        if alias_leaf is not None and not self._has_dtype(call):
-            yield ctx.finding(
-                self,
-                call,
-                f"'{call.func.id}' aliases np.{alias_leaf} and is called "
-                "without an explicit dtype=; state the dtype at the "
-                "allocation site",
-            )
-        direct_leaf = self._allocator_leaf(call.func)
-        if direct_leaf is None and alias_leaf is None:
-            return
-        for kw in call.keywords:
-            if kw.arg != "dtype":
-                continue
-            if isinstance(kw.value, ast.Constant) and kw.value.value is None:
+            elif self._is_none(dtype):
                 yield ctx.finding(
                     self,
                     call,
                     "dtype=None is the implicit default in disguise; state "
                     "the dtype explicitly",
                 )
-            elif isinstance(kw.value, ast.Name):
-                defs = rd.defs_at(stmt, kw.value.id)
-                if defs and any(
-                    isinstance(d, ast.Assign)
-                    and isinstance(d.value, ast.Constant)
-                    and d.value.value is None
-                    for d in defs
-                ):
-                    yield ctx.finding(
-                        self,
-                        call,
-                        f"dtype variable '{kw.value.id}' may be None here "
-                        "(a reaching definition assigns None); resolve the "
-                        "dtype before the allocation",
-                    )
+            elif isinstance(dtype, ast.Name) and dtype.id in none_names:
+                yield ctx.finding(
+                    self,
+                    call,
+                    f"dtype variable '{dtype.id}' is bound to None in this "
+                    "module; resolve the dtype before the allocation",
+                )
 
 
 # ----------------------------------------------------------------------------
@@ -667,7 +673,7 @@ class UnusedVariable(Rule):
     _DYNAMIC = frozenset({"locals", "vars", "eval", "exec", "globals"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for fn in _functions(ctx.tree):
+        for fn in module_functions(ctx.tree):
             if any(
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
@@ -732,7 +738,7 @@ class RawTimingOutsideObs(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
+                dotted = dotted_name(node.func)
                 if dotted is None:
                     continue
                 parts = dotted.split(".")
@@ -791,7 +797,7 @@ class SlowScatterOutsideFem(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted is None:
                 continue
             parts = dotted.split(".")
@@ -842,7 +848,7 @@ class BroadExceptionHandler(Rule):
         exprs = node.elts if isinstance(node, ast.Tuple) else [node]
         names = []
         for expr in exprs:
-            dotted = _dotted(expr)
+            dotted = dotted_name(expr)
             if dotted is not None and dotted.split(".")[-1] in self._BROAD:
                 names.append(dotted)
         return names
@@ -897,7 +903,7 @@ class SharedMemoryOutsideArena(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted is None:
                 continue
             leaf = dotted.rsplit(".", 1)[-1]
@@ -913,171 +919,64 @@ class SharedMemoryOutsideArena(Rule):
                 )
 
 
-def _data_root(expr: ast.AST) -> str | None:
-    """The underlying buffer name behind slices and dtype-preserving
-    wrappers (``X[:, si].astype`` and ``Xi.conj().T`` both root at X/Xi)."""
-    while True:
-        if isinstance(expr, ast.Subscript):
-            expr = expr.value
-        elif isinstance(expr, ast.Attribute) and expr.attr in (
-            "real", "imag", "T",
-        ):
-            expr = expr.value
-        elif (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr in (
-                "conj", "conjugate", "copy", "reshape", "ravel", "transpose",
-            )
-        ):
-            expr = expr.func.value
-        else:
-            break
-    return expr.id if isinstance(expr, ast.Name) else None
 
+def _astypes_in_loop_bodies(tree: ast.Module) -> Iterator[ast.Call]:
+    """``.astype`` calls evaluated inside a ``for``/``while`` body (its
+    ``else`` arm included).  A loop's own header belongs to the enclosing
+    context, comprehensions are not loop statements, and nested function
+    and class bodies start outside any loop."""
 
-def _astypes_by_innermost_loop(
-    tree: ast.Module,
-) -> list[tuple[ast.Call, ast.For | ast.AsyncFor | ast.While | None]]:
-    """Each ``.astype`` call paired with its innermost enclosing loop
-    (None when not inside a loop body; nested functions reset the loop
-    context — they run in their own scope)."""
-    out: list[tuple[ast.Call, ast.AST | None]] = []
-
-    def collect(node: ast.AST, loop: ast.AST | None) -> None:
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "astype"
-            ):
-                out.append((sub, loop))
-
-    def visit(stmts: list[ast.stmt], loop: ast.AST | None) -> None:
+    def visit(stmts: list, in_loop: bool) -> Iterator[ast.Call]:
         for stmt in stmts:
-            if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                for expr in header_exprs(stmt):
-                    collect(expr, loop)
-                visit(stmt.body + stmt.orelse, stmt)
-            elif isinstance(
+            if isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
-                visit(stmt.body, None)
-            elif isinstance(stmt, ast.If):
-                collect(stmt.test, loop)
-                visit(stmt.body + stmt.orelse, loop)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+                yield from visit(stmt.body, False)
+                continue
+            if in_loop:
                 for expr in header_exprs(stmt):
-                    collect(expr, loop)
-                visit(stmt.body, loop)
-            elif isinstance(stmt, ast.Try):
-                visit(stmt.body + stmt.orelse + stmt.finalbody, loop)
-                for handler in stmt.handlers:
-                    visit(handler.body, loop)
-            elif isinstance(stmt, ast.Match):
-                collect(stmt.subject, loop)
-                for case in stmt.cases:
-                    visit(case.body, loop)
-            else:
-                collect(stmt, loop)
+                    yield from filter(_is_astype, ast.walk(expr))
+            inner = in_loop or isinstance(
+                stmt, (ast.For, ast.AsyncFor, ast.While)
+            )
+            for attr in ("body", "orelse", "finalbody", "handlers"):
+                yield from visit(getattr(stmt, attr, []), inner)
+            for case in getattr(stmt, "cases", []):
+                yield from visit(case.body, inner)
 
-    visit(tree.body, None)
-    return out
+    yield from visit(tree.body, False)
 
 
 # ----------------------------------------------------------------------------
 @register
 class AstypeInsideLoop(Rule):
-    """R012: per-iteration re-casts of loop-invariant data in repro/core.
+    """R012: per-iteration ``.astype`` casts in repro/core.
 
     Re-casting the same columns once per block pair is exactly the pattern
     the batched subspace engine removed: with mixed precision, ``X``/``HX``
     are downcast to an FP32 mirror *once* per call
     (:func:`repro.precision.fp32_mirror`) and every block reads a slice.
-    The rule is flow-aware: an ``.astype`` inside a loop is flagged only
-    when its operand's *data root* is invariant with respect to the
-    innermost enclosing loop — i.e. the same underlying buffer is re-cast
-    every iteration and the cast is hoistable.  Casting a value the loop
-    itself computes (``blk32.astype(X.dtype)`` where ``blk32`` comes from
-    a matmul in the body) re-pays nothing and is clean.  A one-step
-    definition chain is followed so re-slices of an invariant buffer
-    (``Xi = X[:, si]; Xi.astype(f32)``) are still recognized as hoistable.
-    Sanctioned reference implementations carry a
-    ``# reprolint: disable=R012`` pragma.
+    Any ``.astype`` inside a ``for``/``while`` body is flagged, whatever
+    it casts; a comprehension is not a loop statement, so a cast in one
+    is flagged only when the comprehension sits in a loop body.  Sanctioned
+    reference implementations carry a ``# reprolint: disable=R012`` pragma.
     """
 
     rule_id = "R012"
     severity = "error"
     description = (
-        "astype() of loop-invariant data inside a loop in repro/core; "
-        "hoist to a single-cast mirror (repro.precision.fp32_mirror) "
-        "outside the loop"
+        "astype() inside a for/while body in repro/core; hoist to a "
+        "single-cast mirror (repro.precision.fp32_mirror) outside the loop"
     )
     path_filters = ("core/",)
 
-    @staticmethod
-    def _bindings_of(name: str, stmts: list[ast.stmt]) -> list[ast.AST]:
-        """Statements in (compound-descended) ``stmts`` binding ``name``."""
-        found: list[ast.AST] = []
-
-        def visit(stmt: ast.AST) -> None:
-            for bound, node in shallow_defs(stmt):
-                if bound == name:
-                    found.append(node)
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                return
-            for attr in ("body", "orelse", "finalbody"):
-                for sub in getattr(stmt, attr, []):
-                    visit(sub)
-            for handler in getattr(stmt, "handlers", []):
-                visit(handler)
-            for case in getattr(stmt, "cases", []):
-                for sub in case.body:
-                    visit(sub)
-
-        for s in stmts:
-            visit(s)
-        return found
-
-    def _hoistable(self, root: str, loop: ast.AST) -> bool:
-        body = list(loop.body) + list(loop.orelse)
-        bound = assigned_names(body)
-        if isinstance(loop, (ast.For, ast.AsyncFor)):
-            bound |= set(target_names(loop.target))
-        if root not in bound:
-            return True  # operand data is invariant w.r.t. this loop
-        # one-step def chain: every binding of root inside the loop must
-        # re-slice an invariant buffer (Xi = X[:, si])
-        bindings = self._bindings_of(root, body)
-        if not bindings:
-            return False
-        for node in bindings:
-            if not isinstance(node, ast.Assign):
-                return False
-            src_root = _data_root(node.value)
-            if src_root is None or src_root in bound:
-                return False
-        return True
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        seen: set[tuple[int, int]] = set()
-        for call, loop in _astypes_by_innermost_loop(ctx.tree):
-            if loop is None:
-                continue
-            key = (call.lineno, call.col_offset)
-            if key in seen:
-                continue
-            root = _data_root(call.func.value)
-            if root is None or not self._hoistable(root, loop):
-                continue
-            seen.add(key)
+        for call in _astypes_in_loop_bodies(ctx.tree):
             yield ctx.finding(
                 self,
                 call,
-                f".astype() re-casts loop-invariant '{root}' every "
-                "iteration; hoist it to a single fp32_mirror outside the "
-                "loop (or mark a sanctioned reference path with "
+                ".astype() inside a loop body casts every iteration; hoist "
+                "it to a single fp32_mirror outside the loop (or mark a "
+                "sanctioned reference path with "
                 "`# reprolint: disable=R012`)",
             )

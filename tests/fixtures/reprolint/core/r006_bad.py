@@ -10,3 +10,19 @@ def accumulate(n):
 
 def workspace(shape):
     return np.empty(shape)  # expect: R006
+
+
+def aliased_allocator(n):
+    alloc = np.zeros
+    return alloc(n)  # expect: R006
+
+
+def none_dtype(n):
+    return np.empty(n, dtype=None)  # expect: R006
+
+
+def none_dtype_variable(n, complex_):
+    dt = None
+    if complex_:
+        dt = np.complex128
+    return np.zeros(n, dtype=dt)  # expect: R006

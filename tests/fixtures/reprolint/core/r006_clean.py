@@ -13,3 +13,8 @@ def positional_dtype(n):
 
 def like_inherits(x):
     return np.zeros_like(x)
+
+
+def resolved_dtype(n, a, b):
+    dt = np.result_type(a, b)
+    return np.zeros(n, dtype=dt)

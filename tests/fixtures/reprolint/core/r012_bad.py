@@ -18,3 +18,11 @@ def cast_until_converged(X, tol):
         Y = X.astype(F32)  # expect: R012
         err = float(np.abs(Y).max())
     return err
+
+
+def cast_each_product(X, blocks):
+    total = 0.0
+    for B in blocks:
+        blk = X.T @ B
+        total += float(blk.astype(F32).sum())  # expect: R012
+    return total

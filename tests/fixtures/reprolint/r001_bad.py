@@ -1,4 +1,4 @@
-"""R001 fixture: reduced-precision values escaping their scope."""
+"""R001 fixture: reduced precision outside the mixed-precision kernels."""
 
 import numpy as np
 
@@ -37,6 +37,27 @@ def leaks_helper(x):
     return m
 
 
+def round_trip(x):
+    # the upcast is a separate statement, not the same expression
+    y = x.astype(np.float32)  # expect: R001
+    return y.astype(x.dtype)
+
+
+def confined_store(x, out):
+    x32 = x.astype(np.float32)  # expect: R001
+    out[...] = x32
+    return out
+
+
+def fp32_mirror_local(x):
+    # a function name no longer whitelists its body
+    return x.astype(np.float32)  # expect: R001
+
+
+def single_element(x):
+    return x.astype(np.float32)  # expect: R001
+
+
 def round_trip_is_confined(x):
-    # flow-aware: the downcast is upcast back before leaving — no finding
+    # cast straight back up in the same expression: no finding
     return x.astype(np.float32).astype(x.dtype)

@@ -1,27 +1,10 @@
-"""R001 fixture: confined or whitelisted reduced precision (no violations)."""
+"""R001 fixture: upcasts and annotated sites (no violations)."""
 
 import numpy as np
 
 
 def upcast(x):
     return x.astype(np.float64)
-
-
-def round_trip(x):
-    y = x.astype(np.float32)
-    return y.astype(x.dtype)
-
-
-def confined_store(x, out):
-    # store into the existing wider buffer upcasts on assignment
-    x32 = x.astype(np.float32)
-    out[...] = x32
-    return out
-
-
-def fp32_mirror_local(x):
-    # whitelisted mixed-precision kernel (name announces it)
-    return x.astype(np.float32)
 
 
 def annotated_downcast(x):

@@ -2,9 +2,11 @@
 
 The linchpin test here is the self-check: ``reprolint`` must report zero
 findings over the package source, benchmarks and examples (the test tree
-is excluded on purpose — its fixtures *are* violations).  Every
-intentional mixed-precision downcast therefore carries an explicit
-``# reprolint: disable=R001`` pragma with a justifying comment.
+is excluded on purpose — its fixtures *are* violations).  R001 exempts
+the two FP32 kernels by path (``repro/precision.py``,
+``repro/core/subspace.py``); any other intentional downcast would need an
+explicit ``# reprolint: disable=R001`` pragma with a justifying comment,
+and the pinned census below holds none.
 
 ruff/mypy gates run only where those tools are installed; the repo keeps
 their configuration in ``pyproject.toml`` so external CI can enforce
@@ -132,8 +134,8 @@ def test_production_kernel_contract_fires():
 
 # ----- suppression-pragma census --------------------------------------------
 def test_pragma_census_is_pinned():
-    """The flow-aware rules made most suppressions unnecessary; pin the
-    survivors so new pragmas are a deliberate, reviewed decision.
+    """Pin the surviving suppressions so a new pragma is a deliberate,
+    reviewed decision.
 
     The census tokenizes (docstrings that *mention* the pragma grammar do
     not count) and excludes the lint tool's own sources.
