@@ -4,21 +4,27 @@ A multilayer perceptron with ELU activations, matching the paper's MLXC
 architecture (5 hidden layers x 80 neurons).  What the rest of the stack
 relies on:
 
-* ``input_jacobian`` is back-propagation to the *inputs*: one forward and
-  one weight-free reverse sweep give ``F`` and ``dF/df``, which is all the
-  XC potential needs (:mod:`repro.xc.mlxc`);
+* the passes that loop over rows — ``input_jacobian`` and
+  ``value_and_param_grad`` — run over blocks of ``BLOCK_ROWS`` rows, so a
+  pass holds one block's activations, slopes, tangents and adjoints
+  (O(block) memory) and never a full-grid (n, width) array;
+* ``input_jacobian`` is back-propagation to the *inputs*: per block one
+  forward and one weight-free reverse sweep give ``F`` and ``dF/df``, which
+  is all the XC potential needs (:mod:`repro.xc.mlxc`);
 * the trainer's mixed derivative ``d/d theta [a . dF/df]`` is real
-  forward-over-reverse: ``forward_tangent`` pushes a direction through the
-  cached forward pass and ``backward`` takes the adjoints of both the output
-  and its tangent in one sweep (:mod:`repro.ml.training`).  A forward pass
-  that fills a cache stores each hidden layer's ELU' beside its activation,
-  computed from the activation's own ``exp``; ELU'' z' is the layer's own
-  tangent on the exponential branch.  So no pass evaluates a second ``exp``
-  or recomputes a slope;
+  forward-over-reverse: ``value_and_param_grad`` with a direction runs, per
+  block, a forward pass that fills a cache, ``forward_tangent`` along the
+  direction and one ``backward`` sweep that takes the adjoints of both the
+  output and its tangent, and sums the blocks' dW and db
+  (:mod:`repro.ml.training`).  A forward pass that fills a cache stores each
+  hidden layer's ELU' beside its activation, computed from the activation's
+  own ``exp``; ELU'' z' is the layer's own tangent on the exponential
+  branch.  So no pass evaluates a second ``exp`` or recomputes a slope;
 * the forward pass stays **dtype-agnostic** — the complex-step oracle in
   ``tests/reference`` differentiates through it;
 * the network holds its parameters and nothing else: every per-call array
-  lives in the caller's ``cache``, so threads may share one network;
+  lives in the caller's ``cache`` or in the pass's own block loop, so
+  threads may share one network;
 * parameters are exposed as a flat vector for the Adam optimizer.
 """
 
@@ -31,7 +37,19 @@ import numpy as np
 
 from repro.atomicio import read_artifact, write_artifact
 
-__all__ = ["MLP", "Adam", "elu", "elu_prime"]
+__all__ = ["MLP", "Adam", "BLOCK_ROWS", "elu", "elu_prime", "row_blocks"]
+
+#: rows per block of the row-looping passes.  A block's working set is about
+#: 20 (128, 80) float64 arrays, 1.6 MB, which fits a 2 MiB per-core L2.  On a
+#: 2-vCPU Xeon with that L2, 128 rows gave the fastest training epoch of 64 to
+#: 512; 256 rows ran about 10 % slower at 1.6x the traced peak (EXPERIMENTS.md
+#: "MLXC training in row blocks")
+BLOCK_ROWS = 128
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``BLOCK_ROWS`` rows covering ``range(n)``."""
+    return [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
 
 
 def elu(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
@@ -99,7 +117,8 @@ class MLP:
         pre-activation that produced it (``None`` beside ``X``) — all the
         reverse and tangent passes need.  ``keep_inputs=False`` stores
         ``None`` for the inputs: the slopes are all an input Jacobian's
-        reverse sweep reads, and each input held is another (n, width) array.
+        reverse sweep reads, and each input held is another (rows, width)
+        array.
         """
         a, slope = np.atleast_2d(X), None
         last = len(self.weights) - 1
@@ -171,32 +190,57 @@ class MLP:
         return dW, db, delta
 
     def value_and_param_grad(
-        self, X: np.ndarray, grad_out: np.ndarray
+        self,
+        X: np.ndarray,
+        grad_out: np.ndarray,
+        dX: np.ndarray | None = None,
+        grad_tangent: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Output and flat d(sum(grad_out * output))/d(params)."""
-        cache: list = []
-        out = self.forward(X, cache)
-        dW, db, _ = self.backward(cache, grad_out)
-        return out, self._flatten(dW, db)
+        """Output and flat d(sum(grad_out * output))/d(params).
 
-    def input_jacobian(
-        self, X: np.ndarray, cache: list | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+        With a direction ``dX`` and ``grad_tangent`` = dL/d(output tangent)
+        the gradient is that of ``sum(grad_out * out + grad_tangent * d out)``,
+        ``d out`` being the output's tangent along ``dX`` (forward-over-
+        reverse, :meth:`backward`).  Runs per row block — forward with a
+        cache, the tangent, the reverse sweep — and sums the blocks' dW, db.
+        """
+        X = np.atleast_2d(X)
+        out = np.empty((X.shape[0], self.layer_sizes[-1]))
+        grad = np.zeros(self.n_params)
+        grad_views = self._param_views(grad)
+        for blk in row_blocks(X.shape[0]):
+            cache: list = []
+            out[blk] = self.forward(X[blk], cache)
+            tangents, gt = None, None
+            if dX is not None:
+                _, tangents = self.forward_tangent(cache, dX[blk])
+                gt = grad_tangent[blk]
+            dW, db, _ = self.backward(cache, grad_out[blk], tangents, gt)
+            for view, g in zip(grad_views, dW + db):
+                view += g
+        return out, grad
+
+    def input_jacobian(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``F`` (n,) and ``dF/dX`` (n, n_in) of a scalar-output network.
 
-        Back-propagation to the inputs: one forward pass and one reverse
-        sweep that forms no weight gradient.  ``cache`` (an empty list)
-        receives the forward pass for a later parameter gradient.
+        Back-propagation to the inputs, per row block: one forward pass that
+        keeps only the ELU slopes and one reverse sweep that forms no weight
+        gradient.  Nothing is cached for a later pass.
         """
         if self.layer_sizes[-1] != 1:
             raise ValueError("input_jacobian implemented for scalar outputs")
-        acts: list = [] if cache is None else cache
-        out = self.forward(X, acts, keep_inputs=cache is not None)
-        delta = np.ones_like(out) @ self.weights[-1].T
-        for li in range(len(self.weights) - 1, 0, -1):
-            delta *= acts[li][1]
-            delta = delta @ self.weights[li - 1].T
-        return out[:, 0], delta
+        X = np.atleast_2d(X)
+        F = np.empty(X.shape[0])
+        dF = np.empty(X.shape)
+        for blk in row_blocks(X.shape[0]):
+            acts: list = []
+            out = self.forward(X[blk], acts, keep_inputs=False)
+            delta = np.ones_like(out) @ self.weights[-1].T
+            for li in range(len(self.weights) - 1, 0, -1):
+                delta *= acts[li][1]
+                delta = delta @ self.weights[li - 1].T
+            F[blk], dF[blk] = out[:, 0], delta
+        return F, dF
 
     # -- parameter vector interface ----------------------------------------
     @property
@@ -210,13 +254,17 @@ class MLP:
         theta = np.asarray(theta, dtype=float)
         if theta.size != self.n_params:
             raise ValueError("parameter vector has wrong length")
-        off = 0
-        for i, w in enumerate(self.weights):
-            self.weights[i] = theta[off : off + w.size].reshape(w.shape)
-            off += w.size
-        for i, b in enumerate(self.biases):
-            self.biases[i] = theta[off : off + b.size].reshape(b.shape)
-            off += b.size
+        views = self._param_views(theta)
+        self.weights[:] = views[: len(self.weights)]
+        self.biases[:] = views[len(self.weights) :]
+
+    def _param_views(self, theta: np.ndarray) -> list[np.ndarray]:
+        """The flat ``theta`` as views shaped like the weights, then the biases."""
+        views, off = [], 0
+        for p in self.weights + self.biases:
+            views.append(theta[off : off + p.size].reshape(p.shape))
+            off += p.size
+        return views
 
     def _flatten(self, Ws, bs) -> np.ndarray:
         return np.concatenate(

@@ -16,11 +16,19 @@ s-dependence.  Two steps:
   sum ``sum_I a_I . (d e / d x)_I`` over the network's pointwise inputs
   ``x = (rho_up, rho_dn, sigma)``;
 * with ``e = p F``, that sum is ``sum_I (p' F + p F')_I``, primes being
-  tangents along ``a``: :meth:`MLP.forward_tangent` pushes the direction
-  through the forward pass the evaluation already cached, and one
-  :meth:`MLP.backward` sweep takes the adjoints of ``F`` (seeded with ``p'``
-  plus the energy term) and of ``F'`` (seeded with ``p``) —
-  forward-over-reverse, one primal forward per sample and epoch.
+  tangents along ``a``.
+
+So a sample takes two passes over the network's rows, each in blocks of
+:data:`repro.ml.nn.BLOCK_ROWS`.  Pass 1 is the functional's own
+``evaluate`` (``F`` and ``dF/df``), which tapes the network's inputs and
+the descriptor partials and gives the loss, the potential residual and the
+adjoint weights.  Pass 2, :meth:`MLP.value_and_param_grad` with a
+direction, recomputes each block's forward pass with a cache, pushes the
+direction through it (:meth:`MLP.forward_tangent`) and takes the adjoints
+of ``F`` (seeded with ``p'`` plus the energy term) and of ``F'`` (seeded
+with ``p``) in one :meth:`MLP.backward` sweep — forward-over-reverse.  One
+forward pass per sample and epoch is computed twice; in exchange no pass
+holds a full-grid (n, width) array.
 
 The complex-step-times-backprop form this replaced is the test oracle
 (``tests/reference``).
@@ -39,7 +47,7 @@ from repro.core.io import load_mlxc_state, save_mlxc_state
 from repro.obs import trace_region
 from repro.resilience import ResilienceError
 
-from .nn import Adam
+from .nn import Adam, row_blocks
 
 __all__ = ["TrainingSample", "MLXCTrainer", "assemble_sample"]
 
@@ -67,6 +75,23 @@ class TrainingSample:
         s_ud = np.einsum("ij,ij->i", self.grad_up, self.grad_dn)
         s_dd = np.einsum("ij,ij->i", self.grad_dn, self.grad_dn)
         return s_uu, s_ud, s_dd
+
+    @cached_property
+    def weighted_rho2(self) -> np.ndarray:
+        """``w rho_s^2`` (n, 2): the potential loss's pointwise weights."""
+        return self.mesh.mass_diag[:, None] * self.rho_spin**2
+
+    @cached_property
+    def potential_norm(self) -> float:
+        """``sum w (rho v_target)^2``: the potential loss's denominator."""
+        w = self.mesh.mass_diag[:, None]
+        return float(np.sum(w * (self.rho_spin * self.v_target) ** 2)) + 1e-30
+
+    @cached_property
+    def network_rows(self) -> int:
+        """Rows the functional's network runs on: ``evaluate`` gathers
+        ``rho_up + rho_dn > RHO_FLOOR`` of the clamped densities."""
+        return int(np.count_nonzero(np.maximum(self.rho_spin, 0.0).sum(axis=1) > RHO_FLOOR))
 
 
 def assemble_sample(
@@ -111,8 +136,8 @@ class MLXCTrainer:
 
     # ------------------------------------------------------------------
     def _sample_terms(self, s: TrainingSample, tape: list | None = None):
-        """Sample ``s``: energy residual and its norm, potential loss term, and
-        the masked potential residual (n, 2) and denominator it is made of."""
+        """Sample ``s``: energy residual and its norm, potential loss term and
+        the masked potential residual (n, 2) it is made of."""
         out = self.functional.evaluate(
             s.rho_spin[:, 0], s.rho_spin[:, 1], *s.sigmas, tape=tape
         )
@@ -120,9 +145,8 @@ class MLXCTrainer:
         norm_e = max(abs(s.exc_target), 1e-3)
         resid_e = (float(s.mesh.integrate(out.exc)) - s.exc_target) / norm_e
         dv = (v_ml - s.v_target) * s.live[:, None]
-        w = s.mesh.mass_diag[:, None]
-        den = float(np.sum(w * (s.rho_spin * s.v_target) ** 2)) + 1e-30
-        return resid_e, norm_e, float(np.sum(w * (s.rho_spin * dv) ** 2)) / den, dv, den
+        lv_s = float(np.sum(s.weighted_rho2 * dv**2)) / s.potential_norm
+        return resid_e, norm_e, lv_s, dv
 
     def _totals(self, le: float, lv: float) -> dict:
         n = len(self.samples)
@@ -135,24 +159,24 @@ class MLXCTrainer:
         return self._totals(sum(t[0] ** 2 for t in terms), sum(t[2] for t in terms))
 
     def loss_and_grad(self) -> tuple[dict, np.ndarray]:
-        """Composite loss and its exact parameter gradient."""
+        """Composite loss and its exact parameter gradient (module docstring:
+        pass 1 is the evaluation, pass 2 the blocked parameter pass)."""
         net = self.functional.network
         grad = np.zeros(net.n_params)
         le, lv = 0.0, 0.0
         n = len(self.samples)
         for s in self.samples:
             tape: list = []
-            resid_e, norm_e, lv_s, dv, den = self._sample_terms(s, tape)
+            resid_e, norm_e, lv_s, dv = self._sample_terms(s, tape)
             # the network ran on the evaluation's live rows only: everything
             # pointwise below is gathered by the row index it recorded
-            rows, (p, df, dp, cache) = tape
-            w = s.mesh.mass_diag
+            rows, (f, p, df, dp) = tape
             le += resid_e**2
             lv += lv_s
             # dL/dv_sI, then through the adjoint divergence: pointwise weights
             # on d e / d (rho_up, rho_dn, sigma); e sees only the total sigma,
             # so both spin channels share one adjoint field
-            a = self.lambda_potential / n * 2.0 / den * w[:, None] * s.rho_spin**2 * dv
+            a = (self.lambda_potential / n * 2.0 / s.potential_norm) * s.weighted_rho2 * dv
             adj = s.mesh.divergence_adjoint(a[:, 0] + a[:, 1])
             ax = [
                 a[:, 0], a[:, 1],
@@ -164,12 +188,12 @@ class MLXCTrainer:
             # tangents of e = p F along ax; theta-gradient of sum(p' F + p F')
             # and of the energy term's coeff * sum(w p F), in one reverse sweep
             p_dot = np.einsum("nj,nj->n", dp, ax)
-            _, tangents = net.forward_tangent(cache, np.einsum("naj,nj->na", df, ax))
             coeff = self.lambda_energy / n * 2.0 * resid_e / norm_e
-            gW, gb, _ = net.backward(
-                cache, (coeff * w[rows] * p + p_dot)[:, None], tangents, p[:, None]
+            _, g = net.value_and_param_grad(
+                f, (coeff * s.mesh.mass_diag[rows] * p + p_dot)[:, None],
+                np.einsum("naj,nj->na", df, ax), p[:, None],
             )
-            grad += net._flatten(gW, gb)
+            grad += g
         return self._totals(le, lv), grad
 
     # ------------------------------------------------------------------
@@ -200,11 +224,14 @@ class MLXCTrainer:
             opt.load_state_dict(st["opt_state"])
             history = st["history"]
             start_ep = st["epoch"] + 1
+        # each epoch runs the network over these rows twice, in these blocks
+        rows = [s.network_rows for s in self.samples]
+        blocks = sum(len(row_blocks(r)) for r in rows)
         with trace_region(
             "MLXC-train", epochs=epochs, nsamples=len(self.samples)
         ):
             for ep in range(start_ep, epochs):
-                with trace_region("MLXC-epoch", epoch=ep):
+                with trace_region("MLXC-epoch", epoch=ep, rows=sum(rows), blocks=blocks):
                     net.set_params(theta)
                     losses, grad = self.loss_and_grad()
                     # resilience sentinel: a NaN loss corrupts theta through

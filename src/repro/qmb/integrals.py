@@ -9,7 +9,8 @@ evaluated with the same machinery:
   analytic soft-pseudopotential,
 * ``(pq|rs) = int int phi_p phi_q |r-r'|^{-1} phi_r phi_s`` by solving one
   FE Poisson problem per (p, q) pair density with multipole boundary
-  conditions (chemists' notation; 8-fold permutational symmetry exploited).
+  conditions, then one GEMM of the pair potentials against the weighted pair
+  densities (chemists' notation; 8-fold permutational symmetry exploited).
 """
 
 from __future__ import annotations
@@ -65,25 +66,19 @@ def compute_integrals(
     h = 0.5 * (h + h.T)
 
     # --- electron repulsion integrals --------------------------------------
+    # pair densities phi_p phi_q for p >= q, in (p, q) lexicographic order
+    ip, iq = np.tril_indices(n_orb)
+    pairs = phi.T[ip] * phi.T[iq]
     solver = PoissonSolver(mesh)
-    eri = np.zeros((n_orb, n_orb, n_orb, n_orb))
-    pair_pot: dict[tuple[int, int], np.ndarray] = {}
-    for p in range(n_orb):
-        for q in range(p + 1):
-            rho_pq = phi[:, p] * phi[:, q]
-            bc = multipole_boundary_values(mesh, rho_pq)
-            v = solver.solve(rho_pq, boundary_values=bc, tol=poisson_tol).potential
-            pair_pot[(p, q)] = v
-    for p in range(n_orb):
-        for q in range(p + 1):
-            v = pair_pot[(p, q)]
-            for r in range(n_orb):
-                for s in range(r + 1):
-                    if (p, q) < (r, s):
-                        continue
-                    val = float(np.dot(w, v * phi[:, r] * phi[:, s]))
-                    for a, b in ((p, q), (q, p)):
-                        for c, d in ((r, s), (s, r)):
-                            eri[a, b, c, d] = val
-                            eri[c, d, a, b] = val
+    pots = np.empty_like(pairs)
+    for k, rho_pq in enumerate(pairs):
+        bc = multipole_boundary_values(mesh, rho_pq)
+        pots[k] = solver.solve(rho_pq, boundary_values=bc, tol=poisson_tol).potential
+    # J[k, l] = int v_k phi_r phi_s, pair l = (r, s); (pq|rs) takes the
+    # potential of the later pair of the two, so the lower triangle holds all
+    J = pots @ (w * pairs).T
+    J = np.tril(J) + np.tril(J, -1).T
+    pair = np.empty((n_orb, n_orb), dtype=np.intp)
+    pair[ip, iq] = pair[iq, ip] = np.arange(ip.size)
+    eri = J[pair[:, :, None, None], pair[None, None, :, :]]
     return OrbitalIntegrals(h=h, eri=eri, e_core=config.nuclear_repulsion())

@@ -12,10 +12,13 @@ construction (it depends on position only through scalar fields).
 
 ``F_DNN`` is a 5-layer x 80-neuron ELU network (:class:`repro.ml.nn.MLP`).
 The pointwise derivatives come, as in the paper, from back-propagation: one
-forward pass, one reverse pass to the network's inputs
-(:meth:`repro.ml.nn.MLP.input_jacobian`) and the descriptor chain rule of
-:func:`repro.ml.descriptors.network_inputs_with_partials` — hand-written
-passes in place of the paper's autodiff framework.  The base class then adds
+forward pass and one reverse pass to the network's inputs, block by block of
+rows (:meth:`repro.ml.nn.MLP.input_jacobian`), and the descriptor chain rule
+of :func:`repro.ml.descriptors.network_inputs_with_partials` — hand-written
+passes in place of the paper's autodiff framework.  Nothing of the network's
+passes outlives them: a trainer that asks for a tape gets the descriptors
+and their partials, and runs its own parameter pass
+(:mod:`repro.ml.training`).  The base class then adds
 the gradient/divergence term with the mesh recovery operators.
 ``exc_density`` stays dtype-agnostic so that the complex-step evaluation
 (``tests/reference``) remains the oracle for all of this.
@@ -69,16 +72,16 @@ class MLXC(XCFunctional):
         """Back-propagation: one forward and one reverse pass for all inputs.
 
         ``evaluate`` hands over its live rows only, so nothing is masked
-        here.  ``tape`` receives ``(p, df, dp, cache)`` — the descriptor
-        layer and the cached forward pass on those rows, which the trainer
-        re-uses after the row index ``evaluate`` recorded ahead of it.
+        here.  ``tape`` receives ``(f, p, df, dp)`` — the network's inputs
+        and the descriptor partials on those rows, which the trainer's
+        parameter pass re-uses after the row index ``evaluate`` recorded
+        ahead of it.
         """
         rho_up, rho_dn, s_uu, s_ud, s_dd = args
         f, p, df, dp = network_inputs_with_partials(rho_up, rho_dn, s_uu + 2.0 * s_ud + s_dd)
-        cache = None if tape is None else []
-        F, dF = self.network.input_jacobian(f, cache)
+        F, dF = self.network.input_jacobian(f)
         if tape is not None:
-            tape.append((p, df, dp, cache))
+            tape.append((f, p, df, dp))
         # d e / d (rho_up, rho_dn, sigma_total); sigma_total counts sigma_ud twice
         de = dp * F[:, None] + p[:, None] * np.einsum("na,naj->nj", dF, df)
         d_up, d_dn, d_sigma = de.T
@@ -143,9 +146,8 @@ class MLXC(XCFunctional):
         theta = net.get_params()
         for _ in range(epochs):
             net.set_params(theta)
-            cache: list = []
-            resid = net.forward(feats, cache)[:, 0] - F_target
-            gW, gb, _ = net.backward(cache, (2.0 * resid / n_samples)[:, None])
-            theta = opt.step(theta, net._flatten(gW, gb))
+            resid = net.forward(feats)[:, 0] - F_target
+            _, grad = net.value_and_param_grad(feats, (2.0 * resid / n_samples)[:, None])
+            theta = opt.step(theta, grad)
         net.set_params(theta)
         return functional

@@ -24,7 +24,9 @@ functionals and their trainer are in :mod:`tests.reference.mlxc`, the
 fixed-block unpreconditioned MINRES the adjoint solver is checked against in
 :mod:`tests.reference.minres`, and the Jordan–Wigner Fock-space
 diagonaliser the Slater–Condon FCI solver is checked against in
-:mod:`tests.reference.fock`.
+:mod:`tests.reference.fock`.  The electron-repulsion tensor is contracted
+here one ``(pq|rs)`` nodal dot product at a time (:func:`reference_eri`), the
+n⁴/8 loop ``repro.qmb.integrals.compute_integrals`` does as one GEMM.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from repro.constants import RHO_FLOOR
+from repro.fem.poisson import PoissonSolver, multipole_boundary_values
 from repro.hpc.flops import gemm_flops
 from repro.obs import kernel_region
 from repro.precision import f32_dtype
@@ -42,6 +45,7 @@ __all__ = [
     "reference_apply_cells",
     "reference_cf_term",
     "reference_cholgs",
+    "reference_eri",
     "reference_evaluate_then_mask",
     "reference_filter_block",
     "reference_gaussian_superposition",
@@ -67,6 +71,34 @@ def reference_evaluate_then_mask(functional, *args) -> XCOutput:
     vrho = np.stack(derivs[:2], axis=-1)
     vsigma = np.stack(derivs[2:5], axis=-1) if functional.needs_gradient else None
     return XCOutput(np.where(live, exc, 0.0), vrho, vsigma)
+
+
+def reference_eri(mesh, phi: np.ndarray, poisson_tol: float = 1e-10) -> np.ndarray:
+    """``(pq|rs)`` for nodal orbitals ``phi`` (nnodes, n): one Poisson solve
+    per pair ``p >= q``, then one ``w . (v_pq phi_r phi_s)`` dot per pair of
+    pairs ``(p, q) >= (r, s)``, written to its eight symmetric slots."""
+    n_orb, w = phi.shape[1], mesh.mass_diag
+    solver = PoissonSolver(mesh)
+    eri = np.zeros((n_orb,) * 4)
+    pair_pot = {}
+    for p in range(n_orb):
+        for q in range(p + 1):
+            rho_pq = phi[:, p] * phi[:, q]
+            bc = multipole_boundary_values(mesh, rho_pq)
+            pair_pot[(p, q)] = solver.solve(
+                rho_pq, boundary_values=bc, tol=poisson_tol
+            ).potential
+    for (p, q), v in pair_pot.items():
+        for r in range(n_orb):
+            for s in range(r + 1):
+                if (p, q) < (r, s):
+                    continue
+                val = float(np.dot(w, v * phi[:, r] * phi[:, s]))
+                for a, b in ((p, q), (q, p)):
+                    for c, d in ((r, s), (s, r)):
+                        eri[a, b, c, d] = val
+                        eri[c, d, a, b] = val
+    return eri
 
 
 def reference_scatter_add(

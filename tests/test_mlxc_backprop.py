@@ -9,6 +9,7 @@ every case below also asserts that the floors and branches stay silent.
 
 import copy
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ import pytest
 from repro.constants import RHO_FLOOR
 from repro.fem.mesh import uniform_mesh
 from repro.ml.descriptors import phi_spin_factor
-from repro.ml.nn import MLP
+from repro.ml.nn import BLOCK_ROWS, MLP
 from repro.ml.training import MLXCTrainer, assemble_sample
+from repro.obs import set_enabled, trace_region
 from repro.xc.gga import PBE
 from repro.xc.lda import LDA
 from repro.xc.mlxc import MLXC
@@ -113,13 +115,25 @@ def test_backprop_evaluate_matches_complex_step_at_the_edges():
     assert np.array_equal(out.vsigma[:, 2], out.vsigma[:, 0])
 
 
+def test_evaluate_exc_is_the_whole_array_forward_bitwise():
+    """``evaluate`` runs the network in row blocks; its ``exc`` is, bit for
+    bit, ``exc_density``'s one forward pass over every row."""
+    rng = np.random.default_rng(4)
+    n = 3 * BLOCK_ROWS + 50
+    rho, xi = 10.0 ** rng.uniform(-3, 1, n), rng.uniform(-0.9, 0.9, n)
+    sigma = rng.uniform(0.0, 1.0, n) * rho ** (8.0 / 3.0)
+    args = [0.5 * rho * (1 + xi), 0.5 * rho * (1 - xi), 0.25 * sigma, 0.0 * sigma, 0.25 * sigma]
+    functional = MLXC.pretrained()
+    assert np.array_equal(functional.evaluate(*args).exc, functional.exc_density(*args))
+
+
 # ----- (d) the network's own passes ----------------------------------------------
 def test_input_jacobian_matches_fd_for_four_inputs():
     net = MLP((4, 12, 12, 1), seed=3)
     X = np.random.default_rng(0).normal(size=(6, 4))
+    F, J = net.input_jacobian(X)
     cache: list = []
-    F, J = net.input_jacobian(X, cache)
-    assert np.array_equal(F, net.forward(X)[:, 0])
+    assert np.array_equal(F, net.forward(X, cache)[:, 0])
     assert J.shape == (6, 4) and len(cache) == 3
     h = 1e-6
     for j in range(4):
@@ -141,8 +155,9 @@ def test_tangent_and_adjoint_passes_match_complex_oracle():
     X, dX = rng.normal(size=(11, 4)), rng.normal(size=(11, 4))
     g, gt = rng.normal(size=(11, 1)), rng.normal(size=(11, 1))
 
+    _, J = net.input_jacobian(X)
     cache: list = []
-    F, J = net.input_jacobian(X, cache)
+    net.forward(X, cache)
     dF, tangents = net.forward_tangent(cache, dX)
     assert np.allclose(dF[:, 0], np.einsum("nj,nj->n", J, dX), rtol=1e-12, atol=1e-14)
     gW, gb, _ = net.backward(cache, g, tangents, gt)
@@ -160,10 +175,38 @@ def test_tangent_and_adjoint_passes_match_complex_oracle():
     assert np.allclose(dX_adj, g * J, rtol=1e-12, atol=1e-14)
 
 
-def test_passes_leave_the_network_as_they_found_it():
+def test_blocked_passes_match_one_pass_over_every_row():
+    """``input_jacobian`` and ``value_and_param_grad`` run per row block
+    (three here, the last one ragged) and match one cached pass over all
+    rows: ``F`` bitwise, the summed block gradients to rounding."""
+    rng = np.random.default_rng(1)
+    n = 2 * BLOCK_ROWS + 37
+    net = MLP((4, 9, 7, 1), seed=5)
+    net.set_params(net.get_params() + 0.3 * rng.normal(size=net.n_params))
+    X, dX = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+    g, gt = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
+
+    F, J = net.input_jacobian(X)
+    cache: list = []
+    assert np.array_equal(F, net.forward(X, cache)[:, 0])
+    delta = np.ones((n, 1)) @ net.weights[-1].T
+    for li in range(len(net.weights) - 1, 0, -1):
+        delta = (delta * cache[li][1]) @ net.weights[li - 1].T
+    assert np.allclose(J, delta, rtol=1e-14, atol=1e-15)
+    for with_tangent in (False, True):
+        tangents = net.forward_tangent(cache, dX)[1] if with_tangent else None
+        gW, gb, _ = net.backward(cache, g, tangents, gt if with_tangent else None)
+        want = net._flatten(gW, gb)
+        out, got = net.value_and_param_grad(X, g, *((dX, gt) if with_tangent else ()))
+        assert np.array_equal(out[:, 0], F)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_passes_leave_the_network_as_they_found_it(toy_samples):
     """Every per-call array (activations, ELU slopes, tangents) lives in the
-    caller's cache: the network's attributes are the same objects holding
-    the same values after every pass."""
+    caller's cache or in the pass's own block loop: the network's attributes
+    are the same objects holding the same values after every pass, a full
+    blocked training epoch included."""
     net = MLP((3, 16, 16, 1), seed=2)
     before = {k: (v, copy.deepcopy(v)) for k, v in vars(net).items()}
     X = np.random.default_rng(3).normal(size=(9, 3))
@@ -173,6 +216,10 @@ def test_passes_leave_the_network_as_they_found_it():
     net.input_jacobian(X)
     _, tangents = net.forward_tangent(cache, X)
     net.backward(cache, np.ones((9, 1)), tangents, np.ones((9, 1)))
+    big = np.random.default_rng(4).normal(size=(2 * BLOCK_ROWS + 5, 3))
+    net.input_jacobian(big)
+    net.value_and_param_grad(big, big[:, :1], big, big[:, 1:2])
+    MLXCTrainer(toy_samples, MLXC(network=net)).loss_and_grad()
     assert vars(net).keys() == before.keys()
     for key, (obj, snapshot) in before.items():
         assert vars(net)[key] is obj, key
@@ -210,18 +257,24 @@ def test_threads_sharing_one_functional_match_a_serial_run():
 
 
 # ----- (b), (c) the trainer --------------------------------------------------------
+def _toy_sample(cells):
+    """The closed-shell toy Gaussian on a (cells)^3 mesh of degree 3."""
+    mesh = uniform_mesh((8.0, 8.0, 8.0), (cells,) * 3, degree=3)
+    rho = np.exp(-np.sum((mesh.node_coords - 4.0) ** 2, axis=1) / 2.0)
+    rho *= 2.0 / float(mesh.integrate(rho))
+    spin = 0.5 * np.stack([rho, rho], axis=1)
+    return assemble_sample("toy", mesh, spin, *LDA().potential_and_energy(mesh, spin))
+
+
 @pytest.fixture(scope="module")
 def toy_samples():
     """The closed-shell toy Gaussian of ``test_ml`` and a polarized twin that
     shares its name and its mesh (as the members of a bond scan do)."""
-    mesh = uniform_mesh((8.0, 8.0, 8.0), (3, 3, 3), degree=3)
-    r2 = np.sum((mesh.node_coords - 4.0) ** 2, axis=1)
-    rho = np.exp(-r2 / 2.0)
-    rho *= 2.0 / float(mesh.integrate(rho))
-    spin = 0.5 * np.stack([rho, rho], axis=1)
+    toy = _toy_sample(3)
+    mesh, rho = toy.mesh, toy.rho_spin.sum(axis=1)
     polarized = np.stack([0.7 * rho, 0.3 * rho], axis=1)
     return [
-        assemble_sample("toy", mesh, spin, *LDA().potential_and_energy(mesh, spin)),
+        toy,
         assemble_sample(
             "toy", mesh, polarized, *PBE().potential_and_energy(mesh, polarized)
         ),
@@ -243,7 +296,57 @@ def test_two_samples_sharing_name_and_mesh_train_and_match_oracle(toy_samples, f
     assert tr.loss() == losses
     assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad))
     assert toy_samples[0] != toy_samples[1]  # identity, not array, equality
-    assert toy_samples[0].sigmas is toy_samples[0].sigmas  # computed once
+    for name in ("sigmas", "weighted_rho2"):  # computed once per sample
+        assert getattr(toy_samples[0], name) is getattr(toy_samples[0], name)
+    assert "potential_norm" in vars(toy_samples[0])
+
+
+def test_blocked_gradient_over_three_blocks_and_a_ragged_tail(toy_samples):
+    """The evaluation and the parameter pass both run in row blocks; on
+    samples whose rows span more than two blocks with a partial last one,
+    the gradient is the oracle's, and every epoch's span records the split."""
+    rows = [s.network_rows for s in toy_samples]
+    assert all(r > 2 * BLOCK_ROWS and r % BLOCK_ROWS for r in rows)
+    tr = MLXCTrainer(toy_samples, MLXC(seed=4))
+    tape: list = []
+    tr._sample_terms(toy_samples[0], tape)
+    assert tape[1][0].shape[0] == rows[0]
+    losses, grad = tr.loss_and_grad()
+    ref_losses, ref_grad = reference_loss_and_grad(tr)
+    for key, want in ref_losses.items():
+        assert losses[key] == pytest.approx(want, rel=1e-12)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad))
+
+    prev = set_enabled(True)
+    try:
+        with trace_region("probe") as root:
+            tr.train(epochs=2)
+    finally:
+        set_enabled(prev)
+    epochs = root.children[0].children
+    assert [e.name for e in epochs] == ["MLXC-epoch"] * 2
+    blocks = sum(-(-r // BLOCK_ROWS) for r in rows)
+    assert all(e.attrs == {"epoch": i, "rows": sum(rows), "blocks": blocks}
+               for i, e in enumerate(epochs))
+
+
+def test_trainer_memory_is_one_block_not_the_grid():
+    """The traced peak of one ``loss_and_grad`` grows with the per-row
+    arrays (densities, descriptors, residuals), not with the network's
+    (rows, width) activations: 4x the rows is well under 1.5x the peak."""
+    small, large = _toy_sample(3), _toy_sample(5)
+    assert large.network_rows >= 4 * small.network_rows
+    peaks = []
+    for sample in (small, large):
+        tr = MLXCTrainer([sample], MLXC(seed=0))
+        tr.loss_and_grad()  # the mesh's operators are built once, untraced
+        tracemalloc.start()
+        try:
+            tr.loss_and_grad()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_trainer_gathers_by_the_evaluations_rows_between_the_two_floors():
