@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.chebyshev import chebyshev_filter
-from repro.core.orthonorm import blocked_gram, cholesky_orthonormalize
+from repro.core.subspace import batched_gram, cholesky_orthonormalize
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import uniform_mesh
 
@@ -83,7 +83,7 @@ def test_interleaved_cholgs_beats_single_filter(ks_problem, benchmark):
 
     def compare():
         single = chebyshev_filter(op, X0, 200, a, b, float(evals[0]))
-        cond_single = float(np.linalg.cond(blocked_gram(single)))
+        cond_single = float(np.linalg.cond(batched_gram(single)))
         X = X0.copy()
         for _ in range(4):
             X = chebyshev_filter(op, X, 50, a, b, float(evals[0]))

@@ -10,7 +10,7 @@
 import numpy as np
 import pytest
 
-from repro.core.orthonorm import blocked_gram, blocked_rotate
+from repro.core.subspace import batched_gram, batched_rotate
 from repro.fem.assembly import CellStiffness
 from repro.fem.mesh import uniform_mesh
 from repro.hpc.cluster import VirtualCluster
@@ -25,7 +25,7 @@ def gram_input(rng):
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["fp64", "mixed-fp32"])
 def test_blocked_gram_precision_speed(benchmark, gram_input, mixed):
-    S = benchmark(blocked_gram, gram_input, 32, mixed)
+    S = benchmark(batched_gram, gram_input, block_size=32, mixed_precision=mixed)
     ref = gram_input.T @ gram_input
     rel = np.abs(S - ref).max() / np.abs(ref).max()
     benchmark.extra_info["max_rel_error"] = float(rel)
@@ -41,7 +41,7 @@ def test_blocked_gram_precision_speed(benchmark, gram_input, mixed):
 @pytest.mark.parametrize("mixed", [False, True], ids=["fp64", "mixed-fp32"])
 def test_blocked_rotate_precision_speed(benchmark, gram_input, mixed):
     Q = np.linalg.qr(np.random.default_rng(1).standard_normal((96, 96)))[0]
-    Y = benchmark(blocked_rotate, gram_input, Q, 32, mixed)
+    Y = benchmark(batched_rotate, gram_input, Q, 32, mixed)
     rel = np.abs(Y - gram_input @ Q).max() / np.abs(gram_input).max()
     assert rel < (1e-12 if not mixed else 1e-5)
 

@@ -27,8 +27,7 @@ import sys
 import numpy as np
 
 from repro.core.chebyshev import chebyshev_filter
-from repro.core.orthonorm import cholesky_orthonormalize
-from repro.core.subspace import fused_cholgs_rr
+from repro.core.subspace import cholesky_orthonormalize, fused_cholgs_rr
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import uniform_mesh
 from repro.obs import Stopwatch

@@ -12,14 +12,14 @@ from .kerker import KerkerPreconditioner
 from .ksdft import DFTCalculation, auto_mesh, homo_lumo_gap
 from .mixing import AndersonMixer
 from .occupations import OccupationSet, fermi_dirac, find_fermi_level
-from .orthonorm import blocked_gram, blocked_rotate, cholesky_orthonormalize
-from .rayleigh_ritz import projected_hamiltonian, rayleigh_ritz
 from .scf import KSChannel, SCFDriver, SCFOptions, SCFResult
 from .subspace import (
     adjust_carried_hx,
     batched_gram,
     batched_rotate,
+    cholesky_orthonormalize,
     fused_cholgs_rr,
+    rayleigh_ritz,
 )
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "auto_mesh",
     "batched_gram",
     "batched_rotate",
-    "blocked_gram",
-    "blocked_rotate",
     "chebyshev_filter",
     "cholesky_orthonormalize",
     "density_from_channels",
@@ -59,7 +57,6 @@ __all__ = [
     "nonlocal_forces",
     "lanczos_upper_bound",
     "orbitals_to_nodes",
-    "projected_hamiltonian",
     "relax",
     "rayleigh_ritz",
     "total_energy",

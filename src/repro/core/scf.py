@@ -54,9 +54,12 @@ from .io import load_initial_rho, load_scf_state, save_scf_state
 from .kerker import KERKER_K0, KerkerPreconditioner
 from .mixing import ALPHA_DIRICHLET, ALPHA_PERIODIC, AndersonMixer
 from .occupations import OccupationSet, find_fermi_level
-from .orthonorm import cholesky_orthonormalize
-from .rayleigh_ritz import rayleigh_ritz
-from .subspace import adjust_carried_hx, fused_cholgs_rr
+from .subspace import (
+    adjust_carried_hx,
+    cholesky_orthonormalize,
+    fused_cholgs_rr,
+    rayleigh_ritz,
+)
 
 # rayleigh_ritz and lanczos_upper_bound are re-exports with no use left here:
 # the benchmark ledger's frozen hook table resolves both on repro.core.scf and

@@ -1,11 +1,21 @@
-"""Batched mixed-precision subspace linear algebra (CholGS + RR engine).
+"""The ChFES subspace stage: CholGS and Rayleigh-Ritz (Algorithm 1 steps 2-3).
 
-The non-filter time of a ChFES cycle is spent in dense subspace kernels —
-CholGS-S/CI/O and RR-P/D/SR (paper Table 3) — whose textbook
-implementations (kept as test oracles in ``tests/reference``) walk the
-``O((nvec/bs)^2)`` block pairs in Python and re-cast the same columns to
-FP32 once per pair.  This module is the engine the :mod:`.orthonorm` /
-:mod:`.rayleigh_ritz` entry points and the SCF/bands/invDFT drivers run on:
+The non-filter time of a ChFES cycle is spent in dense subspace kernels,
+labelled as in the paper's Table 3:
+
+* **CholGS-S** — overlap ``S = X^H X``; with mixed precision the diagonal
+  blocks stay FP64 and the off-diagonal blocks (which decay to zero as the
+  filtered subspace converges) are FP32 — the paper's trick for cutting the
+  O(M N^2) cost.
+* **CholGS-CI** — Cholesky ``S = L L^H`` and the explicit triangular inverse
+  (FLOPs uncounted, wall time charged); an indefinite overlap falls back to
+  a QR factorization metered as **CholGS-QR**.
+* **CholGS-O** — rotation ``X <- X L^{-H}``.
+* **RR-P / RR-D / RR-SR** — projected Hamiltonian ``X^H (H X)`` with the same
+  precision layout, its dense diagonalization, the Ritz rotation.
+
+The textbook per-block loops are test oracles in ``tests/reference``; the
+engine here is bitwise identical to them:
 
 * **single-cast mirrors** — with mixed precision, ``X``/``HX`` are downcast
   to an FP32 mirror once per call (:func:`repro.precision.fp32_mirror`,
@@ -21,18 +31,21 @@ FP32 once per pair.  This module is the engine the :mod:`.orthonorm` /
 * **no zero-temporaries** — rotations write block products straight into
   the output columns (first term) and accumulate via a pooled product
   buffer (later terms); the reference's ``acc``/``Y`` zeroed temporaries
-  are gone.  Results are freshly owned arrays unless the caller passes
-  ``out=`` (``psi``/``hpsi`` persist across SCF iterations and the
-  resilience layer rewinds by reference, so pooled *outputs* would alias).
-* **fused CholGS→RR with HX reuse** — :func:`fused_cholgs_rr` consumes a
-  filtered block ``W`` and its precomputed product ``HW = H W`` and derives
-  orthonormalization *and* Ritz rotation without a single operator
-  application: the projected Hamiltonian is the congruence
-  ``L^{-1} (W^H HW) L^{-H}`` and the combined rotation ``R = L^{-H} Q`` is
-  applied to both ``W`` and ``HW``, so the rotated ``H X`` leaves the stage
-  for free and seeds the next Chebyshev filter's first term (one fewer
-  ``op.apply`` per ChFES iteration; see :func:`adjust_carried_hx` for the
-  cross-SCF-step potential update).
+  are gone.  Results are freshly owned arrays: ``psi``/``hpsi`` persist
+  across SCF iterations and the resilience layer rewinds by reference, so
+  pooled *outputs* would alias.
+* **fused CholGS→RR with HX reuse** — :func:`fused_cholgs_rr`, the stage
+  every SCF, band and invDFT step runs, consumes a filtered block ``W`` and
+  its precomputed product ``HW = H W`` and derives orthonormalization *and*
+  Ritz rotation without a single operator application: the projected
+  Hamiltonian is the congruence ``L^{-1} (W^H HW) L^{-H}`` and the combined
+  rotation ``R = L^{-H} Q`` is applied to both ``W`` and ``HW``, so the
+  rotated ``H X`` leaves the stage for free and seeds the next Chebyshev
+  filter's first term (one fewer ``op.apply`` per ChFES iteration; see
+  :func:`adjust_carried_hx` for the cross-SCF-step potential update).
+
+:func:`cholesky_orthonormalize` (cold starts) and :func:`rayleigh_ritz`
+(which issues its own ``op.apply``) are the unfused steps.
 """
 
 from __future__ import annotations
@@ -45,13 +58,16 @@ from repro.fem.workspace import Workspace
 from repro.hpc.flops import gemm_flops
 from repro.obs import kernel_region
 from repro.precision import f32_dtype, fp32_mirror
+from repro.tools.contracts import dtype_contract, shape_contract
 
 __all__ = [
     "ENGINE_WORKSPACE",
     "adjust_carried_hx",
     "batched_gram",
     "batched_rotate",
+    "cholesky_orthonormalize",
     "fused_cholgs_rr",
+    "rayleigh_ritz",
 ]
 
 #: pooled intermediates of the engine (FP32 mirrors, batched product
@@ -81,6 +97,8 @@ def _band_view(S: np.ndarray, bs: int, d: int, count: int, upper: bool) -> np.nd
     return as_strided(base, shape=(count, bs, bs), strides=(bs * (s0 + s1), s0, s1))
 
 
+@shape_contract(X=("n", "nvec"), Y=("n", "nvec"), returns=("nvec", "nvec"))
+@dtype_contract(X="inexact", preserves="X")
 def batched_gram(
     X: np.ndarray,
     Y: np.ndarray | None = None,
@@ -88,7 +106,6 @@ def batched_gram(
     mixed_precision: bool = False,
     ledger=None,
     kernel: str = "CholGS-S",
-    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Hermitian ``S = X^H Y`` (``Y = X`` for the overlap) by batched blocks.
 
@@ -107,15 +124,15 @@ def batched_gram(
     same = Y is X
     is_complex = np.issubdtype(X.dtype, np.complexfloating)
     bs = int(block_size)
-    ws = workspace if workspace is not None else ENGINE_WORKSPACE
+    ws = ENGINE_WORKSPACE
     S = np.empty((nvec, nvec), dtype=X.dtype)
     starts = list(range(0, nvec, bs))
     nb_full = nvec // bs
     X32 = Y32 = None
     if mixed_precision:
         f32 = f32_dtype(X.dtype)
-        X32 = fp32_mirror(X, out=ws.get("gram_x32", X.shape, f32))
-        Y32 = X32 if same else fp32_mirror(Y, out=ws.get("gram_y32", Y.shape, f32))
+        X32 = fp32_mirror(X, out=ws.get("gram_x32", X.shape, f32))  # reprolint: disable=R001
+        Y32 = X32 if same else fp32_mirror(Y, out=ws.get("gram_y32", Y.shape, f32))  # reprolint: disable=R001
     with kernel_region(kernel, ledger, block_size=bs, nvec=nvec):
         # diagonal blocks and every pair touching the ragged tail follow the
         # reference per-block path (and order); FP32 comes from mirror slices
@@ -184,6 +201,8 @@ def batched_gram(
     return S
 
 
+@shape_contract(X=("n", "nvec"), Q=("nvec", "k"), returns=("n", "k"))
+@dtype_contract(X="inexact", preserves="X")
 def batched_rotate(
     X: np.ndarray,
     Q: np.ndarray,
@@ -191,36 +210,28 @@ def batched_rotate(
     mixed_precision: bool = False,
     ledger=None,
     kernel: str = "RR-SR",
-    workspace: Workspace | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Blocked rotation ``Y = X Q`` without zeroed temporaries.
 
     The first row-block product of each output column block is written
-    straight into ``out`` (a fresh array when not given); later blocks
-    accumulate through a pooled product buffer.  The summation order — and
-    with ``mixed_precision`` the FP32 off-diagonal block products, read from
-    single-cast mirrors — matches the per-block oracle
-    ``tests/reference.reference_rotate`` exactly (the only divergence is the
-    sign of exact-zero entries, which the oracle obtains as
-    ``0.0 + (-0.0)``); :func:`~repro.core.orthonorm.blocked_rotate` is a
-    wrapper around this function.
-    ``out`` must not overlap ``X`` or ``Q``.
+    straight into a fresh output; later blocks accumulate through a pooled
+    product buffer.  The summation order — and with ``mixed_precision`` the
+    FP32 off-diagonal block products, read from single-cast mirrors —
+    matches the per-block oracle ``tests/reference.reference_rotate``
+    exactly (the only divergence is the sign of exact-zero entries, which
+    the oracle obtains as ``0.0 + (-0.0)``).
     """
     n, nvec = X.shape
     k = Q.shape[1]
     is_complex = np.issubdtype(X.dtype, np.complexfloating)
     bs = int(block_size)
-    ws = workspace if workspace is not None else ENGINE_WORKSPACE
-    if out is None:
-        out = np.empty((n, k), dtype=X.dtype)
-    elif np.may_share_memory(out, X) or np.may_share_memory(out, Q):
-        raise ValueError("out must not alias X or Q")
+    ws = ENGINE_WORKSPACE
+    out = np.empty((n, k), dtype=X.dtype)
     X32 = Q32 = None
     if mixed_precision:
         f32 = f32_dtype(X.dtype)
-        X32 = fp32_mirror(X, out=ws.get("rot_x32", X.shape, f32))
-        Q32 = fp32_mirror(Q, out=ws.get("rot_q32", Q.shape, f32))
+        X32 = fp32_mirror(X, out=ws.get("rot_x32", X.shape, f32))  # reprolint: disable=R001
+        Q32 = fp32_mirror(Q, out=ws.get("rot_q32", Q.shape, f32))  # reprolint: disable=R001
     starts = list(range(0, nvec, bs))
     with kernel_region(kernel, ledger, block_size=bs, nvec=nvec):
         for j in range(0, k, bs):
@@ -264,19 +275,85 @@ def batched_rotate(
     return out
 
 
+def _cholgs_factor(
+    W: np.ndarray, op, block_size: int, mixed_precision: bool, ledger
+) -> np.ndarray | None:
+    """CholGS-S and CholGS-CI: ``L^{-1}`` of the overlap ``W^H W = L L^H``,
+    or None when the overlap is numerically indefinite.
+
+    A distributed operator (one with a ``cluster``) sums the gram over ranks
+    first: an allreduce that is an identity metering its wire bytes.
+    """
+    S = batched_gram(
+        W, block_size=block_size, mixed_precision=mixed_precision, ledger=ledger
+    )
+    cluster = getattr(op, "cluster", None)
+    if cluster is not None:
+        S = cluster.allreduce(S)
+    with kernel_region("CholGS-CI", ledger):
+        try:
+            L = np.linalg.cholesky(S)
+            return solve_triangular(L, np.eye(L.shape[0], dtype=L.dtype), lower=True)
+        except np.linalg.LinAlgError:
+            return None
+
+
+@shape_contract(X=("n", "nvec"), returns=("n", "nvec"))
+@dtype_contract(X="inexact", preserves="X")
+def cholesky_orthonormalize(
+    X: np.ndarray,
+    block_size: int = 128,
+    mixed_precision: bool = False,
+    ledger=None,
+) -> np.ndarray:
+    """Full CholGS: overlap, Cholesky inverse, rotation.  Returns X L^{-H}.
+
+    Falls back to a QR factorization if the overlap is numerically
+    indefinite (severe filter ill-conditioning), which cannot happen once
+    the SCF is under way but protects cold starts.  The fallback is metered
+    under its own ``CholGS-QR`` kernel label (wall time charged, FLOPs
+    uncounted like CholGS-CI).
+    """
+    Linv = _cholgs_factor(X, None, block_size, mixed_precision, ledger)
+    if Linv is None:
+        with kernel_region("CholGS-QR", ledger):
+            return np.ascontiguousarray(np.linalg.qr(X)[0])
+    return batched_rotate(
+        X,
+        Linv.conj().T,
+        block_size=block_size,
+        mixed_precision=mixed_precision,
+        ledger=ledger,
+        kernel="CholGS-O",
+    )
+
+
+def rayleigh_ritz(
+    op,
+    X: np.ndarray,
+    block_size: int = 128,
+    mixed_precision: bool = False,
+    ledger=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """RR-P, RR-D, RR-SR on an orthonormal ``X``, with its own ``op.apply``.
+    Returns (eigenvalues, rotated X)."""
+    kw = dict(block_size=block_size, mixed_precision=mixed_precision, ledger=ledger)
+    Hp = batched_gram(X, op.apply(X), kernel="RR-P", **kw)
+    Hp = 0.5 * (Hp + Hp.conj().T)
+    with kernel_region("RR-D", ledger):
+        evals, Q = np.linalg.eigh(Hp)
+    return evals, batched_rotate(X, Q, kernel="RR-SR", **kw)
+
+
 def fused_cholgs_rr(
     W: np.ndarray,
     HW: np.ndarray,
     *,
-    op=None,
+    op,
     block_size: int = 128,
     mixed_precision: bool = False,
     ledger=None,
-    workspace: Workspace | None = None,
-    out_x: np.ndarray | None = None,
-    out_hx: np.ndarray | None = None,
-    want_hx: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fused CholGS → Rayleigh-Ritz on a filtered block, zero applies.
 
     Given ``W`` (Chebyshev filter output) and ``HW = H W`` (computed once,
@@ -294,63 +371,23 @@ def fused_cholgs_rr(
        would have applied to ``X`` lands on ``HW`` instead, at the same
        tall-GEMM cost, and hands ``H X`` to the next filter for free)
 
-    Returns ``(evals, X, HX)`` — ``HX`` is ``None`` when ``want_hx`` is
-    false.  When the overlap is numerically indefinite (severe cold-start
-    ill-conditioning) a QR factorization rescues the basis, metered under
-    its own ``CholGS-QR`` label; ``HW`` is then refreshed via ``op.apply``
-    when ``op`` is given, or recovered as ``HW R_qr^{-1}`` otherwise.
+    Returns ``(evals, X, HX)``.  When the overlap is numerically indefinite
+    (severe cold-start ill-conditioning) a QR factorization rescues the
+    basis, metered under its own ``CholGS-QR`` label, and ``HW`` is
+    refreshed by ``op.apply``.
     """
-    n, nvec = W.shape
+    nvec = W.shape[1]
     is_complex = np.issubdtype(W.dtype, np.complexfloating)
-    ws = workspace if workspace is not None else ENGINE_WORKSPACE
-    S = batched_gram(
-        W,
-        block_size=block_size,
-        mixed_precision=mixed_precision,
-        ledger=ledger,
-        kernel="CholGS-S",
-        workspace=ws,
-    )
-    # distributed operators sum the gram over ranks: an allreduce on the
-    # cluster (an identity that meters its wire bytes, on either backend)
-    cluster = getattr(op, "cluster", None)
-    if cluster is not None:
-        S = cluster.allreduce(S)
-    Linv = None
-    fallback = False
-    with kernel_region("CholGS-CI", ledger):
-        try:
-            L = np.linalg.cholesky(S)
-            Linv = solve_triangular(L, np.eye(L.shape[0], dtype=L.dtype), lower=True)
-        except np.linalg.LinAlgError:
-            fallback = True
-    if fallback:
+    kw = dict(block_size=block_size, mixed_precision=mixed_precision, ledger=ledger)
+    Linv = _cholgs_factor(W, op, block_size, mixed_precision, ledger)
+    if Linv is None:
         # ill-conditioned cold start: rescue the basis by QR, metered under
         # its own kernel label (FLOPs uncounted, like CholGS-CI)
         with kernel_region("CholGS-QR", ledger):
-            Qw, Rw = np.linalg.qr(W)
-            W = np.ascontiguousarray(Qw)
-            if op is not None:
-                HW = op.apply(W)
-            else:
-                rdiag = np.abs(np.diagonal(Rw))
-                if rdiag.size and rdiag.min() <= rdiag.max() * 1e-12:
-                    raise np.linalg.LinAlgError(
-                        "indefinite subspace overlap and singular QR factor; "
-                        "pass op= to fused_cholgs_rr to refresh HW"
-                    )
-                HW = np.ascontiguousarray(
-                    solve_triangular(Rw.conj().T, HW.conj().T, lower=True).conj().T
-                )
-    Hp = batched_gram(
-        W,
-        HW,
-        block_size=block_size,
-        mixed_precision=mixed_precision,
-        ledger=ledger,
-        kernel="RR-P",
-        workspace=ws,
-    )
+            W = np.ascontiguousarray(np.linalg.qr(W)[0])
+            HW = op.apply(W)
+    Hp = batched_gram(W, HW, kernel="RR-P", **kw)
+    cluster = getattr(op, "cluster", None)
     if cluster is not None:
         Hp = cluster.allreduce(Hp)
     Hp = 0.5 * (Hp + Hp.conj().T)
@@ -371,29 +408,8 @@ def fused_cholgs_rr(
             ledger.add("CholGS-O", gemm_flops(nvec, nvec, nvec, is_complex))
     else:
         R = Qe
-    X = batched_rotate(
-        W,
-        R,
-        block_size=block_size,
-        mixed_precision=mixed_precision,
-        ledger=ledger,
-        kernel="RR-SR",
-        workspace=ws,
-        out=out_x,
-    )
-    HX = None
-    if want_hx:
-        HX = batched_rotate(
-            HW,
-            R,
-            block_size=block_size,
-            mixed_precision=mixed_precision,
-            ledger=ledger,
-            kernel="CholGS-O",
-            workspace=ws,
-            out=out_hx,
-        )
-    return evals, X, HX
+    X = batched_rotate(W, R, kernel="RR-SR", **kw)
+    return evals, X, batched_rotate(HW, R, kernel="CholGS-O", **kw)
 
 
 def adjust_carried_hx(

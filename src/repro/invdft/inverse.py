@@ -29,16 +29,17 @@ mirrors its Ritz pairs and updates onto spin 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.atoms.pseudo import AtomicConfiguration
 from repro.core.chebyshev import chebyshev_filter, lanczos_upper_bound
+from repro.core.density import density_from_channels
 from repro.core.io import load_invdft_state, save_invdft_state
 from repro.core.occupations import find_fermi_level
-from repro.core.orthonorm import cholesky_orthonormalize
 from repro.core.scf import chfes_step
-from repro.core.subspace import fused_cholgs_rr
+from repro.core.subspace import cholesky_orthonormalize, fused_cholgs_rr
 from repro.fem.assembly import KSOperator
 from repro.fem.mesh import Mesh3D
 from repro.fem.poisson import PoissonSolver, multipole_boundary_values
@@ -154,17 +155,6 @@ class InverseDFT:
                 seed=11 + spin, ledger=self.ledger,
             )
 
-    def _density(self, occs: list[np.ndarray]) -> np.ndarray:
-        rho = np.zeros((self.mesh.nnodes, 2))
-        dinv2 = np.zeros(self.mesh.nnodes)
-        dinv2[self.mesh.free] = 1.0 / self.mesh.mass_diag[self.mesh.free]
-        for s in (0, 1):
-            dens = np.einsum("ij,j->i", self._psi[s] ** 2, occs[s])
-            full = np.zeros(self.mesh.nnodes)
-            full[self.mesh.free] = dens
-            rho[:, s] = full * dinv2
-        return rho
-
     def _apply_coulombic_farfield(self, v_xc: np.ndarray) -> np.ndarray:
         """Impose the physical -1/r tail of v_xc at the Dirichlet frame."""
         mesh = self.mesh
@@ -277,7 +267,11 @@ class InverseDFT:
                 ).occupations + find_fermi_level(
                     [self._evals[1]], [1.0], self.n_dn, self.temperature, degeneracy=1.0
                 ).occupations
-                rho_ks = self._density(occ)
+                rho_ks = density_from_channels(
+                    mesh,
+                    [SimpleNamespace(psi=self._psi[s], weight=1.0, spin=s) for s in (0, 1)],
+                    occ, self.ledger,
+                )
                 dr = rho_ks - self.rho_t
                 st.err = float(mesh.integrate(w * np.einsum("is,is->i", dr, dr)))
                 # resilience sentinel: never let a NaN objective drive the

@@ -4,10 +4,11 @@ A multilayer perceptron with ELU activations, matching the paper's MLXC
 architecture (5 hidden layers x 80 neurons).  What the rest of the stack
 relies on:
 
-* the passes that loop over rows — ``input_jacobian`` and
-  ``value_and_param_grad`` — run over blocks of ``BLOCK_ROWS`` rows, so a
-  pass holds one block's activations, slopes, tangents and adjoints
-  (O(block) memory) and never a full-grid (n, width) array;
+* the passes that loop over rows — ``input_jacobian``,
+  ``value_and_param_grad`` and ``residual_and_param_grad`` — run over
+  blocks of ``BLOCK_ROWS`` rows, so a pass holds one block's activations,
+  slopes, tangents and adjoints (O(block) memory) and never a full-grid
+  (n, width) array;
 * ``input_jacobian`` is back-propagation to the *inputs*: per block one
   forward and one weight-free reverse sweep give ``F`` and ``dF/df``, which
   is all the XC potential needs (:mod:`repro.xc.mlxc`);
@@ -219,6 +220,28 @@ class MLP:
             for view, g in zip(grad_views, dW + db):
                 view += g
         return out, grad
+
+    def residual_and_param_grad(
+        self, X: np.ndarray, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The MSE fit's pass: ``r = output - y`` (n, n_out) and the flat
+        gradient of ``sum(r**2) / n``.  Per row block, one forward with a
+        cache forms the block's residual and the reverse sweep takes its
+        cotangent ``2 r / n``, so the output is computed once per epoch."""
+        X = np.atleast_2d(X)
+        n = X.shape[0]
+        resid = np.empty((n, self.layer_sizes[-1]))
+        grad = np.zeros(self.n_params)
+        grad_views = self._param_views(grad)
+        for blk in row_blocks(n):
+            cache: list = []
+            r = self.forward(X[blk], cache)
+            r -= y[blk]
+            resid[blk] = r
+            dW, db, _ = self.backward(cache, 2.0 * r / n)
+            for view, g in zip(grad_views, dW + db):
+                view += g
+        return resid, grad
 
     def input_jacobian(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``F`` (n,) and ``dF/dX`` (n, n_in) of a scalar-output network.

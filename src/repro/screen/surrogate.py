@@ -155,14 +155,12 @@ class DensitySurrogate:
         loss = np.inf
         with trace_region("screen.surrogate.fit", samples=n):
             for _ in range(self.epochs):
-                resid = self.net.forward(X) - y
+                resid, grad = self.net.residual_and_param_grad(X, y)
                 loss = float(np.mean(resid**2))
                 if not np.isfinite(loss):
                     raise FloatingPointError(
                         "surrogate training produced a non-finite loss"
                     )
-                # d(mean r^2)/d(theta) = backprop of the cotangent 2r/n
-                _, grad = self.net.value_and_param_grad(X, 2.0 * resid / n)
                 theta = self.opt.step(theta, grad)
                 self.net.set_params(theta)
         self.trained = True

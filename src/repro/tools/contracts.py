@@ -10,7 +10,7 @@ assertions:
 
     @shape_contract(X=("n", "nvec"), Q=("nvec", "k"), returns=("n", "k"))
     @dtype_contract(X="inexact", preserves="X")
-    def blocked_rotate(X, Q, ...):
+    def batched_rotate(X, Q, ...):
         ...
 
 ``shape_contract`` binds dimension names across arguments (every occurrence
@@ -51,11 +51,20 @@ class ContractViolation(TypeError):
 
 
 def _binder(func: Callable[..., Any]) -> Callable[[tuple, dict], dict[str, Any]]:
-    """Precompute the signature so per-call binding stays cheap."""
-    sig = inspect.signature(func)
+    """Precompute the positional parameter names so per-call binding is a
+    ``zip`` (``Signature.bind_partial`` costs more than the small subspace
+    GEMMs the checks guard).  Only arguments the caller passed are bound;
+    a call the signature rejects fails in ``func`` itself."""
+    names = [
+        p.name
+        for p in inspect.signature(func).parameters.values()
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ]
 
     def bind(args: tuple, kwargs: dict) -> dict[str, Any]:
-        return dict(sig.bind_partial(*args, **kwargs).arguments)
+        values = dict(zip(names, args))
+        values.update(kwargs)
+        return values
 
     return bind
 
@@ -95,8 +104,10 @@ def shape_contract(*, returns: tuple | None = None, **arg_specs: tuple) -> Calla
 
     Each keyword maps an argument name to a tuple whose entries are
     dimension names (``str``, bound consistently across all specs), exact
-    sizes (``int``) or ``None`` (unchecked).  ``returns=`` checks the
-    return value against the dimensions bound by the inputs.
+    sizes (``int``) or ``None`` (unchecked).  An argument passed as
+    ``None`` (an optional array left out, e.g. ``batched_gram``'s ``Y``) is
+    not checked.  ``returns=`` checks the return value against the
+    dimensions bound by the inputs.
     """
 
     def deco(func: F) -> F:
@@ -108,7 +119,7 @@ def shape_contract(*, returns: tuple | None = None, **arg_specs: tuple) -> Calla
             dims: dict[str, int] = {}
             values = bind(args, kwargs)
             for argname, spec in arg_specs.items():
-                if argname in values:
+                if values.get(argname) is not None:
                     _check_shape(fname, argname, values[argname], spec, dims)
             out = func(*args, **kwargs)
             if returns is not None:

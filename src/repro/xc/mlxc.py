@@ -138,7 +138,7 @@ class MLXC(XCFunctional):
             e_ref = np.real(reference.exc_density(rho_up, rho_dn, suu, sud, sdd))
         else:
             e_ref = np.real(reference.exc_density(rho_up, rho_dn))
-        F_target = e_ref / (rho ** (4 / 3) * phi_spin_factor(xi))
+        F_target = (e_ref / (rho ** (4 / 3) * phi_spin_factor(xi)))[:, None]
         feats = feature_map(rho, xi, s)
         functional = cls(seed=seed)
         net = functional.network
@@ -146,8 +146,7 @@ class MLXC(XCFunctional):
         theta = net.get_params()
         for _ in range(epochs):
             net.set_params(theta)
-            resid = net.forward(feats)[:, 0] - F_target
-            _, grad = net.value_and_param_grad(feats, (2.0 * resid / n_samples)[:, None])
+            _, grad = net.residual_and_param_grad(feats, F_target)
             theta = opt.step(theta, grad)
         net.set_params(theta)
         return functional

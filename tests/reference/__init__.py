@@ -196,7 +196,7 @@ def reference_gram(
     ledger=None,
     kernel: str = "CholGS-S",
 ) -> np.ndarray:
-    """Per-(i, j)-block overlap loop: oracle for ``blocked_gram``."""
+    """Per-(i, j)-block overlap loop: oracle for ``batched_gram``."""
     n, nvec = X.shape
     is_complex = np.issubdtype(X.dtype, np.complexfloating)
     S = np.zeros((nvec, nvec), dtype=X.dtype)
@@ -244,7 +244,7 @@ def reference_rotate(
     ledger=None,
     kernel: str = "RR-SR",
 ) -> np.ndarray:
-    """Rotation loop with zeroed accumulators: oracle for ``blocked_rotate``."""
+    """Rotation loop with zeroed accumulators: oracle for ``batched_rotate``."""
     n, nvec = X.shape
     is_complex = np.issubdtype(X.dtype, np.complexfloating)
     f32 = f32_dtype(X.dtype)
@@ -286,7 +286,8 @@ def reference_projected_hamiltonian(
     mixed_precision: bool = False,
     ledger=None,
 ) -> np.ndarray:
-    """Per-(i, j)-block projection loop: oracle for ``projected_hamiltonian``."""
+    """Per-(i, j)-block projection loop: oracle for RR-P, the hermitized
+    ``batched_gram(X, HX)``."""
     n, nvec = X.shape
     is_complex = np.issubdtype(X.dtype, np.complexfloating)
     f32 = f32_dtype(X.dtype)

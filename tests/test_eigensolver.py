@@ -12,8 +12,12 @@ from repro.core.chebyshev import (
     filter_block,
     lanczos_upper_bound,
 )
-from repro.core.orthonorm import blocked_gram, blocked_rotate, cholesky_orthonormalize
-from repro.core.rayleigh_ritz import projected_hamiltonian, rayleigh_ritz
+from repro.core.subspace import (
+    batched_gram,
+    batched_rotate,
+    cholesky_orthonormalize,
+    rayleigh_ritz,
+)
 from repro.hpc.flops import FlopLedger
 
 from tests.reference import reference_cf_term
@@ -132,15 +136,15 @@ def test_cholesky_orthonormalize_property(seed, complex_):
 def test_blocked_gram_matches_direct():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((60, 10)) + 1j * rng.standard_normal((60, 10))
-    S = blocked_gram(X, block_size=4)
+    S = batched_gram(X, block_size=4)
     assert np.allclose(S, X.conj().T @ X, atol=1e-12)
 
 
 def test_blocked_gram_mixed_precision_error_small():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((200, 16))
-    S64 = blocked_gram(X, block_size=4, mixed_precision=False)
-    S32 = blocked_gram(X, block_size=4, mixed_precision=True)
+    S64 = batched_gram(X, block_size=4, mixed_precision=False)
+    S32 = batched_gram(X, block_size=4, mixed_precision=True)
     # diagonal blocks identical (kept FP64)
     assert np.allclose(np.diag(S64), np.diag(S32), atol=0)
     rel = np.abs(S64 - S32).max() / np.abs(S64).max()
@@ -151,7 +155,7 @@ def test_blocked_rotate_matches_direct():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((30, 9))
     Q = rng.standard_normal((9, 9))
-    assert np.allclose(blocked_rotate(X, Q, block_size=4), X @ Q, atol=1e-12)
+    assert np.allclose(batched_rotate(X, Q, block_size=4), X @ Q, atol=1e-12)
 
 
 def test_rayleigh_ritz_recovers_eigenpairs():
@@ -167,11 +171,13 @@ def test_rayleigh_ritz_recovers_eigenpairs():
 
 
 def test_projected_hamiltonian_hermitian():
+    """RR-P's gram ``X^H (H X)`` is Hermitian to round-off before the stage
+    hermitizes it."""
     H = _random_hermitian(40, 12, complex_=True)
     op = DenseOp(H)
     rng = np.random.default_rng(2)
     X = np.linalg.qr(rng.standard_normal((40, 8)) + 1j * rng.standard_normal((40, 8)))[0]
-    Hp = projected_hamiltonian(X, op.apply(X), block_size=3)
+    Hp = batched_gram(X, op.apply(X), block_size=3, kernel="RR-P")
     assert np.allclose(Hp, Hp.conj().T, atol=1e-12)
 
 

@@ -202,6 +202,23 @@ def test_blocked_passes_match_one_pass_over_every_row():
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def test_residual_pass_matches_forward_then_param_grad():
+    """``residual_and_param_grad``, one cached forward per row block whose
+    residual its reverse sweep takes at once, returns the same bits as the
+    two passes it replaces: a whole-array ``forward``, then
+    ``value_and_param_grad`` on the cotangent ``2 r / n``."""
+    rng = np.random.default_rng(2)
+    n = 3 * BLOCK_ROWS + 11
+    net = MLP((3, 8, 8, 2), seed=4)
+    net.set_params(net.get_params() + 0.3 * rng.normal(size=net.n_params))
+    X, y = rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
+    resid, grad = net.residual_and_param_grad(X, y)
+    want = net.forward(X) - y
+    _, want_grad = net.value_and_param_grad(X, 2.0 * want / n)
+    assert np.array_equal(resid, want)
+    assert np.array_equal(grad, want_grad)
+
+
 def test_passes_leave_the_network_as_they_found_it(toy_samples):
     """Every per-call array (activations, ELU slopes, tangents) lives in the
     caller's cache or in the pass's own block loop: the network's attributes
@@ -219,6 +236,7 @@ def test_passes_leave_the_network_as_they_found_it(toy_samples):
     big = np.random.default_rng(4).normal(size=(2 * BLOCK_ROWS + 5, 3))
     net.input_jacobian(big)
     net.value_and_param_grad(big, big[:, :1], big, big[:, 1:2])
+    net.residual_and_param_grad(big, big[:, :1])
     MLXCTrainer(toy_samples, MLXC(network=net)).loss_and_grad()
     assert vars(net).keys() == before.keys()
     for key, (obj, snapshot) in before.items():

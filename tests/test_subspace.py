@@ -20,21 +20,17 @@ import numpy as np
 import pytest
 
 from repro.core.chebyshev import chebyshev_filter
-from repro.core.orthonorm import (
-    blocked_gram,
-    blocked_rotate,
-    cholesky_orthonormalize,
-)
-from repro.core.rayleigh_ritz import projected_hamiltonian
 from repro.core.subspace import (
     adjust_carried_hx,
     batched_gram,
     batched_rotate,
+    cholesky_orthonormalize,
     fused_cholgs_rr,
 )
 from repro.core.io import load_scf_state, save_scf_state
 from repro.hpc.flops import UNCOUNTED_KERNELS, FlopLedger
 from repro.precision import f32_dtype, fp32_mirror
+from repro.tools.contracts import ContractViolation
 
 from tests.reference import (
     reference_cf_term,
@@ -109,25 +105,6 @@ def test_rotate_bitwise_identical(nvec, bs, mixed, complex_):
     assert np.array_equal(ref, got) or np.array_equal(ref + 0.0, got + 0.0)
 
 
-def test_public_wrappers_dispatch_to_engine():
-    """blocked_gram/blocked_rotate/projected_hamiltonian match the oracles."""
-    X = _block(97, 12, seed=0, complex_=True)
-    Q = _block(12, 12, seed=1, complex_=True)[:12]
-    Y = X[:, ::-1].copy()
-    fast = (
-        blocked_gram(X, block_size=5),
-        blocked_rotate(X, Q, block_size=5),
-        projected_hamiltonian(X, Y, block_size=5),
-    )
-    slow = (
-        reference_gram(X, block_size=5),
-        reference_rotate(X, Q, block_size=5),
-        reference_projected_hamiltonian(X, Y, block_size=5),
-    )
-    for f, s in zip(fast, slow):
-        assert np.array_equal(f, s)
-
-
 def test_cholesky_orthonormalize_engine_matches_reference():
     for complex_ in (False, True):
         for mixed in (False, True):
@@ -184,8 +161,9 @@ def test_mixed_precision_ritz_drift_bounded(bs):
     H = 0.5 * (A + A.T)
     W = rng.standard_normal((120, 24))
     HW = H @ W
-    e64, _, _ = fused_cholgs_rr(W, HW.copy(), block_size=bs)
-    e32, _, _ = fused_cholgs_rr(W, HW.copy(), block_size=bs, mixed_precision=True)
+    op = DenseOp(H)
+    e64, _, _ = fused_cholgs_rr(W, HW.copy(), op=op, block_size=bs)
+    e32, _, _ = fused_cholgs_rr(W, HW.copy(), op=op, block_size=bs, mixed_precision=True)
     assert np.max(np.abs(e64 - e32)) < 1e-3 * max(1.0, np.abs(e64).max())
 
 
@@ -239,23 +217,15 @@ def test_fused_matches_reference_pipeline(complex_):
     np.testing.assert_allclose(overlap, 1.0, atol=1e-7)
 
 
-def test_fused_writes_into_out_buffers():
+def test_fused_rejects_hw_of_another_shape():
+    """The engine's shape contract guards the fused stage: an ``HW`` that is
+    not ``W``'s shape is refused instead of projected."""
     H = _hermitian(60, 9)
+    op = DenseOp(H)
     W = _block(60, 8, seed=10, complex_=False)
-    HW = H @ W
-    out_x = np.empty_like(W)
-    out_hx = np.empty_like(W)
-    evals, X, HX = fused_cholgs_rr(W, HW, block_size=4, out_x=out_x, out_hx=out_hx)
-    assert X is out_x and HX is out_hx
-    evals2, X2, HX2 = fused_cholgs_rr(W, HW, block_size=4)
-    assert np.array_equal(X, X2) and np.array_equal(HX, HX2)
-
-
-def test_rotate_out_must_not_alias():
-    X = _block(30, 6, seed=1, complex_=False)
-    Q = np.eye(6)
-    with pytest.raises(ValueError, match="alias"):
-        batched_rotate(X, Q, block_size=3, out=X)
+    for HW in (H @ W[:, :7], (H @ W)[:59]):
+        with pytest.raises(ContractViolation):
+            fused_cholgs_rr(W, HW, op=op, block_size=4)
 
 
 def test_qr_fallback_is_metered():
